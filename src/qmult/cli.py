@@ -37,8 +37,19 @@ _ERRORS = (
     SeriesSemanticError,
     SeriesSyntaxError,
     OSError,
+    UnicodeDecodeError,
     json.JSONDecodeError,
 )
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("expand", help="expand a series expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=int, required=True, help="last coefficient index")
+    p.add_argument("--n", type=_nonnegative_int, required=True, help="last coefficient index")
     p.add_argument("--json", action="store_true")
 
     p = subs.add_parser("fit", help="fit a length function and print its JSON")

@@ -327,14 +327,35 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     return out
 
 
+def cauchy_horizon(p: Polynomial) -> int:
+    """An integer beyond every real root of a nonconstant p, in absolute value.
+
+    Cauchy's bound puts all real roots in |m| <= 1 + max |c_k / lead|; the
+    horizon is its integer part plus one.
+    """
+    if p.degree < 1:
+        raise ValueError("the Cauchy bound needs a nonconstant polynomial")
+    lead = p.coeffs[-1]
+    bound = 1 + max(abs(c / lead) for c in p.coeffs[:-1])
+    return int(bound) + 1
+
+
 def nonnegative_on_ray(p: Polynomial, start: int, direction: int) -> int | None:
     """Check p(m) >= 0 for every integer m on a ray, exactly.
 
     ``direction=+1`` checks m >= start, ``direction=-1`` checks m <= start.
     Returns None when the polynomial is nonnegative on the whole ray, else a
-    violating integer m.  Finite procedure: beyond the Cauchy root bound the
-    sign is the sign of the leading term, so only integers between ``start``
-    and the bound need explicit evaluation.
+    violating integer m: the first one along the ray, or a point past the
+    Cauchy horizon when the leading term is negative there.
+
+    The certificate is the forward-difference table of q(x) = p(start +
+    direction*x), built from deg + 1 evaluations.  By Newton's forward formula
+    q(x + j) = sum_k Delta^k q(x) * C(j, k), and C(j, k) >= 0 at every integer
+    j >= 0, so once every entry of the table is >= 0 the ray is certified from
+    there on.  Until then the table walks one step along the ray at a time (deg
+    additions a step), and the first step whose entry Delta^0 q is negative is
+    the violation.  Past the horizon p has no roots and keeps the sign of its
+    leading term, so the walk never goes beyond it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -343,15 +364,23 @@ def nonnegative_on_ray(p: Polynomial, start: int, direction: int) -> int | None:
     deg, lead = p.leading_term()
     if deg == 0:
         return None if lead > 0 else start
-    # All real roots lie in |m| <= 1 + max |c_k / lead|.
-    bound = 1 + max(abs(c / lead) for c in p.coeffs[:-1])
-    horizon = int(bound) + 1
+    horizon = cauchy_horizon(p)
     eventual_sign = lead if direction == 1 else lead * (-1) ** deg
     if eventual_sign < 0:
         return direction * max(direction * start, horizon + 1)
+    if direction * start > horizon:
+        return None
+    table = [p(start + direction * i) for i in range(deg + 1)]
+    for k in range(1, deg + 1):
+        for i in range(deg, k - 1, -1):
+            table[i] -= table[i - 1]
     m = start
     while direction * m <= horizon:
-        if p(m) < 0:
+        if table[0] < 0:
             return m
+        if all(entry >= 0 for entry in table):
+            return None
+        for k in range(deg):
+            table[k] += table[k + 1]
         m += direction
     return None

@@ -31,6 +31,7 @@ from .exact import (
     Polynomial,
     RationalFunction,
     nonnegative_on_ray,
+    parse_rational,
     series_coefficients,
 )
 
@@ -379,6 +380,12 @@ class LengthFunction:
 
     @staticmethod
     def from_json_dict(data: dict) -> LengthFunction:
+        """Build a length function from its JSON form, coercing nothing.
+
+        Integers must be JSON integers (not bools or floats) and rationals
+        must be integers or "p"/"p/q" strings; anything else raises a
+        :class:`ModelError` naming the offending field.
+        """
         _require_keys(data, {"d", "core", "pos_tail", "neg_tail"}, "length function")
         core = data["core"]
         _require_keys(core, {"start", "values"}, "core")
@@ -392,18 +399,53 @@ class LengthFunction:
                 return Tail.vanishing()
             if obj["kind"] == "quasipoly":
                 _require_keys(obj, {"kind", anchor_key, "polys"}, f"{side}_tail")
-                polys = tuple(Polynomial.from_json(p) for p in obj["polys"])
-                return Tail.quasipoly(QuasiPolynomial(d, polys, int(obj[anchor_key])))
+                field = f"{side}_tail.polys"
+                polys = tuple(
+                    _json_poly(p, f"{field}[{i}]")
+                    for i, p in enumerate(_json_list(obj["polys"], field))
+                )
+                anchor = _json_int(obj[anchor_key], f"{side}_tail.{anchor_key}")
+                return Tail.quasipoly(QuasiPolynomial(d, polys, anchor))
             raise ModelError(f"unknown tail kind {obj['kind']!r}")
 
-        d = int(data["d"])
+        d = _json_int(data["d"], "d")
         return LengthFunction(
             d,
-            int(core["start"]),
-            tuple(int(v) for v in core["values"]),
+            _json_int(core["start"], "core.start"),
+            tuple(
+                _json_int(v, f"core.values[{i}]")
+                for i, v in enumerate(_json_list(core["values"], "core.values"))
+            ),
             tail_from(data["pos_tail"], "pos", d),
             tail_from(data["neg_tail"], "neg", d),
         )
+
+
+def _json_int(value: object, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise ModelError(f"{field} must be an array, got {value!r}")
+    return value
+
+
+def _json_poly(value: object, field: str) -> Polynomial:
+    return Polynomial(
+        tuple(_json_rational(c, f"{field}[{k}]") for k, c in enumerate(_json_list(value, field)))
+    )
+
+
+def _json_rational(value: object, field: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ModelError(f'{field} must be an integer or a "p/q" string, got {value!r}')
+    try:
+        return parse_rational(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ModelError(f"{field} is not a rational: {value!r}") from None
 
 
 def _require_keys(obj: dict, allowed: set[str], what: str) -> None:

@@ -40,7 +40,7 @@ from typing import Sequence
 from .differences import delta as delta_op
 from .differences import delta_neg as delta_neg_op
 from .differences import faulhaber_sum
-from .exact import Polynomial, format_rational
+from .exact import Polynomial, cauchy_horizon, format_rational
 from .lengths import LengthFunction, ModelError, Tail
 
 
@@ -452,11 +452,8 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     horizon = 0
     if qp is not None:
         for p in qp.polys:
-            if p.is_zero() or p.degree == 0:
-                continue
-            _, lead = p.leading_term()
-            bound = 1 + max(abs(c / lead) for c in p.coeffs[:-1])
-            horizon = max(horizon, int(bound) + 1)
+            if p.degree >= 1:
+                horizon = max(horizon, cauchy_horizon(p))
         scan_end = max(m0, lf.core_end, qp.valid_from + lf.d * (horizon + 2)) + 2 * lf.d
     else:
         scan_end = max(m0, lf.core_end) + 2 * lf.d

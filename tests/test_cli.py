@@ -22,6 +22,15 @@ def check_golden(name: str, got: str):
     assert got == want, f"output drifted from {path}"
 
 
+def two_sided_input():
+    return {
+        "d": 2,
+        "core": {"start": -10, "values": [3, 0] * 10 + [3]},
+        "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["3"], []]},
+        "neg_tail": {"kind": "quasipoly", "valid_to": 0, "polys": [["3"], []]},
+    }
+
+
 class TestExpand:
     def test_binomials(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "1/(1-t)^3", "--n", "4")
@@ -47,6 +56,12 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--expr", "1/(t", "--n", "3")
         assert code == 1
         assert "offset 4" in err
+
+    def test_negative_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["expand", "--expr", "1/(1-t)", "--n", "-1"])
+        assert info.value.code == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestReportCommands:
@@ -74,14 +89,8 @@ class TestReportCommands:
         assert payload["e_delta"] == 0
 
     def test_e_neg_on_two_sided_input(self, capsys, tmp_path):
-        lf = {
-            "d": 2,
-            "core": {"start": -10, "values": [3, 0] * 10 + [3]},
-            "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["3"], []]},
-            "neg_tail": {"kind": "quasipoly", "valid_to": 0, "polys": [["3"], []]},
-        }
         path = tmp_path / "lf.json"
-        path.write_text(json.dumps(lf))
+        path.write_text(json.dumps(two_sided_input()))
         code, out, _ = run(capsys, "e-neg", "--input", str(path), "--s", "1", "--json")
         assert code == 0
         payload = json.loads(out)
@@ -124,6 +133,67 @@ class TestFitAndCx:
         )
         assert code == 0
         assert out == "2\n"
+
+
+class TestStrictJsonInput:
+    def test_valid_input_accepted(self, capsys, tmp_path):
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(two_sided_input()))
+        assert run(capsys, "cx", "--input", str(path)) == (0, "1\n", "")
+
+    def test_coerced_core_values_rejected(self, capsys, tmp_path):
+        lf = {
+            "d": 2,
+            "core": {"start": 0, "values": [1.5, True, 3]},
+            "pos_tail": {"kind": "vanishing"},
+            "neg_tail": {"kind": "vanishing"},
+        }
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(lf))
+        code, out, err = run(capsys, "cx", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert "core.values[0] must be an integer, got 1.5" in err
+
+    def test_undecodable_file_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "lf.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "cx", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (["d"], 2.0, "d"),
+            (["d"], True, "d"),
+            (["core", "start"], -10.0, "core.start"),
+            (["core", "start"], False, "core.start"),
+            (["core", "values", 4], True, "core.values[4]"),
+            (["core", "values", 4], 3.0, "core.values[4]"),
+            (["core", "values"], "30303", "core.values"),
+            (["pos_tail", "valid_from"], 0.0, "pos_tail.valid_from"),
+            (["pos_tail", "valid_from"], True, "pos_tail.valid_from"),
+            (["neg_tail", "valid_to"], 0.5, "neg_tail.valid_to"),
+            (["neg_tail", "valid_to"], False, "neg_tail.valid_to"),
+            (["pos_tail", "polys", 0, 0], "x", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "3/0", "pos_tail.polys[0][0]"),
+            (["neg_tail", "polys", 0, 0], 3.0, "neg_tail.polys[0][0]"),
+            (["neg_tail", "polys", 0, 0], True, "neg_tail.polys[0][0]"),
+            (["neg_tail", "polys", 1], "0", "neg_tail.polys[1]"),
+        ],
+    )
+    def test_malformed_field_is_named(self, capsys, tmp_path, path, value, field):
+        lf = two_sided_input()
+        *parents, last = path
+        obj = lf
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+        input_file = tmp_path / "lf.json"
+        input_file.write_text(json.dumps(lf))
+        code, out, err = run(capsys, "cx", "--input", str(input_file))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} ")
 
 
 class TestKoszulCommand:

@@ -1,15 +1,17 @@
 """Exact polynomial / rational function arithmetic."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qmult.exact import (
     NotExpandableError,
     Polynomial,
     RationalFunction,
+    cauchy_horizon,
     format_rational,
     leading_term,
     nonnegative_on_ray,
@@ -178,3 +180,96 @@ class TestNonnegativeOnRay:
 
     def test_zero_polynomial(self):
         assert nonnegative_on_ray(Polynomial(), 0, 1) is None
+
+    def test_binomial_certified_from_its_difference_table(self, monkeypatch):
+        # C(m+15, 15) has Cauchy horizon 15! + 2, about 1.3e12: a scan up to
+        # it would not finish, the difference table at m = 0 is all ones.
+        p = Polynomial.const(Fraction(1, factorial(15)))
+        for i in range(1, 16):
+            p = p * (T + i)
+        limit = p.degree + 1
+        original = Polynomial.__call__
+        calls = []
+
+        def counting(self, x):
+            calls.append(x)
+            assert len(calls) <= limit, "sign certificate evaluated p too often"
+            return original(self, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counting)
+        assert nonnegative_on_ray(p, 0, 1) is None
+        assert len(calls) <= limit
+
+    def test_cauchy_horizon_is_beyond_every_root(self):
+        p = (T - 7) * (T + Fraction(25, 2)) * (T - Fraction(1, 3))
+        horizon = cauchy_horizon(p)
+        assert horizon > Fraction(25, 2)
+        assert all(p(m) != 0 for m in range(horizon, horizon + 50))
+        with pytest.raises(ValueError):
+            cauchy_horizon(Polynomial.const(3))
+
+
+def scan_oracle(p, start, direction):
+    """Brute force: evaluate p at every integer from start out to the Cauchy bound."""
+    if p.is_zero():
+        return None
+    deg, lead = p.degree, p.coeffs[-1]
+    if deg == 0:
+        return None if lead > 0 else start
+    horizon = int(1 + max(abs(c / lead) for c in p.coeffs[:-1])) + 1
+    eventual_sign = lead if direction == 1 else lead * (-1) ** deg
+    if eventual_sign < 0:
+        return direction * max(direction * start, horizon + 1)
+    m = start
+    while direction * m <= horizon:
+        if p(m) < 0:
+            return m
+        m += direction
+    return None
+
+
+def from_roots(lead, roots, offset):
+    p = Polynomial.const(lead)
+    for r in roots:
+        p = p * (T - r)
+    return p + offset
+
+
+small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=4)
+leads = st.builds(
+    lambda sign, q: sign * q,
+    st.sampled_from([1, -1]),
+    st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=4),
+)
+ray_polynomials = st.one_of(
+    st.builds(
+        lambda cs, lead: Polynomial(tuple(cs) + (lead,)),
+        st.lists(small_rationals, max_size=6),
+        leads,
+    ),
+    st.builds(
+        from_roots,
+        leads,
+        st.lists(st.fractions(min_value=-25, max_value=25, max_denominator=3), max_size=5),
+        small_rationals,
+    ),
+)
+
+
+class TestNonnegativeOnRayAgainstScan:
+    @given(ray_polynomials, st.integers(-60, 60), st.sampled_from([1, -1]))
+    def test_same_answer_as_the_scan(self, p, start, direction):
+        assume(p.degree < 1 or cauchy_horizon(p) <= 4000)
+        assert nonnegative_on_ray(p, start, direction) == scan_oracle(p, start, direction)
+
+    @given(
+        st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=2), min_size=1, max_size=3),
+        st.integers(-30, 30),
+    )
+    def test_first_violation_inside_the_ray(self, roots, start):
+        # Products of (t - r)^2 shifted down by one dip below zero near each
+        # root, so the first violation sits inside the ray, not at its start.
+        p = from_roots(1, roots + roots, -1)
+        assume(cauchy_horizon(p) <= 4000)
+        for direction in (1, -1):
+            assert nonnegative_on_ray(p, start, direction) == scan_oracle(p, start, direction)
