@@ -26,49 +26,32 @@ from .exact import Polynomial
 NumericFunction = Callable[[int], Union[int, Fraction]]
 
 
-def delta(f: NumericFunction, s: int, d: int, n: int, mode: str = "closed") -> Fraction:
-    """s-fold forward difference of index d at n.
-
-    ``mode="recursive"`` unfolds D^s = D(D^{s-1}); ``mode="closed"`` evaluates
-    the binomial closed form.  Both are exact and agree.
+def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
+    """s-fold forward difference of index d at n, by the binomial closed form.
 
     >>> delta(lambda n: Fraction(n) ** 2, 2, 3, 5)
     Fraction(18, 1)
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if mode == "closed":
-        return sum(
-            (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + (s - i) * d)) for i in range(s + 1)),
-            Fraction(0),
-        )
-    if mode == "recursive":
-        if s == 0:
-            return Fraction(f(n))
-        return delta(f, s - 1, d, n + d, "recursive") - delta(f, s - 1, d, n, "recursive")
-    raise ValueError(f"unknown mode {mode!r}")
+    return sum(
+        (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + (s - i) * d)) for i in range(s + 1)),
+        Fraction(0),
+    )
 
 
-def delta_neg(f: NumericFunction, s: int, d: int, n: int, mode: str = "closed") -> Fraction:
-    """s-fold backward difference of index d at n.
+def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
+    """s-fold backward difference of index d at n, by the binomial closed form.
 
     >>> delta_neg(lambda n: Fraction(n), 1, 2, 0)
     Fraction(-2, 1)
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if mode == "closed":
-        return sum(
-            (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + d * i + s)) for i in range(s + 1)),
-            Fraction(0),
-        )
-    if mode == "recursive":
-        if s == 0:
-            return Fraction(f(n))
-        return delta_neg(f, s - 1, d, n + 1, "recursive") - delta_neg(
-            f, s - 1, d, n + d + 1, "recursive"
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return sum(
+        (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + d * i + s)) for i in range(s + 1)),
+        Fraction(0),
+    )
 
 
 def alternating_binomial_moment(s: int, n: int) -> Fraction:

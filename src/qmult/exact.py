@@ -207,27 +207,6 @@ def _as_poly(x: Polynomial | Scalar) -> Polynomial:
     return Polynomial.const(x)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch add/sub/mul by name (thin wrapper over the operators)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_shift(g: Polynomial, c: Scalar) -> Polynomial:
-    """Return g(t + c)."""
-    return g.shift(c)
-
-
-def leading_term(g: Polynomial) -> tuple[int, Fraction]:
-    """Return (degree, leading coefficient) with the degree -1 convention for 0."""
-    return g.leading_term()
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of polynomials, normalized so the denominator has constant term 1.

@@ -11,6 +11,9 @@ violating degrees) when the difference goes negative anywhere, since then no
 globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
 regime, so the complexity drops by exactly one per step while it is positive.
+The negative regime is the positive one reflected: its tails are the positive
+step of the reflected tails (n -> lambda(-n)), reflected back and shifted by
+d + 1, which is exactly lambda(n + 1) - lambda(n + d + 1).
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
@@ -42,25 +45,21 @@ class KoszulError(ValueError):
         super().__init__(message)
 
 
-def _reduced_tail(tail: Tail, regime: str, side: str, d: int) -> Tail:
-    if tail.qp is None:
-        return Tail.vanishing()
-    qp = tail.qp
+def _forward_step(qp: QuasiPolynomial, side: str) -> QuasiPolynomial:
+    """The positive-regime tail: g_i -> g_i(t+1) - g_i(t)."""
+    anchor = qp.valid_from if side == "pos" else qp.valid_from - qp.d
+    return QuasiPolynomial(qp.d, tuple(p.forward_difference() for p in qp.polys), anchor)
+
+
+def _reduced_tail(tail: Tail, regime: str, side: str) -> Tail:
     if regime == "positive":
-        polys = tuple(p.forward_difference() for p in qp.polys)
-        anchor = qp.valid_from if side == "pos" else qp.valid_from - d
-    else:
-        rotated = []
-        for i in range(d):
-            if i < d - 1:
-                g = qp.polys[i + 1]
-                rotated.append(g - g.shift(1))
-            else:
-                g = qp.polys[0]
-                rotated.append(g.shift(1) - g.shift(2))
-        polys = tuple(rotated)
-        anchor = qp.valid_from - 1 if side == "pos" else qp.valid_from - d - 1
-    return Tail.quasipoly(QuasiPolynomial(d, polys, anchor))
+        return tail.map(lambda qp: _forward_step(qp, side))
+    # The negative step is the positive one seen in the mirror: reflect, step
+    # on the opposite side, reflect back, then shift by d + 1.
+    mirror_side = "neg" if side == "pos" else "pos"
+    return tail.map(
+        lambda qp: _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
+    )
 
 
 def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
@@ -73,13 +72,11 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     if regime not in ("positive", "negative"):
         raise ValueError("regime must be 'positive' or 'negative'")
     d = lf.d
-    if regime == "positive":
-        fn: Callable[[int], int] = lambda n: lf(n + d) - lf(n)  # noqa: E731
-    else:
-        fn = lambda n: lf(n + 1) - lf(n + d + 1)  # noqa: E731
+    ahead, behind = (d, 0) if regime == "positive" else (1, d + 1)
+    fn: Callable[[int], int] = lambda n: lf(n + ahead) - lf(n + behind)  # noqa: E731
 
-    pos = _reduced_tail(lf.pos_tail, regime, "pos", d)
-    neg = _reduced_tail(lf.neg_tail, regime, "neg", d)
+    pos = _reduced_tail(lf.pos_tail, regime, "pos")
+    neg = _reduced_tail(lf.neg_tail, regime, "neg")
 
     # Window that the constructor would materialize; scan it for negativity
     # first so the failure comes back as a Koszul rejection with witnesses.

@@ -79,6 +79,21 @@ class QuasiPolynomial:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.polys)
 
+    def shift(self, k: int) -> QuasiPolynomial:
+        """The translate n -> self(n + k), anchored at valid_from - k."""
+        polys = []
+        for i in range(self.d):
+            q, r = divmod(i + k, self.d)  # floor division
+            polys.append(self.polys[r].shift(q))
+        return QuasiPolynomial(self.d, tuple(polys), self.valid_from - k)
+
+    def reflect(self) -> QuasiPolynomial:
+        """The reversal n -> self(-n), anchored at -valid_from."""
+        polys = [self.polys[0].compose_linear(-1, 0)]
+        for i in range(1, self.d):
+            polys.append(self.polys[self.d - i].compose_linear(-1, -1))
+        return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
+
 
 @dataclass(frozen=True)
 class Tail:
@@ -101,6 +116,10 @@ class Tail:
     @property
     def is_vanishing(self) -> bool:
         return self.qp is None
+
+    def map(self, f: Callable[[QuasiPolynomial], QuasiPolynomial]) -> Tail:
+        """Transform the quasi-polynomial; a vanishing tail stays vanishing."""
+        return self if self.qp is None else Tail(f(self.qp))
 
 
 def _check_tail(
@@ -225,44 +244,22 @@ class LengthFunction:
 
     def shift(self, k: int) -> LengthFunction:
         """The translate n -> self(n + k)."""
-
-        def move(tail: Tail) -> Tail:
-            if tail.qp is None:
-                return tail
-            qp = tail.qp
-            polys = []
-            for i in range(self.d):
-                u = i + k
-                q, r = divmod(u, self.d)  # floor division
-                polys.append(qp.polys[r].shift(q))
-            return Tail.quasipoly(QuasiPolynomial(self.d, tuple(polys), qp.valid_from - k))
-
         return LengthFunction(
             self.d,
             self.core_start - k,
             self.core_values,
-            move(self.pos_tail),
-            move(self.neg_tail),
+            self.pos_tail.map(lambda qp: qp.shift(k)),
+            self.neg_tail.map(lambda qp: qp.shift(k)),
         )
 
     def reflect(self) -> LengthFunction:
         """The reversal n -> self(-n); swaps the two tails."""
-
-        def flip(tail: Tail) -> Tail:
-            if tail.qp is None:
-                return tail
-            qp = tail.qp
-            polys = [qp.polys[0].compose_linear(-1, 0)]
-            for i in range(1, self.d):
-                polys.append(qp.polys[self.d - i].compose_linear(-1, -1))
-            return Tail.quasipoly(QuasiPolynomial(self.d, tuple(polys), -qp.valid_from))
-
         return LengthFunction(
             self.d,
             -self.core_end,
             tuple(reversed(self.core_values)),
-            flip(self.neg_tail),
-            flip(self.pos_tail),
+            self.neg_tail.map(QuasiPolynomial.reflect),
+            self.pos_tail.map(QuasiPolynomial.reflect),
         )
 
     def __add__(self, other: LengthFunction) -> LengthFunction:
@@ -457,26 +454,6 @@ def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
     missing = allowed - set(obj)
     if missing:
         raise ModelError(f"missing fields in {what}: {sorted(missing)}")
-
-
-def evaluate(lf: LengthFunction, n: int) -> int:
-    """Function form of ``lf(n)``."""
-    return lf(n)
-
-
-def complexity(lf: LengthFunction, side: str = "positive") -> int:
-    """Function form of ``lf.complexity(side)``."""
-    return lf.complexity(side)
-
-
-def shift(lf: LengthFunction, k: int) -> LengthFunction:
-    """Function form of ``lf.shift(k)``."""
-    return lf.shift(k)
-
-
-def pointwise_sum(lf1: LengthFunction, lf2: LengthFunction) -> LengthFunction:
-    """Function form of ``lf1 + lf2``."""
-    return lf1 + lf2
 
 
 def _newton_interpolate(points: Sequence[tuple[int, Fraction]]) -> Polynomial:

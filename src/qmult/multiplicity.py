@@ -19,10 +19,12 @@ resulting multiplicity are supported, and every report carries both:
 
 The two differ by the factor d^(s-1); both stabilization chains are internally
 consistent, so neither is "the" value: callers pick a convention and the
-library never resolves the split silently.  On the negative side (tails toward
--infinity, operator D-) the delta value additionally differs from the
-coefficient formula by a sign (-1)^(s-1); the delta convention is the literal
-stabilized value in both directions.
+library never resolves the split silently.
+
+The negative side (tails toward -infinity, operator D-) is computed as the
+positive side of the reflection n -> lambda(-n), mapped back.  The delta
+convention is the literal stabilized value in both directions; on the negative
+side it differs from the coefficient formula by the sign (-1)^(s-1).
 
 When the relevant complexity is 0 and the opposite tail vanishes, the
 multiplicity of index 0 is the finite Euler characteristic
@@ -31,14 +33,13 @@ sum_n (-1)^n lambda(n), and both conventions agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 from .differences import delta as delta_op
-from .differences import delta_neg as delta_neg_op
 from .differences import faulhaber_sum
 from .exact import Polynomial, cauchy_horizon, format_rational
 from .lengths import LengthFunction, ModelError, Tail
@@ -74,15 +75,14 @@ def _residue_profiles(polys: Sequence[Polynomial], d: int) -> list[Polynomial]:
 
     For n = d*m + j in the tail region, h(n) equals
     sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
-    as a polynomial in m (the k < j summands spill into the next block).
+    as a polynomial in m (the k < j summands spill into the next block), so
+    consecutive profiles differ by one spilled summand (-1)^j (Delta g_j)(m).
     """
-    out = []
-    for j in range(d):
-        acc = Polynomial()
-        for k in range(d):
-            term = polys[k] if k >= j else polys[k].shift(1)
-            acc = acc + term * ((-1) ** k)
-        out.append(acc)
+    profile = sum((p * _sign(k) for k, p in enumerate(polys)), Polynomial())
+    out = [profile]
+    for j in range(d - 1):
+        profile = profile + polys[j].forward_difference() * _sign(j)
+        out.append(profile)
     return out
 
 
@@ -190,7 +190,14 @@ def multiplicity_pos(
                 "the Euler characteristic is undefined"
             )
         return _euler_report(lf, s, "positive", conv)
+    return _stabilized_report(lf, s, conv, lf.core_start - 2 * lf.d)
 
+
+def _stabilized_report(
+    lf: LengthFunction, s: int, conv: Convention | None, floor: int
+) -> MultiplicityReport:
+    """The positive-side report for cx >= 1; the stabilization scan runs down
+    from the certified region to ``floor`` at the lowest."""
     qp = lf.pos_tail.qp
     assert qp is not None
     leading = tuple(p.coefficient(s - 1) for p in qp.polys)
@@ -234,7 +241,6 @@ def multiplicity_pos(
 
     # Honest boundary of the verified stable range.
     n = v - 1
-    floor = lf.core_start - 2 * lf.d
     while n >= floor and delta_op(h, s - 1, lf.d, n) == e_delta:
         n -= 1
     stabilization = n + 1
@@ -242,7 +248,7 @@ def multiplicity_pos(
     return MultiplicityReport(
         side="positive",
         s=s,
-        cx=cx,
+        cx=lf.complexity("positive"),
         cx_neg=lf.complexity("negative"),
         e_delta=e_delta,
         e_coeff=e_coeff,
@@ -257,7 +263,7 @@ def multiplicity_pos(
 def multiplicity_neg(
     lf: LengthFunction, s: int, convention: Convention | str | None = None
 ) -> MultiplicityReport:
-    """The index-s multiplicity at -infinity (mirror of :func:`multiplicity_pos`).
+    """The index-s multiplicity at -infinity: the positive one of the reflection.
 
     The delta value is the literal stabilized value of D-^{s-1} h for n << 0,
     which relates to the coefficient formula by the extra sign (-1)^(s-1); at
@@ -277,65 +283,23 @@ def multiplicity_neg(
             )
         return _euler_report(lf, s, "negative", conv)
 
-    qp = lf.neg_tail.qp
-    assert qp is not None
-    leading = tuple(p.coefficient(s - 1) for p in qp.polys)
-    alternating = sum(
-        ((-1) ** i * a for i, a in enumerate(leading)), Fraction(0)
-    )
-
-    constants = []
-    for profile in _residue_profiles(qp.polys, lf.d):
-        diffed = profile
-        for _ in range(s - 1):
-            diffed = diffed.forward_difference()
-        if diffed.degree > 0:
-            raise ModelError(
-                f"D-^{s - 1} h did not stabilize on residue profile {profile}"
-            )
-        constants.append(diffed(0))
-    if len(set(constants)) != 1:
-        raise ModelError(f"residue classes disagree after differencing: {constants}")
-    e_delta = _as_int((-1) ** (s - 1) * constants[0], "stabilized difference")
-    e_coeff = _as_int(
-        factorial(s - 1) * Fraction(lf.d) ** (s - 1) * alternating, "coefficient formula"
-    )
-    if e_coeff != (-1) ** (s - 1) * lf.d ** (s - 1) * e_delta:
-        raise ModelError(
-            f"negative convention bridge failed: coefficient {e_coeff} != "
-            f"(-1)^(s-1) d^(s-1) * delta"
-        )
-
-    # Numeric confirmation: all lambda arguments must sit at or below the
-    # anchor, so back the window off by the operator's reach.
-    h = lambda n: herbrand(lf, n)  # noqa: E731
-    reach = lf.d * (s - 1) + (s - 1) + (lf.d - 1)
-    n_hi = qp.valid_from - reach
-    for n in range(n_hi - 3 * lf.d + 1, n_hi + 1):
-        got = delta_neg_op(h, s - 1, lf.d, n)
-        if got != e_delta:
-            raise ModelError(
-                f"numeric stabilization check failed at n={n}: {got} != {e_delta}"
-            )
-
-    n = n_hi + 1
-    ceiling = lf.core_end + 2 * lf.d
-    while n <= ceiling and delta_neg_op(h, s - 1, lf.d, n) == e_delta:
-        n += 1
-    stabilization = n - 1
-
-    return MultiplicityReport(
+    # D-^{s-1} h(n) is D^{s-1} of the reflection's Herbrand difference at
+    # m = -n - reach, so the 3d confirmation windows coincide, and the scan
+    # that stops above core_end + 2d here stops below its mirror image there.
+    reach = s * (lf.d + 1) - 2
+    mirror = _stabilized_report(lf.reflect(), s, conv, -(lf.core_end + 2 * lf.d) - reach)
+    assert mirror.stabilization_index is not None
+    polys_neg = _tail_polys(lf, "negative")
+    return replace(
+        mirror,
         side="negative",
-        s=s,
-        cx=lf.complexity("positive"),
-        cx_neg=cx_neg,
-        e_delta=e_delta,
-        e_coeff=e_coeff,
-        leading=leading,
+        cx=mirror.cx_neg,
+        cx_neg=mirror.cx,
+        e_coeff=_sign(s - 1) * mirror.e_coeff,
+        leading=tuple(p.coefficient(s - 1) for p in polys_neg),
         polys=_tail_polys(lf, "positive"),
-        polys_neg=qp.polys,
-        stabilization_index=stabilization,
-        convention=conv,
+        polys_neg=polys_neg,
+        stabilization_index=-mirror.stabilization_index - reach,
     )
 
 

@@ -25,6 +25,8 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 
+from difference_oracles import delta_neg_recursive, delta_recursive
+
 
 def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS: {message}")
@@ -182,8 +184,8 @@ def test_criterion_07_difference_identities():
                 )
                 for _ in range(3):
                     n = rng.randint(-20, 20)
-                    assert delta(f, s, d, n, "recursive") == delta(f, s, d, n, "closed")
-                    assert delta_neg(f, s, d, n, "recursive") == delta_neg(f, s, d, n, "closed")
+                    assert delta_recursive(f, s, d, n) == delta(f, s, d, n)
+                    assert delta_neg_recursive(f, s, d, n) == delta_neg(f, s, d, n)
                     assert delta_neg(f, s, d, n) == (-1) ** s * delta(f, s, d, n + s)
     report(7, "difference identities: moments vanish exhaustively; closed=recursive; sign-shift law")
 

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from qmult.cli import main
+from qmult.koszul import KoszulError, reduce
+from qmult.lengths import from_series
+from qmult.series import parse_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +31,19 @@ def two_sided_input():
         "core": {"start": -10, "values": [3, 0] * 10 + [3]},
         "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["3"], []]},
         "neg_tail": {"kind": "quasipoly", "valid_to": 0, "polys": [["3"], []]},
+    }
+
+
+def neg_growth_input():
+    """lambda(2m) = -m for m <= 0, zero elsewhere: negative complexity 2."""
+    return {
+        "d": 2,
+        "core": {
+            "start": -30,
+            "values": [-n // 2 if n % 2 == 0 and n <= 0 else 0 for n in range(-30, 5)],
+        },
+        "pos_tail": {"kind": "vanishing"},
+        "neg_tail": {"kind": "quasipoly", "valid_to": -8, "polys": [["0", "-1"], []]},
     }
 
 
@@ -217,6 +233,32 @@ class TestKoszulCommand:
         code, _, err = run(capsys, "koszul", "--input", str(path), "--s", "1")
         assert code == 1
         assert "injective" in err
+
+
+class TestNegativeSideGoldens:
+    """The negative side is derived from the positive one by reflection;
+    these pin the stabilization index, the reduced windows and anchors, and
+    the rejection witnesses, none of which the reflection may move."""
+
+    def test_e_neg_two_sided_golden(self, capsys, tmp_path):
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(two_sided_input()))
+        code, out, _ = run(capsys, "e-neg", "--input", str(path), "--s", "2")
+        assert code == 0
+        check_golden("e_neg_two_sided_s2.txt", out)
+
+    def test_koszul_negative_golden(self, capsys, tmp_path):
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(neg_growth_input()))
+        code, out, _ = run(capsys, "koszul", "--input", str(path), "--regime", "negative")
+        assert code == 0
+        check_golden("koszul_neg_growth.json", out)
+
+    def test_negative_reduction_violations_golden(self):
+        lf = from_series(parse_series("t^2/(1-t^2)^2"), 2, 80)
+        with pytest.raises(KoszulError) as info:
+            reduce(lf, "negative")
+        check_golden("reduce_neg_jst2_violations.json", json.dumps(list(info.value.violations)) + "\n")
 
 
 class TestLimitThetaSerre:

@@ -14,6 +14,8 @@ from qmult.differences import (
 )
 from qmult.exact import Polynomial
 
+from difference_oracles import delta_neg_recursive, delta_recursive
+
 
 def poly(*coeffs):
     return Polynomial(tuple(Fraction(c) for c in coeffs))
@@ -47,7 +49,7 @@ class TestDelta:
                 for _ in range(3):
                     f = random_poly(rng)
                     for n in (rng.randint(-20, 20) for _ in range(4)):
-                        assert delta(f, s, d, n, "recursive") == delta(f, s, d, n, "closed")
+                        assert delta_recursive(f, s, d, n) == delta(f, s, d, n)
 
 
 class TestDeltaNeg:
@@ -71,7 +73,7 @@ class TestDeltaNeg:
                 for _ in range(3):
                     f = random_poly(rng)
                     for n in (rng.randint(-20, 20) for _ in range(4)):
-                        assert delta_neg(f, s, d, n, "recursive") == delta_neg(f, s, d, n, "closed")
+                        assert delta_neg_recursive(f, s, d, n) == delta_neg(f, s, d, n)
 
     def test_sign_shift_identity(self):
         # D-^s f(n) = (-1)^s D^s f(n+s)

@@ -231,6 +231,37 @@ class TestMultiplicityNeg:
             assert neg.e_delta == pos.e_delta
             assert neg.e_coeff == (-1) ** (s - 1) * pos.e_coeff
 
+    def test_against_the_backward_difference(self):
+        # Independent of the reflection: the literal D-^{s-1} h holds e_delta
+        # at and below the reported index and, unless the scan reached its
+        # ceiling core_end + 2d, differs just above it; e_coeff is the
+        # coefficient formula on the negative tail's own polynomials.
+        import random
+        from math import factorial
+
+        from qmult.differences import delta_neg
+        from qmult.fixtures import random_length_function
+
+        rng = random.Random(11)
+        cases = [(two_sided_periodic(3), 1), (two_sided_periodic(3), 2)]  # scans reach the ceiling
+        for _ in range(40):
+            g = random_length_function(rng, d=rng.choice([2, 4, 6]), min_cx=1)
+            lf = g.reflect().shift(rng.randint(-5, 5))
+            cases.append((lf, lf.complexity("negative") + rng.randint(0, 1)))
+        for lf, s in cases:
+            report = multiplicity_neg(lf, s)
+            h = lambda n: herbrand(lf, n)  # noqa: E731
+            top = report.stabilization_index
+            for n in range(top - 3 * lf.d, top + 1):
+                assert delta_neg(h, s - 1, lf.d, n) == report.e_delta
+            if top < lf.core_end + 2 * lf.d:
+                assert delta_neg(h, s - 1, lf.d, top + 1) != report.e_delta
+            polys = lf.neg_tail.qp.polys
+            assert report.polys_neg == polys
+            assert report.leading == tuple(p.coefficient(s - 1) for p in polys)
+            alternating = sum((-1) ** i * a for i, a in enumerate(report.leading))
+            assert report.e_coeff == factorial(s - 1) * lf.d ** (s - 1) * alternating
+
 
 class TestEuler:
     def test_point_masses(self):
@@ -391,3 +422,23 @@ class TestResidueConsistency:
         diffed = [p.forward_difference() for p in profiles]
         assert len({d.coefficient(0) for d in diffed}) == 1
         assert all(d.degree <= 0 for d in diffed)
+
+    def test_running_sum_matches_the_direct_formula(self):
+        # profile_j = sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
+        import random
+
+        from qmult.fixtures import random_polynomial
+        from qmult.multiplicity import _residue_profiles
+
+        rng = random.Random(7)
+        for _ in range(200):
+            d = rng.choice([2, 4, 6, 12])
+            polys = [random_polynomial(rng) for _ in range(d)]
+            direct = [
+                sum(
+                    ((g if k >= j else g.shift(1)) * (-1) ** k for k, g in enumerate(polys)),
+                    Polynomial(),
+                )
+                for j in range(d)
+            ]
+            assert _residue_profiles(polys, d) == direct
