@@ -138,7 +138,7 @@ def _cmd_e(args, parser, side: str) -> int:
     report = compute(lf, s)
     if args.json:
         payload = report.to_json_dict()
-        if args.limit_n is not None and s >= 1 and side == "positive":
+        if args.limit_n is not None and s >= 1:
             payload["limit_paper"] = format_rational(
                 limit_estimate(lf, s, args.limit_n, "paper")
             )
@@ -147,8 +147,7 @@ def _cmd_e(args, parser, side: str) -> int:
             )
         _print_json(payload)
     else:
-        limit_n = args.limit_n if side == "positive" else None
-        for line in _report_lines(report, args.convention, limit_n, lf):
+        for line in _report_lines(report, args.convention, args.limit_n, lf):
             print(line)
     return 0
 
@@ -253,8 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--convention", choices=["delta", "coefficient", "both"], default="both"
         )
-        p.add_argument("--limit-n", type=int, default=None, dest="limit_n")
         p.add_argument("--json", action="store_true")
+        if side == "positive":
+            p.add_argument("--limit-n", type=int, default=None, dest="limit_n")
+        else:
+            p.set_defaults(limit_n=None)  # the limit estimate is positive-side only
 
     p = subs.add_parser("koszul", help="iterated reduction chain as JSON")
     _add_input_flags(p)

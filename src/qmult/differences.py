@@ -18,10 +18,10 @@ negative d in the moment identities).  Everything here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Union
+from math import comb, factorial, lcm
+from typing import Callable, Sequence, Union
 
-from .exact import Polynomial
+from .exact import Polynomial, Scalar, difference_table
 
 NumericFunction = Callable[[int], Union[int, Fraction]]
 
@@ -78,20 +78,39 @@ def binomial_polynomial(k: int) -> Polynomial:
     """The integer-valued basis polynomial C(t, k) = t(t-1)...(t-k+1)/k!."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    p = Polynomial.const(Fraction(1, factorial(k)))
-    for j in range(k):
-        p = p * Polynomial((Fraction(-j), Fraction(1)))
-    return p
+    return newton_polynomial([0] * k + [1])
+
+
+def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
+    """The polynomial sum_k cs[k] * C(t - anchor, k), in monomial form.
+
+    With r = len(cs) - 1 and the c_k over their common denominator D, the
+    integer polynomial r! * D * sum_k c_k C(u, k) is built by the nested form
+    c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2! + ...)); substituting
+    u = t - anchor is then a Taylor shift.
+
+    >>> newton_polynomial([0, 1, 2])
+    Polynomial('t^2')
+    """
+    if not cs:
+        return Polynomial()
+    r = len(cs) - 1
+    den = lcm(*(c.denominator for c in cs))
+    acc: list[int] = []
+    weight = 1  # r!/k!
+    for k in range(r, -1, -1):
+        acc.insert(0, 0)  # acc * (u - k)
+        for i in range(len(acc) - 1):
+            acc[i] -= k * acc[i + 1]
+        acc[0] += cs[k].numerator * (den // cs[k].denominator) * weight
+        weight *= k
+    scale = den * factorial(r)
+    return Polynomial(tuple(Fraction(c, scale) for c in acc)).shift(-anchor)
 
 
 def newton_coefficients(g: Polynomial) -> list[Fraction]:
     """Coefficients c_k with g(t) = sum_k c_k C(t, k); c_k = (unit Delta^k g)(0)."""
-    cs: list[Fraction] = []
-    p = g
-    while not p.is_zero():
-        cs.append(p(0))
-        p = p.forward_difference()
-    return cs
+    return difference_table([g(j) for j in range(g.degree + 1)])
 
 
 def summation_polynomial(g: Polynomial) -> Polynomial:
@@ -99,22 +118,21 @@ def summation_polynomial(g: Polynomial) -> Polynomial:
 
     Telescopes the Newton basis: sum_{i=0}^{n} C(i,k) = C(n+1, k+1).
     """
-    total = Polynomial()
-    for k, c in enumerate(newton_coefficients(g)):
-        total = total + binomial_polynomial(k + 1).shift(1) * c
-    return total
+    return newton_polynomial([0, *newton_coefficients(g)], -1)
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:
     """Exact partial sum sum_{i=N}^{n} g(i), in closed form.
 
-    Constant work in n once the summation polynomial is built, which is what
-    makes 10^5..10^6 partial sums affordable.
+    Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
+    and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
+    difference table of g(N..N+deg).  Constant work in n, which is what makes
+    10^5..10^6 partial sums affordable.
 
     >>> faulhaber_sum(Polynomial((0, 0, 1)), 0, 10)
     Fraction(385, 1)
     """
     if n < N:
         raise ValueError("requires n >= N")
-    G = summation_polynomial(g)
-    return G(n) - G(N - 1)
+    table = difference_table([g(N + j) for j in range(g.degree + 1)])
+    return sum((c * comb(n - N + 1, k + 1) for k, c in enumerate(table)), Fraction(0))

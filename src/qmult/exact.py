@@ -3,7 +3,12 @@
 Rationals are plain ``fractions.Fraction`` values (arbitrary precision, always
 reduced, positive denominator).  A polynomial is a dense tuple of Fraction
 coefficients with the constant term first and no trailing zeros; the zero
-polynomial is the empty tuple and has degree -1.  A rational function stores a
+polynomial is the empty tuple and has degree -1.  Each polynomial also stores
+its coefficients once more as integer ``numerators`` over one common
+``denominator`` (the lcm of the coefficient denominators, 1 for the zero
+polynomial).  Evaluation and the Taylor shift behind ``compose_linear`` run on
+those integers and divide once at the end, so the hot loops do no Fraction
+arithmetic.  A rational function stores a
 numerator and a denominator polynomial; the denominator must have a nonzero
 constant term, so every rational function here expands as a power series at
 t = 0.
@@ -13,8 +18,9 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -47,7 +53,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -58,16 +64,25 @@ class Polynomial:
     """Dense univariate polynomial over the rationals.
 
     ``coeffs[k]`` is the coefficient of t^k; there are no trailing zeros, so
-    the zero polynomial is ``Polynomial()`` with degree -1.
+    the zero polynomial is ``Polynomial()`` with degree -1.  The derived
+    fields hold the same coefficients as ``numerators[k] / denominator``.
 
     >>> (Polynomial.t() + 1) * (Polynomial.t() - 1)
     Polynomial('t^2 - 1')
     """
 
     coeffs: tuple[Fraction, ...] = ()
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        coeffs = _trim(self.coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(
+            self, "numerators", tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        )
+        object.__setattr__(self, "denominator", den)
 
     @staticmethod
     def const(c: Scalar) -> Polynomial:
@@ -97,11 +112,18 @@ class Polynomial:
         return Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at a rational point x = p/q by Horner's rule on the numerators.
+
+        The k-th step adds numerators[deg - k] * q^k, so the loop ends with
+        acc = q^deg * denominator * g(x) and power = q^(deg + 1); the one
+        division comes at the end.
+        """
+        p, q = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * p + c * power
+            power *= q
+        return Fraction(acc * q, self.denominator * power)
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         other = _as_poly(other)
@@ -156,12 +178,27 @@ class Polynomial:
         return self.compose_linear(1, c)
 
     def compose_linear(self, a: Scalar, b: Scalar) -> Polynomial:
-        """Return g(a*t + b) by Horner composition."""
-        arg = Polynomial((Fraction(b), Fraction(a)))
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
+        """Return g(a*t + b), expanded exactly in integers.
+
+        With b = p/q, G(u) = q^deg * denominator * g(u/q) has the integer
+        coefficients numerators[k] * q^(deg-k), and g(a*t + b) = G(q*a*t + p) /
+        (q^deg * denominator).  G(u + p) is a Taylor shift done in place by
+        repeated synthetic division; substituting u = q*a*t then scales its k-th
+        coefficient by (q*a)^k, with a's denominator cleared as well.
+        """
+        if self.is_zero():
+            return self
+        deg = self.degree
+        p, q = b.numerator, b.denominator
+        qa, a_den = q * a.numerator, a.denominator
+        nums = [c * q ** (deg - k) for k, c in enumerate(self.numerators)]
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                nums[k] += p * nums[k + 1]
+        for k in range(deg + 1):
+            nums[k] *= qa**k * a_den ** (deg - k)
+        den = self.denominator * (q * a_den) ** deg
+        return Polynomial(tuple(Fraction(c, den) for c in nums))
 
     def forward_difference(self) -> Polynomial:
         """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant."""
@@ -286,8 +323,10 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     """Coefficients c_0..c_n_max of the power-series expansion of f at t = 0.
 
     Uses the linear recurrence induced by the denominator: with den(0)
-    normalized to 1, c_n = p_n - sum_{k>=1} q_k c_{n-k}.  Cost is
-    O(n_max * deg(den)) exact rational operations.
+    normalized to 1, c_n = p_n - sum_{k>=1} q_k c_{n-k}, summed over the
+    nonzero q_k only.  Cost is O(n_max * (number of nonzero q_k)) exact
+    rational operations, which keeps sparse denominators such as
+    (1 - t^2)(1 - t^120) cheap.
 
     >>> one_minus_t = Polynomial((1, -1))
     >>> f = RationalFunction(Polynomial.const(1), one_minus_t ** 3)
@@ -296,12 +335,15 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    q = f.den.coeffs  # q[0] == 1 after normalization
+    # q_0 == 1 after normalization
+    recurrence = [(k, q) for k, q in enumerate(f.den.coeffs) if k and q]
     out: list[Fraction] = []
     for n in range(n_max + 1):
         acc = f.num.coefficient(n)
-        for k in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[k] * out[n - k]
+        for k, q in recurrence:
+            if k > n:
+                break
+            acc -= q * out[n - k]
         out.append(acc)
     return out
 
@@ -317,6 +359,23 @@ def cauchy_horizon(p: Polynomial) -> int:
     lead = p.coeffs[-1]
     bound = 1 + max(abs(c / lead) for c in p.coeffs[:-1])
     return int(bound) + 1
+
+
+def difference_table(values: list) -> list:
+    """Newton's forward differences at the first point, computed in place.
+
+    On entry ``values[i]`` is f(x + i) for i = 0..k; on return it is
+    Delta^i f(x).  For a polynomial f of degree <= k, Newton's forward formula
+    f(x + j) = sum_i Delta^i f(x) * C(j, i) then holds at every integer j.
+
+    >>> difference_table([0, 1, 4, 9])
+    [0, 1, 2, 0]
+    """
+    k = len(values) - 1
+    for step in range(1, k + 1):
+        for i in range(k, step - 1, -1):
+            values[i] -= values[i - 1]
+    return values
 
 
 def nonnegative_on_ray(p: Polynomial, start: int, direction: int) -> int | None:
@@ -349,10 +408,7 @@ def nonnegative_on_ray(p: Polynomial, start: int, direction: int) -> int | None:
         return direction * max(direction * start, horizon + 1)
     if direction * start > horizon:
         return None
-    table = [p(start + direction * i) for i in range(deg + 1)]
-    for k in range(1, deg + 1):
-        for i in range(deg, k - 1, -1):
-            table[i] -= table[i - 1]
+    table = difference_table([p(start + direction * i) for i in range(deg + 1)])
     m = start
     while direction * m <= horizon:
         if table[0] < 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .exact import nonnegative_on_ray
-from .lengths import LengthFunction, ModelError, QuasiPolynomial, Tail
+from .lengths import LengthFunction, ModelError, QuasiPolynomial, Tail, core_window
 from .multiplicity import (
     MultiplicityError,
     euler_characteristic,
@@ -78,19 +78,9 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     pos = _reduced_tail(lf.pos_tail, regime, "pos")
     neg = _reduced_tail(lf.neg_tail, regime, "neg")
 
-    # Window that the constructor would materialize; scan it for negativity
+    # Window that the constructor will materialize; scan it for negativity
     # first so the failure comes back as a Koszul rejection with witnesses.
-    lo = lf.core_start - (d + 1)
-    hi = lf.core_end + (d + 1)
-    for tail, side in ((pos, 1), (neg, -1)):
-        if tail.qp is not None and not tail.qp.is_zero():
-            pad = d * (tail.qp.max_degree + 2)
-            if side == 1:
-                hi = max(hi, tail.qp.valid_from + pad)
-                lo = min(lo, tail.qp.valid_from)
-            else:
-                lo = min(lo, tail.qp.valid_from - pad)
-                hi = max(hi, tail.qp.valid_from)
+    lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
     violations = [n for n in range(lo, hi + 1) if fn(n) < 0]
 
     # Beyond the window the reduced tails govern; certify their sign exactly.

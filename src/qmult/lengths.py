@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .differences import binomial_polynomial
+from .differences import newton_polynomial
 from .exact import (
     Polynomial,
     RationalFunction,
+    difference_table,
     nonnegative_on_ray,
     parse_rational,
     series_coefficients,
@@ -321,12 +322,7 @@ class LengthFunction:
         neg_tail: Tail,
     ) -> LengthFunction:
         """Assemble a length function, widening the core to meet tail overlap."""
-        if pos_tail.qp is not None and not pos_tail.qp.is_zero():
-            hi = max(hi, pos_tail.qp.valid_from + d * (pos_tail.qp.max_degree + 2))
-            lo = min(lo, pos_tail.qp.valid_from)
-        if neg_tail.qp is not None and not neg_tail.qp.is_zero():
-            lo = min(lo, neg_tail.qp.valid_from - d * (neg_tail.qp.max_degree + 2))
-            hi = max(hi, neg_tail.qp.valid_from)
+        lo, hi = core_window(d, lo, hi, pos_tail, neg_tail)
         values = tuple(fn(n) for n in range(lo, hi + 1))
         return LengthFunction(d, lo, values, pos_tail, neg_tail)
 
@@ -418,6 +414,18 @@ class LengthFunction:
         )
 
 
+def core_window(d: int, lo: int, hi: int, pos_tail: Tail, neg_tail: Tail) -> tuple[int, int]:
+    """The window [lo, hi], widened so that each nonzero tail overlaps it on
+    max_degree + 2 blocks per residue class, as validation requires."""
+    if pos_tail.qp is not None and not pos_tail.qp.is_zero():
+        hi = max(hi, pos_tail.qp.valid_from + d * (pos_tail.qp.max_degree + 2))
+        lo = min(lo, pos_tail.qp.valid_from)
+    if neg_tail.qp is not None and not neg_tail.qp.is_zero():
+        lo = min(lo, neg_tail.qp.valid_from - d * (neg_tail.qp.max_degree + 2))
+        hi = max(hi, neg_tail.qp.valid_from)
+    return lo, hi
+
+
 def _json_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelError(f"{field} must be an integer, got {value!r}")
@@ -456,30 +464,19 @@ def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
         raise ModelError(f"missing fields in {what}: {sorted(missing)}")
 
 
-def _newton_interpolate(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
-    """Interpolating polynomial through consecutive-argument points.
-
-    Points must have consecutive integer abscissas m0, m0+1, ...; uses the
-    forward-difference Newton form anchored at m0.
-    """
-    m0 = points[0][0]
-    row = [Fraction(v) for _, v in points]
-    poly = Polynomial()
-    for k in range(len(points)):
-        poly = poly + binomial_polynomial(k).shift(-m0) * row[0]
-        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-        if not row:
-            break
-    return poly
-
-
 def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynomial:
     """Fit a period-d quasi-polynomial to samples on a contiguous window.
 
-    Per residue class, interpolates the lowest degree that the top of the
-    block-indexed sequence supports and verifies it against at least deg + 2
-    further points below; the returned ``valid_from`` is found by scanning the
-    whole window downward from the top, so it is honest rather than minimal.
+    Per residue class, finds the lowest degree r such that the top r + 1
+    blocks of the block-indexed sequence determine a polynomial that the r + 2
+    blocks below agree with; the returned ``valid_from`` is found by scanning
+    the whole window downward from the top, so it is honest rather than
+    minimal.
+
+    Those 2r + 3 blocks lie on one polynomial of degree <= r exactly when
+    their difference table at the lowest block vanishes from order r + 1 on
+    (Newton's forward formula), and then its first r + 1 entries are the
+    Newton coefficients of the fitted polynomial.
 
     Raises :class:`FitError` (carrying the residue class and the best
     candidate degree) when no stabilization is visible in the window.
@@ -495,7 +492,8 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
 
     polys: list[Polynomial] = []
     for i in range(d):
-        blocks = [(m, Fraction(samples[d * m + i])) for m in range(-(-(lo - i) // d), (hi - i) // d + 1)]
+        first = -(-(lo - i) // d)
+        blocks = [samples[d * m + i] for m in range(first, (hi - i) // d + 1)]
         if len(blocks) < 3:
             raise FitError(
                 f"residue class {i} has only {len(blocks)} samples", residue=i, best_degree=None
@@ -503,13 +501,12 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
         fitted: Polynomial | None = None
         best = -1
         r = 0
-        while r + 1 + (r + 2) <= len(blocks):
+        while 2 * r + 3 <= len(blocks):
             best = r
-            top = blocks[len(blocks) - (r + 1) :]
-            candidate = _newton_interpolate(top)
-            check = blocks[len(blocks) - (r + 1) - (r + 2) : len(blocks) - (r + 1)]
-            if all(candidate(m) == v for m, v in check):
-                fitted = candidate
+            base = len(blocks) - (2 * r + 3)
+            table = difference_table(blocks[base:])
+            if not any(table[r + 1 :]):
+                fitted = newton_polynomial(table[: r + 1], first + base)
                 break
             r += 1
         if fitted is None:
@@ -524,7 +521,7 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
     qp = QuasiPolynomial(d, tuple(polys), lo)
     valid_from = lo
     for n in range(hi, lo - 1, -1):
-        if qp(n) != Fraction(samples[n]):
+        if qp(n) != samples[n]:
             valid_from = n + 1
             break
     return QuasiPolynomial(d, tuple(polys), valid_from)

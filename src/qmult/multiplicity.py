@@ -206,17 +206,16 @@ def _stabilized_report(
     )
 
     # Symbolic stabilized value of D^{s-1} h: unit-step differences of the
-    # per-residue block polynomials, which must collapse to one constant.
+    # per-residue block polynomials, which must collapse to one constant.  The
+    # (s-1)-fold difference of a polynomial of degree <= s-1 is the constant
+    # (s-1)! times its t^(s-1) coefficient; of higher degree, not a constant.
     constants = []
     for profile in _residue_profiles(qp.polys, lf.d):
-        diffed = profile
-        for _ in range(s - 1):
-            diffed = diffed.forward_difference()
-        if diffed.degree > 0:
+        if profile.degree > s - 1:
             raise ModelError(
                 f"D^{s - 1} h did not stabilize on residue profile {profile}"
             )
-        constants.append(diffed(0))
+        constants.append(factorial(s - 1) * profile.coefficient(s - 1))
     if len(set(constants)) != 1:
         raise ModelError(f"residue classes disagree after differencing: {constants}")
     e_delta = _as_int(constants[0], "stabilized difference")

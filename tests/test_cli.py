@@ -113,6 +113,15 @@ class TestReportCommands:
         assert payload["side"] == "negative"
         assert payload["e_delta"] == 3
 
+    def test_e_neg_rejects_limit_n(self, capsys, tmp_path):
+        # The limit estimate is positive-side only, so the flag is not accepted.
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(two_sided_input()))
+        with pytest.raises(SystemExit) as info:
+            main(["e-neg", "--input", str(path), "--s", "1", "--limit-n", "1000"])
+        assert info.value.code == 2
+        assert "--limit-n" in capsys.readouterr().err
+
     def test_s_below_complexity_is_error(self, capsys):
         code, _, err = run(capsys, "e", "--expr", "t^2/(1-t^2)^2", "--d", "2", "--s", "1")
         assert code == 1

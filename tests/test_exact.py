@@ -116,6 +116,20 @@ class TestSeriesCoefficients:
             product.coefficient(j) == f.num.coefficient(j) for j in range(n_max + 1)
         )
 
+    @given(
+        polynomials,
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, Fraction(3, 2)]), max_size=40),
+        st.integers(min_value=0, max_value=120),
+    )
+    def test_sparse_denominator_recovers_numerator(self, p, tail, n_max):
+        # The recurrence skips the zero coefficients of the denominator.
+        f = RationalFunction(p, Polynomial((Fraction(2),) + tuple(tail)))
+        coeffs = series_coefficients(f, n_max)
+        product = Polynomial(tuple(coeffs)) * f.den
+        assert all(
+            product.coefficient(j) == f.num.coefficient(j) for j in range(n_max + 1)
+        )
+
 
 class TestRationalFunction:
     def test_equality_by_cross_multiplication(self):
