@@ -31,7 +31,6 @@ from .koszul import (
     AxiomsReport,
     KoszulChain,
     KoszulError,
-    KoszulStep,
     axioms_check,
     koszul_triangle,
     reduce_chain,
@@ -46,7 +45,6 @@ from .lengths import (
     from_series,
 )
 from .multiplicity import (
-    Convention,
     MultiplicityError,
     MultiplicityReport,
     WindowResult,
@@ -70,11 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomsReport",
-    "Convention",
     "FitError",
     "KoszulChain",
     "KoszulError",
-    "KoszulStep",
     "LengthFunction",
     "ModelError",
     "MultiplicityError",

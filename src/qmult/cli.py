@@ -94,10 +94,12 @@ def _cmd_cx(args, parser) -> int:
     return 0
 
 
-def _report_lines(report, convention: str, limit_n: int | None, lf: LengthFunction) -> list[str]:
+def _report_lines(
+    report, convention: str, d: int, limit_n: int | None, limits: dict[str, Fraction]
+) -> list[str]:
     lines = [
         f"side           {report.side}",
-        f"d              {lf.d}",
+        f"d              {d}",
         f"cx             {report.cx}",
         f"cx_neg         {report.cx_neg}",
         f"s              {report.s}",
@@ -115,13 +117,10 @@ def _report_lines(report, convention: str, limit_n: int | None, lf: LengthFuncti
         lines.append(f"e_coeff        {report.e_coeff}")
     if report.stabilization_index is not None:
         lines.append(f"stabilized_at  {report.stabilization_index}")
-    if limit_n is not None:
-        if convention in ("coefficient", "both"):
-            est = limit_estimate(lf, report.s, limit_n, "paper")
-            lines.append(f"limit_paper(n={limit_n})      {_approx(est)}")
-        if convention in ("delta", "both"):
-            est = limit_estimate(lf, report.s, limit_n, "corrected")
-            lines.append(f"limit_corrected(n={limit_n})  {_approx(est)}")
+    if limits and convention in ("coefficient", "both"):
+        lines.append(f"limit_paper(n={limit_n})      {_approx(limits['paper'])}")
+    if limits and convention in ("delta", "both"):
+        lines.append(f"limit_corrected(n={limit_n})  {_approx(limits['corrected'])}")
     return lines
 
 
@@ -132,31 +131,24 @@ def _approx(value: Fraction) -> str:
 def _cmd_e(args, parser, side: str) -> int:
     lf = _load_input(args, parser)
     compute = multiplicity_pos if side == "positive" else multiplicity_neg
-    s = args.s
-    if s is None:
-        s = lf.complexity("positive" if side == "positive" else "negative")
+    s = args.s if args.s is not None else lf.complexity(side)
     report = compute(lf, s)
+    limits = {}
+    if args.limit_n is not None:
+        limits = {c: limit_estimate(lf, s, args.limit_n, c) for c in ("paper", "corrected")}
     if args.json:
         payload = report.to_json_dict()
-        if args.limit_n is not None and s >= 1:
-            payload["limit_paper"] = format_rational(
-                limit_estimate(lf, s, args.limit_n, "paper")
-            )
-            payload["limit_corrected"] = format_rational(
-                limit_estimate(lf, s, args.limit_n, "corrected")
-            )
+        payload.update((f"limit_{c}", format_rational(v)) for c, v in limits.items())
         _print_json(payload)
     else:
-        for line in _report_lines(report, args.convention, args.limit_n, lf):
+        for line in _report_lines(report, args.convention, lf.d, args.limit_n, limits):
             print(line)
     return 0
 
 
 def _cmd_koszul(args, parser) -> int:
     lf = _load_input(args, parser)
-    s = args.s
-    if s is None:
-        s = lf.complexity("positive" if args.regime == "positive" else "negative")
+    s = args.s if args.s is not None else lf.complexity(args.regime)
     chain = reduce_chain(lf, s, args.regime)
     _print_json(chain.to_json_dict())
     return 0

@@ -9,8 +9,9 @@ lengths) and a list of expected checks.  Every check carries a provenance tag:
 * ``derived``   - the value was computed with an independent oracle and frozen;
 * ``trivial``   - the value is immediate from the definitions.
 
-The runner executes every check; unknown check kinds, unknown fields, and
-missing provenance are hard errors, so nothing can be skipped silently.
+The runner executes every check; unknown check kinds, unknown fields,
+missing provenance and integer fields that are not JSON integers are hard
+errors, so nothing can be skipped or coerced silently.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from typing import Iterable
 from .differences import binomial_polynomial
 from .exact import Polynomial, RationalFunction, parse_rational, series_coefficients
 from .koszul import reduce_chain
-from .lengths import LengthFunction, QuasiPolynomial, Tail, fit_quasipoly, from_series
+from .lengths import (
+    LengthFunction,
+    ModelError,
+    QuasiPolynomial,
+    Tail,
+    _json_int,
+    _json_list,
+    fit_quasipoly,
+    from_series,
+)
 from .multiplicity import (
     euler_characteristic,
     herbrand,
@@ -62,6 +72,12 @@ CHECK_FIELDS = {
 }
 
 CHECK_KINDS = tuple(sorted(CHECK_FIELDS))
+
+_SOURCE_FIELDS = {"series", "length_function", "d", "probe"}
+
+# Fields that hold a JSON integer, and fields that hold an array of them.
+_INT_FIELDS = ("d", "probe", "value", "s", "n", "k", "m0")
+_INT_ARRAY_FIELDS = ("ns", "tor")
 
 
 class FixtureError(ValueError):
@@ -106,18 +122,37 @@ def load_corpus(directory: Path | None = None) -> list[dict]:
     return corpus
 
 
-def _validate_fixture(data: dict, where: str) -> None:
+def _validate_fixture(data: object, where: str) -> None:
+    _require(isinstance(data, dict), where, "fixture", "a JSON object", data)
     keys = set(data)
     if not {"name", "cases"} <= keys or keys - {"name", "d", "cases"}:
         raise FixtureError(f"{where}: fixture needs exactly name/[d]/cases, got {sorted(keys)}")
-    for case in data["cases"]:
+    _check_integers(data, where, "")
+    _require(isinstance(data["cases"], list), where, "cases", "an array", data["cases"])
+    for i, case in enumerate(data["cases"]):
+        field = f"cases[{i}]"
+        _require(isinstance(case, dict), where, field, "a JSON object", case)
         case_keys = set(case)
         allowed = {"label", "source", "expected"}
         if not {"label", "expected"} <= case_keys or case_keys - allowed:
             raise FixtureError(f"{where}: case needs label/[source]/expected, got {sorted(case_keys)}")
-        for check in case["expected"]:
+        source = case.get("source")
+        if source is not None:
+            _require(isinstance(source, dict), where, f"{field}.source", "a JSON object", source)
+            series = source.get("series", "")
+            _require(isinstance(series, str), where, f"{field}.source.series", "a string", series)
+            unknown = set(source) - _SOURCE_FIELDS
+            if unknown:
+                raise FixtureError(f"{where}: unknown keys {sorted(unknown)} in {field}.source")
+            _check_integers(source, where, f"{field}.source.")
+        expected = case["expected"]
+        _require(isinstance(expected, list), where, f"{field}.expected", "an array", expected)
+        for j, check in enumerate(expected):
+            _require(
+                isinstance(check, dict), where, f"{field}.expected[{j}]", "a JSON object", check
+            )
             kind = check.get("check")
-            if kind not in CHECK_FIELDS:
+            if not isinstance(kind, str) or kind not in CHECK_FIELDS:
                 raise FixtureError(f"{where}: unknown check kind {kind!r}")
             if check.get("provenance") not in PROVENANCE_TAGS:
                 raise FixtureError(
@@ -128,6 +163,27 @@ def _validate_fixture(data: dict, where: str) -> None:
                 raise FixtureError(
                     f"{where}: unknown keys {sorted(unknown)} in check {kind!r}"
                 )
+            _check_integers(check, where, f"{field}.expected[{j}].")
+
+
+def _require(ok: bool, where: str, field: str, what: str, value: object) -> None:
+    if not ok:
+        raise FixtureError(f"{where}: {field} must be {what}, got {value!r}")
+
+
+def _check_integers(obj: dict, where: str, prefix: str) -> None:
+    """Integer fields must be JSON integers; bools, floats and strings are
+    rejected rather than coerced, as in length-function JSON."""
+    try:
+        for key in _INT_FIELDS:
+            if key in obj:
+                _json_int(obj[key], prefix + key)
+        for key in _INT_ARRAY_FIELDS:
+            if key in obj:
+                for i, v in enumerate(_json_list(obj[key], prefix + key)):
+                    _json_int(v, f"{prefix}{key}[{i}]")
+    except ModelError as err:
+        raise FixtureError(f"{where}: {err}") from None
 
 
 def _case_input(fixture: dict, case: dict) -> LengthFunction | None:
@@ -138,96 +194,74 @@ def _case_input(fixture: dict, case: dict) -> LengthFunction | None:
     if len(kinds) != 1:
         raise FixtureError(f"source must have exactly one of series/length_function: {source}")
     if "series" in source:
-        d = int(source.get("d", fixture.get("d", 2)))
-        probe = int(source.get("probe", 80))
-        return from_series(parse_series(source["series"]), d, probe)
+        d = source.get("d", fixture.get("d", 2))
+        return from_series(parse_series(source["series"]), d, source.get("probe", 80))
     return LengthFunction.from_json_dict(source["length_function"])
 
 
 def _run_check(lf: LengthFunction | None, check: dict) -> tuple[bool, str]:
     kind = check["check"]
     if kind == "serre":
-        got = serre_intersection([int(v) for v in check["tor"]])
-        return got == int(check["value"]), f"serre={got}, want {check['value']}"
+        got = serre_intersection(check["tor"])
+        return got == check["value"], f"serre={got}, want {check['value']}"
     assert lf is not None, f"check {kind} needs a case source"
     if kind == "cx":
         got = lf.complexity("positive")
-        return got == int(check["value"]), f"cx={got}, want {check['value']}"
+        return got == check["value"], f"cx={got}, want {check['value']}"
     if kind == "cx_neg":
         got = lf.complexity("negative")
-        return got == int(check["value"]), f"cx_neg={got}, want {check['value']}"
-    if kind == "multiplicity":
-        side = check.get("side", "positive")
-        s = int(check["s"])
-        report = (multiplicity_pos if side == "positive" else multiplicity_neg)(lf, s)
-        conv = check.get("convention", "both")
-        want = int(check["value"])
-        if conv == "delta":
-            got = report.e_delta
-        elif conv == "coefficient":
-            got = report.e_coeff
+        return got == check["value"], f"cx_neg={got}, want {check['value']}"
+    if kind in ("multiplicity", "shift_multiplicity"):
+        if kind == "multiplicity":
+            side = check.get("side", "positive")
+            report = (multiplicity_pos if side == "positive" else multiplicity_neg)(lf, check["s"])
+            shown = ""
         else:
-            ok = report.e_delta == want and report.e_coeff == want
-            return ok, f"e_delta={report.e_delta}, e_coeff={report.e_coeff}, want both {want}"
-        return got == want, f"e_{conv}={got}, want {want}"
-    if kind == "g_table":
-        side = "positive" if check.get("side", "positive") == "positive" else "negative"
-        tail = lf.pos_tail if side == "positive" else lf.neg_tail
-        want = [Polynomial.from_json(p) for p in check["polys"]]
-        got = list(tail.qp.polys) if tail.qp is not None else [Polynomial()] * lf.d
-        return got == want, f"g table {[str(p) for p in got]}, want {[str(p) for p in want]}"
-    if kind == "leading":
-        s = int(check["s"])
-        side = check.get("side", "positive")
-        tail = lf.pos_tail if side == "positive" else lf.neg_tail
-        polys = tail.qp.polys if tail.qp is not None else (Polynomial(),) * lf.d
-        got = [p.coefficient(s - 1) for p in polys]
+            report = multiplicity_pos(lf.shift(check["k"]), check["s"])
+            shown = "shifted "
+        conv = check.get("convention", "both")
+        want = check["value"]
+        if conv in ("delta", "coefficient"):
+            got = report.e_delta if conv == "delta" else report.e_coeff
+            return got == want, f"{shown}e_{conv}={got}, want {want}"
+        ok = report.e_delta == want and report.e_coeff == want
+        return ok, f"{shown}e_delta={report.e_delta}, e_coeff={report.e_coeff}, want both {want}"
+    if kind in ("g_table", "leading"):
+        qp = lf.tail(check.get("side", "positive")).qp
+        polys = qp.polys if qp is not None else (Polynomial(),) * lf.d
+        if kind == "g_table":
+            want = [Polynomial.from_json(p) for p in check["polys"]]
+            got = list(polys)
+            return got == want, f"g table {[str(p) for p in got]}, want {[str(p) for p in want]}"
+        got = [p.coefficient(check["s"] - 1) for p in polys]
         want = [parse_rational(str(v)) for v in check["values"]]
         return got == want, f"leading {got}, want {want}"
     if kind == "evaluate":
-        got = lf(int(check["n"]))
-        return got == int(check["value"]), f"lambda({check['n']})={got}, want {check['value']}"
+        got = lf(check["n"])
+        return got == check["value"], f"lambda({check['n']})={got}, want {check['value']}"
     if kind == "herbrand":
-        got = herbrand(lf, int(check["n"]))
-        return got == int(check["value"]), f"h({check['n']})={got}, want {check['value']}"
+        got = herbrand(lf, check["n"])
+        return got == check["value"], f"h({check['n']})={got}, want {check['value']}"
     if kind == "euler":
         got = euler_characteristic(lf)
-        return got == int(check["value"]), f"euler={got}, want {check['value']}"
-    if kind == "shift_multiplicity":
-        k = int(check["k"])
-        s = int(check["s"])
-        report = multiplicity_pos(lf.shift(k), s)
-        conv = check.get("convention", "both")
-        want = int(check["value"])
-        if conv == "delta":
-            got = report.e_delta
-        elif conv == "coefficient":
-            got = report.e_coeff
-        else:
-            ok = report.e_delta == want and report.e_coeff == want
-            return ok, f"shifted e={report.e_delta}/{report.e_coeff}, want both {want}"
-        return got == want, f"shifted e_{conv}={got}, want {want}"
+        return got == check["value"], f"euler={got}, want {check['value']}"
     if kind == "chain":
         regime = check.get("regime", "positive")
-        s = int(check["s"])
-        chain = reduce_chain(lf, s, regime)
-        want = int(check["value"])
+        chain = reduce_chain(lf, check["s"], regime)
+        want = check["value"]
         values_ok = all(v == want for v in chain.invariant_values)
-        side = "positive" if regime == "positive" else "negative"
-        cxs = [f.complexity(side) for f in chain.functions]
+        cxs = [f.complexity(regime) for f in chain.functions]
         drop_ok = all(
             cxs[i + 1] == max(cxs[i] - 1, 0) for i in range(len(cxs) - 1)
         )
         ok = values_ok and drop_ok
         return ok, f"chain values {chain.invariant_values} (want {want}), cx {cxs}"
     if kind == "limit":
-        s = int(check["s"])
-        constant = check["constant"]
         target = parse_rational(str(check["target"]))
         max_error = parse_rational(str(check["max_error"]))
         errors = []
         for n in check["ns"]:
-            got = limit_estimate(lf, s, int(n), constant)
+            got = limit_estimate(lf, check["s"], n, check["constant"])
             errors.append(abs(got - target))
         monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
         ok = monotone and errors[-1] < max_error
@@ -235,9 +269,9 @@ def _run_check(lf: LengthFunction | None, check: dict) -> tuple[bool, str]:
         return ok, f"errors {shown} (monotone={monotone}, final<{max_error})"
     if kind == "theta":
         got = theta_invariant(lf)
-        return got == int(check["value"]), f"theta={got}, want {check['value']}"
+        return got == check["value"], f"theta={got}, want {check['value']}"
     if kind == "window":
-        result = vanishing_window_check(lf, int(check["m0"]), check["parity"])
+        result = vanishing_window_check(lf, check["m0"], check["parity"])
         return result.status == check["result"], f"window {result.status}, want {check['result']}"
     raise FixtureError(f"unknown check kind {kind!r}")
 

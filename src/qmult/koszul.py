@@ -78,10 +78,12 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     pos = _reduced_tail(lf.pos_tail, regime, "pos")
     neg = _reduced_tail(lf.neg_tail, regime, "neg")
 
-    # Window that the constructor will materialize; scan it for negativity
-    # first so the failure comes back as a Koszul rejection with witnesses.
+    # The reduced core, evaluated once; scan it for negativity before
+    # construction so the failure comes back as a Koszul rejection with
+    # witnesses.
     lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
-    violations = [n for n in range(lo, hi + 1) if fn(n) < 0]
+    values = tuple(fn(n) for n in range(lo, hi + 1))
+    violations = [lo + k for k, v in enumerate(values) if v < 0]
 
     # Beyond the window the reduced tails govern; certify their sign exactly.
     for tail, direction in ((pos, 1), (neg, -1)):
@@ -104,22 +106,14 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
             violations=tuple(sorted(violations)),
         )
 
-    return LengthFunction.from_values(d, fn, lo, hi, pos, neg)
-
-
-@dataclass(frozen=True)
-class KoszulStep:
-    """One reduction step: the regime, the result, and the certified window."""
-
-    regime: str
-    result: LengthFunction
-    certified_window: tuple[int, int]
+    return LengthFunction(d, lo, values, pos, neg)
 
 
 @dataclass(frozen=True)
 class KoszulChain:
     """An iterated reduction with its per-step multiplicities.
 
+    ``functions[0]`` is the input and ``functions[k]`` its k-th reduction;
     ``multiplicities[k]`` is the delta-convention multiplicity of index s-k of
     the k-th function (ending in the Euler characteristic when the chain runs
     all the way down).  ``invariant_values`` rewrites them with the sign
@@ -127,15 +121,10 @@ class KoszulChain:
     constant; constancy is enforced at construction time.
     """
 
-    base: LengthFunction
     regime: str
     s: int
-    steps: tuple[KoszulStep, ...]
+    functions: tuple[LengthFunction, ...]
     multiplicities: tuple[int, ...]
-
-    @property
-    def functions(self) -> list[LengthFunction]:
-        return [self.base] + [step.result for step in self.steps]
 
     @property
     def invariant_values(self) -> tuple[int, ...]:
@@ -161,29 +150,23 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
     characteristic.  Positive chains must be constant; negative chains must
     alternate in sign; either failure is a model inconsistency.
     """
-    side = "positive" if regime == "positive" else "negative"
     mult = multiplicity_pos if regime == "positive" else multiplicity_neg
-    if s < lf.complexity(side):
+    if s < lf.complexity(regime):
         raise MultiplicityError(
-            f"s={s} is below the {side} complexity {lf.complexity(side)}"
+            f"s={s} is below the {regime} complexity {lf.complexity(regime)}"
         )
     # The terminal value is an Euler characteristic, which compares to the
     # chain only when the opposite tail of the base vanishes.
-    opposite = lf.neg_tail if regime == "positive" else lf.pos_tail
-    if not opposite.is_vanishing:
+    if not lf.tail("negative" if regime == "positive" else "positive").is_vanishing:
         raise MultiplicityError(
             f"a {regime} chain needs the opposite tail of the base to vanish"
         )
+    functions = [lf]
     values = [mult(lf, s).e_delta]
-    steps: list[KoszulStep] = []
-    current = lf
     for k in range(s):
-        current = reduce(current, regime)
-        steps.append(
-            KoszulStep(regime, current, (current.core_start, current.core_end))
-        )
-        values.append(mult(current, s - k - 1).e_delta)
-    if steps and steps[-1].result.complexity(side) != 0:
+        functions.append(reduce(functions[-1], regime))
+        values.append(mult(functions[-1], s - k - 1).e_delta)
+    if functions[-1].complexity(regime) != 0:
         raise ModelError("chain did not reach complexity 0")
     expected_sign = 1 if regime == "positive" else -1
     for k in range(1, len(values)):
@@ -191,7 +174,7 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
             raise ModelError(
                 f"chain multiplicities broke the reduction identity: {values}"
             )
-    return KoszulChain(lf, regime, s, tuple(steps), tuple(values))
+    return KoszulChain(regime, s, tuple(functions), tuple(values))
 
 
 def koszul_triangle(

@@ -220,12 +220,13 @@ class LengthFunction:
 
     def complexity(self, side: str = "positive") -> int:
         """1 + max degree of the tail polynomials on the given side (0 if vanishing)."""
-        tail = self._tail(side)
+        tail = self.tail(side)
         if tail.qp is None:
             return 0
         return 1 + tail.qp.max_degree
 
-    def _tail(self, side: str) -> Tail:
+    def tail(self, side: str) -> Tail:
+        """The tail toward +infinity (``"positive"``) or -infinity (``"negative"``)."""
         if side == "positive":
             return self.pos_tail
         if side == "negative":

@@ -6,8 +6,9 @@ The Herbrand difference of a period-d length function is
 
 For a function whose positive tail is quasi-polynomial with polynomials
 g_0..g_{d-1} and complexity cx = 1 + max deg g_i, the (s-1)-fold index-d
-difference of h stabilizes for every s >= cx >= 1.  Two conventions for the
-resulting multiplicity are supported, and every report carries both:
+difference of h stabilizes for every s >= cx >= 1.  There are two conventions
+for the resulting multiplicity, and every report carries both, as ``e_delta``
+and ``e_coeff``:
 
 * ``delta``:        the stabilized value of D^{s-1} h itself, computed
                     symbolically from the tail polynomials (per residue class
@@ -18,8 +19,7 @@ resulting multiplicity are supported, and every report carries both:
                     degree s-1 coefficient of g_i.
 
 The two differ by the factor d^(s-1); both stabilization chains are internally
-consistent, so neither is "the" value: callers pick a convention and the
-library never resolves the split silently.
+consistent, so neither is "the" value, and the library never picks one.
 
 The negative side (tails toward -infinity, operator D-) is computed as the
 positive side of the reflection n -> lambda(-n), mapped back.  The delta
@@ -33,8 +33,7 @@ sum_n (-1)^n lambda(n), and both conventions agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -47,17 +46,6 @@ from .lengths import LengthFunction, ModelError, Tail
 
 class MultiplicityError(ValueError):
     """A multiplicity was requested outside its domain of definition."""
-
-
-class Convention(Enum):
-    DELTA = "delta"
-    COEFFICIENT = "coefficient"
-
-    @staticmethod
-    def parse(value: "Convention | str") -> "Convention":
-        if isinstance(value, Convention):
-            return value
-        return Convention(value)
 
 
 def _sign(n: int) -> int:
@@ -106,19 +94,6 @@ class MultiplicityReport:
     polys: tuple[Polynomial, ...]
     polys_neg: tuple[Polynomial, ...]
     stabilization_index: int | None
-    convention: Convention | None = None
-
-    def value(self, convention: Convention | str | None = None) -> int:
-        conv = convention if convention is not None else self.convention
-        if conv is None:
-            if self.e_delta == self.e_coeff:
-                return self.e_delta
-            raise MultiplicityError(
-                "conventions disagree "
-                f"(delta={self.e_delta}, coefficient={self.e_coeff}); pick one"
-            )
-        conv = Convention.parse(conv)
-        return self.e_delta if conv is Convention.DELTA else self.e_coeff
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,11 +110,27 @@ class MultiplicityReport:
         }
 
 
-def _tail_polys(lf: LengthFunction, side: str) -> tuple[Polynomial, ...]:
-    tail = lf.pos_tail if side == "positive" else lf.neg_tail
-    if tail.qp is None:
-        return ()
-    return tail.qp.polys
+def _report(
+    lf: LengthFunction, side: str, s: int, e_delta: int, e_coeff: int, stabilization: int | None
+) -> MultiplicityReport:
+    """The report of the index-s multiplicity on ``side``; everything not
+    passed in is read off the tails of ``lf``."""
+    polys = {
+        key: () if lf.tail(key).qp is None else lf.tail(key).qp.polys
+        for key in ("positive", "negative")
+    }
+    return MultiplicityReport(
+        side=side,
+        s=s,
+        cx=lf.complexity("positive"),
+        cx_neg=lf.complexity("negative"),
+        e_delta=e_delta,
+        e_coeff=e_coeff,
+        leading=tuple(p.coefficient(s - 1) for p in polys[side]),
+        polys=polys["positive"],
+        polys_neg=polys["negative"],
+        stabilization_index=stabilization,
+    )
 
 
 def euler_characteristic(lf: LengthFunction) -> int:
@@ -151,26 +142,38 @@ def euler_characteristic(lf: LengthFunction) -> int:
     )
 
 
-def _euler_report(lf: LengthFunction, s: int, side: str, conv: Convention | None) -> MultiplicityReport:
-    e = euler_characteristic(lf) if s == 0 else 0
-    return MultiplicityReport(
-        side=side,
-        s=s,
-        cx=lf.complexity("positive"),
-        cx_neg=lf.complexity("negative"),
-        e_delta=e,
-        e_coeff=e,
-        leading=(),
-        polys=_tail_polys(lf, "positive"),
-        polys_neg=_tail_polys(lf, "negative"),
-        stabilization_index=None,
-        convention=conv,
+def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
+    """The index-s multiplicity on ``side``: one domain check and one Euler
+    case for both sides; the negative stabilized value is the positive one of
+    the reflection, mapped back."""
+    name = "complexity" if side == "positive" else "negative complexity"
+    cx = lf.complexity(side)
+    if s < cx:
+        raise MultiplicityError(f"s={s} is below the {name} {cx}")
+
+    if cx == 0:
+        opposite = "negative" if side == "positive" else "positive"
+        if not lf.tail(opposite).is_vanishing:
+            raise MultiplicityError(
+                f"{name} 0 with a non-vanishing {opposite} tail: "
+                "the Euler characteristic is undefined"
+            )
+        e = euler_characteristic(lf) if s == 0 else 0
+        return _report(lf, side, s, e, e, None)
+
+    if side == "positive":
+        return _report(lf, side, s, *_stabilized_report(lf, s, lf.core_start - 2 * lf.d))
+    # D-^{s-1} h(n) is D^{s-1} of the reflection's Herbrand difference at
+    # m = -n - reach, so the 3d confirmation windows coincide, and the scan
+    # that stops above core_end + 2d here stops below its mirror image there.
+    reach = s * (lf.d + 1) - 2
+    e_delta, e_coeff, stabilization = _stabilized_report(
+        lf.reflect(), s, -(lf.core_end + 2 * lf.d) - reach
     )
+    return _report(lf, side, s, e_delta, _sign(s - 1) * e_coeff, -stabilization - reach)
 
 
-def multiplicity_pos(
-    lf: LengthFunction, s: int, convention: Convention | str | None = None
-) -> MultiplicityReport:
+def multiplicity_pos(lf: LengthFunction, s: int) -> MultiplicityReport:
     """The index-s multiplicity at +infinity.
 
     Requires s >= cx.  For cx >= 1 the delta value is computed symbolically
@@ -178,31 +181,28 @@ def multiplicity_pos(
     consecutive degrees; for cx = 0 (where the negative tail must vanish) the
     s = 0 value is the Euler characteristic and every s >= 1 value is 0.
     """
-    conv = None if convention is None else Convention.parse(convention)
-    cx = lf.complexity("positive")
-    if s < cx:
-        raise MultiplicityError(f"s={s} is below the complexity {cx}")
-
-    if cx == 0:
-        if not lf.neg_tail.is_vanishing:
-            raise MultiplicityError(
-                "complexity 0 with a non-vanishing negative tail: "
-                "the Euler characteristic is undefined"
-            )
-        return _euler_report(lf, s, "positive", conv)
-    return _stabilized_report(lf, s, conv, lf.core_start - 2 * lf.d)
+    return _multiplicity(lf, s, "positive")
 
 
-def _stabilized_report(
-    lf: LengthFunction, s: int, conv: Convention | None, floor: int
-) -> MultiplicityReport:
-    """The positive-side report for cx >= 1; the stabilization scan runs down
-    from the certified region to ``floor`` at the lowest."""
+def multiplicity_neg(lf: LengthFunction, s: int) -> MultiplicityReport:
+    """The index-s multiplicity at -infinity: the positive one of the reflection.
+
+    The delta value is the literal stabilized value of D-^{s-1} h for n << 0,
+    which relates to the coefficient formula by the extra sign (-1)^(s-1); at
+    s = 1 the two sides agree, and on finite support e_0 equals the positive
+    Euler characteristic.
+    """
+    return _multiplicity(lf, s, "negative")
+
+
+def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int, int]:
+    """The positive-side e_delta, e_coeff and stabilization index for cx >= 1;
+    the stabilization scan runs down from the certified region to ``floor`` at
+    the lowest."""
     qp = lf.pos_tail.qp
     assert qp is not None
-    leading = tuple(p.coefficient(s - 1) for p in qp.polys)
     alternating = sum(
-        ((-1) ** i * a for i, a in enumerate(leading)), Fraction(0)
+        ((-1) ** i * p.coefficient(s - 1) for i, p in enumerate(qp.polys)), Fraction(0)
     )
 
     # Symbolic stabilized value of D^{s-1} h: unit-step differences of the
@@ -242,64 +242,7 @@ def _stabilized_report(
     n = v - 1
     while n >= floor and delta_op(h, s - 1, lf.d, n) == e_delta:
         n -= 1
-    stabilization = n + 1
-
-    return MultiplicityReport(
-        side="positive",
-        s=s,
-        cx=lf.complexity("positive"),
-        cx_neg=lf.complexity("negative"),
-        e_delta=e_delta,
-        e_coeff=e_coeff,
-        leading=leading,
-        polys=qp.polys,
-        polys_neg=_tail_polys(lf, "negative"),
-        stabilization_index=stabilization,
-        convention=conv,
-    )
-
-
-def multiplicity_neg(
-    lf: LengthFunction, s: int, convention: Convention | str | None = None
-) -> MultiplicityReport:
-    """The index-s multiplicity at -infinity: the positive one of the reflection.
-
-    The delta value is the literal stabilized value of D-^{s-1} h for n << 0,
-    which relates to the coefficient formula by the extra sign (-1)^(s-1); at
-    s = 1 the two sides agree, and on finite support e_0 equals the positive
-    Euler characteristic.
-    """
-    conv = None if convention is None else Convention.parse(convention)
-    cx_neg = lf.complexity("negative")
-    if s < cx_neg:
-        raise MultiplicityError(f"s={s} is below the negative complexity {cx_neg}")
-
-    if cx_neg == 0:
-        if not lf.pos_tail.is_vanishing:
-            raise MultiplicityError(
-                "negative complexity 0 with a non-vanishing positive tail: "
-                "the Euler characteristic is undefined"
-            )
-        return _euler_report(lf, s, "negative", conv)
-
-    # D-^{s-1} h(n) is D^{s-1} of the reflection's Herbrand difference at
-    # m = -n - reach, so the 3d confirmation windows coincide, and the scan
-    # that stops above core_end + 2d here stops below its mirror image there.
-    reach = s * (lf.d + 1) - 2
-    mirror = _stabilized_report(lf.reflect(), s, conv, -(lf.core_end + 2 * lf.d) - reach)
-    assert mirror.stabilization_index is not None
-    polys_neg = _tail_polys(lf, "negative")
-    return replace(
-        mirror,
-        side="negative",
-        cx=mirror.cx_neg,
-        cx_neg=mirror.cx,
-        e_coeff=_sign(s - 1) * mirror.e_coeff,
-        leading=tuple(p.coefficient(s - 1) for p in polys_neg),
-        polys=_tail_polys(lf, "positive"),
-        polys_neg=polys_neg,
-        stabilization_index=-mirror.stabilization_index - reach,
-    )
+    return e_delta, e_coeff, n + 1
 
 
 def limit_estimate(
@@ -362,7 +305,7 @@ def theta_invariant(tor_lengths: LengthFunction) -> int:
                 "lengths do not stabilize: even/odd values must be eventually constant"
             )
         theta = _as_int(polys[0](0) - polys[1](0), "theta")
-    check = multiplicity_neg(reindexed, 1, Convention.DELTA).e_delta
+    check = multiplicity_neg(reindexed, 1).e_delta
     if check != theta:
         raise ModelError(f"theta {theta} disagrees with e_1 {check}")
     return theta

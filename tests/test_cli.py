@@ -122,6 +122,16 @@ class TestReportCommands:
         assert info.value.code == 2
         assert "--limit-n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_limit_n_at_s_zero_is_error(self, capsys, json_flag):
+        # Text and --json share one rule: the limit estimates need s >= 1.
+        code, out, err = run(
+            capsys, "e", "--expr", "1+t", "--d", "2", "--s", "0", "--limit-n", "100", *json_flag
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: limit estimates need s >= 1\n"
+
     def test_s_below_complexity_is_error(self, capsys):
         code, _, err = run(capsys, "e", "--expr", "t^2/(1-t^2)^2", "--d", "2", "--s", "1")
         assert code == 1
@@ -326,6 +336,16 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["failed"] == 0
         assert payload["passed"] == len(payload["results"])
+
+    def test_all_suites_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
+        assert code == 0
+        check_golden("verify_all_seed0.txt", out)
+
+    def test_paper_json_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "paper", "--json")
+        assert code == 0
+        check_golden("verify_paper.json", out)
 
     def test_output_is_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "paper")

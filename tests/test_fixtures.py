@@ -1,9 +1,11 @@
 """Fixture corpus loading, strictness, and the seeded property suites."""
 
 import json
+import re
 
 import pytest
 
+from qmult.cli import main
 from qmult.fixtures import (
     FixtureError,
     fixture_dir,
@@ -82,6 +84,62 @@ class TestCorpus:
         bad = {"name": "bad", "cases": [], "notes": "nope"}
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         with pytest.raises(FixtureError):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "fixture, field",
+        [
+            ({"name": "x", "cases": 5}, "cases"),
+            ({"name": "x", "cases": [5]}, "cases[0]"),
+            ({"name": "x", "cases": [{"label": "a", "expected": [5]}]}, "cases[0].expected[0]"),
+            ([], "fixture"),
+        ],
+    )
+    def test_non_object_structure_rejected(self, tmp_path, fixture, field):
+        (tmp_path / "bad.json").write_text(json.dumps(fixture))
+        with pytest.raises(FixtureError, match=re.escape(f"bad.json: {field} must be")):
+            load_corpus(tmp_path)
+
+    def test_non_object_structure_exits_one(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": 5}))
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr().err == "error: bad.json: cases must be an array, got 5\n"
+
+    @pytest.mark.parametrize(
+        "source, check, field",
+        [
+            ({"d": 2.5}, {}, "cases[0].source.d"),
+            ({"probe": "80"}, {}, "cases[0].source.probe"),
+            ({"series": 5}, {}, "cases[0].source.series"),
+            ({}, {"value": True}, "cases[0].expected[0].value"),
+            ({}, {"value": 1.0}, "cases[0].expected[0].value"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, tmp_path, source, check, field):
+        # Coercion would truncate d = 2.5 to 2 and let the cx check pass.
+        case = {
+            "label": "a",
+            "source": {"series": "1/(1-t)", **source},
+            "expected": [{"check": "cx", "value": 1, "provenance": "trivial", **check}],
+        }
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        with pytest.raises(FixtureError, match=re.escape(f"bad.json: {field} must be")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("key, values", [("ns", [10, 1.5]), ("tor", [1, "2"]), ("tor", 3)])
+    def test_non_integer_array_rejected(self, tmp_path, key, values):
+        kind = "limit" if key == "ns" else "serre"
+        check = {"check": kind, "provenance": "trivial", key: values}
+        case = {"label": "a", "expected": [check]}
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        with pytest.raises(FixtureError, match=re.escape(f"bad.json: cases[0].expected[0].{key}")):
+            load_corpus(tmp_path)
+
+    def test_unknown_source_key_rejected(self, tmp_path):
+        case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        with pytest.raises(FixtureError, match="prob"):
             load_corpus(tmp_path)
 
     def test_env_override(self, tmp_path, monkeypatch):

@@ -139,10 +139,10 @@ class TestStabilizedConstant:
             if unstable:
                 message = f"D^{s - 1} h did not stabilize on residue profile {unstable[0]}"
                 with pytest.raises(ModelError, match=re.escape(message)):
-                    _stabilized_report(lf, s, None, floor)
+                    _stabilized_report(lf, s, floor)
             elif s >= cx:
                 assert len(set(constants)) == 1
-                assert _stabilized_report(lf, s, None, floor).e_delta == constants[0]
+                assert _stabilized_report(lf, s, floor)[0] == constants[0]
 
     @given(polynomials, st.integers(1, 10))
     def test_constant_is_the_scaled_coefficient(self, profile, s):

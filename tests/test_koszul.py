@@ -137,6 +137,11 @@ class TestReduceChain:
         with pytest.raises(MultiplicityError):
             reduce_chain(jst_fixture(3), 2, "positive")
 
+    def test_unknown_regime_rejected(self):
+        # The regime names the side, so an unknown one is no side at all.
+        with pytest.raises(ValueError, match="'sideways'"):
+            reduce_chain(zero_fixture(), 0, "sideways")
+
     def test_two_sided_base_rejected(self):
         values = tuple(3 if n % 2 == 0 else 0 for n in range(-10, 11))
         tail = lambda: Tail.quasipoly(QuasiPolynomial(2, (poly(3), poly()), 0))  # noqa: E731

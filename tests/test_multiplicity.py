@@ -9,7 +9,6 @@ from qmult.exact import Polynomial, series_coefficients
 from qmult.koszul import reduce
 from qmult.lengths import LengthFunction, QuasiPolynomial, Tail
 from qmult.multiplicity import (
-    Convention,
     MultiplicityError,
     euler_characteristic,
     herbrand,
@@ -173,13 +172,6 @@ class TestMultiplicityPos:
         n = report.stabilization_index
         lf = xy_fixture(3)
         assert herbrand(lf, n) == 3
-
-    def test_value_selection(self):
-        report = multiplicity_pos(jst_fixture(2), 2, Convention.DELTA)
-        assert report.value() == 1
-        assert report.value("coefficient") == 2
-        with pytest.raises(MultiplicityError):
-            multiplicity_pos(jst_fixture(2), 2).value()
 
 
 class TestMultiplicityNeg:
