@@ -34,10 +34,7 @@ def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return sum(
-        (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + (s - i) * d)) for i in range(s + 1)),
-        Fraction(0),
-    )
+    return Fraction(sum((-1) ** i * comb(s, i) * f(n + (s - i) * d) for i in range(s + 1)))
 
 
 def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
@@ -48,10 +45,7 @@ def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return sum(
-        (Fraction((-1) ** i * comb(s, i)) * Fraction(f(n + d * i + s)) for i in range(s + 1)),
-        Fraction(0),
-    )
+    return Fraction(sum((-1) ** i * comb(s, i) * f(n + d * i + s) for i in range(s + 1)))
 
 
 def alternating_binomial_moment(s: int, n: int) -> Fraction:

@@ -315,9 +315,6 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction('{self}')"
 
-    def series(self, n_max: int) -> list[Fraction]:
-        return series_coefficients(self, n_max)
-
 
 def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     """Coefficients c_0..c_n_max of the power-series expansion of f at t = 0.

@@ -10,8 +10,10 @@ lengths) and a list of expected checks.  Every check carries a provenance tag:
 * ``trivial``   - the value is immediate from the definitions.
 
 The runner executes every check; unknown check kinds, unknown fields,
-missing provenance and integer fields that are not JSON integers are hard
-errors, so nothing can be skipped or coerced silently.
+missing provenance, integer fields that are not JSON integers and values
+outside a field's closed set (``side``, ``regime``, ``convention``,
+``constant``, ``parity``) are hard errors, so nothing can be skipped, coerced
+or read as a different check silently.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ _SOURCE_FIELDS = {"series", "length_function", "d", "probe"}
 # Fields that hold a JSON integer, and fields that hold an array of them.
 _INT_FIELDS = ("d", "probe", "value", "s", "n", "k", "m0")
 _INT_ARRAY_FIELDS = ("ns", "tor")
+
+# Fields that hold one of a closed set of strings.
+_ENUM_FIELDS = {
+    "side": ("positive", "negative"),
+    "regime": ("positive", "negative"),
+    "convention": ("delta", "coefficient", "both"),
+    "constant": ("paper", "corrected"),
+    "parity": ("even", "odd"),
+}
 
 
 class FixtureError(ValueError):
@@ -164,6 +175,15 @@ def _validate_fixture(data: object, where: str) -> None:
                     f"{where}: unknown keys {sorted(unknown)} in check {kind!r}"
                 )
             _check_integers(check, where, f"{field}.expected[{j}].")
+            for key, allowed in _ENUM_FIELDS.items():
+                if key in check:
+                    _require(
+                        check[key] in allowed,
+                        where,
+                        f"{field}.expected[{j}].{key}",
+                        f"one of {allowed}",
+                        check[key],
+                    )
 
 
 def _require(ok: bool, where: str, field: str, what: str, value: object) -> None:

@@ -10,16 +10,21 @@ difference of h stabilizes for every s >= cx >= 1.  There are two conventions
 for the resulting multiplicity, and every report carries both, as ``e_delta``
 and ``e_coeff``:
 
-* ``delta``:        the stabilized value of D^{s-1} h itself, computed
-                    symbolically from the tail polynomials (per residue class
-                    j, h(dm+j) is eventually a polynomial in the block index
-                    m, and stepping by d in the degree is stepping by 1 in m);
-                    equals (s-1)! * sum_i (-1)^i a_i.
+* ``delta``:        the stabilized value of D^{s-1} h itself; equals
+                    (s-1)! * sum_i (-1)^i a_i.
 * ``coefficient``:  (s-1)! * d^(s-1) * sum_i (-1)^i a_i, where a_i is the
                     degree s-1 coefficient of g_i.
 
 The two differ by the factor d^(s-1); both stabilization chains are internally
 consistent, so neither is "the" value, and the library never picks one.
+
+Per residue class j, h(dm+j) is eventually sum_k (-1)^k g_k(m) plus unit
+differences of degree <= s-2, and stepping by d in n is stepping by 1 in m, so
+D^{s-1} h is eventually (s-1)! times the common t^(s-1) coefficient: the delta
+value is computed from that formula.  It is certified on h, built once as a
+list (one window sum, then h(n+1) = h(n) + (-1)^n (lambda(n+d) - lambda(n))):
+D^{s-1} h must equal it on 3d consecutive tail degrees, and a scan below them
+reports where the stabilization begins.
 
 The negative side (tails toward -infinity, operator D-) is computed as the
 positive side of the reflection n -> lambda(-n), mapped back.  The delta
@@ -56,22 +61,6 @@ def _sign(n: int) -> int:
 def herbrand(lf: LengthFunction, n: int) -> int:
     """Alternating sum of lambda over the window [n, n+d)."""
     return sum(_sign(n + i) * lf(n + i) for i in range(lf.d))
-
-
-def _residue_profiles(polys: Sequence[Polynomial], d: int) -> list[Polynomial]:
-    """Eventual block polynomials of the Herbrand difference.
-
-    For n = d*m + j in the tail region, h(n) equals
-    sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
-    as a polynomial in m (the k < j summands spill into the next block), so
-    consecutive profiles differ by one spilled summand (-1)^j (Delta g_j)(m).
-    """
-    profile = sum((p * _sign(k) for k, p in enumerate(polys)), Polynomial())
-    out = [profile]
-    for j in range(d - 1):
-        profile = profile + polys[j].forward_difference() * _sign(j)
-        out.append(profile)
-    return out
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -176,10 +165,13 @@ def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
 def multiplicity_pos(lf: LengthFunction, s: int) -> MultiplicityReport:
     """The index-s multiplicity at +infinity.
 
-    Requires s >= cx.  For cx >= 1 the delta value is computed symbolically
-    from the tail polynomials and confirmed numerically on a window of 3d
-    consecutive degrees; for cx = 0 (where the negative tail must vanish) the
-    s = 0 value is the Euler characteristic and every s >= 1 value is 0.
+    Requires s >= cx.  For cx >= 1 the delta value is the formula
+    (s-1)! * sum_i (-1)^i a_i on the leading coefficients of the tail
+    polynomials, certified on the Herbrand difference h: D^{s-1} h equals it
+    on 3d consecutive degrees, and ``stabilization_index`` is the lowest
+    degree from which it holds (scanned down to the core).  For cx = 0 (where
+    the negative tail must vanish) the s = 0 value is the Euler characteristic
+    and every s >= 1 value is 0.
     """
     return _multiplicity(lf, s, "positive")
 
@@ -196,43 +188,33 @@ def multiplicity_neg(lf: LengthFunction, s: int) -> MultiplicityReport:
 
 
 def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int, int]:
-    """The positive-side e_delta, e_coeff and stabilization index for cx >= 1;
+    """The positive-side e_delta, e_coeff and stabilization index for s >= cx >= 1;
     the stabilization scan runs down from the certified region to ``floor`` at
     the lowest."""
     qp = lf.pos_tail.qp
     assert qp is not None
+    d, v = lf.d, qp.valid_from
     alternating = sum(
         ((-1) ** i * p.coefficient(s - 1) for i, p in enumerate(qp.polys)), Fraction(0)
     )
+    e_delta = _as_int(factorial(s - 1) * alternating, "stabilized difference")
 
-    # Symbolic stabilized value of D^{s-1} h: unit-step differences of the
-    # per-residue block polynomials, which must collapse to one constant.  The
-    # (s-1)-fold difference of a polynomial of degree <= s-1 is the constant
-    # (s-1)! times its t^(s-1) coefficient; of higher degree, not a constant.
-    constants = []
-    for profile in _residue_profiles(qp.polys, lf.d):
-        if profile.degree > s - 1:
-            raise ModelError(
-                f"D^{s - 1} h did not stabilize on residue profile {profile}"
-            )
-        constants.append(factorial(s - 1) * profile.coefficient(s - 1))
-    if len(set(constants)) != 1:
-        raise ModelError(f"residue classes disagree after differencing: {constants}")
-    e_delta = _as_int(constants[0], "stabilized difference")
-    e_coeff = _as_int(
-        factorial(s - 1) * Fraction(lf.d) ** (s - 1) * alternating, "coefficient formula"
-    )
-    if e_coeff != lf.d ** (s - 1) * e_delta:
-        raise ModelError(
-            f"convention bridge failed: coefficient {e_coeff} != "
-            f"d^(s-1) * delta {lf.d ** (s - 1) * e_delta}"
-        )
+    # h as one list, h[k] = h(top - k): D^{s-1} h(n) reads h(n), h(n+d), ...,
+    # h(n+(s-1)d), so the confirmation reaches up to top.  One window sum at
+    # top, then h(n) = h(n+1) - (-1)^n (lambda(n+d) - lambda(n)) (d is even),
+    # grown only as far down as the confirmation and the scan read.
+    top = v + (s + 2) * d - 1
+    h = [herbrand(lf, top)]
+
+    def at(n: int) -> int:
+        while len(h) <= top - n:
+            m = top - len(h)
+            h.append(h[-1] - _sign(m) * (lf(m + d) - lf(m)))
+        return h[top - n]
 
     # Numeric confirmation on 3d consecutive degrees in the certified region.
-    h = lambda n: herbrand(lf, n)  # noqa: E731
-    v = qp.valid_from
-    for n in range(v, v + 3 * lf.d):
-        got = delta_op(h, s - 1, lf.d, n)
+    for n in range(v, v + 3 * d):
+        got = delta_op(at, s - 1, d, n)
         if got != e_delta:
             raise ModelError(
                 f"numeric stabilization check failed at n={n}: {got} != {e_delta}"
@@ -240,9 +222,9 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
 
     # Honest boundary of the verified stable range.
     n = v - 1
-    while n >= floor and delta_op(h, s - 1, lf.d, n) == e_delta:
+    while n >= floor and delta_op(at, s - 1, d, n) == e_delta:
         n -= 1
-    return e_delta, e_coeff, n + 1
+    return e_delta, d ** (s - 1) * e_delta, n + 1
 
 
 def limit_estimate(

@@ -2,9 +2,11 @@
 
 Each is the plain Fraction computation that the integer kernels must match:
 Horner evaluation and Horner composition on the Fraction coefficients, Newton
-interpolation of every candidate degree in the fit, and the Faulhaber sum
-through the summation polynomial.  They share no code with the kernels they
-check beyond polynomial addition and multiplication.
+interpolation of every candidate degree in the fit, the Faulhaber sum
+through the summation polynomial, and the residue profiles of the Herbrand
+difference with repeated differences for its stabilized constant.  They share
+no code with the kernels they check beyond polynomial addition and
+multiplication.
 """
 
 from fractions import Fraction
@@ -127,3 +129,17 @@ def stabilized_constant(profile, s):
     if profile.degree > 0:
         return None
     return horner_eval(profile, 0)
+
+
+def residue_profiles(polys):
+    """Eventual block polynomials of the Herbrand difference, by the direct formula.
+
+    For n = d*m + j in the tail region, h(n) equals
+    sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
+    as a polynomial in m: the k < j summands spill into the next block.
+    """
+    spilled = [horner_compose_linear(g, 1, 1) for g in polys]
+    return [
+        sum(((g if k >= j else spilled[k]) * (-1) ** k for k, g in enumerate(polys)), Polynomial())
+        for j in range(len(polys))
+    ]

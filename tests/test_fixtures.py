@@ -136,6 +136,26 @@ class TestCorpus:
         with pytest.raises(FixtureError, match=re.escape(f"bad.json: cases[0].expected[0].{key}")):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("multiplicity", "side", "postive"),
+            ("multiplicity", "convention", "Delta"),
+            ("chain", "regime", "sideways"),
+            ("limit", "constant", "exact"),
+            ("window", "parity", 0),
+        ],
+    )
+    def test_value_outside_closed_set_rejected(self, tmp_path, kind, key, value):
+        # Before, the runner read a misspelt side as "negative" and any
+        # unknown convention as "both", so the check ran as another check.
+        check = {"check": kind, "provenance": "trivial", key: value}
+        case = {"label": "a", "expected": [check]}
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        field = f"bad.json: cases[0].expected[0].{key} must be one of"
+        with pytest.raises(FixtureError, match=re.escape(field)):
+            load_corpus(tmp_path)
+
     def test_unknown_source_key_rejected(self, tmp_path):
         case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}
         (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))

@@ -1,11 +1,17 @@
 """Multiplicities: Herbrand differences, both conventions, limits, specializations."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_oracles as oracle
+from qmult.differences import delta, delta_neg
 from qmult.exact import Polynomial, series_coefficients
+from qmult.fixtures import random_length_function, random_polynomial
 from qmult.koszul import reduce
 from qmult.lengths import LengthFunction, QuasiPolynomial, Tail
 from qmult.multiplicity import (
@@ -255,6 +261,83 @@ class TestMultiplicityNeg:
             assert report.e_coeff == factorial(s - 1) * lf.d ** (s - 1) * alternating
 
 
+@st.composite
+def stabilization_cases(draw):
+    """(lf, side, s) at s = cx..cx+2 on ``side``: random one-sided functions, and
+    functions that are one quasi-polynomial on all of Z, whose scans run down
+    to the floor; reflected for the negative side, then shifted."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    d = draw(st.sampled_from([2, 4, 6]))
+    side = draw(st.sampled_from(["positive", "negative"]))
+    if draw(st.booleans()):
+        lf = random_length_function(rng, d=d, min_cx=1)
+    else:
+        # a_i + b_i m^2 is nonnegative on every block index, so both tails
+        # can be the same quasi-polynomial.
+        polys = tuple(poly(rng.randint(i == 0, 4), 0, rng.randint(0, 2)) for i in range(d))
+        lo = -d * rng.randint(2, 3)
+        hi = lo + d * rng.randint(4, 6)
+        qp = QuasiPolynomial(d, polys, lo)
+        values = tuple(int(qp(n)) for n in range(lo, hi + 1))
+        lf = LengthFunction(
+            d, lo, values, Tail.quasipoly(qp), Tail.quasipoly(QuasiPolynomial(d, polys, hi))
+        )
+    if side == "negative":
+        lf = lf.reflect()
+    lf = lf.shift(draw(st.integers(-5, 5)))
+    return lf, side, lf.complexity(side) + draw(st.integers(0, 2))
+
+
+class TestStabilizationAgainstTheLiteralDifference:
+    @settings(deadline=None)
+    @given(stabilization_cases())
+    def test_e_delta_and_stabilization_index(self, case):
+        # e_delta is the literal D^{s-1} h (D-^{s-1} h on the negative side)
+        # on every degree from the confirmation window to the reported index,
+        # and differs just past the index unless the scan stopped at its bound.
+        lf, side, s = case
+        d = lf.d
+        h = lambda n: herbrand(lf, n)  # noqa: E731
+        report = (multiplicity_pos if side == "positive" else multiplicity_neg)(lf, s)
+        index = report.stabilization_index
+        if side == "positive":
+            floor = lf.core_start - 2 * d
+            assert floor <= index
+            for n in range(index, lf.pos_tail.qp.valid_from + 3 * d):
+                assert delta(h, s - 1, d, n) == report.e_delta
+            if index > floor:
+                assert delta(h, s - 1, d, index - 1) != report.e_delta
+        else:
+            ceiling = lf.core_end + 2 * d
+            assert index <= ceiling
+            reach = s * (d + 1) - 2
+            for n in range(lf.neg_tail.qp.valid_from - reach - 3 * d + 1, index + 1):
+                assert delta_neg(h, s - 1, d, n) == report.e_delta
+            if index < ceiling:
+                assert delta_neg(h, s - 1, d, index + 1) != report.e_delta
+        alternating = sum((-1) ** i * a for i, a in enumerate(report.leading))
+        assert report.e_coeff == factorial(s - 1) * d ** (s - 1) * alternating
+        sign = 1 if side == "positive" else (-1) ** (s - 1)
+        assert report.e_coeff == sign * d ** (s - 1) * report.e_delta
+
+    def test_lambda_evaluations_grow_linearly_in_d(self, monkeypatch):
+        # One window sum and a running update: a few thousand evaluations of
+        # lambda at d = 240, not one window of d per difference term.
+        lf = from_series(parse_series("t^7/((1-t^2)*(1-t^120))"), 240, 1680)
+        calls = 0
+        evaluate = LengthFunction.__call__
+
+        def counted(self, n):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, n)
+
+        monkeypatch.setattr(LengthFunction, "__call__", counted)
+        report = multiplicity_pos(lf, 2)
+        assert report.e_delta == -240
+        assert calls < 5000
+
+
 class TestEuler:
     def test_point_masses(self):
         one = LengthFunction(2, 0, (1,), Tail.vanishing(), Tail.vanishing())
@@ -407,30 +490,24 @@ class TestVanishingWindow:
 class TestResidueConsistency:
     def test_profiles_flatten_identically(self):
         # All d residue classes of D^{s-1} h stabilize to one constant.
-        from qmult.multiplicity import _residue_profiles
-
         s4 = from_series(parse_series("(1-t^4)/((1-t)*(1-t^2)*(1-t^3))"), 6, 120)
-        profiles = _residue_profiles(s4.pos_tail.qp.polys, 6)
+        profiles = oracle.residue_profiles(s4.pos_tail.qp.polys)
         diffed = [p.forward_difference() for p in profiles]
         assert len({d.coefficient(0) for d in diffed}) == 1
         assert all(d.degree <= 0 for d in diffed)
 
-    def test_running_sum_matches_the_direct_formula(self):
-        # profile_j = sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
-        import random
-
-        from qmult.fixtures import random_polynomial
-        from qmult.multiplicity import _residue_profiles
-
+    def test_profiles_share_the_leading_coefficient(self):
+        # The identity behind e_delta = (s-1)! * sum_k (-1)^k a_k: for s >= cx
+        # every profile has degree <= s-1 and t^(s-1) coefficient
+        # sum_k (-1)^k a_k, since the spilled differences have degree <= s-2.
         rng = random.Random(7)
         for _ in range(200):
             d = rng.choice([2, 4, 6, 12])
             polys = [random_polynomial(rng) for _ in range(d)]
-            direct = [
-                sum(
-                    ((g if k >= j else g.shift(1)) * (-1) ** k for k, g in enumerate(polys)),
-                    Polynomial(),
-                )
-                for j in range(d)
-            ]
-            assert _residue_profiles(polys, d) == direct
+            profiles = oracle.residue_profiles(polys)
+            cx = 1 + max(g.degree for g in polys)
+            for s in range(max(cx, 1), cx + 3):
+                alternating = sum((-1) ** k * g.coefficient(s - 1) for k, g in enumerate(polys))
+                for profile in profiles:
+                    assert profile.degree <= s - 1
+                    assert profile.coefficient(s - 1) == alternating
