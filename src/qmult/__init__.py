@@ -40,7 +40,6 @@ from .lengths import (
     LengthFunction,
     ModelError,
     QuasiPolynomial,
-    Tail,
     fit_quasipoly,
     from_series,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "RationalFunction",
     "SeriesSemanticError",
     "SeriesSyntaxError",
-    "Tail",
     "WindowResult",
     "alternating_binomial_moment",
     "axioms_check",

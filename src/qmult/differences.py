@@ -102,17 +102,14 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
     return Polynomial(tuple(Fraction(c, scale) for c in acc)).shift(-anchor)
 
 
-def newton_coefficients(g: Polynomial) -> list[Fraction]:
-    """Coefficients c_k with g(t) = sum_k c_k C(t, k); c_k = (unit Delta^k g)(0)."""
-    return difference_table([g(j) for j in range(g.degree + 1)])
-
-
 def summation_polynomial(g: Polynomial) -> Polynomial:
     """The polynomial G with G(n) = sum_{i=0}^{n} g(i) for every integer n >= 0.
 
-    Telescopes the Newton basis: sum_{i=0}^{n} C(i,k) = C(n+1, k+1).
+    Telescopes the Newton basis: g(t) = sum_k c_k C(t, k) with c_k the unit
+    difference (Delta^k g)(0), and sum_{i=0}^{n} C(i,k) = C(n+1, k+1).
     """
-    return newton_polynomial([0, *newton_coefficients(g)], -1)
+    newton = difference_table([g(j) for j in range(g.degree + 1)])
+    return newton_polynomial([0, *newton], -1)
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:

@@ -34,7 +34,6 @@ from .lengths import (
     LengthFunction,
     ModelError,
     QuasiPolynomial,
-    Tail,
     _json_int,
     _json_list,
     fit_quasipoly,
@@ -247,7 +246,7 @@ def _run_check(lf: LengthFunction | None, check: dict) -> tuple[bool, str]:
         ok = report.e_delta == want and report.e_coeff == want
         return ok, f"{shown}e_delta={report.e_delta}, e_coeff={report.e_coeff}, want both {want}"
     if kind in ("g_table", "leading"):
-        qp = lf.tail(check.get("side", "positive")).qp
+        qp = lf.tail(check.get("side", "positive"))
         polys = qp.polys if qp is not None else (Polynomial(),) * lf.d
         if kind == "g_table":
             want = [Polynomial.from_json(p) for p in check["polys"]]
@@ -369,9 +368,7 @@ def random_length_function(
         lo = -rng.randint(0, 3)
         width = rng.randint(1, 6)
         values = [rng.randint(0, 6) for _ in range(width)]
-        return LengthFunction(
-            d, lo, tuple(values) + (0,), Tail.vanishing(), Tail.vanishing()
-        )
+        return LengthFunction(d, lo, tuple(values) + (0,), None, None)
     valid_from = d * rng.randint(0, 2)
     qp = QuasiPolynomial(d, tuple(polys), valid_from)
     lo = -rng.randint(0, 3)
@@ -379,7 +376,7 @@ def random_length_function(
     values = [
         rng.randint(0, 6) if n < valid_from else int(qp(n)) for n in range(lo, hi + 1)
     ]
-    return LengthFunction(d, lo, tuple(values), Tail.quasipoly(qp), Tail.vanishing())
+    return LengthFunction(d, lo, tuple(values), qp, None)
 
 
 def _suite(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .exact import nonnegative_on_ray
-from .lengths import LengthFunction, ModelError, QuasiPolynomial, Tail, core_window
+from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
 from .multiplicity import (
     MultiplicityError,
     euler_characteristic,
@@ -51,15 +51,15 @@ def _forward_step(qp: QuasiPolynomial, side: str) -> QuasiPolynomial:
     return QuasiPolynomial(qp.d, tuple(p.forward_difference() for p in qp.polys), anchor)
 
 
-def _reduced_tail(tail: Tail, regime: str, side: str) -> Tail:
+def _reduced_tail(qp: QuasiPolynomial | None, regime: str, side: str) -> QuasiPolynomial | None:
+    if qp is None:
+        return None
     if regime == "positive":
-        return tail.map(lambda qp: _forward_step(qp, side))
+        return _forward_step(qp, side)
     # The negative step is the positive one seen in the mirror: reflect, step
     # on the opposite side, reflect back, then shift by d + 1.
     mirror_side = "neg" if side == "pos" else "pos"
-    return tail.map(
-        lambda qp: _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
-    )
+    return _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
 
 
 def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
@@ -86,11 +86,11 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     violations = [lo + k for k, v in enumerate(values) if v < 0]
 
     # Beyond the window the reduced tails govern; certify their sign exactly.
-    for tail, direction in ((pos, 1), (neg, -1)):
-        if tail.qp is None:
+    for qp, direction in ((pos, 1), (neg, -1)):
+        if qp is None:
             continue
         anchor = hi + 1 if direction == 1 else lo - 1
-        for i, p in enumerate(tail.qp.polys):
+        for i, p in enumerate(qp.polys):
             if direction == 1:
                 m0 = -((anchor - i) // -d)
             else:
@@ -157,7 +157,7 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
         )
     # The terminal value is an Euler characteristic, which compares to the
     # chain only when the opposite tail of the base vanishes.
-    if not lf.tail("negative" if regime == "positive" else "positive").is_vanishing:
+    if lf.tail("negative" if regime == "positive" else "positive") is not None:
         raise MultiplicityError(
             f"a {regime} chain needs the opposite tail of the base to vanish"
         )

@@ -1,18 +1,19 @@
 """Graded length functions: total functions Z -> N with declared tail behavior.
 
 A :class:`LengthFunction` is the numerical shadow of a graded Hom module: an
-explicit core window of values plus a declared tail on each side, either
-``vanishing`` (identically zero beyond the core) or ``quasipoly`` (a period-d
-quasi-polynomial).  A quasi-polynomial of period d is a tuple of polynomials
-g_0..g_{d-1} with value g_{n mod d}(n // d); residues use floor division, so
-the indexing is unambiguous for negative degrees.
+explicit core window of values plus a declared tail on each side.  A tail is
+either ``None`` (vanishing: identically zero beyond the core; JSON kind
+``vanishing``) or a :class:`QuasiPolynomial` (JSON kind ``quasipoly``).  A
+quasi-polynomial of period d is a tuple of polynomials g_0..g_{d-1} with value
+g_{n mod d}(n // d); residues use floor division, so the indexing is
+unambiguous for negative degrees.
 
 Tails must overlap the core on at least max_degree + 2 points per residue
 class and agree there exactly.  That overlap also certifies integrality of the
 tail everywhere (a polynomial that is integral on deg + 1 consecutive integers
 is integral on all of Z); nonnegativity along the rest of the ray is certified
 by exact sign analysis.  Quasi-polynomial tails whose polynomials are all zero
-are normalized to ``vanishing``.
+are normalized to ``None``.
 
 Fitting (:func:`fit_quasipoly`) recovers the tail of a sampled function by
 Newton forward differences per residue class, working from the high end of the
@@ -96,37 +97,7 @@ class QuasiPolynomial:
         return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
 
 
-@dataclass(frozen=True)
-class Tail:
-    """One side of a length function: vanishing, or a quasi-polynomial."""
-
-    qp: QuasiPolynomial | None = None
-
-    @staticmethod
-    def vanishing() -> Tail:
-        return Tail(None)
-
-    @staticmethod
-    def quasipoly(qp: QuasiPolynomial) -> Tail:
-        return Tail(qp)
-
-    @property
-    def kind(self) -> str:
-        return "vanishing" if self.qp is None else "quasipoly"
-
-    @property
-    def is_vanishing(self) -> bool:
-        return self.qp is None
-
-    def map(self, f: Callable[[QuasiPolynomial], QuasiPolynomial]) -> Tail:
-        """Transform the quasi-polynomial; a vanishing tail stays vanishing."""
-        return self if self.qp is None else Tail(f(self.qp))
-
-
-def _check_tail(
-    lf: "LengthFunction", tail: Tail, side: str
-) -> None:
-    qp = tail.qp
+def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
     if qp is None:
         return
     if qp.d != lf.d:
@@ -174,6 +145,7 @@ def _check_tail(
 class LengthFunction:
     """A total function Z -> N: explicit core window plus declared tails.
 
+    Each tail is a :class:`QuasiPolynomial`, or ``None`` where it vanishes.
     Values are immutable after construction and all operations are pure, so
     instances can be shared freely.  Equality is semantic (equal values on all
     of Z), not structural.
@@ -182,8 +154,8 @@ class LengthFunction:
     d: int
     core_start: int
     core_values: tuple[int, ...]
-    pos_tail: Tail
-    neg_tail: Tail
+    pos_tail: QuasiPolynomial | None
+    neg_tail: QuasiPolynomial | None
 
     def __post_init__(self) -> None:
         if self.d < 2 or self.d % 2 != 0:
@@ -196,11 +168,31 @@ class LengthFunction:
         object.__setattr__(self, "core_values", values)
         # All-zero quasi-polynomial tails mean the same thing as vanishing.
         for name in ("pos_tail", "neg_tail"):
-            tail = getattr(self, name)
-            if tail.qp is not None and tail.qp.is_zero():
-                object.__setattr__(self, name, Tail.vanishing())
+            qp = getattr(self, name)
+            if qp is not None and qp.is_zero():
+                object.__setattr__(self, name, None)
         _check_tail(self, self.pos_tail, "pos")
         _check_tail(self, self.neg_tail, "neg")
+
+    @classmethod
+    def _unchecked(
+        cls,
+        d: int,
+        core_start: int,
+        core_values: tuple[int, ...],
+        pos_tail: QuasiPolynomial | None,
+        neg_tail: QuasiPolynomial | None,
+    ) -> LengthFunction:
+        """Build without validation, for a function that is valid by
+        construction: the fields must already be what ``__post_init__`` would
+        leave (int values, no all-zero tail) and pass its checks."""
+        lf = object.__new__(cls)
+        object.__setattr__(lf, "d", d)
+        object.__setattr__(lf, "core_start", core_start)
+        object.__setattr__(lf, "core_values", core_values)
+        object.__setattr__(lf, "pos_tail", pos_tail)
+        object.__setattr__(lf, "neg_tail", neg_tail)
+        return lf
 
     @property
     def core_end(self) -> int:
@@ -210,23 +202,22 @@ class LengthFunction:
         """Evaluate at any integer degree."""
         if self.core_start <= n <= self.core_end:
             return self.core_values[n - self.core_start]
-        tail = self.pos_tail if n > self.core_end else self.neg_tail
-        if tail.qp is None:
+        qp = self.pos_tail if n > self.core_end else self.neg_tail
+        if qp is None:
             return 0
-        value = tail.qp(n)
+        value = qp(n)
         if value.denominator != 1 or value < 0:
             raise ModelError(f"tail evaluates to {value} at n={n}; not a length")
         return int(value)
 
     def complexity(self, side: str = "positive") -> int:
         """1 + max degree of the tail polynomials on the given side (0 if vanishing)."""
-        tail = self.tail(side)
-        if tail.qp is None:
-            return 0
-        return 1 + tail.qp.max_degree
+        qp = self.tail(side)
+        return 0 if qp is None else 1 + qp.max_degree
 
-    def tail(self, side: str) -> Tail:
-        """The tail toward +infinity (``"positive"``) or -infinity (``"negative"``)."""
+    def tail(self, side: str) -> QuasiPolynomial | None:
+        """The tail toward +infinity (``"positive"``) or -infinity (``"negative"``);
+        ``None`` where it vanishes."""
         if side == "positive":
             return self.pos_tail
         if side == "negative":
@@ -234,7 +225,7 @@ class LengthFunction:
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
 
     def is_finite_support(self) -> bool:
-        return self.pos_tail.is_vanishing and self.neg_tail.is_vanishing
+        return self.pos_tail is None and self.neg_tail is None
 
     def support(self) -> list[int]:
         """Degrees with nonzero value; only meaningful for finite support."""
@@ -244,24 +235,27 @@ class LengthFunction:
             self.core_start + k for k, v in enumerate(self.core_values) if v != 0
         ]
 
+    # Translation and reflection are bijections of Z that keep every value,
+    # so the overlap and sign certificates of self carry over to the result.
+
     def shift(self, k: int) -> LengthFunction:
         """The translate n -> self(n + k)."""
-        return LengthFunction(
+        return LengthFunction._unchecked(
             self.d,
             self.core_start - k,
             self.core_values,
-            self.pos_tail.map(lambda qp: qp.shift(k)),
-            self.neg_tail.map(lambda qp: qp.shift(k)),
+            None if self.pos_tail is None else self.pos_tail.shift(k),
+            None if self.neg_tail is None else self.neg_tail.shift(k),
         )
 
     def reflect(self) -> LengthFunction:
         """The reversal n -> self(-n); swaps the two tails."""
-        return LengthFunction(
+        return LengthFunction._unchecked(
             self.d,
             -self.core_end,
             tuple(reversed(self.core_values)),
-            self.neg_tail.map(QuasiPolynomial.reflect),
-            self.pos_tail.map(QuasiPolynomial.reflect),
+            None if self.neg_tail is None else self.neg_tail.reflect(),
+            None if self.pos_tail is None else self.pos_tail.reflect(),
         )
 
     def __add__(self, other: LengthFunction) -> LengthFunction:
@@ -271,18 +265,20 @@ class LengthFunction:
         if self.d != other.d:
             raise ModelError(f"cannot add length functions with periods {self.d} and {other.d}")
 
-        def combine(a: Tail, b: Tail, other_end: int, side: str) -> Tail:
-            if a.qp is None and b.qp is None:
-                return Tail.vanishing()
-            if a.qp is not None and b.qp is not None:
-                polys = tuple(pa + pb for pa, pb in zip(a.qp.polys, b.qp.polys))
+        def combine(
+            a: QuasiPolynomial | None, b: QuasiPolynomial | None, other_end: int, side: str
+        ) -> QuasiPolynomial | None:
+            if a is None and b is None:
+                return None
+            if a is not None and b is not None:
+                polys = tuple(pa + pb for pa, pb in zip(a.polys, b.polys))
                 anchor = (
-                    max(a.qp.valid_from, b.qp.valid_from)
+                    max(a.valid_from, b.valid_from)
                     if side == "pos"
-                    else min(a.qp.valid_from, b.qp.valid_from)
+                    else min(a.valid_from, b.valid_from)
                 )
-                return Tail.quasipoly(QuasiPolynomial(self.d, polys, anchor))
-            qp = a.qp if a.qp is not None else b.qp
+                return QuasiPolynomial(self.d, polys, anchor)
+            qp = a if a is not None else b
             assert qp is not None
             # The vanishing side contributes nothing beyond its own core.
             anchor = (
@@ -290,18 +286,18 @@ class LengthFunction:
                 if side == "pos"
                 else min(qp.valid_from, other_end - 1)
             )
-            return Tail.quasipoly(QuasiPolynomial(self.d, qp.polys, anchor))
+            return QuasiPolynomial(self.d, qp.polys, anchor)
 
         pos = combine(
             self.pos_tail,
             other.pos_tail,
-            other.core_end if self.pos_tail.qp is not None else self.core_end,
+            other.core_end if self.pos_tail is not None else self.core_end,
             "pos",
         )
         neg = combine(
             self.neg_tail,
             other.neg_tail,
-            other.core_start if self.neg_tail.qp is not None else self.core_start,
+            other.core_start if self.neg_tail is not None else self.core_start,
             "neg",
         )
         return LengthFunction.from_values(
@@ -319,8 +315,8 @@ class LengthFunction:
         fn: Callable[[int], int],
         lo: int,
         hi: int,
-        pos_tail: Tail,
-        neg_tail: Tail,
+        pos_tail: QuasiPolynomial | None,
+        neg_tail: QuasiPolynomial | None,
     ) -> LengthFunction:
         """Assemble a length function, widening the core to meet tail overlap."""
         lo, hi = core_window(d, lo, hi, pos_tail, neg_tail)
@@ -333,8 +329,8 @@ class LengthFunction:
         if self.d != other.d:
             return False
 
-        def tail_polys(t: Tail) -> tuple[Polynomial, ...] | None:
-            return None if t.qp is None else t.qp.polys
+        def tail_polys(qp: QuasiPolynomial | None) -> tuple[Polynomial, ...] | None:
+            return None if qp is None else qp.polys
 
         if tail_polys(self.pos_tail) != tail_polys(other.pos_tail):
             return False
@@ -347,22 +343,25 @@ class LengthFunction:
     __hash__ = None  # type: ignore[assignment]  # semantic equality, not hashable
 
     def __repr__(self) -> str:
+        def kind(qp: QuasiPolynomial | None) -> str:
+            return "vanishing" if qp is None else "quasipoly"
+
         return (
             f"LengthFunction(d={self.d}, core=[{self.core_start}..{self.core_end}], "
-            f"pos={self.pos_tail.kind}, neg={self.neg_tail.kind})"
+            f"pos={kind(self.pos_tail)}, neg={kind(self.neg_tail)})"
         )
 
     # -- JSON interchange ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def tail_dict(tail: Tail, side: str) -> dict:
-            if tail.qp is None:
+        def tail_dict(qp: QuasiPolynomial | None, side: str) -> dict:
+            if qp is None:
                 return {"kind": "vanishing"}
             key = "valid_from" if side == "pos" else "valid_to"
             return {
                 "kind": "quasipoly",
-                key: tail.qp.valid_from,
-                "polys": [p.to_json() for p in tail.qp.polys],
+                key: qp.valid_from,
+                "polys": [p.to_json() for p in qp.polys],
             }
 
         return {
@@ -384,13 +383,13 @@ class LengthFunction:
         core = data["core"]
         _require_keys(core, {"start", "values"}, "core")
 
-        def tail_from(obj: dict, side: str, d: int) -> Tail:
+        def tail_from(obj: dict, side: str, d: int) -> QuasiPolynomial | None:
             anchor_key = "valid_from" if side == "pos" else "valid_to"
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise ModelError(f"{side}_tail must be an object with a 'kind'")
             if obj["kind"] == "vanishing":
                 _require_keys(obj, {"kind"}, f"{side}_tail")
-                return Tail.vanishing()
+                return None
             if obj["kind"] == "quasipoly":
                 _require_keys(obj, {"kind", anchor_key, "polys"}, f"{side}_tail")
                 field = f"{side}_tail.polys"
@@ -399,7 +398,7 @@ class LengthFunction:
                     for i, p in enumerate(_json_list(obj["polys"], field))
                 )
                 anchor = _json_int(obj[anchor_key], f"{side}_tail.{anchor_key}")
-                return Tail.quasipoly(QuasiPolynomial(d, polys, anchor))
+                return QuasiPolynomial(d, polys, anchor)
             raise ModelError(f"unknown tail kind {obj['kind']!r}")
 
         d = _json_int(data["d"], "d")
@@ -415,15 +414,17 @@ class LengthFunction:
         )
 
 
-def core_window(d: int, lo: int, hi: int, pos_tail: Tail, neg_tail: Tail) -> tuple[int, int]:
+def core_window(
+    d: int, lo: int, hi: int, pos_tail: QuasiPolynomial | None, neg_tail: QuasiPolynomial | None
+) -> tuple[int, int]:
     """The window [lo, hi], widened so that each nonzero tail overlaps it on
     max_degree + 2 blocks per residue class, as validation requires."""
-    if pos_tail.qp is not None and not pos_tail.qp.is_zero():
-        hi = max(hi, pos_tail.qp.valid_from + d * (pos_tail.qp.max_degree + 2))
-        lo = min(lo, pos_tail.qp.valid_from)
-    if neg_tail.qp is not None and not neg_tail.qp.is_zero():
-        lo = min(lo, neg_tail.qp.valid_from - d * (neg_tail.qp.max_degree + 2))
-        hi = max(hi, neg_tail.qp.valid_from)
+    if pos_tail is not None and not pos_tail.is_zero():
+        hi = max(hi, pos_tail.valid_from + d * (pos_tail.max_degree + 2))
+        lo = min(lo, pos_tail.valid_from)
+    if neg_tail is not None and not neg_tail.is_zero():
+        lo = min(lo, neg_tail.valid_from - d * (neg_tail.max_degree + 2))
+        hi = max(hi, neg_tail.valid_from)
     return lo, hi
 
 
@@ -552,9 +553,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         raise FitError(
             f"increase probe: {err}", residue=err.residue, best_degree=err.best_degree
         ) from None
-    if qp.is_zero():
-        pos = Tail.vanishing()
-    else:
+    if not qp.is_zero():
         need = qp.valid_from + d * (qp.max_degree + 2)
         if need > probe:
             raise FitError(
@@ -562,5 +561,5 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
                 f"little overlap (need probe >= {need})",
                 best_degree=qp.max_degree,
             )
-        pos = Tail.quasipoly(qp)
-    return LengthFunction(d, 0, tuple(values), pos, Tail.vanishing())
+    # An all-zero fit normalizes to a vanishing tail.
+    return LengthFunction(d, 0, tuple(values), qp, None)

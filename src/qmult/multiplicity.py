@@ -46,7 +46,7 @@ from typing import Sequence
 from .differences import delta as delta_op
 from .differences import faulhaber_sum
 from .exact import Polynomial, cauchy_horizon, format_rational
-from .lengths import LengthFunction, ModelError, Tail
+from .lengths import LengthFunction, ModelError
 
 
 class MultiplicityError(ValueError):
@@ -105,7 +105,7 @@ def _report(
     """The report of the index-s multiplicity on ``side``; everything not
     passed in is read off the tails of ``lf``."""
     polys = {
-        key: () if lf.tail(key).qp is None else lf.tail(key).qp.polys
+        key: () if lf.tail(key) is None else lf.tail(key).polys
         for key in ("positive", "negative")
     }
     return MultiplicityReport(
@@ -142,7 +142,7 @@ def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
 
     if cx == 0:
         opposite = "negative" if side == "positive" else "positive"
-        if not lf.tail(opposite).is_vanishing:
+        if lf.tail(opposite) is not None:
             raise MultiplicityError(
                 f"{name} 0 with a non-vanishing {opposite} tail: "
                 "the Euler characteristic is undefined"
@@ -191,7 +191,7 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
     """The positive-side e_delta, e_coeff and stabilization index for s >= cx >= 1;
     the stabilization scan runs down from the certified region to ``floor`` at
     the lowest."""
-    qp = lf.pos_tail.qp
+    qp = lf.pos_tail
     assert qp is not None
     d, v = lf.d, qp.valid_from
     alternating = sum(
@@ -253,12 +253,15 @@ def limit_estimate(
     total = Fraction(
         sum((-1) ** j * lf(j) for j in range(0, direct_end + 1))
     )
-    if n > lf.core_end and lf.pos_tail.qp is not None:
-        qp = lf.pos_tail.qp
+    qp = lf.pos_tail
+    if n > lf.core_end and qp is not None:
+        # The tail sums the degrees past the core that the direct sum left out,
+        # which start at 0 even when the core ends below it.
+        start = max(lf.core_end + 1, 0)
         for i, g in enumerate(qp.polys):
             if g.is_zero():
                 continue
-            m_lo = -((lf.core_end + 1 - i) // -lf.d)  # ceil
+            m_lo = -((start - i) // -lf.d)  # ceil
             m_hi = (n - i) // lf.d
             if m_hi >= m_lo:
                 total += (-1) ** i * faulhaber_sum(g, m_lo, m_hi)
@@ -269,25 +272,25 @@ def theta_invariant(tor_lengths: LengthFunction) -> int:
     """Stabilized even/odd difference of homologically indexed lengths.
 
     The input holds lambda(n) = (length in homological degree n), supported in
-    n >= 0 with eventually constant even and odd values; it is reindexed
-    cohomologically (n -> -n) and the result a_even - a_odd is certified
-    against the index-1 negative multiplicity of the reindexed function.
+    n >= 0 with eventually constant even and odd values.  The result
+    a_even - a_odd is read off its positive tail and certified against the
+    index-1 positive multiplicity, which by reflection is the index-1 negative
+    multiplicity of the cohomological reindexing n -> -n.
     """
     if tor_lengths.d != 2:
         raise MultiplicityError("theta needs period d = 2")
-    if not tor_lengths.neg_tail.is_vanishing:
+    if tor_lengths.neg_tail is not None:
         raise MultiplicityError("homological input must vanish in negative degrees")
-    reindexed = tor_lengths.reflect()
-    if reindexed.neg_tail.qp is None:
+    qp = tor_lengths.pos_tail
+    if qp is None:
         theta = 0
     else:
-        polys = reindexed.neg_tail.qp.polys
-        if any(p.degree > 0 for p in polys):
+        if qp.max_degree > 0:
             raise MultiplicityError(
                 "lengths do not stabilize: even/odd values must be eventually constant"
             )
-        theta = _as_int(polys[0](0) - polys[1](0), "theta")
-    check = multiplicity_neg(reindexed, 1).e_delta
+        theta = _as_int(qp.polys[0](0) - qp.polys[1](0), "theta")
+    check = multiplicity_pos(tor_lengths, 1).e_delta
     if check != theta:
         raise ModelError(f"theta {theta} disagrees with e_1 {check}")
     return theta
@@ -304,9 +307,7 @@ def serre_intersection(tor_lengths: Sequence[int]) -> int:
         raise MultiplicityError("lengths must be nonnegative")
     total = sum((-1) ** k * v for k, v in enumerate(values))
     if values:
-        reindexed = LengthFunction(
-            2, -(len(values) - 1), tuple(reversed(values)), Tail.vanishing(), Tail.vanishing()
-        )
+        reindexed = LengthFunction(2, -(len(values) - 1), tuple(reversed(values)), None, None)
         if euler_characteristic(reindexed) != total:
             raise ModelError("alternating sum disagrees with the Euler characteristic")
     return total
@@ -336,7 +337,7 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     if top != 0:
         raise MultiplicityError(f"vanishing check needs e^s = 0, got {top}")
 
-    qp = lf.pos_tail.qp
+    qp = lf.pos_tail
     horizon = 0
     if qp is not None:
         for p in qp.polys:

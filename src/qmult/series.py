@@ -21,7 +21,6 @@ constant term is a semantic error reported with the offending subexpression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import NotExpandableError, Polynomial, RationalFunction
 
@@ -56,28 +55,6 @@ class Node:
     end: int
     value: int = 0
     children: tuple["Node", ...] = ()
-
-    def evaluate_at(self, x: Fraction) -> Fraction:
-        """Numeric evaluation at a rational point (oracle path; no series logic)."""
-        if self.kind == "int":
-            return Fraction(self.value)
-        if self.kind == "t":
-            return Fraction(x)
-        if self.kind == "neg":
-            return -self.children[0].evaluate_at(x)
-        if self.kind == "pow":
-            return self.children[0].evaluate_at(x) ** self.value
-        a = self.children[0].evaluate_at(x)
-        b = self.children[1].evaluate_at(x)
-        if self.kind == "add":
-            return a + b
-        if self.kind == "sub":
-            return a - b
-        if self.kind == "mul":
-            return a * b
-        if self.kind == "div":
-            return a / b
-        raise AssertionError(f"unknown node kind {self.kind}")
 
 
 _TOKEN_NAMES = {

@@ -14,7 +14,7 @@ from qmult.differences import delta, delta_neg
 from qmult.exact import Polynomial, series_coefficients
 from qmult.fixtures import random_length_function, run_property_suites
 from qmult.koszul import koszul_triangle, reduce_chain
-from qmult.lengths import LengthFunction, QuasiPolynomial, Tail, from_series
+from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
     euler_characteristic,
     multiplicity_neg,
@@ -39,14 +39,14 @@ def poly(*coeffs):
 def hypersurface_fixture():
     values = (0, 0, 0) + (1,) * 12
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(1), poly(1)), 1)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(1), poly(1)), 1), None
     )
 
 
 def xy_fixture(r):
     values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 2)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
     )
 
 
@@ -110,7 +110,7 @@ def test_criterion_03_convention_split_witness():
 
 def test_criterion_04_group_cohomology_table():
     lf = s4_fixture()
-    assert lf.pos_tail.qp.polys == (
+    assert lf.pos_tail.polys == (
         poly(1, 4),
         poly(1, 4),
         poly(2, 4),
@@ -239,19 +239,19 @@ def test_criterion_10_negative_side():
     for a, b in ((5, 2), (4, 4), (3, 0)):
         values = tuple(a if n % 2 == 0 else b for n in range(0, 17))
         tor = LengthFunction(
-            2, 0, values, Tail.quasipoly(QuasiPolynomial(2, (poly(a), poly(b)), 0)), Tail.vanishing()
+            2, 0, values, QuasiPolynomial(2, (poly(a), poly(b)), 0), None
         )
         assert theta_invariant(tor) == a - b
         assert multiplicity_neg(tor.reflect(), 1).e_delta == a - b
     for r in (1, 2, 3):
         values = tuple(r if n % 2 == 0 else 0 for n in range(-10, 11))
-        tail = Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 0))
+        tail = QuasiPolynomial(2, (poly(r), poly()), 0)
         two = LengthFunction(2, -10, values, tail, tail)
         assert multiplicity_pos(two, 1).e_delta == multiplicity_neg(two, 1).e_delta == r
     rng = random.Random(5)
     for _ in range(25):
         values = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 8)))
-        lf = LengthFunction(2, rng.randint(-6, 6), values, Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, rng.randint(-6, 6), values, None, None)
         e_pos = multiplicity_pos(lf, 0).e_delta
         e_neg = multiplicity_neg(lf, 0).e_delta
         assert e_pos == e_neg == euler_characteristic(lf)
@@ -259,10 +259,10 @@ def test_criterion_10_negative_side():
 
 
 def test_criterion_11_vanishing_window():
-    zero = LengthFunction(2, 0, (0,), Tail.vanishing(), Tail.vanishing())
+    zero = LengthFunction(2, 0, (0,), None, None)
     assert vanishing_window_check(zero, 0, "even").status == "confirmed"
     balanced = LengthFunction(
-        2, 0, (1, 1, 0, 0, 2, 2, 0, 0, 0, 0), Tail.vanishing(), Tail.vanishing()
+        2, 0, (1, 1, 0, 0, 2, 2, 0, 0, 0, 0), None, None
     )
     assert euler_characteristic(balanced) == 0
     assert vanishing_window_check(balanced, 10, "even").status == "confirmed"

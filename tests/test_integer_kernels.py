@@ -134,7 +134,7 @@ class TestStabilizedConstant:
         lf = random_length_function(random.Random(seed), d=d, min_cx=1)
         cx = lf.complexity("positive")
         floor = lf.core_start - 2 * d
-        profiles = oracle.residue_profiles(lf.pos_tail.qp.polys)
+        profiles = oracle.residue_profiles(lf.pos_tail.polys)
         for s in range(max(cx - 1, 1), cx + 2):
             constants = [oracle.stabilized_constant(p, s) for p in profiles]
             if None in constants or len(set(constants)) > 1:

@@ -12,7 +12,7 @@ from qmult.koszul import (
     reduce,
     reduce_chain,
 )
-from qmult.lengths import LengthFunction, QuasiPolynomial, Tail, from_series
+from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
     MultiplicityError,
     euler_characteristic,
@@ -29,12 +29,12 @@ def poly(*coeffs):
 def xy_fixture(r):
     values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 2)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
     )
 
 
 def zero_fixture():
-    return LengthFunction(2, 0, (0,), Tail.vanishing(), Tail.vanishing())
+    return LengthFunction(2, 0, (0,), None, None)
 
 
 def jst_fixture(c):
@@ -48,8 +48,8 @@ def neg_growth_fixture():
         2,
         -30,
         values,
-        Tail.vanishing(),
-        Tail.quasipoly(QuasiPolynomial(2, (poly(0, -1), poly()), -8)),
+        None,
+        QuasiPolynomial(2, (poly(0, -1), poly()), -8),
     )
 
 
@@ -66,7 +66,7 @@ class TestReduce:
     def test_constant_support_reduces_to_finite(self):
         lf = xy_fixture(3)
         reduced = reduce(lf, "positive")
-        assert reduced.pos_tail.is_vanishing
+        assert reduced.pos_tail is None
         assert reduced.complexity("positive") == 0
 
     def test_zero_function(self):
@@ -79,7 +79,7 @@ class TestReduce:
 
     def test_rejects_decreasing_data(self):
         # A lone spike cannot come from an everywhere-injective action.
-        lf = LengthFunction(2, 0, (1,), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 0, (1,), None, None)
         with pytest.raises(KoszulError) as info:
             reduce(lf, "positive")
         assert 0 in info.value.violations
@@ -144,7 +144,7 @@ class TestReduceChain:
 
     def test_two_sided_base_rejected(self):
         values = tuple(3 if n % 2 == 0 else 0 for n in range(-10, 11))
-        tail = lambda: Tail.quasipoly(QuasiPolynomial(2, (poly(3), poly()), 0))  # noqa: E731
+        tail = lambda: QuasiPolynomial(2, (poly(3), poly()), 0)  # noqa: E731
         lf = LengthFunction(2, -10, values, tail(), tail())
         with pytest.raises(MultiplicityError):
             reduce_chain(lf, 1, "positive")
@@ -182,7 +182,7 @@ class TestAxioms:
             "xy_2": xy_fixture(2),
             "jst_2": jst_fixture(2),
             "jst_3": jst_fixture(3),
-            "point": LengthFunction(2, 0, (1, 1), Tail.vanishing(), Tail.vanishing()),
+            "point": LengthFunction(2, 0, (1, 1), None, None),
         }
 
     def test_delta_convention_satisfies_axioms(self):

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qmult.exact import Polynomial, series_coefficients
+from qmult.fixtures import random_length_function
 from qmult.lengths import (
     FitError,
     LengthFunction,
     ModelError,
     QuasiPolynomial,
-    Tail,
     fit_quasipoly,
     from_series,
 )
@@ -26,12 +26,12 @@ def xy_fixture(r):
     """r in even degrees >= 2, zero elsewhere."""
     values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 2)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
     )
 
 
 def zero_fixture(d=2):
-    return LengthFunction(d, 0, (0,), Tail.vanishing(), Tail.vanishing())
+    return LengthFunction(d, 0, (0,), None, None)
 
 
 S4_SERIES = "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))"
@@ -55,33 +55,41 @@ class TestQuasiPolynomial:
 class TestConstruction:
     def test_negative_values_rejected(self):
         with pytest.raises(ModelError):
-            LengthFunction(2, 0, (1, -1), Tail.vanishing(), Tail.vanishing())
+            LengthFunction(2, 0, (1, -1), None, None)
 
     def test_overlap_disagreement_rejected(self):
         qp = QuasiPolynomial(2, (poly(5), poly(5)), 0)
         with pytest.raises(ModelError):
-            LengthFunction(2, 0, (5, 5, 5, 4, 5, 5, 5, 5, 5), Tail.quasipoly(qp), Tail.vanishing())
+            LengthFunction(2, 0, (5, 5, 5, 4, 5, 5, 5, 5, 5), qp, None)
 
     def test_insufficient_overlap_rejected(self):
         qp = QuasiPolynomial(2, (poly(5), poly(5)), 0)
         with pytest.raises(ModelError):
-            LengthFunction(2, 0, (5, 5, 5), Tail.quasipoly(qp), Tail.vanishing())
+            LengthFunction(2, 0, (5, 5, 5), qp, None)
 
     def test_eventually_negative_tail_rejected(self):
         # 8 - t goes negative at block 9 even though the overlap looks fine.
         qp = QuasiPolynomial(2, (poly(8, -1), poly(0)), 0)
         values = tuple(max(8 - n // 2, 0) if n % 2 == 0 else 0 for n in range(0, 9))
         with pytest.raises(ModelError):
-            LengthFunction(2, 0, values, Tail.quasipoly(qp), Tail.vanishing())
+            LengthFunction(2, 0, values, qp, None)
 
     def test_zero_quasipoly_normalized_to_vanishing(self):
         qp = QuasiPolynomial(2, (poly(), poly()), 0)
-        lf = LengthFunction(2, 0, (0, 0, 1), Tail.quasipoly(qp), Tail.vanishing())
-        assert lf.pos_tail.is_vanishing
+        lf = LengthFunction(2, 0, (0, 0, 1), qp, None)
+        assert lf.pos_tail is None
+        assert repr(lf) == "LengthFunction(d=2, core=[0..2], pos=vanishing, neg=vanishing)"
+        neg = LengthFunction(2, 0, (1, 0, 0), None, QuasiPolynomial(2, (poly(), poly()), 2))
+        assert neg.neg_tail is None
+        assert repr(neg) == "LengthFunction(d=2, core=[0..2], pos=vanishing, neg=vanishing)"
+        assert neg.to_json_dict()["neg_tail"] == {"kind": "vanishing"}
+        assert repr(xy_fixture(1).reflect()) == (
+            "LengthFunction(d=2, core=[-12..2], pos=vanishing, neg=quasipoly)"
+        )
 
     def test_odd_period_rejected(self):
         with pytest.raises(ModelError):
-            LengthFunction(3, 0, (0,), Tail.vanishing(), Tail.vanishing())
+            LengthFunction(3, 0, (0,), None, None)
 
 
 class TestEvaluate:
@@ -121,13 +129,13 @@ class TestEvaluate:
 class TestFromSeries:
     def test_squares_family(self):
         lf = from_series(parse_series("1/(1-t)^2"), 2, 40)
-        qp = lf.pos_tail.qp
+        qp = lf.pos_tail
         assert qp.polys == (poly(1, 2), poly(2, 2))
         assert qp.valid_from == 0
 
     def test_group_cohomology_table(self):
         lf = from_series(parse_series(S4_SERIES), 6, 120)
-        assert lf.pos_tail.qp.polys == (
+        assert lf.pos_tail.polys == (
             poly(1, 4),
             poly(1, 4),
             poly(2, 4),
@@ -138,7 +146,7 @@ class TestFromSeries:
 
     def test_plain_polynomial_has_finite_support(self):
         lf = from_series(parse_series("t^3"), 2, 10)
-        assert lf.pos_tail.is_vanishing
+        assert lf.pos_tail is None
         assert lf(3) == 1
         assert lf.support() == [3]
 
@@ -256,8 +264,8 @@ class TestShift:
             2,
             -14,
             values,
-            Tail.vanishing(),
-            Tail.quasipoly(QuasiPolynomial(2, (poly(5), poly(2)), -4)),
+            None,
+            QuasiPolynomial(2, (poly(5), poly(2)), -4),
         )
         for k in (-3, 1, 4):
             shifted = lf.shift(k)
@@ -279,8 +287,8 @@ class TestPointwiseSum:
         assert total == want
 
     def test_finite_support_union(self):
-        a = LengthFunction(2, 0, (1,), Tail.vanishing(), Tail.vanishing())
-        b = LengthFunction(2, 5, (2,), Tail.vanishing(), Tail.vanishing())
+        a = LengthFunction(2, 0, (1,), None, None)
+        b = LengthFunction(2, 5, (2,), None, None)
         total = a + b
         assert total(0) == 1 and total(5) == 2 and total(3) == 0
 
@@ -301,13 +309,32 @@ class TestReflect:
             assert mirrored(n) == lf(-n)
 
     def test_two_sided_mirror(self):
-        pos = Tail.quasipoly(QuasiPolynomial(2, (poly(0, 1), poly()), 0))
-        neg = Tail.quasipoly(QuasiPolynomial(2, (poly(0, -1), poly()), 0))
+        pos = QuasiPolynomial(2, (poly(0, 1), poly()), 0)
+        neg = QuasiPolynomial(2, (poly(0, -1), poly()), 0)
         values = tuple(abs(n) // 2 if n % 2 == 0 else 0 for n in range(-14, 15))
         lf = LengthFunction(2, -14, values, pos, neg)
         mirrored = lf.reflect()
         for n in range(-30, 30):
             assert mirrored(n) == lf(-n)
+
+
+def test_shift_and_reflect_match_validated_construction():
+    # shift and reflect build their result without re-validating it; the
+    # validating constructor must accept the same fields and give the same
+    # function, on one-sided and two-sided inputs.
+    rng = random.Random(41)
+    for case in range(120):
+        d = rng.choice([2, 4, 6])
+        lf = random_length_function(rng, d=d)
+        if case % 2:
+            lf = lf + random_length_function(rng, d=d).reflect().shift(rng.randint(-6, 6))
+        for out in (lf.reflect(), lf.shift(rng.randint(-9, 9)), lf.reflect().shift(-3)):
+            checked = LengthFunction(
+                out.d, out.core_start, out.core_values, out.pos_tail, out.neg_tail
+            )
+            assert out == checked
+            assert out.to_json_dict() == checked.to_json_dict()
+            assert repr(out) == repr(checked)
 
 
 class TestJson:

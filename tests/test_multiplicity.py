@@ -13,7 +13,7 @@ from qmult.differences import delta, delta_neg
 from qmult.exact import Polynomial, series_coefficients
 from qmult.fixtures import random_length_function, random_polynomial
 from qmult.koszul import reduce
-from qmult.lengths import LengthFunction, QuasiPolynomial, Tail
+from qmult.lengths import LengthFunction, QuasiPolynomial
 from qmult.multiplicity import (
     MultiplicityError,
     euler_characteristic,
@@ -36,19 +36,19 @@ def poly(*coeffs):
 def xy_fixture(r):
     values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 2)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
     )
 
 
 def hypersurface_fixture():
     values = (0, 0, 0) + (1,) * 12
     return LengthFunction(
-        2, -2, values, Tail.quasipoly(QuasiPolynomial(2, (poly(1), poly(1)), 1)), Tail.vanishing()
+        2, -2, values, QuasiPolynomial(2, (poly(1), poly(1)), 1), None
     )
 
 
 def zero_fixture():
-    return LengthFunction(2, 0, (0,), Tail.vanishing(), Tail.vanishing())
+    return LengthFunction(2, 0, (0,), None, None)
 
 
 def jst_fixture(c):
@@ -57,14 +57,14 @@ def jst_fixture(c):
 
 def two_sided_periodic(r):
     values = tuple(r if n % 2 == 0 else 0 for n in range(-10, 11))
-    tail = lambda: Tail.quasipoly(QuasiPolynomial(2, (poly(r), poly()), 0))  # noqa: E731
+    tail = lambda: QuasiPolynomial(2, (poly(r), poly()), 0)  # noqa: E731
     return LengthFunction(2, -10, values, tail(), tail())
 
 
 def hochster_fixture(a, b):
     values = tuple((a if n % 2 == 0 else b) if n <= 0 else 0 for n in range(-14, 3))
     return LengthFunction(
-        2, -14, values, Tail.vanishing(), Tail.quasipoly(QuasiPolynomial(2, (poly(a), poly(b)), -4))
+        2, -14, values, None, QuasiPolynomial(2, (poly(a), poly(b)), -4)
     )
 
 
@@ -147,7 +147,7 @@ class TestMultiplicityPos:
             assert report.leading == (want, want)
 
     def test_point_mass_euler(self):
-        lf = LengthFunction(2, 0, (1,), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 0, (1,), None, None)
         report = multiplicity_pos(lf, 0)
         assert report.e_delta == report.e_coeff == 1
 
@@ -190,7 +190,7 @@ class TestMultiplicityNeg:
             assert pos.e_coeff == neg.e_coeff == r
 
     def test_finite_support_euler_agrees(self):
-        lf = LengthFunction(2, 0, (1, 2), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 0, (1, 2), None, None)
         assert multiplicity_neg(lf, 0).e_delta == multiplicity_pos(lf, 0).e_delta == -1
 
     def test_hochster_difference(self):
@@ -200,8 +200,8 @@ class TestMultiplicityNeg:
     def test_negative_bridge_carries_sign(self):
         # Two-sided growth: the backward stabilized value and the coefficient
         # formula differ by (-1)^(s-1) d^(s-1) on the negative side.
-        pos = Tail.quasipoly(QuasiPolynomial(2, (poly(0, 1), poly()), 0))
-        neg = Tail.quasipoly(QuasiPolynomial(2, (poly(0, -1), poly()), 0))
+        pos = QuasiPolynomial(2, (poly(0, 1), poly()), 0)
+        neg = QuasiPolynomial(2, (poly(0, -1), poly()), 0)
         values = tuple(abs(n) // 2 if n % 2 == 0 else 0 for n in range(-14, 15))
         lf = LengthFunction(2, -14, values, pos, neg)
         report = multiplicity_neg(lf, 2)
@@ -254,7 +254,7 @@ class TestMultiplicityNeg:
                 assert delta_neg(h, s - 1, lf.d, n) == report.e_delta
             if top < lf.core_end + 2 * lf.d:
                 assert delta_neg(h, s - 1, lf.d, top + 1) != report.e_delta
-            polys = lf.neg_tail.qp.polys
+            polys = lf.neg_tail.polys
             assert report.polys_neg == polys
             assert report.leading == tuple(p.coefficient(s - 1) for p in polys)
             alternating = sum((-1) ** i * a for i, a in enumerate(report.leading))
@@ -280,7 +280,7 @@ def stabilization_cases(draw):
         qp = QuasiPolynomial(d, polys, lo)
         values = tuple(int(qp(n)) for n in range(lo, hi + 1))
         lf = LengthFunction(
-            d, lo, values, Tail.quasipoly(qp), Tail.quasipoly(QuasiPolynomial(d, polys, hi))
+            d, lo, values, qp, QuasiPolynomial(d, polys, hi)
         )
     if side == "negative":
         lf = lf.reflect()
@@ -303,7 +303,7 @@ class TestStabilizationAgainstTheLiteralDifference:
         if side == "positive":
             floor = lf.core_start - 2 * d
             assert floor <= index
-            for n in range(index, lf.pos_tail.qp.valid_from + 3 * d):
+            for n in range(index, lf.pos_tail.valid_from + 3 * d):
                 assert delta(h, s - 1, d, n) == report.e_delta
             if index > floor:
                 assert delta(h, s - 1, d, index - 1) != report.e_delta
@@ -311,7 +311,7 @@ class TestStabilizationAgainstTheLiteralDifference:
             ceiling = lf.core_end + 2 * d
             assert index <= ceiling
             reach = s * (d + 1) - 2
-            for n in range(lf.neg_tail.qp.valid_from - reach - 3 * d + 1, index + 1):
+            for n in range(lf.neg_tail.valid_from - reach - 3 * d + 1, index + 1):
                 assert delta_neg(h, s - 1, d, n) == report.e_delta
             if index < ceiling:
                 assert delta_neg(h, s - 1, d, index + 1) != report.e_delta
@@ -340,8 +340,8 @@ class TestStabilizationAgainstTheLiteralDifference:
 
 class TestEuler:
     def test_point_masses(self):
-        one = LengthFunction(2, 0, (1,), Tail.vanishing(), Tail.vanishing())
-        pair = LengthFunction(2, 0, (1, 1), Tail.vanishing(), Tail.vanishing())
+        one = LengthFunction(2, 0, (1,), None, None)
+        pair = LengthFunction(2, 0, (1, 1), None, None)
         assert euler_characteristic(one) == 1
         assert euler_characteristic(pair) == 0
 
@@ -394,10 +394,37 @@ class TestLimitEstimate:
             assert limit_estimate(lf, s, n, "paper") == want
 
     def test_core_anchored_above_zero(self):
-        lf = LengthFunction(2, 5, (2,), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 5, (2,), None, None)
         n = 7
         direct = sum((-1) ** j * lf(j) for j in range(n + 1))
         assert limit_estimate(lf, 1, n, "paper") == Fraction(2 * direct, n)
+
+    def test_core_ending_below_zero(self):
+        # The sum runs over 0 <= j <= n even when the core ends below 0 and
+        # the tail already holds there; checked against the literal sum on
+        # random tails a_i + b_i m^2, which are nonnegative on every block.
+        tail = QuasiPolynomial(2, (poly(1), poly(1)), -10)
+        lf = LengthFunction(2, -10, (1,) * 9, tail, None)
+        assert limit_estimate(lf, 1, 1, "corrected") == 0
+        rng = random.Random(59)
+        for _ in range(60):
+            d = rng.choice([2, 4, 6])
+            polys = tuple(poly(rng.randint(0, 4), 0, rng.randint(0, 2)) for _ in range(d))
+            need = d * (max(p.degree for p in polys) + 2)
+            end = -rng.randint(1, 2 * d)
+            valid_from = end - need - rng.randint(0, d)
+            start = valid_from - rng.randint(0, d)
+            qp = QuasiPolynomial(d, polys, valid_from)
+            values = tuple(
+                rng.randint(0, 5) if n < valid_from else int(qp(n)) for n in range(start, end + 1)
+            )
+            lf = LengthFunction(d, start, values, qp, None)
+            for n in (1, 2, rng.randint(3, 40)):
+                direct = sum((-1) ** j * lf(j) for j in range(n + 1))
+                for s in (1, 2, 3):
+                    for constant, c in (("paper", d ** (2 * s - 1)), ("corrected", d**s)):
+                        want = Fraction(factorial(s) * c * direct, n**s)
+                        assert limit_estimate(lf, s, n, constant) == want, (lf, n, s)
 
     def test_consistency_at_s_one(self):
         # Both constants coincide at s = 1 and converge with error O(1/n).
@@ -416,15 +443,15 @@ class TestTheta:
             2,
             0,
             values,
-            Tail.quasipoly(QuasiPolynomial(2, (poly(a), poly(b)), 0)),
-            Tail.vanishing(),
+            QuasiPolynomial(2, (poly(a), poly(b)), 0),
+            None,
         )
 
     def test_stabilized_difference(self):
         assert theta_invariant(self._tor(5, 2)) == 3
 
     def test_eventually_zero(self):
-        lf = LengthFunction(2, 0, (7, 3, 1, 0, 0), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 0, (7, 3, 1, 0, 0), None, None)
         assert theta_invariant(lf) == 0
 
     def test_periodic_equal(self):
@@ -470,14 +497,14 @@ class TestVanishingWindow:
 
     def test_finite_support_confirmed_beyond_support(self):
         lf = LengthFunction(
-            2, 0, (1, 1, 0, 2, 2, 0, 0, 0, 0, 0), Tail.vanishing(), Tail.vanishing()
+            2, 0, (1, 1, 0, 2, 2, 0, 0, 0, 0, 0), None, None
         )
         assert euler_characteristic(lf) == 0
         result = vanishing_window_check(lf, 10, "even")
         assert result.status == "confirmed"
 
     def test_violation_reported(self):
-        lf = LengthFunction(2, 0, (1, 1, 0, 0, 2, 2), Tail.vanishing(), Tail.vanishing())
+        lf = LengthFunction(2, 0, (1, 1, 0, 0, 2, 2), None, None)
         result = vanishing_window_check(lf, 2, "even")
         assert result.status == "violated"
         assert result.violation == 4
@@ -491,7 +518,7 @@ class TestResidueConsistency:
     def test_profiles_flatten_identically(self):
         # All d residue classes of D^{s-1} h stabilize to one constant.
         s4 = from_series(parse_series("(1-t^4)/((1-t)*(1-t^2)*(1-t^3))"), 6, 120)
-        profiles = oracle.residue_profiles(s4.pos_tail.qp.polys)
+        profiles = oracle.residue_profiles(s4.pos_tail.polys)
         diffed = [p.forward_difference() for p in profiles]
         assert len({d.coefficient(0) for d in diffed}) == 1
         assert all(d.degree <= 0 for d in diffed)
