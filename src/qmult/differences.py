@@ -29,23 +29,35 @@ NumericFunction = Callable[[int], Union[int, Fraction]]
 def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     """s-fold forward difference of index d at n, by the binomial closed form.
 
+    The signed binomials (-1)^i C(s,i) come from one running row,
+    c <- -c (s-i)/(i+1), whose divisions are exact.
+
     >>> delta(lambda n: Fraction(n) ** 2, 2, 3, 5)
     Fraction(18, 1)
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return Fraction(sum((-1) ** i * comb(s, i) * f(n + (s - i) * d) for i in range(s + 1)))
+    total, c = 0, 1
+    for i in range(s + 1):
+        total += c * f(n + (s - i) * d)
+        c = -c * (s - i) // (i + 1)
+    return Fraction(total)
 
 
 def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
-    """s-fold backward difference of index d at n, by the binomial closed form.
+    """s-fold backward difference of index d at n, by the binomial closed form,
+    with the signed binomials from the same running row as :func:`delta`.
 
     >>> delta_neg(lambda n: Fraction(n), 1, 2, 0)
     Fraction(-2, 1)
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return Fraction(sum((-1) ** i * comb(s, i) * f(n + d * i + s) for i in range(s + 1)))
+    total, c = 0, 1
+    for i in range(s + 1):
+        total += c * f(n + d * i + s)
+        c = -c * (s - i) // (i + 1)
+    return Fraction(total)
 
 
 def alternating_binomial_moment(s: int, n: int) -> Fraction:
@@ -98,8 +110,7 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
             acc[i] -= k * acc[i + 1]
         acc[0] += cs[k].numerator * (den // cs[k].denominator) * weight
         weight *= k
-    scale = den * factorial(r)
-    return Polynomial(tuple(Fraction(c, scale) for c in acc)).shift(-anchor)
+    return Polynomial._from_integers(acc, den * factorial(r)).shift(-anchor)
 
 
 def summation_polynomial(g: Polynomial) -> Polynomial:

@@ -6,9 +6,10 @@ coefficients with the constant term first and no trailing zeros; the zero
 polynomial is the empty tuple and has degree -1.  Each polynomial also stores
 its coefficients once more as integer ``numerators`` over one common
 ``denominator`` (the lcm of the coefficient denominators, 1 for the zero
-polynomial).  Evaluation and the Taylor shift behind ``compose_linear`` run on
-those integers and divide once at the end, so the hot loops do no Fraction
-arithmetic.  A rational function stores a
+polynomial).  Sums, differences, negation, products and powers, evaluation,
+the Taylor shift behind ``compose_linear`` and the series recurrence of
+``series_coefficients`` all run on those integers and divide once at the end,
+so the hot loops do no Fraction arithmetic.  A rational function stores a
 numerator and a denominator polynomial; the denominator must have a nonzero
 constant term, so every rational function here expands as a power series at
 t = 0.
@@ -18,9 +19,10 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -39,17 +41,24 @@ def format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction.
+
+    The accepted grammar is ASCII ``-?[0-9]+(/[0-9]+)?`` and nothing else: no
+    whitespace, '+' sign, underscores or non-ASCII digits.  Anything else
+    raises ValueError, and a zero denominator raises ZeroDivisionError.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -84,13 +93,37 @@ class Polynomial:
         )
         object.__setattr__(self, "denominator", den)
 
+    @classmethod
+    def _from_integers(cls, nums: list[int], den: int) -> Polynomial:
+        """The polynomial with coefficients nums[k] / den, for a positive den.
+
+        Trims trailing zeros and divides out gcd(den, *nums); den is then
+        exactly the lcm of the coefficient denominators, the invariant that
+        ``__post_init__`` establishes, so the fields are set directly.
+        """
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            den = 1
+        else:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(Fraction(c, den) for c in nums))
+        object.__setattr__(poly, "numerators", tuple(nums))
+        object.__setattr__(poly, "denominator", den)
+        return poly
+
     @staticmethod
     def const(c: Scalar) -> Polynomial:
-        return Polynomial((Fraction(c),))
+        c = Fraction(c)
+        return Polynomial._from_integers([c.numerator], c.denominator)
 
     @staticmethod
     def t() -> Polynomial:
-        return Polynomial((Fraction(0), Fraction(1)))
+        return Polynomial._from_integers([0, 1], 1)
 
     @property
     def degree(self) -> int:
@@ -125,35 +158,45 @@ class Polynomial:
             power *= q
         return Fraction(acc * q, self.denominator * power)
 
+    def _combine(self, other: Polynomial, sign: int) -> Polynomial:
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator * sign
+        out = [c * a for c in self.numerators]
+        if len(out) < len(other.numerators):
+            out += [0] * (len(other.numerators) - len(out))
+        for k, c in enumerate(other.numerators):
+            out[k] += c * b
+        return Polynomial._from_integers(out, den)
+
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        return self._combine(_as_poly(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return self + (-_as_poly(other))
+        return self._combine(_as_poly(other), -1)
 
     def __rsub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return _as_poly(other) + (-self)
+        return _as_poly(other)._combine(self, -1)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._from_integers([-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
+        """Integer convolution of the numerators over the product of the
+        denominators; zero numerators of either factor are skipped."""
         other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        terms = [(j, c) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, e in terms:
+                    out[i + j] += c * e
+        return Polynomial._from_integers(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -165,8 +208,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the last square would go unused, and it is the largest product
+                base = base * base
         return result
 
     def shift(self, c: Scalar) -> Polynomial:
@@ -197,8 +241,7 @@ class Polynomial:
                 nums[k] += p * nums[k + 1]
         for k in range(deg + 1):
             nums[k] *= qa**k * a_den ** (deg - k)
-        den = self.denominator * (q * a_den) ** deg
-        return Polynomial(tuple(Fraction(c, den) for c in nums))
+        return Polynomial._from_integers(nums, self.denominator * (q * a_den) ** deg)
 
     def forward_difference(self) -> Polynomial:
         """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant."""
@@ -321,8 +364,17 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
 
     Uses the linear recurrence induced by the denominator: with den(0)
     normalized to 1, c_n = p_n - sum_{k>=1} q_k c_{n-k}, summed over the
-    nonzero q_k only.  Cost is O(n_max * (number of nonzero q_k)) exact
-    rational operations, which keeps sparse denominators such as
+    nonzero q_k only.  It runs on integers: with den = Q/L (so Q_0 = L) and
+    num = P/M over their stored common denominators,
+
+        U_n = L^n P_n - sum_{k>=1} Q_k L^(k-1) U_{n-k}
+
+    is an integer and c_n = U_n / (M L^n); each Fraction is built once, at the
+    end.  When L > 1, L^n can outgrow the reduced denominators (by a factor
+    of 3^n for (3 - 2t)^2); past the numerator the recurrence is homogeneous,
+    so after each step a common factor of the next scale and of the values
+    still read is divided out of all of them.  Cost is O(n_max * (number of
+    nonzero Q_k)) integer operations, which keeps sparse denominators such as
     (1 - t^2)(1 - t^120) cheap.
 
     >>> one_minus_t = Polynomial((1, -1))
@@ -332,16 +384,28 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # q_0 == 1 after normalization
-    recurrence = [(k, q) for k, q in enumerate(f.den.coeffs) if k and q]
+    L = f.den.denominator  # == Q_0, since den(0) == 1 after normalization
+    recurrence = [(k, q * L ** (k - 1)) for k, q in enumerate(f.den.numerators) if k and q]
+    depth = recurrence[-1][0] if recurrence else 0
+    P = f.num.numerators
+    us: list[int] = []
     out: list[Fraction] = []
+    power, scale = 1, f.num.denominator  # L^n, and M * L^n less what was divided out
     for n in range(n_max + 1):
-        acc = f.num.coefficient(n)
+        acc = P[n] * power if n < len(P) else 0
         for k, q in recurrence:
             if k > n:
                 break
-            acc -= q * out[n - k]
-        out.append(acc)
+            acc -= q * us[n - k]
+        us.append(acc)
+        out.append(Fraction(acc, scale))
+        power *= L
+        scale *= L
+        if L > 1 and n + 1 >= len(P):  # homogeneous from the next step on
+            g = gcd(L, scale, *us[-depth:])
+            if g > 1:
+                scale //= g
+                us[-depth:] = [u // g for u in us[-depth:]]
     return out
 
 
@@ -349,13 +413,13 @@ def cauchy_horizon(p: Polynomial) -> int:
     """An integer beyond every real root of a nonconstant p, in absolute value.
 
     Cauchy's bound puts all real roots in |m| <= 1 + max |c_k / lead|; the
-    horizon is its integer part plus one.
+    horizon is its integer part plus one.  The ratios are those of the integer
+    numerators, so the horizon is max |n_k| // |n_lead| + 2.
     """
     if p.degree < 1:
         raise ValueError("the Cauchy bound needs a nonconstant polynomial")
-    lead = p.coeffs[-1]
-    bound = 1 + max(abs(c / lead) for c in p.coeffs[:-1])
-    return int(bound) + 1
+    *rest, lead = p.numerators
+    return max(abs(c) for c in rest) // abs(lead) + 2
 
 
 def difference_table(values: list) -> list:

@@ -10,10 +10,11 @@ lengths) and a list of expected checks.  Every check carries a provenance tag:
 * ``trivial``   - the value is immediate from the definitions.
 
 The runner executes every check; unknown check kinds, unknown fields,
-missing provenance, integer fields that are not JSON integers and values
-outside a field's closed set (``side``, ``regime``, ``convention``,
-``constant``, ``parity``) are hard errors, so nothing can be skipped, coerced
-or read as a different check silently.
+missing provenance, integer fields that are not JSON integers, rational fields
+that are not JSON integers or "p"/"p/q" strings, and values outside a field's
+closed set (``side``, ``regime``, ``convention``, ``constant``, ``parity``)
+are hard errors, so nothing can be skipped, coerced or read as a different
+check silently.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .lengths import (
     QuasiPolynomial,
     _json_int,
     _json_list,
+    _json_poly,
+    _json_rational,
     fit_quasipoly,
     from_series,
 )
@@ -79,6 +82,12 @@ _SOURCE_FIELDS = {"series", "length_function", "d", "probe"}
 # Fields that hold a JSON integer, and fields that hold an array of them.
 _INT_FIELDS = ("d", "probe", "value", "s", "n", "k", "m0")
 _INT_ARRAY_FIELDS = ("ns", "tor")
+
+# Rational fields of a check: scalars, an array, and an array of coefficient
+# arrays.
+_RATIONAL_FIELDS = ("target", "max_error")
+_RATIONAL_ARRAY_FIELDS = ("values",)
+_POLY_ARRAY_FIELDS = ("polys",)
 
 # Fields that hold one of a closed set of strings.
 _ENUM_FIELDS = {
@@ -174,6 +183,7 @@ def _validate_fixture(data: object, where: str) -> None:
                     f"{where}: unknown keys {sorted(unknown)} in check {kind!r}"
                 )
             _check_integers(check, where, f"{field}.expected[{j}].")
+            _check_rationals(check, where, f"{field}.expected[{j}].")
             for key, allowed in _ENUM_FIELDS.items():
                 if key in check:
                     _require(
@@ -201,6 +211,24 @@ def _check_integers(obj: dict, where: str, prefix: str) -> None:
             if key in obj:
                 for i, v in enumerate(_json_list(obj[key], prefix + key)):
                     _json_int(v, f"{prefix}{key}[{i}]")
+    except ModelError as err:
+        raise FixtureError(f"{where}: {err}") from None
+
+
+def _check_rationals(obj: dict, where: str, prefix: str) -> None:
+    """Rational fields follow the length-function JSON grammar."""
+    try:
+        for key in _RATIONAL_FIELDS:
+            if key in obj:
+                _json_rational(obj[key], prefix + key)
+        for key in _RATIONAL_ARRAY_FIELDS:
+            if key in obj:
+                for i, v in enumerate(_json_list(obj[key], prefix + key)):
+                    _json_rational(v, f"{prefix}{key}[{i}]")
+        for key in _POLY_ARRAY_FIELDS:
+            if key in obj:
+                for i, p in enumerate(_json_list(obj[key], prefix + key)):
+                    _json_poly(p, f"{prefix}{key}[{i}]")
     except ModelError as err:
         raise FixtureError(f"{where}: {err}") from None
 

@@ -52,14 +52,18 @@ def _forward_step(qp: QuasiPolynomial, side: str) -> QuasiPolynomial:
 
 
 def _reduced_tail(qp: QuasiPolynomial | None, regime: str, side: str) -> QuasiPolynomial | None:
+    """The reduced tail, or ``None`` where it vanishes (a constant tail steps
+    to all-zero polynomials)."""
     if qp is None:
         return None
     if regime == "positive":
-        return _forward_step(qp, side)
-    # The negative step is the positive one seen in the mirror: reflect, step
-    # on the opposite side, reflect back, then shift by d + 1.
-    mirror_side = "neg" if side == "pos" else "pos"
-    return _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
+        reduced = _forward_step(qp, side)
+    else:
+        # The negative step is the positive one seen in the mirror: reflect,
+        # step on the opposite side, reflect back, then shift by d + 1.
+        mirror_side = "neg" if side == "pos" else "pos"
+        reduced = _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
+    return None if reduced.is_zero() else reduced
 
 
 def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
@@ -106,7 +110,10 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
             violations=tuple(sorted(violations)),
         )
 
-    return LengthFunction(d, lo, values, pos, neg)
+    # Valid by construction: the window meets the overlap that validation
+    # asks for, the reduced tails agree with the values on it (both are the
+    # same difference of lf), and the scan above certified every sign.
+    return LengthFunction._unchecked(d, lo, values, pos, neg)
 
 
 @dataclass(frozen=True)

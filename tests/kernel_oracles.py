@@ -1,12 +1,14 @@
 """Slow, obvious oracles for the integer polynomial kernels.
 
 Each is the plain Fraction computation that the integer kernels must match:
-Horner evaluation and Horner composition on the Fraction coefficients, Newton
-interpolation of every candidate degree in the fit, the Faulhaber sum
-through the summation polynomial, and the residue profiles of the Herbrand
-difference with repeated differences for its stabilized constant.  They share
-no code with the kernels they check beyond polynomial addition and
-multiplication.
+schoolbook sums and products on the Fraction coefficients, the Fraction
+series recurrence, Horner evaluation and Horner composition, Newton
+interpolation of every candidate degree in the fit, the Faulhaber sum through
+the summation polynomial, and the residue profiles of the Herbrand difference
+with repeated differences for its stabilized constant.  Every polynomial sum
+and product here is one of the schoolbook loops below, and every polynomial
+is built by the validating ``Polynomial`` constructor, so they share no
+arithmetic with the kernels they check.
 """
 
 from fractions import Fraction
@@ -14,6 +16,48 @@ from math import factorial
 
 from qmult.exact import Polynomial
 from qmult.lengths import FitError, ModelError, QuasiPolynomial
+
+
+def const(c):
+    return Polynomial((Fraction(c),))
+
+
+def fraction_sum(g, h, sign=1):
+    """g + sign * h, coefficient by coefficient on Fractions."""
+    n = max(len(g.coeffs), len(h.coeffs))
+    a = list(g.coeffs) + [Fraction(0)] * (n - len(g.coeffs))
+    b = list(h.coeffs) + [Fraction(0)] * (n - len(h.coeffs))
+    return Polynomial(tuple(x + sign * y for x, y in zip(a, b)))
+
+
+def fraction_product(g, h):
+    """g * h by the schoolbook double loop on Fractions."""
+    out = [Fraction(0)] * max(len(g.coeffs) + len(h.coeffs) - 1, 0)
+    for i, a in enumerate(g.coeffs):
+        for j, b in enumerate(h.coeffs):
+            out[i + j] += a * b
+    return Polynomial(tuple(out))
+
+
+def fraction_power(g, n):
+    """g ** n as n successive products."""
+    acc = const(1)
+    for _ in range(n):
+        acc = fraction_product(acc, g)
+    return acc
+
+
+def fraction_series(num, den, n_max):
+    """c_0..c_n_max of num/den at t = 0 by the Fraction recurrence
+    q_0 c_n = p_n - sum_{k>=1} q_k c_{n-k}, for den(0) != 0."""
+    p, q = num.coeffs, den.coeffs
+    out = []
+    for n in range(n_max + 1):
+        acc = p[n] if n < len(p) else Fraction(0)
+        for k in range(1, min(n, len(q) - 1) + 1):
+            acc -= q[k] * out[n - k]
+        out.append(acc / q[0])
+    return out
 
 
 def horner_eval(g, x):
@@ -29,20 +73,20 @@ def horner_compose_linear(g, a, b):
     arg = Polynomial((Fraction(b), Fraction(a)))
     acc = Polynomial()
     for c in reversed(g.coeffs):
-        acc = acc * arg + c
+        acc = fraction_sum(fraction_product(acc, arg), const(c))
     return acc
 
 
 def forward_difference(g):
     """g(t + 1) - g(t)."""
-    return horner_compose_linear(g, 1, 1) - g
+    return fraction_sum(horner_compose_linear(g, 1, 1), g, -1)
 
 
 def binomial_polynomial(k):
     """C(t, k) as the product t(t-1)...(t-k+1)/k!."""
-    p = Polynomial.const(Fraction(1, factorial(k)))
+    p = const(Fraction(1, factorial(k)))
     for j in range(k):
-        p = p * Polynomial((Fraction(-j), Fraction(1)))
+        p = fraction_product(p, Polynomial((Fraction(-j), Fraction(1))))
     return p
 
 
@@ -52,7 +96,8 @@ def newton_interpolate(points):
     row = [Fraction(v) for _, v in points]
     poly = Polynomial()
     for k in range(len(points)):
-        poly = poly + horner_compose_linear(binomial_polynomial(k), 1, -m0) * row[0]
+        term = horner_compose_linear(binomial_polynomial(k), 1, -m0)
+        poly = fraction_sum(poly, fraction_product(term, const(row[0])))
         row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
         if not row:
             break
@@ -116,7 +161,8 @@ def faulhaber_sum(g, N, n):
     G = Polynomial()
     p, k = g, 0
     while not p.is_zero():
-        G = G + horner_compose_linear(binomial_polynomial(k + 1), 1, 1) * horner_eval(p, 0)
+        term = horner_compose_linear(binomial_polynomial(k + 1), 1, 1)
+        G = fraction_sum(G, fraction_product(term, const(horner_eval(p, 0))))
         p, k = forward_difference(p), k + 1
     return horner_eval(G, n) - horner_eval(G, N - 1)
 
@@ -139,7 +185,10 @@ def residue_profiles(polys):
     as a polynomial in m: the k < j summands spill into the next block.
     """
     spilled = [horner_compose_linear(g, 1, 1) for g in polys]
-    return [
-        sum(((g if k >= j else spilled[k]) * (-1) ** k for k, g in enumerate(polys)), Polynomial())
-        for j in range(len(polys))
-    ]
+    profiles = []
+    for j in range(len(polys)):
+        acc = Polynomial()
+        for k, g in enumerate(polys):
+            acc = fraction_sum(acc, g if k >= j else spilled[k], (-1) ** k)
+        profiles.append(acc)
+    return profiles

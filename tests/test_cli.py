@@ -215,6 +215,12 @@ class TestStrictJsonInput:
             (["neg_tail", "polys", 0, 0], 3.0, "neg_tail.polys[0][0]"),
             (["neg_tail", "polys", 0, 0], True, "neg_tail.polys[0][0]"),
             (["neg_tail", "polys", 1], "0", "neg_tail.polys[1]"),
+            (["pos_tail", "polys", 0, 0], " 3", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "+3", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "0_3", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "\u0663", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "6/+2", "pos_tail.polys[0][0]"),
+            (["pos_tail", "polys", 0, 0], "-6/-2", "pos_tail.polys[0][0]"),
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, field):
@@ -229,6 +235,30 @@ class TestStrictJsonInput:
         code, out, err = run(capsys, "cx", "--input", str(input_file))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field} ")
+
+
+    def test_underscored_and_non_ascii_rationals_rejected(self, capsys, tmp_path):
+        # int() reads "1_0" and Arabic-Indic "10" as 10, so this ran as a
+        # valid function with a constant tail of 10 and exited 0.
+        lf = {
+            "d": 2,
+            "core": {"start": 0, "values": [10] * 8},
+            "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["1_0"], ["\u0661\u0660"]]},
+            "neg_tail": {"kind": "vanishing"},
+        }
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(lf))
+        code, out, err = run(capsys, "cx", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: pos_tail.polys[0][0] is not a rational: '1_0'\n"
+        lf["pos_tail"]["polys"][0] = ["10"]
+        path.write_text(json.dumps(lf))
+        code, out, err = run(capsys, "cx", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: pos_tail.polys[1][0] is not a rational: '\u0661\u0660'\n"
+        lf["pos_tail"]["polys"][1] = ["10"]
+        path.write_text(json.dumps(lf))
+        assert run(capsys, "cx", "--input", str(path)) == (0, "1\n", "")
 
 
 class TestKoszulCommand:

@@ -14,7 +14,12 @@ from qmult.differences import (
 )
 from qmult.exact import Polynomial
 
-from difference_oracles import delta_neg_recursive, delta_recursive
+from difference_oracles import (
+    delta_binomial,
+    delta_neg_binomial,
+    delta_neg_recursive,
+    delta_recursive,
+)
 
 
 def poly(*coeffs):
@@ -50,6 +55,18 @@ class TestDelta:
                     f = random_poly(rng)
                     for n in (rng.randint(-20, 20) for _ in range(4)):
                         assert delta_recursive(f, s, d, n) == delta(f, s, d, n)
+
+
+    def test_running_row_equals_comb_per_term(self):
+        # Large s, where the recursive oracle is out of reach, on values
+        # that are not polynomial so no term can vanish by accident.
+        rng = random.Random(7)
+        for s in list(range(12)) + [40, 97, 200, 401]:
+            table = [Fraction(rng.randint(-50, 50), rng.randint(1, 5)) for _ in range(64)]
+            f = lambda m: table[m % 64]  # noqa: E731
+            d, n = rng.choice([-3, 2, 4, 6]), rng.randint(-30, 30)
+            assert delta(f, s, d, n) == delta_binomial(f, s, d, n)
+            assert delta_neg(f, s, d, n) == delta_neg_binomial(f, s, d, n)
 
 
 class TestDeltaNeg:

@@ -156,6 +156,27 @@ class TestCorpus:
         with pytest.raises(FixtureError, match=re.escape(field)):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "kind, key, value, field",
+        [
+            ("leading", "values", ["1_0"], "values[0]"),
+            ("leading", "values", "1", "values"),
+            ("limit", "target", " 2", "target"),
+            ("limit", "max_error", 0.5, "max_error"),
+            ("limit", "max_error", "1/1000.", "max_error"),
+            ("g_table", "polys", [["1"], ["+1"]], "polys[1][0]"),
+            ("g_table", "polys", [["\u0661"]], "polys[0][0]"),
+        ],
+    )
+    def test_malformed_rational_rejected(self, tmp_path, kind, key, value, field):
+        # Before, these were parsed while the check ran: "1_0" read as 10,
+        # and a value int() refused failed the check instead of the file.
+        check = {"check": kind, "provenance": "trivial", key: value}
+        case = {"label": "a", "expected": [check]}
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        with pytest.raises(FixtureError, match=re.escape(f"bad.json: cases[0].expected[0].{field} ")):
+            load_corpus(tmp_path)
+
     def test_unknown_source_key_rejected(self, tmp_path):
         case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}
         (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))

@@ -1,13 +1,18 @@
 """The integer polynomial kernels against plain Fraction oracles.
 
 Each kernel must agree exactly with its oracle in ``kernel_oracles.py``:
-evaluation and composition, the quasi-polynomial fit (results and errors),
-the Faulhaber sum and the stabilized constant of the multiplicity report.
+sums, differences, negation, products and powers, evaluation and
+composition, the series expansion, the quasi-polynomial fit (results and
+errors), the Faulhaber sum and the stabilized constant of the multiplicity
+report.  Polynomial results are compared field by field (``coeffs``,
+``numerators`` and ``denominator``) with the oracle's, which the validating
+constructor built, so a kernel that skips validation must still leave the
+reduced integer form that validation would.
 """
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.differences import faulhaber_sum, newton_polynomial
-from qmult.exact import Polynomial
+from qmult.exact import Polynomial, RationalFunction, series_coefficients
 from qmult.fixtures import random_length_function
 from qmult.lengths import FitError, ModelError, QuasiPolynomial, fit_quasipoly
 from qmult.multiplicity import _stabilized_report
@@ -23,6 +28,134 @@ from qmult.multiplicity import _stabilized_report
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 polynomials = st.lists(rationals, max_size=8).map(lambda cs: Polynomial(tuple(cs)))
 scalars = st.one_of(st.integers(-20, 20), rationals)
+
+
+def assert_same(got, want):
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.numerators == want.numerators
+    assert got.denominator == want.denominator
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(g, h) whose top coefficients cancel in g + h, so the sum has lower
+    degree than either summand, or is zero."""
+    top = draw(st.lists(rationals.filter(bool), min_size=1, max_size=6))
+    cut = draw(st.integers(0, 3))
+    low_g = draw(st.lists(rationals, min_size=cut, max_size=cut))
+    low_h = draw(st.lists(rationals, min_size=cut, max_size=cut))
+    g = Polynomial(tuple(low_g + top))
+    h = Polynomial(tuple(low_h + [-c for c in top]))
+    return g, h
+
+
+class TestArithmeticKernels:
+    @given(polynomials, polynomials)
+    def test_product(self, g, h):
+        assert_same(g * h, oracle.fraction_product(g, h))
+
+    @given(polynomials, polynomials)
+    def test_sum_difference_and_negation(self, g, h):
+        assert_same(g + h, oracle.fraction_sum(g, h))
+        assert_same(g - h, oracle.fraction_sum(g, h, -1))
+        assert_same(-g, oracle.fraction_sum(Polynomial(), g, -1))
+
+    @given(polynomials, scalars)
+    def test_scalar_operands(self, g, c):
+        product = oracle.fraction_product(g, oracle.const(c))
+        assert_same(g * c, product)
+        assert_same(c * g, product)
+        assert_same(g + c, oracle.fraction_sum(g, oracle.const(c)))
+        assert_same(c + g, oracle.fraction_sum(g, oracle.const(c)))
+        assert_same(g - c, oracle.fraction_sum(g, oracle.const(c), -1))
+        assert_same(c - g, oracle.fraction_sum(oracle.const(c), g, -1))
+
+    @given(cancelling_pairs())
+    def test_cancellation_trims_and_reduces(self, pair):
+        g, h = pair
+        assert_same(g + h, oracle.fraction_sum(g, h))
+        assert (g + h).degree < g.degree
+        assert_same(g - g, Polynomial())
+        assert_same(g * 0, Polynomial())
+
+    @given(st.lists(rationals, max_size=5).map(lambda cs: Polynomial(tuple(cs))), st.integers(0, 6))
+    def test_power(self, g, n):
+        assert_same(g**n, oracle.fraction_power(g, n))
+
+
+@st.composite
+def dense_denominators(draw):
+    head = draw(rationals.filter(bool))
+    return Polynomial((head, *draw(st.lists(rationals, max_size=6))))
+
+
+@st.composite
+def sparse_denominators(draw):
+    """A product of factors (c - a*t^k) with k up to 40: few nonzero terms
+    spread over a high degree."""
+    den = Polynomial((Fraction(1),))
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.fractions(1, 3, max_denominator=3))
+        a = draw(st.fractions(-2, 2, max_denominator=3))
+        k = draw(st.integers(1, 40))
+        den = oracle.fraction_product(den, Polynomial((c,) + (Fraction(0),) * (k - 1) + (-a,)))
+    return den
+
+
+@st.composite
+def binomial_denominators(draw):
+    """(c - t)^e with c != 1, so den(0) != 1 and the recurrence scales by it."""
+    c = draw(st.sampled_from([2, 3, -2, Fraction(1, 2), Fraction(-3, 4)]))
+    return oracle.fraction_power(Polynomial((Fraction(c), Fraction(-1))), draw(st.integers(1, 4)))
+
+
+denominators = st.one_of(dense_denominators(), sparse_denominators(), binomial_denominators())
+
+
+class TestSeriesKernel:
+    @settings(deadline=None)
+    @given(polynomials, denominators, st.integers(0, 60))
+    def test_matches_the_fraction_recurrence(self, num, den, n_max):
+        got = series_coefficients(RationalFunction(num, den), n_max)
+        assert all(type(c) is Fraction for c in got)
+        assert got == oracle.fraction_series(num, den, n_max)
+
+    def test_zero_numerator(self):
+        den = Polynomial((Fraction(2), Fraction(0), Fraction(-1, 3)))
+        assert series_coefficients(RationalFunction(Polynomial(), den), 20) == [Fraction(0)] * 21
+
+    def test_constant_term_two_against_closed_form(self):
+        # 1/(2-t)^3 = sum_n C(n+2, 2) t^n / 2^(n+3)
+        den = Polynomial((Fraction(2), Fraction(-1))) ** 3
+        got = series_coefficients(RationalFunction(Polynomial((Fraction(1),)), den), 80)
+        assert got == [Fraction(comb(n + 2, 2), 2 ** (n + 3)) for n in range(81)]
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ((1, 1), (3, -2)),
+            ((1,), (2, 0, -1)),
+            ((1, -1), (6, -5, 1)),
+            ((0, 0, 1, 1), (12, -16, 7, -1)),
+            ((5, 0, 0, 0, 0, 3), (-4, 0, 0, 1)),
+        ],
+    )
+    def test_long_expansions_with_den0_not_one(self, num, den):
+        # Past the numerator the kernel divides common factors out of its
+        # running integers; far along, that has happened many times.
+        num = Polynomial(tuple(Fraction(c) for c in num))
+        den = Polynomial(tuple(Fraction(c) for c in den))
+        got = series_coefficients(RationalFunction(num, den), 300)
+        assert got == oracle.fraction_series(num, den, 300)
+
+    def test_sparse_hilbert_series(self):
+        one = Polynomial((Fraction(1),))
+        t = Polynomial((Fraction(0), Fraction(1)))
+        num = one - t**4
+        den = (one - t) * (one - t**2) * (one - t**3)
+        got = series_coefficients(RationalFunction(num, den), 400)
+        assert got == oracle.fraction_series(num, den, 400)
 
 
 class TestPolynomialKernels:
@@ -40,18 +173,19 @@ class TestPolynomialKernels:
 
     @given(polynomials, scalars, scalars)
     def test_compose_linear_matches_horner_composition(self, g, a, b):
-        assert g.compose_linear(a, b) == oracle.horner_compose_linear(g, a, b)
+        assert_same(g.compose_linear(a, b), oracle.horner_compose_linear(g, a, b))
 
     @given(polynomials, scalars)
     def test_shift_matches_horner_composition(self, g, c):
-        assert g.shift(c) == oracle.horner_compose_linear(g, 1, c)
+        assert_same(g.shift(c), oracle.horner_compose_linear(g, 1, c))
 
     @given(st.lists(rationals, max_size=7), st.integers(-30, 30))
     def test_newton_polynomial_is_the_binomial_sum(self, cs, anchor):
         want = Polynomial()
         for k, c in enumerate(cs):
-            want = want + oracle.horner_compose_linear(oracle.binomial_polynomial(k), 1, -anchor) * c
-        assert newton_polynomial(cs, anchor) == want
+            term = oracle.horner_compose_linear(oracle.binomial_polynomial(k), 1, -anchor)
+            want = oracle.fraction_sum(want, oracle.fraction_product(term, oracle.const(c)))
+        assert_same(newton_polynomial(cs, anchor), want)
 
 
 def _outcome(fit, samples, d):

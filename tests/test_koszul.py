@@ -1,5 +1,7 @@
 """Koszul reduction, chains, triangles, and the multiplicity axioms."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -103,6 +105,76 @@ class TestReduce:
         lf = jst_fixture(2)
         with pytest.raises(KoszulError):
             reduce(lf, "negative")
+
+
+def reducible_functions(rng, count):
+    """Seeded functions on which Koszul steps succeed.
+
+    Expansions of t^a (1+t)^b / prod (1 - t^k) with k | d grow along every
+    residue class, so positive steps succeed until the denominator runs out;
+    their reflections do the same in the negative regime.  Adding a function
+    that is constant on each residue class over all of Z makes them
+    two-sided, with a constant tail that one step reduces to zero.
+    """
+    for case in range(count):
+        d = rng.choice([2, 4, 6])
+        ks = [rng.choice([k for k in (1, 2, 3, 4, 6) if d % k == 0]) for _ in range(rng.randint(1, 3))]
+        a, b = rng.randint(0, 5), rng.randint(0, 3)
+        den = "*".join(f"(1-t^{k})" for k in ks)
+        lf = from_series(parse_series(f"t^{a}*(1+t)^{b}/({den})"), d, 12 * d + a + b)
+        kind = ("one-sided", "reflected", "two-sided")[case % 3]
+        if kind == "reflected":
+            lf = lf.reflect().shift(rng.randint(-6, 6))
+        elif kind == "two-sided":
+            consts = tuple(poly(rng.randint(0, 3)) for _ in range(d))
+            flat = LengthFunction.from_values(
+                d,
+                lambda n: int(consts[n % d](0)),
+                0,
+                0,
+                QuasiPolynomial(d, consts, -d),
+                QuasiPolynomial(d, consts, d),
+            )
+            lf = flat + (lf if case % 2 else lf.reflect().shift(rng.randint(-6, 6)))
+        yield kind, lf
+
+
+def test_reduce_matches_validated_construction():
+    # reduce builds its result without re-validating it; the validating
+    # constructor must accept the same fields and give the same function,
+    # including where a step reduces a tail to zero.
+    steps, vanished = Counter(), Counter()
+    for kind, lf in reducible_functions(random.Random(53), 60):
+        for regime in ("positive", "negative"):
+            current = lf
+            for _ in range(4):
+                try:
+                    out = reduce(current, regime)
+                except KoszulError:
+                    break
+                checked = LengthFunction(
+                    out.d, out.core_start, out.core_values, out.pos_tail, out.neg_tail
+                )
+                assert out == checked
+                assert out.to_json_dict() == checked.to_json_dict()
+                assert repr(out) == repr(checked)
+                steps[kind, regime] += 1
+                for side in ("positive", "negative"):
+                    if current.tail(side) is not None and out.tail(side) is None:
+                        vanished[kind, side] += 1
+                current = out
+    assert set(steps) == {
+        ("one-sided", "positive"),
+        ("reflected", "negative"),
+        ("two-sided", "positive"),
+        ("two-sided", "negative"),
+    }
+    assert set(vanished) == {
+        ("one-sided", "positive"),
+        ("reflected", "negative"),
+        ("two-sided", "positive"),
+        ("two-sided", "negative"),
+    }
 
 
 class TestReduceChain:
