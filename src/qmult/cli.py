@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -42,11 +43,22 @@ _ERRORS = (
 )
 
 
-def _nonnegative_int(text: str) -> int:
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """Parse an integer flag value: ASCII ``-?[0-9]+`` and nothing else (no
+    whitespace, '+' sign, underscores or non-ASCII digits)."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if _INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -54,8 +66,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--expr", help="series expression, expanded and fitted")
-    sub.add_argument("--d", type=int, default=2, help="period (even, >= 2); used with --expr")
-    sub.add_argument("--probe", type=int, default=80, help="expansion window for fitting")
+    sub.add_argument("--d", type=_int, default=2, help="period (even, >= 2); used with --expr")
+    sub.add_argument("--probe", type=_int, default=80, help="expansion window for fitting")
     sub.add_argument("--input", help="path to a length-function JSON file")
 
 
@@ -179,8 +191,8 @@ def _cmd_theta(args, parser) -> int:
 
 def _cmd_serre(args, parser) -> int:
     try:
-        tor = [int(part) for part in args.tor.split(",") if part.strip() != ""]
-    except ValueError:
+        tor = [_int(part) for part in args.tor.split(",")]
+    except argparse.ArgumentTypeError:
         parser.error("--tor must be a comma-separated list of integers")
     value = serre_intersection(tor)
     if args.json:
@@ -240,25 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name, side in (("e", "positive"), ("e-neg", "negative")):
         p = subs.add_parser(name, help=f"{side} multiplicity report")
         _add_input_flags(p)
-        p.add_argument("--s", type=int, default=None, help="index (defaults to the complexity)")
+        p.add_argument("--s", type=_int, default=None, help="index (defaults to the complexity)")
         p.add_argument(
             "--convention", choices=["delta", "coefficient", "both"], default="both"
         )
         p.add_argument("--json", action="store_true")
         if side == "positive":
-            p.add_argument("--limit-n", type=int, default=None, dest="limit_n")
+            p.add_argument("--limit-n", type=_int, default=None, dest="limit_n")
         else:
             p.set_defaults(limit_n=None)  # the limit estimate is positive-side only
 
     p = subs.add_parser("koszul", help="iterated reduction chain as JSON")
     _add_input_flags(p)
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--s", type=_int, default=None)
     p.add_argument("--regime", choices=["positive", "negative"], default="positive")
 
     p = subs.add_parser("limit", help="finite-n limit estimate")
     _add_input_flags(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--constant", choices=["paper", "corrected"], default="paper")
     p.add_argument("--json", action="store_true")
 
@@ -272,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the fixture corpus and property suites")
     p.add_argument("--suite", choices=["paper", "properties", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -45,19 +45,12 @@ def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
 
 
 def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
-    """s-fold backward difference of index d at n, by the binomial closed form,
-    with the signed binomials from the same running row as :func:`delta`.
+    """s-fold backward difference of index d at n, as (-1)^s D^s f(n+s).
 
     >>> delta_neg(lambda n: Fraction(n), 1, 2, 0)
     Fraction(-2, 1)
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    total, c = 0, 1
-    for i in range(s + 1):
-        total += c * f(n + d * i + s)
-        c = -c * (s - i) // (i + 1)
-    return Fraction(total)
+    return (-1) ** s * delta(f, s, d, n + s)
 
 
 def alternating_binomial_moment(s: int, n: int) -> Fraction:

@@ -1,18 +1,17 @@
 """Exact rational arithmetic: dense univariate polynomials and rational functions.
 
 Rationals are plain ``fractions.Fraction`` values (arbitrary precision, always
-reduced, positive denominator).  A polynomial is a dense tuple of Fraction
-coefficients with the constant term first and no trailing zeros; the zero
-polynomial is the empty tuple and has degree -1.  Each polynomial also stores
-its coefficients once more as integer ``numerators`` over one common
-``denominator`` (the lcm of the coefficient denominators, 1 for the zero
-polynomial).  Sums, differences, negation, products and powers, evaluation,
-the Taylor shift behind ``compose_linear`` and the series recurrence of
-``series_coefficients`` all run on those integers and divide once at the end,
-so the hot loops do no Fraction arithmetic.  A rational function stores a
-numerator and a denominator polynomial; the denominator must have a nonzero
-constant term, so every rational function here expands as a power series at
-t = 0.
+reduced, positive denominator).  A polynomial is dense, constant term first,
+with no trailing zeros, and stores its coefficients in one form only: integer
+``numerators`` over one common ``denominator`` (the lcm of the coefficient
+denominators, 1 for the zero polynomial, which has no numerators and degree
+-1).  The Fraction tuple ``coeffs`` is computed when it is read.  Sums,
+differences, negation, products and powers, evaluation, the Taylor shift
+behind ``compose_linear`` and the series recurrence of ``series_coefficients``
+all run on those integers and divide once at the end, so the hot loops do no
+Fraction arithmetic.  A rational function stores a numerator and a
+denominator polynomial; the denominator must have a nonzero constant term, so
+every rational function here expands as a power series at t = 0.
 
 No floating point appears anywhere in this module.
 """
@@ -20,7 +19,7 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -61,45 +60,35 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 
-    ``coeffs[k]`` is the coefficient of t^k; there are no trailing zeros, so
-    the zero polynomial is ``Polynomial()`` with degree -1.  The derived
-    fields hold the same coefficients as ``numerators[k] / denominator``.
+    ``Polynomial(coeffs)`` takes the coefficients constant term first, as any
+    values ``Fraction`` accepts; trailing zeros are dropped, so the zero
+    polynomial is ``Polynomial()`` with degree -1.  The only stored fields are
+    the integer ``numerators`` and the positive ``denominator``, reduced so
+    that ``coeffs[k] == numerators[k] / denominator`` and ``denominator`` is
+    the lcm of the coefficient denominators; equality and hashing compare them.
 
     >>> (Polynomial.t() + 1) * (Polynomial.t() - 1)
     Polynomial('t^2 - 1')
     """
 
-    coeffs: tuple[Fraction, ...] = ()
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        coeffs = _trim(self.coeffs)
-        den = lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(
-            self, "numerators", tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        )
-        object.__setattr__(self, "denominator", den)
+    def __new__(cls, coeffs: Iterable[Scalar] = ()) -> Polynomial:
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return cls._from_integers([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def _from_integers(cls, nums: list[int], den: int) -> Polynomial:
         """The polynomial with coefficients nums[k] / den, for a positive den.
 
-        Trims trailing zeros and divides out gcd(den, *nums); den is then
-        exactly the lcm of the coefficient denominators, the invariant that
-        ``__post_init__`` establishes, so the fields are set directly.
+        Trims trailing zeros and divides out gcd(den, *nums), which leaves den
+        the lcm of the coefficient denominators.
         """
         while nums and nums[-1] == 0:
             nums.pop()
@@ -111,10 +100,14 @@ class Polynomial:
                 nums = [c // g for c in nums]
                 den //= g
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(Fraction(c, den) for c in nums))
         object.__setattr__(poly, "numerators", tuple(nums))
         object.__setattr__(poly, "denominator", den)
         return poly
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @staticmethod
     def const(c: Scalar) -> Polynomial:
@@ -127,21 +120,19 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def leading_term(self) -> tuple[int, Fraction]:
         """Return (degree, leading coefficient); (-1, 0) for the zero polynomial."""
-        if not self.coeffs:
-            return (-1, Fraction(0))
-        return (len(self.coeffs) - 1, self.coeffs[-1])
+        return (self.degree, self.coefficient(self.degree))
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of t^k (0 beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
@@ -248,11 +239,12 @@ class Polynomial:
         return self.shift(1) - self
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if parts:

@@ -51,6 +51,11 @@ class FitError(ValueError):
         super().__init__(message)
 
 
+def _check_period(d: int) -> None:
+    if d < 2 or d % 2 != 0:
+        raise ModelError(f"period must be an even integer >= 2, got {d}")
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Period-d quasi-polynomial with an anchor for its validity range.
@@ -66,8 +71,7 @@ class QuasiPolynomial:
     valid_from: int
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.d % 2 != 0:
-            raise ModelError(f"period must be an even integer >= 2, got {self.d}")
+        _check_period(self.d)
         if len(self.polys) != self.d:
             raise ModelError(f"expected {self.d} polynomials, got {len(self.polys)}")
 
@@ -98,41 +102,39 @@ class QuasiPolynomial:
 
 
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
+    """Validate the ``"pos"`` or ``"neg"`` tail of lf: its overlap with the core
+    and its sign out along the ray.  The side only picks the anchor's JSON
+    name, the allowed anchors, the overlap window and the ray's direction."""
     if qp is None:
         return
     if qp.d != lf.d:
         raise ModelError(f"{side} tail period {qp.d} != function period {lf.d}")
     need = lf.d * (qp.max_degree + 2)
     if side == "pos":
-        lo, hi = qp.valid_from, lf.core_end
-        if not (lf.core_start <= qp.valid_from <= lf.core_end - need):
-            raise ModelError(
-                f"pos tail must overlap the core on {qp.max_degree + 2} blocks per "
-                f"residue: need valid_from in [{lf.core_start}, {lf.core_end - need}], "
-                f"got {qp.valid_from}"
-            )
+        key, direction = "valid_from", 1
+        allowed = (lf.core_start, lf.core_end - need)
+        overlap = range(qp.valid_from, lf.core_end + 1)
     else:
-        lo, hi = lf.core_start, qp.valid_from
-        if not (lf.core_start + need <= qp.valid_from <= lf.core_end):
-            raise ModelError(
-                f"neg tail must overlap the core on {qp.max_degree + 2} blocks per "
-                f"residue: need valid_to in [{lf.core_start + need}, {lf.core_end}], "
-                f"got {qp.valid_from}"
-            )
-    for n in range(lo, hi + 1):
+        key, direction = "valid_to", -1
+        allowed = (lf.core_start + need, lf.core_end)
+        overlap = range(lf.core_start, qp.valid_from + 1)
+    if not (allowed[0] <= qp.valid_from <= allowed[1]):
+        raise ModelError(
+            f"{side} tail must overlap the core on {qp.max_degree + 2} blocks per "
+            f"residue: need {key} in [{allowed[0]}, {allowed[1]}], got {qp.valid_from}"
+        )
+    for n in overlap:
         expected = lf.core_values[n - lf.core_start]
         if qp(n) != expected:
             raise ModelError(
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {qp(n)}, core holds {expected}"
             )
-    # Nonnegativity out along the ray, certified by exact sign analysis.
-    direction = 1 if side == "pos" else -1
+    # Nonnegativity out along the ray, certified by exact sign analysis.  The
+    # ray of residue i starts at the block nearest the anchor on its side:
+    # the ceiling of (valid_from - i) / d going up, the floor going down.
     for i, p in enumerate(qp.polys):
-        if direction == 1:
-            m0 = -((qp.valid_from - i) // -lf.d)  # ceil division
-        else:
-            m0 = (qp.valid_from - i) // lf.d
+        m0 = -direction * ((direction * (i - qp.valid_from)) // lf.d)
         bad = nonnegative_on_ray(p, m0, direction)
         if bad is not None:
             raise ModelError(
@@ -158,8 +160,7 @@ class LengthFunction:
     neg_tail: QuasiPolynomial | None
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.d % 2 != 0:
-            raise ModelError(f"period must be an even integer >= 2, got {self.d}")
+        _check_period(self.d)
         if not self.core_values:
             raise ModelError("core window must be nonempty")
         values = tuple(int(v) for v in self.core_values)
@@ -265,48 +266,28 @@ class LengthFunction:
         if self.d != other.d:
             raise ModelError(f"cannot add length functions with periods {self.d} and {other.d}")
 
-        def combine(
-            a: QuasiPolynomial | None, b: QuasiPolynomial | None, other_end: int, side: str
-        ) -> QuasiPolynomial | None:
-            if a is None and b is None:
+        def combine(side: str) -> QuasiPolynomial | None:
+            tails = [f.tail(side) for f in (self, other)]
+            if all(qp is None for qp in tails):
                 return None
-            if a is not None and b is not None:
-                polys = tuple(pa + pb for pa, pb in zip(a.polys, b.polys))
-                anchor = (
-                    max(a.valid_from, b.valid_from)
-                    if side == "pos"
-                    else min(a.valid_from, b.valid_from)
-                )
-                return QuasiPolynomial(self.d, polys, anchor)
-            qp = a if a is not None else b
-            assert qp is not None
-            # The vanishing side contributes nothing beyond its own core.
-            anchor = (
-                max(qp.valid_from, other_end + 1)
-                if side == "pos"
-                else min(qp.valid_from, other_end - 1)
-            )
-            return QuasiPolynomial(self.d, qp.polys, anchor)
+            # A vanishing tail is zero beyond its core, so it contributes the
+            # degree one past its core edge as the anchor.
+            up = side == "positive"
+            anchors = [
+                (f.core_end + 1 if up else f.core_start - 1) if qp is None else qp.valid_from
+                for f, qp in zip((self, other), tails)
+            ]
+            sums = zip(*(qp.polys for qp in tails if qp is not None))
+            polys = tuple(sum(ps, Polynomial()) for ps in sums)
+            return QuasiPolynomial(self.d, polys, max(anchors) if up else min(anchors))
 
-        pos = combine(
-            self.pos_tail,
-            other.pos_tail,
-            other.core_end if self.pos_tail is not None else self.core_end,
-            "pos",
-        )
-        neg = combine(
-            self.neg_tail,
-            other.neg_tail,
-            other.core_start if self.neg_tail is not None else self.core_start,
-            "neg",
-        )
         return LengthFunction.from_values(
             self.d,
             lambda n: self(n) + other(n),
             min(self.core_start, other.core_start),
             max(self.core_end, other.core_end),
-            pos,
-            neg,
+            combine("positive"),
+            combine("negative"),
         )
 
     @staticmethod
@@ -417,12 +398,13 @@ class LengthFunction:
 def core_window(
     d: int, lo: int, hi: int, pos_tail: QuasiPolynomial | None, neg_tail: QuasiPolynomial | None
 ) -> tuple[int, int]:
-    """The window [lo, hi], widened so that each nonzero tail overlaps it on
-    max_degree + 2 blocks per residue class, as validation requires."""
-    if pos_tail is not None and not pos_tail.is_zero():
+    """The window [lo, hi], widened so that each tail that is not ``None``
+    overlaps it on max_degree + 2 blocks per residue class, as validation
+    requires."""
+    if pos_tail is not None:
         hi = max(hi, pos_tail.valid_from + d * (pos_tail.max_degree + 2))
         lo = min(lo, pos_tail.valid_from)
-    if neg_tail is not None and not neg_tail.is_zero():
+    if neg_tail is not None:
         lo = min(lo, neg_tail.valid_from - d * (neg_tail.max_degree + 2))
         hi = max(hi, neg_tail.valid_from)
     return lo, hi
@@ -483,8 +465,7 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
     Raises :class:`FitError` (carrying the residue class and the best
     candidate degree) when no stabilization is visible in the window.
     """
-    if d < 2 or d % 2 != 0:
-        raise ModelError(f"period must be an even integer >= 2, got {d}")
+    _check_period(d)
     if not samples:
         raise FitError("no samples")
     keys = sorted(samples)
@@ -537,8 +518,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     required core/tail overlap; otherwise a :class:`FitError` asking for a
     larger probe is raised.
     """
-    if d < 2 or d % 2 != 0:
-        raise ModelError(f"period must be an even integer >= 2, got {d}")
+    _check_period(d)
     if probe < 3 * d:
         raise FitError(f"probe window [0, {probe}] is too small; increase probe")
     coeffs = series_coefficients(f, probe)

@@ -1,4 +1,4 @@
-"""Slow, obvious oracles for the integer polynomial kernels.
+"""Slow, obvious oracles for the integer polynomial kernels and the tail checks.
 
 Each is the plain Fraction computation that the integer kernels must match:
 schoolbook sums and products on the Fraction coefficients, the Fraction
@@ -9,13 +9,17 @@ with repeated differences for its stabilized constant.  Every polynomial sum
 and product here is one of the schoolbook loops below, and every polynomial
 is built by the validating ``Polynomial`` constructor, so they share no
 arithmetic with the kernels they check.
+
+The tail check and the sum of two length functions are kept in their
+mirrored form, one hand-written branch per side, against which the single
+side-parametrized code path is compared.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from qmult.exact import Polynomial
-from qmult.lengths import FitError, ModelError, QuasiPolynomial
+from qmult.exact import Polynomial, nonnegative_on_ray
+from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial
 
 
 def const(c):
@@ -192,3 +196,87 @@ def residue_profiles(polys):
             acc = fraction_sum(acc, g if k >= j else spilled[k], (-1) ** k)
         profiles.append(acc)
     return profiles
+
+
+def check_tail(lf, qp, side):
+    """Validate the "pos" or "neg" tail of lf, one branch per side."""
+    if qp is None:
+        return
+    if qp.d != lf.d:
+        raise ModelError(f"{side} tail period {qp.d} != function period {lf.d}")
+    need = lf.d * (qp.max_degree + 2)
+    if side == "pos":
+        lo, hi = qp.valid_from, lf.core_end
+        if not (lf.core_start <= qp.valid_from <= lf.core_end - need):
+            raise ModelError(
+                f"pos tail must overlap the core on {qp.max_degree + 2} blocks per "
+                f"residue: need valid_from in [{lf.core_start}, {lf.core_end - need}], "
+                f"got {qp.valid_from}"
+            )
+    else:
+        lo, hi = lf.core_start, qp.valid_from
+        if not (lf.core_start + need <= qp.valid_from <= lf.core_end):
+            raise ModelError(
+                f"neg tail must overlap the core on {qp.max_degree + 2} blocks per "
+                f"residue: need valid_to in [{lf.core_start + need}, {lf.core_end}], "
+                f"got {qp.valid_from}"
+            )
+    for n in range(lo, hi + 1):
+        expected = lf.core_values[n - lf.core_start]
+        if qp(n) != expected:
+            raise ModelError(
+                f"{side} tail disagrees with the core at n={n}: "
+                f"tail gives {qp(n)}, core holds {expected}"
+            )
+    direction = 1 if side == "pos" else -1
+    for i, p in enumerate(qp.polys):
+        if direction == 1:
+            m0 = -((qp.valid_from - i) // -lf.d)  # ceil division
+        else:
+            m0 = (qp.valid_from - i) // lf.d
+        bad = nonnegative_on_ray(p, m0, direction)
+        if bad is not None:
+            raise ModelError(
+                f"{side} tail polynomial for residue {i} goes negative at block {bad} "
+                f"(degree n={lf.d * bad + i})"
+            )
+
+
+def add(a, b):
+    """a + b with one hand-written tail combination per side, on a core window
+    widened for every tail that is not all zero, through the validating
+    constructor."""
+    if a.d != b.d:
+        raise ModelError(f"cannot add length functions with periods {a.d} and {b.d}")
+
+    def combine(x, y, other_end, side):
+        if x is None and y is None:
+            return None
+        if x is not None and y is not None:
+            polys = tuple(fraction_sum(px, py) for px, py in zip(x.polys, y.polys))
+            anchor = (
+                max(x.valid_from, y.valid_from) if side == "pos" else min(x.valid_from, y.valid_from)
+            )
+            return QuasiPolynomial(a.d, polys, anchor)
+        qp = x if x is not None else y
+        # The vanishing side contributes nothing beyond its own core.
+        anchor = (
+            max(qp.valid_from, other_end + 1) if side == "pos" else min(qp.valid_from, other_end - 1)
+        )
+        return QuasiPolynomial(a.d, qp.polys, anchor)
+
+    pos = combine(
+        a.pos_tail, b.pos_tail, b.core_end if a.pos_tail is not None else a.core_end, "pos"
+    )
+    neg = combine(
+        a.neg_tail, b.neg_tail, b.core_start if a.neg_tail is not None else a.core_start, "neg"
+    )
+    lo, hi = min(a.core_start, b.core_start), max(a.core_end, b.core_end)
+    if pos is not None and not pos.is_zero():
+        hi = max(hi, pos.valid_from + a.d * (pos.max_degree + 2))
+        lo = min(lo, pos.valid_from)
+    if neg is not None and not neg.is_zero():
+        lo = min(lo, neg.valid_from - a.d * (neg.max_degree + 2))
+        hi = max(hi, neg.valid_from)
+    values = tuple(a(n) + b(n) for n in range(lo, hi + 1))
+    return LengthFunction(a.d, lo, values, pos, neg)

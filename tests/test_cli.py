@@ -393,3 +393,48 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["nonsense"])
         assert info.value.code == 2
+
+
+class TestIntegerFlags:
+    """Integer flags and --tor entries take ASCII -?[0-9]+ only; int() would
+    accept non-ASCII digits, underscores, whitespace and a '+' sign."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["e", "--expr", "1/(1-t)^2", "--s", "٢"], "argument --s"),
+            (["expand", "--expr", "1/(1-t)", "--n", "1_0"], "argument --n"),
+            (["serre", "--tor", "1_0,2"], "--tor"),
+            (["serre", "--tor", "1,,2"], "--tor"),
+            (["serre", "--tor", "1, 2"], "--tor"),
+            (["serre", "--tor", ""], "--tor"),
+            (["fit", "--expr", "1/(1-t)^2", "--d", " 2"], "argument --d"),
+            (["cx", "--expr", "1/(1-t)^2", "--probe", "+80"], "argument --probe"),
+            (["e", "--expr", "1/(1-t)^2", "--limit-n", "1e3"], "argument --limit-n"),
+            (["e-neg", "--expr", "1/(1-t)^2", "--s", "2 "], "argument --s"),
+            (["koszul", "--expr", "1/(1-t)^2", "--s", "１"], "argument --s"),
+            (["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "1_000"], "argument --n"),
+            (["verify", "--seed", "٠"], "argument --seed"),
+            # int() refuses more than 4300 digits with a ValueError.
+            (["serre", "--tor", "1," + "9" * 5000], "--tor"),
+            (["e", "--expr", "1/(1-t)^2", "--s", "-" + "9" * 5000], "argument --s: invalid int"),
+        ],
+    )
+    def test_malformed_integer_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_ascii_integers_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "expand", "--expr", "1/(1-t)", "--n", "3")
+        assert (code, out) == (0, "1 1 1 1\n")
+        code, out, _ = run(capsys, "serre", "--tor", "3,1,-0")
+        assert (code, out) == (0, "2\n")
+
+    def test_negative_tor_entry_fails_in_serre(self, capsys):
+        code, _, err = run(capsys, "serre", "--tor", "1,-2")
+        assert code == 1
+        assert err.startswith("error: ")

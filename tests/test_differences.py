@@ -92,6 +92,17 @@ class TestDeltaNeg:
                     for n in (rng.randint(-20, 20) for _ in range(4)):
                         assert delta_neg_recursive(f, s, d, n) == delta_neg(f, s, d, n)
 
+    def test_matches_binomial_oracle_to_s_401(self):
+        # One comb per term against the forward difference at n + s, on values
+        # that are not polynomial, for positive and negative index d.
+        rng = random.Random(11)
+        table = [Fraction(rng.randint(-50, 50), rng.randint(1, 5)) for _ in range(97)]
+        f = lambda m: table[m % 97]  # noqa: E731
+        for s in list(range(41)) + [97, 200, 401]:
+            for d in (-3, 2, 6):
+                n = rng.randint(-30, 30)
+                assert delta_neg(f, s, d, n) == delta_neg_binomial(f, s, d, n)
+
     def test_sign_shift_identity(self):
         # D-^s f(n) = (-1)^s D^s f(n+s)
         rng = random.Random(5)

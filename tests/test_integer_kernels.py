@@ -6,13 +6,16 @@ composition, the series expansion, the quasi-polynomial fit (results and
 errors), the Faulhaber sum and the stabilized constant of the multiplicity
 report.  Polynomial results are compared field by field (``coeffs``,
 ``numerators`` and ``denominator``) with the oracle's, which the validating
-constructor built, so a kernel that skips validation must still leave the
-reduced integer form that validation would.
+constructor built.  The constructor and the kernels share the final
+reduction, so ``TestStoredForm`` checks the constructor against the
+definition of the stored form itself: the coefficients as Fractions, over the
+lcm of their denominators.
 """
 
 import random
+from dataclasses import fields
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,54 @@ class TestSeriesKernel:
         den = (one - t) * (one - t**2) * (one - t**3)
         got = series_coefficients(RationalFunction(num, den), 400)
         assert got == oracle.fraction_series(num, den, 400)
+
+
+def trimmed(cs):
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+raw_coefficients = st.lists(scalars, max_size=8)
+
+
+class TestStoredForm:
+    """A polynomial stores only ``numerators`` over ``denominator``; the
+    constructor and every arithmetic result must leave the same reduced form."""
+
+    @given(raw_coefficients)
+    def test_constructor(self, cs):
+        g = Polynomial(cs)
+        want = trimmed(cs)
+        assert [f.name for f in fields(g)] == ["numerators", "denominator"]
+        assert g.coeffs == want
+        assert all(type(c) is Fraction for c in g.coeffs)
+        assert g.denominator == lcm(*(c.denominator for c in want))
+        assert g.numerators == tuple(c.numerator * (g.denominator // c.denominator) for c in want)
+        assert all(type(n) is int for n in (*g.numerators, g.denominator))
+        assert g.degree == len(want) - 1
+        assert [g.coefficient(k) for k in range(-1, len(want) + 2)] == [0, *want, 0, 0]
+
+    @given(raw_coefficients, raw_coefficients)
+    def test_equality_and_hash_follow_the_coefficients(self, a, b):
+        g, h = Polynomial(a), Polynomial(b)
+        assert (g == h) == (trimmed(a) == trimmed(b))
+        assert g == Polynomial((*a, 0, Fraction(0)))
+        assert hash(g) == hash(Polynomial(tuple(trimmed(a))))
+        if g == h:
+            assert hash(g) == hash(h)
+
+    @given(polynomials, polynomials, scalars, st.integers(0, 3))
+    def test_arithmetic_results_match_the_constructor(self, g, h, c, n):
+        results = [g + h, g - h, -g, g * h, g * c, c - g, g**n]
+        results += [g.shift(c), g.compose_linear(c, c), g.forward_difference()]
+        for r in results:
+            rebuilt = Polynomial(r.coeffs)
+            assert_same(r, rebuilt)
+            assert r == rebuilt
+            assert hash(r) == hash(rebuilt)
+            assert repr(r) == repr(rebuilt)
 
 
 class TestPolynomialKernels:
