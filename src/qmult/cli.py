@@ -13,6 +13,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import NoReturn
 
 from .exact import NotExpandableError, format_rational, series_coefficients
 from .fixtures import FixtureError, run_corpus, run_property_suites
@@ -71,20 +73,37 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="path to a length-function JSON file")
 
 
-def _load_input(args: argparse.Namespace, parser: argparse.ArgumentParser) -> LengthFunction:
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message`` under the full parser's usage line."""
+    build_parser().error(message)
+
+
+def _read_length_function(path: str) -> LengthFunction:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # an integer longer than the interpreter converts
+            raise ModelError(
+                f"{path}: a JSON integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+    return LengthFunction.from_json_dict(data)
+
+
+def _load_input(args: argparse.Namespace) -> LengthFunction:
     if (args.expr is None) == (args.input is None):
-        parser.error("provide exactly one of --expr or --input")
+        _usage_error("provide exactly one of --expr or --input")
     if args.expr is not None:
         return from_series(parse_series(args.expr), args.d, args.probe)
-    with open(args.input) as fh:
-        return LengthFunction.from_json_dict(json.load(fh))
+    return _read_length_function(args.input)
 
 
 def _print_json(payload: object) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_expand(args, parser) -> int:
+def _cmd_expand(args) -> int:
     f = parse_series(args.expr)
     coeffs = series_coefficients(f, args.n)
     if args.json:
@@ -94,14 +113,14 @@ def _cmd_expand(args, parser) -> int:
     return 0
 
 
-def _cmd_fit(args, parser) -> int:
-    lf = _load_input(args, parser)
+def _cmd_fit(args) -> int:
+    lf = _load_input(args)
     _print_json(lf.to_json_dict())
     return 0
 
 
-def _cmd_cx(args, parser) -> int:
-    lf = _load_input(args, parser)
+def _cmd_cx(args) -> int:
+    lf = _load_input(args)
     print(lf.complexity(args.side))
     return 0
 
@@ -140,8 +159,8 @@ def _approx(value: Fraction) -> str:
     return f"{format_rational(value)} (~ {float(value):.6f})"
 
 
-def _cmd_e(args, parser, side: str) -> int:
-    lf = _load_input(args, parser)
+def _cmd_e(args, side: str) -> int:
+    lf = _load_input(args)
     compute = multiplicity_pos if side == "positive" else multiplicity_neg
     s = args.s if args.s is not None else lf.complexity(side)
     report = compute(lf, s)
@@ -158,16 +177,16 @@ def _cmd_e(args, parser, side: str) -> int:
     return 0
 
 
-def _cmd_koszul(args, parser) -> int:
-    lf = _load_input(args, parser)
+def _cmd_koszul(args) -> int:
+    lf = _load_input(args)
     s = args.s if args.s is not None else lf.complexity(args.regime)
     chain = reduce_chain(lf, s, args.regime)
     _print_json(chain.to_json_dict())
     return 0
 
 
-def _cmd_limit(args, parser) -> int:
-    lf = _load_input(args, parser)
+def _cmd_limit(args) -> int:
+    lf = _load_input(args)
     est = limit_estimate(lf, args.s, args.n, args.constant)
     if args.json:
         _print_json(
@@ -178,10 +197,8 @@ def _cmd_limit(args, parser) -> int:
     return 0
 
 
-def _cmd_theta(args, parser) -> int:
-    with open(args.input) as fh:
-        lf = LengthFunction.from_json_dict(json.load(fh))
-    value = theta_invariant(lf)
+def _cmd_theta(args) -> int:
+    value = theta_invariant(_read_length_function(args.input))
     if args.json:
         _print_json({"theta": value})
     else:
@@ -189,11 +206,11 @@ def _cmd_theta(args, parser) -> int:
     return 0
 
 
-def _cmd_serre(args, parser) -> int:
+def _cmd_serre(args) -> int:
     try:
         tor = [_int(part) for part in args.tor.split(",")]
     except argparse.ArgumentTypeError:
-        parser.error("--tor must be a comma-separated list of integers")
+        _usage_error("--tor must be a comma-separated list of integers")
     value = serre_intersection(tor)
     if args.json:
         _print_json({"serre": value})
@@ -202,7 +219,7 @@ def _cmd_serre(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     results = []
     if args.suite in ("paper", "all"):
         results += run_corpus()
@@ -230,87 +247,111 @@ def _cmd_verify(args, parser) -> int:
     return 0 if not failures else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmult",
-        description="Exact multiplicities of graded length functions.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("expand", help="expand a series expression")
+def _expand_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True, help="last coefficient index")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("fit", help="fit a length function and print its JSON")
-    _add_input_flags(p)
 
-    p = subs.add_parser("cx", help="complexity of a length function")
+def _cx_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--side", choices=["positive", "negative"], default="positive")
 
-    for name, side in (("e", "positive"), ("e-neg", "negative")):
-        p = subs.add_parser(name, help=f"{side} multiplicity report")
-        _add_input_flags(p)
-        p.add_argument("--s", type=_int, default=None, help="index (defaults to the complexity)")
-        p.add_argument(
-            "--convention", choices=["delta", "coefficient", "both"], default="both"
-        )
-        p.add_argument("--json", action="store_true")
-        if side == "positive":
-            p.add_argument("--limit-n", type=_int, default=None, dest="limit_n")
-        else:
-            p.set_defaults(limit_n=None)  # the limit estimate is positive-side only
 
-    p = subs.add_parser("koszul", help="iterated reduction chain as JSON")
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    _add_input_flags(p)
+    p.add_argument("--s", type=_int, default=None, help="index (defaults to the complexity)")
+    p.add_argument("--convention", choices=["delta", "coefficient", "both"], default="both")
+    p.add_argument("--json", action="store_true")
+
+
+def _e_flags(p: argparse.ArgumentParser) -> None:
+    _report_flags(p)
+    p.add_argument("--limit-n", type=_int, default=None, dest="limit_n")
+
+
+def _e_neg_flags(p: argparse.ArgumentParser) -> None:
+    _report_flags(p)
+    p.set_defaults(limit_n=None)  # the limit estimate is positive-side only
+
+
+def _koszul_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--s", type=_int, default=None)
     p.add_argument("--regime", choices=["positive", "negative"], default="positive")
 
-    p = subs.add_parser("limit", help="finite-n limit estimate")
+
+def _limit_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--s", type=_int, required=True)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--constant", choices=["paper", "corrected"], default="paper")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("theta", help="stabilized even/odd difference of Tor lengths")
+
+def _theta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="homologically indexed length-function JSON")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("serre", help="alternating sum of Tor lengths")
+
+def _serre_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tor", required=True, help="comma-separated lengths, degree 0 first")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("verify", help="run the fixture corpus and property suites")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=["paper", "properties", "all"], default="all")
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--json", action="store_true")
 
-    return parser
 
-
+# name -> (help, add_flags, handler), in the order the full parser lists them.
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "fit": _cmd_fit,
-    "cx": _cmd_cx,
-    "koszul": _cmd_koszul,
-    "limit": _cmd_limit,
-    "theta": _cmd_theta,
-    "serre": _cmd_serre,
-    "verify": _cmd_verify,
+    "expand": ("expand a series expression", _expand_flags, _cmd_expand),
+    "fit": ("fit a length function and print its JSON", _add_input_flags, _cmd_fit),
+    "cx": ("complexity of a length function", _cx_flags, _cmd_cx),
+    "e": ("positive multiplicity report", _e_flags, partial(_cmd_e, side="positive")),
+    "e-neg": ("negative multiplicity report", _e_neg_flags, partial(_cmd_e, side="negative")),
+    "koszul": ("iterated reduction chain as JSON", _koszul_flags, _cmd_koszul),
+    "limit": ("finite-n limit estimate", _limit_flags, _cmd_limit),
+    "theta": ("stabilized even/odd difference of Tor lengths", _theta_flags, _cmd_theta),
+    "serre": ("alternating sum of Tor lengths", _serre_flags, _cmd_serre),
+    "verify": ("run the fixture corpus and property suites", _verify_flags, _cmd_verify),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qmult",
+        description="Exact multiplicities of graded length functions.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        add_flags(subs.add_parser(name, help=help_text))
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    subcommand that ``argv[0]`` names.  That parser has the prog, flags and
+    messages the full parser gives the subcommand; the full parser is built
+    for everything else (no arguments, ``-h``, an unknown command, a leading
+    ``--``) and to report leftover arguments."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    parser = argparse.ArgumentParser(prog=f"qmult {name}")
+    _COMMANDS[name][1](parser)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "e":
-            return _cmd_e(args, parser, "positive")
-        if args.command == "e-neg":
-            return _cmd_e(args, parser, "negative")
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command][2](args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -135,7 +136,15 @@ def load_corpus(directory: Path | None = None) -> list[dict]:
     corpus = []
     for path in files:
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                raise
+            except ValueError:  # an integer longer than the interpreter converts
+                raise FixtureError(
+                    f"{path.name}: a JSON integer has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
         _validate_fixture(data, path.name)
         corpus.append(data)
     return corpus

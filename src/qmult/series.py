@@ -20,6 +20,7 @@ constant term is a semantic error reported with the offending subexpression.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .exact import NotExpandableError, Polynomial, RationalFunction
@@ -98,7 +99,15 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", i, int(text[i:j]), j))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than the interpreter converts
+                raise SeriesSyntaxError(
+                    i,
+                    f"an integer of {j - i} digits",
+                    (f"an integer of at most {sys.get_int_max_str_digits()} digits",),
+                ) from None
+            tokens.append(_Token("int", i, value, j))
             i = j
             continue
         if ch == "t":

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, golden files."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from qmult import cli
 from qmult.cli import main
 from qmult.koszul import KoszulError, reduce
 from qmult.lengths import from_series
@@ -72,6 +74,15 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--expr", "1/(t", "--n", "3")
         assert code == 1
         assert "offset 4" in err
+
+    def test_too_many_digits_is_syntax_error(self, capsys):
+        # int() refuses more than 4300 digits with a plain ValueError.
+        code, out, err = run(capsys, "expand", "--expr", "t^1" + "0" * 5000, "--n", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: syntax error at offset 2: found an integer of 5001 digits, "
+            "expected an integer of at most 4300 digits\n"
+        )
 
     def test_negative_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -236,6 +247,15 @@ class TestStrictJsonInput:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field} ")
 
+
+    @pytest.mark.parametrize("command", ["fit", "theta"])
+    def test_too_many_digits_is_named_error(self, capsys, tmp_path, command):
+        # json.load raises a plain ValueError past the interpreter's 4300 digits.
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(two_sided_input()).replace('"d": 2', '"d": 1' + "0" * 5000))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: a JSON integer has more than 4300 digits\n"
 
     def test_underscored_and_non_ascii_rationals_rejected(self, capsys, tmp_path):
         # int() reads "1_0" and Arabic-Indic "10" as 10, so this ran as a
@@ -438,3 +458,113 @@ class TestIntegerFlags:
         code, _, err = run(capsys, "serre", "--tor", "1,-2")
         assert code == 1
         assert err.startswith("error: ")
+
+
+# argv edge cases for the per-command parse; "lf.json" need not exist.
+PARSE_CORPUS = [
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["e", "--expr", "1/(1-t)^2", "--help"],
+    # missing required flags
+    ["expand", "--expr", "1/(1-t)"],
+    ["limit", "--expr", "1/(1-t)^2", "--s", "1"],
+    ["theta"],
+    ["serre", "--json"],
+    # bad choices
+    ["cx", "--expr", "1/(1-t)^2", "--side", "up"],
+    ["e", "--expr", "1/(1-t)^2", "--convention", "neither"],
+    ["koszul", "--expr", "1/(1-t)^2", "--regime", "sideways"],
+    ["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "9", "--constant", "both"],
+    ["verify", "--suite", "none"],
+    # bad integers
+    ["expand", "--expr", "1/(1-t)", "--n", "-1"],
+    ["e", "--expr", "1/(1-t)^2", "--s", "1_0"],
+    ["fit", "--expr", "1/(1-t)^2", "--d", "two"],
+    ["verify", "--seed"],
+    # unknown flags and leftover arguments
+    ["expand", "--expr", "1", "--n", "2", "--bogus"],
+    ["e-neg", "--expr", "1/(1-t)^2", "--limit-n", "5"],
+    ["serre", "--tor", "3,1", "extra"],
+    ["e", "--expr", "1/(1-t)^2", "--json=1"],
+    ["e", "--", "--expr", "1/(1-t)^2"],
+    # abbreviations and the --flag=value form
+    ["e", "--ex", "1/(1-t)^3", "--json"],
+    ["e", "--expr", "t^2/(1-t^2)^2", "--s", "2", "--conv", "delta"],
+    ["expand", "--expr=1/(1-t)^3", "--n=4"],
+    # no subcommand at argv[0]
+    ["--", "e", "--expr", "1/(1-t)^3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["nonsense"],
+    ["--json", "e", "--expr", "1/(1-t)^3"],
+    # the handlers' own usage errors
+    ["cx", "--expr", "1/(1-t)^2", "--input", "lf.json"],
+    ["e"],
+    ["serre", "--tor", "1,,2"],
+    # runs that succeed or fail with exit 1
+    ["expand", "--expr", "1/(1-t)^3", "--n", "4", "--json"],
+    ["e", "--expr", "t^2/(1-t^2)^2", "--s", "2", "--limit-n", "1000"],
+    ["e-neg", "--expr", "1/(1-t)^2", "--json"],
+    ["serre", "--tor", "3,1"],
+    ["serre", "--tor", "1,-2"],
+    ["theta", "--input", "lf.json"],
+    ["expand", "--expr", "1/(t", "--n", "2"],
+]
+
+
+def outcome(capsys, call, argv):
+    """(return value, stdout, stderr, exit code) of ``call(argv)``."""
+    try:
+        result, code = call(list(argv)), None
+    except SystemExit as info:
+        result, code = None, info.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err, code
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestPerCommandParse:
+    """``main`` builds only the parser of the subcommand at argv[0]; its
+    output, exit code and Namespace must be those of the full parser."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_matches_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        assert outcome(capsys, cli._parse, argv) == outcome(capsys, full_parse, argv)
+        got = outcome(capsys, main, argv)
+        monkeypatch.setattr(cli, "_parse", full_parse)
+        assert got == outcome(capsys, main, argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cx", "--expr", "1", "--input", "lf.json"], "provide exactly one of --expr or --input"),
+            (["e"], "provide exactly one of --expr or --input"),
+            (["serre", "--tor", "1,,2"], "--tor must be a comma-separated list of integers"),
+            (["e-neg", "--expr", "1/(1-t)^2", "--limit-n", "5"], "unrecognized arguments: --limit-n 5"),
+        ],
+    )
+    def test_usage_errors_carry_the_full_usage(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = cli.build_parser().format_usage()
+        assert outcome(capsys, main, argv) == (None, "", f"{usage}qmult: error: {message}\n", 2)
+
+    def test_full_parser_is_not_built_for_a_named_subcommand(self, capsys, monkeypatch):
+        def full_parser():
+            raise AssertionError("built the full parser")
+
+        monkeypatch.setattr(cli, "build_parser", full_parser)
+        assert outcome(capsys, main, ["serre", "--tor", "3,1"]) == (0, "2\n", "", None)
+        assert outcome(capsys, main, ["e", "-h"])[3] == 0
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["qmult", "serre", "--tor", "3,1"])
+        assert outcome(capsys, lambda _: main(), []) == (0, "2\n", "", None)
+        monkeypatch.setattr(sys, "argv", ["qmult", "e-neg", "--expr", "1/(1-t)^2", "--limit-n", "5"])
+        _, out, err, code = outcome(capsys, lambda _: main(), [])
+        assert (out, code) == ("", 2)
+        assert err.endswith("qmult: error: unrecognized arguments: --limit-n 5\n")

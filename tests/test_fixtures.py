@@ -106,6 +106,15 @@ class TestCorpus:
         assert main(["verify", "--suite", "paper"]) == 1
         assert capsys.readouterr().err == "error: bad.json: cases must be an array, got 5\n"
 
+    def test_too_many_digits_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # json.load raises a plain ValueError past the interpreter's 4300 digits.
+        (tmp_path / "big.json").write_text('{"name": "x", "d": 1%s, "cases": []}' % ("0" * 5000))
+        with pytest.raises(FixtureError, match="^big.json: a JSON integer has more than 4300 digits$"):
+            load_corpus(tmp_path)
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr().err == "error: big.json: a JSON integer has more than 4300 digits\n"
+
     @pytest.mark.parametrize(
         "source, check, field",
         [

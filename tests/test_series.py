@@ -77,6 +77,19 @@ class TestErrors:
         with pytest.raises(SeriesSyntaxError):
             parse_series("1-t²")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("9" * 5000, 0), ("1-t^1" + "0" * 5000, 4)],
+        ids=["number", "exponent"],
+    )
+    def test_too_many_digits_is_syntax_error(self, text, offset):
+        # int() refuses more than 4300 digits with a plain ValueError.
+        with pytest.raises(SeriesSyntaxError) as info:
+            parse_series(text)
+        assert info.value.offset == offset
+        assert info.value.found == f"an integer of {len(text) - offset} digits"
+        assert info.value.expected == ("an integer of at most 4300 digits",)
+
     def test_semantic_error_names_subexpression(self):
         with pytest.raises(SeriesSemanticError) as info:
             parse_series("1/(t*(1-t))")
