@@ -19,7 +19,7 @@ from typing import NoReturn
 from .exact import NotExpandableError, format_rational, series_coefficients
 from .fixtures import FixtureError, run_corpus, run_property_suites
 from .koszul import KoszulError, reduce_chain
-from .lengths import FitError, LengthFunction, ModelError, from_series
+from .lengths import FitError, LengthFunction, ModelError, from_series, read_json
 from .multiplicity import (
     MultiplicityError,
     limit_estimate,
@@ -79,15 +79,10 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _read_length_function(path: str) -> LengthFunction:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise
-        except ValueError:  # an integer longer than the interpreter converts
-            raise ModelError(
-                f"{path}: a JSON integer has more than {sys.get_int_max_str_digits()} digits"
-            ) from None
+    try:
+        data = read_json(path)
+    except ModelError as err:
+        raise ModelError(f"{path}: {err}") from None
     return LengthFunction.from_json_dict(data)
 
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -267,10 +267,6 @@ class Polynomial:
     def to_json(self) -> list[str]:
         """Coefficient array, constant term first."""
         return [format_rational(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Sequence[str | int]) -> Polynomial:
-        return Polynomial(tuple(parse_rational(str(c)) for c in data))
 
 
 def _as_poly(x: Polynomial | Scalar) -> Polynomial:

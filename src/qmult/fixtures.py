@@ -2,35 +2,32 @@
 
 Fixtures ship as JSON files, one per worked example family, each holding a
 list of cases.  A case names its input (a series expression to expand and
-fit, an explicit length-function payload, or a homologically indexed list of
-lengths) and a list of expected checks.  Every check carries a provenance tag:
+fit, or an explicit length-function payload) and a list of expected checks.
+Every check carries a provenance tag:
 
 * ``published`` - the value is stated in the source literature;
 * ``derived``   - the value was computed with an independent oracle and frozen;
 * ``trivial``   - the value is immediate from the definitions.
 
-The runner executes every check; unknown check kinds, unknown fields,
-missing provenance, integer fields that are not JSON integers, rational fields
-that are not JSON integers or "p"/"p/q" strings, and values outside a field's
-closed set (``side``, ``regime``, ``convention``, ``constant``, ``parity``)
-are hard errors, so nothing can be skipped, coerced or read as a different
-check silently.
+Each file is parsed once, when the corpus loads: source and check fields by
+their parsers in ``_PARSERS``, checks against their kinds in ``CHECKS``.
+Unknown kinds, unknown or missing fields, malformed values, values outside a
+closed set and a check needing a source in a case without one are a
+:class:`FixtureError` naming the file, so nothing is skipped, coerced or misread.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .differences import binomial_polynomial
-from .exact import Polynomial, RationalFunction, parse_rational, series_coefficients
+from .exact import Polynomial, RationalFunction, series_coefficients
 from .koszul import reduce_chain
 from .lengths import (
     LengthFunction,
@@ -42,6 +39,7 @@ from .lengths import (
     _json_rational,
     fit_quasipoly,
     from_series,
+    read_json,
 )
 from .multiplicity import (
     euler_characteristic,
@@ -53,51 +51,168 @@ from .multiplicity import (
     theta_invariant,
     vanishing_window_check,
 )
-from .series import parse_series
+from .series import SeriesSemanticError, SeriesSyntaxError, parse_series
 
 PROVENANCE_TAGS = ("published", "derived", "trivial")
 
-_COMMON_FIELDS = {"check", "provenance"}
-
-CHECK_FIELDS = {
-    "cx": {"value"},
-    "cx_neg": {"value"},
-    "multiplicity": {"side", "s", "convention", "value"},
-    "g_table": {"side", "polys"},
-    "leading": {"side", "s", "values"},
-    "evaluate": {"n", "value"},
-    "herbrand": {"n", "value"},
-    "euler": {"value"},
-    "shift_multiplicity": {"k", "s", "convention", "value"},
-    "chain": {"regime", "s", "value"},
-    "limit": {"s", "ns", "constant", "target", "max_error"},
-    "theta": {"value"},
-    "serre": {"tor", "value"},
-    "window": {"m0", "parity", "result"},
-}
-
-CHECK_KINDS = tuple(sorted(CHECK_FIELDS))
-
 _SOURCE_FIELDS = {"series", "length_function", "d", "probe"}
 
-# Fields that hold a JSON integer, and fields that hold an array of them.
-_INT_FIELDS = ("d", "probe", "value", "s", "n", "k", "m0")
-_INT_ARRAY_FIELDS = ("ns", "tor")
 
-# Rational fields of a check: scalars, an array, and an array of coefficient
-# arrays.
-_RATIONAL_FIELDS = ("target", "max_error")
-_RATIONAL_ARRAY_FIELDS = ("values",)
-_POLY_ARRAY_FIELDS = ("polys",)
+def _json_object(value: object, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelError(f"{field} must be a JSON object, got {value!r}")
+    return value
 
-# Fields that hold one of a closed set of strings.
-_ENUM_FIELDS = {
-    "side": ("positive", "negative"),
-    "regime": ("positive", "negative"),
-    "convention": ("delta", "coefficient", "both"),
-    "constant": ("paper", "corrected"),
-    "parity": ("even", "odd"),
+
+def _array_of(parse: Callable[[object, str], object]) -> Callable[[object, str], list]:
+    def parse_array(value: object, field: str) -> list:
+        return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
+
+    return parse_array
+
+
+def _one_of(*allowed: str) -> Callable[[object, str], str]:
+    def parse_choice(value: object, field: str) -> str:
+        if value not in allowed:
+            raise ModelError(f"{field} must be one of {allowed}, got {value!r}")
+        return value
+
+    return parse_choice
+
+
+def _series(value: object, field: str) -> RationalFunction:
+    if not isinstance(value, str):
+        raise ModelError(f"{field} must be a string, got {value!r}")
+    try:
+        return parse_series(value)
+    except (SeriesSyntaxError, SeriesSemanticError) as err:
+        raise ModelError(f"{field}: {err}") from None
+
+
+def _length_function(value: object, field: str) -> LengthFunction:
+    try:
+        return LengthFunction.from_json_dict(value)
+    except ModelError as err:
+        raise ModelError(f"{field}: {err}") from None
+
+
+# field -> parser(JSON value, field name) -> typed value; errors name the field.
+_PARSERS = {
+    "series": _series,
+    "length_function": _length_function,
+    **dict.fromkeys(("d", "probe", "value", "s", "n", "k", "m0"), _json_int),
+    "ns": _array_of(_json_int),
+    "tor": _array_of(_json_int),
+    "target": _json_rational,
+    "max_error": _json_rational,
+    "values": _array_of(_json_rational),
+    "polys": _array_of(_json_poly),
+    "side": _one_of("positive", "negative"),
+    "regime": _one_of("positive", "negative"),
+    "convention": _one_of("delta", "coefficient", "both"),
+    "constant": _one_of("paper", "corrected"),
+    "parity": _one_of("even", "odd"),
+    "result": _one_of("confirmed", "window_not_found", "violated"),
 }
+
+
+def _equals(name: str, got: object, c: dict) -> tuple[bool, str]:
+    return got == c["value"], f"{name}={got}, want {c['value']}"
+
+
+def _multiplicity(report, c: dict, shown: str = "") -> tuple[bool, str]:
+    conv, want = c["convention"], c["value"]
+    if conv in ("delta", "coefficient"):
+        got = report.e_delta if conv == "delta" else report.e_coeff
+        return got == want, f"{shown}e_{conv}={got}, want {want}"
+    ok = report.e_delta == want and report.e_coeff == want
+    return ok, f"{shown}e_delta={report.e_delta}, e_coeff={report.e_coeff}, want both {want}"
+
+
+def _tail_polys(lf: LengthFunction, side: str) -> list[Polynomial]:
+    qp = lf.tail(side)
+    return list(qp.polys) if qp is not None else [Polynomial()] * lf.d
+
+
+def _g_table(lf: LengthFunction, c: dict) -> tuple[bool, str]:
+    got, want = _tail_polys(lf, c["side"]), c["polys"]
+    return got == want, f"g table {[str(p) for p in got]}, want {[str(p) for p in want]}"
+
+
+def _leading(lf: LengthFunction, c: dict) -> tuple[bool, str]:
+    got = [p.coefficient(c["s"] - 1) for p in _tail_polys(lf, c["side"])]
+    return got == c["values"], f"leading {got}, want {c['values']}"
+
+
+def _chain(lf: LengthFunction, c: dict) -> tuple[bool, str]:
+    chain = reduce_chain(lf, c["s"], c["regime"])
+    values_ok = all(v == c["value"] for v in chain.invariant_values)
+    cxs = [f.complexity(c["regime"]) for f in chain.functions]
+    drop_ok = all(cxs[i + 1] == max(cxs[i] - 1, 0) for i in range(len(cxs) - 1))
+    ok = values_ok and drop_ok
+    return ok, f"chain values {chain.invariant_values} (want {c['value']}), cx {cxs}"
+
+
+def _limit(lf: LengthFunction, c: dict) -> tuple[bool, str]:
+    errors = [abs(limit_estimate(lf, c["s"], n, c["constant"]) - c["target"]) for n in c["ns"]]
+    monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
+    ok = monotone and errors[-1] < c["max_error"]
+    shown = [f"{float(e):.3g}" for e in errors]
+    return ok, f"errors {shown} (monotone={monotone}, final<{c['max_error']})"
+
+
+def _window(lf: LengthFunction, c: dict) -> tuple[bool, str]:
+    status = vanishing_window_check(lf, c["m0"], c["parity"]).status
+    return status == c["result"], f"window {status}, want {c['result']}"
+
+
+class _Kind(NamedTuple):
+    """Required fields, the defaults of the optional ones, and the runner:
+    (length function, or None without a source; fields) -> (ok, detail)."""
+
+    required: tuple[str, ...]
+    defaults: dict[str, str]
+    run: Callable[[LengthFunction | None, dict], tuple[bool, str]]
+    needs_source: bool = True
+
+
+CHECKS = {
+    "cx": _Kind(("value",), {}, lambda lf, c: _equals("cx", lf.complexity("positive"), c)),
+    "cx_neg": _Kind(("value",), {}, lambda lf, c: _equals("cx_neg", lf.complexity("negative"), c)),
+    "multiplicity": _Kind(
+        ("s", "value"),
+        {"side": "positive", "convention": "both"},
+        lambda lf, c: _multiplicity(
+            (multiplicity_pos if c["side"] == "positive" else multiplicity_neg)(lf, c["s"]), c
+        ),
+    ),
+    "g_table": _Kind(("polys",), {"side": "positive"}, _g_table),
+    "leading": _Kind(("s", "values"), {"side": "positive"}, _leading),
+    "evaluate": _Kind(
+        ("n", "value"), {}, lambda lf, c: _equals(f"lambda({c['n']})", lf(c["n"]), c)
+    ),
+    "herbrand": _Kind(
+        ("n", "value"), {}, lambda lf, c: _equals(f"h({c['n']})", herbrand(lf, c["n"]), c)
+    ),
+    "euler": _Kind(("value",), {}, lambda lf, c: _equals("euler", euler_characteristic(lf), c)),
+    "shift_multiplicity": _Kind(
+        ("k", "s", "value"),
+        {"convention": "both"},
+        lambda lf, c: _multiplicity(multiplicity_pos(lf.shift(c["k"]), c["s"]), c, "shifted "),
+    ),
+    "chain": _Kind(("s", "value"), {"regime": "positive"}, _chain),
+    "limit": _Kind(("s", "ns", "constant", "target", "max_error"), {}, _limit),
+    "theta": _Kind(("value",), {}, lambda lf, c: _equals("theta", theta_invariant(lf), c)),
+    "serre": _Kind(
+        ("tor", "value"),
+        {},
+        lambda lf, c: _equals("serre", serre_intersection(c["tor"]), c),
+        needs_source=False,
+    ),
+    "window": _Kind(("m0", "parity", "result"), {}, _window),
+}
+
+CHECK_KINDS = tuple(sorted(CHECKS))
 
 
 class FixtureError(ValueError):
@@ -129,207 +244,78 @@ def fixture_dir() -> Path:
 
 
 def load_corpus(directory: Path | None = None) -> list[dict]:
+    """The parsed fixtures.  A case's source is None, a LengthFunction or a
+    series ``(RationalFunction, d, probe)``; a check holds the typed values of
+    the fields in the file."""
     base = directory if directory is not None else fixture_dir()
     files = sorted(Path(base).glob("*.json"))
     if not files:
         raise FixtureError(f"no fixture files in {base}")
     corpus = []
     for path in files:
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                raise
-            except ValueError:  # an integer longer than the interpreter converts
-                raise FixtureError(
-                    f"{path.name}: a JSON integer has more than "
-                    f"{sys.get_int_max_str_digits()} digits"
-                ) from None
-        _validate_fixture(data, path.name)
-        corpus.append(data)
+        try:
+            corpus.append(_parse_fixture(read_json(path)))
+        except ModelError as err:
+            raise FixtureError(f"{path.name}: {err}") from None
     return corpus
 
 
-def _validate_fixture(data: object, where: str) -> None:
-    _require(isinstance(data, dict), where, "fixture", "a JSON object", data)
-    keys = set(data)
+def _parse_fixture(data: object) -> dict:
+    keys = set(_json_object(data, "fixture"))
     if not {"name", "cases"} <= keys or keys - {"name", "d", "cases"}:
-        raise FixtureError(f"{where}: fixture needs exactly name/[d]/cases, got {sorted(keys)}")
-    _check_integers(data, where, "")
-    _require(isinstance(data["cases"], list), where, "cases", "an array", data["cases"])
-    for i, case in enumerate(data["cases"]):
+        raise ModelError(f"fixture needs exactly name/[d]/cases, got {sorted(keys)}")
+    d = _json_int(data.get("d", 2), "d")
+    cases = []
+    for i, case in enumerate(_json_list(data["cases"], "cases")):
         field = f"cases[{i}]"
-        _require(isinstance(case, dict), where, field, "a JSON object", case)
-        case_keys = set(case)
-        allowed = {"label", "source", "expected"}
-        if not {"label", "expected"} <= case_keys or case_keys - allowed:
-            raise FixtureError(f"{where}: case needs label/[source]/expected, got {sorted(case_keys)}")
+        keys = set(_json_object(case, field))
+        if not {"label", "expected"} <= keys or keys - {"label", "source", "expected"}:
+            raise ModelError(f"case needs label/[source]/expected, got {sorted(keys)}")
         source = case.get("source")
         if source is not None:
-            _require(isinstance(source, dict), where, f"{field}.source", "a JSON object", source)
-            series = source.get("series", "")
-            _require(isinstance(series, str), where, f"{field}.source.series", "a string", series)
-            unknown = set(source) - _SOURCE_FIELDS
-            if unknown:
-                raise FixtureError(f"{where}: unknown keys {sorted(unknown)} in {field}.source")
-            _check_integers(source, where, f"{field}.source.")
-        expected = case["expected"]
-        _require(isinstance(expected, list), where, f"{field}.expected", "an array", expected)
-        for j, check in enumerate(expected):
-            _require(
-                isinstance(check, dict), where, f"{field}.expected[{j}]", "a JSON object", check
-            )
-            kind = check.get("check")
-            if not isinstance(kind, str) or kind not in CHECK_FIELDS:
-                raise FixtureError(f"{where}: unknown check kind {kind!r}")
-            if check.get("provenance") not in PROVENANCE_TAGS:
-                raise FixtureError(
-                    f"{where}: check {kind!r} needs a provenance tag from {PROVENANCE_TAGS}"
-                )
-            unknown = set(check) - _COMMON_FIELDS - CHECK_FIELDS[kind]
-            if unknown:
-                raise FixtureError(
-                    f"{where}: unknown keys {sorted(unknown)} in check {kind!r}"
-                )
-            _check_integers(check, where, f"{field}.expected[{j}].")
-            _check_rationals(check, where, f"{field}.expected[{j}].")
-            for key, allowed in _ENUM_FIELDS.items():
-                if key in check:
-                    _require(
-                        check[key] in allowed,
-                        where,
-                        f"{field}.expected[{j}].{key}",
-                        f"one of {allowed}",
-                        check[key],
-                    )
+            source = _parse_source(source, f"{field}.source", d)
+        expected = [
+            _parse_check(check, f"{field}.expected[{j}]", source is not None)
+            for j, check in enumerate(_json_list(case["expected"], f"{field}.expected"))
+        ]
+        cases.append({"label": case["label"], "source": source, "expected": expected})
+    return {"name": data["name"], "cases": cases}
 
 
-def _require(ok: bool, where: str, field: str, what: str, value: object) -> None:
-    if not ok:
-        raise FixtureError(f"{where}: {field} must be {what}, got {value!r}")
+def _parse_fields(obj: dict, field: str, allowed: Iterable[str], where: str) -> dict:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ModelError(f"unknown keys {sorted(unknown)} in {where}")
+    return {key: _PARSERS[key](value, f"{field}.{key}") for key, value in obj.items()}
 
 
-def _check_integers(obj: dict, where: str, prefix: str) -> None:
-    """Integer fields must be JSON integers; bools, floats and strings are
-    rejected rather than coerced, as in length-function JSON."""
-    try:
-        for key in _INT_FIELDS:
-            if key in obj:
-                _json_int(obj[key], prefix + key)
-        for key in _INT_ARRAY_FIELDS:
-            if key in obj:
-                for i, v in enumerate(_json_list(obj[key], prefix + key)):
-                    _json_int(v, f"{prefix}{key}[{i}]")
-    except ModelError as err:
-        raise FixtureError(f"{where}: {err}") from None
-
-
-def _check_rationals(obj: dict, where: str, prefix: str) -> None:
-    """Rational fields follow the length-function JSON grammar."""
-    try:
-        for key in _RATIONAL_FIELDS:
-            if key in obj:
-                _json_rational(obj[key], prefix + key)
-        for key in _RATIONAL_ARRAY_FIELDS:
-            if key in obj:
-                for i, v in enumerate(_json_list(obj[key], prefix + key)):
-                    _json_rational(v, f"{prefix}{key}[{i}]")
-        for key in _POLY_ARRAY_FIELDS:
-            if key in obj:
-                for i, p in enumerate(_json_list(obj[key], prefix + key)):
-                    _json_poly(p, f"{prefix}{key}[{i}]")
-    except ModelError as err:
-        raise FixtureError(f"{where}: {err}") from None
-
-
-def _case_input(fixture: dict, case: dict) -> LengthFunction | None:
-    source = case.get("source")
-    if source is None:
-        return None
-    kinds = set(source) & {"series", "length_function"}
-    if len(kinds) != 1:
-        raise FixtureError(f"source must have exactly one of series/length_function: {source}")
-    if "series" in source:
-        d = source.get("d", fixture.get("d", 2))
-        return from_series(parse_series(source["series"]), d, source.get("probe", 80))
-    return LengthFunction.from_json_dict(source["length_function"])
-
-
-def _run_check(lf: LengthFunction | None, check: dict) -> tuple[bool, str]:
-    kind = check["check"]
-    if kind == "serre":
-        got = serre_intersection(check["tor"])
-        return got == check["value"], f"serre={got}, want {check['value']}"
-    assert lf is not None, f"check {kind} needs a case source"
-    if kind == "cx":
-        got = lf.complexity("positive")
-        return got == check["value"], f"cx={got}, want {check['value']}"
-    if kind == "cx_neg":
-        got = lf.complexity("negative")
-        return got == check["value"], f"cx_neg={got}, want {check['value']}"
-    if kind in ("multiplicity", "shift_multiplicity"):
-        if kind == "multiplicity":
-            side = check.get("side", "positive")
-            report = (multiplicity_pos if side == "positive" else multiplicity_neg)(lf, check["s"])
-            shown = ""
-        else:
-            report = multiplicity_pos(lf.shift(check["k"]), check["s"])
-            shown = "shifted "
-        conv = check.get("convention", "both")
-        want = check["value"]
-        if conv in ("delta", "coefficient"):
-            got = report.e_delta if conv == "delta" else report.e_coeff
-            return got == want, f"{shown}e_{conv}={got}, want {want}"
-        ok = report.e_delta == want and report.e_coeff == want
-        return ok, f"{shown}e_delta={report.e_delta}, e_coeff={report.e_coeff}, want both {want}"
-    if kind in ("g_table", "leading"):
-        qp = lf.tail(check.get("side", "positive"))
-        polys = qp.polys if qp is not None else (Polynomial(),) * lf.d
-        if kind == "g_table":
-            want = [Polynomial.from_json(p) for p in check["polys"]]
-            got = list(polys)
-            return got == want, f"g table {[str(p) for p in got]}, want {[str(p) for p in want]}"
-        got = [p.coefficient(check["s"] - 1) for p in polys]
-        want = [parse_rational(str(v)) for v in check["values"]]
-        return got == want, f"leading {got}, want {want}"
-    if kind == "evaluate":
-        got = lf(check["n"])
-        return got == check["value"], f"lambda({check['n']})={got}, want {check['value']}"
-    if kind == "herbrand":
-        got = herbrand(lf, check["n"])
-        return got == check["value"], f"h({check['n']})={got}, want {check['value']}"
-    if kind == "euler":
-        got = euler_characteristic(lf)
-        return got == check["value"], f"euler={got}, want {check['value']}"
-    if kind == "chain":
-        regime = check.get("regime", "positive")
-        chain = reduce_chain(lf, check["s"], regime)
-        want = check["value"]
-        values_ok = all(v == want for v in chain.invariant_values)
-        cxs = [f.complexity(regime) for f in chain.functions]
-        drop_ok = all(
-            cxs[i + 1] == max(cxs[i] - 1, 0) for i in range(len(cxs) - 1)
+def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple:
+    parsed = _parse_fields(_json_object(source, field), field, _SOURCE_FIELDS, field)
+    if ("series" in parsed) == ("length_function" in parsed):
+        raise ModelError(
+            f"{field} must have exactly one of series/length_function, got {sorted(source)}"
         )
-        ok = values_ok and drop_ok
-        return ok, f"chain values {chain.invariant_values} (want {want}), cx {cxs}"
-    if kind == "limit":
-        target = parse_rational(str(check["target"]))
-        max_error = parse_rational(str(check["max_error"]))
-        errors = []
-        for n in check["ns"]:
-            got = limit_estimate(lf, check["s"], n, check["constant"])
-            errors.append(abs(got - target))
-        monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
-        ok = monotone and errors[-1] < max_error
-        shown = [f"{float(e):.3g}" for e in errors]
-        return ok, f"errors {shown} (monotone={monotone}, final<{max_error})"
-    if kind == "theta":
-        got = theta_invariant(lf)
-        return got == check["value"], f"theta={got}, want {check['value']}"
-    if kind == "window":
-        result = vanishing_window_check(lf, check["m0"], check["parity"])
-        return result.status == check["result"], f"window {result.status}, want {check['result']}"
-    raise FixtureError(f"unknown check kind {kind!r}")
+    if "series" in parsed:
+        return parsed["series"], parsed.get("d", d), parsed.get("probe", 80)
+    return parsed["length_function"]
+
+
+def _parse_check(check: object, field: str, has_source: bool) -> dict:
+    kind = _json_object(check, field).get("check")
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise ModelError(f"unknown check kind {kind!r}")
+    provenance = check.get("provenance")
+    if provenance not in PROVENANCE_TAGS:
+        raise ModelError(f"check {kind!r} needs a provenance tag from {PROVENANCE_TAGS}")
+    spec = CHECKS[kind]
+    fields = {key: value for key, value in check.items() if key not in ("check", "provenance")}
+    parsed = _parse_fields(fields, field, (*spec.required, *spec.defaults), f"check {kind!r}")
+    missing = [key for key in spec.required if key not in parsed]
+    if missing:
+        raise ModelError(f"{field}: check {kind!r} needs keys {missing}")
+    if spec.needs_source and not has_source:
+        raise ModelError(f"{field}: check {kind!r} needs a case source")
+    return {"check": kind, "provenance": provenance, **parsed}
 
 
 def run_corpus(directory: Path | None = None) -> list[CheckResult]:
@@ -337,10 +323,13 @@ def run_corpus(directory: Path | None = None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for fixture in load_corpus(directory):
         for case in fixture["cases"]:
-            lf = _case_input(fixture, case)
+            lf = case["source"]
+            if isinstance(lf, tuple):  # a series: expanded and fitted when the case runs
+                lf = from_series(*lf)
             for check in case["expected"]:
+                spec = CHECKS[check["check"]]
                 try:
-                    ok, detail = _run_check(lf, check)
+                    ok, detail = spec.run(lf, {**spec.defaults, **check})
                 except Exception as err:  # a crash is a failure, not an abort
                     ok, detail = False, f"error: {err}"
                 results.append(

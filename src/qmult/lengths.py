@@ -23,6 +23,8 @@ back down, never an assumed one.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -408,6 +410,21 @@ def core_window(
         lo = min(lo, neg_tail.valid_from - d * (neg_tail.max_degree + 2))
         hi = max(hi, neg_tail.valid_from)
     return lo, hi
+
+
+def read_json(path) -> object:
+    """The JSON value in the file at ``path``; an integer too long to convert or
+    nesting too deep to decode is a :class:`ModelError`, other errors pass."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # an integer longer than the interpreter converts
+            digits = sys.get_int_max_str_digits()
+            raise ModelError(f"a JSON integer has more than {digits} digits") from None
+        except RecursionError:
+            raise ModelError("JSON arrays or objects are nested too deeply") from None
 
 
 def _json_int(value: object, field: str) -> int:

@@ -257,6 +257,21 @@ class TestStrictJsonInput:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: a JSON integer has more than 4300 digits\n"
 
+    @pytest.mark.parametrize("command", ["cx", "verify"])
+    def test_deep_nesting_is_named_error(self, capsys, tmp_path, monkeypatch, command):
+        # json.load raises RecursionError on arrays nested past the recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        if command == "cx":
+            code, out, err = run(capsys, "cx", "--input", str(path))
+            shown = path
+        else:
+            monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+            code, out, err = run(capsys, "verify", "--suite", "paper")
+            shown = path.name
+        assert (code, out) == (1, "")
+        assert err == f"error: {shown}: JSON arrays or objects are nested too deeply\n"
+
     def test_underscored_and_non_ascii_rationals_rejected(self, capsys, tmp_path):
         # int() reads "1_0" and Arabic-Indic "10" as 10, so this ran as a
         # valid function with a constant tail of 10 and exited 0.

@@ -1,18 +1,55 @@
 """Fixture corpus loading, strictness, and the seeded property suites."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qmult.cli import main
 from qmult.fixtures import (
+    CHECKS,
     FixtureError,
     fixture_dir,
     load_corpus,
     run_corpus,
     run_property_suites,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A well-formed value for every check field.
+VALID_FIELDS = {
+    "value": 1,
+    "s": 1,
+    "n": 0,
+    "k": 1,
+    "m0": 0,
+    "ns": [1],
+    "tor": [1],
+    "target": 1,
+    "max_error": 1,
+    "values": [],
+    "polys": [],
+    "constant": "paper",
+    "parity": "even",
+    "result": "confirmed",
+}
+
+VANISHING_LF = {
+    "d": 2,
+    "core": {"start": 0, "values": [1]},
+    "pos_tail": {"kind": "vanishing"},
+    "neg_tail": {"kind": "vanishing"},
+}
+
+
+def write_case(directory, case):
+    (directory / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
 
 
 class TestCorpus:
@@ -153,6 +190,7 @@ class TestCorpus:
             ("chain", "regime", "sideways"),
             ("limit", "constant", "exact"),
             ("window", "parity", 0),
+            ("window", "result", "confirmd"),
         ],
     )
     def test_value_outside_closed_set_rejected(self, tmp_path, kind, key, value):
@@ -185,6 +223,87 @@ class TestCorpus:
         (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
         with pytest.raises(FixtureError, match=re.escape(f"bad.json: cases[0].expected[0].{field} ")):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, key", [(kind, key) for kind, spec in CHECKS.items() for key in spec.required]
+    )
+    def test_missing_required_field_rejected(self, tmp_path, monkeypatch, capsys, kind, key):
+        # Unchecked, the check would load and then fail with a bare KeyError
+        # detail such as "error: 's'".
+        check = {"check": kind, "provenance": "trivial"}
+        check.update((k, VALID_FIELDS[k]) for k in CHECKS[kind].required if k != key)
+        write_case(tmp_path, {"label": "a", "source": {"series": "1/(1-t)"}, "expected": [check]})
+        message = f"bad.json: cases[0].expected[0]: check {kind!r} needs keys [{key!r}]"
+        with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
+            load_corpus(tmp_path)
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_check_without_source_rejected(self, tmp_path):
+        # Caught by an assert while the check runs, this would read
+        # "'NoneType' object has no attribute 'complexity'" under python -O.
+        serre = {"check": "serre", "provenance": "trivial", "tor": [1], "value": 1}
+        cx = {"check": "cx", "provenance": "trivial", "value": 1}
+        write_case(tmp_path, {"label": "a", "expected": [serre]})
+        assert load_corpus(tmp_path)[0]["cases"][0]["source"] is None
+        write_case(tmp_path, {"label": "a", "expected": [serre, cx]})
+        message = "bad.json: cases[0].expected[1]: check 'cx' needs a case source"
+        with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
+            load_corpus(tmp_path)
+
+    def test_check_without_source_rejected_without_asserts(self, tmp_path):
+        cx = {"check": "cx", "provenance": "trivial", "value": 1}
+        write_case(tmp_path, {"label": "a", "expected": [cx]})
+        env = dict(os.environ, MULT_FIXTURE_DIR=str(tmp_path), PYTHONPATH=str(SRC))
+        argv = [sys.executable, "-O", "-m", "qmult.cli", "verify", "--suite", "paper"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        message = "bad.json: cases[0].expected[0]: check 'cx' needs a case source"
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                {"d": 2},
+                "cases[0].source must have exactly one of series/length_function, got ['d']",
+            ),
+            (
+                {"series": "1", "length_function": VANISHING_LF},
+                "cases[0].source must have exactly one of series/length_function, "
+                "got ['length_function', 'series']",
+            ),
+            (
+                {"length_function": {"d": 2}},
+                "cases[0].source.length_function: missing fields in length function: "
+                "['core', 'neg_tail', 'pos_tail']",
+            ),
+            (
+                {"length_function": dict(VANISHING_LF, core={"start": 0, "values": [-1]})},
+                "cases[0].source.length_function: length values must be nonnegative",
+            ),
+            (
+                {"series": "1/(1-t"},
+                "cases[0].source.series: syntax error at offset 6: "
+                "found end of input, expected ')'",
+            ),
+            (
+                {"series": "1/0"},
+                "cases[0].source.series: denominator has zero constant term in subexpression '0' "
+                "at offsets 2..3",
+            ),
+        ],
+        ids=["no_kind", "both_kinds", "lf_fields", "lf_values", "series_syntax", "series_semantic"],
+    )
+    def test_malformed_source_names_the_file(self, tmp_path, monkeypatch, capsys, source, message):
+        # Parsed while the case runs, these would abort verify without the file name.
+        write_case(tmp_path, {"label": "a", "source": source, "expected": []})
+        with pytest.raises(FixtureError, match=f"^{re.escape('bad.json: ' + message)}$"):
+            load_corpus(tmp_path)
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr() == ("", f"error: bad.json: {message}\n")
 
     def test_unknown_source_key_rejected(self, tmp_path):
         case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}
