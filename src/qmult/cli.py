@@ -167,8 +167,7 @@ def _cmd_e(args, side: str) -> int:
         payload.update((f"limit_{c}", format_rational(v)) for c, v in limits.items())
         _print_json(payload)
     else:
-        for line in _report_lines(report, args.convention, lf.d, args.limit_n, limits):
-            print(line)
+        print("\n".join(_report_lines(report, args.convention, lf.d, args.limit_n, limits)))
     return 0
 
 
@@ -233,12 +232,8 @@ def _cmd_verify(args) -> int:
             }
         )
     else:
-        for r in results:
-            if r.ok:
-                print(f"PASS {r.key}")
-            else:
-                print(f"FAIL {r.key} -- {r.detail}")
-        print(f"passed {len(results) - len(failures)} of {len(results)}")
+        lines = [f"PASS {r.key}" if r.ok else f"FAIL {r.key} -- {r.detail}" for r in results]
+        print("\n".join(lines + [f"passed {len(results) - len(failures)} of {len(results)}"]))
     return 0 if not failures else 1
 
 
@@ -349,6 +344,13 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command][2](args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:  # only the refusal to write too long an integer
+        if "integer string conversion" not in str(err):
+            raise
+        # Every command builds its whole output before it prints: stdout is empty.
+        limit = sys.get_int_max_str_digits()
+        print(f"error: an output integer has more than {limit} digits", file=sys.stderr)
         return 1
 
 

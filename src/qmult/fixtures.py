@@ -14,6 +14,8 @@ their parsers in ``_PARSERS``, checks against their kinds in ``CHECKS``.
 Unknown kinds, unknown or missing fields, malformed values, values outside a
 closed set and a check needing a source in a case without one are a
 :class:`FixtureError` naming the file, so nothing is skipped, coerced or misread.
+A check that raises, or whose series does not fit, fails and never aborts
+the run.  The randomized property suites run from one table, ``PROPERTIES``.
 """
 
 from __future__ import annotations
@@ -64,8 +66,18 @@ def _json_object(value: object, field: str) -> dict:
     return value
 
 
-def _array_of(parse: Callable[[object, str], object]) -> Callable[[object, str], list]:
+def _json_str(value: object, field: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _array_of(
+    parse: Callable[[object, str], object], nonempty: bool = False
+) -> Callable[[object, str], list]:
     def parse_array(value: object, field: str) -> list:
+        if nonempty and value == []:
+            raise ModelError(f"{field} must be a nonempty array")
         return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
 
     return parse_array
@@ -81,10 +93,8 @@ def _one_of(*allowed: str) -> Callable[[object, str], str]:
 
 
 def _series(value: object, field: str) -> RationalFunction:
-    if not isinstance(value, str):
-        raise ModelError(f"{field} must be a string, got {value!r}")
     try:
-        return parse_series(value)
+        return parse_series(_json_str(value, field))
     except (SeriesSyntaxError, SeriesSemanticError) as err:
         raise ModelError(f"{field}: {err}") from None
 
@@ -101,7 +111,7 @@ _PARSERS = {
     "series": _series,
     "length_function": _length_function,
     **dict.fromkeys(("d", "probe", "value", "s", "n", "k", "m0"), _json_int),
-    "ns": _array_of(_json_int),
+    "ns": _array_of(_json_int, nonempty=True),
     "tor": _array_of(_json_int),
     "target": _json_rational,
     "max_error": _json_rational,
@@ -212,8 +222,6 @@ CHECKS = {
     "window": _Kind(("m0", "parity", "result"), {}, _window),
 }
 
-CHECK_KINDS = tuple(sorted(CHECKS))
-
 
 class FixtureError(ValueError):
     """A fixture file is malformed."""
@@ -264,6 +272,7 @@ def _parse_fixture(data: object) -> dict:
     keys = set(_json_object(data, "fixture"))
     if not {"name", "cases"} <= keys or keys - {"name", "d", "cases"}:
         raise ModelError(f"fixture needs exactly name/[d]/cases, got {sorted(keys)}")
+    name = _json_str(data["name"], "name")
     d = _json_int(data.get("d", 2), "d")
     cases = []
     for i, case in enumerate(_json_list(data["cases"], "cases")):
@@ -271,6 +280,7 @@ def _parse_fixture(data: object) -> dict:
         keys = set(_json_object(case, field))
         if not {"label", "expected"} <= keys or keys - {"label", "source", "expected"}:
             raise ModelError(f"case needs label/[source]/expected, got {sorted(keys)}")
+        label = _json_str(case["label"], f"{field}.label")
         source = case.get("source")
         if source is not None:
             source = _parse_source(source, f"{field}.source", d)
@@ -278,8 +288,8 @@ def _parse_fixture(data: object) -> dict:
             _parse_check(check, f"{field}.expected[{j}]", source is not None)
             for j, check in enumerate(_json_list(case["expected"], f"{field}.expected"))
         ]
-        cases.append({"label": case["label"], "source": source, "expected": expected})
-    return {"name": data["name"], "cases": cases}
+        cases.append({"label": label, "source": source, "expected": expected})
+    return {"name": name, "cases": cases}
 
 
 def _parse_fields(obj: dict, field: str, allowed: Iterable[str], where: str) -> dict:
@@ -324,11 +334,13 @@ def run_corpus(directory: Path | None = None) -> list[CheckResult]:
     for fixture in load_corpus(directory):
         for case in fixture["cases"]:
             lf = case["source"]
-            if isinstance(lf, tuple):  # a series: expanded and fitted when the case runs
-                lf = from_series(*lf)
             for check in case["expected"]:
                 spec = CHECKS[check["check"]]
                 try:
+                    # A series is expanded and fitted at the first check of
+                    # its case; if that fails, each check retries and fails.
+                    if isinstance(lf, tuple):
+                        lf = from_series(*lf)
                     ok, detail = spec.run(lf, {**spec.defaults, **check})
                 except Exception as err:  # a crash is a failure, not an abort
                     ok, detail = False, f"error: {err}"
@@ -405,119 +417,97 @@ def random_length_function(
     return LengthFunction(d, lo, tuple(values), qp, None)
 
 
-def _suite(
-    name: str, cases: Iterable[tuple[str, bool, str]]
-) -> list[CheckResult]:
-    return [
-        CheckResult("properties", name, label, "property", ok, detail)
-        for label, ok, detail in cases
-    ]
+def _fit_roundtrip(rng: random.Random, k: int) -> tuple[bool, str]:
+    d = rng.choice([2, 4])
+    polys = tuple(random_polynomial(rng) for _ in range(d))
+    samples = {d * m + i: polys[i](m) for m in range(0, 16) for i in range(d)}
+    fitted = fit_quasipoly(samples, d)
+    return fitted.polys == polys and fitted.valid_from == 0, f"d={d}"
+
+
+def _series_remultiply(rng: random.Random, k: int) -> tuple[bool, str]:
+    p = random_polynomial(rng)
+    while True:
+        q = random_polynomial(rng)
+        if q.coefficient(0) != 0:
+            break
+    n_max = rng.randint(0, 200)
+    f = RationalFunction(p, q)
+    product = Polynomial(tuple(series_coefficients(f, n_max))) * f.den
+    ok = all(product.coefficient(j) == f.num.coefficient(j) for j in range(n_max + 1))
+    return ok, f"n_max={n_max}"
+
+
+def _shift_alternation(rng: random.Random, k: int) -> tuple[bool, str]:
+    if k % 4 == 0:
+        lf = random_length_function(rng, min_cx=0)
+        if lf.complexity() == 0:
+            return -euler_characteristic(lf) == euler_characteristic(lf.shift(1)), "euler shift"
+    lf = random_length_function(rng, min_cx=1)
+    s = lf.complexity() + rng.randint(0, 1)
+    base = multiplicity_pos(lf, s)
+    shifted = multiplicity_pos(lf.shift(1), s)
+    period = multiplicity_pos(lf.shift(lf.d), s)
+    ok = shifted.e_delta == -base.e_delta and shifted.e_coeff == -base.e_coeff
+    return ok and period.e_delta == base.e_delta, f"s={s}"
+
+
+def _vanishing_above_complexity(rng: random.Random, k: int) -> tuple[bool, str]:
+    lf = random_length_function(rng)
+    cx = lf.complexity()
+    r1, r2 = multiplicity_pos(lf, cx + 1), multiplicity_pos(lf, cx + 2)
+    return r1.e_delta == r1.e_coeff == r2.e_delta == r2.e_coeff == 0, f"cx={cx}"
+
+
+def _convention_bridge(rng: random.Random, k: int) -> tuple[bool, str]:
+    lf = random_length_function(rng, min_cx=1)
+    s = lf.complexity() + rng.randint(0, 1)
+    report = multiplicity_pos(lf, s)
+    return report.e_coeff == lf.d ** (s - 1) * report.e_delta, f"d={lf.d}, s={s}"
+
+
+def _split_additivity(rng: random.Random, k: int) -> tuple[bool, str]:
+    d = rng.choice([2, 4])
+    a = random_length_function(rng, d=d)
+    b = random_length_function(rng, d=d)
+    s = max(a.complexity(), b.complexity(), 1)
+    total = multiplicity_pos(a + b, s)
+    ra, rb = multiplicity_pos(a, s), multiplicity_pos(b, s)
+    ok = total.e_delta == ra.e_delta + rb.e_delta and total.e_coeff == ra.e_coeff + rb.e_coeff
+    return ok, f"d={d}, s={s}"
+
+
+def _reflection_duality(rng: random.Random, k: int) -> tuple[bool, str]:
+    g = random_length_function(rng, d=rng.choice([2, 4, 6]), min_cx=1)
+    s = g.complexity() + rng.randint(0, 1)
+    pos = multiplicity_pos(g, s)
+    neg = multiplicity_neg(g.reflect(), s)
+    ok = neg.e_delta == pos.e_delta and neg.e_coeff == (-1) ** (s - 1) * pos.e_coeff
+    return ok, f"d={g.d}, s={s}"
+
+
+# name -> (property(generator, case index) -> (ok, detail), number of cases or
+# None for as many as the caller asks).  Suite i draws from
+# random.Random(seed + i), so the order is part of the output.
+PROPERTIES: dict[str, tuple[Callable[[random.Random, int], tuple[bool, str]], int | None]] = {
+    "fit_roundtrip": (_fit_roundtrip, None),
+    "series_remultiply": (_series_remultiply, None),
+    "shift_alternation": (_shift_alternation, None),
+    "vanishing_above_complexity": (_vanishing_above_complexity, None),
+    "convention_bridge": (_convention_bridge, None),
+    "split_additivity": (_split_additivity, 100),
+    "reflection_duality": (_reflection_duality, 100),
+}
 
 
 def run_property_suites(seed: int, cases: int = 200) -> list[CheckResult]:
-    """The seeded randomized invariants; deterministic for a fixed seed."""
-    results: list[CheckResult] = []
-
-    rng = random.Random(seed)
-    out = []
-    for k in range(cases):
-        d = rng.choice([2, 4])
-        polys = tuple(random_polynomial(rng) for _ in range(d))
-        samples = {
-            d * m + i: polys[i](m) for m in range(0, 16) for i in range(d)
-        }
-        fitted = fit_quasipoly(samples, d)
-        ok = fitted.polys == polys and fitted.valid_from == 0
-        out.append((f"case{k:03d}", ok, f"d={d}"))
-    results += _suite("fit_roundtrip", out)
-
-    rng = random.Random(seed + 1)
-    out = []
-    for k in range(cases):
-        p = random_polynomial(rng)
-        while True:
-            q = random_polynomial(rng)
-            if q.coefficient(0) != 0:
-                break
-        n_max = rng.randint(0, 200)
-        f = RationalFunction(p, q)
-        coeffs = series_coefficients(f, n_max)
-        product = Polynomial(tuple(coeffs)) * f.den
-        ok = all(product.coefficient(j) == f.num.coefficient(j) for j in range(n_max + 1))
-        out.append((f"case{k:03d}", ok, f"n_max={n_max}"))
-    results += _suite("series_remultiply", out)
-
-    rng = random.Random(seed + 2)
-    out = []
-    for k in range(cases):
-        if k % 4 == 0:
-            lf = random_length_function(rng, min_cx=0)
-            if lf.complexity() == 0:
-                want = -euler_characteristic(lf)
-                got = euler_characteristic(lf.shift(1))
-                ok = got == want
-                out.append((f"case{k:03d}", ok, "euler shift"))
-                continue
-        lf = random_length_function(rng, min_cx=1)
-        s = lf.complexity() + rng.randint(0, 1)
-        base = multiplicity_pos(lf, s)
-        shifted = multiplicity_pos(lf.shift(1), s)
-        period = multiplicity_pos(lf.shift(lf.d), s)
-        ok = (
-            shifted.e_delta == -base.e_delta
-            and shifted.e_coeff == -base.e_coeff
-            and period.e_delta == base.e_delta
-        )
-        out.append((f"case{k:03d}", ok, f"s={s}"))
-    results += _suite("shift_alternation", out)
-
-    rng = random.Random(seed + 3)
-    out = []
-    for k in range(cases):
-        lf = random_length_function(rng)
-        cx = lf.complexity()
-        r1 = multiplicity_pos(lf, cx + 1)
-        r2 = multiplicity_pos(lf, cx + 2)
-        ok = r1.e_delta == r1.e_coeff == r2.e_delta == r2.e_coeff == 0
-        out.append((f"case{k:03d}", ok, f"cx={cx}"))
-    results += _suite("vanishing_above_complexity", out)
-
-    rng = random.Random(seed + 4)
-    out = []
-    for k in range(cases):
-        lf = random_length_function(rng, min_cx=1)
-        s = lf.complexity() + rng.randint(0, 1)
-        report = multiplicity_pos(lf, s)
-        ok = report.e_coeff == lf.d ** (s - 1) * report.e_delta
-        out.append((f"case{k:03d}", ok, f"d={lf.d}, s={s}"))
-    results += _suite("convention_bridge", out)
-
-    rng = random.Random(seed + 5)
-    out = []
-    for k in range(100):
-        d = rng.choice([2, 4])
-        a = random_length_function(rng, d=d)
-        b = random_length_function(rng, d=d)
-        s = max(a.complexity(), b.complexity(), 1)
-        total = multiplicity_pos(a + b, s)
-        ra, rb = multiplicity_pos(a, s), multiplicity_pos(b, s)
-        ok = (
-            total.e_delta == ra.e_delta + rb.e_delta
-            and total.e_coeff == ra.e_coeff + rb.e_coeff
-        )
-        out.append((f"case{k:03d}", ok, f"d={d}, s={s}"))
-    results += _suite("split_additivity", out)
-
-    rng = random.Random(seed + 6)
-    out = []
-    for k in range(100):
-        g = random_length_function(rng, d=rng.choice([2, 4, 6]), min_cx=1)
-        s = g.complexity() + rng.randint(0, 1)
-        pos = multiplicity_pos(g, s)
-        neg = multiplicity_neg(g.reflect(), s)
-        ok = neg.e_delta == pos.e_delta and neg.e_coeff == (-1) ** (s - 1) * pos.e_coeff
-        out.append((f"case{k:03d}", ok, f"d={g.d}, s={s}"))
-    results += _suite("reflection_duality", out)
-
+    """The seeded randomized invariants of ``PROPERTIES``; deterministic for a
+    fixed seed."""
+    results = []
+    for i, (name, (prop, count)) in enumerate(PROPERTIES.items()):
+        rng = random.Random(seed + i)
+        for k in range(cases if count is None else count):
+            ok, detail = prop(rng, k)
+            results.append(CheckResult("properties", name, f"case{k:03d}", "property", ok, detail))
     results.sort(key=lambda r: r.key)
     return results

@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .differences import newton_polynomial
 from .exact import (
@@ -102,6 +102,17 @@ class QuasiPolynomial:
             polys.append(self.polys[self.d - i].compose_linear(-1, -1))
         return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
 
+    def negative_blocks(self, anchor: int, direction: int) -> Iterator[tuple[int, int]]:
+        """The sign certificate: ``(i, block)`` for each residue i that goes negative
+        at a degree d * block + i >= anchor (``direction=+1``) or <= anchor (-1).
+        Residue i's ray starts at the ceiling of (anchor - i) / d going up, the
+        floor going down."""
+        for i, p in enumerate(self.polys):
+            start = -direction * ((direction * (i - anchor)) // self.d)
+            bad = nonnegative_on_ray(p, start, direction)
+            if bad is not None:
+                yield i, bad
+
 
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
     """Validate the ``"pos"`` or ``"neg"`` tail of lf: its overlap with the core
@@ -132,17 +143,12 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {qp(n)}, core holds {expected}"
             )
-    # Nonnegativity out along the ray, certified by exact sign analysis.  The
-    # ray of residue i starts at the block nearest the anchor on its side:
-    # the ceiling of (valid_from - i) / d going up, the floor going down.
-    for i, p in enumerate(qp.polys):
-        m0 = -direction * ((direction * (i - qp.valid_from)) // lf.d)
-        bad = nonnegative_on_ray(p, m0, direction)
-        if bad is not None:
-            raise ModelError(
-                f"{side} tail polynomial for residue {i} goes negative at block {bad} "
-                f"(degree n={lf.d * bad + i})"
-            )
+    # Nonnegativity out along the ray, certified by exact sign analysis.
+    for i, block in qp.negative_blocks(qp.valid_from, direction):
+        raise ModelError(
+            f"{side} tail polynomial for residue {i} goes negative at block {block} "
+            f"(degree n={lf.d * block + i})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,13 +318,10 @@ class LengthFunction:
         if self.d != other.d:
             return False
 
-        def tail_polys(qp: QuasiPolynomial | None) -> tuple[Polynomial, ...] | None:
-            return None if qp is None else qp.polys
-
-        if tail_polys(self.pos_tail) != tail_polys(other.pos_tail):
-            return False
-        if tail_polys(self.neg_tail) != tail_polys(other.neg_tail):
-            return False
+        for side in ("positive", "negative"):
+            polys = [None if f.tail(side) is None else f.tail(side).polys for f in (self, other)]
+            if polys[0] != polys[1]:
+                return False
         lo = min(self.core_start, other.core_start)
         hi = max(self.core_end, other.core_end)
         return all(self(n) == other(n) for n in range(lo, hi + 1))

@@ -11,7 +11,8 @@ The grammar is tiny and fixed, so this is a plain recursive-descent parser:
 Binary operators associate left.  '^' binds tighter than unary minus, so
 ``-t^2`` means -(t^2).  Exponents must be nonnegative integer literals.
 Implicit multiplication is not supported: adjacent factors need '*'.
-Whitespace is insignificant; input must be ASCII.
+Whitespace is insignificant; input must be ASCII.  Parentheses and unary
+minus signs nest at most ``MAX_NESTING`` deep, inside the recursion limit.
 
 Parsing produces an AST of :class:`Node` values carrying byte spans, which
 evaluates to a :class:`RationalFunction`.  A division whose divisor has a zero
@@ -20,10 +21,14 @@ constant term is a semantic error reported with the offending subexpression.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
 from .exact import NotExpandableError, Polynomial, RationalFunction
+
+
+MAX_NESTING = 100
 
 
 class SeriesSyntaxError(ValueError):
@@ -110,11 +115,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("int", i, value, j))
             i = j
             continue
-        if ch == "t":
-            tokens.append(_Token("t", i, 0, i + 1))
-            i += 1
-            continue
-        if ch in _TOKEN_NAMES:
+        if ch == "t" or ch in _TOKEN_NAMES:
             tokens.append(_Token(ch, i, 0, i + 1))
             i += 1
             continue
@@ -128,6 +129,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs
 
     @property
     def current(self) -> _Token:
@@ -143,6 +145,16 @@ class _Parser:
             raise self._fail((_TOKEN_NAMES.get(kind, kind),))
         self.pos += 1
         return tok
+
+    def _nested(self, parse, tok: _Token) -> Node:
+        """``parse()`` one nesting level below ``tok``, a '(' or a unary '-'."""
+        if self.depth == MAX_NESTING:
+            expected = f"at most {MAX_NESTING} nested parentheses and unary minus signs"
+            raise SeriesSyntaxError(tok.offset, "an expression nested too deeply", (expected,))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -171,7 +183,7 @@ class _Parser:
     def unary(self) -> Node:
         if self.current.kind == "-":
             tok = self._eat("-")
-            inner = self.unary()
+            inner = self._nested(self.unary, tok)
             return Node("neg", tok.offset, inner.end, children=(inner,))
         return self.power()
 
@@ -187,15 +199,12 @@ class _Parser:
 
     def atom(self) -> Node:
         tok = self.current
-        if tok.kind == "int":
-            self._eat("int")
-            return Node("int", tok.offset, tok.end, tok.value)
-        if tok.kind == "t":
-            self._eat("t")
-            return Node("t", tok.offset, tok.end)
+        if tok.kind in ("int", "t"):
+            self._eat(tok.kind)
+            return Node(tok.kind, tok.offset, tok.end, tok.value)
         if tok.kind == "(":
             self._eat("(")
-            node = self.expr()
+            node = self._nested(self.expr, tok)
             close = self._eat(")")
             return Node(node.kind, tok.offset, close.offset + 1, node.value, node.children)
         raise self._fail(("integer", "'t'", "'-'", "'('"))
@@ -206,36 +215,38 @@ def parse_expression(text: str) -> Node:
     return _Parser(text).parse()
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
 def evaluate_expression(node: Node, source: str) -> RationalFunction:
-    """Fold an AST into a RationalFunction, reporting non-expandable divisors."""
+    """Fold an AST into a RationalFunction, reporting non-expandable divisors.
+
+    A chain like ``t+t+...+t`` is a left spine as deep as it is long, so the
+    spine is folded in a loop; only right operands and signs recurse.
+    """
+    spine = []
+    while node.kind in _BINARY or node.kind == "pow":
+        spine.append(node)
+        node = node.children[0]
     if node.kind == "int":
-        return RationalFunction.const(node.value)
-    if node.kind == "t":
-        return RationalFunction.from_polynomial(Polynomial.t())
-    if node.kind == "neg":
-        return -evaluate_expression(node.children[0], source)
-    if node.kind == "pow":
-        return evaluate_expression(node.children[0], source) ** node.value
-    lhs = evaluate_expression(node.children[0], source)
-    rhs = evaluate_expression(node.children[1], source)
-    if node.kind == "add":
-        return lhs + rhs
-    if node.kind == "sub":
-        return lhs - rhs
-    if node.kind == "mul":
-        return lhs * rhs
-    if node.kind == "div":
-        divisor = node.children[1]
+        value = RationalFunction.const(node.value)
+    elif node.kind == "t":
+        value = RationalFunction.from_polynomial(Polynomial.t())
+    else:
+        value = -evaluate_expression(node.children[0], source)
+    for node in reversed(spine):
+        if node.kind == "pow":
+            value = value ** node.value
+            continue
+        rhs = node.children[1]
         try:
-            return lhs / rhs
-        except NotExpandableError:
+            value = _BINARY[node.kind](value, evaluate_expression(rhs, source))
+        except NotExpandableError:  # raised only by a division
+            fragment = source[rhs.start : rhs.end]
             raise SeriesSemanticError(
-                "denominator has zero constant term",
-                divisor.start,
-                divisor.end,
-                source[divisor.start : divisor.end],
+                "denominator has zero constant term", rhs.start, rhs.end, fragment
             ) from None
-    raise AssertionError(f"unknown node kind {node.kind}")
+    return value
 
 
 def parse_series(text: str) -> RationalFunction:

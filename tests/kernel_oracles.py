@@ -12,14 +12,18 @@ arithmetic with the kernels they check.
 
 The tail check and the sum of two length functions are kept in their
 mirrored form, one hand-written branch per side, against which the single
-side-parametrized code path is compared.
+side-parametrized code path is compared.  The Koszul step keeps the sign
+certificate of its reduced tails written out inline, with its own ceiling and
+floor ray starts from the window edges, against which the tail's one
+certificate method is compared.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from qmult.exact import Polynomial, nonnegative_on_ray
-from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial
+from qmult.koszul import KoszulError, _reduced_tail
+from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, core_window
 
 
 def const(c):
@@ -280,3 +284,37 @@ def add(a, b):
         hi = max(hi, neg.valid_from)
     values = tuple(a(n) + b(n) for n in range(lo, hi + 1))
     return LengthFunction(a.d, lo, values, pos, neg)
+
+
+def koszul_reduce(lf, regime="positive"):
+    """One Koszul step: the reduced core scanned on its window, then each
+    reduced tail certified residue by residue on the ray past the window."""
+    if regime not in ("positive", "negative"):
+        raise ValueError("regime must be 'positive' or 'negative'")
+    d = lf.d
+    ahead, behind = (d, 0) if regime == "positive" else (1, d + 1)
+    pos = _reduced_tail(lf.pos_tail, regime, "pos")
+    neg = _reduced_tail(lf.neg_tail, regime, "neg")
+    lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
+    values = tuple(lf(n + ahead) - lf(n + behind) for n in range(lo, hi + 1))
+    violations = [lo + k for k, v in enumerate(values) if v < 0]
+    for qp, direction in ((pos, 1), (neg, -1)):
+        if qp is None:
+            continue
+        anchor = hi + 1 if direction == 1 else lo - 1
+        for i, p in enumerate(qp.polys):
+            if direction == 1:
+                m0 = -((anchor - i) // -d)  # ceil division
+            else:
+                m0 = (anchor - i) // d
+            bad = nonnegative_on_ray(p, m0, direction)
+            if bad is not None:
+                violations.append(d * bad + i)
+    if violations:
+        word = "injective" if regime == "positive" else "surjective"
+        raise KoszulError(
+            f"not eventually {word} in model: reduction goes negative at "
+            f"n in {sorted(violations)[:8]}",
+            violations=tuple(sorted(violations)),
+        )
+    return LengthFunction._unchecked(d, lo, values, pos, neg)

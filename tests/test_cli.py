@@ -84,6 +84,20 @@ class TestExpand:
             "expected an integer of at most 4300 digits\n"
         )
 
+    @pytest.mark.parametrize(
+        "expr_flag",
+        [["--expr", "(" * 900 + "t" + ")" * 900], ["--expr=" + "-" * 5000 + "t"]],
+        ids=["parentheses", "minus_signs"],
+    )
+    def test_deep_nesting_is_syntax_error(self, capsys, expr_flag):
+        # The recursive descent raised RecursionError with a traceback.
+        code, out, err = run(capsys, "expand", *expr_flag, "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: syntax error at offset 100: found an expression nested too deeply, "
+            "expected at most 100 nested parentheses and unary minus signs\n"
+        )
+
     def test_negative_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["expand", "--expr", "1/(1-t)", "--n", "-1"])
@@ -296,6 +310,37 @@ class TestStrictJsonInput:
         assert run(capsys, "cx", "--input", str(path)) == (0, "1\n", "")
 
 
+BIG = "9" * 2200  # squared, past the interpreter's 4300 digits of decimal text
+
+
+class TestOutputDigitLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--expr", f"{BIG}*{BIG}", "--n", "0"],
+            ["e", "--expr", f"{BIG}^2/(1-t^2)"],
+            ["e", "--expr", f"{BIG}^2/(1-t^2)", "--json"],
+            ["fit", "--expr", f"{BIG}^2/(1-t^2)"],
+        ],
+        ids=["expand", "e", "e_json", "fit"],
+    )
+    def test_too_long_output_integer_is_named_error(self, capsys, argv):
+        # str() refuses more than 4300 digits with a plain ValueError; the
+        # text report had printed its first lines before it.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: an output integer has more than 4300 digits\n"
+
+    def test_other_value_errors_are_not_caught(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("math domain error")
+
+        help_text, flags, _ = cli._COMMANDS["serre"]
+        monkeypatch.setitem(cli._COMMANDS, "serre", (help_text, flags, broken))
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["serre", "--tor", "1"])
+
+
 class TestKoszulCommand:
     def test_chain_json(self, capsys):
         code, out, _ = run(capsys, "koszul", "--expr", "t^2/(1-t^2)^2", "--d", "2", "--s", "2")
@@ -406,6 +451,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
         assert code == 0
         check_golden("verify_all_seed0.txt", out)
+
+    def test_properties_seed1_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "properties", "--seed", "1")
+        assert code == 0
+        check_golden("verify_properties_seed1.txt", out)
 
     def test_paper_json_golden(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper", "--json")

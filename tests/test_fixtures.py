@@ -48,6 +48,19 @@ VANISHING_LF = {
 }
 
 
+SERIES = {"series": "1/(1-t)"}
+
+EMPTY_NS = {
+    "check": "limit",
+    "provenance": "trivial",
+    "s": 1,
+    "ns": [],
+    "constant": "paper",
+    "target": 1,
+    "max_error": 1,
+}
+
+
 def write_case(directory, case):
     (directory / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
 
@@ -293,8 +306,21 @@ class TestCorpus:
                 "cases[0].source.series: denominator has zero constant term in subexpression '0' "
                 "at offsets 2..3",
             ),
+            (
+                {"series": "(" * 900 + "t" + ")" * 900},
+                "cases[0].source.series: syntax error at offset 100: found an expression "
+                "nested too deeply, expected at most 100 nested parentheses and unary minus signs",
+            ),
         ],
-        ids=["no_kind", "both_kinds", "lf_fields", "lf_values", "series_syntax", "series_semantic"],
+        ids=[
+            "no_kind",
+            "both_kinds",
+            "lf_fields",
+            "lf_values",
+            "series_syntax",
+            "series_semantic",
+            "series_nested",
+        ],
     )
     def test_malformed_source_names_the_file(self, tmp_path, monkeypatch, capsys, source, message):
         # Parsed while the case runs, these would abort verify without the file name.
@@ -304,6 +330,58 @@ class TestCorpus:
         monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
         assert main(["verify", "--suite", "paper"]) == 1
         assert capsys.readouterr() == ("", f"error: bad.json: {message}\n")
+
+    @pytest.mark.parametrize(
+        "fixture, message",
+        [
+            (
+                {"name": "x", "cases": [{"label": "a", "source": SERIES, "expected": [EMPTY_NS]}]},
+                "cases[0].expected[0].ns must be a nonempty array",
+            ),
+            (
+                {"name": "x", "cases": [{"label": {"a": 1}, "expected": []}]},
+                "cases[0].label must be a string, got {'a': 1}",
+            ),
+            ({"name": 5, "cases": []}, "name must be a string, got 5"),
+        ],
+        ids=["empty_ns", "label", "name"],
+    )
+    def test_bad_field_names_the_file(self, tmp_path, monkeypatch, capsys, fixture, message):
+        # Before, an empty ns loaded and failed with "error: list index out of
+        # range", and a label or name that is not a string was printed as its repr.
+        (tmp_path / "bad.json").write_text(json.dumps(fixture))
+        with pytest.raises(FixtureError, match=f"^{re.escape('bad.json: ' + message)}$"):
+            load_corpus(tmp_path)
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr() == ("", f"error: bad.json: {message}\n")
+
+    def test_unfit_series_fails_each_check_of_its_case(self, tmp_path, monkeypatch, capsys):
+        # Before, the fit ran outside the per-check try: its error aborted
+        # verify without the file or the case, and no other check was reported.
+        cx = {"check": "cx", "provenance": "trivial", "value": 1}
+        mult = {"check": "multiplicity", "provenance": "trivial", "s": 1, "value": 1}
+        fixture = {
+            "name": "x",
+            "cases": [
+                {"label": "unfit", "source": {"series": "1/(1-t^3)", "d": 2}, "expected": [cx, mult]},
+                {"label": "fit", "source": {"series": "1/(1-t)"}, "expected": [cx]},
+            ],
+        }
+        (tmp_path / "bad.json").write_text(json.dumps(fixture))
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        error = (
+            "error: increase probe: no polynomial stabilization in residue class 0 "
+            "(tried degrees up to 19)"
+        )
+        assert capsys.readouterr() == (
+            "PASS paper/x/fit/cx\n"
+            f"FAIL paper/x/unfit/cx -- {error}\n"
+            f"FAIL paper/x/unfit/multiplicity(s=1) -- {error}\n"
+            "passed 1 of 3\n",
+            "",
+        )
 
     def test_unknown_source_key_rejected(self, tmp_path):
         case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}

@@ -274,3 +274,26 @@ class TestAxioms:
         report = axioms_check(f, {})
         assert report.ok
         assert report.entries == ()
+
+    def test_each_axiom_records_the_first_error_raised(self):
+        # Where both sides of a comparison raise, the report keeps the error of
+        # the side computed first: the axiom's value before f, except in the
+        # reduction step, where f(lf, cx) comes before f on the reduced function.
+        def f(lf, s):
+            raise ValueError(f"f({s})")
+
+        dip = QuasiPolynomial(2, (poly(4, -4, 1), poly(4, -4, 1)), 0)  # (m - 2)^2
+        falling = LengthFunction.from_values(2, lambda n: int(dip(n)), 0, 0, dip, None)
+        with pytest.raises(KoszulError):
+            reduce(falling, "positive")
+        report = axioms_check(f, {"falling": falling, "two_sided": xy_fixture(1).reflect()})
+        infinite = "Euler characteristic needs finite support"
+        assert report.entries == (
+            ("falling", "vanishing above complexity", False, "f(4)"),
+            ("falling", "reduction step", False, "f(3)"),
+            ("falling", "uniqueness", False, report.entries[2][3]),
+            ("two_sided", "vanishing above complexity", False, "f(1)"),
+            ("two_sided", "alternating sum at complexity 0", False, infinite),
+            ("two_sided", "uniqueness", False, infinite),
+        )
+        assert report.entries[2][3].startswith("not eventually injective")

@@ -7,6 +7,7 @@ import pytest
 
 from qmult.exact import Polynomial, RationalFunction
 from qmult.series import (
+    MAX_NESTING,
     SeriesSemanticError,
     SeriesSyntaxError,
     parse_expression,
@@ -89,6 +90,40 @@ class TestErrors:
         assert info.value.offset == offset
         assert info.value.found == f"an integer of {len(text) - offset} digits"
         assert info.value.expected == ("an integer of at most 4300 digits",)
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(" * 900 + "t" + ")" * 900, 100),
+            ("-" * 5000 + "t", 100),
+            ("-(" * 60 + "t" + ")" * 60, 100),
+        ],
+        ids=["parentheses", "minus_signs", "mixed"],
+    )
+    def test_deep_nesting_is_syntax_error(self, text, offset):
+        # The recursive descent raised RecursionError here.
+        with pytest.raises(SeriesSyntaxError) as info:
+            parse_series(text)
+        assert info.value.offset == offset
+        assert info.value.found == "an expression nested too deeply"
+        assert info.value.expected == (
+            f"at most {MAX_NESTING} nested parentheses and unary minus signs",
+        )
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert parse_series("(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == parse_series("t")
+        assert parse_series("-" * MAX_NESTING + "t") == parse_series("t")
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "^1*"])
+    def test_long_operator_chain_evaluates(self, op):
+        # A chain parses to a left spine as deep as it is long; evaluating
+        # it by recursion raised RecursionError.
+        f = parse_series("t" + (op + "t") * 3000)
+        want = {"+": 3001 * Polynomial.t(), "-": -2999 * Polynomial.t()}
+        if op in want:
+            assert f == RationalFunction.from_polynomial(want[op])
+        else:
+            assert f.num.degree == 3001
 
     def test_semantic_error_names_subexpression(self):
         with pytest.raises(SeriesSemanticError) as info:
