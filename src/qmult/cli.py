@@ -2,6 +2,9 @@
 
 Subcommands: expand, fit, cx, e, e-neg, koszul, limit, theta, serre, verify.
 Exit codes: 0 success, 1 computational or validation error, 2 usage error.
+Each handler returns its exit code, JSON payload and text and prints nothing;
+``main`` renders the one the flags ask for and is the only place that prints
+to stdout.
 Output is deterministic for fixed inputs and seed.  The environment variable
 MULT_FIXTURE_DIR overrides the fixture corpus location for ``verify``.
 """
@@ -44,6 +47,10 @@ _ERRORS = (
     json.JSONDecodeError,
 )
 
+
+# What a handler returns: (exit code, JSON payload, text).  ``main`` prints the
+# text, or the payload as JSON under --json or when there is no text form.
+Result = tuple[int, object, str | None]
 
 _INT = re.compile(r"-?[0-9]+")
 
@@ -94,30 +101,17 @@ def _load_input(args: argparse.Namespace) -> LengthFunction:
     return _read_length_function(args.input)
 
 
-def _print_json(payload: object) -> None:
-    print(json.dumps(payload, indent=2))
+def _cmd_expand(args) -> Result:
+    coeffs = [format_rational(c) for c in series_coefficients(parse_series(args.expr), args.n)]
+    return 0, {"expr": args.expr, "coefficients": coeffs}, " ".join(coeffs)
 
 
-def _cmd_expand(args) -> int:
-    f = parse_series(args.expr)
-    coeffs = series_coefficients(f, args.n)
-    if args.json:
-        _print_json({"expr": args.expr, "coefficients": [format_rational(c) for c in coeffs]})
-    else:
-        print(" ".join(format_rational(c) for c in coeffs))
-    return 0
+def _cmd_fit(args) -> Result:
+    return 0, _load_input(args).to_json_dict(), None
 
 
-def _cmd_fit(args) -> int:
-    lf = _load_input(args)
-    _print_json(lf.to_json_dict())
-    return 0
-
-
-def _cmd_cx(args) -> int:
-    lf = _load_input(args)
-    print(lf.complexity(args.side))
-    return 0
+def _cmd_cx(args) -> Result:
+    return 0, None, str(_load_input(args).complexity(args.side))
 
 
 def _report_lines(
@@ -154,7 +148,7 @@ def _approx(value: Fraction) -> str:
     return f"{format_rational(value)} (~ {float(value):.6f})"
 
 
-def _cmd_e(args, side: str) -> int:
+def _cmd_e(args, side: str) -> Result:
     lf = _load_input(args)
     compute = multiplicity_pos if side == "positive" else multiplicity_neg
     s = args.s if args.s is not None else lf.complexity(side)
@@ -162,79 +156,56 @@ def _cmd_e(args, side: str) -> int:
     limits = {}
     if args.limit_n is not None:
         limits = {c: limit_estimate(lf, s, args.limit_n, c) for c in ("paper", "corrected")}
+    # Only the requested form is built: the text formats every tail polynomial.
     if args.json:
         payload = report.to_json_dict()
         payload.update((f"limit_{c}", format_rational(v)) for c, v in limits.items())
-        _print_json(payload)
-    else:
-        print("\n".join(_report_lines(report, args.convention, lf.d, args.limit_n, limits)))
-    return 0
+        return 0, payload, None
+    return 0, None, "\n".join(_report_lines(report, args.convention, lf.d, args.limit_n, limits))
 
 
-def _cmd_koszul(args) -> int:
+def _cmd_koszul(args) -> Result:
     lf = _load_input(args)
     s = args.s if args.s is not None else lf.complexity(args.regime)
-    chain = reduce_chain(lf, s, args.regime)
-    _print_json(chain.to_json_dict())
-    return 0
+    return 0, reduce_chain(lf, s, args.regime).to_json_dict(), None
 
 
-def _cmd_limit(args) -> int:
-    lf = _load_input(args)
-    est = limit_estimate(lf, args.s, args.n, args.constant)
-    if args.json:
-        _print_json(
-            {"s": args.s, "n": args.n, "constant": args.constant, "estimate": format_rational(est)}
-        )
-    else:
-        print(_approx(est))
-    return 0
+def _cmd_limit(args) -> Result:
+    est = limit_estimate(_load_input(args), args.s, args.n, args.constant)
+    payload = {"s": args.s, "n": args.n, "constant": args.constant, "estimate": format_rational(est)}
+    return 0, payload, _approx(est)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> Result:
     value = theta_invariant(_read_length_function(args.input))
-    if args.json:
-        _print_json({"theta": value})
-    else:
-        print(value)
-    return 0
+    return 0, {"theta": value}, str(value)
 
 
-def _cmd_serre(args) -> int:
+def _cmd_serre(args) -> Result:
     try:
         tor = [_int(part) for part in args.tor.split(",")]
     except argparse.ArgumentTypeError:
         _usage_error("--tor must be a comma-separated list of integers")
     value = serre_intersection(tor)
-    if args.json:
-        _print_json({"serre": value})
-    else:
-        print(value)
-    return 0
+    return 0, {"serre": value}, str(value)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     results = []
     if args.suite in ("paper", "all"):
         results += run_corpus()
     if args.suite in ("properties", "all"):
         results += run_property_suites(args.seed)
     results.sort(key=lambda r: r.key)
-    failures = [r for r in results if not r.ok]
-    if args.json:
-        _print_json(
-            {
-                "results": [
-                    {"name": r.key, "ok": r.ok, "detail": r.detail} for r in results
-                ],
-                "passed": len(results) - len(failures),
-                "failed": len(failures),
-            }
-        )
-    else:
-        lines = [f"PASS {r.key}" if r.ok else f"FAIL {r.key} -- {r.detail}" for r in results]
-        print("\n".join(lines + [f"passed {len(results) - len(failures)} of {len(results)}"]))
-    return 0 if not failures else 1
+    failed = sum(not r.ok for r in results)
+    payload = {
+        "results": [{"name": r.key, "ok": r.ok, "detail": r.detail} for r in results],
+        "passed": len(results) - failed,
+        "failed": failed,
+    }
+    lines = [f"PASS {r.key}" if r.ok else f"FAIL {r.key} -- {r.detail}" for r in results]
+    lines.append(f"passed {len(results) - failed} of {len(results)}")
+    return 1 if failed else 0, payload, "\n".join(lines)
 
 
 def _expand_flags(p: argparse.ArgumentParser) -> None:
@@ -341,17 +312,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command][2](args)
+        code, payload, text = _COMMANDS[args.command][2](args)
+        as_json = text is None or getattr(args, "json", False)
+        output = json.dumps(payload, indent=2) if as_json else text
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:  # only the refusal to write too long an integer
         if "integer string conversion" not in str(err):
             raise
-        # Every command builds its whole output before it prints: stdout is empty.
+        # The output is rendered whole before it is printed: stdout is empty.
         limit = sys.get_int_max_str_digits()
         print(f"error: an output integer has more than {limit} digits", file=sys.stderr)
         return 1
+    print(output)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ violating degrees) when the difference goes negative anywhere, since then no
 globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
 regime, so the complexity drops by exactly one per step while it is positive.
-The negative regime is the positive one reflected: its tails are the positive
-step of the reflected tails (n -> lambda(-n)), reflected back and shifted by
-d + 1, which is exactly lambda(n + 1) - lambda(n + d + 1).
+The negative regime's difference lambda(n + 1) - lambda(n + d + 1) is minus
+the positive one at n + 1, so its tails are the positive step negated and
+shifted by one.
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
@@ -47,24 +47,19 @@ class KoszulError(ValueError):
         super().__init__(message)
 
 
-def _forward_step(qp: QuasiPolynomial, side: str) -> QuasiPolynomial:
-    """The positive-regime tail: g_i -> g_i(t+1) - g_i(t)."""
-    anchor = qp.valid_from if side == "pos" else qp.valid_from - qp.d
-    return QuasiPolynomial(qp.d, tuple(p.forward_difference() for p in qp.polys), anchor)
-
-
 def _reduced_tail(qp: QuasiPolynomial | None, regime: str, side: str) -> QuasiPolynomial | None:
     """The reduced tail, or ``None`` where it vanishes (a constant tail steps
-    to all-zero polynomials)."""
+    to all-zero polynomials).  The positive step is g_i -> g_i(t+1) - g_i(t);
+    the negative one, lambda(n + 1) - lambda(n + d + 1), is minus the positive
+    step at n + 1."""
     if qp is None:
         return None
+    anchor = qp.valid_from if side == "pos" else qp.valid_from - qp.d
+    step = tuple(p.forward_difference() for p in qp.polys)
     if regime == "positive":
-        reduced = _forward_step(qp, side)
+        reduced = QuasiPolynomial(qp.d, step, anchor)
     else:
-        # The negative step is the positive one seen in the mirror: reflect,
-        # step on the opposite side, reflect back, then shift by d + 1.
-        mirror_side = "neg" if side == "pos" else "pos"
-        reduced = _forward_step(qp.reflect(), mirror_side).reflect().shift(qp.d + 1)
+        reduced = QuasiPolynomial(qp.d, tuple(-p for p in step), anchor).shift(1)
     return None if reduced.is_zero() else reduced
 
 

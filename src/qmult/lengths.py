@@ -53,6 +53,32 @@ class FitError(ValueError):
         super().__init__(message)
 
 
+def _shown(x: Fraction | int) -> str:
+    """``str(x)`` for an error message.  Past the interpreter's limit on
+    writing an integer as decimal text (``sys.get_int_max_str_digits()``),
+    where ``str`` raises, its sign and digit count instead."""
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        sign = "negative" if x < 0 else "positive"
+        if x.denominator == 1:
+            return f"a {sign} integer of {_digits(x.numerator)} digits"
+        num, den = _digits(x.numerator), _digits(x.denominator)
+        return f"a {sign} fraction with a {num}-digit numerator and a {den}-digit denominator"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n != 0, found without writing n out."""
+    n = abs(n)
+    k = int(n.bit_length() * 0.30102999566398120)  # log10(2): off by at most one
+    while 10**k <= n:
+        k += 1
+    while 10 ** (k - 1) > n:
+        k -= 1
+    return k
+
+
 def _check_period(d: int) -> None:
     if d < 2 or d % 2 != 0:
         raise ModelError(f"period must be an even integer >= 2, got {d}")
@@ -141,7 +167,7 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
         if qp(n) != expected:
             raise ModelError(
                 f"{side} tail disagrees with the core at n={n}: "
-                f"tail gives {qp(n)}, core holds {expected}"
+                f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
             )
     # Nonnegativity out along the ray, certified by exact sign analysis.
     for i, block in qp.negative_blocks(qp.valid_from, direction):
@@ -216,7 +242,7 @@ class LengthFunction:
             return 0
         value = qp(n)
         if value.denominator != 1 or value < 0:
-            raise ModelError(f"tail evaluates to {value} at n={n}; not a length")
+            raise ModelError(f"tail evaluates to {_shown(value)} at n={n}; not a length")
         return int(value)
 
     def complexity(self, side: str = "positive") -> int:
@@ -545,7 +571,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     values = []
     for n, c in enumerate(coeffs):
         if c.denominator != 1 or c < 0:
-            raise ModelError(f"series coefficient at n={n} is {c}; not a length")
+            raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
     try:
         qp = fit_quasipoly(dict(enumerate(values)), d)

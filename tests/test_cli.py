@@ -331,6 +331,12 @@ class TestOutputDigitLimit:
         assert (code, out) == (1, "")
         assert err == "error: an output integer has more than 4300 digits\n"
 
+    def test_too_long_value_in_an_error_does_not_hide_it(self, capsys):
+        # The message names the negative coefficient by its sign and digit count.
+        code, out, err = run(capsys, "cx", f"--expr=-{BIG}*{BIG}")
+        assert (code, out) == (1, "")
+        assert err == "error: series coefficient at n=0 is a negative integer of 4400 digits; not a length\n"
+
     def test_other_value_errors_are_not_caught(self, capsys, monkeypatch):
         def broken(args):
             raise ValueError("math domain error")
@@ -431,6 +437,82 @@ class TestLimitThetaSerre:
         code, out, _ = run(capsys, "serre", "--tor", "2,2", "--json")
         assert code == 0
         assert json.loads(out) == {"serre": 0}
+
+
+def tor_input():
+    """Tor lengths 5, 2, 5, 2, ...: theta = 5 - 2 = 3."""
+    return {
+        "d": 2,
+        "core": {"start": 0, "values": [5, 2] * 8},
+        "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["5"], ["2"]]},
+        "neg_tail": {"kind": "vanishing"},
+    }
+
+
+JST2 = ["--expr", "t^2/(1-t^2)^2", "--d", "2"]
+EXPAND = ["expand", "--expr", "(1+t)^3/(2-t)", "--n", "8"]
+LIMIT = ["limit", *JST2, "--s", "2", "--n", "100000", "--constant", "corrected"]
+TOR = "tor.json"  # written by the test into its working directory
+
+# golden file -> argv: each command's text form and, where it has one, its JSON form.
+OUTPUT_GOLDENS = {
+    "expand_rational.txt": EXPAND,
+    "expand_rational.json": [*EXPAND, "--json"],
+    "fit_jst2.json": ["fit", *JST2, "--probe", "20"],
+    "cx_d6.txt": ["cx", "--expr", "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", "--d", "6", "--probe", "120"],
+    "limit_jst2_corrected.txt": LIMIT,
+    "limit_jst2_corrected.json": [*LIMIT, "--json"],
+    "theta_tor_5_2.txt": ["theta", "--input", TOR],
+    "theta_tor_5_2.json": ["theta", "--input", TOR, "--json"],
+    "serre_3_1.txt": ["serre", "--tor", "3,1"],
+    "serre_3_1.json": ["serre", "--tor", "3,1", "--json"],
+}
+
+
+class TestOutputGoldens:
+    @pytest.mark.parametrize("name", OUTPUT_GOLDENS)
+    def test_stdout_matches_golden(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / TOR).write_text(json.dumps(tor_input()))
+        code, out, err = run(capsys, *OUTPUT_GOLDENS[name])
+        assert (code, err) == (0, "")
+        check_golden(name, out)
+
+
+# One run of every handler, in each output form it has.
+HANDLER_RUNS = [
+    *OUTPUT_GOLDENS.values(),
+    ["e", *JST2, "--s", "2", "--limit-n", "1000"],
+    ["e", *JST2, "--json"],
+    ["e-neg", "--input", "lf.json", "--s", "2"],
+    ["e-neg", "--input", "lf.json", "--s", "2", "--json"],
+    ["koszul", *JST2, "--s", "2"],
+    ["verify", "--suite", "paper"],
+    ["verify", "--suite", "paper", "--json"],
+]
+
+
+class TestHandlersReturn:
+    """Handlers return (exit code, JSON payload, text) and print nothing;
+    ``main`` alone renders and prints."""
+
+    def test_every_command_is_run(self):
+        assert {argv[0] for argv in HANDLER_RUNS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", HANDLER_RUNS, ids=" ".join)
+    def test_handler_returns_without_printing(self, capsys, monkeypatch, tmp_path, argv):
+        def no_print(*args, **kwargs):
+            raise AssertionError("a handler printed")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / TOR).write_text(json.dumps(tor_input()))
+        (tmp_path / "lf.json").write_text(json.dumps(two_sided_input()))
+        args = cli._parse(argv)
+        monkeypatch.setattr("builtins.print", no_print)
+        code, payload, text = cli._COMMANDS[args.command][2](args)
+        assert code == 0
+        assert payload is not None or text is not None
+        assert capsys.readouterr() == ("", "")
 
 
 class TestVerify:

@@ -91,6 +91,40 @@ class TestConstruction:
         with pytest.raises(ModelError):
             LengthFunction(3, 0, (0,), None, None)
 
+    @pytest.mark.parametrize(
+        "c, gives, holds",
+        [
+            (4, "4", "5"),
+            # past the interpreter's 4300 digits of decimal text
+            (10**5000, "a positive integer of 5001 digits", "a positive integer of 5001 digits"),
+        ],
+        ids=["short", "too_long"],
+    )
+    def test_overlap_disagreement_names_both_values(self, c, gives, holds):
+        qp = QuasiPolynomial(2, (poly(c), poly(1)), 0)
+        with pytest.raises(ModelError) as info:
+            LengthFunction(2, 0, (c + 1, 1) + (c, 1) * 3, qp, None)
+        assert str(info.value) == (
+            f"pos tail disagrees with the core at n=0: tail gives {gives}, core holds {holds}"
+        )
+
+    @pytest.mark.parametrize(
+        "c, shown",
+        [
+            (-3, "-3"),
+            (
+                Fraction(-(10**5000), 3),
+                "a negative fraction with a 5001-digit numerator and a 1-digit denominator",
+            ),
+        ],
+        ids=["short", "too_long"],
+    )
+    def test_unchecked_negative_tail_names_its_value(self, c, shown):
+        lf = LengthFunction._unchecked(2, 0, (0,), QuasiPolynomial(2, (poly(c), poly(0)), 1), None)
+        with pytest.raises(ModelError) as info:
+            lf(2)
+        assert str(info.value) == f"tail evaluates to {shown} at n=2; not a length"
+
 
 class TestEvaluate:
     def test_group_cohomology_value(self):
@@ -157,6 +191,20 @@ class TestFromSeries:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ModelError):
             from_series(parse_series("1-2*t"), 2, 12)
+
+    @pytest.mark.parametrize(
+        "expr, shown",
+        [
+            ("1-2*t", "n=1 is -2"),
+            # past the interpreter's 4300 digits of decimal text
+            (f"-{'9' * 2200}*{'9' * 2200}", "n=0 is a negative integer of 4400 digits"),
+        ],
+        ids=["short", "too_long"],
+    )
+    def test_negative_coefficient_is_named(self, expr, shown):
+        with pytest.raises(ModelError) as info:
+            from_series(parse_series(expr), 2, 12)
+        assert str(info.value) == f"series coefficient at {shown}; not a length"
 
 
 class TestFitQuasipoly:
