@@ -59,7 +59,6 @@ from .multiplicity import (
 from .series import (
     SeriesSemanticError,
     SeriesSyntaxError,
-    parse_expression,
     parse_series,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "limit_estimate",
     "multiplicity_neg",
     "multiplicity_pos",
-    "parse_expression",
     "parse_rational",
     "parse_series",
     "reduce_chain",

@@ -43,8 +43,6 @@ _ERRORS = (
     SeriesSemanticError,
     SeriesSyntaxError,
     OSError,
-    UnicodeDecodeError,
-    json.JSONDecodeError,
 )
 
 

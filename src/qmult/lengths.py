@@ -442,13 +442,14 @@ def core_window(
 
 
 def read_json(path) -> object:
-    """The JSON value in the file at ``path``; an integer too long to convert or
-    nesting too deep to decode is a :class:`ModelError`, other errors pass."""
+    """The JSON value in the file at ``path``.  Text that does not decode, an
+    integer too long to convert and nesting too deep to decode are each a
+    :class:`ModelError`; a file that cannot be opened raises OSError."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ModelError(f"not valid JSON: {err}") from None
         except ValueError:  # an integer longer than the interpreter converts
             digits = sys.get_int_max_str_digits()
             raise ModelError(f"a JSON integer has more than {digits} digits") from None

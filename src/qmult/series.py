@@ -14,9 +14,12 @@ Implicit multiplication is not supported: adjacent factors need '*'.
 Whitespace is insignificant; input must be ASCII.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep, inside the recursion limit.
 
-Parsing produces an AST of :class:`Node` values carrying byte spans, which
-evaluates to a :class:`RationalFunction`.  A division whose divisor has a zero
-constant term is a semantic error reported with the offending subexpression.
+Parsing is a single pass that folds each operator into a
+:class:`RationalFunction` as soon as both of its operands are parsed, so
+operator chains fold in loops and only '(' and unary minus recurse.  A division
+whose divisor has a zero constant term is a semantic error reported with the
+offending subexpression.  It is raised only after the whole input has parsed,
+so a syntax error anywhere comes first, and no arithmetic runs after it.
 """
 
 from __future__ import annotations
@@ -50,17 +53,6 @@ class SeriesSemanticError(ValueError):
         self.end = end
         self.fragment = fragment
         super().__init__(f"{message} in subexpression {fragment!r} at offsets {start}..{end}")
-
-
-@dataclass(frozen=True)
-class Node:
-    """AST node: kind is one of int, t, neg, add, sub, mul, div, pow."""
-
-    kind: str
-    start: int
-    end: int
-    value: int = 0
-    children: tuple["Node", ...] = ()
 
 
 _TOKEN_NAMES = {
@@ -130,6 +122,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs
+        # The first failing divisor, raised once the input has parsed.
+        self.error: SeriesSemanticError | None = None
 
     @property
     def current(self) -> _Token:
@@ -146,107 +140,77 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _nested(self, parse, tok: _Token) -> Node:
+    def _fold(self, op, *operands) -> RationalFunction | None:
+        """``op(*operands)``, or None once a divisor has failed."""
+        return None if self.error is not None else op(*operands)
+
+    def _nested(self, parse, tok: _Token) -> RationalFunction | None:
         """``parse()`` one nesting level below ``tok``, a '(' or a unary '-'."""
         if self.depth == MAX_NESTING:
             expected = f"at most {MAX_NESTING} nested parentheses and unary minus signs"
             raise SeriesSyntaxError(tok.offset, "an expression nested too deeply", (expected,))
         self.depth += 1
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
+        return value
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> RationalFunction:
+        value = self.expr()
         if self.current.kind != "eof":
             raise self._fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
-        return node
+        if self.error is not None:
+            raise self.error
+        return value
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> RationalFunction | None:
+        value = self.term()
         while self.current.kind in ("+", "-"):
-            op = self._eat(self.current.kind)
-            rhs = self.term()
-            kind = "add" if op.kind == "+" else "sub"
-            node = Node(kind, node.start, rhs.end, children=(node, rhs))
-        return node
+            op = operator.add if self._eat(self.current.kind).kind == "+" else operator.sub
+            value = self._fold(op, value, self.term())
+        return value
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> RationalFunction | None:
+        value = self.unary()
         while self.current.kind in ("*", "/"):
-            op = self._eat(self.current.kind)
+            op = operator.mul if self._eat(self.current.kind).kind == "*" else operator.truediv
+            start = self.current.offset
             rhs = self.unary()
-            kind = "mul" if op.kind == "*" else "div"
-            node = Node(kind, node.start, rhs.end, children=(node, rhs))
-        return node
+            try:
+                value = self._fold(op, value, rhs)
+            except NotExpandableError:  # raised only by a division
+                end = self.tokens[self.pos - 1].end
+                self.error = SeriesSemanticError(
+                    "denominator has zero constant term", start, end, self.text[start:end]
+                )
+        return value
 
-    def unary(self) -> Node:
+    def unary(self) -> RationalFunction | None:
         if self.current.kind == "-":
             tok = self._eat("-")
-            inner = self._nested(self.unary, tok)
-            return Node("neg", tok.offset, inner.end, children=(inner,))
+            return self._fold(operator.neg, self._nested(self.unary, tok))
         return self.power()
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self) -> RationalFunction | None:
+        value = self.atom()
         while self.current.kind == "^":
             self._eat("^")
             if self.current.kind != "int":
                 raise self._fail(("nonnegative integer exponent",))
-            exp = self._eat("int")
-            node = Node("pow", node.start, exp.end, exp.value, (node,))
-        return node
+            value = self._fold(operator.pow, value, self._eat("int").value)
+        return value
 
-    def atom(self) -> Node:
+    def atom(self) -> RationalFunction | None:
         tok = self.current
         if tok.kind in ("int", "t"):
             self._eat(tok.kind)
-            return Node(tok.kind, tok.offset, tok.end, tok.value)
+            p = Polynomial.t() if tok.kind == "t" else Polynomial.const(tok.value)
+            return RationalFunction.from_polynomial(p)
         if tok.kind == "(":
             self._eat("(")
-            node = self._nested(self.expr, tok)
-            close = self._eat(")")
-            return Node(node.kind, tok.offset, close.offset + 1, node.value, node.children)
+            value = self._nested(self.expr, tok)
+            self._eat(")")
+            return value
         raise self._fail(("integer", "'t'", "'-'", "'('"))
-
-
-def parse_expression(text: str) -> Node:
-    """Parse source text into an AST without evaluating it."""
-    return _Parser(text).parse()
-
-
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
-def evaluate_expression(node: Node, source: str) -> RationalFunction:
-    """Fold an AST into a RationalFunction, reporting non-expandable divisors.
-
-    A chain like ``t+t+...+t`` is a left spine as deep as it is long, so the
-    spine is folded in a loop; only right operands and signs recurse.
-    """
-    spine = []
-    while node.kind in _BINARY or node.kind == "pow":
-        spine.append(node)
-        node = node.children[0]
-    if node.kind == "int":
-        value = RationalFunction.const(node.value)
-    elif node.kind == "t":
-        value = RationalFunction.from_polynomial(Polynomial.t())
-    else:
-        value = -evaluate_expression(node.children[0], source)
-    for node in reversed(spine):
-        if node.kind == "pow":
-            value = value ** node.value
-            continue
-        rhs = node.children[1]
-        try:
-            value = _BINARY[node.kind](value, evaluate_expression(rhs, source))
-        except NotExpandableError:  # raised only by a division
-            fragment = source[rhs.start : rhs.end]
-            raise SeriesSemanticError(
-                "denominator has zero constant term", rhs.start, rhs.end, fragment
-            ) from None
-    return value
 
 
 def parse_series(text: str) -> RationalFunction:
@@ -255,4 +219,4 @@ def parse_series(text: str) -> RationalFunction:
     >>> parse_series("t^2/(1-t^2)^2").num
     Polynomial('t^2')
     """
-    return evaluate_expression(parse_expression(text), text)
+    return _Parser(text).parse()

@@ -219,7 +219,7 @@ class TestStrictJsonInput:
         path.write_bytes(b"\xff\xfe{")
         code, out, err = run(capsys, "cx", "--input", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: 'utf-8' codec can't decode")
+        assert err.startswith(f"error: {path}: not valid JSON: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -285,6 +285,21 @@ class TestStrictJsonInput:
             shown = path.name
         assert (code, out) == (1, "")
         assert err == f"error: {shown}: JSON arrays or objects are nested too deeply\n"
+
+    @pytest.mark.parametrize("command", ["cx", "verify"])
+    def test_truncated_file_names_it(self, capsys, tmp_path, monkeypatch, command):
+        # json.JSONDecodeError reached the user without the file's name.
+        path = tmp_path / "cut.json"
+        path.write_text('{"d": 2, "core": {"start": ')
+        if command == "cx":
+            code, out, err = run(capsys, "cx", "--input", str(path))
+            shown = path
+        else:
+            monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+            code, out, err = run(capsys, "verify", "--suite", "paper")
+            shown = path.name
+        assert (code, out) == (1, "")
+        assert err == f"error: {shown}: not valid JSON: Expecting value: line 1 column 28 (char 27)\n"
 
     def test_underscored_and_non_ascii_rationals_rejected(self, capsys, tmp_path):
         # int() reads "1_0" and Arabic-Indic "10" as 10, so this ran as a

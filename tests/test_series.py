@@ -1,5 +1,6 @@
 """Series expression parsing."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from qmult.series import (
     MAX_NESTING,
     SeriesSemanticError,
     SeriesSyntaxError,
-    parse_expression,
     parse_series,
 )
 
@@ -135,6 +135,31 @@ class TestErrors:
             parse_series("1/0")
 
 
+class TestErrorPrecedence:
+    """The parser folds as it goes; errors must still come out as if the whole
+    input were parsed before any arithmetic."""
+
+    def test_syntax_error_after_failing_divisor_comes_first(self):
+        with pytest.raises(SeriesSyntaxError) as info:
+            parse_series("1/0+(")
+        assert info.value.offset == 5
+        assert info.value.found == "end of input"
+
+    def test_first_failing_divisor_is_reported(self):
+        with pytest.raises(SeriesSemanticError) as info:
+            parse_series("t/t/0")
+        assert (info.value.fragment, info.value.start, info.value.end) == ("t", 2, 3)
+
+    def test_no_arithmetic_after_failing_divisor(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("a power was computed after the failing divisor")
+
+        monkeypatch.setattr(RationalFunction, "__pow__", refuse)
+        with pytest.raises(SeriesSemanticError) as info:
+            parse_series("1/0*t^2")
+        assert info.value.fragment == "0"
+
+
 class TestRoundTrip:
     def test_pretty_print_reparses(self):
         for text in (
@@ -148,60 +173,51 @@ class TestRoundTrip:
 
 
 def _random_division_free(rng, depth=0):
-    """Random expression text with no division, plus its expected nature."""
+    """Random expression text with no division, its precedence level (0 sum,
+    1 product, 2 unary minus, 3 power or atom) and the function of x that it
+    denotes, built alongside the text with no parser."""
     choices = ["int", "t"]
     if depth < 4:
         choices += ["add", "sub", "mul", "neg", "pow", "paren"]
     kind = rng.choice(choices)
     if kind == "int":
-        return str(rng.randint(0, 9))
+        c = rng.randint(0, 9)
+        return str(c), 3, lambda x: Fraction(c)
     if kind == "t":
-        return "t"
+        return "t", 3, lambda x: x
+
+    def operand(level):
+        text, got, value = _random_division_free(rng, depth + 1)
+        return (text if got >= level else f"({text})"), value
+
     if kind == "neg":
-        return "-" + _random_division_free(rng, depth + 1)
+        text, value = operand(2)
+        return "-" + text, 2, lambda x: -value(x)
     if kind == "pow":
-        return f"({_random_division_free(rng, depth + 1)})^{rng.randint(0, 3)}"
+        text, value = operand(3)
+        k = rng.randint(0, 3)
+        return f"{text}^{k}", 3, lambda x: value(x) ** k
     if kind == "paren":
-        return f"({_random_division_free(rng, depth + 1)})"
-    op = {"add": "+", "sub": "-", "mul": "*"}[kind]
-    lhs = _random_division_free(rng, depth + 1)
-    rhs = _random_division_free(rng, depth + 1)
-    return f"{lhs}{op}{rhs}"
-
-
-def evaluate_at(node, x):
-    """Oracle: numeric evaluation of a parsed AST at a rational point, with no
-    series logic."""
-    if node.kind == "int":
-        return Fraction(node.value)
-    if node.kind == "t":
-        return Fraction(x)
-    if node.kind == "neg":
-        return -evaluate_at(node.children[0], x)
-    if node.kind == "pow":
-        return evaluate_at(node.children[0], x) ** node.value
-    a = evaluate_at(node.children[0], x)
-    b = evaluate_at(node.children[1], x)
-    if node.kind == "add":
-        return a + b
-    if node.kind == "sub":
-        return a - b
-    if node.kind == "mul":
-        return a * b
-    if node.kind == "div":
-        return a / b
-    raise AssertionError(f"unknown node kind {node.kind}")
+        text, _, value = _random_division_free(rng, depth + 1)
+        return f"({text})", 3, value
+    symbol, level, op = {
+        "add": ("+", 0, operator.add),
+        "sub": ("-", 0, operator.sub),
+        "mul": ("*", 1, operator.mul),
+    }[kind]
+    lhs_text, lhs = operand(level)
+    rhs_text, rhs = operand(level + 1)
+    return f"{lhs_text}{symbol}{rhs_text}", level, lambda x: op(lhs(x), rhs(x))
 
 
 def test_division_free_matches_direct_evaluation():
-    # Oracle: the parsed rational function agrees with naive AST evaluation
-    # at five rational points.
+    # Oracle: the parsed rational function agrees, at five rational points,
+    # with the value function built alongside the random text.
     rng = random.Random(7)
     points = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]
     for _ in range(40):
-        text = _random_division_free(rng)
-        node = parse_expression(text)
+        text, _, value = _random_division_free(rng)
         f = parse_series(text)
         assert f.den == Polynomial((Fraction(1),))
         for x in points:
-            assert f.num(x) == evaluate_at(node, x)
+            assert f.num(x) == value(x), text
