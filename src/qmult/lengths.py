@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .differences import newton_polynomial
 from .exact import (
@@ -77,6 +77,19 @@ def _digits(n: int) -> int:
     while 10 ** (k - 1) > n:
         k -= 1
     return k
+
+
+def _integers(values: Iterable[object], field: str, error: type[Exception]) -> tuple[int, ...]:
+    """``values`` as ints, coercing nothing: each must be an int that is not a
+    bool, or a Fraction with denominator 1; anything else raises ``error``
+    naming its position and value."""
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)) or v.denominator != 1:
+            raise error(f"{field}[{k}] is {_shown(v)} ({type(v).__name__}), not an integer")
+    return tuple(int(v) for v in values)
 
 
 def _check_period(d: int) -> None:
@@ -197,7 +210,7 @@ class LengthFunction:
         _check_period(self.d)
         if not self.core_values:
             raise ModelError("core window must be nonempty")
-        values = tuple(int(v) for v in self.core_values)
+        values = _integers(self.core_values, "core_values", ModelError)
         if any(v < 0 for v in values):
             raise ModelError("length values must be nonnegative")
         object.__setattr__(self, "core_values", values)

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from typing import Sequence
 
 from .differences import delta as delta_op
 from .differences import faulhaber_sum
-from .exact import Polynomial, cauchy_horizon, format_rational
-from .lengths import LengthFunction, ModelError
+from .exact import Polynomial, format_rational
+from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
 
 class MultiplicityError(ValueError):
@@ -296,7 +297,7 @@ def serre_intersection(tor_lengths: Sequence[int]) -> int:
     It is the Euler characteristic of the cohomological reindexing n -> -n
     term for term, so it is summed directly.
     """
-    values = [int(v) for v in tor_lengths]
+    values = _integers(tor_lengths, "tor_lengths", MultiplicityError)
     if any(v < 0 for v in values):
         raise MultiplicityError("lengths must be nonnegative")
     return sum((-1) ** k * v for k, v in enumerate(values))
@@ -315,9 +316,12 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     """Test the vanishing pattern: when the top multiplicity is 0, does a run
     of d/2 zero values at one parity at or after m0 force lambda = 0 from m0 on?
 
-    Scans for the run exactly (zeros of the tail polynomials are confined by
-    a root bound, so the scan window is finite), then checks the conclusion
-    and reports the first violation when the implication fails on this data.
+    Runs that start below the positive tail are found by looking.  On the tail
+    the run sum R(n) = sum_{j<d/2} lambda(n+2j) is a nonnegative integer
+    quasi-polynomial, so a run is a point where R - 1 goes negative, and the
+    tail-sign certificate finds the first one in each residue class.  The
+    conclusion is then checked, and the first violation reported when the
+    implication fails on this data.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -326,31 +330,25 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     if top != 0:
         raise MultiplicityError(f"vanishing check needs e^s = 0, got {top}")
 
-    qp = lf.pos_tail
-    horizon = 0
-    if qp is not None:
-        for p in qp.polys:
-            if p.degree >= 1:
-                horizon = max(horizon, cauchy_horizon(p))
-        scan_end = max(m0, lf.core_end, qp.valid_from + lf.d * (horizon + 2)) + 2 * lf.d
-    else:
-        scan_end = max(m0, lf.core_end) + 2 * lf.d
-
+    d, qp = lf.d, lf.pos_tail
     want = 0 if parity == "even" else 1
-    start = m0 if m0 % 2 == want % 2 else m0 + 1
-    run_at: int | None = None
-    for n in range(start, scan_end + 1, 2):
-        if all(lf(n + 2 * j) == 0 for j in range(lf.d // 2)):
-            run_at = n
-            break
+    start = m0 if m0 % 2 == want else m0 + 1
+    # A vanishing tail is zero past core_end, so a run starts by core_end + 2.
+    end = max(start, lf.core_end + 2) + 1 if qp is None else qp.valid_from
+    below = range(start, end, 2)
+    run_at = next((n for n in below if all(lf(n + 2 * j) == 0 for j in range(d // 2))), None)
+    if run_at is None and qp is not None:
+        shifted = zip(*(qp.shift(2 * j).polys for j in range(d // 2)))
+        less_one = QuasiPolynomial(d, tuple(sum(ps, Polynomial()) - 1 for ps in shifted), end)
+        runs = less_one.negative_blocks(max(start, end), 1)
+        run_at = min((d * block + i for i, block in runs if i % 2 == want), default=None)
     if run_at is None:
         return WindowResult("window_not_found")
 
-    for k in range(m0, scan_end + 2 * lf.d + 1):
-        if lf(k) != 0:
-            return WindowResult("violated", window_start=run_at, violation=k)
-    if qp is not None:
-        # A nonzero tail polynomial would have produced a nonzero value
-        # strictly inside the scanned range.
-        raise ModelError("tail scan inconsistent with zero values")
+    # A nonzero tail polynomial of degree e has at most e integer zeros, so
+    # the search on a tail ends.
+    ks = range(m0, lf.core_end + 1) if qp is None else count(m0)
+    violation = next((k for k in ks if lf(k) != 0), None)
+    if violation is not None:
+        return WindowResult("violated", window_start=run_at, violation=violation)
     return WindowResult("confirmed", window_start=run_at)

@@ -14,12 +14,12 @@ Implicit multiplication is not supported: adjacent factors need '*'.
 Whitespace is insignificant; input must be ASCII.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep, inside the recursion limit.
 
-Parsing is a single pass that folds each operator into a
-:class:`RationalFunction` as soon as both of its operands are parsed, so
-operator chains fold in loops and only '(' and unary minus recurse.  A division
-whose divisor has a zero constant term is a semantic error reported with the
-offending subexpression.  It is raised only after the whole input has parsed,
-so a syntax error anywhere comes first, and no arithmetic runs after it.
+The input is tokenized once and parsed twice.  The first pass checks the syntax
+and computes nothing, so a syntax error anywhere comes first and costs no
+arithmetic.  The second folds each operator into a :class:`RationalFunction` as
+soon as both operands are parsed, so operator chains fold in loops and only '('
+and unary minus recurse.  A divisor with a zero constant term is a semantic
+error naming the offending subexpression; no arithmetic runs after it.
 """
 
 from __future__ import annotations
@@ -117,13 +117,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[_Token], fold: bool):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
+        self.fold = fold  # False: check the syntax and compute nothing
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs
-        # The first failing divisor, raised once the input has parsed.
-        self.error: SeriesSemanticError | None = None
 
     @property
     def current(self) -> _Token:
@@ -141,8 +140,8 @@ class _Parser:
         return tok
 
     def _fold(self, op, *operands) -> RationalFunction | None:
-        """``op(*operands)``, or None once a divisor has failed."""
-        return None if self.error is not None else op(*operands)
+        """``op(*operands)``, or None when only the syntax is checked."""
+        return op(*operands) if self.fold else None
 
     def _nested(self, parse, tok: _Token) -> RationalFunction | None:
         """``parse()`` one nesting level below ``tok``, a '(' or a unary '-'."""
@@ -158,8 +157,6 @@ class _Parser:
         value = self.expr()
         if self.current.kind != "eof":
             raise self._fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
-        if self.error is not None:
-            raise self.error
         return value
 
     def expr(self) -> RationalFunction | None:
@@ -174,14 +171,13 @@ class _Parser:
         while self.current.kind in ("*", "/"):
             op = operator.mul if self._eat(self.current.kind).kind == "*" else operator.truediv
             start = self.current.offset
-            rhs = self.unary()
-            try:
-                value = self._fold(op, value, rhs)
+            try:  # a division in the divisor has raised its own error already
+                value = self._fold(op, value, self.unary())
             except NotExpandableError:  # raised only by a division
                 end = self.tokens[self.pos - 1].end
-                self.error = SeriesSemanticError(
+                raise SeriesSemanticError(
                     "denominator has zero constant term", start, end, self.text[start:end]
-                )
+                ) from None
         return value
 
     def unary(self) -> RationalFunction | None:
@@ -204,7 +200,7 @@ class _Parser:
         if tok.kind in ("int", "t"):
             self._eat(tok.kind)
             p = Polynomial.t() if tok.kind == "t" else Polynomial.const(tok.value)
-            return RationalFunction.from_polynomial(p)
+            return self._fold(RationalFunction.from_polynomial, p)
         if tok.kind == "(":
             self._eat("(")
             value = self._nested(self.expr, tok)
@@ -219,4 +215,6 @@ def parse_series(text: str) -> RationalFunction:
     >>> parse_series("t^2/(1-t^2)^2").num
     Polynomial('t^2')
     """
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    _Parser(text, tokens, fold=False).parse()
+    return _Parser(text, tokens, fold=True).parse()

@@ -16,14 +16,19 @@ side-parametrized code path is compared.  The Koszul step keeps the sign
 certificate of its reduced tails written out inline, with its own ceiling and
 floor ray starts from the window edges, against which the tail's one
 certificate method is compared.
+
+The vanishing-window check keeps its scan of every degree up to the Cauchy
+horizon of the tail polynomials, against which the run search by the
+tail-sign certificate is compared.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from qmult.exact import Polynomial, nonnegative_on_ray
+from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
 from qmult.koszul import KoszulError, _reduced_tail
 from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, core_window
+from qmult.multiplicity import MultiplicityError, WindowResult, multiplicity_pos
 
 
 def const(c):
@@ -318,3 +323,43 @@ def koszul_reduce(lf, regime="positive"):
             violations=tuple(sorted(violations)),
         )
     return LengthFunction._unchecked(d, lo, values, pos, neg)
+
+
+def vanishing_window_check(lf, m0, parity):
+    """The vanishing-window check by scanning every degree up to past the
+    Cauchy horizon of the tail polynomials, where no zero of a tail lies."""
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    s = lf.complexity("positive")
+    top = multiplicity_pos(lf, s).e_delta
+    if top != 0:
+        raise MultiplicityError(f"vanishing check needs e^s = 0, got {top}")
+
+    qp = lf.pos_tail
+    horizon = 0
+    if qp is not None:
+        for p in qp.polys:
+            if p.degree >= 1:
+                horizon = max(horizon, cauchy_horizon(p))
+        scan_end = max(m0, lf.core_end, qp.valid_from + lf.d * (horizon + 2)) + 2 * lf.d
+    else:
+        scan_end = max(m0, lf.core_end) + 2 * lf.d
+
+    want = 0 if parity == "even" else 1
+    start = m0 if m0 % 2 == want % 2 else m0 + 1
+    run_at = None
+    for n in range(start, scan_end + 1, 2):
+        if all(lf(n + 2 * j) == 0 for j in range(lf.d // 2)):
+            run_at = n
+            break
+    if run_at is None:
+        return WindowResult("window_not_found")
+
+    for k in range(m0, scan_end + 2 * lf.d + 1):
+        if lf(k) != 0:
+            return WindowResult("violated", window_start=run_at, violation=k)
+    if qp is not None:
+        # A nonzero tail polynomial would have produced a nonzero value
+        # strictly inside the scanned range.
+        raise ModelError("tail scan inconsistent with zero values")
+    return WindowResult("confirmed", window_start=run_at)

@@ -92,6 +92,29 @@ class TestConstruction:
             LengthFunction(3, 0, (0,), None, None)
 
     @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Fraction(3, 2), "3/2 (Fraction)"),
+            (2.7, "2.7 (float)"),
+            (2.0, "2.0 (float)"),
+            (True, "True (bool)"),
+            ("3", "3 (str)"),
+            (None, "None (NoneType)"),
+        ],
+        ids=["fraction", "float", "integral_float", "bool", "string", "none"],
+    )
+    def test_values_are_not_coerced(self, value, shown):
+        # int() used to turn each of these into a length.
+        with pytest.raises(ModelError) as info:
+            LengthFunction(2, 0, (1, value, 2), None, None)
+        assert str(info.value) == f"core_values[1] is {shown}, not an integer"
+
+    def test_integral_fractions_are_values(self):
+        lf = LengthFunction(2, 0, (Fraction(4, 2), 1), None, None)
+        assert lf.core_values == (2, 1)
+        assert all(type(v) is int for v in lf.core_values)
+
+    @pytest.mark.parametrize(
         "c, gives, holds",
         [
             (4, "4", "5"),

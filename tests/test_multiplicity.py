@@ -485,6 +485,25 @@ class TestSerre:
         with pytest.raises(MultiplicityError):
             serre_intersection([1, -1])
 
+    @pytest.mark.parametrize(
+        "lengths, shown",
+        [
+            ([1.9, "3", True], "tor_lengths[0] is 1.9 (float)"),
+            ([3, "3"], "tor_lengths[1] is 3 (str)"),
+            ([3, 1, True], "tor_lengths[2] is True (bool)"),
+            ([Fraction(1, 2)], "tor_lengths[0] is 1/2 (Fraction)"),
+        ],
+        ids=["float", "string", "bool", "fraction"],
+    )
+    def test_lengths_are_not_coerced(self, lengths, shown):
+        # int() used to turn [1.9, "3", True] into [1, 3, 1], summing to -1.
+        with pytest.raises(MultiplicityError) as info:
+            serre_intersection(lengths)
+        assert str(info.value) == f"{shown}, not an integer"
+
+    def test_integral_fractions_are_lengths(self):
+        assert serre_intersection([Fraction(6, 2), 1]) == 2
+
 
 class TestVanishingWindow:
     def test_zero_function_confirmed(self):

@@ -160,6 +160,18 @@ class TestErrorPrecedence:
         assert info.value.fragment == "0"
 
 
+    def test_syntax_error_costs_no_arithmetic(self, monkeypatch):
+        # Folding (1-t)^3000 took seconds before the syntax error at the end.
+        def refuse(self, n):
+            raise AssertionError("a power was computed before the syntax was checked")
+
+        monkeypatch.setattr(RationalFunction, "__pow__", refuse)
+        with pytest.raises(SeriesSyntaxError) as info:
+            parse_series("(1-t)^3+(")
+        assert info.value.offset == 9
+        assert info.value.found == "end of input"
+
+
 class TestRoundTrip:
     def test_pretty_print_reparses(self):
         for text in (

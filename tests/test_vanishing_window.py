@@ -1,0 +1,139 @@
+"""The vanishing-window check against its horizon scan.
+
+``multiplicity.vanishing_window_check`` looks for a run of zeros below the
+positive tail and certifies the runs on it with the tail-sign certificate;
+``kernel_oracles.vanishing_window_check`` scans every degree up to past the
+Cauchy horizon of the tail polynomials.  On random length functions with
+period 2, 4 or 6, paired residues (so that the top multiplicity is 0), zero
+residue polynomials, double-root dips, negative tails, and m0 below, inside
+and above the core, both must give the same result or the same error.
+"""
+
+import random
+from collections import Counter
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import kernel_oracles as oracle
+from qmult.differences import binomial_polynomial
+from qmult.exact import Polynomial
+from qmult.fixtures import random_length_function
+from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
+from qmult.multiplicity import vanishing_window_check
+from qmult.series import parse_series
+
+ROUTES = ("looked", "certified", "window_not_found", "violated", "confirmed", "error")
+
+
+def random_tail_poly(rng):
+    """Zero, a nonnegative binomial combination, a dip c(t - K)^2 (+1), or
+    (t - a)(t - a - 1): each is a nonnegative integer at every block >= 0."""
+    kind = rng.choice(["zero", "binomial", "dip", "pair"])
+    if kind == "zero":
+        return Polynomial()
+    if kind == "binomial":
+        return sum(
+            (binomial_polynomial(k) * rng.randint(0, 3) for k in range(rng.randint(1, 4))),
+            Polynomial(),
+        )
+    t = Polynomial.t()
+    if kind == "dip":
+        return rng.randint(1, 2) * (t - rng.randint(0, 6)) ** 2 + rng.choice([0, 0, 1])
+    a = rng.randint(0, 6)
+    return (t - a) * (t - a - 1)
+
+
+def window_function(rng):
+    """A length function of period 2, 4 or 6, vanishing below; its even and odd
+    residues mostly hold the same polynomials, so its top multiplicity is 0."""
+    d = rng.choice([2, 4, 6])
+    lo = -rng.randint(0, 4)
+    zeros = rng.random()  # share of zeros among the core values below the tail
+    evens = [random_tail_poly(rng) for _ in range(d // 2)]
+    odds = rng.sample(evens, len(evens)) if rng.random() < 0.8 else [
+        random_tail_poly(rng) for _ in range(d // 2)
+    ]
+    polys = tuple(evens[i // 2] if i % 2 == 0 else odds[i // 2] for i in range(d))
+    qp = None if rng.random() < 0.15 else QuasiPolynomial(d, polys, d * rng.randint(0, 2))
+    if qp is None or qp.is_zero():
+        values = [0 if rng.random() < zeros else rng.randint(0, 3) for _ in range(rng.randint(1, 9))]
+        # Cancel the Euler characteristic, the top multiplicity here, with one
+        # more value at a degree of the right parity.
+        chi = sum(-v if (lo + k) % 2 else v for k, v in enumerate(values))
+        if chi:
+            if (lo + len(values)) % 2 != (chi > 0):
+                values.append(0)
+            values.append(abs(chi))
+        return LengthFunction(d, lo, tuple(values), None, None)
+    hi = qp.valid_from + d * (qp.max_degree + 2) + d * rng.randint(0, 2)
+    values = [
+        int(qp(n)) if n >= qp.valid_from else 0 if rng.random() < zeros else rng.randint(0, 3)
+        for n in range(lo, hi + 1)
+    ]
+    return LengthFunction(d, lo, tuple(values), qp, None)
+
+
+def window_case(rng):
+    lf = window_function(rng)
+    if rng.random() < 0.2:
+        lf = lf + random_length_function(rng, lf.d).reflect().shift(rng.randint(-6, 6))
+    m0 = rng.randint(lf.core_start - 6, lf.core_end + 12)
+    return lf, m0, rng.choice(["even", "odd"])
+
+
+def outcome(check, lf, m0, parity):
+    try:
+        return check(lf, m0, parity)
+    except Exception as err:  # noqa: BLE001 - any difference in kind must show
+        return type(err).__name__, str(err)
+
+
+def routes(lf, result):
+    """How the result was reached: where the run was found, and the status."""
+    if isinstance(result, tuple):
+        return {"error"}
+    if result.window_start is None:
+        return {result.status}
+    qp = lf.pos_tail
+    on_tail = qp is not None and result.window_start >= qp.valid_from
+    return {result.status, "certified" if on_tail else "looked"}
+
+
+def compare(rng, seen):
+    lf, m0, parity = window_case(rng)
+    got = outcome(vanishing_window_check, lf, m0, parity)
+    assert got == outcome(oracle.vanishing_window_check, lf, m0, parity), (lf.to_json_dict(), m0, parity)
+    seen.update(routes(lf, got))
+
+
+def test_certificate_matches_the_horizon_scan():
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(600):
+        compare(rng, seen)
+    for route in ROUTES:
+        assert seen[route], (route, seen)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_certificate_matches_the_horizon_scan_on_any_seed(seed):
+    compare(random.Random(seed), Counter())
+
+
+def test_run_on_a_tail_past_the_core():
+    # The tail is (t - 5)^2 on both residues: lambda is 0 at n = 10 and 11
+    # only, past the core [0, 9], so the run is found by the certificate.
+    t = Polynomial.t()
+    qp = QuasiPolynomial(2, ((t - 5) ** 2, (t - 5) ** 2), 0)
+    lf = LengthFunction(2, 0, tuple(int(qp(n)) for n in range(10)), qp, None)
+    for parity, start in (("even", 10), ("odd", 11)):
+        result = vanishing_window_check(lf, 0, parity)
+        assert (result.status, result.window_start, result.violation) == ("violated", start, 0)
+        assert result == oracle.vanishing_window_check(lf, 0, parity)
+
+
+def test_binomial_family_past_the_horizon_scan():
+    # The horizon of 1/(1-t)^16 grows like 16!, which the scan never reached.
+    lf = from_series(parse_series("1/(1-t)^16"), 2, 84)
+    assert vanishing_window_check(lf, 0, "even").status == "window_not_found"
