@@ -22,7 +22,7 @@ from typing import NoReturn
 from .exact import NotExpandableError, format_rational, series_coefficients
 from .fixtures import FixtureError, run_corpus, run_property_suites
 from .koszul import KoszulError, reduce_chain
-from .lengths import FitError, LengthFunction, ModelError, from_series, read_json
+from .lengths import LengthFunction, ModelError, from_series, read_json
 from .multiplicity import (
     MultiplicityError,
     limit_estimate,
@@ -34,7 +34,6 @@ from .multiplicity import (
 from .series import SeriesSemanticError, SeriesSyntaxError, parse_series
 
 _ERRORS = (
-    FitError,
     FixtureError,
     KoszulError,
     ModelError,
@@ -72,9 +71,9 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--expr", help="series expression, expanded and fitted")
+    sub.add_argument("--expr", help="series expression; its tail is certified from the denominator")
     sub.add_argument("--d", type=_int, default=2, help="period (even, >= 2); used with --expr")
-    sub.add_argument("--probe", type=_int, default=80, help="expansion window for fitting")
+    sub.add_argument("--probe", type=_nonnegative_int, default=80, help="smallest core shown")
     sub.add_argument("--input", help="path to a length-function JSON file")
 
 

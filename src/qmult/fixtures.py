@@ -1,8 +1,8 @@
 """Fixture corpus and randomized property suites.
 
 Fixtures ship as JSON files, one per worked example family, each holding a
-list of cases.  A case names its input (a series expression to expand and
-fit, or an explicit length-function payload) and a list of expected checks.
+list of cases.  A case names its input (a series expression, its tail certified
+from the denominator, or a length-function payload) and the expected checks.
 Every check carries a provenance tag:
 
 * ``published`` - the value is stated in the source literature;
@@ -14,8 +14,8 @@ their parsers in ``_PARSERS``, checks against their kinds in ``CHECKS``.
 Unknown kinds, unknown or missing fields, malformed values, values outside a
 closed set and a check needing a source in a case without one are a
 :class:`FixtureError` naming the file, so nothing is skipped, coerced or misread.
-A check that raises, or whose series does not fit, fails and never aborts
-the run.  The randomized property suites run from one table, ``PROPERTIES``.
+A check that raises, or whose series is refused, fails and never aborts the
+run.  The randomized property suites run from one table, ``PROPERTIES``.
 """
 
 from __future__ import annotations
@@ -337,8 +337,8 @@ def run_corpus(directory: Path | None = None) -> list[CheckResult]:
             for check in case["expected"]:
                 spec = CHECKS[check["check"]]
                 try:
-                    # A series is expanded and fitted at the first check of
-                    # its case; if that fails, each check retries and fails.
+                    # A series is expanded and certified at the first check of
+                    # its case; if it is refused, each check retries and fails.
                     if isinstance(lf, tuple):
                         lf = from_series(*lf)
                     ok, detail = spec.run(lf, {**spec.defaults, **check})

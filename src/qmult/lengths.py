@@ -15,10 +15,10 @@ is integral on all of Z); nonnegativity along the rest of the ray is certified
 by exact sign analysis.  Quasi-polynomial tails whose polynomials are all zero
 are normalized to ``None``.
 
-Fitting (:func:`fit_quasipoly`) recovers the tail of a sampled function by
-Newton forward differences per residue class, working from the high end of the
-window; the reported ``valid_from`` is the honest boundary found by scanning
-back down, never an assumed one.
+A Hilbert series' tail is certified from its denominator (:func:`from_series`);
+:func:`fit_quasipoly` fits sampled data by Newton forward differences per residue
+class from the high end of the window.  Either way ``valid_from`` is the honest
+boundary found by scanning back down, never an assumed one.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .differences import newton_polynomial
@@ -571,35 +572,39 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
 
 
 def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
-    """Expand a Hilbert series and fit its positive tail.
+    """Expand a Hilbert series f = N/D and certify its positive tail from D.
 
-    The series is supported in degrees n >= 0, so the negative tail vanishes.
-    ``probe`` must be large enough for the fit to stabilize and to leave the
-    required core/tail overlap; otherwise a :class:`FitError` asking for a
-    larger probe is raised.
+    With k the order of D's zero at t = 1, the coefficients are eventually a
+    period-d quasi-polynomial exactly when P = N(1 - t^d)^k / D is a polynomial,
+    and then for all n > deg N - deg D (Stanley, EC I, 4.4); each residue's
+    polynomial is read off k blocks there.  The core reaches at least ``probe``.
     """
     _check_period(d)
-    if probe < 3 * d:
-        raise FitError(f"probe window [0, {probe}] is too small; increase probe")
-    coeffs = series_coefficients(f, probe)
+    if probe < 0:
+        raise ModelError(f"probe must be >= 0, got {probe}")
+    k, q = 0, f.den.numerators  # no pole of a nonnegative series outranks the one at 1
+    while sum(q) == 0:  # divide D by t - 1; this ends, since D(0) == 1
+        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
+    start = max(0, f.num.degree - f.den.degree + 1)
     values = []
-    for n, c in enumerate(coeffs):
+    for n, c in enumerate(series_coefficients(f, max(probe, start + d * (k + 1)))):
         if c.denominator != 1 or c < 0:
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
-    try:
-        qp = fit_quasipoly(dict(enumerate(values)), d)
-    except FitError as err:
-        raise FitError(
-            f"increase probe: {err}", residue=err.residue, best_degree=err.best_degree
-        ) from None
-    if not qp.is_zero():
-        need = qp.valid_from + d * (qp.max_degree + 2)
-        if need > probe:
-            raise FitError(
-                f"increase probe: stabilization at n={qp.valid_from} leaves too "
-                f"little overlap (need probe >= {need})",
-                best_degree=qp.max_degree,
-            )
-    # An all-zero fit normalizes to a vanishing tail.
-    return LengthFunction(d, 0, tuple(values), qp, None)
+    lifted = f.num * (1 - Polynomial.t() ** d) ** k
+    P = series_coefficients(RationalFunction(lifted, f.den), max(lifted.degree - f.den.degree, 0))
+    if Polynomial(P) * f.den != lifted:
+        raise ModelError(
+            f"not eventually a period-{d} quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
+        )
+    m = -(-start // d)  # the first block of degrees all >= start
+    polys = tuple(
+        newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
+        for i in range(d)
+    )
+    qp = QuasiPolynomial(d, polys, 0)
+    valid_from = next((n + 1 for n in range(len(values) - 1, -1, -1) if qp(n) != values[n]), 0)
+    end = max(probe, valid_from + d * (qp.max_degree + 2))
+    qp = QuasiPolynomial(d, polys, valid_from)  # normalized to None if all zero
+    return LengthFunction(d, 0, tuple(values[: end + 1]), qp, None)

@@ -346,8 +346,9 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
         return WindowResult("window_not_found")
 
     # A nonzero tail polynomial of degree e has at most e integer zeros, so
-    # the search on a tail ends.
-    ks = range(m0, lf.core_end + 1) if qp is None else count(m0)
+    # the search on a tail ends.  Below a vanishing negative tail all is zero.
+    first = m0 if lf.neg_tail is not None else max(m0, lf.core_start)
+    ks = range(first, lf.core_end + 1) if qp is None else count(first)
     violation = next((k for k in ks if lf(k) != 0), None)
     if violation is not None:
         return WindowResult("violated", window_start=run_at, violation=violation)

@@ -20,6 +20,13 @@ certificate method is compared.
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials, against which the run search by the
 tail-sign certificate is compared.
+
+The multiplicities of a Hilbert series f are also read off its poles, with no
+expansion and no tail: the complexity is the order of f's pole at t = 1, and
+for s >= cx the delta multiplicity is d^s times the value of (1 + t)^s f(t)
+at t = -1, which is 0 when the pole at -1 has order below s.  This is the
+paper's reading of the multiplicity as a leading coefficient of the Hilbert
+quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
 """
 
 from fractions import Fraction
@@ -363,3 +370,39 @@ def vanishing_window_check(lf, m0, parity):
         # strictly inside the scanned range.
         raise ModelError("tail scan inconsistent with zero values")
     return WindowResult("confirmed", window_start=run_at)
+
+
+def divide_out_root(coeffs, root):
+    """(q, m): the Fraction coefficients of p / (t - root)^m, with m the
+    order of p's zero at root, by repeated synthetic division."""
+    m = 0
+    while any(coeffs) and horner_eval(Polynomial(tuple(coeffs)), root) == 0:
+        quotient, acc = [], Fraction(0)
+        for c in reversed(coeffs[1:]):
+            acc = acc * root + c
+            quotient.append(acc)
+        coeffs, m = quotient[::-1], m + 1
+    return coeffs, m
+
+
+def pole_order(f, root):
+    """(order, num, den): the order of f = num / den's pole at root, negative
+    at a zero of f, and num and den with their zeros at root divided out."""
+    num, a = divide_out_root(list(f.num.coeffs), root)
+    den, b = divide_out_root(list(f.den.coeffs), root)
+    return b - a, num, den
+
+
+def laurent_complexity(f):
+    """cx of the series f: the order of its pole at t = 1 (0 where none)."""
+    return max(pole_order(f, 1)[0], 0)
+
+
+def laurent_e_delta(f, d, s):
+    """e_delta(s) of the series f for s >= cx: d^s * [(1 + t)^s f(t)] at t = -1."""
+    order, num, den = pole_order(f, -1)
+    if order > s:
+        raise ValueError(f"the pole at -1 has order {order} > s = {s}")
+    if order < s:
+        return 0
+    return d**s * horner_eval(Polynomial(tuple(num)), -1) / horner_eval(Polynomial(tuple(den)), -1)

@@ -1,0 +1,89 @@
+"""Series tails certified from the denominator, against expansion and the poles.
+
+``lengths.from_series`` reads the tail of f = N/D off D instead of fitting it
+to a probe window.  On random f = t^a (1 + t)^b / prod_i (1 - t^k_i):
+
+* with every k_i | d, the model agrees with the Fraction series recurrence of
+  ``kernel_oracles`` far past its certified start, and its complexity and
+  multiplicities agree with the pole oracle: cx is the order of f's pole at
+  t = 1 and e_delta(s) = d^s [(1 + t)^s f(t)] at t = -1, for s in {cx, cx + 1};
+* with some k_i not dividing d, a primitive k_i-th root of unity is a pole
+  that (1 + t)^b cannot cancel, so the series is refused by name.
+
+The probe is drawn too, down to 0: it only sets the smallest core shown.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import kernel_oracles as oracle
+from qmult.lengths import ModelError, from_series
+from qmult.multiplicity import multiplicity_pos
+from qmult.series import parse_series
+
+PERIODS = (2, 4, 6, 12)
+
+
+@st.composite
+def series(draw, off_period=False):
+    """(expression, d, probe) for t^a (1 + t)^b / prod (1 - t^k_i), every k_i | d;
+    with ``off_period`` one more k_i that does not divide d."""
+    d = draw(st.sampled_from(PERIODS))
+    ks = draw(st.lists(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]), max_size=4))
+    if off_period:
+        ks.append(draw(st.sampled_from([k for k in range(2, 26) if d % k])))
+    a, b = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    den = "*".join(f"(1-t^{k})" for k in draw(st.permutations(ks))) or "1"
+    return f"t^{a}*(1+t)^{b}/({den})", d, draw(st.sampled_from([0, 5, 80]))
+
+
+@given(series())
+def test_certified_model_matches_the_expansion(case):
+    expr, d, probe = case
+    f = parse_series(expr)
+    lf = from_series(f, d, probe)
+    start = 0 if lf.pos_tail is None else lf.pos_tail.valid_from
+    n_max = max(lf.core_end, start) + 10 * d
+    coeffs = oracle.fraction_series(f.num, f.den, n_max)
+    assert [lf(n) for n in range(-3, n_max + 1)] == [0, 0, 0, *coeffs], expr
+    assert lf.core_end >= probe
+
+
+@given(series())
+def test_multiplicities_match_the_pole_oracle(case):
+    expr, d, probe = case
+    f = parse_series(expr)
+    lf = from_series(f, d, probe)
+    cx = oracle.laurent_complexity(f)
+    assert lf.complexity() == cx, expr
+    for s in (cx, cx + 1):
+        assert multiplicity_pos(lf, s).e_delta == oracle.laurent_e_delta(f, d, s), (expr, s)
+
+
+@given(series(off_period=True))
+def test_pole_off_the_period_is_refused(case):
+    expr, d, probe = case
+    try:
+        from_series(parse_series(expr), d, probe)
+    except ModelError as err:
+        assert str(err) == (
+            f"not eventually a period-{d} quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
+        ), expr
+    else:
+        raise AssertionError(f"{expr} at d={d} was not refused")
+
+
+def test_pole_oracle_on_the_worked_examples():
+    # The S4 cohomology series has cx 2 and e 0 at d = 6; t^2/(1-t^2)^2 has
+    # e_delta 1 at s = 2 (tests/golden/e_jst2.txt); t^200 has Euler
+    # characteristic 1.
+    for expr, d, cx, e in (
+        ("(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", 6, 2, 0),
+        ("t^2/(1-t^2)^2", 2, 2, 1),
+        ("t^200", 2, 0, 1),
+    ):
+        f = parse_series(expr)
+        assert oracle.laurent_complexity(f) == cx
+        assert oracle.laurent_e_delta(f, d, cx) == e
+        assert multiplicity_pos(from_series(f, d, 80), cx).e_delta == e

@@ -194,6 +194,15 @@ class TestFitAndCx:
         assert code == 0
         assert out == "2\n"
 
+    def test_series_off_the_period_is_refused(self, capsys):
+        # A fit to the coefficients 0..80 printed 0 and exited 0.
+        code, out, err = run(capsys, "cx", "--expr", "1/(1-t^100)", "--d", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: not eventually a period-2 quasi-polynomial: "
+            "its poles are not all d-th roots of unity\n"
+        )
+
 
 class TestStrictJsonInput:
     def test_valid_input_accepted(self, capsys, tmp_path):
@@ -475,6 +484,7 @@ OUTPUT_GOLDENS = {
     "expand_rational.json": [*EXPAND, "--json"],
     "fit_jst2.json": ["fit", *JST2, "--probe", "20"],
     "cx_d6.txt": ["cx", "--expr", "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", "--d", "6", "--probe", "120"],
+    "e_t200.txt": ["e", "--expr", "t^200", "--d", "2"],
     "limit_jst2_corrected.txt": LIMIT,
     "limit_jst2_corrected.json": [*LIMIT, "--json"],
     "theta_tor_5_2.txt": ["theta", "--input", TOR],
@@ -609,6 +619,13 @@ class TestIntegerFlags:
         err = capsys.readouterr().err
         assert flag in err
         assert "Traceback" not in err
+
+    def test_negative_probe_is_usage_error(self, capsys):
+        # --probe sizes the core window shown; a size below 0 is refused, not read as 0.
+        with pytest.raises(SystemExit) as info:
+            main(["cx", "--expr", "1/(1-t)^2", "--probe", "-1"])
+        assert info.value.code == 2
+        assert "argument --probe: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_ascii_integers_still_accepted(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "1/(1-t)", "--n", "3")

@@ -372,14 +372,25 @@ class TestCorpus:
         monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
         assert main(["verify", "--suite", "paper"]) == 1
         error = (
-            "error: increase probe: no polynomial stabilization in residue class 0 "
-            "(tried degrees up to 19)"
+            "error: not eventually a period-2 quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
         )
         assert capsys.readouterr() == (
             "PASS paper/x/fit/cx\n"
             f"FAIL paper/x/unfit/cx -- {error}\n"
             f"FAIL paper/x/unfit/multiplicity(s=1) -- {error}\n"
             "passed 1 of 3\n",
+            "",
+        )
+
+    def test_negative_probe_fails_each_check_of_its_case(self, tmp_path, monkeypatch, capsys):
+        cx = {"check": "cx", "provenance": "trivial", "value": 1}
+        case = {"label": "a", "source": {"series": "1/(1-t)", "probe": -1}, "expected": [cx]}
+        (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        assert capsys.readouterr() == (
+            "FAIL paper/x/a/cx -- error: probe must be >= 0, got -1\npassed 0 of 1\n",
             "",
         )
 

@@ -15,6 +15,7 @@ from qmult.lengths import (
     fit_quasipoly,
     from_series,
 )
+from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
 
 
@@ -207,9 +208,22 @@ class TestFromSeries:
         assert lf(3) == 1
         assert lf.support() == [3]
 
-    def test_probe_too_small(self):
-        with pytest.raises(FitError):
-            from_series(parse_series("1/(1-t)^6"), 2, 8)
+    def test_small_probe_widens_the_core(self):
+        # The tail comes from the denominator, so the probe only sets the
+        # smallest core shown: here the core widens to the tail's overlap.
+        f = parse_series("1/(1-t)^6")
+        small, wide = from_series(f, 2, 8), from_series(f, 2, 80)
+        assert small.pos_tail == wide.pos_tail
+        assert small.core_end == 2 * (5 + 2) > 8
+        assert small == wide
+
+    def test_negative_probe_rejected(self):
+        with pytest.raises(ModelError, match=r"^probe must be >= 0, got -1$"):
+            from_series(parse_series("1/(1-t)"), 2, -1)
+
+    def test_zero_probe_accepted(self):
+        lf = from_series(parse_series("1/(1-t)^2"), 2, 0)
+        assert lf.pos_tail.polys == (poly(1, 2), poly(2, 2))
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ModelError):
@@ -228,6 +242,53 @@ class TestFromSeries:
         with pytest.raises(ModelError) as info:
             from_series(parse_series(expr), 2, 12)
         assert str(info.value) == f"series coefficient at {shown}; not a length"
+
+
+class TestCertifiedTail:
+    """The tail is certified from the denominator, not fitted to the probe
+    window: past the probe the model still agrees with the series."""
+
+    REFUSAL = "not eventually a period-2 quasi-polynomial: its poles are not all d-th roots of unity"
+
+    def test_monomial_past_the_probe(self):
+        # A fit to 0..80 saw only zeros and gave Euler characteristic 0.
+        lf = from_series(parse_series("t^200"), 2, 80)
+        assert lf.pos_tail is None
+        assert lf(200) == 1 and lf.support() == [200]
+        assert multiplicity_pos(lf, 0).e_delta == 1
+
+    def test_change_past_the_probe(self):
+        # A fit to 0..80 claimed lambda(200) = 1.
+        f = parse_series("1/(1-t)+t^200")
+        lf = from_series(f, 2, 80)
+        assert lf(200) == 2
+        coeffs = series_coefficients(f, 400)
+        assert all(lf(n) == coeffs[n] for n in range(401))
+        assert lf.pos_tail.valid_from == 201
+
+    @pytest.mark.parametrize("expr", ["1/(1-t^100)", "1/(1-t^3)", "t^5/((1-t^2)*(1-t^5))"])
+    def test_pole_off_the_period_refused(self, expr):
+        # 1/(1-t^100) was fitted as 1, 0, 0, ...; 1/(1-t^3) asked for a larger probe.
+        with pytest.raises(ModelError) as info:
+            from_series(parse_series(expr), 2, 80)
+        assert str(info.value) == self.REFUSAL
+
+    def test_cancelled_pole_accepted(self):
+        # 1 + t + t^2 cancels the primitive cube roots: the series is 1/(1-t).
+        lf = from_series(parse_series("(1+t+t^2)/(1-t^3)"), 2, 80)
+        assert lf == from_series(parse_series("1/(1-t)"), 2, 80)
+
+    def test_long_period_at_its_probe(self):
+        # The fit needed more than 7 blocks of 60 per residue and failed.
+        f = parse_series("1/(1-t)^4")
+        lf = from_series(f, 60, 420)
+        assert lf.complexity() == 4
+        coeffs = series_coefficients(f, 1500)
+        assert all(lf(n) == coeffs[n] for n in range(1501))
+
+    def test_negative_coefficient_named_before_the_refusal(self):
+        with pytest.raises(ModelError, match=r"^series coefficient at n=1 is -2; not a length$"):
+            from_series(parse_series("1/(1+t)^2"), 2, 80)
 
 
 class TestFitQuasipoly:

@@ -10,6 +10,7 @@ and above the core, both must give the same result or the same error.
 """
 
 import random
+import time
 from collections import Counter
 
 from hypothesis import given
@@ -137,3 +138,14 @@ def test_binomial_family_past_the_horizon_scan():
     # The horizon of 1/(1-t)^16 grows like 16!, which the scan never reached.
     lf = from_series(parse_series("1/(1-t)^16"), 2, 84)
     assert vanishing_window_check(lf, 0, "even").status == "window_not_found"
+
+
+def test_violation_search_skips_a_vanishing_negative_tail():
+    # Below the core of a function with a vanishing negative tail every value
+    # is 0; the search for a violation used to walk there from m0 one degree
+    # at a time, linear in |m0| (0.5 s at m0 = -10^6).
+    lf = from_series(parse_series("1/(1-t)^2-1/(1-t^2)"), 2, 80)
+    began = time.perf_counter()
+    result = vanishing_window_check(lf, -10**9, "even")
+    assert time.perf_counter() - began < 0.5
+    assert (result.status, result.window_start, result.violation) == ("violated", -10**9, 1)
