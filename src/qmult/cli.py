@@ -84,10 +84,9 @@ def _usage_error(message: str) -> NoReturn:
 
 def _read_length_function(path: str) -> LengthFunction:
     try:
-        data = read_json(path)
+        return LengthFunction.from_json_dict(read_json(path))
     except ModelError as err:
         raise ModelError(f"{path}: {err}") from None
-    return LengthFunction.from_json_dict(data)
 
 
 def _load_input(args: argparse.Namespace) -> LengthFunction:

@@ -9,13 +9,14 @@ Every check carries a provenance tag:
 * ``derived``   - the value was computed with an independent oracle and frozen;
 * ``trivial``   - the value is immediate from the definitions.
 
-Each file is parsed once, when the corpus loads: source and check fields by
-their parsers in ``_PARSERS``, checks against their kinds in ``CHECKS``.
-Unknown kinds, unknown or missing fields, malformed values, values outside a
-closed set and a check needing a source in a case without one are a
-:class:`FixtureError` naming the file, so nothing is skipped, coerced or misread.
-A check that raises, or whose series is refused, fails and never aborts the
-run.  The randomized property suites run from one table, ``PROPERTIES``.
+Each file is parsed once, when the corpus loads, by the JSON readers of
+:mod:`qmult.lengths` with the field parsers of ``_PARSERS``; a check's kind in
+``CHECKS`` picks its fields.  Unknown kinds, unknown or missing fields,
+malformed values, values outside a closed set and a check needing a source in
+a case without one are a :class:`FixtureError` naming the file and the field
+path, so nothing is skipped, coerced or misread.  A check that raises, or
+whose series is refused, fails and never aborts the run.  The randomized
+property suites run from one table, ``PROPERTIES``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .differences import binomial_polynomial
 from .exact import Polynomial, RationalFunction, series_coefficients
@@ -35,10 +37,14 @@ from .lengths import (
     LengthFunction,
     ModelError,
     QuasiPolynomial,
+    _array_of,
+    _got,
     _json_int,
     _json_list,
+    _json_object,
     _json_poly,
     _json_rational,
+    _one_of,
     fit_quasipoly,
     from_series,
     read_json,
@@ -57,39 +63,11 @@ from .series import SeriesSemanticError, SeriesSyntaxError, parse_series
 
 PROVENANCE_TAGS = ("published", "derived", "trivial")
 
-_SOURCE_FIELDS = {"series", "length_function", "d", "probe"}
-
-
-def _json_object(value: object, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ModelError(f"{field} must be a JSON object, got {value!r}")
-    return value
-
 
 def _json_str(value: object, field: str) -> str:
     if not isinstance(value, str):
-        raise ModelError(f"{field} must be a string, got {value!r}")
+        raise ModelError(f"{field} must be a string, got {_got(value)}")
     return value
-
-
-def _array_of(
-    parse: Callable[[object, str], object], nonempty: bool = False
-) -> Callable[[object, str], list]:
-    def parse_array(value: object, field: str) -> list:
-        if nonempty and value == []:
-            raise ModelError(f"{field} must be a nonempty array")
-        return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
-
-    return parse_array
-
-
-def _one_of(*allowed: str) -> Callable[[object, str], str]:
-    def parse_choice(value: object, field: str) -> str:
-        if value not in allowed:
-            raise ModelError(f"{field} must be one of {allowed}, got {value!r}")
-        return value
-
-    return parse_choice
 
 
 def _series(value: object, field: str) -> RationalFunction:
@@ -124,6 +102,8 @@ _PARSERS = {
     "parity": _one_of("even", "odd"),
     "result": _one_of("confirmed", "window_not_found", "violated"),
 }
+
+_SOURCE = {key: _PARSERS[key] for key in ("series", "length_function", "d", "probe")}
 
 
 def _equals(name: str, got: object, c: dict) -> tuple[bool, str]:
@@ -222,6 +202,9 @@ CHECKS = {
     "window": _Kind(("m0", "parity", "result"), {}, _window),
 }
 
+# A check's kind and provenance tag are fields too.
+_PARSERS.update(check=_one_of(*CHECKS), provenance=_one_of(*PROVENANCE_TAGS))
+
 
 class FixtureError(ValueError):
     """A fixture file is malformed."""
@@ -269,38 +252,28 @@ def load_corpus(directory: Path | None = None) -> list[dict]:
 
 
 def _parse_fixture(data: object) -> dict:
-    keys = set(_json_object(data, "fixture"))
-    if not {"name", "cases"} <= keys or keys - {"name", "d", "cases"}:
-        raise ModelError(f"fixture needs exactly name/[d]/cases, got {sorted(keys)}")
-    name = _json_str(data["name"], "name")
-    d = _json_int(data.get("d", 2), "d")
-    cases = []
-    for i, case in enumerate(_json_list(data["cases"], "cases")):
-        field = f"cases[{i}]"
-        keys = set(_json_object(case, field))
-        if not {"label", "expected"} <= keys or keys - {"label", "source", "expected"}:
-            raise ModelError(f"case needs label/[source]/expected, got {sorted(keys)}")
-        label = _json_str(case["label"], f"{field}.label")
-        source = case.get("source")
-        if source is not None:
-            source = _parse_source(source, f"{field}.source", d)
-        expected = [
-            _parse_check(check, f"{field}.expected[{j}]", source is not None)
-            for j, check in enumerate(_json_list(case["expected"], f"{field}.expected"))
-        ]
-        cases.append({"label": label, "source": source, "expected": expected})
-    return {"name": name, "cases": cases}
+    parsers = {"name": _json_str, "d": _json_int, "cases": _json_list}
+    fixture = _json_object(data, "", parsers, ("name", "cases"), what="fixture")
+    # A case's source reads the fixture's d, which may come after the cases.
+    parse_case = partial(_parse_case, d=fixture.get("d", 2))
+    return {"name": fixture["name"], "cases": _array_of(parse_case)(fixture["cases"], "cases")}
 
 
-def _parse_fields(obj: dict, field: str, allowed: Iterable[str], where: str) -> dict:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ModelError(f"unknown keys {sorted(unknown)} in {where}")
-    return {key: _PARSERS[key](value, f"{field}.{key}") for key, value in obj.items()}
+def _parse_case(case: object, field: str, d: int) -> dict:
+    parsers = {"label": _json_str, "source": partial(_parse_source, d=d)}
+    parsers["expected"] = _array_of(_parse_check)
+    parsed = _json_object(case, field, parsers, ("label", "expected"))
+    source = parsed.get("source")
+    for j, check in enumerate(parsed["expected"]):
+        if source is None and CHECKS[check["check"]].needs_source:
+            raise ModelError(f"{field}.expected[{j}]: check {check['check']!r} needs a case source")
+    return {"label": parsed["label"], "source": source, "expected": parsed["expected"]}
 
 
-def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple:
-    parsed = _parse_fields(_json_object(source, field), field, _SOURCE_FIELDS, field)
+def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple | None:
+    if source is None:  # a null source is the same as none
+        return None
+    parsed = _json_object(source, field, _SOURCE, ())
     if ("series" in parsed) == ("length_function" in parsed):
         raise ModelError(
             f"{field} must have exactly one of series/length_function, got {sorted(source)}"
@@ -310,22 +283,14 @@ def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple:
     return parsed["length_function"]
 
 
-def _parse_check(check: object, field: str, has_source: bool) -> dict:
-    kind = _json_object(check, field).get("check")
-    if not isinstance(kind, str) or kind not in CHECKS:
-        raise ModelError(f"unknown check kind {kind!r}")
-    provenance = check.get("provenance")
-    if provenance not in PROVENANCE_TAGS:
-        raise ModelError(f"check {kind!r} needs a provenance tag from {PROVENANCE_TAGS}")
-    spec = CHECKS[kind]
-    fields = {key: value for key, value in check.items() if key not in ("check", "provenance")}
-    parsed = _parse_fields(fields, field, (*spec.required, *spec.defaults), f"check {kind!r}")
-    missing = [key for key in spec.required if key not in parsed]
-    if missing:
-        raise ModelError(f"{field}: check {kind!r} needs keys {missing}")
-    if spec.needs_source and not has_source:
-        raise ModelError(f"{field}: check {kind!r} needs a case source")
-    return {"check": kind, "provenance": provenance, **parsed}
+def _parse_check(check: object, field: str) -> dict:
+    """A check's fields, typed; its kind picks the parsers.  With no known
+    kind every field parser applies, so the "check" field reports the kind."""
+    kind = check.get("check") if isinstance(check, dict) else None
+    spec = CHECKS.get(kind) if isinstance(kind, str) else None
+    required = ("check", "provenance", *(() if spec is None else spec.required))
+    keys = _PARSERS if spec is None else (*required, *spec.defaults)
+    return _json_object(check, field, {key: _PARSERS[key] for key in keys}, required)
 
 
 def run_corpus(directory: Path | None = None) -> list[CheckResult]:

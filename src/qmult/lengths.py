@@ -18,7 +18,11 @@ are normalized to ``None``.
 A Hilbert series' tail is certified from its denominator (:func:`from_series`);
 :func:`fit_quasipoly` fits sampled data by Newton forward differences per residue
 class from the high end of the window.  Either way ``valid_from`` is the honest
-boundary found by scanning back down, never an assumed one.
+boundary found by one scan back down (``_anchored``), never an assumed one.
+
+JSON is read by one object reader (``_json_object``) and one array reader
+(``_array_of``) for length-function and fixture files alike; every error
+names the field path, such as ``pos_tail.polys[0][1]``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
+from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .differences import newton_polynomial
@@ -398,46 +403,20 @@ class LengthFunction:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> LengthFunction:
+    def from_json_dict(data: object) -> LengthFunction:
         """Build a length function from its JSON form, coercing nothing.
 
         Integers must be JSON integers (not bools or floats) and rationals
         must be integers or "p"/"p/q" strings; anything else raises a
-        :class:`ModelError` naming the offending field.
+        :class:`ModelError` naming the offending field by its path.
         """
-        _require_keys(data, {"d", "core", "pos_tail", "neg_tail"}, "length function")
-        core = data["core"]
-        _require_keys(core, {"start", "values"}, "core")
-
-        def tail_from(obj: dict, side: str, d: int) -> QuasiPolynomial | None:
-            anchor_key = "valid_from" if side == "pos" else "valid_to"
-            if not isinstance(obj, dict) or "kind" not in obj:
-                raise ModelError(f"{side}_tail must be an object with a 'kind'")
-            if obj["kind"] == "vanishing":
-                _require_keys(obj, {"kind"}, f"{side}_tail")
-                return None
-            if obj["kind"] == "quasipoly":
-                _require_keys(obj, {"kind", anchor_key, "polys"}, f"{side}_tail")
-                field = f"{side}_tail.polys"
-                polys = tuple(
-                    _json_poly(p, f"{field}[{i}]")
-                    for i, p in enumerate(_json_list(obj["polys"], field))
-                )
-                anchor = _json_int(obj[anchor_key], f"{side}_tail.{anchor_key}")
-                return QuasiPolynomial(d, polys, anchor)
-            raise ModelError(f"unknown tail kind {obj['kind']!r}")
-
-        d = _json_int(data["d"], "d")
-        return LengthFunction(
-            d,
-            _json_int(core["start"], "core.start"),
-            tuple(
-                _json_int(v, f"core.values[{i}]")
-                for i, v in enumerate(_json_list(core["values"], "core.values"))
-            ),
-            tail_from(data["pos_tail"], "pos", d),
-            tail_from(data["neg_tail"], "neg", d),
+        lf = _json_object(data, "", _LENGTH_FUNCTION, _LENGTH_FUNCTION, what="length function")
+        # A tail is read as (polys, anchor); it needs d, which may come after it.
+        pos, neg = (
+            None if tail is None else QuasiPolynomial(lf["d"], *tail)
+            for tail in (lf["pos_tail"], lf["neg_tail"])
         )
+        return LengthFunction(lf["d"], lf["core"]["start"], tuple(lf["core"]["values"]), pos, neg)
 
 
 def core_window(
@@ -471,42 +450,104 @@ def read_json(path) -> object:
             raise ModelError("JSON arrays or objects are nested too deeply") from None
 
 
+# A JSON reader: (value, its field path) -> the typed value, or a ModelError
+# naming the path.  Length-function and fixture files are read with these.
+Parser = Callable[[object, str], object]
+
+
+def _got(value: object) -> str:
+    """``repr(value)`` for an error message, cut short past 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
+def _json_object(
+    value: object, field: str, parsers: Mapping[str, Parser], required: Iterable, what: str = ""
+) -> dict:
+    """The object ``value`` at path ``field`` ("" at the top level of a file,
+    where ``what`` names it), as {key: parsers[key](value[key], path of key)}.
+
+    Checked in this order: ``value`` is an object; it has no key without a
+    parser; each key parses, in file order; no key of ``required`` is missing.
+    """
+    where, prefix = (field, f"{field}.") if field else (what, "")
+    if not isinstance(value, dict):
+        raise ModelError(f"{where} must be a JSON object, got {_got(value)}")
+    unknown = value.keys() - parsers.keys()
+    if unknown:
+        raise ModelError(f"unknown fields in {where}: {sorted(unknown)}")
+    parsed = {key: parsers[key](v, prefix + key) for key, v in value.items()}
+    missing = set(required) - parsed.keys()
+    if missing:
+        raise ModelError(f"missing fields in {where}: {sorted(missing)}")
+    return parsed
+
+
+def _array_of(parse: Parser, nonempty: bool = False) -> Callable[[object, str], list]:
+    """The reader of a JSON array whose entries ``parse`` reads, each at its
+    path ``field[i]``."""
+
+    def parse_array(value: object, field: str) -> list:
+        if nonempty and value == []:
+            raise ModelError(f"{field} must be a nonempty array")
+        return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
+
+    return parse_array
+
+
+def _one_of(*allowed: str) -> Callable[[object, str], str]:
+    def parse_choice(value: object, field: str) -> str:
+        if value not in allowed:
+            raise ModelError(f"{field} must be one of {allowed}, got {_got(value)}")
+        return value
+
+    return parse_choice
+
+
 def _json_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{field} must be an integer, got {value!r}")
+        raise ModelError(f"{field} must be an integer, got {_got(value)}")
     return value
 
 
 def _json_list(value: object, field: str) -> list:
     if not isinstance(value, list):
-        raise ModelError(f"{field} must be an array, got {value!r}")
+        raise ModelError(f"{field} must be an array, got {_got(value)}")
     return value
-
-
-def _json_poly(value: object, field: str) -> Polynomial:
-    return Polynomial(
-        tuple(_json_rational(c, f"{field}[{k}]") for k, c in enumerate(_json_list(value, field)))
-    )
 
 
 def _json_rational(value: object, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ModelError(f'{field} must be an integer or a "p/q" string, got {value!r}')
+        raise ModelError(f'{field} must be an integer or a "p/q" string, got {_got(value)}')
     try:
         return parse_rational(str(value))
     except (ValueError, ZeroDivisionError):
-        raise ModelError(f"{field} is not a rational: {value!r}") from None
+        raise ModelError(f"{field} is not a rational: {_got(value)}") from None
 
 
-def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ModelError(f"{what} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ModelError(f"unknown fields in {what}: {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ModelError(f"missing fields in {what}: {sorted(missing)}")
+def _json_poly(value: object, field: str) -> Polynomial:
+    return Polynomial(_array_of(_json_rational)(value, field))
+
+
+def _json_tail(value: object, field: str, anchor: str) -> tuple[tuple[Polynomial, ...], int] | None:
+    """A tail as None (kind ``vanishing``) or (polys, anchor) (kind
+    ``quasipoly``); its key ``anchor`` is ``valid_from`` or ``valid_to``."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    parsers: dict[str, Parser] = {"kind": _one_of("vanishing", "quasipoly")}
+    if kind != "vanishing":  # quasipoly, or a kind that the "kind" parser refuses
+        parsers.update({"polys": _array_of(_json_poly), anchor: _json_int})
+    tail = _json_object(value, field, parsers, parsers if kind == "quasipoly" else ("kind",))
+    return None if tail["kind"] == "vanishing" else (tuple(tail["polys"]), tail[anchor])
+
+
+_CORE = {"start": _json_int, "values": _array_of(_json_int)}
+
+_LENGTH_FUNCTION: dict[str, Parser] = {
+    "d": _json_int,
+    "core": lambda value, field: _json_object(value, field, _CORE, _CORE),
+    "pos_tail": lambda value, field: _json_tail(value, field, "valid_from"),
+    "neg_tail": lambda value, field: _json_tail(value, field, "valid_to"),
+}
 
 
 def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynomial:
@@ -562,13 +603,16 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
             )
         polys.append(fitted)
 
-    qp = QuasiPolynomial(d, tuple(polys), lo)
-    valid_from = lo
-    for n in range(hi, lo - 1, -1):
-        if qp(n) != samples[n]:
-            valid_from = n + 1
-            break
-    return QuasiPolynomial(d, tuple(polys), valid_from)
+    return _anchored(d, tuple(polys), samples.__getitem__, lo, hi)
+
+
+def _anchored(d: int, polys: tuple, value: Callable, lo: int, hi: int) -> QuasiPolynomial:
+    """The quasi-polynomial of ``polys``, valid from the lowest n >= lo at which
+    it agrees with ``value`` on all of [n, hi]: the honest boundary, found by
+    scanning down from hi."""
+    qp = QuasiPolynomial(d, polys, lo)
+    valid_from = next((n + 1 for n in range(hi, lo - 1, -1) if qp(n) != value(n)), lo)
+    return QuasiPolynomial(d, polys, valid_from)
 
 
 def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
@@ -578,6 +622,12 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     period-d quasi-polynomial exactly when P = N(1 - t^d)^k / D is a polynomial,
     and then for all n > deg N - deg D (Stanley, EC I, 4.4); each residue's
     polynomial is read off k blocks there.  The core reaches at least ``probe``.
+
+    When P is not a polynomial, either some pole of f is not a d-th root of
+    unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
+    so that the coefficients go negative.  In the second case, and only then,
+    D with its factors Phi_m (m | d) divided out divides N; the refusal says
+    which case holds.
     """
     _check_period(d)
     if probe < 0:
@@ -591,9 +641,12 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         if c.denominator != 1 or c < 0:
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
-    lifted = f.num * (1 - Polynomial.t() ** d) ** k
-    P = series_coefficients(RationalFunction(lifted, f.den), max(lifted.degree - f.den.degree, 0))
-    if Polynomial(P) * f.den != lifted:
+    if not _divides(f.den, f.num * (1 - Polynomial.t() ** d) ** k):
+        if _divides(Polynomial(_strip_cyclotomic(q, d)), f.num):
+            raise ModelError(
+                "series coefficients eventually go negative: "
+                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+            )
         raise ModelError(
             f"not eventually a period-{d} quasi-polynomial: "
             "its poles are not all d-th roots of unity"
@@ -603,8 +656,71 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
         for i in range(d)
     )
-    qp = QuasiPolynomial(d, polys, 0)
-    valid_from = next((n + 1 for n in range(len(values) - 1, -1, -1) if qp(n) != values[n]), 0)
-    end = max(probe, valid_from + d * (qp.max_degree + 2))
-    qp = QuasiPolynomial(d, polys, valid_from)  # normalized to None if all zero
-    return LengthFunction(d, 0, tuple(values[: end + 1]), qp, None)
+    qp = _anchored(d, polys, values.__getitem__, 0, len(values) - 1)
+    return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
+
+
+def _divides(den: Polynomial, num: Polynomial) -> bool:
+    """Whether num / den is a polynomial, for den(0) != 0: the series of
+    num / den up to degree deg num - deg den, times den, gives num back."""
+    f = RationalFunction(num, den)
+    quotient = series_coefficients(f, max(num.degree - den.degree, 0))
+    return Polynomial(quotient) * f.den == f.num
+
+
+def _strip_cyclotomic(q: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The integer polynomial q, constant term first and with q(1) != 0, with
+    every factor Phi_m (m | d) divided out: what is left has no root that is a
+    d-th root of unity.  Only a Phi_m of degree phi(m) <= deg q can divide q,
+    and each is built to that degree and no further."""
+    primes = _prime_factors(d)
+    small = [m for m in range(2, isqrt(d) + 1) if d % m == 0]
+    for m in sorted({*small, *(d // m for m in small), d}):
+        ps = [p for p in primes if m % p == 0]
+        phi = m
+        for p in ps:
+            phi = phi // p * (p - 1)
+        if phi >= len(q):
+            continue
+        # Phi_m is the product of (1 - t^(m/e))^mu(e) over the squarefree e | m,
+        # taken as a power series: it stops at degree phi(m).
+        cyclotomic = [1] + [0] * phi
+        for r in range(len(ps) + 1):
+            for e in combinations(ps, r):
+                a = m // prod(e)
+                if r % 2 == 0:  # times 1 - t^a
+                    for i in range(phi, a - 1, -1):
+                        cyclotomic[i] -= cyclotomic[i - a]
+                else:  # times 1 / (1 - t^a)
+                    for i in range(a, phi + 1):
+                        cyclotomic[i] += cyclotomic[i - a]
+        while (quotient := _divide_monic(q, cyclotomic)) is not None:
+            q = quotient
+    return q
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _divide_monic(a: tuple[int, ...], b: list[int]) -> tuple[int, ...] | None:
+    """a / b when the monic b divides the integer polynomial a (both constant
+    term first), else None."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return None
+    rest, quotient = list(a), [0] * (len(a) - n)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = quotient[i] = rest[i + n]
+        if c:
+            for j in range(n + 1):
+                rest[i + j] -= c * b[j]
+    return None if any(rest[:n]) else tuple(quotient)

@@ -213,18 +213,14 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
             h.append(h[-1] - _sign(m) * (lf(m + d) - lf(m)))
         return h[top - n]
 
-    # Numeric confirmation on 3d consecutive degrees in the certified region.
-    for n in range(v, v + 3 * d):
-        got = delta_op(at, s - 1, d, n)
-        if got != e_delta:
-            raise ModelError(
-                f"numeric stabilization check failed at n={n}: {got} != {e_delta}"
-            )
-
-    # Honest boundary of the verified stable range.
-    n = v - 1
-    while n >= floor and delta_op(at, s - 1, d, n) == e_delta:
+    # One scan down from the top of the 3d consecutive certified degrees: it
+    # must pass below v (the numeric confirmation), and where it stops is the
+    # honest boundary of the verified stable range.
+    n = v + 3 * d - 1
+    while n >= floor and (got := delta_op(at, s - 1, d, n)) == e_delta:
         n -= 1
+    if n >= v:
+        raise ModelError(f"numeric stabilization check failed at n={n}: {got} != {e_delta}")
     return e_delta, d ** (s - 1) * e_delta, n + 1
 
 

@@ -10,6 +10,16 @@ to a probe window.  On random f = t^a (1 + t)^b / prod_i (1 - t^k_i):
 * with some k_i not dividing d, a primitive k_i-th root of unity is a pole
   that (1 + t)^b cannot cancel, so the series is refused by name.
 
+The numerator also carries (1 - t)^c (1 + t)^e against (1 - t)^c (1 - t^2)^e
+in the denominator.  Nothing reduces N/D, so D's zero at t = 1 has a higher
+order than f's pole there, and D's at t = -1 may too: the certificate must
+still find the true complexity and multiplicities.
+
+A series C/(1 - t)^a + t^j/Phi_m^b with m | d, m > 1 and b > a has its pole at
+a primitive m-th root of unity outrank the one at 1, so its coefficients go
+negative; with C large that happens only past the expanded window, and the
+refusal must name that reason rather than an off-period pole.
+
 The probe is drawn too, down to 0: it only sets the smallest core shown.
 """
 
@@ -33,8 +43,27 @@ def series(draw, off_period=False):
     if off_period:
         ks.append(draw(st.sampled_from([k for k in range(2, 26) if d % k])))
     a, b = draw(st.integers(0, 8)), draw(st.integers(0, 4))
-    den = "*".join(f"(1-t^{k})" for k in draw(st.permutations(ks))) or "1"
-    return f"t^{a}*(1+t)^{b}/({den})", d, draw(st.sampled_from([0, 5, 80]))
+    c, e = draw(st.integers(0, 2)), draw(st.integers(0, 2))  # cancelled in N/D
+    ks += [1] * c
+    den = "*".join([f"(1-t^{k})" for k in draw(st.permutations(ks))] + ["(1-t^2)"] * e) or "1"
+    num = f"t^{a}*(1+t)^{b}*(1-t)^{c}*(1+t)^{e}"
+    return f"{num}/({den})", d, draw(st.sampled_from([0, 5, 80]))
+
+
+# Phi_m for the m > 1 that divide some period in PERIODS.
+CYCLOTOMIC = {2: "(1+t)", 3: "(1+t+t^2)", 4: "(1+t^2)", 6: "(1-t+t^2)", 12: "(1-t^2+t^4)"}
+
+
+@st.composite
+def outranked_series(draw):
+    """(expression, d, probe) for C/(1 - t)^a + t^j/Phi_m^b, m | d, m > 1, b > a."""
+    d = draw(st.sampled_from(PERIODS))
+    m = draw(st.sampled_from([m for m in CYCLOTOMIC if d % m == 0]))
+    a = draw(st.integers(1, 2))
+    b = draw(st.integers(a + 1, 3))
+    j = draw(st.integers(0, 3))
+    big = draw(st.integers(10**8, 10**9))  # outweighs t^j/Phi_m^b up to the window's end
+    return f"{big}/(1-t)^{a}+t^{j}/{CYCLOTOMIC[m]}^{b}", d, draw(st.sampled_from([0, 5, 80]))
 
 
 @given(series())
@@ -69,6 +98,21 @@ def test_pole_off_the_period_is_refused(case):
         assert str(err) == (
             f"not eventually a period-{d} quasi-polynomial: "
             "its poles are not all d-th roots of unity"
+        ), expr
+    else:
+        raise AssertionError(f"{expr} at d={d} was not refused")
+
+
+@given(outranked_series())
+def test_outranking_pole_is_refused(case):
+    expr, d, probe = case
+    f = parse_series(expr)
+    try:
+        from_series(f, d, probe)
+    except ModelError as err:
+        assert str(err) == (
+            "series coefficients eventually go negative: "
+            "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
         ), expr
     else:
         raise AssertionError(f"{expr} at d={d} was not refused")

@@ -203,6 +203,16 @@ class TestFitAndCx:
             "its poles are not all d-th roots of unity\n"
         )
 
+    def test_outranking_pole_is_refused_by_name(self, capsys):
+        # The poles are at +-1, so the off-period reason this was refused with
+        # misled: the pole at -1 has order 2, and coefficient n=101 is -2.
+        code, out, err = run(capsys, "cx", "--expr", "100/(1-t)+1/(1+t)^2", "--d", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: series coefficients eventually go negative: "
+            "a pole at a d-th root of unity other than 1 outranks the pole at t = 1\n"
+        )
+
 
 class TestStrictJsonInput:
     def test_valid_input_accepted(self, capsys, tmp_path):
@@ -268,7 +278,7 @@ class TestStrictJsonInput:
         input_file.write_text(json.dumps(lf))
         code, out, err = run(capsys, "cx", "--input", str(input_file))
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {field} ")
+        assert err.startswith(f"error: {input_file}: {field} ")
 
 
     @pytest.mark.parametrize("command", ["fit", "theta"])
@@ -323,12 +333,12 @@ class TestStrictJsonInput:
         path.write_text(json.dumps(lf))
         code, out, err = run(capsys, "cx", "--input", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: pos_tail.polys[0][0] is not a rational: '1_0'\n"
+        assert err == f"error: {path}: pos_tail.polys[0][0] is not a rational: '1_0'\n"
         lf["pos_tail"]["polys"][0] = ["10"]
         path.write_text(json.dumps(lf))
         code, out, err = run(capsys, "cx", "--input", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: pos_tail.polys[1][0] is not a rational: '\u0661\u0660'\n"
+        assert err == f"error: {path}: pos_tail.polys[1][0] is not a rational: '\u0661\u0660'\n"
         lf["pos_tail"]["polys"][1] = ["10"]
         path.write_text(json.dumps(lf))
         assert run(capsys, "cx", "--input", str(path)) == (0, "1\n", "")

@@ -246,7 +246,7 @@ class TestCorpus:
         check = {"check": kind, "provenance": "trivial"}
         check.update((k, VALID_FIELDS[k]) for k in CHECKS[kind].required if k != key)
         write_case(tmp_path, {"label": "a", "source": {"series": "1/(1-t)"}, "expected": [check]})
-        message = f"bad.json: cases[0].expected[0]: check {kind!r} needs keys [{key!r}]"
+        message = f"bad.json: missing fields in cases[0].expected[0]: [{key!r}]"
         with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path)
         monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))

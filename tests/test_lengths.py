@@ -1,6 +1,7 @@
 """Length-function model: construction, evaluation, fitting, JSON."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qmult.lengths import (
     LengthFunction,
     ModelError,
     QuasiPolynomial,
+    _strip_cyclotomic,
     fit_quasipoly,
     from_series,
 )
@@ -285,6 +287,44 @@ class TestCertifiedTail:
         assert lf.complexity() == 4
         coeffs = series_coefficients(f, 1500)
         assert all(lf(n) == coeffs[n] for n in range(1501))
+
+    OUTRANKED = (
+        "series coefficients eventually go negative: "
+        "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+    )
+
+    @pytest.mark.parametrize(
+        "expr, d",
+        [
+            ("100/(1-t)+1/(1+t)^2", 2),
+            ("10^6/(1-t)+1/(1-t+t^2)^2", 6),
+            ("10^6/(1-t)^2+t/(1+t^2)^3", 4),
+        ],
+    )
+    def test_outranking_pole_named(self, expr, d):
+        # The poles are d-th roots of unity, but the one at -1 (or at a
+        # primitive 6th or 4th root) has the higher order: coefficient n=101
+        # of the first is -2.  This was refused as "its poles are not all
+        # d-th roots of unity".
+        with pytest.raises(ModelError) as info:
+            from_series(parse_series(expr), d, 80)
+        assert str(info.value) == self.OUTRANKED
+
+    def test_pole_off_the_period_named_beside_an_outranking_one(self):
+        # A pole off the period is named first, whatever else outranks.
+        with pytest.raises(ModelError) as info:
+            from_series(parse_series("100/(1-t)+1/(1+t)^2+1/(1-t^3)"), 2, 80)
+        assert str(info.value) == self.REFUSAL
+
+    def test_cyclotomic_factors_divided_out_at_a_large_period(self):
+        # Only the Phi_m (m | d) of degree <= deg D are built, for the divisors
+        # of d found up to sqrt(d): no polynomial of degree d * deg D appears.
+        # Phi_2 = 1 + t and Phi_4 = 1 + t^2 go; Phi_3 = 1 + t + t^2 stays (3 does not divide d).
+        rest = Polynomial((1, -2)) ** 100 * Polynomial((1, 1, 1))
+        q = rest * Polynomial((1, 1)) ** 3 * Polynomial((1, 0, 1))
+        began = time.perf_counter()
+        assert _strip_cyclotomic(q.numerators, 10**6) == rest.numerators
+        assert time.perf_counter() - began < 1.0
 
     def test_negative_coefficient_named_before_the_refusal(self):
         with pytest.raises(ModelError, match=r"^series coefficient at n=1 is -2; not a length$"):
