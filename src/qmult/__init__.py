@@ -22,6 +22,7 @@ from .differences import (
 from .exact import (
     NotExpandableError,
     Polynomial,
+    QmultError,
     RationalFunction,
     format_rational,
     parse_rational,
@@ -75,6 +76,7 @@ __all__ = [
     "MultiplicityReport",
     "NotExpandableError",
     "Polynomial",
+    "QmultError",
     "QuasiPolynomial",
     "RationalFunction",
     "SeriesSemanticError",

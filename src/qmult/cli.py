@@ -19,30 +19,18 @@ from fractions import Fraction
 from functools import partial
 from typing import NoReturn
 
-from .exact import NotExpandableError, format_rational, series_coefficients
-from .fixtures import FixtureError, run_corpus, run_property_suites
-from .koszul import KoszulError, reduce_chain
+from .exact import QmultError, format_rational, series_coefficients
+from .fixtures import run_corpus, run_property_suites
+from .koszul import reduce_chain
 from .lengths import LengthFunction, ModelError, from_series, read_json
 from .multiplicity import (
-    MultiplicityError,
     limit_estimate,
     multiplicity_neg,
     multiplicity_pos,
     serre_intersection,
     theta_invariant,
 )
-from .series import SeriesSemanticError, SeriesSyntaxError, parse_series
-
-_ERRORS = (
-    FixtureError,
-    KoszulError,
-    ModelError,
-    MultiplicityError,
-    NotExpandableError,
-    SeriesSemanticError,
-    SeriesSyntaxError,
-    OSError,
-)
+from .series import parse_series
 
 
 # What a handler returns: (exit code, JSON payload, text).  ``main`` prints the
@@ -311,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         code, payload, text = _COMMANDS[args.command][2](args)
         as_json = text is None or getattr(args, "json", False)
         output = json.dumps(payload, indent=2) if as_json else text
-    except _ERRORS as err:
+    except (QmultError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:  # only the refusal to write too long an integer

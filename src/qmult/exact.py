@@ -28,7 +28,12 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-class NotExpandableError(ValueError):
+class QmultError(ValueError):
+    """The base of every error qmult raises on bad input or an undefined
+    request; the command line reports each as one ``error:`` line, exit 1."""
+
+
+class NotExpandableError(QmultError):
     """Denominator has a zero constant term: no power series at t = 0."""
 
 
@@ -427,44 +432,41 @@ def difference_table(values: list) -> list:
     return values
 
 
-def nonnegative_on_ray(p: Polynomial, start: int, direction: int) -> int | None:
-    """Check p(m) >= 0 for every integer m on a ray, exactly.
+def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:
+    """Check p(m) >= 0 for every integer m >= start, exactly.
 
-    ``direction=+1`` checks m >= start, ``direction=-1`` checks m <= start.
     Returns None when the polynomial is nonnegative on the whole ray, else a
-    violating integer m: the first one along the ray, or a point past the
-    Cauchy horizon when the leading term is negative there.
+    violating integer m: the first one from start up, or a point past the
+    Cauchy horizon when the leading coefficient is negative.  The ray goes one
+    way; a ray m <= start is the ray m >= -start of p(-m).
 
-    The certificate is the forward-difference table of q(x) = p(start +
-    direction*x), built from deg + 1 evaluations.  By Newton's forward formula
-    q(x + j) = sum_k Delta^k q(x) * C(j, k), and C(j, k) >= 0 at every integer
-    j >= 0, so once every entry of the table is >= 0 the ray is certified from
-    there on.  Until then the table walks one step along the ray at a time (deg
-    additions a step), and the first step whose entry Delta^0 q is negative is
-    the violation.  Past the horizon p has no roots and keeps the sign of its
-    leading term, so the walk never goes beyond it.
+    The certificate is the forward-difference table of p at start, built from
+    deg + 1 evaluations.  By Newton's forward formula p(m + j) = sum_k
+    Delta^k p(m) * C(j, k), and C(j, k) >= 0 at every integer j >= 0, so once
+    every entry of the table is >= 0 the ray is certified from there on.
+    Until then the table walks one step up at a time (deg additions a step),
+    and the first step whose entry Delta^0 p is negative is the violation.
+    Past the horizon p has no roots and keeps the sign of its leading term, so
+    the walk never goes beyond it.
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
     if p.is_zero():
         return None
     deg, lead = p.leading_term()
     if deg == 0:
         return None if lead > 0 else start
     horizon = cauchy_horizon(p)
-    eventual_sign = lead if direction == 1 else lead * (-1) ** deg
-    if eventual_sign < 0:
-        return direction * max(direction * start, horizon + 1)
-    if direction * start > horizon:
+    if lead < 0:
+        return max(start, horizon + 1)
+    if start > horizon:
         return None
-    table = difference_table([p(start + direction * i) for i in range(deg + 1)])
+    table = difference_table([p(start + i) for i in range(deg + 1)])
     m = start
-    while direction * m <= horizon:
+    while m <= horizon:
         if table[0] < 0:
             return m
         if all(entry >= 0 for entry in table):
             return None
         for k in range(deg):
             table[k] += table[k + 1]
-        m += direction
+        m += 1
     return None

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .differences import binomial_polynomial
-from .exact import Polynomial, RationalFunction, series_coefficients
+from .exact import Polynomial, QmultError, RationalFunction, series_coefficients
 from .koszul import reduce_chain
 from .lengths import (
     LengthFunction,
@@ -206,7 +206,7 @@ CHECKS = {
 _PARSERS.update(check=_one_of(*CHECKS), provenance=_one_of(*PROVENANCE_TAGS))
 
 
-class FixtureError(ValueError):
+class FixtureError(QmultError):
     """A fixture file is malformed."""
 
 
@@ -280,6 +280,9 @@ def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple 
         )
     if "series" in parsed:
         return parsed["series"], parsed.get("d", d), parsed.get("probe", 80)
+    stray = parsed.keys() - {"length_function"}  # d and probe only shape a series
+    if stray:
+        raise ModelError(f"unknown fields in {field}: {sorted(stray)}")
     return parsed["length_function"]
 
 
@@ -330,9 +333,9 @@ def _check_label(check: dict) -> str:
 # -- randomized property suites ----------------------------------------------
 
 
-def random_polynomial(rng: random.Random, max_degree: int = 5) -> Polynomial:
-    """Random rational-coefficient polynomial, degree <= max_degree (possibly 0)."""
-    degree = rng.randint(-1, max_degree)
+def random_polynomial(rng: random.Random) -> Polynomial:
+    """Random rational-coefficient polynomial of degree at most 5, possibly zero."""
+    degree = rng.randint(-1, 5)
     if degree < 0:
         return Polynomial()
     coeffs = [
@@ -347,19 +350,18 @@ def random_length_function(
     rng: random.Random,
     d: int | None = None,
     min_cx: int = 0,
-    max_degree: int = 3,
 ) -> LengthFunction:
     """Random valid length function: vanishing below, quasi-polynomial above.
 
-    Tail polynomials are drawn in the binomial basis with nonnegative integer
-    coefficients, so values are automatically nonnegative integers on every
-    block index >= 0.
+    Tail polynomials of degree at most 3 are drawn in the binomial basis with
+    nonnegative integer coefficients, so values are automatically nonnegative
+    integers on every block index >= 0.
     """
     d = d if d is not None else rng.choice([2, 4])
     while True:
         polys = []
         for _ in range(d):
-            degree = rng.randint(-1, max_degree)
+            degree = rng.randint(-1, 3)
             acc = Polynomial()
             for k in range(degree + 1):
                 acc = acc + binomial_polynomial(k) * rng.randint(0, 4)

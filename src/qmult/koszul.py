@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-# Unused since QuasiPolynomial.negative_blocks certifies the reduced tails; the
-# name stays because perfbench/test_perfbench.py looks it up on this module.
-from .exact import nonnegative_on_ray  # noqa: F401
+# nonnegative_on_ray is unused since QuasiPolynomial.negative_degrees certifies
+# the reduced tails; the name stays because perfbench/test_perfbench.py looks it
+# up on this module.
+from .exact import QmultError, nonnegative_on_ray  # noqa: F401
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
 from .multiplicity import (
     MultiplicityError,
@@ -39,7 +40,7 @@ from .multiplicity import (
 )
 
 
-class KoszulError(ValueError):
+class KoszulError(QmultError):
     """The reduction would produce a negative length somewhere."""
 
     def __init__(self, message: str, violations: tuple[int, ...] = ()):
@@ -89,7 +90,7 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     # Beyond the window the reduced tails govern; certify their sign exactly.
     for qp, anchor, direction in ((pos, hi + 1, 1), (neg, lo - 1, -1)):
         if qp is not None:
-            violations += (d * block + i for i, block in qp.negative_blocks(anchor, direction))
+            violations += qp.negative_degrees(anchor, direction)
     if violations:
         word = "injective" if regime == "positive" else "surjective"
         raise KoszulError(

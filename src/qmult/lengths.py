@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .differences import newton_polynomial
 from .exact import (
     Polynomial,
+    QmultError,
     RationalFunction,
     difference_table,
     nonnegative_on_ray,
@@ -46,11 +47,11 @@ from .exact import (
 )
 
 
-class ModelError(ValueError):
+class ModelError(QmultError):
     """A length-function model is internally inconsistent or misused."""
 
 
-class FitError(ValueError):
+class FitError(QmultError):
     """No quasi-polynomial stabilization within the sampled window."""
 
     def __init__(self, message: str, residue: int | None = None, best_degree: int | None = None):
@@ -147,16 +148,17 @@ class QuasiPolynomial:
             polys.append(self.polys[self.d - i].compose_linear(-1, -1))
         return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
 
-    def negative_blocks(self, anchor: int, direction: int) -> Iterator[tuple[int, int]]:
-        """The sign certificate: ``(i, block)`` for each residue i that goes negative
-        at a degree d * block + i >= anchor (``direction=+1``) or <= anchor (-1).
-        Residue i's ray starts at the ceiling of (anchor - i) / d going up, the
-        floor going down."""
+    def negative_degrees(self, anchor: int, direction: int) -> Iterator[int]:
+        """The sign certificate: for each residue i, in order, that goes negative
+        at a degree n >= anchor (``direction=+1``) or n <= anchor (-1), one such
+        n = d * block + i.  Residue i's ray up starts at the ceiling of
+        (anchor - i) / d; a ray down is the ray up of g_i(-t) from minus the
+        floor, and its result is reflected back."""
         for i, p in enumerate(self.polys):
-            start = -direction * ((direction * (i - anchor)) // self.d)
-            bad = nonnegative_on_ray(p, start, direction)
+            start = -((direction * (i - anchor)) // self.d)
+            bad = nonnegative_on_ray(p if direction == 1 else p.compose_linear(-1, 0), start)
             if bad is not None:
-                yield i, bad
+                yield self.d * direction * bad + i
 
 
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
@@ -189,10 +191,10 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
                 f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
             )
     # Nonnegativity out along the ray, certified by exact sign analysis.
-    for i, block in qp.negative_blocks(qp.valid_from, direction):
+    for n in qp.negative_degrees(qp.valid_from, direction):
         raise ModelError(
-            f"{side} tail polynomial for residue {i} goes negative at block {block} "
-            f"(degree n={lf.d * block + i})"
+            f"{side} tail polynomial for residue {n % lf.d} goes negative at block "
+            f"{n // lf.d} (degree n={n})"
         )
 
 

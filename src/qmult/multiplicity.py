@@ -46,11 +46,11 @@ from typing import Sequence
 
 from .differences import delta as delta_op
 from .differences import faulhaber_sum
-from .exact import Polynomial, format_rational
+from .exact import Polynomial, QmultError, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
 
-class MultiplicityError(ValueError):
+class MultiplicityError(QmultError):
     """A multiplicity was requested outside its domain of definition."""
 
 
@@ -336,8 +336,8 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     if run_at is None and qp is not None:
         shifted = zip(*(qp.shift(2 * j).polys for j in range(d // 2)))
         less_one = QuasiPolynomial(d, tuple(sum(ps, Polynomial()) - 1 for ps in shifted), end)
-        runs = less_one.negative_blocks(max(start, end), 1)
-        run_at = min((d * block + i for i, block in runs if i % 2 == want), default=None)
+        runs = less_one.negative_degrees(max(start, end), 1)
+        run_at = min((n for n in runs if n % 2 == want), default=None)
     if run_at is None:
         return WindowResult("window_not_found")
 

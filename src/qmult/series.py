@@ -28,13 +28,13 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .exact import NotExpandableError, Polynomial, RationalFunction
+from .exact import NotExpandableError, Polynomial, QmultError, RationalFunction
 
 
 MAX_NESTING = 100
 
 
-class SeriesSyntaxError(ValueError):
+class SeriesSyntaxError(QmultError):
     """Malformed input, with the byte offset and the expected-token set."""
 
     def __init__(self, offset: int, found: str, expected: tuple[str, ...]):
@@ -45,7 +45,7 @@ class SeriesSyntaxError(ValueError):
         super().__init__(f"syntax error at offset {offset}: found {found}, expected {want}")
 
 
-class SeriesSemanticError(ValueError):
+class SeriesSemanticError(QmultError):
     """Well-formed input that denotes no expandable series."""
 
     def __init__(self, message: str, start: int, end: int, fragment: str):

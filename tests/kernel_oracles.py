@@ -15,7 +15,8 @@ mirrored form, one hand-written branch per side, against which the single
 side-parametrized code path is compared.  The Koszul step keeps the sign
 certificate of its reduced tails written out inline, with its own ceiling and
 floor ray starts from the window edges, against which the tail's one
-certificate method is compared.
+certificate method is compared.  Both reflect a downward ray to the upward
+ray of g(-t), through Horner composition.
 
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials, against which the run search by the
@@ -244,13 +245,15 @@ def check_tail(lf, qp, side):
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {qp(n)}, core holds {expected}"
             )
-    direction = 1 if side == "pos" else -1
     for i, p in enumerate(qp.polys):
-        if direction == 1:
+        if side == "pos":
             m0 = -((qp.valid_from - i) // -lf.d)  # ceil division
+            bad = nonnegative_on_ray(p, m0)
         else:
             m0 = (qp.valid_from - i) // lf.d
-        bad = nonnegative_on_ray(p, m0, direction)
+            # The ray of blocks <= m0 is the ray of p(-t) from -m0, read back.
+            bad = nonnegative_on_ray(horner_compose_linear(p, -1, 0), -m0)
+            bad = None if bad is None else -bad
         if bad is not None:
             raise ModelError(
                 f"{side} tail polynomial for residue {i} goes negative at block {bad} "
@@ -317,9 +320,11 @@ def koszul_reduce(lf, regime="positive"):
         for i, p in enumerate(qp.polys):
             if direction == 1:
                 m0 = -((anchor - i) // -d)  # ceil division
+                bad = nonnegative_on_ray(p, m0)
             else:
                 m0 = (anchor - i) // d
-            bad = nonnegative_on_ray(p, m0, direction)
+                bad = nonnegative_on_ray(horner_compose_linear(p, -1, 0), -m0)
+                bad = None if bad is None else -bad
             if bad is not None:
                 violations.append(d * bad + i)
     if violations:

@@ -1,13 +1,18 @@
 """Command-line interface: outputs, exit codes, golden files."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import qmult
 from qmult import cli
 from qmult.cli import main
+from qmult.exact import QmultError
 from qmult.koszul import KoszulError, reduce
 from qmult.lengths import from_series
 from qmult.series import parse_series
@@ -595,6 +600,46 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["nonsense"])
         assert info.value.code == 2
+
+
+def exception_classes():
+    """Every exception class defined in a qmult module."""
+    found = []
+    for info in pkgutil.iter_modules(qmult.__path__):
+        module = importlib.import_module(f"qmult.{info.name}")
+        found += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        ]
+    return found
+
+
+class NewError(QmultError):
+    """An error class no module of the command line names."""
+
+
+class TestErrorBase:
+    """Every qmult error derives from one base, which ``main`` reports."""
+
+    def test_every_exception_class_derives_from_qmult_error(self):
+        classes = exception_classes()
+        assert len(classes) >= 9
+        assert [cls.__name__ for cls in classes if not issubclass(cls, QmultError)] == []
+
+    @pytest.mark.parametrize(
+        "cls", [*exception_classes(), NewError], ids=lambda cls: cls.__name__
+    )
+    def test_raised_in_a_command_exits_1_with_one_line(self, capsys, monkeypatch, cls):
+        err = cls.__new__(cls)
+        Exception.__init__(err, "refused")  # each class's own arguments differ
+
+        def handler(args):
+            raise err
+
+        help_text, add_flags, _ = cli._COMMANDS["serre"]
+        monkeypatch.setitem(cli._COMMANDS, "serre", (help_text, add_flags, handler))
+        assert run(capsys, "serre", "--tor", "3,1") == (1, "", "error: refused\n")
 
 
 class TestIntegerFlags:

@@ -1,7 +1,7 @@
 """The Koszul step's tail sign certificate against its inline oracle.
 
 ``koszul.reduce`` certifies the sign of its reduced tails past the scanned
-window through ``QuasiPolynomial.negative_blocks``, the certificate that tail
+window through ``QuasiPolynomial.negative_degrees``, the certificate that tail
 validation runs too; ``kernel_oracles.koszul_reduce`` writes the ray starts
 and the certificate loop out inline.  On seeded one- and two-sided functions,
 in both regimes, both must accept with the same function or reject with the

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmult.exact import Polynomial, series_coefficients
 from qmult.fixtures import random_length_function
@@ -53,6 +55,56 @@ class TestQuasiPolynomial:
     def test_poly_count_must_match(self):
         with pytest.raises(ModelError):
             QuasiPolynomial(4, (poly(1),) * 3, 0)
+
+
+quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
+    lambda d: st.builds(
+        lambda polys: QuasiPolynomial(d, tuple(Polynomial(tuple(cs)) for cs in polys), 0),
+        st.lists(
+            st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=3), max_size=4),
+            min_size=d,
+            max_size=d,
+        ),
+    )
+)
+
+
+def first_below(qp, n, anchor):
+    """The first degree of n's residue class from anchor down where qp < 0."""
+    m = n + qp.d * ((anchor - n) // qp.d)
+    while qp(m) >= 0:
+        m -= qp.d
+    return m
+
+
+class TestNegativeDegrees:
+    """The downward certificate is the upward one of g_i(-t), read back."""
+
+    @given(quasi_polynomials, st.integers(-40, 40))
+    def test_down_is_the_reflected_ray_up(self, qp, anchor):
+        down = list(qp.negative_degrees(anchor, -1))
+        up = [-n for n in qp.reflect().negative_degrees(-anchor, 1)]
+        for n in down + up:
+            assert n <= anchor and qp(n) < 0
+        residues = [n % qp.d for n in down]
+        assert residues == sorted(set(residues))
+        # Both name one degree per residue that goes negative, with the same
+        # first violation; past the Cauchy horizon the witnesses may differ,
+        # since g_i(-t) and the reflected g_i(-t - 1) have different horizons.
+        assert {first_below(qp, n, anchor) for n in down} == {
+            first_below(qp, n, anchor) for n in up
+        }
+
+    def test_one_degree_per_bad_residue_in_residue_order(self):
+        # Residue 0 is (t - 1)(t - 3), negative at block 2 only (degree 4);
+        # residue 1 is (t + 1)(t + 3), negative at block -2 only (degree -3).
+        qp = QuasiPolynomial(2, (poly(3, -4, 1), poly(3, 4, 1)), 0)
+        assert list(qp.negative_degrees(0, 1)) == [4]
+        assert list(qp.negative_degrees(-10, 1)) == [4, -3]
+        assert list(qp.negative_degrees(0, -1)) == [-3]
+        assert list(qp.negative_degrees(-3, -1)) == [-3]
+        assert list(qp.negative_degrees(-4, -1)) == []
+        assert list(qp.negative_degrees(10, -1)) == [4, -3]
 
 
 class TestConstruction:

@@ -76,6 +76,7 @@ LENGTH_FUNCTION_ERRORS = {
 }
 
 CHECK = ("cases", 0, "expected", 0)
+SOURCE = ("cases", 0, "source")
 
 FIXTURE_ERRORS = {
     "fixture": [
@@ -101,6 +102,29 @@ FIXTURE_ERRORS = {
             "cases[0].source must have exactly one of series/length_function, got []",
         ),
         (("cases", 0, "source", "probe"), "8", "cases[0].source.probe must be an integer, got '8'"),
+    ],
+    # A length-function source takes no "d" or "probe": those shape a series.
+    "length_function_source": [
+        (
+            SOURCE,
+            {"length_function": 5},
+            "cases[0].source.length_function: length function must be a JSON object, got 5",
+        ),
+        (
+            SOURCE,
+            {"length_function": LENGTH_FUNCTION, "d": 4, "probe": -5},
+            "unknown fields in cases[0].source: ['d', 'probe']",
+        ),
+        (
+            SOURCE,
+            {"length_function": {k: v for k, v in LENGTH_FUNCTION.items() if k != "core"}},
+            "cases[0].source.length_function: missing fields in length function: ['core']",
+        ),
+        (
+            SOURCE,
+            {"length_function": dict(LENGTH_FUNCTION, d="2")},
+            "cases[0].source.length_function: d must be an integer, got '2'",
+        ),
     ],
     "check": [
         (CHECK, "cx", "cases[0].expected[0] must be a JSON object, got 'cx'"),
