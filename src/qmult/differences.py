@@ -56,11 +56,9 @@ def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
 def alternating_binomial_moment(s: int, n: int) -> Fraction:
     """sum_{i=0}^{s} (-1)^i C(s,i) i^n, exactly (0^0 = 1).
 
-    Vanishes whenever 0 <= n < s.
+    Vanishes whenever 0 <= n < s.  The shifted moment at m = 0, d = 1.
     """
-    if s < 1 or n < 0:
-        raise ValueError("requires s >= 1 and n >= 0")
-    return Fraction(sum((-1) ** i * comb(s, i) * i**n for i in range(s + 1)))
+    return shifted_binomial_moment(s, n, 0, 1)
 
 
 def shifted_binomial_moment(s: int, n: int, m: int, d: int) -> Fraction:

@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -629,7 +629,8 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
     so that the coefficients go negative.  In the second case, and only then,
     D with its factors Phi_m (m | d) divided out divides N; the refusal says
-    which case holds.
+    which case holds.  The check on P, each Phi_m, each factor divided out and
+    the last test against N are one exact division (``_quotient``).
     """
     _check_period(d)
     if probe < 0:
@@ -643,8 +644,8 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         if c.denominator != 1 or c < 0:
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
-    if not _divides(f.den, f.num * (1 - Polynomial.t() ** d) ** k):
-        if _divides(Polynomial(_strip_cyclotomic(q, d)), f.num):
+    if _quotient(f.num * (1 - Polynomial.t() ** d) ** k, f.den) is None:
+        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -662,41 +663,34 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
 
 
-def _divides(den: Polynomial, num: Polynomial) -> bool:
-    """Whether num / den is a polynomial, for den(0) != 0: the series of
-    num / den up to degree deg num - deg den, times den, gives num back."""
+def _quotient(num: Polynomial, den: Polynomial) -> Polynomial | None:
+    """num / den when it is a polynomial, else None, for den(0) != 0: the
+    series of num / den up to degree deg num - deg den, times den, gives num
+    back exactly when den divides num."""
     f = RationalFunction(num, den)
-    quotient = series_coefficients(f, max(num.degree - den.degree, 0))
-    return Polynomial(quotient) * f.den == f.num
+    quotient = Polynomial(series_coefficients(f, max(num.degree - den.degree, 0)))
+    return quotient if quotient * f.den == f.num else None
 
 
-def _strip_cyclotomic(q: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The integer polynomial q, constant term first and with q(1) != 0, with
-    every factor Phi_m (m | d) divided out: what is left has no root that is a
-    d-th root of unity.  Only a Phi_m of degree phi(m) <= deg q can divide q,
-    and each is built to that degree and no further."""
+def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
+    """q with every factor Phi_m (m | d) divided out: what is left has no root
+    that is a d-th root of unity.  Only a Phi_m of degree phi(m) <= deg q can
+    divide q, and only those are built: for the divisors m of d in increasing
+    order, Phi_m = (1 - t^m) / prod Phi_e over the divisors e < m of m, each
+    of which has phi(e) <= phi(m) and so is built already."""
     primes = _prime_factors(d)
-    small = [m for m in range(2, isqrt(d) + 1) if d % m == 0]
-    for m in sorted({*small, *(d // m for m in small), d}):
-        ps = [p for p in primes if m % p == 0]
+    small = [m for m in range(1, isqrt(d) + 1) if d % m == 0]
+    cyclotomic: dict[int, Polynomial] = {}
+    for m in sorted({*small, *(d // m for m in small)}):
         phi = m
-        for p in ps:
-            phi = phi // p * (p - 1)
-        if phi >= len(q):
+        for p in primes:
+            if m % p == 0:
+                phi = phi // p * (p - 1)
+        if phi > q.degree:
             continue
-        # Phi_m is the product of (1 - t^(m/e))^mu(e) over the squarefree e | m,
-        # taken as a power series: it stops at degree phi(m).
-        cyclotomic = [1] + [0] * phi
-        for r in range(len(ps) + 1):
-            for e in combinations(ps, r):
-                a = m // prod(e)
-                if r % 2 == 0:  # times 1 - t^a
-                    for i in range(phi, a - 1, -1):
-                        cyclotomic[i] -= cyclotomic[i - a]
-                else:  # times 1 / (1 - t^a)
-                    for i in range(a, phi + 1):
-                        cyclotomic[i] += cyclotomic[i - a]
-        while (quotient := _divide_monic(q, cyclotomic)) is not None:
+        below = prod((c for e, c in cyclotomic.items() if m % e == 0), start=Polynomial.const(1))
+        cyclotomic[m] = _quotient(1 - Polynomial.t() ** m, below)
+        while (quotient := _quotient(q, cyclotomic[m])) is not None:
             q = quotient
     return q
 
@@ -711,18 +705,3 @@ def _prime_factors(n: int) -> list[int]:
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
-
-
-def _divide_monic(a: tuple[int, ...], b: list[int]) -> tuple[int, ...] | None:
-    """a / b when the monic b divides the integer polynomial a (both constant
-    term first), else None."""
-    n = len(b) - 1
-    if len(a) <= n:
-        return None
-    rest, quotient = list(a), [0] * (len(a) - n)
-    for i in range(len(a) - 1 - n, -1, -1):
-        c = quotient[i] = rest[i + n]
-        if c:
-            for j in range(n + 1):
-                rest[i + j] -= c * b[j]
-    return None if any(rest[:n]) else tuple(quotient)

@@ -28,10 +28,17 @@ for s >= cx the delta multiplicity is d^s times the value of (1 + t)^s f(t)
 at t = -1, which is 0 when the pole at -1 has order below s.  This is the
 paper's reading of the multiplicity as a leading coefficient of the Hilbert
 quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
+
+The refusal of a series whose tail is not a period-d quasi-polynomial divides
+every cyclotomic factor Phi_m (m | d) out of the denominator.  The oracle
+builds each Phi_m as a Moebius product of power series and divides it out by
+integer long division, against which the library's one exact division, by
+series expansion, and its Phi_m built as quotients are compared.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, isqrt, prod
 
 from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
 from qmult.koszul import KoszulError, _reduced_tail
@@ -411,3 +418,59 @@ def laurent_e_delta(f, d, s):
     if order < s:
         return 0
     return d**s * horner_eval(Polynomial(tuple(num)), -1) / horner_eval(Polynomial(tuple(den)), -1)
+
+
+def strip_cyclotomic(q, d):
+    """The integer polynomial q, constant term first and with q(1) != 0, with
+    every factor Phi_m (m | d) divided out, each Phi_m built as the power
+    series prod (1 - t^(m/e))^mu(e) over the squarefree e | m up to degree
+    phi(m) and divided out by integer long division."""
+    primes = prime_factors(d)
+    small = [m for m in range(2, isqrt(d) + 1) if d % m == 0]
+    for m in sorted({*small, *(d // m for m in small), d}):
+        ps = [p for p in primes if m % p == 0]
+        phi = m
+        for p in ps:
+            phi = phi // p * (p - 1)
+        if phi >= len(q):
+            continue
+        cyclotomic = [1] + [0] * phi
+        for r in range(len(ps) + 1):
+            for e in combinations(ps, r):
+                a = m // prod(e)
+                if r % 2 == 0:  # times 1 - t^a
+                    for i in range(phi, a - 1, -1):
+                        cyclotomic[i] -= cyclotomic[i - a]
+                else:  # times 1 / (1 - t^a)
+                    for i in range(a, phi + 1):
+                        cyclotomic[i] += cyclotomic[i - a]
+        while (quotient := divide_monic(q, cyclotomic)) is not None:
+            q = quotient
+    return q
+
+
+def prime_factors(n):
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def divide_monic(a, b):
+    """a / b when the monic b divides the integer polynomial a (both constant
+    term first), else None, by integer long division."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return None
+    rest, quotient = list(a), [0] * (len(a) - n)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = quotient[i] = rest[i + n]
+        if c:
+            for j in range(n + 1):
+                rest[i + j] -= c * b[j]
+    return None if any(rest[:n]) else tuple(quotient)

@@ -21,13 +21,23 @@ negative; with C large that happens only past the expanded window, and the
 refusal must name that reason rather than an off-period pole.
 
 The probe is drawn too, down to 0: it only sets the smallest core shown.
+
+That refusal divides every Phi_m (m | d) out of D's part prime to t - 1, by
+the library's one exact division.  On products of powers of Phi_m, some with
+m | d and some not, and of factors with no root of unity as a root, the
+stripped polynomial agrees with the oracle's Moebius series and long division,
+and is the product of the factors that are not a Phi_m with m | d; the exact
+division agrees with long division wherever the divisor is monic.
 """
+
+from math import prod
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from qmult.lengths import ModelError, from_series
+from qmult.exact import Polynomial
+from qmult.lengths import ModelError, _quotient, _strip_cyclotomic, from_series
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
 
@@ -64,6 +74,65 @@ def outranked_series(draw):
     j = draw(st.integers(0, 3))
     big = draw(st.integers(10**8, 10**9))  # outweighs t^j/Phi_m^b up to the window's end
     return f"{big}/(1-t)^{a}+t^{j}/{CYCLOTOMIC[m]}^{b}", d, draw(st.sampled_from([0, 5, 80]))
+
+
+def cyclotomic_table(n):
+    """Phi_m for 1 <= m <= n, constant term first: t^m - 1 divided by the
+    Phi_e for e | m, e < m, by the oracle's long division."""
+    table = {}
+    for m in range(1, n + 1):
+        q = (-1,) + (0,) * (m - 1) + (1,)
+        for e, phi in table.items():
+            if m % e == 0:
+                q = oracle.divide_monic(q, phi)
+        table[m] = q
+    return table
+
+
+PHI = cyclotomic_table(30)
+STRIP_PERIODS = (2, 4, 6, 12, 60, 720720)
+# 1 - 2t and 1 + t + 2t^2, then t + 2 and t^2 - t + 3: no root of unity is a
+# root of any; the last two are monic.
+NON_CYCLOTOMIC = ((1, -2), (1, 1, 2))
+MONIC = ((2, 1), (3, -1, 1))
+
+
+def product(factors):
+    return prod((Polynomial(f) for f in factors), start=Polynomial.const(1))
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """(q, rest, d): q is a product of powers of Phi_m (1 < m <= 30), for m | d
+    and for m not dividing d, and of factors with no root of unity as a root;
+    rest is q with its Phi_m (m | d) left out."""
+    d = draw(st.sampled_from(STRIP_PERIODS))
+    dividing = draw(st.sets(st.sampled_from([m for m in PHI if m > 1 and d % m == 0]), max_size=2))
+    other = draw(st.sets(st.sampled_from([m for m in PHI if d % m]), max_size=2))
+    powers = {m: draw(st.integers(1, 3)) for m in sorted(dividing | other)}
+    rest = draw(st.lists(st.sampled_from(NON_CYCLOTOMIC + MONIC), max_size=3))
+    rest += [PHI[m] for m in other for _ in range(powers[m])]
+    return product(rest + [PHI[m] for m in dividing for _ in range(powers[m])]), product(rest), d
+
+
+@given(cyclotomic_products())
+def test_cyclotomic_factors_stripped_as_by_the_oracle(case):
+    q, rest, d = case
+    stripped = _strip_cyclotomic(q, d)
+    assert stripped == rest
+    assert stripped.numerators == oracle.strip_cyclotomic(q.numerators, d)
+
+
+@given(st.data())
+def test_quotient_matches_long_division_by_a_monic_divisor(data):
+    monic = [PHI[m] for m in PHI if m > 1] + list(MONIC)
+    factors = data.draw(st.lists(st.sampled_from(monic + list(NON_CYCLOTOMIC)), max_size=5))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(factors), max_size=len(factors)))
+    divisor = [f for f, keep in zip(factors, kept) if keep and f in monic]
+    divisor += data.draw(st.lists(st.sampled_from(monic), max_size=1))
+    a, b = product(factors), product(divisor)
+    expected = oracle.divide_monic(a.numerators, b.numerators)
+    assert _quotient(a, b) == (None if expected is None else Polynomial(expected))
 
 
 @given(series())

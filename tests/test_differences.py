@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from qmult.differences import (
     alternating_binomial_moment,
     delta,
@@ -136,6 +138,20 @@ class TestMoments:
         assert shifted_binomial_moment(3, 2, 5, 2) == 0
         assert shifted_binomial_moment(1, 0, 17, -3) == 0
         assert shifted_binomial_moment(2, 2, 0, 3) == 18  # 2! * 3^2
+
+    def test_alternating_is_the_unshifted_moment(self):
+        # sum (-1)^i C(s,i) i^s = (-1)^s s!, and (0^0 = 1) the n = 0 sum is 0.
+        for s in range(1, 8):
+            assert alternating_binomial_moment(s, s) == (-1) ** s * factorial(s)
+            for n in range(0, 10):
+                assert alternating_binomial_moment(s, n) == shifted_binomial_moment(s, n, 0, 1)
+
+    @pytest.mark.parametrize("s, n", [(0, 0), (-1, 2), (1, -1), (3, -2)])
+    def test_moments_reject_s_below_1_or_negative_n(self, s, n):
+        with pytest.raises(ValueError, match=r"^requires s >= 1 and n >= 0$"):
+            alternating_binomial_moment(s, n)
+        with pytest.raises(ValueError, match=r"^requires s >= 1 and n >= 0$"):
+            shifted_binomial_moment(s, n, 5, 2)
 
 
 class TestMonomialDifference:

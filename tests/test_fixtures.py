@@ -256,14 +256,16 @@ class TestCorpus:
     def test_check_without_source_rejected(self, tmp_path):
         # Caught by an assert while the check runs, this would read
         # "'NoneType' object has no attribute 'complexity'" under python -O.
+        # A null source is the same as an absent one.
         serre = {"check": "serre", "provenance": "trivial", "tor": [1], "value": 1}
         cx = {"check": "cx", "provenance": "trivial", "value": 1}
-        write_case(tmp_path, {"label": "a", "expected": [serre]})
-        assert load_corpus(tmp_path)[0]["cases"][0]["source"] is None
-        write_case(tmp_path, {"label": "a", "expected": [serre, cx]})
         message = "bad.json: cases[0].expected[1]: check 'cx' needs a case source"
-        with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
-            load_corpus(tmp_path)
+        for source in ({}, {"source": None}):
+            write_case(tmp_path, {"label": "a", **source, "expected": [serre]})
+            assert load_corpus(tmp_path)[0]["cases"][0]["source"] is None
+            write_case(tmp_path, {"label": "a", **source, "expected": [serre, cx]})
+            with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
+                load_corpus(tmp_path)
 
     def test_check_without_source_rejected_without_asserts(self, tmp_path):
         cx = {"check": "cx", "provenance": "trivial", "value": 1}

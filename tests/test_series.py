@@ -70,6 +70,13 @@ class TestErrors:
         assert info.value.offset == 2
         assert "integer" in info.value.expected
 
+    def test_unexpected_integer_is_shown_by_value(self):
+        with pytest.raises(SeriesSyntaxError) as info:
+            parse_series("t 2")
+        assert str(info.value) == (
+            "syntax error at offset 2: found integer 2, expected '+', '-', '*', '/', end of input"
+        )
+
     def test_non_integer_exponent(self):
         with pytest.raises(SeriesSyntaxError):
             parse_series("t^(2)")
