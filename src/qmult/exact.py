@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 

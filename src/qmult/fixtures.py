@@ -25,7 +25,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -301,24 +301,28 @@ def run_corpus(directory: Path | None = None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for fixture in load_corpus(directory):
         for case in fixture["cases"]:
-            lf = case["source"]
+            # A series is expanded and certified at the first check of its
+            # case; if it is refused, each check retries and fails.
+            source = case["source"]
+            lf = cache(lambda: from_series(*source) if isinstance(source, tuple) else source)
             for check in case["expected"]:
                 spec = CHECKS[check["check"]]
-                try:
-                    # A series is expanded and certified at the first check of
-                    # its case; if it is refused, each check retries and fails.
-                    if isinstance(lf, tuple):
-                        lf = from_series(*lf)
-                    ok, detail = spec.run(lf, {**spec.defaults, **check})
-                except Exception as err:  # a crash is a failure, not an abort
-                    ok, detail = False, f"error: {err}"
-                results.append(
-                    CheckResult(
-                        "paper", fixture["name"], case["label"], _check_label(check), ok, detail
-                    )
-                )
+                key = ("paper", fixture["name"], case["label"], _check_label(check))
+                results.append(_checked(key, lambda: spec.run(lf(), {**spec.defaults, **check})))
     results.sort(key=lambda r: r.key)
     return results
+
+
+def _checked(
+    key: tuple[str, str, str, str], check: Callable[[], tuple[bool, str]]
+) -> CheckResult:
+    """The outcome of ``check()`` under ``key``: a check that raises is a
+    failure that names the error, never an abort of the run."""
+    try:
+        ok, detail = check()
+    except Exception as err:
+        ok, detail = False, f"error: {err}"
+    return CheckResult(*key, ok, detail)
 
 
 def _check_label(check: dict) -> str:
@@ -474,7 +478,7 @@ def run_property_suites(seed: int, cases: int = 200) -> list[CheckResult]:
     for i, (name, (prop, count)) in enumerate(PROPERTIES.items()):
         rng = random.Random(seed + i)
         for k in range(cases if count is None else count):
-            ok, detail = prop(rng, k)
-            results.append(CheckResult("properties", name, f"case{k:03d}", "property", ok, detail))
+            key = ("properties", name, f"case{k:03d}", "property")
+            results.append(_checked(key, lambda: prop(rng, k)))
     results.sort(key=lambda r: r.key)
     return results

@@ -675,33 +675,21 @@ def _quotient(num: Polynomial, den: Polynomial) -> Polynomial | None:
 def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
     """q with every factor Phi_m (m | d) divided out: what is left has no root
     that is a d-th root of unity.  Only a Phi_m of degree phi(m) <= deg q can
-    divide q, and only those are built: for the divisors m of d in increasing
-    order, Phi_m = (1 - t^m) / prod Phi_e over the divisors e < m of m, each
-    of which has phi(e) <= phi(m) and so is built already."""
-    primes = _prime_factors(d)
+    divide q, and only those are built, for the divisors m of d in increasing
+    order, as Phi_m = (1 - t^m) / prod Phi_e over the divisors e < m of m.
+    Every such e has phi(e) <= phi(m), so m less the degrees of the Phi_e built
+    so far is phi(m) when all were built, and exceeds deg q exactly when phi(m)
+    does.
+    Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2."""
     small = [m for m in range(1, isqrt(d) + 1) if d % m == 0]
     cyclotomic: dict[int, Polynomial] = {}
     for m in sorted({*small, *(d // m for m in small)}):
-        phi = m
-        for p in primes:
-            if m % p == 0:
-                phi = phi // p * (p - 1)
-        if phi > q.degree:
+        if m > 2 * q.degree**2:
+            break
+        below = [c for e, c in cyclotomic.items() if m % e == 0]
+        if m - sum(c.degree for c in below) > q.degree:
             continue
-        below = prod((c for e, c in cyclotomic.items() if m % e == 0), start=Polynomial.const(1))
-        cyclotomic[m] = _quotient(1 - Polynomial.t() ** m, below)
+        cyclotomic[m] = _quotient(1 - Polynomial.t() ** m, prod(below, start=Polynomial.const(1)))
         while (quotient := _quotient(q, cyclotomic[m])) is not None:
             q = quotient
     return q
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes

@@ -590,6 +590,48 @@ class TestVerify:
         assert out1 == out2
 
 
+class TestNamedRefusals:
+    """Valid flags, refused request: exit 1 and exactly one named stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (
+                ["theta", "--input", "{path}"],
+                two_sided_input(),
+                "homological input must vanish in negative degrees",
+            ),
+            (
+                ["cx", "--input", "{path}"],
+                {
+                    "d": 2,
+                    "core": {"start": 0, "values": []},
+                    "pos_tail": {"kind": "vanishing"},
+                    "neg_tail": {"kind": "vanishing"},
+                },
+                "{path}: core window must be nonempty",
+            ),
+            (
+                ["expand", "--expr", "2x", "--n", "2"],
+                None,
+                "syntax error at offset 1: found 'x', expected integer, 't', operator, '(', ')'",
+            ),
+            (
+                ["limit", "--expr", "1/(1-t)^2", "--s", "1", "--n", "0"],
+                None,
+                "limit estimates need n >= 1",
+            ),
+        ],
+        ids=["theta_two_sided", "empty_core", "expand_stray_letter", "limit_n_zero"],
+    )
+    def test_refusal_is_named(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "lf.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        argv = [arg.format(path=path) for arg in argv]
+        assert run(capsys, *argv) == (1, "", f"error: {message.format(path=path)}\n")
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as info:

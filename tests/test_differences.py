@@ -10,6 +10,7 @@ from qmult.differences import (
     alternating_binomial_moment,
     delta,
     delta_neg,
+    binomial_polynomial,
     faulhaber_sum,
     shifted_binomial_moment,
     summation_polynomial,
@@ -197,3 +198,17 @@ class TestFaulhaber:
     def test_negative_window(self):
         g = poly(2, 3)
         assert faulhaber_sum(g, -5, -2) == sum(g(i) for i in range(-5, -1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: delta(lambda n: Fraction(n), -1, 2, 0), "s must be >= 0"),
+        (lambda: binomial_polynomial(-1), "k must be >= 0"),
+        (lambda: faulhaber_sum(poly(1), 3, 2), "requires n >= N"),
+    ],
+    ids=["delta_negative_s", "binomial_negative_k", "faulhaber_empty_window"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -293,3 +293,20 @@ class TestNonnegativeOnRayAgainstScan:
         assume(cauchy_horizon(p) <= 4000)
         for direction in (1, -1):
             assert one_way(p, start, direction) == scan_oracle(p, start, direction)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: series_coefficients(RationalFunction(poly(1), poly(1, -1)), -1), "n_max must be >= 0"),
+        (lambda: poly(1, 1) ** -1, "polynomial powers must be nonnegative"),
+        (
+            lambda: RationalFunction(poly(1), poly(1, -1)) ** -1,
+            "rational function powers must be nonnegative",
+        ),
+    ],
+    ids=["series_negative_n_max", "polynomial_negative_power", "rational_negative_power"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

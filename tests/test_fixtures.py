@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qmult import fixtures
 from qmult.cli import main
 from qmult.fixtures import (
     CHECKS,
@@ -419,6 +420,23 @@ class TestPropertySuites:
         a = run_property_suites(7, cases=10)
         b = run_property_suites(7, cases=10)
         assert [(r.key, r.ok) for r in a] == [(r.key, r.ok) for r in b]
+
+    def test_raising_property_fails_its_case_without_aborting(self, monkeypatch, capsys):
+        # Before, only corpus checks were caught: this ended verify in a traceback.
+        def flaky(rng, k):
+            if k == 1:
+                raise ValueError("boom")
+            return True, ""
+
+        monkeypatch.setattr(fixtures, "PROPERTIES", {"flaky": (flaky, 3)})
+        assert main(["verify", "--suite", "properties", "--seed", "0"]) == 1
+        assert capsys.readouterr() == (
+            "PASS properties/flaky/case000/property\n"
+            "FAIL properties/flaky/case001/property -- error: boom\n"
+            "PASS properties/flaky/case002/property\n"
+            "passed 2 of 3\n",
+            "",
+        )
 
     def test_expected_suites_present(self):
         results = run_property_suites(3, cases=5)

@@ -213,6 +213,8 @@ class TestReduceChain:
         # The regime names the side, so an unknown one is no side at all.
         with pytest.raises(ValueError, match="'sideways'"):
             reduce_chain(zero_fixture(), 0, "sideways")
+        with pytest.raises(ValueError, match="^regime must be 'positive' or 'negative'$"):
+            reduce(zero_fixture(), "sideways")
 
     def test_two_sided_base_rejected(self):
         values = tuple(3 if n % 2 == 0 else 0 for n in range(-10, 11))

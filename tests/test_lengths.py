@@ -380,16 +380,32 @@ class TestCertifiedTail:
     def test_cyclotomic_factors_divided_out_at_a_large_period(self):
         # Only the Phi_m (m | d) of degree <= deg D are built, for the divisors
         # of d found up to sqrt(d): no polynomial of degree d * deg D appears.
-        # Phi_2 = 1 + t and Phi_4 = 1 + t^2 go; Phi_3 = 1 + t + t^2 stays (3 does not divide d).
-        rest = Polynomial((1, -2)) ** 100 * Polynomial((1, 1, 1))
-        q = rest * Polynomial((1, 1)) ** 3 * Polynomial((1, 0, 1))
-        began = time.perf_counter()
-        assert _strip_cyclotomic(q, 10**6) == rest
-        assert time.perf_counter() - began < 1.0
+        # 963761198400 has 6720 divisors; the walk stops past 2 (deg D)^2.
+        # Phi_2 = 1 + t and Phi_4 = 1 + t^2 go; Phi_3 = 1 + t + t^2 goes only if 3 | d.
+        phi3 = Polynomial((1, 1, 1))
+        rest = Polynomial((1, -2)) ** 100
+        q = rest * phi3 * Polynomial((1, 1)) ** 3 * Polynomial((1, 0, 1))
+        for d in (10**6, 963761198400):
+            began = time.perf_counter()
+            assert _strip_cyclotomic(q, d) == (rest if d % 3 == 0 else rest * phi3)
+            assert time.perf_counter() - began < 1.0
 
     def test_negative_coefficient_named_before_the_refusal(self):
         with pytest.raises(ModelError, match=r"^series coefficient at n=1 is -2; not a length$"):
             from_series(parse_series("1/(1+t)^2"), 2, 80)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fit_quasipoly({}, 2), FitError, "no samples"),
+        (lambda: xy_fixture(1).support(), ModelError, "support is infinite"),
+    ],
+    ids=["fit_without_samples", "infinite_support"],
+)
+def test_bad_request_is_named(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 class TestFitQuasipoly:

@@ -1,6 +1,7 @@
 """Multiplicities: Herbrand differences, both conventions, limits, specializations."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -557,3 +558,16 @@ class TestResidueConsistency:
                 for profile in profiles:
                     assert profile.degree <= s - 1
                     assert profile.coefficient(s - 1) == alternating
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: limit_estimate(jst_fixture(1), 1, 10, "x"), "unknown constant 'x'"),
+        (lambda: vanishing_window_check(jst_fixture(1), 0, "x"), "parity must be 'even' or 'odd'"),
+    ],
+    ids=["limit_unknown_constant", "window_unknown_parity"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
