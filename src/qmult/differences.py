@@ -119,13 +119,14 @@ def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:
 
     Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
     and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
-    difference table of g(N..N+deg).  Constant work in n, which is what makes
-    10^5..10^6 partial sums affordable.
+    difference table of g(N..N+deg).  The table is built on the integers
+    denominator * g, and the sum divides once at the end.  Constant work in n,
+    which is what makes 10^5..10^6 partial sums affordable.
 
     >>> faulhaber_sum(Polynomial((0, 0, 1)), 0, 10)
     Fraction(385, 1)
     """
     if n < N:
         raise ValueError("requires n >= N")
-    table = difference_table([g(N + j) for j in range(g.degree + 1)])
-    return sum((c * comb(n - N + 1, k + 1) for k, c in enumerate(table)), Fraction(0))
+    table = difference_table([g.numerator_at(N + j) for j in range(g.degree + 1)])
+    return Fraction(sum(c * comb(n - N + 1, k + 1) for k, c in enumerate(table)), g.denominator)

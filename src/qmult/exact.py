@@ -9,7 +9,10 @@ denominators, 1 for the zero polynomial, which has no numerators and degree
 differences, negation, products and powers, evaluation, the Taylor shift
 behind ``compose_linear`` and the series recurrence of ``series_coefficients``
 all run on those integers and divide once at the end, so the hot loops do no
-Fraction arithmetic.  A rational function stores a numerator and a
+Fraction arithmetic.  At an integer m, ``numerator_at`` gives the integer
+denominator * p(m) with no division at all; the difference tables of the sign
+certificate (``nonnegative_on_ray``) and of the Faulhaber sum are built from
+it.  A rational function stores a numerator and a
 denominator polynomial; the denominator must have a nonzero constant term, so
 every rational function here expands as a power series at t = 0.
 
@@ -152,6 +155,17 @@ class Polynomial:
             acc = acc * p + c * power
             power *= q
         return Fraction(acc * q, self.denominator * power)
+
+    def numerator_at(self, m: int) -> int:
+        """denominator * g(m) at an integer m, by Horner's rule on the numerators.
+
+        >>> Polynomial((Fraction(1, 2), 0, Fraction(1, 3))).numerator_at(-2)
+        11
+        """
+        acc = 0
+        for c in reversed(self.numerators):
+            acc = acc * m + c
+        return acc
 
     def _combine(self, other: Polynomial, sign: int) -> Polynomial:
         """self + sign * other, over the lcm of the two denominators."""
@@ -440,8 +454,9 @@ def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:
     way; a ray m <= start is the ray m >= -start of p(-m).
 
     The certificate is the forward-difference table of p at start, built from
-    deg + 1 evaluations.  By Newton's forward formula p(m + j) = sum_k
-    Delta^k p(m) * C(j, k), and C(j, k) >= 0 at every integer j >= 0, so once
+    deg + 1 integer evaluations of denominator * p, which has p's signs.  By
+    Newton's forward formula p(m + j) = sum_k Delta^k p(m) * C(j, k), and
+    C(j, k) >= 0 at every integer j >= 0, so once
     every entry of the table is >= 0 the ray is certified from there on.
     Until then the table walks one step up at a time (deg additions a step),
     and the first step whose entry Delta^0 p is negative is the violation.
@@ -458,7 +473,7 @@ def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:
         return max(start, horizon + 1)
     if start > horizon:
         return None
-    table = difference_table([p(start + i) for i in range(deg + 1)])
+    table = difference_table([p.numerator_at(start + i) for i in range(deg + 1)])
     m = start
     while m <= horizon:
         if table[0] < 0:

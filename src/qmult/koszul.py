@@ -25,6 +25,7 @@ invariant is (-1)^k * value_k; both the raw values and the invariant are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Mapping
 
 # nonnegative_on_ray is unused since QuasiPolynomial.negative_degrees certifies
@@ -75,7 +76,6 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
         raise ValueError("regime must be 'positive' or 'negative'")
     d = lf.d
     ahead, behind = (d, 0) if regime == "positive" else (1, d + 1)
-    fn: Callable[[int], int] = lambda n: lf(n + ahead) - lf(n + behind)  # noqa: E731
 
     pos = _reduced_tail(lf.pos_tail, regime, "pos")
     neg = _reduced_tail(lf.neg_tail, regime, "neg")
@@ -84,7 +84,8 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     # construction so the failure comes back as a Koszul rejection with
     # witnesses.
     lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
-    values = tuple(fn(n) for n in range(lo, hi + 1))
+    lam, size = lf.values(lo, hi + d + 1), hi - lo + 1
+    values = tuple(map(sub, lam[ahead : ahead + size], lam[behind : behind + size]))
     violations = [lo + k for k, v in enumerate(values) if v < 0]
 
     # Beyond the window the reduced tails govern; certify their sign exactly.

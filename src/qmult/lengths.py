@@ -15,6 +15,14 @@ is integral on all of Z); nonnegativity along the rest of the ray is certified
 by exact sign analysis.  Quasi-polynomial tails whose polynomials are all zero
 are normalized to ``None``.
 
+A tail value is a length, so it is computed as an integer: the numerator of
+g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
+its denominator, with a Fraction built only for the error that a value which
+is not a nonnegative integer raises.  ``LengthFunction.values(lo, hi)`` gives
+the values on a whole range at once, a slice of the core and the tails
+evaluated this way; the Koszul step, the stabilization scan and the limit
+estimate read their ranges through it.
+
 A Hilbert series' tail is certified from its denominator (:func:`from_series`);
 :func:`fit_quasipoly` fits sampled data by Newton forward differences per residue
 class from the high end of the window.  Either way ``valid_from`` is the honest
@@ -161,6 +169,13 @@ class QuasiPolynomial:
                 yield self.d * direction * bad + i
 
 
+def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:
+    """qp(n) != value, decided on integers: the numerator of qp's polynomial
+    at n against value times its denominator."""
+    p = qp.polys[n % qp.d]
+    return p.numerator_at(n // qp.d) != value * p.denominator
+
+
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
     """Validate the ``"pos"`` or ``"neg"`` tail of lf: its overlap with the core
     and its sign out along the ray.  The side only picks the anchor's JSON
@@ -185,7 +200,7 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
         )
     for n in overlap:
         expected = lf.core_values[n - lf.core_start]
-        if qp(n) != expected:
+        if _differs(qp, n, expected):
             raise ModelError(
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
@@ -196,6 +211,23 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
             f"{side} tail polynomial for residue {n % lf.d} goes negative at block "
             f"{n // lf.d} (degree n={n})"
         )
+
+
+def _tail_value(qp: QuasiPolynomial, n: int) -> int:
+    """qp(n), which must be a length: a value that is not a nonnegative
+    integer raises a :class:`ModelError`."""
+    p = qp.polys[n % qp.d]
+    value, rest = divmod(p.numerator_at(n // qp.d), p.denominator)
+    if rest or value < 0:
+        raise ModelError(f"tail evaluates to {_shown(qp(n))} at n={n}; not a length")
+    return value
+
+
+def _tail_values(qp: QuasiPolynomial | None, lo: int, hi: int) -> list[int]:
+    """The values of a tail (0 where it vanishes) at lo..hi."""
+    if qp is None:
+        return [0] * max(hi - lo + 1, 0)
+    return [_tail_value(qp, n) for n in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +293,16 @@ class LengthFunction:
         qp = self.pos_tail if n > self.core_end else self.neg_tail
         if qp is None:
             return 0
-        value = qp(n)
-        if value.denominator != 1 or value < 0:
-            raise ModelError(f"tail evaluates to {_shown(value)} at n={n}; not a length")
-        return int(value)
+        return _tail_value(qp, n)
+
+    def values(self, lo: int, hi: int) -> list[int]:
+        """``[self(n) for n in range(lo, hi + 1)]`` (empty when hi < lo): the
+        core as one slice, its bounds clamped at 0 so that a range outside the
+        core takes none of it, and each tail point on integers."""
+        start, end = self.core_start, self.core_end
+        core = self.core_values[max(lo - start, 0) : max(hi + 1 - start, 0)]
+        below = _tail_values(self.neg_tail, lo, min(hi, start - 1))
+        return below + list(core) + _tail_values(self.pos_tail, max(lo, end + 1), hi)
 
     def complexity(self, side: str = "positive") -> int:
         """1 + max degree of the tail polynomials on the given side (0 if vanishing)."""
@@ -613,7 +651,7 @@ def _anchored(d: int, polys: tuple, value: Callable, lo: int, hi: int) -> QuasiP
     it agrees with ``value`` on all of [n, hi]: the honest boundary, found by
     scanning down from hi."""
     qp = QuasiPolynomial(d, polys, lo)
-    valid_from = next((n + 1 for n in range(hi, lo - 1, -1) if qp(n) != value(n)), lo)
+    valid_from = next((n + 1 for n in range(hi, lo - 1, -1) if _differs(qp, n, value(n))), lo)
     return QuasiPolynomial(d, polys, valid_from)
 
 
@@ -680,11 +718,18 @@ def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
     Every such e has phi(e) <= phi(m), so m less the degrees of the Phi_e built
     so far is phi(m) when all were built, and exceeds deg q exactly when phi(m)
     does.
-    Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2."""
-    small = [m for m in range(1, isqrt(d) + 1) if d % m == 0]
+    Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2; the
+    divisors below that bound are found by testing each m up to it, or by
+    trial division up to sqrt(d), whichever takes fewer steps."""
+    bound = 2 * q.degree**2
+    if bound < isqrt(d):
+        divisors = [m for m in range(1, bound + 1) if d % m == 0]
+    else:
+        small = [m for m in range(1, isqrt(d) + 1) if d % m == 0]
+        divisors = sorted({*small, *(d // m for m in small)})
     cyclotomic: dict[int, Polynomial] = {}
-    for m in sorted({*small, *(d // m for m in small)}):
-        if m > 2 * q.degree**2:
+    for m in divisors:
+        if m > bound:
             break
         below = [c for e, c in cyclotomic.items() if m % e == 0]
         if m - sum(c.degree for c in below) > q.degree:

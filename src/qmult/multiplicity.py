@@ -203,14 +203,15 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
     # h as one list, h[k] = h(top - k): D^{s-1} h(n) reads h(n), h(n+d), ...,
     # h(n+(s-1)d), so the confirmation reaches up to top.  One window sum at
     # top, then h(n) = h(n+1) - (-1)^n (lambda(n+d) - lambda(n)) (d is even),
-    # grown only as far down as the confirmation and the scan read.
+    # down to the lowest degree that the confirmation or the scan reads.
     top = v + (s + 2) * d - 1
+    lo = min(floor, v)
+    lam = lf.values(lo, top + d)
     h = [herbrand(lf, top)]
+    for m in range(top - 1, lo - 1, -1):
+        h.append(h[-1] - _sign(m) * (lam[m + d - lo] - lam[m - lo]))
 
     def at(n: int) -> int:
-        while len(h) <= top - n:
-            m = top - len(h)
-            h.append(h[-1] - _sign(m) * (lf(m + d) - lf(m)))
         return h[top - n]
 
     # One scan down from the top of the 3d consecutive certified degrees: it
@@ -246,10 +247,8 @@ def limit_estimate(
     else:
         raise ValueError(f"unknown constant {constant!r}")
 
-    direct_end = min(n, lf.core_end)
-    total = Fraction(
-        sum((-1) ** j * lf(j) for j in range(0, direct_end + 1))
-    )
+    direct = lf.values(0, min(n, lf.core_end))
+    total = Fraction(sum(direct[::2]) - sum(direct[1::2]))
     qp = lf.pos_tail
     if n > lf.core_end and qp is not None:
         # The tail sums the degrees past the core that the direct sum left out,
@@ -261,7 +260,7 @@ def limit_estimate(
             m_lo = -((start - i) // -lf.d)  # ceil
             m_hi = (n - i) // lf.d
             if m_hi >= m_lo:
-                total += (-1) ** i * faulhaber_sum(g, m_lo, m_hi)
+                total += _sign(i) * faulhaber_sum(g, m_lo, m_hi)
     return factor * total / Fraction(n) ** s
 
 

@@ -395,6 +395,11 @@ class TestKoszulCommand:
         assert payload["invariant_values"] == [1, 1, 1]
         assert len(payload["functions"]) == 3
 
+    def test_positive_chain_golden(self, capsys):
+        code, out, _ = run(capsys, "koszul", "--expr", "t^3*(1+t)^5/(1-t)^7")
+        assert code == 0
+        check_golden("koszul_c7.json", out)
+
     def test_chain_failure_exit_code(self, capsys, tmp_path):
         lf = {
             "d": 2,

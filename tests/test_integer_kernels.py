@@ -4,7 +4,10 @@ Each kernel must agree exactly with its oracle in ``kernel_oracles.py``:
 sums, differences, negation, products and powers, evaluation and
 composition, the series expansion, the quasi-polynomial fit (results and
 errors), the Faulhaber sum and the stabilized constant of the multiplicity
-report.  Polynomial results are compared field by field (``coeffs``,
+report.  A length function's values on a range, read as one list with its
+tails evaluated on integers, must equal its values read one degree at a
+time, and a tail value that is not a length raises the same error either
+way.  Polynomial results are compared field by field (``coeffs``,
 ``numerators`` and ``denominator``) with the oracle's, which the validating
 constructor built.  The constructor and the kernels share the final
 reduction, so ``TestStoredForm`` checks the constructor against the
@@ -25,7 +28,7 @@ import kernel_oracles as oracle
 from qmult.differences import faulhaber_sum, newton_polynomial
 from qmult.exact import Polynomial, RationalFunction, series_coefficients
 from qmult.fixtures import random_length_function
-from qmult.lengths import FitError, ModelError, QuasiPolynomial, fit_quasipoly
+from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, fit_quasipoly
 from qmult.multiplicity import _stabilized_report
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
@@ -222,6 +225,13 @@ class TestPolynomialKernels:
         assert type(got) is Fraction
         assert got == oracle.horner_eval(g, x)
 
+    @given(polynomials.filter(lambda g: g.denominator > 1), st.integers(1, 10**6))
+    def test_numerator_at_is_the_scaled_value(self, g, m):
+        for x in (m, -m, 0):
+            got = g.numerator_at(x)
+            assert type(got) is int
+            assert got == g.denominator * oracle.horner_eval(g, x)
+
     @given(polynomials, scalars, scalars)
     def test_compose_linear_matches_horner_composition(self, g, a, b):
         assert_same(g.compose_linear(a, b), oracle.horner_compose_linear(g, a, b))
@@ -337,3 +347,70 @@ class TestStabilizedConstant:
         assert (constant is None) == (profile.degree > s - 1)
         if constant is not None:
             assert constant == factorial(s - 1) * profile.coefficient(s - 1)
+
+
+RANGES = ("below", "above", "across the low edge", "across the high edge", "inside", "around", "empty")
+
+
+def random_two_sided(seed, d):
+    """A random valid length function, with a negative tail added three times
+    in four."""
+    rng = random.Random(seed)
+    lf = random_length_function(rng, d)
+    if rng.random() < 0.75:
+        lf = lf + random_length_function(rng, d).reflect().shift(rng.randint(-9, 9))
+    return lf
+
+
+class TestRangeEvaluation:
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from(RANGES),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    def test_values_match_the_pointwise_values(self, seed, d, where, a, b):
+        lf = random_two_sided(seed, d)
+        start, end = lf.core_start, lf.core_end
+        lo, hi = {
+            "below": (start - 1 - a - b, start - 1 - a),
+            "above": (end + 1 + a, end + 1 + a + b),
+            "across the low edge": (start - 1 - a, start + b),
+            "across the high edge": (end - a, end + 1 + b),
+            "inside": (min(start + a, end), min(start + a + b, end)),
+            "around": (start - 1 - a, end + 1 + b),
+            "empty": (start + a - b, start + a - b - 1),
+        }[where]
+        got = lf.values(lo, hi)
+        assert got == [lf(n) for n in range(lo, hi + 1)]
+        assert all(type(v) is int for v in got)
+
+    @staticmethod
+    def not_a_length(c):
+        """A function, built without validation, whose positive tail is c at
+        every even degree from 2 up and 0 at every odd one."""
+        qp = QuasiPolynomial(2, (Polynomial.const(c), Polynomial()), 2)
+        return LengthFunction._unchecked(2, 0, (0, 0), qp, None)
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            (Fraction(1, 2), "tail evaluates to 1/2 at n=2; not a length"),
+            (-3, "tail evaluates to -3 at n=2; not a length"),
+        ],
+    )
+    def test_a_tail_value_that_is_not_a_length_is_named(self, c, message):
+        lf = self.not_a_length(c)
+        mirror = message.replace("n=2", "n=-2")
+        for call, text in [
+            (lambda: lf(2), message),
+            (lambda: lf.values(0, 5), message),
+            (lambda: lf.reflect()(-2), mirror),
+            (lambda: lf.reflect().values(-3, 0), mirror),
+        ]:
+            with pytest.raises(ModelError) as info:
+                call()
+            assert str(info.value) == text
+        assert lf.values(0, 1) == [0, 0]
+        assert lf.values(3, 3) == [0]

@@ -378,9 +378,10 @@ class TestCertifiedTail:
         assert str(info.value) == self.REFUSAL
 
     def test_cyclotomic_factors_divided_out_at_a_large_period(self):
-        # Only the Phi_m (m | d) of degree <= deg D are built, for the divisors
-        # of d found up to sqrt(d): no polynomial of degree d * deg D appears.
-        # 963761198400 has 6720 divisors; the walk stops past 2 (deg D)^2.
+        # Only the Phi_m (m | d) of degree <= deg D are built: no polynomial of
+        # degree d * deg D appears.  963761198400 has 6720 divisors; the walk
+        # stops past 2 (deg D)^2, and there tests each m up to that bound,
+        # while at 10^6 it finds the divisors by trial division up to sqrt(d).
         # Phi_2 = 1 + t and Phi_4 = 1 + t^2 go; Phi_3 = 1 + t + t^2 goes only if 3 | d.
         phi3 = Polynomial((1, 1, 1))
         rest = Polynomial((1, -2)) ** 100
