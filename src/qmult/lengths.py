@@ -718,17 +718,13 @@ def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
     Every such e has phi(e) <= phi(m), so m less the degrees of the Phi_e built
     so far is phi(m) when all were built, and exceeds deg q exactly when phi(m)
     does.
-    Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2; the
-    divisors below that bound are found by testing each m up to it, or by
-    trial division up to sqrt(d), whichever takes fewer steps."""
+    Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2, so trial
+    division runs only up to the smaller of that bound and sqrt(d): when the
+    bound is the smaller, every cofactor d // m lies above it."""
     bound = 2 * q.degree**2
-    if bound < isqrt(d):
-        divisors = [m for m in range(1, bound + 1) if d % m == 0]
-    else:
-        small = [m for m in range(1, isqrt(d) + 1) if d % m == 0]
-        divisors = sorted({*small, *(d // m for m in small)})
+    small = [m for m in range(1, min(bound, isqrt(d)) + 1) if d % m == 0]
     cyclotomic: dict[int, Polynomial] = {}
-    for m in divisors:
+    for m in sorted({*small, *(d // m for m in small)}):
         if m > bound:
             break
         below = [c for e, c in cyclotomic.items() if m % e == 0]

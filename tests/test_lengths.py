@@ -380,8 +380,8 @@ class TestCertifiedTail:
     def test_cyclotomic_factors_divided_out_at_a_large_period(self):
         # Only the Phi_m (m | d) of degree <= deg D are built: no polynomial of
         # degree d * deg D appears.  963761198400 has 6720 divisors; the walk
-        # stops past 2 (deg D)^2, and there tests each m up to that bound,
-        # while at 10^6 it finds the divisors by trial division up to sqrt(d).
+        # stops past 2 (deg D)^2, so trial division runs up to that bound
+        # there, and up to sqrt(d) at 10^6.
         # Phi_2 = 1 + t and Phi_4 = 1 + t^2 go; Phi_3 = 1 + t + t^2 goes only if 3 | d.
         phi3 = Polynomial((1, 1, 1))
         rest = Polynomial((1, -2)) ** 100
