@@ -6,15 +6,18 @@ with no trailing zeros, and stores its coefficients in one form only: integer
 ``numerators`` over one common ``denominator`` (the lcm of the coefficient
 denominators, 1 for the zero polynomial, which has no numerators and degree
 -1).  The Fraction tuple ``coeffs`` is computed when it is read.  Sums,
-differences, negation, products and powers, evaluation, the Taylor shift
-behind ``compose_linear`` and the series recurrence of ``series_coefficients``
-all run on those integers and divide once at the end, so the hot loops do no
-Fraction arithmetic.  At an integer m, ``numerator_at`` gives the integer
-denominator * p(m) with no division at all; the difference tables of the sign
-certificate (``nonnegative_on_ray``) and of the Faulhaber sum are built from
-it.  A rational function stores a numerator and a
-denominator polynomial; the denominator must have a nonzero constant term, so
-every rational function here expands as a power series at t = 0.
+differences, negation, products and powers, evaluation and the Taylor shift
+behind ``compose_linear`` all run on those integers and divide once at the
+end, so the hot loops do no Fraction arithmetic.  The series recurrence is an
+integer core, ``series_integers``, which gives each coefficient as a pair
+(U_n, scale_n) with c_n = U_n / scale_n; a reader that needs lengths divides
+once per coefficient and builds no Fraction, and ``series_coefficients`` is
+the Fraction view of the same loop.  At an integer m, ``numerator_at`` gives
+the integer denominator * p(m) with no division at all; the difference tables
+of the sign certificate (``nonnegative_on_ray``) and of the Faulhaber sum are
+built from it.  A rational function stores a numerator and a denominator
+polynomial; the denominator must have a nonzero constant term, so every
+rational function here expands as a power series at t = 0.
 
 No floating point appears anywhere in this module.
 """
@@ -25,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 
@@ -194,11 +197,16 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         """Integer convolution of the numerators over the product of the
-        denominators; zero numerators of either factor are skipped."""
+        denominators; zero numerators of either factor are skipped, and a
+        factor 1 gives the other factor back."""
         other = _as_poly(other)
         a, b = self.numerators, other.numerators
         if not a or not b:
             return Polynomial()
+        if a == (1,) and self.denominator == 1:
+            return other
+        if b == (1,) and other.denominator == 1:
+            return self
         terms = [(j, c) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
@@ -308,12 +316,13 @@ class RationalFunction:
     den: Polynomial
 
     def __post_init__(self) -> None:
-        c0 = self.den.coefficient(0)
-        if c0 == 0:
+        nums = self.den.numerators
+        if not nums or nums[0] == 0:
             raise NotExpandableError("denominator has zero constant term")
-        if c0 != 1:
-            object.__setattr__(self, "num", self.num * (1 / c0))
-            object.__setattr__(self, "den", self.den * (1 / c0))
+        if nums[0] != self.den.denominator:  # den(0) != 1
+            inverse = Fraction(self.den.denominator, nums[0])
+            object.__setattr__(self, "num", self.num * inverse)
+            object.__setattr__(self, "den", self.den * inverse)
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> RationalFunction:
@@ -365,8 +374,9 @@ class RationalFunction:
         return f"RationalFunction('{self}')"
 
 
-def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
-    """Coefficients c_0..c_n_max of the power-series expansion of f at t = 0.
+def series_integers(f: RationalFunction, n_max: int) -> Iterator[tuple[int, int]]:
+    """The coefficients c_0..c_n_max of f's power series at t = 0, as integer
+    pairs (U_n, scale_n) with c_n = U_n / scale_n and scale_n > 0, in order.
 
     Uses the linear recurrence induced by the denominator: with den(0)
     normalized to 1, c_n = p_n - sum_{k>=1} q_k c_{n-k}, summed over the
@@ -375,18 +385,18 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
 
         U_n = L^n P_n - sum_{k>=1} Q_k L^(k-1) U_{n-k}
 
-    is an integer and c_n = U_n / (M L^n); each Fraction is built once, at the
-    end.  When L > 1, L^n can outgrow the reduced denominators (by a factor
-    of 3^n for (3 - 2t)^2); past the numerator the recurrence is homogeneous,
-    so after each step a common factor of the next scale and of the values
-    still read is divided out of all of them.  Cost is O(n_max * (number of
-    nonzero Q_k)) integer operations, which keeps sparse denominators such as
-    (1 - t^2)(1 - t^120) cheap.
+    is an integer and c_n = U_n / (M L^n).  When L > 1, L^n can outgrow the
+    reduced denominators (by a factor of 3^n for (3 - 2t)^2); past the
+    numerator the recurrence is homogeneous, so after each step a common
+    factor of the next scale and of the values still read is divided out of
+    all of them.  When L == 1 the scale is M throughout.  Cost is
+    O(n_max * (number of nonzero Q_k)) integer operations, which keeps sparse
+    denominators such as (1 - t^2)(1 - t^120) cheap.  The pairs come one at a
+    time, so a reader that stops early expands no further.
 
-    >>> one_minus_t = Polynomial((1, -1))
-    >>> f = RationalFunction(Polynomial.const(1), one_minus_t ** 3)
-    >>> [int(c) for c in series_coefficients(f, 4)]
-    [1, 3, 6, 10, 15]
+    >>> f = RationalFunction(Polynomial.const(1), Polynomial((2, 1)))
+    >>> list(series_integers(f, 2))
+    [(1, 2), (-1, 4), (1, 8)]
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -395,7 +405,6 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     depth = recurrence[-1][0] if recurrence else 0
     P = f.num.numerators
     us: list[int] = []
-    out: list[Fraction] = []
     power, scale = 1, f.num.denominator  # L^n, and M * L^n less what was divided out
     for n in range(n_max + 1):
         acc = P[n] * power if n < len(P) else 0
@@ -404,7 +413,7 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
                 break
             acc -= q * us[n - k]
         us.append(acc)
-        out.append(Fraction(acc, scale))
+        yield acc, scale
         power *= L
         scale *= L
         if L > 1 and n + 1 >= len(P):  # homogeneous from the next step on
@@ -412,7 +421,18 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
             if g > 1:
                 scale //= g
                 us[-depth:] = [u // g for u in us[-depth:]]
-    return out
+
+
+def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
+    """Coefficients c_0..c_n_max of the power-series expansion of f at t = 0:
+    the Fraction view of :func:`series_integers`, one Fraction per coefficient.
+
+    >>> one_minus_t = Polynomial((1, -1))
+    >>> f = RationalFunction(Polynomial.const(1), one_minus_t ** 3)
+    >>> [int(c) for c in series_coefficients(f, 4)]
+    [1, 3, 6, 10, 15]
+    """
+    return [Fraction(u, scale) for u, scale in series_integers(f, n_max)]
 
 
 def cauchy_horizon(p: Polynomial) -> int:

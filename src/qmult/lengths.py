@@ -23,10 +23,13 @@ the values on a whole range at once, a slice of the core and the tails
 evaluated this way; the Koszul step, the stabilization scan and the limit
 estimate read their ranges through it.
 
-A Hilbert series' tail is certified from its denominator (:func:`from_series`);
-:func:`fit_quasipoly` fits sampled data by Newton forward differences per residue
-class from the high end of the window.  Either way ``valid_from`` is the honest
-boundary found by one scan back down (``_anchored``), never an assumed one.
+A Hilbert series' tail is certified from its denominator (:func:`from_series`),
+from one integer expansion of the series, and its ``valid_from`` is
+max(0, deg N - deg D + 1), the honest boundary that the division of N by D
+proves.  :func:`fit_quasipoly` fits sampled data by Newton forward differences
+per residue class from the high end of the window, and its ``valid_from`` is
+the honest boundary found by one scan back down (``_anchored``).  Neither is an
+assumed one.
 
 JSON is read by one object reader (``_json_object``) and one array reader
 (``_array_of``) for length-function and fixture files alike; every error
@@ -52,6 +55,7 @@ from .exact import (
     nonnegative_on_ray,
     parse_rational,
     series_coefficients,
+    series_integers,
 )
 
 
@@ -663,12 +667,27 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     and then for all n > deg N - deg D (Stanley, EC I, 4.4); each residue's
     polynomial is read off k blocks there.  The core reaches at least ``probe``.
 
+    One expansion decides everything, on integers: a coefficient is a length
+    when its scale divides it and the quotient is >= 0.  P is decided from the
+    values already expanded.  As a power series P = f (1 - t^d)^k, so its
+    coefficients up to deg P = deg N - deg D + dk are the d-step differences
+    sum_j (-1)^j C(k, j) c_{n - jd}, all below start + d(k + 1); those
+    truncated, times D, give N(1 - t^d)^k back exactly when P is a polynomial.
+
+    ``valid_from`` is start = max(0, deg N - deg D + 1) itself, and that is
+    the honest boundary: dividing P by (1 - t^d)^k gives f = Q + R/(1 - t^d)^k
+    with deg Q = deg N - deg D and deg R < dk, whose second term has
+    quasi-polynomial coefficients for all n >= 0.  So the series agrees with
+    the tail from start on, and at start - 1 >= 0 it differs from the tail by
+    Q's leading coefficient, which is not 0.
+
     When P is not a polynomial, either some pole of f is not a d-th root of
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
     so that the coefficients go negative.  In the second case, and only then,
     D with its factors Phi_m (m | d) divided out divides N; the refusal says
-    which case holds.  The check on P, each Phi_m, each factor divided out and
-    the last test against N are one exact division (``_quotient``).
+    which case holds.  Only this classifier divides: each Phi_m, each factor
+    divided out and the last test against N are one exact division
+    (``_quotient``).
     """
     _check_period(d)
     if probe < 0:
@@ -678,11 +697,16 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
     start = max(0, f.num.degree - f.den.degree + 1)
     values = []
-    for n, c in enumerate(series_coefficients(f, max(probe, start + d * (k + 1)))):
-        if c.denominator != 1 or c < 0:
-            raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
-        values.append(int(c))
-    if _quotient(f.num * (1 - Polynomial.t() ** d) ** k, f.den) is None:
+    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1)))):
+        c, rest = divmod(u, scale)
+        if rest or c < 0:
+            shown = _shown(Fraction(u, scale))
+            raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
+        values.append(c)
+    p = values[: max(f.num.degree - f.den.degree + d * k + 1, 0)]
+    for _ in range(k):  # times 1 - t^d, truncated
+        p = p[:d] + [a - b for a, b in zip(p[d:], p)]
+    if Polynomial._from_integers(p, 1) * f.den != f.num * (1 - Polynomial.t() ** d) ** k:
         if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
@@ -697,7 +721,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
         for i in range(d)
     )
-    qp = _anchored(d, polys, values.__getitem__, 0, len(values) - 1)
+    qp = QuasiPolynomial(d, polys, start)
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
 
 

@@ -29,6 +29,13 @@ at t = -1, which is 0 when the pole at -1 has order below s.  This is the
 paper's reading of the multiplicity as a leading coefficient of the Hilbert
 quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
 
+The certified series model is kept as it was first written: one Fraction
+per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
+that expands a second series, and ``valid_from`` found by scanning every
+expanded degree back down, against which the single integer expansion, its P
+check from the values already expanded and its boundary at
+max(0, deg N - deg D + 1) are compared.
+
 The refusal of a series whose tail is not a period-d quasi-polynomial divides
 every cyclotomic factor Phi_m (m | d) out of the denominator.  The oracle
 builds each Phi_m as a Moebius product of power series and divides it out by
@@ -42,7 +49,18 @@ from math import factorial, isqrt, prod
 
 from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
 from qmult.koszul import KoszulError, _reduced_tail
-from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, core_window
+from qmult.lengths import (
+    FitError,
+    LengthFunction,
+    ModelError,
+    QuasiPolynomial,
+    _anchored,
+    _check_period,
+    _quotient,
+    _shown,
+    _strip_cyclotomic,
+    core_window,
+)
 from qmult.multiplicity import MultiplicityError, WindowResult, multiplicity_pos
 
 
@@ -474,3 +492,41 @@ def divide_monic(a, b):
             for j in range(n + 1):
                 rest[i + j] -= c * b[j]
     return None if any(rest[:n]) else tuple(quotient)
+
+
+def from_series(f, d, probe):
+    """The series model as first written: the Fraction recurrence, a length
+    check on each Fraction, P = N(1 - t^d)^k / D decided by ``_quotient``, the
+    refusal classified by stripping D's Phi_m (m | d), each residue's tail
+    interpolated through k blocks past deg N - deg D, and ``valid_from`` found
+    by the full ``_anchored`` scan of the expanded degrees."""
+    _check_period(d)
+    if probe < 0:
+        raise ModelError(f"probe must be >= 0, got {probe}")
+    q, k = divide_out_root(list(f.den.coeffs), 1)
+    start = max(0, f.num.degree - f.den.degree + 1)
+    values = []
+    for n, c in enumerate(fraction_series(f.num, f.den, max(probe, start + d * (k + 1)))):
+        if c.denominator != 1 or c < 0:
+            raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
+        values.append(int(c))
+    one_minus_td = Polynomial((1,) + (0,) * (d - 1) + (-1,))
+    if _quotient(fraction_product(f.num, fraction_power(one_minus_td, k)), f.den) is None:
+        if _quotient(f.num, _strip_cyclotomic(Polynomial(tuple(q)), d)) is not None:
+            raise ModelError(
+                "series coefficients eventually go negative: "
+                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+            )
+        raise ModelError(
+            f"not eventually a period-{d} quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
+        )
+    m = -(-start // d)
+    polys = tuple(
+        newton_interpolate([(m + j, values[d * (m + j) + i]) for j in range(k)])
+        if k
+        else Polynomial()
+        for i in range(d)
+    )
+    qp = _anchored(d, polys, values.__getitem__, 0, len(values) - 1)
+    return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)

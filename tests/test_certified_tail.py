@@ -22,6 +22,15 @@ refusal must name that reason rather than an off-period pole.
 
 The probe is drawn too, down to 0: it only sets the smallest core shown.
 
+The model comes from one integer expansion: its lengths, its P check and its
+boundary ``valid_from`` = max(0, deg N - deg D + 1) are all read off it.  On
+all of the series above, and on series whose coefficients are not lengths
+(a divisor such as 2 + t or 1 + t), it must give the same function, or the same
+error word for word, as the model first written in ``kernel_oracles``, which
+expands one Fraction per coefficient, decides P by a second expansion and
+scans every degree for the boundary.  Where the tail does not vanish, the
+series differs from it just below the boundary.
+
 That refusal divides every Phi_m (m | d) out of D's part prime to t - 1, by
 the library's one exact division.  On products of powers of Phi_m, some with
 m | d and some not, and of factors with no root of unity as a root, the
@@ -36,7 +45,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from qmult.exact import Polynomial
+from qmult.exact import Polynomial, QmultError
 from qmult.lengths import ModelError, _quotient, _strip_cyclotomic, from_series
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
@@ -74,6 +83,23 @@ def outranked_series(draw):
     j = draw(st.integers(0, 3))
     big = draw(st.integers(10**8, 10**9))  # outweighs t^j/Phi_m^b up to the window's end
     return f"{big}/(1-t)^{a}+t^{j}/{CYCLOTOMIC[m]}^{b}", d, draw(st.sampled_from([0, 5, 80]))
+
+
+@st.composite
+def non_length_series(draw):
+    """(expression, d, probe): a drawn series over a power of 2 + t, 1 + t,
+    3 - 2t or 2, so that its coefficients are mostly not all lengths."""
+    expr, d, probe = draw(st.one_of(series(), series(off_period=True)))
+    divisor = draw(st.sampled_from(["(2+t)", "(1+t)", "(3-2*t)", "2"]))
+    return f"({expr})/{divisor}^{draw(st.integers(1, 3))}", d, probe
+
+
+def outcome(build, f, d, probe):
+    """The model's JSON form, or the type and text of the error raised."""
+    try:
+        return build(f, d, probe).to_json_dict()
+    except QmultError as err:
+        return type(err), str(err)
 
 
 def cyclotomic_table(n):
@@ -200,3 +226,26 @@ def test_pole_oracle_on_the_worked_examples():
         assert oracle.laurent_complexity(f) == cx
         assert oracle.laurent_e_delta(f, d, cx) == e
         assert multiplicity_pos(from_series(f, d, 80), cx).e_delta == e
+
+
+@given(st.one_of(series(), series(off_period=True), outranked_series(), non_length_series()))
+def test_one_integer_expansion_matches_the_model_first_written(case):
+    expr, d, probe = case
+    f = parse_series(expr)
+    assert outcome(from_series, f, d, probe) == outcome(oracle.from_series, f, d, probe), expr
+
+
+@given(st.one_of(series(), non_length_series()))
+def test_valid_from_is_the_honest_boundary(case):
+    expr, d, probe = case
+    f = parse_series(expr)
+    try:
+        qp = from_series(f, d, probe).pos_tail
+    except ModelError:
+        return
+    if qp is None:
+        return
+    start = max(0, f.num.degree - f.den.degree + 1)
+    assert qp.valid_from == start, expr
+    if start > 0:
+        assert oracle.fraction_series(f.num, f.den, start - 1)[-1] != qp(start - 1), expr

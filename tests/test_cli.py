@@ -503,6 +503,7 @@ OUTPUT_GOLDENS = {
     "expand_rational.txt": EXPAND,
     "expand_rational.json": [*EXPAND, "--json"],
     "fit_jst2.json": ["fit", *JST2, "--probe", "20"],
+    "fit_scaled_series.json": ["fit", "--expr", "t^5*(2+t)/((2+t)*(1-t)^2)", "--d", "2", "--probe", "12"],
     "cx_d6.txt": ["cx", "--expr", "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", "--d", "6", "--probe", "120"],
     "e_t200.txt": ["e", "--expr", "t^200", "--d", "2"],
     "limit_jst2_corrected.txt": LIMIT,

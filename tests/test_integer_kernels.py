@@ -2,7 +2,8 @@
 
 Each kernel must agree exactly with its oracle in ``kernel_oracles.py``:
 sums, differences, negation, products and powers, evaluation and
-composition, the series expansion, the quasi-polynomial fit (results and
+composition, the series expansion (both its integer pairs U_n / scale_n and
+their Fraction view), the quasi-polynomial fit (results and
 errors), the Faulhaber sum and the stabilized constant of the multiplicity
 report.  A length function's values on a range, read as one list with its
 tails evaluated on integers, must equal its values read one degree at a
@@ -26,10 +27,11 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.differences import faulhaber_sum, newton_polynomial
-from qmult.exact import Polynomial, RationalFunction, series_coefficients
+from qmult.exact import Polynomial, RationalFunction, series_coefficients, series_integers
 from qmult.fixtures import random_length_function
 from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, fit_quasipoly
 from qmult.multiplicity import _stabilized_report
+from qmult.series import parse_series
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 polynomials = st.lists(rationals, max_size=8).map(lambda cs: Polynomial(tuple(cs)))
@@ -123,9 +125,33 @@ class TestSeriesKernel:
     @settings(deadline=None)
     @given(polynomials, denominators, st.integers(0, 60))
     def test_matches_the_fraction_recurrence(self, num, den, n_max):
-        got = series_coefficients(RationalFunction(num, den), n_max)
+        f = RationalFunction(num, den)
+        got = series_coefficients(f, n_max)
         assert all(type(c) is Fraction for c in got)
         assert got == oracle.fraction_series(num, den, n_max)
+        pairs = list(series_integers(f, n_max))
+        assert all(type(u) is int and type(scale) is int and scale > 0 for u, scale in pairs)
+        assert [Fraction(u, scale) for u, scale in pairs] == got
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "1/(3-2*t)^2",
+            "(1+t^3)/(3-2*t)^2",
+            "1/(2+t)^3",
+            "(5-t^2)/3/(2+t)^3",
+            "t^2/7/((1-t)*(1+t)^2)",
+            "t^5*(2+t)/((2+t)*(1-t)^2)",
+        ],
+    )
+    def test_integer_core_where_den0_or_the_numerator_scales(self, expr):
+        # D(0) != 1 or a numerator with a denominator: the scale is not 1, and
+        # past the numerator common factors are divided out of it.
+        f = parse_series(expr)
+        assert (f.num.denominator, f.den.denominator) != (1, 1)
+        pairs = list(series_integers(f, 200))
+        assert all(scale > 0 for _, scale in pairs)
+        assert [Fraction(u, scale) for u, scale in pairs] == oracle.fraction_series(f.num, f.den, 200)
 
     def test_zero_numerator(self):
         den = Polynomial((Fraction(2), Fraction(0), Fraction(-1, 3)))

@@ -298,10 +298,17 @@ class TestFromSeries:
             ("1-2*t", "n=1 is -2"),
             # past the interpreter's 4300 digits of decimal text
             (f"-{'9' * 2200}*{'9' * 2200}", "n=0 is a negative integer of 4400 digits"),
+            ("1/(2+t)", "n=0 is 1/2"),
+            (
+                "1/(2^15000+t)",
+                "n=0 is a positive fraction with a 1-digit numerator and a 4516-digit denominator",
+            ),
         ],
-        ids=["short", "too_long"],
+        ids=["short", "too_long", "fraction", "fraction_too_long"],
     )
     def test_negative_coefficient_is_named(self, expr, shown):
+        # A fraction is named the same way, read off the integer pair of the
+        # expansion that the scale does not divide.
         with pytest.raises(ModelError) as info:
             from_series(parse_series(expr), 2, 12)
         assert str(info.value) == f"series coefficient at {shown}; not a length"
