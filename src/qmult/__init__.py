@@ -11,14 +11,7 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from .differences import (
-    alternating_binomial_moment,
-    delta,
-    delta_neg,
-    faulhaber_sum,
-    shifted_binomial_moment,
-    summation_polynomial,
-)
+from .differences import delta, delta_neg, faulhaber_sum
 from .exact import (
     NotExpandableError,
     Polynomial,
@@ -82,7 +75,6 @@ __all__ = [
     "SeriesSemanticError",
     "SeriesSyntaxError",
     "WindowResult",
-    "alternating_binomial_moment",
     "axioms_check",
     "delta",
     "delta_neg",
@@ -99,10 +91,8 @@ __all__ = [
     "parse_rational",
     "parse_series",
     "reduce_chain",
-    "serre_intersection",
     "series_coefficients",
-    "shifted_binomial_moment",
-    "summation_polynomial",
+    "serre_intersection",
     "theta_invariant",
     "vanishing_window_check",
 ]

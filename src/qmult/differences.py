@@ -1,5 +1,5 @@
-"""Finite difference operators of index d, binomial moment identities, and
-closed-form power sums.
+"""Finite difference operators of index d, the Newton basis, and closed-form
+power sums.
 
 The forward operator of index d acts on numeric functions f: Z -> Q by
 D f(n) = f(n+d) - f(n); its s-fold iterate has the closed form
@@ -11,8 +11,8 @@ D-^s f(n) = (-1)^s D^s f(n+s) and expand as
 
     D-^s f(n) = sum_{i=0}^{s} (-1)^i C(s,i) f(n + d*i + s)
 
-Both operators take d explicitly, so the same code serves any index (including
-negative d in the moment identities).  Everything here is exact.
+Both operators take d explicitly, so the same code serves any index, negative
+d included.  Everything here is exact.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     return Fraction(total)
 
 
+# The library calls only delta; delta_neg stays because perfbench/tracer.py resolves it.
 def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     """s-fold backward difference of index d at n, as (-1)^s D^s f(n+s).
 
@@ -51,24 +52,6 @@ def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     Fraction(-2, 1)
     """
     return (-1) ** s * delta(f, s, d, n + s)
-
-
-def alternating_binomial_moment(s: int, n: int) -> Fraction:
-    """sum_{i=0}^{s} (-1)^i C(s,i) i^n, exactly (0^0 = 1).
-
-    Vanishes whenever 0 <= n < s.  The shifted moment at m = 0, d = 1.
-    """
-    return shifted_binomial_moment(s, n, 0, 1)
-
-
-def shifted_binomial_moment(s: int, n: int, m: int, d: int) -> Fraction:
-    """sum_{i=0}^{s} (-1)^i C(s,i) (m + d*i)^n, exactly.
-
-    Vanishes whenever 0 <= n < s, for any integers m and d.
-    """
-    if s < 1 or n < 0:
-        raise ValueError("requires s >= 1 and n >= 0")
-    return Fraction(sum((-1) ** i * comb(s, i) * (m + d * i) ** n for i in range(s + 1)))
 
 
 def binomial_polynomial(k: int) -> Polynomial:
@@ -102,16 +85,6 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
         acc[0] += cs[k].numerator * (den // cs[k].denominator) * weight
         weight *= k
     return Polynomial._from_integers(acc, den * factorial(r)).shift(-anchor)
-
-
-def summation_polynomial(g: Polynomial) -> Polynomial:
-    """The polynomial G with G(n) = sum_{i=0}^{n} g(i) for every integer n >= 0.
-
-    Telescopes the Newton basis: g(t) = sum_k c_k C(t, k) with c_k the unit
-    difference (Delta^k g)(0), and sum_{i=0}^{n} C(i,k) = C(n+1, k+1).
-    """
-    newton = difference_table([g(j) for j in range(g.degree + 1)])
-    return newton_polynomial([0, *newton], -1)
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:

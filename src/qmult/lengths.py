@@ -66,11 +66,6 @@ class ModelError(QmultError):
 class FitError(QmultError):
     """No quasi-polynomial stabilization within the sampled window."""
 
-    def __init__(self, message: str, residue: int | None = None, best_degree: int | None = None):
-        self.residue = residue
-        self.best_degree = best_degree
-        super().__init__(message)
-
 
 def _shown(x: Fraction | int) -> str:
     """``str(x)`` for an error message.  Past the interpreter's limit on
@@ -456,11 +451,17 @@ class LengthFunction:
         """
         lf = _json_object(data, "", _LENGTH_FUNCTION, _LENGTH_FUNCTION, what="length function")
         # A tail is read as (polys, anchor); it needs d, which may come after it.
+        d = lf["d"]
+        _check_period(d)
+        for side in ("pos_tail", "neg_tail"):
+            count = None if lf[side] is None else len(lf[side][0])
+            if count not in (None, d):
+                raise ModelError(f"{side}.polys must hold d = {d} polynomials, got {count}")
         pos, neg = (
-            None if tail is None else QuasiPolynomial(lf["d"], *tail)
+            None if tail is None else QuasiPolynomial(d, *tail)
             for tail in (lf["pos_tail"], lf["neg_tail"])
         )
-        return LengthFunction(lf["d"], lf["core"]["start"], tuple(lf["core"]["values"]), pos, neg)
+        return LengthFunction(d, lf["core"]["start"], tuple(lf["core"]["values"]), pos, neg)
 
 
 def core_window(
@@ -594,6 +595,7 @@ _LENGTH_FUNCTION: dict[str, Parser] = {
 }
 
 
+# perfbench/tracer.py resolves fit_quasipoly by name, as lengths.fit_quasipoly.
 def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynomial:
     """Fit a period-d quasi-polynomial to samples on a contiguous window.
 
@@ -608,8 +610,8 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
     (Newton's forward formula), and then its first r + 1 entries are the
     Newton coefficients of the fitted polynomial.
 
-    Raises :class:`FitError` (carrying the residue class and the best
-    candidate degree) when no stabilization is visible in the window.
+    Raises :class:`FitError`, naming the residue class and the best candidate
+    degree, when no stabilization is visible in the window.
     """
     _check_period(d)
     if not samples:
@@ -624,9 +626,7 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
         first = -(-(lo - i) // d)
         blocks = [samples[d * m + i] for m in range(first, (hi - i) // d + 1)]
         if len(blocks) < 3:
-            raise FitError(
-                f"residue class {i} has only {len(blocks)} samples", residue=i, best_degree=None
-            )
+            raise FitError(f"residue class {i} has only {len(blocks)} samples")
         fitted: Polynomial | None = None
         best = -1
         r = 0
@@ -641,9 +641,7 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
         if fitted is None:
             raise FitError(
                 f"no polynomial stabilization in residue class {i} "
-                f"(tried degrees up to {best})",
-                residue=i,
-                best_degree=best,
+                f"(tried degrees up to {best})"
             )
         polys.append(fitted)
 

@@ -278,6 +278,12 @@ def theta_invariant(tor_lengths: LengthFunction) -> int:
         raise MultiplicityError("theta needs period d = 2")
     if tor_lengths.neg_tail is not None:
         raise MultiplicityError("homological input must vanish in negative degrees")
+    lo = tor_lengths.core_start
+    for n, v in enumerate(tor_lengths.values(lo, -1), lo):
+        if v:
+            raise MultiplicityError(
+                f"homological input must vanish in negative degrees, but degree {n} has length {v}"
+            )
     qp = tor_lengths.pos_tail
     if qp is not None and qp.max_degree > 0:
         raise MultiplicityError(

@@ -166,9 +166,7 @@ def fit_quasipoly(samples, d):
     for i in range(d):
         blocks = [(m, Fraction(samples[d * m + i])) for m in range(-(-(lo - i) // d), (hi - i) // d + 1)]
         if len(blocks) < 3:
-            raise FitError(
-                f"residue class {i} has only {len(blocks)} samples", residue=i, best_degree=None
-            )
+            raise FitError(f"residue class {i} has only {len(blocks)} samples")
         fitted = None
         best = -1
         r = 0
@@ -184,9 +182,7 @@ def fit_quasipoly(samples, d):
         if fitted is None:
             raise FitError(
                 f"no polynomial stabilization in residue class {i} "
-                f"(tried degrees up to {best})",
-                residue=i,
-                best_degree=best,
+                f"(tried degrees up to {best})"
             )
         polys.append(fitted)
 

@@ -608,6 +608,17 @@ class TestNamedRefusals:
                 "homological input must vanish in negative degrees",
             ),
             (
+                # The tail vanishes, but the core does not at n = -2.
+                ["theta", "--input", "{path}"],
+                {
+                    "d": 2,
+                    "core": {"start": -2, "values": [7, 7, 5, 2, 5, 2, 5, 2, 5, 2]},
+                    "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["5"], ["2"]]},
+                    "neg_tail": {"kind": "vanishing"},
+                },
+                "homological input must vanish in negative degrees, but degree -2 has length 7",
+            ),
+            (
                 ["cx", "--input", "{path}"],
                 {
                     "d": 2,
@@ -628,7 +639,7 @@ class TestNamedRefusals:
                 "limit estimates need n >= 1",
             ),
         ],
-        ids=["theta_two_sided", "empty_core", "expand_stray_letter", "limit_n_zero"],
+        ids=["theta_two_sided", "theta_negative_core", "empty_core", "expand_stray_letter", "limit_n_zero"],
     )
     def test_refusal_is_named(self, capsys, tmp_path, argv, data, message):
         path = tmp_path / "lf.json"

@@ -5,16 +5,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qmult.differences import (
-    alternating_binomial_moment,
-    delta,
-    delta_neg,
-    binomial_polynomial,
-    faulhaber_sum,
-    shifted_binomial_moment,
-    summation_polynomial,
-)
+from qmult.differences import binomial_polynomial, delta, delta_neg, faulhaber_sum
 from qmult.exact import Polynomial
 
 from difference_oracles import (
@@ -117,42 +111,38 @@ class TestDeltaNeg:
 
 
 class TestMoments:
+    """The binomial moment sum_{i=0}^{s} (-1)^i C(s,i) (m + d*i)^n is
+    (-1)^s delta(t^n, s, d, m), so the identities are read off delta."""
+
+    @given(
+        st.integers(0, 12),
+        st.data(),
+        st.integers(-50, 50),
+        st.integers(-6, 6),
+    )
+    def test_monomial_differences(self, s, data, m, d):
+        # D^s t^n vanishes below order s and is s! d^s at n = s.
+        n = data.draw(st.integers(0, s), label="n")
+        want = factorial(s) * d**s if n == s else 0
+        assert delta(lambda x: x**n, s, d, m) == want
+
     def test_vanishing_range_exhaustive(self):
+        # The unshifted moments (m = 0, d = 1), with 0^0 = 1.
         for s in range(1, 11):
             for n in range(0, s):
-                assert alternating_binomial_moment(s, n) == 0
+                assert delta(lambda x: x**n, s, 1, 0) == 0
+            assert delta(lambda x: x**s, s, 1, 0) == factorial(s)
 
     def test_base_case(self):
-        assert alternating_binomial_moment(1, 0) == 0
+        assert delta(lambda x: 1, 1, 1, 0) == 0
 
     def test_first_nonzero(self):
-        assert alternating_binomial_moment(2, 2) == 2  # 0 - 2*1 + 1*4
-
-    def test_shifted_vanishing_exhaustive(self):
-        for s in range(1, 11):
-            for n in range(0, s):
-                for d in (2, 3, 4, 6):
-                    for m in range(-5, 6):
-                        assert shifted_binomial_moment(s, n, m, d) == 0
+        assert delta(lambda x: x**2, 2, 1, 0) == 2  # 4 - 2*1 + 0
 
     def test_shifted_examples(self):
-        assert shifted_binomial_moment(3, 2, 5, 2) == 0
-        assert shifted_binomial_moment(1, 0, 17, -3) == 0
-        assert shifted_binomial_moment(2, 2, 0, 3) == 18  # 2! * 3^2
-
-    def test_alternating_is_the_unshifted_moment(self):
-        # sum (-1)^i C(s,i) i^s = (-1)^s s!, and (0^0 = 1) the n = 0 sum is 0.
-        for s in range(1, 8):
-            assert alternating_binomial_moment(s, s) == (-1) ** s * factorial(s)
-            for n in range(0, 10):
-                assert alternating_binomial_moment(s, n) == shifted_binomial_moment(s, n, 0, 1)
-
-    @pytest.mark.parametrize("s, n", [(0, 0), (-1, 2), (1, -1), (3, -2)])
-    def test_moments_reject_s_below_1_or_negative_n(self, s, n):
-        with pytest.raises(ValueError, match=r"^requires s >= 1 and n >= 0$"):
-            alternating_binomial_moment(s, n)
-        with pytest.raises(ValueError, match=r"^requires s >= 1 and n >= 0$"):
-            shifted_binomial_moment(s, n, 5, 2)
+        assert delta(lambda x: x**2, 3, 2, 5) == 0
+        assert delta(lambda x: 1, 1, -3, 17) == 0
+        assert delta(lambda x: x**2, 2, 3, 0) == 18  # 2! * 3^2
 
 
 class TestMonomialDifference:
@@ -179,12 +169,16 @@ class TestFaulhaber:
         assert faulhaber_sum(poly(1), 3, 7) == 5
 
     def test_leading_term(self):
-        # Sum of squares grows like n^3/3: the residual has degree <= 2.
-        G = summation_polynomial(poly(0, 0, 1))
-        residual = G - Polynomial((Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3)))
-        assert residual.degree <= 2
+        # Sum of squares grows like n^3/3: the residual has degree <= 2, so
+        # its third differences vanish.
+        def residual(n):
+            return faulhaber_sum(poly(0, 0, 1), 0, n) - Fraction(n**3, 3)
+
+        for n in (0, 1, 4, 10, 50):
+            assert delta(residual, 3, 1, n) == 0
+        assert delta(residual, 2, 1, 0) == 1  # 2! times the n^2 coefficient 1/2
         for n in (1, 2, 5, 9, 12, 30):
-            assert G(n) == sum(Fraction(i) ** 2 for i in range(n + 1))
+            assert faulhaber_sum(poly(0, 0, 1), 0, n) == sum(Fraction(i) ** 2 for i in range(n + 1))
 
     def test_matches_brute_force(self):
         rng = random.Random(7)

@@ -463,9 +463,8 @@ class TestFitQuasipoly:
     def test_non_stabilizing_fails_with_residue(self):
         rng = random.Random(0)
         samples = {n: rng.randint(0, 50) for n in range(0, 40)}
-        with pytest.raises(FitError) as info:
+        with pytest.raises(FitError, match=r"^no polynomial stabilization in residue class \d"):
             fit_quasipoly(samples, 2)
-        assert info.value.residue is not None
 
     def test_gap_in_samples_rejected(self):
         with pytest.raises(FitError):

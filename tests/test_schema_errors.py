@@ -232,6 +232,32 @@ def test_check_order(tmp_path, capsys, tail, message):
     assert capsys.readouterr() == ("", f"error: {input_file}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            dict(LENGTH_FUNCTION, pos_tail=dict(LENGTH_FUNCTION["pos_tail"], polys=[["1"]])),
+            "pos_tail.polys must hold d = 2 polynomials, got 1",
+        ),
+        (
+            dict(LENGTH_FUNCTION, neg_tail={"kind": "quasipoly", "valid_to": -1, "polys": [[]] * 3}),
+            "neg_tail.polys must hold d = 2 polynomials, got 3",
+        ),
+        # An odd d is named as the period before any count.
+        (
+            dict(LENGTH_FUNCTION, d=3, pos_tail=dict(LENGTH_FUNCTION["pos_tail"], polys=[["1"]])),
+            "period must be an even integer >= 2, got 3",
+        ),
+    ],
+    ids=["pos_tail", "neg_tail", "odd_d_first"],
+)
+def test_polynomial_count_names_the_tail(tmp_path, capsys, document, message):
+    input_file = tmp_path / "lf.json"
+    input_file.write_text(json.dumps(document))
+    assert main(["cx", "--input", str(input_file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {input_file}: {message}\n")
+
+
 def test_long_value_is_cut_short(tmp_path, capsys):
     # The message shows the value it refuses, cut short: written out whole, a
     # 100 000-entry array made a 300 kB line.
