@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -132,6 +132,17 @@ class TestMoments:
             for n in range(0, s):
                 assert delta(lambda x: x**n, s, 1, 0) == 0
             assert delta(lambda x: x**s, s, 1, 0) == factorial(s)
+
+    def test_alternating_is_the_unshifted_moment(self):
+        # sum (-1)^i C(s,i) i^s = (-1)^s s!, and (0^0 = 1) the n = 0 sum is 0.
+        def moment(s, n):
+            return sum((-1) ** i * comb(s, i) * i**n for i in range(s + 1))
+
+        for s in range(1, 8):
+            assert moment(s, s) == (-1) ** s * factorial(s)
+            assert moment(s, 0) == 0
+            for n in range(0, 10):
+                assert moment(s, n) == (-1) ** s * delta(lambda x: x**n, s, 1, 0)
 
     def test_base_case(self):
         assert delta(lambda x: 1, 1, 1, 0) == 0
