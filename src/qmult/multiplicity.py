@@ -278,11 +278,14 @@ def theta_invariant(tor_lengths: LengthFunction) -> int:
         raise MultiplicityError("theta needs period d = 2")
     if tor_lengths.neg_tail is not None:
         raise MultiplicityError("homological input must vanish in negative degrees")
+    # The core alone decides this, in time set by its length: a nonzero pos
+    # tail agrees with the core on d * (max_degree + 2) points, so if it
+    # reaches below 0 its nonzero values show in the core's negative part.
     lo = tor_lengths.core_start
-    for n, v in enumerate(tor_lengths.values(lo, -1), lo):
+    for k, v in enumerate(tor_lengths.core_values[: max(0, -lo)]):
         if v:
             raise MultiplicityError(
-                f"homological input must vanish in negative degrees, but degree {n} has length {v}"
+                f"homological input must vanish in negative degrees, but degree {lo + k} has length {v}"
             )
     qp = tor_lengths.pos_tail
     if qp is not None and qp.max_degree > 0:

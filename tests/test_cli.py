@@ -472,6 +472,18 @@ class TestLimitThetaSerre:
         assert code == 0
         assert out == "3\n"
 
+    def test_theta_far_negative_start(self, capsys, tmp_path):
+        # Zeros that reach far below 0 are read from the core, not walked.
+        lf = {
+            "d": 2,
+            "core": {"start": -(10**12), "values": [0]},
+            "pos_tail": {"kind": "vanishing"},
+            "neg_tail": {"kind": "vanishing"},
+        }
+        path = tmp_path / "tor.json"
+        path.write_text(json.dumps(lf))
+        assert run(capsys, "theta", "--input", str(path)) == (0, "0\n", "")
+
     def test_serre(self, capsys):
         code, out, _ = run(capsys, "serre", "--tor", "3,1")
         assert code == 0
@@ -619,6 +631,22 @@ class TestNamedRefusals:
                 "homological input must vanish in negative degrees, but degree -2 has length 7",
             ),
             (
+                # A constant tail anchored far below 0 is refused at its anchor.
+                ["theta", "--input", "{path}"],
+                {
+                    "d": 2,
+                    "core": {"start": -(10**12), "values": [5, 2, 5, 2, 5]},
+                    "pos_tail": {
+                        "kind": "quasipoly",
+                        "valid_from": -(10**12),
+                        "polys": [["5"], ["2"]],
+                    },
+                    "neg_tail": {"kind": "vanishing"},
+                },
+                "homological input must vanish in negative degrees, "
+                "but degree -1000000000000 has length 5",
+            ),
+            (
                 ["cx", "--input", "{path}"],
                 {
                     "d": 2,
@@ -639,7 +667,14 @@ class TestNamedRefusals:
                 "limit estimates need n >= 1",
             ),
         ],
-        ids=["theta_two_sided", "theta_negative_core", "empty_core", "expand_stray_letter", "limit_n_zero"],
+        ids=[
+            "theta_two_sided",
+            "theta_negative_core",
+            "theta_far_negative_tail",
+            "empty_core",
+            "expand_stray_letter",
+            "limit_n_zero",
+        ],
     )
     def test_refusal_is_named(self, capsys, tmp_path, argv, data, message):
         path = tmp_path / "lf.json"
