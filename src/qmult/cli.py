@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from functools import partial
 from typing import NoReturn
@@ -129,7 +130,11 @@ def _report_lines(
 
 
 def _approx(value: Fraction) -> str:
-    return f"{format_rational(value)} (~ {float(value):.6f})"
+    try:
+        approx = f"{float(value):.6f}"
+    except OverflowError:  # past 2^1024: seven digits of a Decimal, whose exponent is unbounded
+        approx = f"{Context(prec=7, Emax=MAX_EMAX).divide(value.numerator, value.denominator):.6e}"
+    return f"{format_rational(value)} (~ {approx})"
 
 
 def _cmd_e(args, side: str) -> Result:

@@ -23,9 +23,9 @@ the values on a whole range at once, a slice of the core and the tails
 evaluated this way; the Koszul step, the stabilization scan and the limit
 estimate read their ranges through it.
 
-A Hilbert series' tail is certified from its denominator (:func:`from_series`),
-from one integer expansion of the series, and its ``valid_from`` is
-max(0, deg N - deg D + 1), the honest boundary that the division of N by D
+A Hilbert series' tail is certified from its denominator (:func:`from_series`)
+by agreeing with one integer expansion on deg D + dk degrees; ``valid_from``,
+max(0, deg N - deg D + 1), is the honest boundary that the division of N by D
 proves.  :func:`fit_quasipoly` fits sampled data by Newton forward differences
 per residue class from the high end of the window, and its ``valid_from`` is
 the honest boundary found by one scan back down (``_anchored``).  Neither is an
@@ -666,18 +666,14 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     polynomial is read off k blocks there.  The core reaches at least ``probe``.
 
     One expansion decides everything, on integers: a coefficient is a length
-    when its scale divides it and the quotient is >= 0.  P is decided from the
-    values already expanded.  As a power series P = f (1 - t^d)^k, so its
-    coefficients up to deg P = deg N - deg D + dk are the d-step differences
-    sum_j (-1)^j C(k, j) c_{n - jd}, all below start + d(k + 1); those
-    truncated, times D, give N(1 - t^d)^k back exactly when P is a polynomial.
-
-    ``valid_from`` is start = max(0, deg N - deg D + 1) itself, and that is
-    the honest boundary: dividing P by (1 - t^d)^k gives f = Q + R/(1 - t^d)^k
-    with deg Q = deg N - deg D and deg R < dk, whose second term has
-    quasi-polynomial coefficients for all n >= 0.  So the series agrees with
-    the tail from start on, and at start - 1 >= 0 it differs from the tail by
-    Q's leading coefficient, which is not 0.
+    when its scale divides it and the quotient is >= 0.  The k-block tail is
+    R/(1 - t^d)^k with deg R < dk, so past start = max(0, deg N - deg D + 1)
+    the series less the tail, (N(1 - t^d)^k - R D) / (D (1 - t^d)^k), has
+    coefficients with a recurrence of order deg D + dk: P is a polynomial
+    exactly when they vanish on start..start + deg D + dk - 1.  Then
+    f = Q + R/(1 - t^d)^k with deg Q = deg N - deg D, and ``valid_from`` =
+    start is the honest boundary: at start - 1 >= 0 the series differs from
+    the tail by Q's leading coefficient, which is not 0.
 
     When P is not a polynomial, either some pole of f is not a d-th root of
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
@@ -694,17 +690,21 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     while sum(q) == 0:  # divide D by t - 1; this ends, since D(0) == 1
         q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
     start = max(0, f.num.degree - f.den.degree + 1)
+    end = start + f.den.degree + d * k  # the tail must agree on start..end - 1
     values = []
-    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1)))):
+    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1), end - 1))):
         c, rest = divmod(u, scale)
         if rest or c < 0:
             shown = _shown(Fraction(u, scale))
             raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
         values.append(c)
-    p = values[: max(f.num.degree - f.den.degree + d * k + 1, 0)]
-    for _ in range(k):  # times 1 - t^d, truncated
-        p = p[:d] + [a - b for a, b in zip(p[d:], p)]
-    if Polynomial._from_integers(p, 1) * f.den != f.num * (1 - Polynomial.t() ** d) ** k:
+    m = -(-start // d)  # the first block of degrees all >= start
+    polys = tuple(
+        newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
+        for i in range(d)
+    )
+    qp = QuasiPolynomial(d, polys, start)
+    if any(_differs(qp, n, values[n]) for n in range(start, end)):
         if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
@@ -714,12 +714,6 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
             f"not eventually a period-{d} quasi-polynomial: "
             "its poles are not all d-th roots of unity"
         )
-    m = -(-start // d)  # the first block of degrees all >= start
-    polys = tuple(
-        newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
-        for i in range(d)
-    )
-    qp = QuasiPolynomial(d, polys, start)
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
 
 

@@ -32,9 +32,9 @@ quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
 The certified series model is kept as it was first written: one Fraction
 per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
 that expands a second series, and ``valid_from`` found by scanning every
-expanded degree back down, against which the single integer expansion, its P
-check from the values already expanded and its boundary at
-max(0, deg N - deg D + 1) are compared.
+expanded degree back down, against which the single integer expansion, its
+tail certified by agreement with the values already expanded and its boundary
+at max(0, deg N - deg D + 1) are compared.
 
 The refusal of a series whose tail is not a period-d quasi-polynomial divides
 every cyclotomic factor Phi_m (m | d) out of the denominator.  The oracle
@@ -492,7 +492,8 @@ def divide_monic(a, b):
 
 def from_series(f, d, probe):
     """The series model as first written: the Fraction recurrence, a length
-    check on each Fraction, P = N(1 - t^d)^k / D decided by ``_quotient``, the
+    check on each Fraction (as far as the library's certificate reads, to
+    start + deg D + dk - 1), P = N(1 - t^d)^k / D decided by ``_quotient``, the
     refusal classified by stripping D's Phi_m (m | d), each residue's tail
     interpolated through k blocks past deg N - deg D, and ``valid_from`` found
     by the full ``_anchored`` scan of the expanded degrees."""
@@ -502,7 +503,8 @@ def from_series(f, d, probe):
     q, k = divide_out_root(list(f.den.coeffs), 1)
     start = max(0, f.num.degree - f.den.degree + 1)
     values = []
-    for n, c in enumerate(fraction_series(f.num, f.den, max(probe, start + d * (k + 1)))):
+    n_max = max(probe, start + d * (k + 1), start + f.den.degree + d * k - 1)
+    for n, c in enumerate(fraction_series(f.num, f.den, n_max)):
         if c.denominator != 1 or c < 0:
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))

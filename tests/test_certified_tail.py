@@ -22,14 +22,15 @@ refusal must name that reason rather than an off-period pole.
 
 The probe is drawn too, down to 0: it only sets the smallest core shown.
 
-The model comes from one integer expansion: its lengths, its P check and its
-boundary ``valid_from`` = max(0, deg N - deg D + 1) are all read off it.  On
-all of the series above, and on series whose coefficients are not lengths
-(a divisor such as 2 + t or 1 + t), it must give the same function, or the same
-error word for word, as the model first written in ``kernel_oracles``, which
-expands one Fraction per coefficient, decides P by a second expansion and
-scans every degree for the boundary.  Where the tail does not vanish, the
-series differs from it just below the boundary.
+The model comes from one integer expansion: its lengths, its tail, accepted
+only if it agrees with the expansion on the deg D + dk degrees from its
+boundary ``valid_from`` = max(0, deg N - deg D + 1) on, and that boundary are
+all read off it.  On all of the series above, and on series whose coefficients
+are not lengths (a divisor such as 2 + t or 1 + t), it must give the same
+function, or the same error word for word, as the model first written in
+``kernel_oracles``, which expands one Fraction per coefficient as far, decides
+P by a second expansion and scans every degree for the boundary.  Where the
+tail does not vanish, the series differs from it just below the boundary.
 
 That refusal divides every Phi_m (m | d) out of D's part prime to t - 1, by
 the library's one exact division.  On products of powers of Phi_m, some with

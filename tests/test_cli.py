@@ -5,6 +5,7 @@ import inspect
 import json
 import pkgutil
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,25 @@ class TestLimitThetaSerre:
         )
         assert code == 0
         assert out == "50001/50000 (~ 1.000020)\n"
+
+    # 1/(1-t) at s = 200, n = 2: the estimates 200! 2^199 (paper) and 200!
+    # (corrected) lie past the largest float, where float() raised OverflowError.
+    BEYOND_FLOAT = ("--expr", "1/(1-t)", "--d", "2", "--s", "200")
+
+    def test_limit_beyond_float_range(self, capsys):
+        exact = factorial(200) * 2**199
+        code, out, _ = run(capsys, "limit", *self.BEYOND_FLOAT, "--n", "2")
+        assert (code, out) == (0, f"{exact} (~ 6.336622e+434)\n")
+        code, out, _ = run(capsys, "limit", *self.BEYOND_FLOAT, "--n", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["estimate"] == str(exact)
+
+    def test_e_limit_beyond_float_range(self, capsys):
+        code, out, _ = run(capsys, "e", *self.BEYOND_FLOAT, "--limit-n", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"limit_paper(n=2)      {factorial(200) * 2**199} (~ 6.336622e+434)" in lines
+        assert f"limit_corrected(n=2)  {factorial(200)} (~ 7.886579e+374)" in lines
 
     def test_theta(self, capsys, tmp_path):
         lf = {

@@ -336,11 +336,25 @@ class TestCertifiedTail:
         assert all(lf(n) == coeffs[n] for n in range(401))
         assert lf.pos_tail.valid_from == 201
 
-    @pytest.mark.parametrize("expr", ["1/(1-t^100)", "1/(1-t^3)", "t^5/((1-t^2)*(1-t^5))"])
-    def test_pole_off_the_period_refused(self, expr):
+    @pytest.mark.parametrize(
+        "expr, probe",
+        [
+            pytest.param(expr, probe, id=expr)
+            for expr, probe in [
+                ("1/(1-t^100)", 80),
+                ("1/(1-t^3)", 80),
+                ("t^5/((1-t^2)*(1-t^5))", 80),
+                ("1/((1-t)*(1-t^12))", 0),
+            ]
+        ],
+    )
+    def test_pole_off_the_period_refused(self, expr, probe):
         # 1/(1-t^100) was fitted as 1, 0, 0, ...; 1/(1-t^3) asked for a larger probe.
+        # 1/((1-t)*(1-t^12)) first differs from its tail, 1 on both residues,
+        # at n=12: past the stored core 0..4 and past start + d(k + 1) = 6,
+        # but inside the certificate's deg D + dk = 17 degrees 0..16.
         with pytest.raises(ModelError) as info:
-            from_series(parse_series(expr), 2, 80)
+            from_series(parse_series(expr), 2, probe)
         assert str(info.value) == self.REFUSAL
 
     def test_cancelled_pole_accepted(self):
@@ -401,6 +415,10 @@ class TestCertifiedTail:
     def test_negative_coefficient_named_before_the_refusal(self):
         with pytest.raises(ModelError, match=r"^series coefficient at n=1 is -2; not a length$"):
             from_series(parse_series("1/(1+t)^2"), 2, 80)
+        # t^5 - t^6 + t^11 - ...: some of its poles are off the period 2 (the
+        # primitive 3rd and 6th roots of unity), but the expansion reaches n=6 first.
+        with pytest.raises(ModelError, match=r"^series coefficient at n=6 is -1; not a length$"):
+            from_series(parse_series("t^5*(1-t)/(1-t^6)"), 2, 1)
 
 
 @pytest.mark.parametrize(
