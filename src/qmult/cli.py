@@ -144,7 +144,9 @@ def _cmd_e(args, side: str) -> Result:
     report = compute(lf, s)
     limits = {}
     if args.limit_n is not None:
-        limits = {c: limit_estimate(lf, s, args.limit_n, c) for c in ("paper", "corrected")}
+        # The constants s! d^(2s-1) and s! d^s differ by the factor d^(s-1).
+        paper = limit_estimate(lf, s, args.limit_n, "paper")
+        limits = {"paper": paper, "corrected": paper / lf.d ** (s - 1)}
     # Only the requested form is built: the text formats every tail polynomial.
     if args.json:
         payload = report.to_json_dict()

@@ -44,7 +44,6 @@ class NotExpandableError(QmultError):
 
 def format_rational(q: Scalar) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -291,8 +290,13 @@ class Polynomial:
         return f"Polynomial('{self}')"
 
     def to_json(self) -> list[str]:
-        """Coefficient array, constant term first."""
-        return [format_rational(c) for c in self.coeffs]
+        """Coefficient array, constant term first: each numerator over the
+        denominator, reduced by their gcd."""
+        out = []
+        for c in self.numerators:
+            g = gcd(c, self.denominator)
+            out.append(str(c // g) if g == self.denominator else f"{c // g}/{self.denominator // g}")
+        return out
 
 
 def _as_poly(x: Polynomial | Scalar) -> Polynomial:

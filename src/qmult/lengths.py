@@ -42,7 +42,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -670,7 +670,9 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     R/(1 - t^d)^k with deg R < dk, so past start = max(0, deg N - deg D + 1)
     the series less the tail, (N(1 - t^d)^k - R D) / (D (1 - t^d)^k), has
     coefficients with a recurrence of order deg D + dk: P is a polynomial
-    exactly when they vanish on start..start + deg D + dk - 1.  Then
+    exactly when they vanish on start..start + deg D + dk - 1.  They vanish
+    on the k blocks the tail was read off by construction, so only the other
+    degrees of that window are compared.  Then
     f = Q + R/(1 - t^d)^k with deg Q = deg N - deg D, and ``valid_from`` =
     start is the honest boundary: at start - 1 >= 0 the series differs from
     the tail by Q's leading coefficient, which is not 0.
@@ -704,7 +706,9 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         for i in range(d)
     )
     qp = QuasiPolynomial(d, polys, start)
-    if any(_differs(qp, n, values[n]) for n in range(start, end)):
+    # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
+    window = chain(range(start, d * m), range(d * (m + k), end))
+    if any(_differs(qp, n, values[n]) for n in window):
         if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "

@@ -21,10 +21,12 @@ consistent, so neither is "the" value, and the library never picks one.
 Per residue class j, h(dm+j) is eventually sum_k (-1)^k g_k(m) plus unit
 differences of degree <= s-2, and stepping by d in n is stepping by 1 in m, so
 D^{s-1} h is eventually (s-1)! times the common t^(s-1) coefficient: the delta
-value is computed from that formula.  It is certified on h, built once as a
-list (one window sum, then h(n+1) = h(n) + (-1)^n (lambda(n+d) - lambda(n))):
-D^{s-1} h must equal it on 3d consecutive tail degrees, and a scan below them
-reports where the stabilization begins.
+value is computed from that formula, on the tail numerators over one common
+denominator with one exact division.  It is certified on h, built once as a
+list (one window sum, then h(n+1) = h(n) + (-1)^n (lambda(n+d) - lambda(n)))
+and differenced as a whole list, s-1 passes of h(n+d) - h(n): D^{s-1} h must
+equal the value on 3d consecutive tail degrees, and a scan below them reports
+where the stabilization begins.  No Fraction is built on the way.
 
 The negative side (tails toward -infinity, operator D-) is computed as the
 positive side of the reflection n -> lambda(-n), mapped back.  The delta
@@ -40,11 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import factorial
+from itertools import accumulate, count
+from math import factorial, lcm
 from typing import Sequence
 
-from .differences import delta as delta_op
+# delta_op is unused since the certificate differences h as one list; the
+# name stays because perfbench/tracer.py and perfbench/test_perfbench.py look
+# it up on this module.
+from .differences import delta as delta_op  # noqa: F401
 from .differences import faulhaber_sum
 from .exact import Polynomial, QmultError, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
@@ -62,12 +67,6 @@ def _sign(n: int) -> int:
 def herbrand(lf: LengthFunction, n: int) -> int:
     """Alternating sum of lambda over the window [n, n+d)."""
     return sum(_sign(n + i) * lf(n + i) for i in range(lf.d))
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ModelError(f"{what} is {x}, not an integer")
-    return int(x)
 
 
 @dataclass(frozen=True)
@@ -191,37 +190,51 @@ def multiplicity_neg(lf: LengthFunction, s: int) -> MultiplicityReport:
 def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int, int]:
     """The positive-side e_delta, e_coeff and stabilization index for s >= cx >= 1;
     the stabilization scan runs down from the certified region to ``floor`` at
-    the lowest."""
+    the lowest.
+
+    Everything is on integers.  The alternating sum of the degree s-1
+    numerators, each scaled to the lcm of the tail denominators, gives e_delta
+    by one exact division.  The certificate differences h as one ascending
+    list: s-1 passes of ``h = [b - a for a, b in zip(h, h[d:])]`` leave
+    D^{s-1} h at every degree the scan reads."""
     qp = lf.pos_tail
     assert qp is not None
     d, v = lf.d, qp.valid_from
+    den = lcm(*(p.denominator for p in qp.polys))
     alternating = sum(
-        ((-1) ** i * p.coefficient(s - 1) for i, p in enumerate(qp.polys)), Fraction(0)
+        _sign(i) * p.numerators[s - 1] * (den // p.denominator)
+        for i, p in enumerate(qp.polys)
+        if p.degree >= s - 1
     )
-    e_delta = _as_int(factorial(s - 1) * alternating, "stabilized difference")
+    scaled = factorial(s - 1) * alternating
+    e_delta, rest = divmod(scaled, den)
+    if rest:
+        raise ModelError(f"stabilized difference is {Fraction(scaled, den)}, not an integer")
 
-    # h as one list, h[k] = h(top - k): D^{s-1} h(n) reads h(n), h(n+d), ...,
-    # h(n+(s-1)d), so the confirmation reaches up to top.  One window sum at
-    # top, then h(n) = h(n+1) - (-1)^n (lambda(n+d) - lambda(n)) (d is even),
-    # down to the lowest degree that the confirmation or the scan reads.
+    # h as one list, h[k] = h(lo + k), from the lowest degree the scan reads
+    # up to top, the highest that D^{s-1} h(n) = sum of h(n), h(n+d), ...,
+    # h(n+(s-1)d) reads in the confirmation: one window sum at lo, then the
+    # running sum of the steps (-1)^m (lambda(m+d) - lambda(m)) (d is even).
+    # Each pass of D shortens the list by d, so after s-1 passes h[k] is
+    # D^{s-1} h(lo + k) for every lo + k <= v + 3d - 1.
     top = v + (s + 2) * d - 1
     lo = min(floor, v)
     lam = lf.values(lo, top + d)
-    h = [herbrand(lf, top)]
-    for m in range(top - 1, lo - 1, -1):
-        h.append(h[-1] - _sign(m) * (lam[m + d - lo] - lam[m - lo]))
-
-    def at(n: int) -> int:
-        return h[top - n]
+    steps = [b - a for a, b in zip(lam, lam[d:-1])]
+    odd = slice(1 - lo % 2, None, 2)  # the steps at odd m
+    steps[odd] = [-x for x in steps[odd]]
+    h = list(accumulate(steps, initial=herbrand(lf, lo)))
+    for _ in range(s - 1):
+        h = [b - a for a, b in zip(h, h[d:])]
 
     # One scan down from the top of the 3d consecutive certified degrees: it
     # must pass below v (the numeric confirmation), and where it stops is the
     # honest boundary of the verified stable range.
     n = v + 3 * d - 1
-    while n >= floor and (got := delta_op(at, s - 1, d, n)) == e_delta:
+    while n >= floor and h[n - lo] == e_delta:
         n -= 1
     if n >= v:
-        raise ModelError(f"numeric stabilization check failed at n={n}: {got} != {e_delta}")
+        raise ModelError(f"numeric stabilization check failed at n={n}: {h[n - lo]} != {e_delta}")
     return e_delta, d ** (s - 1) * e_delta, n + 1
 
 

@@ -1,14 +1,20 @@
 """Slow, obvious oracles for the integer polynomial kernels and the tail checks.
 
 Each is the plain Fraction computation that the integer kernels must match:
-schoolbook sums and products on the Fraction coefficients, the Fraction
-series recurrence, Horner evaluation and Horner composition, Newton
-interpolation of every candidate degree in the fit, the Faulhaber sum through
-the summation polynomial, and the residue profiles of the Herbrand difference
-with repeated differences for its stabilized constant.  Every polynomial sum
+the text of a rational read off its Fraction, schoolbook sums and products
+on the Fraction coefficients, the Fraction series recurrence, Horner
+evaluation and Horner composition, Newton interpolation of every candidate
+degree in the fit, the Faulhaber sum through the summation polynomial, and
+the residue profiles of the Herbrand difference with repeated differences
+for its stabilized constant.  Every polynomial sum
 and product here is one of the schoolbook loops below, and every polynomial
 is built by the validating ``Polynomial`` constructor, so they share no
 arithmetic with the kernels they check.
+
+The multiplicity certificate keeps its first form: the Fraction sum of
+the degree s-1 tail coefficients, and a scan that takes the closed-form
+difference of the Herbrand difference at one degree at a time, against which
+the integer sum and the whole-list differences of h are compared.
 
 The tail check and the sum of two length functions are kept in their
 mirrored form, one hand-written branch per side, against which the single
@@ -47,6 +53,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, isqrt, prod
 
+from qmult.differences import delta
 from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
 from qmult.koszul import KoszulError, _reduced_tail
 from qmult.lengths import (
@@ -61,11 +68,19 @@ from qmult.lengths import (
     _strip_cyclotomic,
     core_window,
 )
-from qmult.multiplicity import MultiplicityError, WindowResult, multiplicity_pos
+from qmult.multiplicity import MultiplicityError, WindowResult, herbrand, multiplicity_pos
 
 
 def const(c):
     return Polynomial((Fraction(c),))
+
+
+def format_rational(q):
+    """"p/q", or "p" when the denominator is 1, read off Fraction(q)."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def fraction_sum(g, h, sign=1):
@@ -234,6 +249,28 @@ def residue_profiles(polys):
             acc = fraction_sum(acc, g if k >= j else spilled[k], (-1) ** k)
         profiles.append(acc)
     return profiles
+
+
+def stabilized_report(lf, s, floor):
+    """The positive-side (e_delta, e_coeff, stabilization index) as first
+    written: the Fraction sum of the degree s-1 coefficients, checked to be an
+    integer, and the scan down from v + 3d - 1 that takes one closed-form
+    difference ``delta`` of ``herbrand`` per degree."""
+    qp = lf.pos_tail
+    d, v = lf.d, qp.valid_from
+    alternating = sum(
+        ((-1) ** i * p.coefficient(s - 1) for i, p in enumerate(qp.polys)), Fraction(0)
+    )
+    x = factorial(s - 1) * alternating
+    if x.denominator != 1:
+        raise ModelError(f"stabilized difference is {x}, not an integer")
+    e_delta = int(x)
+    n = v + 3 * d - 1
+    while n >= floor and (got := delta(lambda m: herbrand(lf, m), s - 1, d, n)) == e_delta:
+        n -= 1
+    if n >= v:
+        raise ModelError(f"numeric stabilization check failed at n={n}: {got} != {e_delta}")
+    return e_delta, d ** (s - 1) * e_delta, n + 1
 
 
 def check_tail(lf, qp, side):

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import random
 import sys
 from math import factorial
 from pathlib import Path
@@ -13,9 +14,11 @@ import pytest
 import qmult
 from qmult import cli
 from qmult.cli import main
-from qmult.exact import QmultError
+from qmult.exact import QmultError, format_rational
+from qmult.fixtures import random_length_function
 from qmult.koszul import KoszulError, reduce
 from qmult.lengths import from_series
+from qmult.multiplicity import limit_estimate
 from qmult.series import parse_series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,6 +155,25 @@ class TestReportCommands:
             main(["e-neg", "--input", str(path), "--s", "1", "--limit-n", "1000"])
         assert info.value.code == 2
         assert "--limit-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_e_limits_are_the_estimates_with_each_constant(self, capsys, tmp_path, seed):
+        # The corrected limit is the paper one over d^(s-1); both must be what
+        # limit_estimate gives with its own constant.
+        rng = random.Random(seed)
+        lf = random_length_function(rng, d=rng.choice([2, 4, 6]), min_cx=1)
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(lf.to_json_dict()))
+        s = lf.complexity() + rng.randint(0, 2)
+        n = rng.choice([1, 7, 1000, 10**12])
+        code, out, _ = run(
+            capsys, "e", "--input", str(path), "--s", str(s), "--limit-n", str(n), "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        for constant in ("paper", "corrected"):
+            want = format_rational(limit_estimate(lf, s, n, constant))
+            assert payload[f"limit_{constant}"] == want
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_limit_n_at_s_zero_is_error(self, capsys, json_flag):
@@ -538,6 +560,11 @@ OUTPUT_GOLDENS = {
     "fit_scaled_series.json": ["fit", "--expr", "t^5*(2+t)/((2+t)*(1-t)^2)", "--d", "2", "--probe", "12"],
     "cx_d6.txt": ["cx", "--expr", "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", "--d", "6", "--probe", "120"],
     "e_t200.txt": ["e", "--expr", "t^200", "--d", "2"],
+    # Rational tail coefficients and both limit strings.
+    "e_limit_rational_d6.json": [
+        "e", "--json", "--limit-n", "1000000000000", "--expr", "1/((1-t^2)^3*(1-t^3))", "--d", "6"
+    ],
+    "koszul_t7_d12.json": ["koszul", "--expr", "t^7/((1-t)*(1-t^12))", "--d", "12", "--probe", "84"],
     "limit_jst2_corrected.txt": LIMIT,
     "limit_jst2_corrected.json": [*LIMIT, "--json"],
     "theta_tor_5_2.txt": ["theta", "--input", TOR],

@@ -8,12 +8,13 @@ errors), the Faulhaber sum and the stabilized constant of the multiplicity
 report.  A length function's values on a range, read as one list with its
 tails evaluated on integers, must equal its values read one degree at a
 time, and a tail value that is not a length raises the same error either
-way.  Polynomial results are compared field by field (``coeffs``,
-``numerators`` and ``denominator``) with the oracle's, which the validating
-constructor built.  The constructor and the kernels share the final
-reduction, so ``TestStoredForm`` checks the constructor against the
-definition of the stored form itself: the coefficients as Fractions, over the
-lcm of their denominators.
+way.  A polynomial's JSON coefficients and ``format_rational`` must match
+the text read off the Fractions.  Polynomial results are compared field by
+field (``coeffs``, ``numerators`` and ``denominator``) with the oracle's,
+which the validating constructor built.  The constructor and the kernels
+share the final reduction, so ``TestStoredForm`` checks the constructor
+against the definition of the stored form itself: the coefficients as
+Fractions, over the lcm of their denominators.
 """
 
 import random
@@ -27,7 +28,13 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.differences import faulhaber_sum, newton_polynomial
-from qmult.exact import Polynomial, RationalFunction, series_coefficients, series_integers
+from qmult.exact import (
+    Polynomial,
+    RationalFunction,
+    format_rational,
+    series_coefficients,
+    series_integers,
+)
 from qmult.fixtures import random_length_function
 from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial, fit_quasipoly
 from qmult.multiplicity import _stabilized_report
@@ -273,6 +280,39 @@ class TestPolynomialKernels:
             term = oracle.horner_compose_linear(oracle.binomial_polynomial(k), 1, -anchor)
             want = oracle.fraction_sum(want, oracle.fraction_product(term, oracle.const(c)))
         assert_same(newton_polynomial(cs, anchor), want)
+
+
+# Large integers, and fractions whose numerator over a common denominator
+# is not reduced.
+wide_rationals = st.one_of(
+    rationals,
+    st.integers(-(10**40), 10**40).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**20)),
+)
+
+
+class TestOutputAgainstFractions:
+    @given(st.lists(wide_rationals, max_size=8))
+    def test_to_json_formats_each_fraction_coefficient(self, cs):
+        g = Polynomial(tuple(cs))
+        want = [oracle.format_rational(c) for c in trimmed(cs)]
+        assert g.to_json() == want == [oracle.format_rational(c) for c in g.coeffs]
+
+    @pytest.mark.parametrize(
+        "cs, want",
+        [
+            ((), []),
+            ((0, 0), []),
+            ((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), 4), ["1/2", "1/3", "-5/6", "4"]),
+            ((0, Fraction(-3, 4), 10**30), ["0", "-3/4", str(10**30)]),
+        ],
+    )
+    def test_to_json_examples(self, cs, want):
+        assert Polynomial(cs).to_json() == want
+
+    @given(st.one_of(st.integers(-(10**40), 10**40), st.booleans(), wide_rationals))
+    def test_format_rational_matches_the_fraction_text(self, q):
+        assert format_rational(q) == oracle.format_rational(q)
 
 
 def _outcome(fit, samples, d):

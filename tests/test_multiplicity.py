@@ -14,9 +14,10 @@ from qmult.differences import delta, delta_neg
 from qmult.exact import Polynomial, series_coefficients
 from qmult.fixtures import random_length_function, random_polynomial
 from qmult.koszul import reduce
-from qmult.lengths import LengthFunction, QuasiPolynomial
+from qmult.lengths import LengthFunction, ModelError, QuasiPolynomial
 from qmult.multiplicity import (
     MultiplicityError,
+    _stabilized_report,
     euler_characteristic,
     herbrand,
     limit_estimate,
@@ -28,6 +29,14 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 from qmult.lengths import from_series
+
+
+def outcome(report, *args):
+    """The report's result, or the message of the ModelError it raised."""
+    try:
+        return report(*args)
+    except ModelError as e:
+        return str(e)
 
 
 def poly(*coeffs):
@@ -263,10 +272,11 @@ class TestMultiplicityNeg:
 
 
 @st.composite
-def stabilization_cases(draw):
-    """(lf, side, s) at s = cx..cx+2 on ``side``: random one-sided functions, and
-    functions that are one quasi-polynomial on all of Z, whose scans run down
-    to the floor; reflected for the negative side, then shifted."""
+def stabilization_cases(draw, below=0):
+    """(lf, side, s) at s = max(cx - below, 1)..cx+2 on ``side``: random
+    one-sided functions, and functions that are one quasi-polynomial on all of
+    Z, whose scans run down to the floor; reflected for the negative side,
+    then shifted."""
     rng = random.Random(draw(st.integers(0, 10**6)))
     d = draw(st.sampled_from([2, 4, 6]))
     side = draw(st.sampled_from(["positive", "negative"]))
@@ -286,7 +296,7 @@ def stabilization_cases(draw):
     if side == "negative":
         lf = lf.reflect()
     lf = lf.shift(draw(st.integers(-5, 5)))
-    return lf, side, lf.complexity(side) + draw(st.integers(0, 2))
+    return lf, side, max(lf.complexity(side) + draw(st.integers(-below, 2)), 1)
 
 
 class TestStabilizationAgainstTheLiteralDifference:
@@ -320,6 +330,20 @@ class TestStabilizationAgainstTheLiteralDifference:
         assert report.e_coeff == factorial(s - 1) * d ** (s - 1) * alternating
         sign = 1 if side == "positive" else (-1) ** (s - 1)
         assert report.e_coeff == sign * d ** (s - 1) * report.e_delta
+
+    @settings(deadline=None)
+    @given(stabilization_cases(below=1))
+    def test_certificate_matches_the_per_degree_scan(self, case):
+        # The integer sum and the whole-list differences of h give the same
+        # (e_delta, e_coeff, index) as the Fraction sum and one closed-form
+        # difference per degree, or the same refusal at s = cx - 1.
+        lf, side, s = case
+        if side == "positive":
+            args = (lf, s, lf.core_start - 2 * lf.d)
+        else:
+            reach = s * (lf.d + 1) - 2
+            args = (lf.reflect(), s, -(lf.core_end + 2 * lf.d) - reach)
+        assert outcome(_stabilized_report, *args) == outcome(oracle.stabilized_report, *args)
 
     def test_lambda_evaluations_grow_linearly_in_d(self, monkeypatch):
         # One window sum and a running update: a few thousand evaluations of
