@@ -44,7 +44,7 @@ def delta(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     return Fraction(total)
 
 
-# The library calls only delta; delta_neg stays because perfbench/tracer.py resolves it.
+# The library calls neither delta nor delta_neg; perfbench/tracer.py resolves both.
 def delta_neg(f: NumericFunction, s: int, d: int, n: int) -> Fraction:
     """s-fold backward difference of index d at n, as (-1)^s D^s f(n+s).
 

@@ -13,7 +13,10 @@ class and agree there exactly.  That overlap also certifies integrality of the
 tail everywhere (a polynomial that is integral on deg + 1 consecutive integers
 is integral on all of Z); nonnegativity along the rest of the ray is certified
 by exact sign analysis.  Quasi-polynomial tails whose polynomials are all zero
-are normalized to ``None``.
+are normalized to ``None``.  Outside input (``LengthFunction(...)``,
+``from_values``, ``from_json_dict``) runs these checks; derived functions
+(:func:`from_series`, ``+``, ``shift``, ``reflect``, ``koszul.reduce``) are
+built with ``_unchecked``, their checks proved by construction.
 
 A tail value is a length, so it is computed as an integer: the numerator of
 g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
@@ -185,12 +188,10 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
         raise ModelError(f"{side} tail period {qp.d} != function period {lf.d}")
     need = lf.d * (qp.max_degree + 2)
     if side == "pos":
-        key, direction = "valid_from", 1
-        allowed = (lf.core_start, lf.core_end - need)
+        key, allowed = "valid_from", (lf.core_start, lf.core_end - need)
         overlap = range(qp.valid_from, lf.core_end + 1)
     else:
-        key, direction = "valid_to", -1
-        allowed = (lf.core_start + need, lf.core_end)
+        key, allowed = "valid_to", (lf.core_start + need, lf.core_end)
         overlap = range(lf.core_start, qp.valid_from + 1)
     if not (allowed[0] <= qp.valid_from <= allowed[1]):
         raise ModelError(
@@ -204,11 +205,15 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
             )
-    # Nonnegativity out along the ray, certified by exact sign analysis.
-    for n in qp.negative_degrees(qp.valid_from, direction):
+    _check_sign(qp, side)
+
+
+def _check_sign(qp: QuasiPolynomial, side: str) -> None:
+    """The ``"pos"`` or ``"neg"`` tail's sign out along its ray, certified exactly."""
+    for n in qp.negative_degrees(qp.valid_from, 1 if side == "pos" else -1):
         raise ModelError(
-            f"{side} tail polynomial for residue {n % lf.d} goes negative at block "
-            f"{n // lf.d} (degree n={n})"
+            f"{side} tail polynomial for residue {n % qp.d} goes negative at block "
+            f"{n // qp.d} (degree n={n})"
         )
 
 
@@ -358,29 +363,22 @@ class LengthFunction:
         if self.d != other.d:
             raise ModelError(f"cannot add length functions with periods {self.d} and {other.d}")
 
-        def combine(side: str) -> QuasiPolynomial | None:
-            tails = [f.tail(side) for f in (self, other)]
-            if all(qp is None for qp in tails):
-                return None
-            # A vanishing tail is zero beyond its core, so it contributes the
-            # degree one past its core edge as the anchor.
-            up = side == "positive"
-            anchors = [
-                (f.core_end + 1 if up else f.core_start - 1) if qp is None else qp.valid_from
-                for f, qp in zip((self, other), tails)
-            ]
-            sums = zip(*(qp.polys for qp in tails if qp is not None))
-            polys = tuple(sum(ps, Polynomial()) for ps in sums)
-            return QuasiPolynomial(self.d, polys, max(anchors) if up else min(anchors))
+        def pos_sum(*fs: LengthFunction) -> QuasiPolynomial | None:
+            # A vanishing tail is zero beyond its core: its anchor is one past the core.
+            tails = [f.pos_tail for f in fs if f.pos_tail is not None]
+            anchor = max(f.core_end + 1 if f.pos_tail is None else f.pos_tail.valid_from for f in fs)
+            polys = tuple(sum(ps, Polynomial()) for ps in zip(*(qp.polys for qp in tails)))
+            return QuasiPolynomial(self.d, polys, anchor) if tails else None
 
-        return LengthFunction.from_values(
-            self.d,
-            lambda n: self(n) + other(n),
-            min(self.core_start, other.core_start),
-            max(self.core_end, other.core_end),
-            combine("positive"),
-            combine("negative"),
-        )
+        # Valid by construction: a summed tail is the sum from its anchor on,
+        # and tails nonnegative along a ray cancel only where both are zero.
+        pos, neg = pos_sum(self, other), None
+        if self.neg_tail is not None or other.neg_tail is not None:
+            neg = pos_sum(self.reflect(), other.reflect()).reflect()
+        ends = (min(self.core_start, other.core_start), max(self.core_end, other.core_end))
+        lo, hi = core_window(self.d, *ends, pos, neg)
+        values = tuple(a + b for a, b in zip(self.values(lo, hi), other.values(lo, hi)))
+        return LengthFunction._unchecked(self.d, lo, values, pos, neg)
 
     @staticmethod
     def from_values(
@@ -684,6 +682,11 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     which case holds.  Only this classifier divides: each Phi_m, each factor
     divided out and the last test against N are one exact division
     (``_quotient``).
+
+    Each ``__post_init__`` check is proved on the way: the period up front,
+    a nonempty core of ints and their signs by the length scan, the overlap
+    by ``core_window`` (widened before an all-zero tail becomes None), the
+    agreement by the agreement window and the tail's sign by ``_check_sign``.
     """
     _check_period(d)
     if probe < 0:
@@ -718,7 +721,9 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
             f"not eventually a period-{d} quasi-polynomial: "
             "its poles are not all d-th roots of unity"
         )
-    return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
+    _check_sign(qp, "pos")
+    core = values[: core_window(d, 0, probe, qp, None)[1] + 1]  # from 0 <= valid_from
+    return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
 
 
 def _quotient(num: Polynomial, den: Polynomial) -> Polynomial | None:

@@ -223,7 +223,7 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
     steps = [b - a for a, b in zip(lam, lam[d:-1])]
     odd = slice(1 - lo % 2, None, 2)  # the steps at odd m
     steps[odd] = [-x for x in steps[odd]]
-    h = list(accumulate(steps, initial=herbrand(lf, lo)))
+    h = list(accumulate(steps, initial=_sign(lo) * (sum(lam[:d:2]) - sum(lam[1:d:2]))))
     for _ in range(s - 1):
         h = [b - a for a, b in zip(h, h[d:])]
 

@@ -18,11 +18,14 @@ the integer sum and the whole-list differences of h are compared.
 
 The tail check and the sum of two length functions are kept in their
 mirrored form, one hand-written branch per side, against which the single
-side-parametrized code path is compared.  The Koszul step keeps the sign
-certificate of its reduced tails written out inline, with its own ceiling and
-floor ray starts from the window edges, against which the tail's one
-certificate method is compared.  Both reflect a downward ray to the upward
-ray of g(-t), through Horner composition.
+side-parametrized code path is compared.  The sum is built through the
+validating constructor, against which the library's sum, built by
+construction, is compared.  The Koszul step keeps its reduced tails as
+forward differences by Horner composition, negated and shifted by one degree
+in the negative regime, and the sign certificate of those tails written out
+inline, with its own ceiling and floor ray starts from the window edges,
+against which the tail's one certificate method is compared.  Both reflect a
+downward ray to the upward ray of g(-t), through Horner composition.
 
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials, against which the run search by the
@@ -37,16 +40,19 @@ quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
 
 The certified series model is kept as it was first written: one Fraction
 per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
-that expands a second series, and ``valid_from`` found by scanning every
-expanded degree back down, against which the single integer expansion, its
-tail certified by agreement with the values already expanded and its boundary
-at max(0, deg N - deg D + 1) are compared.
+that expands a second Fraction series and multiplies back, ``valid_from``
+found by scanning every expanded degree back down by Horner's rule, and the
+model checked again by the validating constructor, against which the single
+integer expansion, its tail certified by agreement with the values already
+expanded, its boundary at max(0, deg N - deg D + 1) and its construction
+without a second check are compared.
 
 The refusal of a series whose tail is not a period-d quasi-polynomial divides
 every cyclotomic factor Phi_m (m | d) out of the denominator.  The oracle
 builds each Phi_m as a Moebius product of power series and divides it out by
-integer long division, against which the library's one exact division, by
-series expansion, and its Phi_m built as quotients are compared.
+integer long division, and tests the stripped denominator against N by its
+own exact division, against which the library's one exact division, by
+integer series expansion, and its Phi_m built as quotients are compared.
 """
 
 from fractions import Fraction
@@ -55,17 +61,14 @@ from math import factorial, isqrt, prod
 
 from qmult.differences import delta
 from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
-from qmult.koszul import KoszulError, _reduced_tail
+from qmult.koszul import KoszulError
 from qmult.lengths import (
     FitError,
     LengthFunction,
     ModelError,
     QuasiPolynomial,
-    _anchored,
     _check_period,
-    _quotient,
     _shown,
-    _strip_cyclotomic,
     core_window,
 )
 from qmult.multiplicity import MultiplicityError, WindowResult, herbrand, multiplicity_pos
@@ -119,6 +122,14 @@ def fraction_series(num, den, n_max):
             acc -= q[k] * out[n - k]
         out.append(acc / q[0])
     return out
+
+
+def exact_quotient(num, den):
+    """num / den when it is a polynomial, else None, for den(0) != 0: the
+    Fraction series of num / den up to degree deg num - deg den, times den by
+    the schoolbook product, gives num back exactly when den divides num."""
+    quotient = Polynomial(tuple(fraction_series(num, den, max(num.degree - den.degree, 0))))
+    return quotient if fraction_product(quotient, den) == num else None
 
 
 def horner_eval(g, x):
@@ -200,16 +211,18 @@ def fit_quasipoly(samples, d):
                 f"(tried degrees up to {best})"
             )
         polys.append(fitted)
+    return QuasiPolynomial(d, tuple(polys), boundary(polys, samples.__getitem__, lo, hi))
 
-    def value(n):
-        return horner_eval(polys[n % d], n // d)
 
-    valid_from = lo
+def boundary(polys, value, lo, hi):
+    """The lowest n >= lo from which the quasi-polynomial of ``polys``,
+    evaluated by Horner's rule, agrees with ``value`` on all of [n, hi]: one
+    scan down from hi."""
+    d = len(polys)
     for n in range(hi, lo - 1, -1):
-        if value(n) != Fraction(samples[n]):
-            valid_from = n + 1
-            break
-    return QuasiPolynomial(d, tuple(polys), valid_from)
+        if horner_eval(polys[n % d], n // d) != Fraction(value(n)):
+            return n + 1
+    return lo
 
 
 def faulhaber_sum(g, N, n):
@@ -359,6 +372,26 @@ def add(a, b):
     return LengthFunction(a.d, lo, values, pos, neg)
 
 
+def reduced_tail(qp, regime, side):
+    """The tail of one Koszul step, or None where it vanishes: each g_i goes
+    to its forward difference by Horner composition; in the negative regime
+    that step is negated and shifted by one degree, so residue i takes
+    residue i + 1's polynomial and residue d - 1 takes residue 0's, one block
+    on."""
+    if qp is None:
+        return None
+    d = qp.d
+    step = [forward_difference(p) for p in qp.polys]
+    anchor = qp.valid_from if side == "pos" else qp.valid_from - d
+    if regime == "negative":
+        negated = [fraction_sum(Polynomial(), p, -1) for p in step]
+        step = negated[1:] + [horner_compose_linear(negated[0], 1, 1)]
+        anchor -= 1
+    if all(p.is_zero() for p in step):
+        return None
+    return QuasiPolynomial(d, tuple(step), anchor)
+
+
 def koszul_reduce(lf, regime="positive"):
     """One Koszul step: the reduced core scanned on its window, then each
     reduced tail certified residue by residue on the ray past the window."""
@@ -366,8 +399,8 @@ def koszul_reduce(lf, regime="positive"):
         raise ValueError("regime must be 'positive' or 'negative'")
     d = lf.d
     ahead, behind = (d, 0) if regime == "positive" else (1, d + 1)
-    pos = _reduced_tail(lf.pos_tail, regime, "pos")
-    neg = _reduced_tail(lf.neg_tail, regime, "neg")
+    pos = reduced_tail(lf.pos_tail, regime, "pos")
+    neg = reduced_tail(lf.neg_tail, regime, "neg")
     lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
     values = tuple(lf(n + ahead) - lf(n + behind) for n in range(lo, hi + 1))
     violations = [lo + k for k, v in enumerate(values) if v < 0]
@@ -530,10 +563,11 @@ def divide_monic(a, b):
 def from_series(f, d, probe):
     """The series model as first written: the Fraction recurrence, a length
     check on each Fraction (as far as the library's certificate reads, to
-    start + deg D + dk - 1), P = N(1 - t^d)^k / D decided by ``_quotient``, the
-    refusal classified by stripping D's Phi_m (m | d), each residue's tail
-    interpolated through k blocks past deg N - deg D, and ``valid_from`` found
-    by the full ``_anchored`` scan of the expanded degrees."""
+    start + deg D + dk - 1), P = N(1 - t^d)^k / D decided by ``exact_quotient``,
+    the refusal classified by ``strip_cyclotomic`` on D's part prime to t - 1,
+    each residue's tail interpolated through k blocks past deg N - deg D,
+    ``valid_from`` found by the full ``boundary`` scan of the expanded degrees,
+    and the model checked again by the validating constructor."""
     _check_period(d)
     if probe < 0:
         raise ModelError(f"probe must be >= 0, got {probe}")
@@ -546,8 +580,9 @@ def from_series(f, d, probe):
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
     one_minus_td = Polynomial((1,) + (0,) * (d - 1) + (-1,))
-    if _quotient(fraction_product(f.num, fraction_power(one_minus_td, k)), f.den) is None:
-        if _quotient(f.num, _strip_cyclotomic(Polynomial(tuple(q)), d)) is not None:
+    if exact_quotient(fraction_product(f.num, fraction_power(one_minus_td, k)), f.den) is None:
+        stripped = strip_cyclotomic(Polynomial(tuple(q)).numerators, d)
+        if exact_quotient(f.num, Polynomial(stripped)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -563,5 +598,5 @@ def from_series(f, d, probe):
         else Polynomial()
         for i in range(d)
     )
-    qp = _anchored(d, polys, values.__getitem__, 0, len(values) - 1)
+    qp = QuasiPolynomial(d, polys, boundary(polys, values.__getitem__, 0, len(values) - 1))
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)

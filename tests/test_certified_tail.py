@@ -38,16 +38,27 @@ m | d and some not, and of factors with no root of unity as a root, the
 stripped polynomial agrees with the oracle's Moebius series and long division,
 and is the product of the factors that are not a Phi_m with m | d; the exact
 division agrees with long division wherever the divisor is monic.
+
+``from_series`` and the sum of two length functions are built without the
+validating constructor, each check proved by construction.  The validating
+constructor stays their oracle: rebuilding each model of the series above,
+and each sum of two random two-sided functions, through it raises nothing and
+changes no field.  The sign of the tail out along its ray is the one check
+that the construction does not prove: (100 - 101 t^2)/(1 - t^2)^2 passes the
+length scan and the agreement window, and goes negative at degree 206.
 """
 
+import random
 from math import prod
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.exact import Polynomial, QmultError
-from qmult.lengths import ModelError, _quotient, _strip_cyclotomic, from_series
+from qmult.fixtures import random_length_function
+from qmult.lengths import LengthFunction, ModelError, _quotient, _strip_cyclotomic, from_series
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
 
@@ -250,3 +261,43 @@ def test_valid_from_is_the_honest_boundary(case):
     assert qp.valid_from == start, expr
     if start > 0:
         assert oracle.fraction_series(f.num, f.den, start - 1)[-1] != qp(start - 1), expr
+
+
+def test_tail_sign_past_the_agreement_window_is_certified():
+    f = parse_series("(100-101*t^2)/(1-t^2)^2")
+    with pytest.raises(ModelError) as err:
+        from_series(f, 2, 0)
+    assert str(err.value) == (
+        "pos tail polynomial for residue 0 goes negative at block 103 (degree n=206)"
+    )
+
+
+def fields(lf):
+    return lf.d, lf.core_start, lf.core_values, lf.pos_tail, lf.neg_tail
+
+
+def rebuilt(lf):
+    """lf through the validating constructor, which must accept it as is."""
+    again = LengthFunction(*fields(lf))
+    assert fields(again) == fields(lf)
+    return again
+
+
+def two_sided(rng, d):
+    below = random_length_function(rng, d).reflect().shift(rng.randint(-9, 9))
+    return random_length_function(rng, d) + below
+
+
+@given(series(), st.integers(0, 2**32 - 1))
+def test_derived_functions_pass_the_validating_constructor(case, seed):
+    expr, d, probe = case
+    rebuilt(from_series(parse_series(expr), d, probe))
+    rng = random.Random(seed)
+    rebuilt(two_sided(rng, d) + two_sided(rng, d))
+
+
+def test_all_zero_tail_still_widens_the_core():
+    # The tail read off (1 - t^2)/(1 - t) is all zero from valid_from = 2; the
+    # core still reaches its overlap, so lambda(1) = 1 is kept.
+    lf = rebuilt(from_series(parse_series("(1+t)*(1-t)/(1-t)"), 2, 0))
+    assert (lf.core_start, lf.core_values, lf.pos_tail) == (0, (1, 1, 0, 0, 0), None)
