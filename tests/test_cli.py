@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, golden files."""
 
+import gc
 import importlib
 import inspect
 import json
@@ -10,6 +11,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qmult
 from qmult import cli
@@ -783,31 +786,31 @@ class TestErrorBase:
         assert run(capsys, "serre", "--tor", "3,1") == (1, "", "error: refused\n")
 
 
+MALFORMED_INTEGERS = [
+    (["e", "--expr", "1/(1-t)^2", "--s", "٢"], "argument --s"),
+    (["expand", "--expr", "1/(1-t)", "--n", "1_0"], "argument --n"),
+    (["serre", "--tor", "1_0,2"], "--tor"),
+    (["serre", "--tor", "1,,2"], "--tor"),
+    (["serre", "--tor", "1, 2"], "--tor"),
+    (["serre", "--tor", ""], "--tor"),
+    (["fit", "--expr", "1/(1-t)^2", "--d", " 2"], "argument --d"),
+    (["cx", "--expr", "1/(1-t)^2", "--probe", "+80"], "argument --probe"),
+    (["e", "--expr", "1/(1-t)^2", "--limit-n", "1e3"], "argument --limit-n"),
+    (["e-neg", "--expr", "1/(1-t)^2", "--s", "2 "], "argument --s"),
+    (["koszul", "--expr", "1/(1-t)^2", "--s", "１"], "argument --s"),
+    (["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "1_000"], "argument --n"),
+    (["verify", "--seed", "٠"], "argument --seed"),
+    # int() refuses more than 4300 digits with a ValueError.
+    (["serre", "--tor", "1," + "9" * 5000], "--tor"),
+    (["e", "--expr", "1/(1-t)^2", "--s", "-" + "9" * 5000], "argument --s: invalid int"),
+]
+
+
 class TestIntegerFlags:
     """Integer flags and --tor entries take ASCII -?[0-9]+ only; int() would
     accept non-ASCII digits, underscores, whitespace and a '+' sign."""
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["e", "--expr", "1/(1-t)^2", "--s", "٢"], "argument --s"),
-            (["expand", "--expr", "1/(1-t)", "--n", "1_0"], "argument --n"),
-            (["serre", "--tor", "1_0,2"], "--tor"),
-            (["serre", "--tor", "1,,2"], "--tor"),
-            (["serre", "--tor", "1, 2"], "--tor"),
-            (["serre", "--tor", ""], "--tor"),
-            (["fit", "--expr", "1/(1-t)^2", "--d", " 2"], "argument --d"),
-            (["cx", "--expr", "1/(1-t)^2", "--probe", "+80"], "argument --probe"),
-            (["e", "--expr", "1/(1-t)^2", "--limit-n", "1e3"], "argument --limit-n"),
-            (["e-neg", "--expr", "1/(1-t)^2", "--s", "2 "], "argument --s"),
-            (["koszul", "--expr", "1/(1-t)^2", "--s", "１"], "argument --s"),
-            (["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "1_000"], "argument --n"),
-            (["verify", "--seed", "٠"], "argument --seed"),
-            # int() refuses more than 4300 digits with a ValueError.
-            (["serre", "--tor", "1," + "9" * 5000], "--tor"),
-            (["e", "--expr", "1/(1-t)^2", "--s", "-" + "9" * 5000], "argument --s: invalid int"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, flag", MALFORMED_INTEGERS)
     def test_malformed_integer_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -943,3 +946,135 @@ class TestPerCommandParse:
         _, out, err, code = outcome(capsys, lambda _: main(), [])
         assert (out, code) == ("", 2)
         assert err.endswith("qmult: error: unrecognized arguments: --limit-n 5\n")
+
+
+# Valid flags, refused request: exit 1.  "cut.json" is written truncated.
+EXIT_1_RUNS = [
+    ["e", "--expr", "1/(2+t)"],
+    ["e", "--expr", "1/(1-t"],
+    ["e", "--d", "3", "--expr", "1/(1-t)^2"],
+    ["cx", "--input", "cut.json"],
+]
+
+
+def handler_files(directory: Path) -> None:
+    """The input files that HANDLER_RUNS and EXIT_1_RUNS name."""
+    (directory / TOR).write_text(json.dumps(tor_input()))
+    (directory / "lf.json").write_text(json.dumps(two_sided_input()))
+    (directory / "cut.json").write_text('{"d": 2, "core": {"start": ')
+
+
+class TestNoGarbagePerCall:
+    """A call that succeeds or exits 1 leaves no unreachable objects for the
+    cycle collector: the subcommand's parser is built once per process and
+    the JSON renderer makes no closures.  Exit-2 usage errors are exempt:
+    they build the full parser on purpose, to print its usage line."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [*((argv, 0) for argv in HANDLER_RUNS), *((argv, 1) for argv in EXIT_1_RUNS)],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_call_leaves_no_garbage(self, capsys, monkeypatch, tmp_path, argv, want):
+        monkeypatch.chdir(tmp_path)
+        handler_files(tmp_path)
+        assert main(argv) == want  # warm-up: builds the parser, fills the library's caches
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert (code, garbage) == (want, 0)
+
+
+json_text = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # lone surrogates included
+    st.text(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "é", " ", "\ud800", "😀"])),
+)
+json_int = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+scalar = st.one_of(json_text, json_int, st.booleans(), st.none(), st.floats())
+json_tree = st.recursive(
+    st.one_of(
+        scalar,
+        # leaf lists, all of a kind or with bool and None mixed in
+        st.lists(json_int),
+        st.lists(json_text),
+        st.lists(st.one_of(json_int, st.booleans(), st.none())),
+        st.lists(st.one_of(json_text, st.booleans(), st.none())),
+    ),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.dictionaries(json_text, children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonRenderer:
+    """``cli._dumps`` writes ``json.dumps(value, indent=2)`` byte for byte."""
+
+    @given(json_tree)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [True, None, [], {}, [[]], {"a": {}}, [True, 1], [1, True], ["x", None], [0.5, 1]], ids=repr
+    )
+    def test_bool_none_and_empty_containers(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_verify_all_payload(self):
+        code, payload, _ = cli._COMMANDS["verify"][2](cli._parse(["verify", "--suite", "all", "--json"]))
+        assert code == 0
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def fresh_outcome(capsys, argv):
+    """``outcome`` of ``main(argv)`` with every subcommand parser built anew."""
+    cli._subparser.cache_clear()
+    return outcome(capsys, main, argv)
+
+
+class TestReusedParser:
+    """A subcommand parser built once carries nothing from one call to the next."""
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        handler_files(tmp_path)
+        calls = [
+            ["e", *JST2, "--s", "3", "--json"],
+            ["e", *JST2],  # s defaults to the complexity, text output
+            ["koszul", "--input", "lf.json", "--regime", "negative"],
+            ["koszul", *JST2],  # the positive regime by default
+        ]
+        want = [fresh_outcome(capsys, argv) for argv in calls]
+        assert [got[3] for got in want] == [None] * 4
+        assert '"s": 3' in want[0][1] and "s              2\n" in want[1][1]
+        cli._subparser.cache_clear()
+        for _ in range(2):
+            assert [outcome(capsys, main, argv) for argv in calls] == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(argv for argv in PARSE_CORPUS if argv and argv[0] in cli._COMMANDS),  # e -h among them
+            *(argv for argv, _ in MALFORMED_INTEGERS),
+        ],
+        ids=lambda argv: " ".join(argv)[:60],
+    )
+    def test_second_call_matches_the_first(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        first = fresh_outcome(capsys, argv)
+        assert outcome(capsys, main, argv) == first
+
+    def test_help_width_is_read_at_each_call(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("80", "40", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps.append(outcome(capsys, main, ["e", "-h"]))  # the parser built at the last width
+            assert helps[-1] == fresh_outcome(capsys, ["e", "-h"])
+        assert helps[0] == helps[2] != helps[1]
