@@ -5,10 +5,8 @@ Exit codes: 0 success, 1 computational or validation error, 2 usage error.
 Each handler returns its exit code, JSON payload and text and prints nothing;
 ``main`` renders the one the flags ask for and is the only place that prints
 to stdout.
-Each subcommand's parser is built once per process, so ``main(argv)`` may be
-called repeatedly; the full parser is built only for help, an unknown command
-and usage errors.  JSON is written by ``_dumps`` in the format of
-``json.dumps(..., indent=2)``, byte for byte.
+JSON is written by ``_dumps`` in the format of ``json.dumps(..., indent=2)``,
+byte for byte.
 Output is deterministic for fixed inputs and seed.  The environment variable
 MULT_FIXTURE_DIR overrides the fixture corpus location for ``verify``.
 """
@@ -18,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import sys
 from decimal import MAX_EMAX, Context
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
 from typing import NoReturn
 
@@ -288,40 +287,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _subparser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name`` alone, with the prog, flags and
-    messages the full parser gives it.  Built once per process: its defaults
-    are immutable and each parse starts from a fresh Namespace."""
-    parser = argparse.ArgumentParser(prog=f"qmult {name}")
-    _COMMANDS[name][1](parser)
-    return parser
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, through the parser of the
-    subcommand that ``argv[0]`` names.  The full parser is built for
-    everything else (no arguments, ``-h``, an unknown command, a leading
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    subcommand that ``argv[0]`` names.  That parser has the prog, flags and
+    messages the full parser gives the subcommand; the full parser is built
+    for everything else (no arguments, ``-h``, an unknown command, a leading
     ``--``) and to report leftover arguments."""
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     name = argv[0]
-    args, extras = _subparser(name).parse_known_args(argv[1:], argparse.Namespace(command=name))
+    # argparse makes a HelpFormatter at each add_argument, and each one asks
+    # the terminal for its width; ask once per parser, with the same formula.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = partial(argparse.HelpFormatter, width=width)
+    parser = argparse.ArgumentParser(prog=f"qmult {name}", formatter_class=formatter)
+    _COMMANDS[name][1](parser)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
     if extras:
         _usage_error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
 def _dumps(value: object, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a value built of
-    dicts with str keys, lists, str, int, bool, None and float."""
+    """``json.dumps(value, indent=2)``, byte for byte.  Dicts with str keys,
+    lists, str, int, bool and None are written here; any other value goes
+    to ``json.dumps(value, indent=2)``, indented to its level."""
     kind = type(value)
     if kind is str:
         return _encode(value)
     if kind is int:
         return int.__repr__(value)  # the ValueError json.dumps raises past the digit limit
     inner = indent + "  "
-    if kind is dict:
+    if kind is dict and all(type(k) is str for k in value):
         items = [f"{_encode(k)}: {_dumps(v, inner)}" for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is list:
@@ -331,7 +328,9 @@ def _dumps(value: object, indent: str = "\n") -> str:
         else:
             items = [_dumps(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
-    return json.dumps(value)  # bool, None, float: int.__repr__(True) would write 1
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def main(argv: list[str] | None = None) -> int:

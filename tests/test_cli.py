@@ -7,6 +7,7 @@ import json
 import pkgutil
 import random
 import sys
+from collections import OrderedDict
 from math import factorial
 from pathlib import Path
 
@@ -786,31 +787,31 @@ class TestErrorBase:
         assert run(capsys, "serre", "--tor", "3,1") == (1, "", "error: refused\n")
 
 
-MALFORMED_INTEGERS = [
-    (["e", "--expr", "1/(1-t)^2", "--s", "٢"], "argument --s"),
-    (["expand", "--expr", "1/(1-t)", "--n", "1_0"], "argument --n"),
-    (["serre", "--tor", "1_0,2"], "--tor"),
-    (["serre", "--tor", "1,,2"], "--tor"),
-    (["serre", "--tor", "1, 2"], "--tor"),
-    (["serre", "--tor", ""], "--tor"),
-    (["fit", "--expr", "1/(1-t)^2", "--d", " 2"], "argument --d"),
-    (["cx", "--expr", "1/(1-t)^2", "--probe", "+80"], "argument --probe"),
-    (["e", "--expr", "1/(1-t)^2", "--limit-n", "1e3"], "argument --limit-n"),
-    (["e-neg", "--expr", "1/(1-t)^2", "--s", "2 "], "argument --s"),
-    (["koszul", "--expr", "1/(1-t)^2", "--s", "１"], "argument --s"),
-    (["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "1_000"], "argument --n"),
-    (["verify", "--seed", "٠"], "argument --seed"),
-    # int() refuses more than 4300 digits with a ValueError.
-    (["serre", "--tor", "1," + "9" * 5000], "--tor"),
-    (["e", "--expr", "1/(1-t)^2", "--s", "-" + "9" * 5000], "argument --s: invalid int"),
-]
-
-
 class TestIntegerFlags:
     """Integer flags and --tor entries take ASCII -?[0-9]+ only; int() would
     accept non-ASCII digits, underscores, whitespace and a '+' sign."""
 
-    @pytest.mark.parametrize("argv, flag", MALFORMED_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["e", "--expr", "1/(1-t)^2", "--s", "٢"], "argument --s"),
+            (["expand", "--expr", "1/(1-t)", "--n", "1_0"], "argument --n"),
+            (["serre", "--tor", "1_0,2"], "--tor"),
+            (["serre", "--tor", "1,,2"], "--tor"),
+            (["serre", "--tor", "1, 2"], "--tor"),
+            (["serre", "--tor", ""], "--tor"),
+            (["fit", "--expr", "1/(1-t)^2", "--d", " 2"], "argument --d"),
+            (["cx", "--expr", "1/(1-t)^2", "--probe", "+80"], "argument --probe"),
+            (["e", "--expr", "1/(1-t)^2", "--limit-n", "1e3"], "argument --limit-n"),
+            (["e-neg", "--expr", "1/(1-t)^2", "--s", "2 "], "argument --s"),
+            (["koszul", "--expr", "1/(1-t)^2", "--s", "１"], "argument --s"),
+            (["limit", "--expr", "1/(1-t)^2", "--s", "2", "--n", "1_000"], "argument --n"),
+            (["verify", "--seed", "٠"], "argument --seed"),
+            # int() refuses more than 4300 digits with a ValueError.
+            (["serre", "--tor", "1," + "9" * 5000], "--tor"),
+            (["e", "--expr", "1/(1-t)^2", "--s", "-" + "9" * 5000], "argument --s: invalid int"),
+        ],
+    )
     def test_malformed_integer_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -931,6 +932,16 @@ class TestPerCommandParse:
         usage = cli.build_parser().format_usage()
         assert outcome(capsys, main, argv) == (None, "", f"{usage}qmult: error: {message}\n", 2)
 
+    @pytest.mark.parametrize("argv", [["e", "-h"], ["limit", "--expr", "1/(1-t)^2", "--s", "1"]], ids=" ".join)
+    def test_help_and_usage_follow_the_terminal_width(self, capsys, monkeypatch, argv):
+        """The subcommand parser reads the width once, when it is built."""
+        got = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            got.append(outcome(capsys, main, argv))
+            assert got[-1] == outcome(capsys, full_parse, argv)
+        assert got[0] != got[1]
+
     def test_full_parser_is_not_built_for_a_named_subcommand(self, capsys, monkeypatch):
         def full_parser():
             raise AssertionError("built the full parser")
@@ -965,10 +976,12 @@ def handler_files(directory: Path) -> None:
 
 
 class TestNoGarbagePerCall:
-    """A call that succeeds or exits 1 leaves no unreachable objects for the
-    cycle collector: the subcommand's parser is built once per process and
-    the JSON renderer makes no closures.  Exit-2 usage errors are exempt:
-    they build the full parser on purpose, to print its usage line."""
+    """A call that succeeds or exits 1 leaves no more unreachable objects for
+    the cycle collector than parsing its arguments does: the handlers and the
+    JSON renderer make none (``json.dumps(..., indent=2)`` made the closures
+    of its pure-Python encoder).  The argparse parser built for the call is
+    cyclic and is the one share left.  Exit-2 usage errors are exempt: they
+    build the full parser on purpose, to print its usage line."""
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -978,16 +991,18 @@ class TestNoGarbagePerCall:
     def test_call_leaves_no_garbage(self, capsys, monkeypatch, tmp_path, argv, want):
         monkeypatch.chdir(tmp_path)
         handler_files(tmp_path)
-        assert main(argv) == want  # warm-up: builds the parser, fills the library's caches
+        assert main(argv) == want  # warm-up: fills the library's caches
         gc.collect()
         gc.disable()
         try:
+            cli._parse(argv)
+            parser_garbage = gc.collect()
             code = main(argv)
             garbage = gc.collect()
         finally:
             gc.enable()
         capsys.readouterr()
-        assert (code, garbage) == (want, 0)
+        assert (code, garbage) == (want, parser_garbage)
 
 
 json_text = st.one_of(
@@ -1026,55 +1041,22 @@ class TestJsonRenderer:
     def test_bool_none_and_empty_containers(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": (1, [2, "x"])},
+            [OrderedDict(b=[1], a={})],
+            {"a": {1: "x", None: [True]}},
+            [{2.5: {}}, {False: 3}],
+        ],
+        ids=repr,
+    )
+    def test_other_types_keep_the_indented_format(self, value):
+        """Tuples, dict subclasses and non-str keys go to json.dumps, at the
+        indent of the level they sit on."""
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
     def test_verify_all_payload(self):
         code, payload, _ = cli._COMMANDS["verify"][2](cli._parse(["verify", "--suite", "all", "--json"]))
         assert code == 0
         assert cli._dumps(payload) == json.dumps(payload, indent=2)
-
-
-def fresh_outcome(capsys, argv):
-    """``outcome`` of ``main(argv)`` with every subcommand parser built anew."""
-    cli._subparser.cache_clear()
-    return outcome(capsys, main, argv)
-
-
-class TestReusedParser:
-    """A subcommand parser built once carries nothing from one call to the next."""
-
-    def test_interleaved_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        handler_files(tmp_path)
-        calls = [
-            ["e", *JST2, "--s", "3", "--json"],
-            ["e", *JST2],  # s defaults to the complexity, text output
-            ["koszul", "--input", "lf.json", "--regime", "negative"],
-            ["koszul", *JST2],  # the positive regime by default
-        ]
-        want = [fresh_outcome(capsys, argv) for argv in calls]
-        assert [got[3] for got in want] == [None] * 4
-        assert '"s": 3' in want[0][1] and "s              2\n" in want[1][1]
-        cli._subparser.cache_clear()
-        for _ in range(2):
-            assert [outcome(capsys, main, argv) for argv in calls] == want
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            *(argv for argv in PARSE_CORPUS if argv and argv[0] in cli._COMMANDS),  # e -h among them
-            *(argv for argv, _ in MALFORMED_INTEGERS),
-        ],
-        ids=lambda argv: " ".join(argv)[:60],
-    )
-    def test_second_call_matches_the_first(self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.chdir(tmp_path)
-        first = fresh_outcome(capsys, argv)
-        assert outcome(capsys, main, argv) == first
-
-    def test_help_width_is_read_at_each_call(self, capsys, monkeypatch):
-        helps = []
-        for columns in ("80", "40", "80"):
-            monkeypatch.setenv("COLUMNS", columns)
-            helps.append(outcome(capsys, main, ["e", "-h"]))  # the parser built at the last width
-            assert helps[-1] == fresh_outcome(capsys, ["e", "-h"])
-        assert helps[0] == helps[2] != helps[1]
