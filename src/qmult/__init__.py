@@ -21,14 +21,7 @@ from .exact import (
     parse_rational,
     series_coefficients,
 )
-from .koszul import (
-    AxiomsReport,
-    KoszulChain,
-    KoszulError,
-    axioms_check,
-    koszul_triangle,
-    reduce_chain,
-)
+from .koszul import KoszulChain, KoszulError, koszul_triangle, reduce_chain
 from .lengths import (
     FitError,
     LengthFunction,
@@ -59,7 +52,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomsReport",
     "FitError",
     "KoszulChain",
     "KoszulError",
@@ -75,7 +67,6 @@ __all__ = [
     "SeriesSemanticError",
     "SeriesSyntaxError",
     "WindowResult",
-    "axioms_check",
     "delta",
     "delta_neg",
     "euler_characteristic",

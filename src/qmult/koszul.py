@@ -26,19 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Mapping
 
 # nonnegative_on_ray is unused since QuasiPolynomial.negative_degrees certifies
 # the reduced tails; the name stays because perfbench/test_perfbench.py looks it
 # up on this module.
 from .exact import QmultError, nonnegative_on_ray  # noqa: F401
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
-from .multiplicity import (
-    MultiplicityError,
-    euler_characteristic,
-    multiplicity_neg,
-    multiplicity_pos,
-)
+from .multiplicity import MultiplicityError, multiplicity_neg, multiplicity_pos
 
 
 class KoszulError(QmultError):
@@ -177,69 +171,3 @@ def koszul_triangle(
     """The triangle-realizable triple (lf, lf shifted by d, reduced lf)."""
     return (lf, lf.shift(lf.d), reduce(lf, "positive"))
 
-
-@dataclass(frozen=True)
-class AxiomsReport:
-    """Outcome of checking the multiplicity axioms over a fixture set."""
-
-    entries: tuple[tuple[str, str, bool, str], ...]  # fixture, axiom, ok, detail
-
-    @property
-    def ok(self) -> bool:
-        return all(entry[2] for entry in self.entries)
-
-    def failures(self) -> list[tuple[str, str, str]]:
-        return [(f, a, detail) for f, a, ok, detail in self.entries if not ok]
-
-
-def axioms_check(
-    f: Callable[[LengthFunction, int], int],
-    fixtures: Mapping[str, LengthFunction],
-) -> AxiomsReport:
-    """Check that f behaves like the multiplicity on every fixture.
-
-    The three axioms: (1) f vanishes above the complexity; (2) at complexity 0
-    f is the alternating sum; (3) one reduction step lowers the index by one
-    without changing the value.  Any function satisfying all three is pinned
-    down by structural recursion, so the report also compares f against that
-    recursion's value.
-    """
-    entries: list[tuple[str, str, bool, str]] = []
-
-    def axiom_value(lf: LengthFunction) -> int:
-        """The recursion's value at the complexity: each step lowers it by one."""
-        if lf.complexity("positive") == 0:
-            return euler_characteristic(lf)
-        return axiom_value(reduce(lf, "positive"))
-
-    def record(axiom: str, check: Callable[[], tuple[bool, str]]) -> None:
-        """Append check()'s outcome for ``name``, the loop's current fixture."""
-        try:
-            ok, detail = check()
-        except Exception as err:  # record, never abort the report
-            ok, detail = False, str(err)
-        entries.append((name, axiom, ok, detail))
-
-    def versus(got: int, want: int) -> tuple[bool, str]:
-        """Called with keywords, which are evaluated in the order written: that
-        order picks the error recorded when both sides raise."""
-        return got == want, f"{got} vs {want}"
-
-    for name, lf in sorted(fixtures.items()):
-        cx = lf.complexity("positive")
-        record(
-            "vanishing above complexity",
-            lambda: (f(lf, cx + 1) == 0 and f(lf, cx + 2) == 0, f"cx={cx}"),
-        )
-        if cx == 0:
-            record(
-                "alternating sum at complexity 0",
-                lambda: versus(want=euler_characteristic(lf), got=f(lf, 0)),
-            )
-        else:
-            record(
-                "reduction step",
-                lambda: versus(got=f(lf, cx), want=f(reduce(lf, "positive"), cx - 1)),
-            )
-        record("uniqueness", lambda: versus(want=axiom_value(lf), got=f(lf, cx)))
-    return AxiomsReport(tuple(entries))

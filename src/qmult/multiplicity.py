@@ -142,7 +142,7 @@ def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
 
     if cx == 0:
         opposite = "negative" if side == "positive" else "positive"
-        if lf.tail(opposite) is not None:
+        if s == 0 and lf.tail(opposite) is not None:
             raise MultiplicityError(
                 f"{name} 0 with a non-vanishing {opposite} tail: "
                 "the Euler characteristic is undefined"
@@ -169,9 +169,9 @@ def multiplicity_pos(lf: LengthFunction, s: int) -> MultiplicityReport:
     (s-1)! * sum_i (-1)^i a_i on the leading coefficients of the tail
     polynomials, certified on the Herbrand difference h: D^{s-1} h equals it
     on 3d consecutive degrees, and ``stabilization_index`` is the lowest
-    degree from which it holds (scanned down to the core).  For cx = 0 (where
-    the negative tail must vanish) the s = 0 value is the Euler characteristic
-    and every s >= 1 value is 0.
+    degree from which it holds (scanned down to the core).  For cx = 0 every
+    s >= 1 value is 0, and the s = 0 value is the Euler characteristic, which
+    needs the negative tail to vanish.
     """
     return _multiplicity(lf, s, "positive")
 

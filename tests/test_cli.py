@@ -151,6 +151,19 @@ class TestReportCommands:
         assert payload["side"] == "negative"
         assert payload["e_delta"] == 3
 
+    @pytest.mark.parametrize("s", ["1", "2", "3"])
+    @pytest.mark.parametrize("command, cx_key", [("e", "cx"), ("e-neg", "cx_neg")])
+    def test_above_index_zero_at_complexity_zero(self, capsys, tmp_path, command, cx_key, s):
+        # Only the index-0 value is an Euler characteristic, which the tail on
+        # the other side leaves undefined.
+        lf = from_series(parse_series("1/(1-t^2)"), 2, 24)
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps((lf.reflect() if command == "e" else lf).to_json_dict()))
+        code, out, err = run(capsys, command, "--input", str(path), "--s", s, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload[cx_key] == 0 and payload["e_delta"] == payload["e_coeff"] == 0
+
     def test_e_neg_rejects_limit_n(self, capsys, tmp_path):
         # The limit estimate is positive-side only, so the flag is not accepted.
         path = tmp_path / "lf.json"
@@ -717,6 +730,13 @@ class TestNamedRefusals:
                 None,
                 "limit estimates need n >= 1",
             ),
+            (
+                # --s defaults to the negative complexity, 0 here.
+                ["e-neg", "--expr", "1/(1-t^2)", "--d", "2"],
+                None,
+                "negative complexity 0 with a non-vanishing positive tail: "
+                "the Euler characteristic is undefined",
+            ),
         ],
         ids=[
             "theta_two_sided",
@@ -725,6 +745,7 @@ class TestNamedRefusals:
             "empty_core",
             "expand_stray_letter",
             "limit_n_zero",
+            "e_neg_index_zero_positive_tail",
         ],
     )
     def test_refusal_is_named(self, capsys, tmp_path, argv, data, message):

@@ -1,4 +1,6 @@
-"""Koszul reduction, chains, triangles, and the multiplicity axioms."""
+"""Koszul reduction, chains and triangles, and the multiplicity axioms
+asserted directly on fixtures with ``multiplicity_pos``, ``reduce``,
+``reduce_chain`` and ``euler_characteristic``."""
 
 import random
 from collections import Counter
@@ -7,13 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qmult.exact import Polynomial
-from qmult.koszul import (
-    KoszulError,
-    axioms_check,
-    koszul_triangle,
-    reduce,
-    reduce_chain,
-)
+from qmult.koszul import KoszulError, koszul_triangle, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
     MultiplicityError,
@@ -251,51 +247,37 @@ class TestKoszulTriangle:
 
 
 class TestAxioms:
-    def corpus(self):
-        return {
-            "xy_2": xy_fixture(2),
-            "jst_2": jst_fixture(2),
-            "jst_3": jst_fixture(3),
-            "point": LengthFunction(2, 0, (1, 1), None, None),
-        }
+    """The axioms that pin the multiplicity down, asserted one by one: it
+    vanishes above the complexity, it is the alternating sum at complexity 0,
+    and one reduction lowers the index by one and keeps the value.  By
+    recursion down a chain it is then the Euler characteristic of the fully
+    reduced function."""
+
+    def fixtures(self):
+        return (
+            xy_fixture(2),
+            jst_fixture(2),
+            jst_fixture(3),
+            LengthFunction(2, 0, (1, 1), None, None),
+        )
 
     def test_delta_convention_satisfies_axioms(self):
-        f = lambda lf, s: multiplicity_pos(lf, s).e_delta  # noqa: E731
-        report = axioms_check(f, self.corpus())
-        assert report.ok, report.failures()
+        def e(lf, s):
+            return multiplicity_pos(lf, s).e_delta
+
+        for lf in self.fixtures():
+            cx = lf.complexity("positive")
+            assert e(lf, cx + 1) == e(lf, cx + 2) == 0
+            if cx == 0:
+                assert e(lf, 0) == euler_characteristic(lf)
+            else:
+                assert e(lf, cx) == e(reduce(lf, "positive"), cx - 1)
+            chain = reduce_chain(lf, cx, "positive")
+            assert e(lf, cx) == euler_characteristic(chain.functions[-1])
 
     def test_coefficient_convention_fails_reduction_axiom(self):
-        f = lambda lf, s: multiplicity_pos(lf, s).e_coeff  # noqa: E731
-        report = axioms_check(f, {"jst_2": jst_fixture(2)})
-        failed = {(axiom) for _, axiom, ok, _ in report.entries if not ok}
-        assert "reduction step" in failed  # 2 != 1: the factor-d split
-        assert "uniqueness" in failed
-
-    def test_empty_fixture_set_vacuous(self):
-        f = lambda lf, s: multiplicity_pos(lf, s).e_delta  # noqa: E731
-        report = axioms_check(f, {})
-        assert report.ok
-        assert report.entries == ()
-
-    def test_each_axiom_records_the_first_error_raised(self):
-        # Where both sides of a comparison raise, the report keeps the error of
-        # the side computed first: the axiom's value before f, except in the
-        # reduction step, where f(lf, cx) comes before f on the reduced function.
-        def f(lf, s):
-            raise ValueError(f"f({s})")
-
-        dip = QuasiPolynomial(2, (poly(4, -4, 1), poly(4, -4, 1)), 0)  # (m - 2)^2
-        falling = LengthFunction.from_values(2, lambda n: int(dip(n)), 0, 0, dip, None)
-        with pytest.raises(KoszulError):
-            reduce(falling, "positive")
-        report = axioms_check(f, {"falling": falling, "two_sided": xy_fixture(1).reflect()})
-        infinite = "Euler characteristic needs finite support"
-        assert report.entries == (
-            ("falling", "vanishing above complexity", False, "f(4)"),
-            ("falling", "reduction step", False, "f(3)"),
-            ("falling", "uniqueness", False, report.entries[2][3]),
-            ("two_sided", "vanishing above complexity", False, "f(1)"),
-            ("two_sided", "alternating sum at complexity 0", False, infinite),
-            ("two_sided", "uniqueness", False, infinite),
-        )
-        assert report.entries[2][3].startswith("not eventually injective")
+        # 2 against 1: the factor d^(s-1) that splits the two conventions.
+        lf = jst_fixture(2)
+        assert multiplicity_pos(lf, 2).e_coeff == 2
+        assert multiplicity_pos(reduce(lf, "positive"), 1).e_coeff == 1
+        assert euler_characteristic(reduce_chain(lf, 2, "positive").functions[-1]) == 1

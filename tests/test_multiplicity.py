@@ -166,8 +166,23 @@ class TestMultiplicityPos:
             multiplicity_pos(jst_fixture(2), 1)
 
     def test_complexity_zero_needs_vanishing_negative_tail(self):
-        with pytest.raises(MultiplicityError):
+        message = (
+            "complexity 0 with a non-vanishing negative tail: "
+            "the Euler characteristic is undefined"
+        )
+        with pytest.raises(MultiplicityError, match=f"^{message}$"):
             multiplicity_pos(hochster_fixture(5, 2), 0)
+
+    def test_complexity_zero_above_index_zero_ignores_negative_tail(self):
+        # Only the index-0 value is an Euler characteristic; above it the
+        # literal difference of h vanishes past the core, whatever the
+        # negative tail does.
+        lf = hochster_fixture(5, 2)
+        h = lambda n: herbrand(lf, n)  # noqa: E731
+        for s in (1, 2, 3):
+            report = multiplicity_pos(lf, s)
+            assert report.e_delta == report.e_coeff == 0
+            assert all(delta(h, s - 1, 2, n) == 0 for n in range(150, 200))
 
     def test_vanishing_above_complexity(self):
         for lf in (xy_fixture(2), jst_fixture(3), hypersurface_fixture()):
@@ -218,6 +233,26 @@ class TestMultiplicityNeg:
         assert report.e_delta == 1
         assert report.e_coeff == -2
         assert multiplicity_pos(lf, 2).e_delta == 1  # the two sides coincide
+
+    @pytest.mark.parametrize(
+        "expr, d", [("1/(1-t^2)", 2), ("t^3/((1-t)*(1-t^4))", 4), ("(1+t)^3/(1-t^6)^2", 6)]
+    )
+    def test_complexity_zero_above_index_zero_ignores_positive_tail(self, expr, d):
+        # The mirror of the positive case: D-^{s-1} h is 0 far below the core
+        # for every s >= 1, and only s = 0 asks for the Euler characteristic.
+        lf = from_series(parse_series(expr), d, 12 * d)
+        assert lf.complexity("negative") == 0 and lf.pos_tail is not None
+        h = lambda n: herbrand(lf, n)  # noqa: E731
+        for s in (1, 2, 3):
+            report = multiplicity_neg(lf, s)
+            assert report.e_delta == report.e_coeff == 0
+            assert all(delta_neg(h, s - 1, d, n) == 0 for n in range(-200, -150))
+        message = (
+            "negative complexity 0 with a non-vanishing positive tail: "
+            "the Euler characteristic is undefined"
+        )
+        with pytest.raises(MultiplicityError, match=f"^{message}$"):
+            multiplicity_neg(lf, 0)
 
     def test_s_below_negative_complexity_rejected(self):
         with pytest.raises(MultiplicityError):
