@@ -2,6 +2,10 @@
 
 Subcommands: expand, fit, cx, e, e-neg, koszul, limit, theta, serre, verify.
 Exit codes: 0 success, 1 computational or validation error, 2 usage error.
+Each subcommand declares its flags once, in a table.  An argv with every
+option spelled in full is read straight from that table; an argparse parser
+built from it reads help requests, errors and abbreviated or ``--flag=value``
+forms.
 Each handler returns its exit code, JSON payload and text and prints nothing;
 ``main`` renders the one the flags ask for and is the only place that prints
 to stdout.
@@ -61,13 +65,6 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
-
-
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--expr", help="series expression; its tail is certified from the denominator")
-    sub.add_argument("--d", type=_int, default=2, help="period (even, >= 2); used with --expr")
-    sub.add_argument("--probe", type=_nonnegative_int, default=80, help="smallest core shown")
-    sub.add_argument("--input", help="path to a length-function JSON file")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -203,77 +200,67 @@ def _cmd_verify(args) -> Result:
     return 1 if failed else 0, payload, "\n".join(lines)
 
 
-def _expand_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=_nonnegative_int, required=True, help="last coefficient index")
-    p.add_argument("--json", action="store_true")
+# Each subcommand's flags, in --help order: (option, add_argument keywords); an
+# entry without an option holds set_defaults keywords.  The parsers are built
+# from these tables and _quick_parse reads a fully spelled argv from them.
+_INPUT_FLAGS = (
+    ("--expr", {"help": "series expression; its tail is certified from the denominator"}),
+    ("--d", {"type": _int, "default": 2, "help": "period (even, >= 2); used with --expr"}),
+    ("--probe", {"type": _nonnegative_int, "default": 80, "help": "smallest core shown"}),
+    ("--input", {"help": "path to a length-function JSON file"}),
+)
+_JSON_FLAG = ("--json", {"action": "store_true"})
+_REPORT_FLAGS = (
+    *_INPUT_FLAGS,
+    ("--s", {"type": _int, "default": None, "help": "index (defaults to the complexity)"}),
+    ("--convention", {"choices": ["delta", "coefficient", "both"], "default": "both"}),
+    _JSON_FLAG,
+)
+_SIDE = {"choices": ["positive", "negative"], "default": "positive"}
+_EXPAND_FLAGS = (
+    ("--expr", {"required": True}),
+    ("--n", {"type": _nonnegative_int, "required": True, "help": "last coefficient index"}),
+    _JSON_FLAG,
+)
+_E_FLAGS = (*_REPORT_FLAGS, ("--limit-n", {"type": _int, "default": None, "dest": "limit_n"}))
+_E_NEG_FLAGS = (*_REPORT_FLAGS, (None, {"limit_n": None}))  # the limit estimate is positive-side only
+_KOSZUL_FLAGS = (*_INPUT_FLAGS, ("--s", {"type": _int, "default": None}), ("--regime", _SIDE))
+_LIMIT_FLAGS = (
+    *_INPUT_FLAGS,
+    ("--s", {"type": _int, "required": True}),
+    ("--n", {"type": _int, "required": True}),
+    ("--constant", {"choices": ["paper", "corrected"], "default": "paper"}),
+    _JSON_FLAG,
+)
+_THETA_FLAGS = (("--input", {"required": True, "help": "homologically indexed length-function JSON"}), _JSON_FLAG)
+_SERRE_FLAGS = (("--tor", {"required": True, "help": "comma-separated lengths, degree 0 first"}), _JSON_FLAG)
+_VERIFY_FLAGS = (
+    ("--suite", {"choices": ["paper", "properties", "all"], "default": "all"}),
+    ("--seed", {"type": _int, "default": 0}),
+    _JSON_FLAG,
+)
 
-
-def _cx_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--side", choices=["positive", "negative"], default="positive")
-
-
-def _report_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--s", type=_int, default=None, help="index (defaults to the complexity)")
-    p.add_argument("--convention", choices=["delta", "coefficient", "both"], default="both")
-    p.add_argument("--json", action="store_true")
-
-
-def _e_flags(p: argparse.ArgumentParser) -> None:
-    _report_flags(p)
-    p.add_argument("--limit-n", type=_int, default=None, dest="limit_n")
-
-
-def _e_neg_flags(p: argparse.ArgumentParser) -> None:
-    _report_flags(p)
-    p.set_defaults(limit_n=None)  # the limit estimate is positive-side only
-
-
-def _koszul_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--s", type=_int, default=None)
-    p.add_argument("--regime", choices=["positive", "negative"], default="positive")
-
-
-def _limit_flags(p: argparse.ArgumentParser) -> None:
-    _add_input_flags(p)
-    p.add_argument("--s", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--constant", choices=["paper", "corrected"], default="paper")
-    p.add_argument("--json", action="store_true")
-
-
-def _theta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="homologically indexed length-function JSON")
-    p.add_argument("--json", action="store_true")
-
-
-def _serre_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tor", required=True, help="comma-separated lengths, degree 0 first")
-    p.add_argument("--json", action="store_true")
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--suite", choices=["paper", "properties", "all"], default="all")
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--json", action="store_true")
-
-
-# name -> (help, add_flags, handler), in the order the full parser lists them.
+# name -> (help, flags, handler), in the order the full parser lists them.
 _COMMANDS = {
-    "expand": ("expand a series expression", _expand_flags, _cmd_expand),
-    "fit": ("fit a length function and print its JSON", _add_input_flags, _cmd_fit),
-    "cx": ("complexity of a length function", _cx_flags, _cmd_cx),
-    "e": ("positive multiplicity report", _e_flags, partial(_cmd_e, side="positive")),
-    "e-neg": ("negative multiplicity report", _e_neg_flags, partial(_cmd_e, side="negative")),
-    "koszul": ("iterated reduction chain as JSON", _koszul_flags, _cmd_koszul),
-    "limit": ("finite-n limit estimate", _limit_flags, _cmd_limit),
-    "theta": ("stabilized even/odd difference of Tor lengths", _theta_flags, _cmd_theta),
-    "serre": ("alternating sum of Tor lengths", _serre_flags, _cmd_serre),
-    "verify": ("run the fixture corpus and property suites", _verify_flags, _cmd_verify),
+    "expand": ("expand a series expression", _EXPAND_FLAGS, _cmd_expand),
+    "fit": ("fit a length function and print its JSON", _INPUT_FLAGS, _cmd_fit),
+    "cx": ("complexity of a length function", (*_INPUT_FLAGS, ("--side", _SIDE)), _cmd_cx),
+    "e": ("positive multiplicity report", _E_FLAGS, partial(_cmd_e, side="positive")),
+    "e-neg": ("negative multiplicity report", _E_NEG_FLAGS, partial(_cmd_e, side="negative")),
+    "koszul": ("iterated reduction chain as JSON", _KOSZUL_FLAGS, _cmd_koszul),
+    "limit": ("finite-n limit estimate", _LIMIT_FLAGS, _cmd_limit),
+    "theta": ("stabilized even/odd difference of Tor lengths", _THETA_FLAGS, _cmd_theta),
+    "serre": ("alternating sum of Tor lengths", _SERRE_FLAGS, _cmd_serre),
+    "verify": ("run the fixture corpus and property suites", _VERIFY_FLAGS, _cmd_verify),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for option, keywords in flags:
+        if option is None:
+            parser.set_defaults(**keywords)
+        else:
+            parser.add_argument(option, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,26 +269,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact multiplicities of graded length functions.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
-        add_flags(subs.add_parser(name, help=help_text))
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        _add_flags(subs.add_parser(name, help=help_text), flags)
     return parser
 
 
+def _quick_parse(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args([name, *tokens])`` returns when
+    each token is a flag of ``name`` spelled in full, followed by its value
+    unless the flag is a switch.  None for any other form, which is left to
+    argparse: an abbreviation, ``--flag=value``, ``--``, ``-h``, a stray word,
+    a missing value, a value that starts with '-' or that the flag's type or
+    choices refuse, or a required flag left out."""
+    args, flags = {"command": name}, {}
+    for option, keywords in _COMMANDS[name][1]:
+        if option is None:
+            args.update(keywords)
+        else:
+            dest = keywords.get("dest", option[2:])
+            flags[option] = dest, keywords
+            args[dest] = keywords.get("default", False if "action" in keywords else None)
+    required = {dest for dest, keywords in flags.values() if keywords.get("required")}
+    rest = iter(tokens)
+    for token in rest:
+        if token not in flags:
+            return None
+        dest, keywords = flags[token]
+        required.discard(dest)
+        if "action" in keywords:  # store_true
+            args[dest] = True
+            continue
+        value = next(rest, "-")  # a missing value is left to argparse, as is a leading '-'
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = value
+    return None if required else argparse.Namespace(**args)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the parser of the
-    subcommand that ``argv[0]`` names.  That parser has the prog, flags and
-    messages the full parser gives the subcommand; the full parser is built
-    for everything else (no arguments, ``-h``, an unknown command, a leading
-    ``--``) and to report leftover arguments."""
+    """``build_parser().parse_args(argv)``.  When ``argv[0]`` names a subcommand
+    and every flag after it is spelled in full, the Namespace is read from the
+    flag table and no parser is built.  Otherwise the parser of that
+    subcommand alone is built, with the prog, flags and messages the full
+    parser gives it; help, every error, abbreviations and ``--flag=value``
+    go through it.  The full parser is built for everything else (no
+    arguments, ``-h``, an unknown command, a leading ``--``) and to report
+    leftover arguments."""
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     name = argv[0]
+    quick = _quick_parse(name, argv[1:])
+    if quick is not None:
+        return quick
     # argparse makes a HelpFormatter at each add_argument, and each one asks
     # the terminal for its width; ask once per parser, with the same formula.
     width = shutil.get_terminal_size().columns - 2
     formatter = partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(prog=f"qmult {name}", formatter_class=formatter)
-    _COMMANDS[name][1](parser)
+    _add_flags(parser, _COMMANDS[name][1])
     args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
     if extras:
         _usage_error(f"unrecognized arguments: {' '.join(extras)}")

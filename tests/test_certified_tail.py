@@ -52,7 +52,7 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
@@ -153,6 +153,7 @@ def cyclotomic_products(draw):
     return product(rest + [PHI[m] for m in dividing for _ in range(powers[m])]), product(rest), d
 
 
+@settings(deadline=None)
 @given(cyclotomic_products())
 def test_cyclotomic_factors_stripped_as_by_the_oracle(case):
     q, rest, d = case

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, golden files."""
 
+import argparse
 import gc
 import importlib
 import inspect
@@ -12,7 +13,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qmult
@@ -980,6 +981,90 @@ class TestPerCommandParse:
         assert err.endswith("qmult: error: unrecognized arguments: --limit-n 5\n")
 
 
+# Flag values: the first three of each list are valid, the others are not.
+INT_VALUES = ["0", "2", "7", "-1", "-12", "1_0", "two", "", "-"]
+TEXT_VALUES = ["1/(1-t)^2", "lf.json", "3,1", "-t", "--json", "", "-"]
+
+
+@st.composite
+def table_argv(draw):
+    """An argv for one subcommand, built from its flag table: mostly full
+    options with valid values, mixed with refused values, options left without
+    a value, abbreviations, ``--opt=value``, repeats, ``--``, ``-h`` and stray
+    words."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = [(option, keywords) for option, keywords in cli._COMMANDS[name][1] if option is not None]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 6))):
+        option, keywords = draw(st.sampled_from(flags))
+        values = keywords.get("choices", INT_VALUES if "type" in keywords else TEXT_VALUES)
+        any_value = draw(st.integers(0, 3)) == 0
+        value = draw(st.sampled_from([*values, *INT_VALUES, *TEXT_VALUES, "x"] if any_value else values[:3]))
+        form = draw(st.integers(0, 9))
+        if form < 6:
+            argv += [option] if "action" in keywords else [option, value]
+        elif form == 6:
+            argv.append(option)
+        elif form == 7:
+            argv += [option[: draw(st.integers(3, len(option)))], value]
+        elif form == 8:
+            argv.append(f"{option}={value}")
+        else:
+            argv.append(draw(st.sampled_from(["--", "-h", "--help", "stray", name, "--bogus"])))
+    return argv
+
+
+LONG_PERIOD_FLAGS = ["--expr", "t^7/((1-t)*(1-t^12))", "--d", "12", "--probe", "84"]
+
+
+class TestFlagTable:
+    """``_parse`` reads a fully spelled argv from the flag table without
+    argparse; every other argv goes to the argparse parser built from the
+    same table."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table_argv())
+    @example(["e", "--expr", "-t"])
+    @example(["e", "--expr", "--json"])
+    @example(["e", "--expr", "1/(1-t)^2", "--s", "-1"])
+    @example(["e", "--d", "2", "--expr"])
+    @example(["cx", "--expr", "1/(1-t)^2", "--side", "up"])
+    @example(["limit", "--expr", "1/(1-t)^2", "--s", "1"])
+    @example(["serre", "--tor", "3,1", "--json", "--tor", "1", "--json"])
+    def test_matches_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert outcome(capsys, cli._parse, argv) == outcome(capsys, full_parse, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["e", "--json", "--limit-n", "1000000000000", "--expr", "t^3*(1+t)^5/(1-t)^7"],
+            ["e", "--json", "--limit-n", "1000000000000", *LONG_PERIOD_FLAGS],
+            ["koszul", "--expr", "t^3*(1+t)^5/(1-t)^7"],
+            ["koszul", *LONG_PERIOD_FLAGS],
+            ["e", "--json", "--input", "pos.json"],
+            ["e-neg", "--json", "--input", "lf.json"],
+            ["cx", "--input", "pos.json"],
+            ["koszul", "--input", "pos.json"],
+            ["verify", "--suite", "paper"],
+        ],
+        ids=" ".join,
+    )
+    def test_benchmark_argv_builds_no_parser(self, capsys, monkeypatch, tmp_path, argv):
+        """Every argv form the benchmark's jobs use is read from the table."""
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("built an argparse parser")
+
+        monkeypatch.chdir(tmp_path)
+        handler_files(tmp_path)
+        positive_only = from_series(parse_series("1/(1-t)^2"), 2, 24)
+        (tmp_path / "pos.json").write_text(json.dumps(positive_only.to_json_dict()))
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 # Valid flags, refused request: exit 1.  "cut.json" is written truncated.
 EXIT_1_RUNS = [
     ["e", "--expr", "1/(2+t)"],
@@ -997,12 +1082,23 @@ def handler_files(directory: Path) -> None:
 
 
 class TestNoGarbagePerCall:
-    """A call that succeeds or exits 1 leaves no more unreachable objects for
-    the cycle collector than parsing its arguments does: the handlers and the
-    JSON renderer make none (``json.dumps(..., indent=2)`` made the closures
-    of its pure-Python encoder).  The argparse parser built for the call is
-    cyclic and is the one share left.  Exit-2 usage errors are exempt: they
-    build the full parser on purpose, to print its usage line."""
+    """A call that succeeds or exits 1 leaves no unreachable objects for the
+    cycle collector: the handlers and the JSON renderer make none
+    (``json.dumps(..., indent=2)`` made the closures of its pure-Python
+    encoder), and a fully spelled argv builds no argparse parser.  An argv that
+    argparse reads still builds one, which is cyclic; it leaves no more than
+    parsing its arguments does.  Exit-2 usage errors are exempt: they build
+    the full parser on purpose, to print its usage line."""
+
+    @staticmethod
+    def garbage_of(call, argv):
+        gc.collect()
+        gc.disable()
+        try:
+            result = call(argv)
+            return result, gc.collect()
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -1013,17 +1109,17 @@ class TestNoGarbagePerCall:
         monkeypatch.chdir(tmp_path)
         handler_files(tmp_path)
         assert main(argv) == want  # warm-up: fills the library's caches
-        gc.collect()
-        gc.disable()
-        try:
-            cli._parse(argv)
-            parser_garbage = gc.collect()
-            code = main(argv)
-            garbage = gc.collect()
-        finally:
-            gc.enable()
+        assert self.garbage_of(main, argv) == (want, 0)
         capsys.readouterr()
-        assert (code, garbage) == (want, parser_garbage)
+
+    def test_argparse_path_leaves_only_the_parser(self, capsys, monkeypatch, tmp_path):
+        argv = ["e", "--ex", "t^2/(1-t^2)^2", "--s", "2", "--json"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        _, parser_garbage = self.garbage_of(cli._parse, argv)
+        assert parser_garbage > 0
+        assert self.garbage_of(main, argv) == (0, parser_garbage)
+        capsys.readouterr()
 
 
 json_text = st.one_of(
