@@ -3,9 +3,9 @@
 Subcommands: expand, fit, cx, e, e-neg, koszul, limit, theta, serre, verify.
 Exit codes: 0 success, 1 computational or validation error, 2 usage error.
 Each subcommand declares its flags once, in a table.  An argv with every
-option spelled in full is read straight from that table; an argparse parser
-built from it reads help requests, errors and abbreviated or ``--flag=value``
-forms.
+option spelled in full is read straight from that table; anything else (help
+requests, errors, abbreviated or ``--flag=value`` forms) goes to the one
+argparse parser built from it, which takes about 2 ms to build.
 Each handler returns its exit code, JSON payload and text and prints nothing;
 ``main`` renders the one the flags ask for and is the only place that prints
 to stdout.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shutil
 import sys
 from decimal import MAX_EMAX, Context
 from fractions import Fraction
@@ -144,16 +143,17 @@ def _cmd_e(args, side: str) -> Result:
     s = args.s if args.s is not None else lf.complexity(side)
     report = compute(lf, s)
     limits = {}
-    if args.limit_n is not None:
+    limit_n = getattr(args, "limit_n", None)  # e-neg has no --limit-n: the estimate is positive-side only
+    if limit_n is not None:
         # The constants s! d^(2s-1) and s! d^s differ by the factor d^(s-1).
-        paper = limit_estimate(lf, s, args.limit_n, "paper")
+        paper = limit_estimate(lf, s, limit_n, "paper")
         limits = {"paper": paper, "corrected": paper / lf.d ** (s - 1)}
     # Only the requested form is built: the text formats every tail polynomial.
     if args.json:
         payload = report.to_json_dict()
         payload.update((f"limit_{c}", format_rational(v)) for c, v in limits.items())
         return 0, payload, None
-    return 0, None, "\n".join(_report_lines(report, args.convention, lf.d, args.limit_n, limits))
+    return 0, None, "\n".join(_report_lines(report, args.convention, lf.d, limit_n, limits))
 
 
 def _cmd_koszul(args) -> Result:
@@ -200,9 +200,9 @@ def _cmd_verify(args) -> Result:
     return 1 if failed else 0, payload, "\n".join(lines)
 
 
-# Each subcommand's flags, in --help order: (option, add_argument keywords); an
-# entry without an option holds set_defaults keywords.  The parsers are built
-# from these tables and _quick_parse reads a fully spelled argv from them.
+# Each subcommand's flags, in --help order: (option, add_argument keywords).
+# The parser is built from these tables and _quick_parse reads a fully spelled
+# argv from them.
 _INPUT_FLAGS = (
     ("--expr", {"help": "series expression; its tail is certified from the denominator"}),
     ("--d", {"type": _int, "default": 2, "help": "period (even, >= 2); used with --expr"}),
@@ -223,7 +223,6 @@ _EXPAND_FLAGS = (
     _JSON_FLAG,
 )
 _E_FLAGS = (*_REPORT_FLAGS, ("--limit-n", {"type": _int, "default": None, "dest": "limit_n"}))
-_E_NEG_FLAGS = (*_REPORT_FLAGS, (None, {"limit_n": None}))  # the limit estimate is positive-side only
 _KOSZUL_FLAGS = (*_INPUT_FLAGS, ("--s", {"type": _int, "default": None}), ("--regime", _SIDE))
 _LIMIT_FLAGS = (
     *_INPUT_FLAGS,
@@ -246,21 +245,13 @@ _COMMANDS = {
     "fit": ("fit a length function and print its JSON", _INPUT_FLAGS, _cmd_fit),
     "cx": ("complexity of a length function", (*_INPUT_FLAGS, ("--side", _SIDE)), _cmd_cx),
     "e": ("positive multiplicity report", _E_FLAGS, partial(_cmd_e, side="positive")),
-    "e-neg": ("negative multiplicity report", _E_NEG_FLAGS, partial(_cmd_e, side="negative")),
+    "e-neg": ("negative multiplicity report", _REPORT_FLAGS, partial(_cmd_e, side="negative")),
     "koszul": ("iterated reduction chain as JSON", _KOSZUL_FLAGS, _cmd_koszul),
     "limit": ("finite-n limit estimate", _LIMIT_FLAGS, _cmd_limit),
     "theta": ("stabilized even/odd difference of Tor lengths", _THETA_FLAGS, _cmd_theta),
     "serre": ("alternating sum of Tor lengths", _SERRE_FLAGS, _cmd_serre),
     "verify": ("run the fixture corpus and property suites", _VERIFY_FLAGS, _cmd_verify),
 }
-
-
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    for option, keywords in flags:
-        if option is None:
-            parser.set_defaults(**keywords)
-        else:
-            parser.add_argument(option, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in _COMMANDS.items():
-        _add_flags(subs.add_parser(name, help=help_text), flags)
+        sub = subs.add_parser(name, help=help_text)
+        for option, keywords in flags:
+            sub.add_argument(option, **keywords)
     return parser
 
 
@@ -283,12 +276,9 @@ def _quick_parse(name: str, tokens: list[str]) -> argparse.Namespace | None:
     choices refuse, or a required flag left out."""
     args, flags = {"command": name}, {}
     for option, keywords in _COMMANDS[name][1]:
-        if option is None:
-            args.update(keywords)
-        else:
-            dest = keywords.get("dest", option[2:])
-            flags[option] = dest, keywords
-            args[dest] = keywords.get("default", False if "action" in keywords else None)
+        dest = keywords.get("dest", option[2:])
+        flags[option] = dest, keywords
+        args[dest] = keywords.get("default", False if "action" in keywords else None)
     required = {dest for dest, keywords in flags.values() if keywords.get("required")}
     rest = iter(tokens)
     for token in rest:
@@ -315,28 +305,14 @@ def _quick_parse(name: str, tokens: list[str]) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``.  When ``argv[0]`` names a subcommand
     and every flag after it is spelled in full, the Namespace is read from the
-    flag table and no parser is built.  Otherwise the parser of that
-    subcommand alone is built, with the prog, flags and messages the full
-    parser gives it; help, every error, abbreviations and ``--flag=value``
-    go through it.  The full parser is built for everything else (no
-    arguments, ``-h``, an unknown command, a leading ``--``) and to report
-    leftover arguments."""
-    if not argv or argv[0] not in _COMMANDS:
-        return build_parser().parse_args(argv)
-    name = argv[0]
-    quick = _quick_parse(name, argv[1:])
-    if quick is not None:
-        return quick
-    # argparse makes a HelpFormatter at each add_argument, and each one asks
-    # the terminal for its width; ask once per parser, with the same formula.
-    width = shutil.get_terminal_size().columns - 2
-    formatter = partial(argparse.HelpFormatter, width=width)
-    parser = argparse.ArgumentParser(prog=f"qmult {name}", formatter_class=formatter)
-    _add_flags(parser, _COMMANDS[name][1])
-    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
-    if extras:
-        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    flag table and no parser is built.  Anything else (help, every error,
+    abbreviations, ``--flag=value``, an argv without a subcommand first) goes
+    to the full parser, built for that call in about 2 ms."""
+    if argv and argv[0] in _COMMANDS:
+        quick = _quick_parse(argv[0], argv[1:])
+        if quick is not None:
+            return quick
+    return build_parser().parse_args(argv)
 
 
 def _dumps(value: object, indent: str = "\n") -> str:

@@ -861,7 +861,7 @@ class TestIntegerFlags:
         assert err.startswith("error: ")
 
 
-# argv edge cases for the per-command parse; "lf.json" need not exist.
+# argv edge cases for _parse; "lf.json" need not exist.
 PARSE_CORPUS = [
     *([name, "-h"] for name in cli._COMMANDS),
     ["e", "--expr", "1/(1-t)^2", "--help"],
@@ -891,6 +891,7 @@ PARSE_CORPUS = [
     ["e", "--ex", "1/(1-t)^3", "--json"],
     ["e", "--expr", "t^2/(1-t^2)^2", "--s", "2", "--conv", "delta"],
     ["expand", "--expr=1/(1-t)^3", "--n=4"],
+    ["e-neg", "--ex", "1/(1-t)^2", "--s=2"],  # argparse's Namespace has no limit_n
     # no subcommand at argv[0]
     ["--", "e", "--expr", "1/(1-t)^3"],
     [],
@@ -928,8 +929,9 @@ def full_parse(argv):
 
 
 class TestPerCommandParse:
-    """``main`` builds only the parser of the subcommand at argv[0]; its
-    output, exit code and Namespace must be those of the full parser."""
+    """``_parse`` reads a fully spelled argv from the flag table and leaves
+    every other argv to the full parser; its output, exit code and Namespace,
+    and those of ``main``, must be the full parser's."""
 
     @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
     def test_matches_full_parser(self, capsys, monkeypatch, tmp_path, argv):
@@ -956,21 +958,13 @@ class TestPerCommandParse:
 
     @pytest.mark.parametrize("argv", [["e", "-h"], ["limit", "--expr", "1/(1-t)^2", "--s", "1"]], ids=" ".join)
     def test_help_and_usage_follow_the_terminal_width(self, capsys, monkeypatch, argv):
-        """The subcommand parser reads the width once, when it is built."""
+        """The full parser reads the terminal width each time it is built."""
         got = []
         for columns in ("40", "120"):
             monkeypatch.setenv("COLUMNS", columns)
             got.append(outcome(capsys, main, argv))
             assert got[-1] == outcome(capsys, full_parse, argv)
         assert got[0] != got[1]
-
-    def test_full_parser_is_not_built_for_a_named_subcommand(self, capsys, monkeypatch):
-        def full_parser():
-            raise AssertionError("built the full parser")
-
-        monkeypatch.setattr(cli, "build_parser", full_parser)
-        assert outcome(capsys, main, ["serre", "--tor", "3,1"]) == (0, "2\n", "", None)
-        assert outcome(capsys, main, ["e", "-h"])[3] == 0
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["qmult", "serre", "--tor", "3,1"])
@@ -993,10 +987,9 @@ def table_argv(draw):
     a value, abbreviations, ``--opt=value``, repeats, ``--``, ``-h`` and stray
     words."""
     name = draw(st.sampled_from(list(cli._COMMANDS)))
-    flags = [(option, keywords) for option, keywords in cli._COMMANDS[name][1] if option is not None]
     argv = [name]
     for _ in range(draw(st.integers(0, 6))):
-        option, keywords = draw(st.sampled_from(flags))
+        option, keywords = draw(st.sampled_from(cli._COMMANDS[name][1]))
         values = keywords.get("choices", INT_VALUES if "type" in keywords else TEXT_VALUES)
         any_value = draw(st.integers(0, 3)) == 0
         value = draw(st.sampled_from([*values, *INT_VALUES, *TEXT_VALUES, "x"] if any_value else values[:3]))
@@ -1047,11 +1040,14 @@ class TestFlagTable:
             ["cx", "--input", "pos.json"],
             ["koszul", "--input", "pos.json"],
             ["verify", "--suite", "paper"],
+            ["serre", "--tor", "3,1"],
+            ["e-neg", "--expr", "1/(1-t)^2", "--s", "2", "--json"],
         ],
         ids=" ".join,
     )
     def test_benchmark_argv_builds_no_parser(self, capsys, monkeypatch, tmp_path, argv):
-        """Every argv form the benchmark's jobs use is read from the table."""
+        """Every fully spelled argv, among them every form the benchmark's jobs
+        use, is read from the table."""
 
         def no_parser(*args, **kwargs):
             raise AssertionError("built an argparse parser")
