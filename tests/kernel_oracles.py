@@ -9,7 +9,8 @@ the residue profiles of the Herbrand difference with repeated differences
 for its stabilized constant.  Every polynomial sum
 and product here is one of the schoolbook loops below, and every polynomial
 is built by the validating ``Polynomial`` constructor, so they share no
-arithmetic with the kernels they check.
+arithmetic with the kernels they check.  Horner's rule and the division of a
+root out of a polynomial are the qmult-free ones of ``exact_oracles``.
 
 The multiplicity certificate keeps its first form: the Fraction sum of
 the degree s-1 tail coefficients, and a scan that takes the closed-form
@@ -30,13 +31,6 @@ downward ray to the upward ray of g(-t), through Horner composition.
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials, against which the run search by the
 tail-sign certificate is compared.
-
-The multiplicities of a Hilbert series f are also read off its poles, with no
-expansion and no tail: the complexity is the order of f's pole at t = 1, and
-for s >= cx the delta multiplicity is d^s times the value of (1 + t)^s f(t)
-at t = -1, which is 0 when the pole at -1 has order below s.  This is the
-paper's reading of the multiplicity as a leading coefficient of the Hilbert
-quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
 
 The certified series model is kept as it was first written: one Fraction
 per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
@@ -72,6 +66,8 @@ from qmult.lengths import (
     core_window,
 )
 from qmult.multiplicity import MultiplicityError, WindowResult, herbrand, multiplicity_pos
+
+from exact_oracles import divide_out_root, horner
 
 
 def const(c):
@@ -130,14 +126,6 @@ def exact_quotient(num, den):
     the schoolbook product, gives num back exactly when den divides num."""
     quotient = Polynomial(tuple(fraction_series(num, den, max(num.degree - den.degree, 0))))
     return quotient if fraction_product(quotient, den) == num else None
-
-
-def horner_eval(g, x):
-    """g(x) by Horner's rule on the Fraction coefficients."""
-    acc = Fraction(0)
-    for c in reversed(g.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def horner_compose_linear(g, a, b):
@@ -201,7 +189,7 @@ def fit_quasipoly(samples, d):
             top = blocks[len(blocks) - (r + 1) :]
             candidate = newton_interpolate(top)
             check = blocks[len(blocks) - (r + 1) - (r + 2) : len(blocks) - (r + 1)]
-            if all(horner_eval(candidate, m) == v for m, v in check):
+            if all(horner(candidate.coeffs, m) == v for m, v in check):
                 fitted = candidate
                 break
             r += 1
@@ -220,7 +208,7 @@ def boundary(polys, value, lo, hi):
     scan down from hi."""
     d = len(polys)
     for n in range(hi, lo - 1, -1):
-        if horner_eval(polys[n % d], n // d) != Fraction(value(n)):
+        if horner(polys[n % d].coeffs, n // d) != Fraction(value(n)):
             return n + 1
     return lo
 
@@ -232,9 +220,9 @@ def faulhaber_sum(g, N, n):
     p, k = g, 0
     while not p.is_zero():
         term = horner_compose_linear(binomial_polynomial(k + 1), 1, 1)
-        G = fraction_sum(G, fraction_product(term, const(horner_eval(p, 0))))
+        G = fraction_sum(G, fraction_product(term, const(horner(p.coeffs, 0))))
         p, k = forward_difference(p), k + 1
-    return horner_eval(G, n) - horner_eval(G, N - 1)
+    return horner(G.coeffs, n) - horner(G.coeffs, N - 1)
 
 
 def stabilized_constant(profile, s):
@@ -244,7 +232,7 @@ def stabilized_constant(profile, s):
         profile = forward_difference(profile)
     if profile.degree > 0:
         return None
-    return horner_eval(profile, 0)
+    return horner(profile.coeffs, 0)
 
 
 def residue_profiles(polys):
@@ -466,42 +454,6 @@ def vanishing_window_check(lf, m0, parity):
         # strictly inside the scanned range.
         raise ModelError("tail scan inconsistent with zero values")
     return WindowResult("confirmed", window_start=run_at)
-
-
-def divide_out_root(coeffs, root):
-    """(q, m): the Fraction coefficients of p / (t - root)^m, with m the
-    order of p's zero at root, by repeated synthetic division."""
-    m = 0
-    while any(coeffs) and horner_eval(Polynomial(tuple(coeffs)), root) == 0:
-        quotient, acc = [], Fraction(0)
-        for c in reversed(coeffs[1:]):
-            acc = acc * root + c
-            quotient.append(acc)
-        coeffs, m = quotient[::-1], m + 1
-    return coeffs, m
-
-
-def pole_order(f, root):
-    """(order, num, den): the order of f = num / den's pole at root, negative
-    at a zero of f, and num and den with their zeros at root divided out."""
-    num, a = divide_out_root(list(f.num.coeffs), root)
-    den, b = divide_out_root(list(f.den.coeffs), root)
-    return b - a, num, den
-
-
-def laurent_complexity(f):
-    """cx of the series f: the order of its pole at t = 1 (0 where none)."""
-    return max(pole_order(f, 1)[0], 0)
-
-
-def laurent_e_delta(f, d, s):
-    """e_delta(s) of the series f for s >= cx: d^s * [(1 + t)^s f(t)] at t = -1."""
-    order, num, den = pole_order(f, -1)
-    if order > s:
-        raise ValueError(f"the pole at -1 has order {order} > s = {s}")
-    if order < s:
-        return 0
-    return d**s * horner_eval(Polynomial(tuple(num)), -1) / horner_eval(Polynomial(tuple(den)), -1)
 
 
 def strip_cyclotomic(q, d):

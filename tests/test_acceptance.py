@@ -8,7 +8,7 @@ explicit tolerance is stated.
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from qmult.differences import delta, delta_neg
 from qmult.exact import Polynomial, series_coefficients
@@ -25,33 +25,12 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 
-from difference_oracles import delta_neg_recursive, delta_recursive
+from exact_oracles import brute_stabilized_delta, delta_neg_recursive, delta_recursive
+from worked_examples import hypersurface_fixture, jst_fixture, poly, xy_fixture
 
 
 def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS: {message}")
-
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
-
-
-def hypersurface_fixture():
-    values = (0, 0, 0) + (1,) * 12
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(1), poly(1)), 1), None
-    )
-
-
-def xy_fixture(r):
-    values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
-    )
-
-
-def jst_fixture(c):
-    return from_series(parse_series(f"t^{c}/(1-t^2)^{c}"), 2, 80)
 
 
 def s4_fixture():
@@ -77,21 +56,6 @@ def test_criterion_02_even_support_family():
         shifted = multiplicity_pos(xy_fixture(r).shift(1), 1)
         assert shifted.e_delta == -r and shifted.e_coeff == -r
     report(2, "even-support family: e^1=r for r in {1,2,5}; shifted gives -r")
-
-
-def brute_stabilized_delta(values, d, s):
-    """Stabilization oracle on raw coefficients: no tail machinery involved."""
-
-    def h(n):
-        return sum((1 if (n + i) % 2 == 0 else -1) * values[n + i] for i in range(d))
-
-    def diff(n):
-        return sum((-1) ** i * comb(s - 1, i) * h(n + (s - 1 - i) * d) for i in range(s))
-
-    reach = (s - 1) * d + d
-    window = [diff(n) for n in range(len(values) - reach - 3 * d, len(values) - reach)]
-    assert len(set(window)) == 1, f"no stabilization: {window}"
-    return window[0]
 
 
 def test_criterion_03_convention_split_witness():

@@ -57,10 +57,12 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.exact import Polynomial, QmultError
-from qmult.fixtures import random_length_function
+from qmult.fixtures import load_corpus, random_length_function
 from qmult.lengths import LengthFunction, ModelError, _quotient, _strip_cyclotomic, from_series
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
+
+from exact_oracles import laurent_complexity, laurent_e_delta
 
 PERIODS = (2, 4, 6, 12)
 
@@ -191,10 +193,11 @@ def test_multiplicities_match_the_pole_oracle(case):
     expr, d, probe = case
     f = parse_series(expr)
     lf = from_series(f, d, probe)
-    cx = oracle.laurent_complexity(f)
+    num, den = f.num.coeffs, f.den.coeffs
+    cx = laurent_complexity(num, den)
     assert lf.complexity() == cx, expr
     for s in (cx, cx + 1):
-        assert multiplicity_pos(lf, s).e_delta == oracle.laurent_e_delta(f, d, s), (expr, s)
+        assert multiplicity_pos(lf, s).e_delta == laurent_e_delta(num, den, d, s), (expr, s)
 
 
 @given(series(off_period=True))
@@ -227,18 +230,28 @@ def test_outranking_pole_is_refused(case):
 
 
 def test_pole_oracle_on_the_worked_examples():
-    # The S4 cohomology series has cx 2 and e 0 at d = 6; t^2/(1-t^2)^2 has
-    # e_delta 1 at s = 2 (tests/golden/e_jst2.txt); t^200 has Euler
-    # characteristic 1.
-    for expr, d, cx, e in (
-        ("(1-t^4)/((1-t)*(1-t^2)*(1-t^3))", 6, 2, 0),
-        ("t^2/(1-t^2)^2", 2, 2, 1),
-        ("t^200", 2, 0, 1),
-    ):
-        f = parse_series(expr)
-        assert oracle.laurent_complexity(f) == cx
-        assert oracle.laurent_e_delta(f, d, cx) == e
-        assert multiplicity_pos(from_series(f, d, 80), cx).e_delta == e
+    # Each series case of the packaged corpus has the cx and positive
+    # multiplicities that its poles give, with e_coeff(s) = d^(s-1) e_delta(s),
+    # and the library agrees; t^200 has Euler characteristic 1.
+    cases = [c for fixture in load_corpus() for c in fixture["cases"] if isinstance(c["source"], tuple)]
+    assert len(cases) == 7
+    for case in cases:
+        f, d, probe = case["source"]
+        num, den = f.num.coeffs, f.den.coeffs
+        for check in case["expected"]:
+            if check["check"] == "cx":
+                assert laurent_complexity(num, den) == check["value"], case["label"]
+            elif check["check"] == "multiplicity" and check.get("side", "positive") == "positive":
+                s = check["s"]
+                e = laurent_e_delta(num, den, d, s)
+                want = {"delta": {e}, "coefficient": {d ** (s - 1) * e}}
+                want["both"] = want["delta"] | want["coefficient"]
+                assert want[check.get("convention", "both")] == {check["value"]}, (case["label"], s)
+                assert multiplicity_pos(from_series(f, d, probe), s).e_delta == e
+    f = parse_series("t^200")
+    assert laurent_complexity(f.num.coeffs, f.den.coeffs) == 0
+    assert laurent_e_delta(f.num.coeffs, f.den.coeffs, 2, 0) == 1
+    assert multiplicity_pos(from_series(f, 2, 80), 0).e_delta == 1
 
 
 @given(st.one_of(series(), series(off_period=True), outranked_series(), non_length_series()))

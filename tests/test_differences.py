@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from qmult.differences import binomial_polynomial, delta, delta_neg, faulhaber_sum
 from qmult.exact import Polynomial
 
-from difference_oracles import (
+from exact_oracles import (
     delta_binomial,
     delta_neg_binomial,
     delta_neg_recursive,
     delta_recursive,
 )
-
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
+from worked_examples import poly
 
 
 def random_poly(rng, max_degree=6):

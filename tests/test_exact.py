@@ -18,11 +18,9 @@ from qmult.exact import (
     series_coefficients,
 )
 
+from worked_examples import poly
+
 T = Polynomial.t()
-
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)

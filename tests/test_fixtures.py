@@ -19,7 +19,9 @@ from qmult.fixtures import (
     run_corpus,
     run_property_suites,
 )
+from qmult.lengths import from_series
 
+from worked_examples import hypersurface_fixture, jst_fixture, xy_fixture
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,6 +87,20 @@ class TestCorpus:
         results = run_corpus()
         failures = [r for r in results if not r.ok]
         assert not failures, failures
+
+    def test_shared_models_are_the_packaged_cases(self):
+        # The unit tests and ``qmult verify`` read the same worked examples.
+        source = {
+            (fixture["name"], case["label"]): case["source"]
+            for fixture in load_corpus()
+            for case in fixture["cases"]
+        }
+        for r in (1, 2, 3, 5):
+            assert xy_fixture(r).to_json_dict() == source["xy_r", f"r={r}"].to_json_dict()
+        hypersurface = source["hypersurface", "k[x]/(x^2)"]
+        assert hypersurface_fixture().to_json_dict() == hypersurface.to_json_dict()
+        for c in (2, 3, 4):
+            assert jst_fixture(c) == from_series(*source["jst_intersecting_planes", f"c={c}"])
 
     def test_every_check_is_tagged(self):
         for fixture in load_corpus():

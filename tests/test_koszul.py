@@ -4,11 +4,9 @@ asserted directly on fixtures with ``multiplicity_pos``, ``reduce``,
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from qmult.exact import Polynomial
 from qmult.koszul import KoszulError, koszul_triangle, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
@@ -19,24 +17,7 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
-
-
-def xy_fixture(r):
-    values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
-    )
-
-
-def zero_fixture():
-    return LengthFunction(2, 0, (0,), None, None)
-
-
-def jst_fixture(c):
-    return from_series(parse_series(f"t^{c}/(1-t^2)^{c}"), 2, 80)
+from worked_examples import jst_fixture, poly, xy_fixture, zero_fixture
 
 
 def neg_growth_fixture():

@@ -22,21 +22,7 @@ from qmult.lengths import (
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
 
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
-
-
-def xy_fixture(r):
-    """r in even degrees >= 2, zero elsewhere."""
-    values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
-    )
-
-
-def zero_fixture(d=2):
-    return LengthFunction(d, 0, (0,), None, None)
+from worked_examples import poly, xy_fixture, zero_fixture
 
 
 S4_SERIES = "(1-t^4)/((1-t)*(1-t^2)*(1-t^3))"

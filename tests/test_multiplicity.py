@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 from qmult.differences import delta, delta_neg
-from qmult.exact import Polynomial, series_coefficients
+from qmult.exact import series_coefficients
 from qmult.fixtures import random_length_function, random_polynomial
 from qmult.koszul import reduce
-from qmult.lengths import LengthFunction, ModelError, QuasiPolynomial
+from qmult.lengths import LengthFunction, ModelError, QuasiPolynomial, from_series
 from qmult.multiplicity import (
     MultiplicityError,
     _stabilized_report,
@@ -28,7 +28,9 @@ from qmult.multiplicity import (
     vanishing_window_check,
 )
 from qmult.series import parse_series
-from qmult.lengths import from_series
+
+from exact_oracles import brute_stabilized_delta
+from worked_examples import hypersurface_fixture, jst_fixture, poly, xy_fixture, zero_fixture
 
 
 def outcome(report, *args):
@@ -37,32 +39,6 @@ def outcome(report, *args):
         return report(*args)
     except ModelError as e:
         return str(e)
-
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
-
-
-def xy_fixture(r):
-    values = tuple(r if n >= 2 and n % 2 == 0 else 0 for n in range(-2, 13))
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(r), poly()), 2), None
-    )
-
-
-def hypersurface_fixture():
-    values = (0, 0, 0) + (1,) * 12
-    return LengthFunction(
-        2, -2, values, QuasiPolynomial(2, (poly(1), poly(1)), 1), None
-    )
-
-
-def zero_fixture():
-    return LengthFunction(2, 0, (0,), None, None)
-
-
-def jst_fixture(c):
-    return from_series(parse_series(f"t^{c}/(1-t^2)^{c}"), 2, 80)
 
 
 def two_sided_periodic(r):
@@ -76,31 +52,6 @@ def hochster_fixture(a, b):
     return LengthFunction(
         2, -14, values, None, QuasiPolynomial(2, (poly(a), poly(b)), -4)
     )
-
-
-def brute_stabilized_delta(values, d, s):
-    """Independent oracle: stabilized D^{s-1} h from raw coefficients alone.
-
-    Works on a plain list of lambda(0..N) with no quasi-polynomial machinery:
-    builds h pointwise, applies the closed-form difference, and insists the
-    result is constant across a window before returning it.
-    """
-
-    def lam(n):
-        return values[n]
-
-    def h(n):
-        return sum((1 if (n + i) % 2 == 0 else -1) * lam(n + i) for i in range(d))
-
-    def diff(n):
-        return sum(
-            (-1) ** i * comb(s - 1, i) * h(n + (s - 1 - i) * d) for i in range(s)
-        )
-
-    reach = (s - 1) * d + d
-    window = [diff(n) for n in range(len(values) - reach - 3 * d, len(values) - reach)]
-    assert len(set(window)) == 1, f"no stabilization: {window}"
-    return window[0]
 
 
 class TestHerbrand:

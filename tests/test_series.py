@@ -14,9 +14,7 @@ from qmult.series import (
     parse_series,
 )
 
-
-def poly(*coeffs):
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
+from worked_examples import poly
 
 
 class TestParse:

@@ -1,10 +1,16 @@
-"""The library imports nothing outside the Python standard library."""
+"""The library and the qmult-free oracles import nothing outside the Python
+standard library, and each shared test model and oracle is defined once."""
 
 import ast
 import sys
 from pathlib import Path
 
-LIBRARY = Path(__file__).resolve().parent.parent / "src" / "qmult"
+TESTS = Path(__file__).resolve().parent
+LIBRARY = TESTS.parent / "src" / "qmult"
+SHARED = {
+    "worked_examples.py": ("poly", "xy_fixture", "zero_fixture", "jst_fixture", "hypersurface_fixture"),
+    "exact_oracles.py": ("brute_stabilized_delta", "laurent_complexity", "laurent_e_delta"),
+}
 
 
 def non_stdlib_imports(source):
@@ -38,3 +44,18 @@ def test_library_imports_only_the_standard_library():
         if (found := non_stdlib_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_exact_oracles_import_only_the_standard_library():
+    assert non_stdlib_imports((TESTS / "exact_oracles.py").read_text(encoding="utf-8")) == []
+
+
+def test_shared_models_and_oracles_are_defined_once():
+    homes = {name: home for home, names in SHARED.items() for name in names}
+    defined = [
+        (path.name, node.name)
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in homes
+    ]
+    assert sorted(defined) == sorted((home, name) for name, home in homes.items())
