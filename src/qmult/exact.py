@@ -15,9 +15,11 @@ once per coefficient and builds no Fraction, and ``series_coefficients`` is
 the Fraction view of the same loop.  At an integer m, ``numerator_at`` gives
 the integer denominator * p(m) with no division at all; the difference tables
 of the sign certificate (``nonnegative_on_ray``) and of the Faulhaber sum are
-built from it.  A rational function stores a numerator and a denominator
-polynomial; the denominator must have a nonzero constant term, so every
-rational function here expands as a power series at t = 0.
+built from it; the certificate finds the first negative point of a ray by
+bisection, in steps logarithmic in its distance.  A rational function stores
+a numerator and a denominator polynomial; the denominator must have a nonzero
+constant term, so every rational function here expands as a power series at
+t = 0.
 
 No floating point appears anywhere in this module.
 """
@@ -27,7 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -472,39 +475,45 @@ def difference_table(values: list) -> list:
 def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:
     """Check p(m) >= 0 for every integer m >= start, exactly.
 
-    Returns None when the polynomial is nonnegative on the whole ray, else a
-    violating integer m: the first one from start up, or a point past the
-    Cauchy horizon when the leading coefficient is negative.  The ray goes one
-    way; a ray m <= start is the ray m >= -start of p(-m).
+    Returns None when the polynomial is nonnegative on the whole ray, else the
+    first integer m >= start at which p(m) < 0.  The ray goes one way; a ray
+    m <= start is the ray m >= -start of p(-m).
 
     The certificate is the forward-difference table of p at start, built from
     deg + 1 integer evaluations of denominator * p, which has p's signs.  By
-    Newton's forward formula p(m + j) = sum_k Delta^k p(m) * C(j, k), and
-    C(j, k) >= 0 at every integer j >= 0, so once
-    every entry of the table is >= 0 the ray is certified from there on.
-    Until then the table walks one step up at a time (deg additions a step),
-    and the first step whose entry Delta^0 p is negative is the violation.
-    Past the horizon p has no roots and keeps the sign of its leading term, so
-    the walk never goes beyond it.
+    Newton's forward formula p(start + j) = sum_k Delta^k p(start) * C(j, k),
+    and C(j, k) >= 0 at every integer j >= 0, so a table with every entry
+    >= 0 certifies the whole ray.  Otherwise a first violation lies at or
+    below the Cauchy horizon, past which p keeps the sign of its leading term,
+    and :func:`_sign_changes` finds it.
     """
-    if p.is_zero():
+    table = difference_table([p.numerator_at(start + i) for i in range(p.degree + 1)])
+    if all(entry >= 0 for entry in table):
         return None
-    deg, lead = p.leading_term()
-    if deg == 0:
-        return None if lead > 0 else start
-    horizon = cauchy_horizon(p)
-    if lead < 0:
-        return max(start, horizon + 1)
-    if start > horizon:
-        return None
-    table = difference_table([p.numerator_at(start + i) for i in range(deg + 1)])
-    m = start
-    while m <= horizon:
-        if table[0] < 0:
-            return m
-        if all(entry >= 0 for entry in table):
-            return None
-        for k in range(deg):
-            table[k] += table[k + 1]
-        m += 1
-    return None
+    if table[0] < 0:
+        return start
+    return next((start + j for j in _sign_changes(table, 0, cauchy_horizon(p) + 1 - start)), None)
+
+
+def _sign_changes(table: list[int], lo: int, hi: int) -> Iterator[int]:
+    """Each j with lo < j <= hi at which q(j) < 0 and q(j - 1) < 0 differ, in
+    order, for q(j) = sum_k table[k] * C(j, k) and 0 <= lo: q is monotone from
+    one sign change of its difference (table[1:]) to the next, so it changes
+    sign at most once between them, and bisection finds where.  The changes
+    come one at a time, each found only when it is read."""
+    if len(table) == 1 or hi <= lo:
+        return
+
+    def negative(j: int) -> bool:
+        return sum(c * comb(j, k) for k, c in enumerate(table)) < 0
+
+    sign, a = negative(lo), lo
+    for end in chain(_sign_changes(table[1:], lo, hi - 1), (hi,)):
+        if negative(end) != sign:
+            b = end
+            while b - a > 1:
+                mid = (a + b) // 2
+                a, b = (a, mid) if negative(mid) != sign else (mid, b)
+            yield b
+            sign = not sign
+        a = end

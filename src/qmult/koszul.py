@@ -29,7 +29,7 @@ from operator import sub
 
 # nonnegative_on_ray is unused since QuasiPolynomial.negative_degrees certifies
 # the reduced tails; the name stays because perfbench/test_perfbench.py looks it
-# up on this module.
+# up on this module, until a change to the benchmark drops that lookup.
 from .exact import QmultError, nonnegative_on_ray  # noqa: F401
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
 from .multiplicity import MultiplicityError, multiplicity_neg, multiplicity_pos

@@ -329,16 +329,26 @@ class WindowResult:
     violation: int | None = None
 
 
+def _first_run(tail: QuasiPolynomial, start: int, want: int, last: int | None = None) -> int | None:
+    """The first n >= start (and <= last) of parity ``want`` at which the run
+    sum of tail, sum_{j<d/2} tail(n + 2j), less one goes negative."""
+    shifted = zip(*(tail.shift(2 * j).polys for j in range(tail.d // 2)))
+    less_one = QuasiPolynomial(tail.d, tuple(sum(ps, Polynomial()) - 1 for ps in shifted), start)
+    runs = less_one.negative_degrees(start, 1)
+    return min((n for n in runs if n % 2 == want and (last is None or n <= last)), default=None)
+
+
 def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowResult:
     """Test the vanishing pattern: when the top multiplicity is 0, does a run
     of d/2 zero values at one parity at or after m0 force lambda = 0 from m0 on?
 
-    Runs that start below the positive tail are found by looking.  On the tail
-    the run sum R(n) = sum_{j<d/2} lambda(n+2j) is a nonnegative integer
-    quasi-polynomial, so a run is a point where R - 1 goes negative, and the
-    tail-sign certificate finds the first one in each residue class.  The
-    conclusion is then checked, and the first violation reported when the
-    implication fails on this data.
+    A run is searched on the negative tail while n + d - 2 <= valid_to, then
+    at each degree up to the positive tail, then on it.  On a tail the run sum
+    R(n) = sum_{j<d/2} lambda(n+2j) is a nonnegative integer quasi-polynomial,
+    so a run is a point where R - 1 goes negative, and the tail-sign
+    certificate finds the first one in each residue class.  The conclusion is
+    then checked, and the first violation reported when the implication fails
+    on this data.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -350,15 +360,18 @@ def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowRe
     d, qp = lf.d, lf.pos_tail
     want = 0 if parity == "even" else 1
     start = m0 if m0 % 2 == want else m0 + 1
+    run_at, look = None, start
+    if lf.neg_tail is not None:
+        last = lf.neg_tail.valid_from - d + 2  # the last run that reads this tail alone
+        run_at = _first_run(lf.neg_tail, start, want, last)
+        look = max(start, last + 1 + (last + 1 - start) % 2)  # of start's parity
     # A vanishing tail is zero past core_end, so a run starts by core_end + 2.
     end = max(start, lf.core_end + 2) + 1 if qp is None else qp.valid_from
-    below = range(start, end, 2)
-    run_at = next((n for n in below if all(lf(n + 2 * j) == 0 for j in range(d // 2))), None)
+    if run_at is None:
+        looked = (n for n in range(look, end, 2) if all(lf(n + 2 * j) == 0 for j in range(d // 2)))
+        run_at = next(looked, None)
     if run_at is None and qp is not None:
-        shifted = zip(*(qp.shift(2 * j).polys for j in range(d // 2)))
-        less_one = QuasiPolynomial(d, tuple(sum(ps, Polynomial()) - 1 for ps in shifted), end)
-        runs = less_one.negative_degrees(max(start, end), 1)
-        run_at = min((n for n in runs if n % 2 == want), default=None)
+        run_at = _first_run(qp, max(start, end), want)
     if run_at is None:
         return WindowResult("window_not_found")
 

@@ -282,7 +282,7 @@ def test_tail_sign_past_the_agreement_window_is_certified():
     with pytest.raises(ModelError) as err:
         from_series(f, 2, 0)
     assert str(err.value) == (
-        "pos tail polynomial for residue 0 goes negative at block 103 (degree n=206)"
+        "pos tail polynomial for residue 0 goes negative at block 101 (degree n=202)"
     )
 
 

@@ -1,12 +1,14 @@
 """Exact polynomial / rational function arithmetic."""
 
 from fractions import Fraction
-from math import factorial
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qmult import exact
+from qmult.differences import binomial_polynomial
 from qmult.exact import (
     NotExpandableError,
     Polynomial,
@@ -194,21 +196,24 @@ class TestNonnegativeOnRay:
     def test_binomial_certified_from_its_difference_table(self, monkeypatch):
         # C(m+15, 15) has Cauchy horizon 15! + 2, about 1.3e12: a scan up to
         # it would not finish, the difference table at m = 0 is all ones.
-        p = Polynomial.const(Fraction(1, factorial(15)))
-        for i in range(1, 16):
-            p = p * (T + i)
-        limit = p.degree + 1
-        original = Polynomial.__call__
+        # C(m, 2), whose table at 0 is (0, 0, 1), needs no search either.
+        original = Polynomial.numerator_at
         calls = []
 
-        def counting(self, x):
-            calls.append(x)
-            assert len(calls) <= limit, "sign certificate evaluated p too often"
-            return original(self, x)
+        def counting(self, m):
+            calls.append(m)
+            assert len(calls) <= self.degree + 1, "sign certificate evaluated p too often"
+            return original(self, m)
 
-        monkeypatch.setattr(Polynomial, "__call__", counting)
-        assert nonnegative_on_ray(p, 0) is None
-        assert len(calls) <= limit
+        def no_search(*args):
+            raise AssertionError("a nonnegative table needs no search")
+
+        monkeypatch.setattr(Polynomial, "numerator_at", counting)
+        monkeypatch.setattr(exact, "_sign_changes", no_search)
+        for p in (binomial_polynomial(15).shift(15), binomial_polynomial(2)):
+            calls.clear()
+            assert nonnegative_on_ray(p, 0) is None
+            assert 0 < len(calls) <= p.degree + 1
 
     def test_cauchy_horizon_is_beyond_every_root(self):
         p = (T - 7) * (T + Fraction(25, 2)) * (T - Fraction(1, 3))
@@ -228,18 +233,16 @@ def one_way(p, start, direction):
 
 
 def scan_oracle(p, start, direction):
-    """Brute force: evaluate p at every integer from start out to the Cauchy bound."""
+    """Brute force: evaluate p at every integer from start out to one past the
+    Cauchy bound, beyond which p keeps the sign it has there."""
     if p.is_zero():
         return None
     deg, lead = p.degree, p.coeffs[-1]
     if deg == 0:
         return None if lead > 0 else start
     horizon = int(1 + max(abs(c / lead) for c in p.coeffs[:-1])) + 1
-    eventual_sign = lead if direction == 1 else lead * (-1) ** deg
-    if eventual_sign < 0:
-        return direction * max(direction * start, horizon + 1)
     m = start
-    while direction * m <= horizon:
+    while direction * m <= max(direction * start, horizon + 1):
         if p(m) < 0:
             return m
         m += direction
@@ -291,6 +294,49 @@ class TestNonnegativeOnRayAgainstScan:
         assume(cauchy_horizon(p) <= 4000)
         for direction in (1, -1):
             assert one_way(p, start, direction) == scan_oracle(p, start, direction)
+
+    @given(
+        leads,
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), min_size=1, max_size=3),
+        st.sampled_from([-1, 0, 0, 1]),
+        st.data(),
+    )
+    def test_integer_roots_at_ray_starts_and_stretch_ends(self, lead, roots, offset, data):
+        # Integer roots of multiplicity 1 to 3 put zeros of p, and of its
+        # differences, on integers: a ray may start on a root, and a stretch
+        # on which p is monotone may end on one.
+        p = from_roots(lead, [r for r, k in roots for _ in range(k)], offset)
+        assume(p.degree < 1 or cauchy_horizon(p) <= 4000)
+        root = data.draw(st.sampled_from([r for r, _ in roots]))
+        start = root + data.draw(st.sampled_from([-1, 0, 0, 1]))
+        for direction in (1, -1):
+            assert one_way(p, start, direction) == scan_oracle(p, start, direction)
+
+    def test_roots_near_the_cauchy_bound_from_far_below(self):
+        # t(t + 1)(2t^2 - 3) has horizon 3, and every level of its difference
+        # table changes sign within 3 of it; each level must search its whole
+        # range for the first violation, at 1, to be found from far below.
+        p = poly(0, -3, -3, 2, 2)
+        for start in range(-12, 5):
+            want = 1 if start <= 1 else None
+            assert nonnegative_on_ray(p, start) == scan_oracle(p, start, 1) == want
+
+    def test_dip_after_a_positive_local_minimum(self):
+        # From 9, ((t - 4)^2 + 14)(t - 31)^2 - 7 rises to a maximum near 17 and
+        # falls below zero at 31 alone: its difference changes sign twice, and
+        # the second change must be found as well as the first.
+        p = ((T - 4) ** 2 + 14) * (T - 31) ** 2 - 7
+        assert [m for m in range(9, 60) if p(m) < 0] == [31]
+        assert nonnegative_on_ray(p, 9) == 31
+        assert nonnegative_on_ray(p, 32) is None
+
+    @pytest.mark.parametrize("K", [10**5, 10**12, 10**40])
+    def test_far_dip_found_without_a_walk(self, K):
+        # (t - K)^2 - 1 first goes negative at K, by bisection, not by K steps.
+        assert nonnegative_on_ray((T - K) ** 2 - 1, 0) == K
+        assert nonnegative_on_ray(((T - K) ** 2 - 1) ** 4 - 1, -K) == K - 1
+        assert nonnegative_on_ray(K - T**2, -K) == -K
+        assert nonnegative_on_ray(K - T * T, 0) == isqrt(K) + 1
 
 
 @pytest.mark.parametrize(

@@ -55,14 +55,6 @@ quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
 )
 
 
-def first_below(qp, n, anchor):
-    """The first degree of n's residue class from anchor down where qp < 0."""
-    m = n + qp.d * ((anchor - n) // qp.d)
-    while qp(m) >= 0:
-        m -= qp.d
-    return m
-
-
 class TestNegativeDegrees:
     """The downward certificate is the upward one of g_i(-t), read back."""
 
@@ -74,12 +66,9 @@ class TestNegativeDegrees:
             assert n <= anchor and qp(n) < 0
         residues = [n % qp.d for n in down]
         assert residues == sorted(set(residues))
-        # Both name one degree per residue that goes negative, with the same
-        # first violation; past the Cauchy horizon the witnesses may differ,
-        # since g_i(-t) and the reflected g_i(-t - 1) have different horizons.
-        assert {first_below(qp, n, anchor) for n in down} == {
-            first_below(qp, n, anchor) for n in up
-        }
+        # Both name, for each residue that goes negative, its first violation
+        # from anchor down.
+        assert set(down) == set(up)
 
     def test_one_degree_per_bad_residue_in_residue_order(self):
         # Residue 0 is (t - 1)(t - 3), negative at block 2 only (degree 4);

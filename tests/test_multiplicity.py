@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
@@ -257,6 +257,9 @@ class TestMultiplicityNeg:
             assert report.e_coeff == factorial(s - 1) * lf.d ** (s - 1) * alternating
 
 
+TRIANGULAR = QuasiPolynomial(2, (poly(0, Fraction(1, 2), Fraction(1, 2)), poly()), 0)
+
+
 @st.composite
 def stabilization_cases(draw, below=0):
     """(lf, side, s) at s = max(cx - below, 1)..cx+2 on ``side``: random
@@ -319,6 +322,9 @@ class TestStabilizationAgainstTheLiteralDifference:
 
     @settings(deadline=None)
     @given(stabilization_cases(below=1))
+    # g_0 = t(t+1)/2 and g_1 = 0 at s = cx - 1 = 2: the stabilized difference
+    # is 1/2, which both sides must refuse as not an integer.
+    @example((LengthFunction(2, 0, (0, 0, 1, 0, 3, 0, 6, 0, 10), TRIANGULAR, None), "positive", 2))
     def test_certificate_matches_the_per_degree_scan(self, case):
         # The integer sum and the whole-list differences of h give the same
         # (e_delta, e_coeff, index) as the Fraction sum and one closed-form

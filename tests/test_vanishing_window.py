@@ -1,12 +1,14 @@
 """The vanishing-window check against its horizon scan.
 
-``multiplicity.vanishing_window_check`` looks for a run of zeros below the
-positive tail and certifies the runs on it with the tail-sign certificate;
+``multiplicity.vanishing_window_check`` certifies the runs of zeros on the
+negative tail and on the positive tail with the tail-sign certificate, and
+looks for one at each degree between the tails;
 ``kernel_oracles.vanishing_window_check`` scans every degree up to past the
 Cauchy horizon of the tail polynomials.  On random length functions with
 period 2, 4 or 6, paired residues (so that the top multiplicity is 0), zero
-residue polynomials, double-root dips, negative tails, and m0 below, inside
-and above the core, both must give the same result or the same error.
+residue polynomials, double-root dips, negative tails with and without runs
+on them, and m0 far below, below, inside and above the core, both must give
+the same result or the same error.
 """
 
 import random
@@ -24,7 +26,7 @@ from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import vanishing_window_check
 from qmult.series import parse_series
 
-ROUTES = ("looked", "certified", "window_not_found", "violated", "confirmed", "error")
+ROUTES = ("looked", "certified", "certified below", "window_not_found", "violated", "confirmed", "error")
 
 
 def random_tail_poly(rng):
@@ -45,10 +47,11 @@ def random_tail_poly(rng):
     return (t - a) * (t - a - 1)
 
 
-def window_function(rng):
-    """A length function of period 2, 4 or 6, vanishing below; its even and odd
-    residues mostly hold the same polynomials, so its top multiplicity is 0."""
-    d = rng.choice([2, 4, 6])
+def window_function(rng, d=None):
+    """A length function of period d (2, 4 or 6 if not given), vanishing below;
+    its even and odd residues mostly hold the same polynomials, so its top
+    multiplicity is 0."""
+    d = d or rng.choice([2, 4, 6])
     lo = -rng.randint(0, 4)
     zeros = rng.random()  # share of zeros among the core values below the tail
     evens = [random_tail_poly(rng) for _ in range(d // 2)]
@@ -77,9 +80,16 @@ def window_function(rng):
 
 def window_case(rng):
     lf = window_function(rng)
-    if rng.random() < 0.2:
+    other = rng.random()
+    if other < 0.2:
         lf = lf + random_length_function(rng, lf.d).reflect().shift(rng.randint(-6, 6))
-    m0 = rng.randint(lf.core_start - 6, lf.core_end + 12)
+    elif other < 0.4:
+        # A negative tail with dips and zero residues, where runs can lie.
+        lf = lf + window_function(rng, lf.d).reflect().shift(rng.randint(-6, 6))
+    if rng.random() < 0.1:
+        m0 = lf.core_start - rng.randint(2000, 2100)
+    else:
+        m0 = rng.randint(lf.core_start - 6, lf.core_end + 12)
     return lf, m0, rng.choice(["even", "odd"])
 
 
@@ -96,7 +106,9 @@ def routes(lf, result):
         return {"error"}
     if result.window_start is None:
         return {result.status}
-    qp = lf.pos_tail
+    qp, neg = lf.pos_tail, lf.neg_tail
+    if neg is not None and result.window_start + lf.d - 2 <= neg.valid_from:
+        return {result.status, "certified below"}
     on_tail = qp is not None and result.window_start >= qp.valid_from
     return {result.status, "certified" if on_tail else "looked"}
 
@@ -149,3 +161,49 @@ def test_violation_search_skips_a_vanishing_negative_tail():
     result = vanishing_window_check(lf, -10**9, "even")
     assert time.perf_counter() - began < 0.5
     assert (result.status, result.window_start, result.violation) == ("violated", -10**9, 1)
+
+
+def two_sided(neg_poly, core):
+    """Period 2: neg_poly on both residues up to valid_to = -2, the values of
+    core on -1..1, and 1 from valid_from = 2 on; its top multiplicity is 0."""
+    neg = QuasiPolynomial(2, (neg_poly, neg_poly), -2)
+    pos = QuasiPolynomial(2, (Polynomial.const(1),) * 2, 2)
+    values = [int(neg(n)) for n in range(-12, -1)] + list(core) + [1] * 7
+    return LengthFunction(2, -12, tuple(values), pos, neg)
+
+
+def test_run_between_constant_tails_far_below_the_core():
+    # The negative tail is 1 everywhere, so the run at 0 or 1 lies between
+    # the tails; the search used to look at every degree from m0 up, linear
+    # in |m0| (more than 10 s at m0 = -10^9).
+    lf = two_sided(Polynomial.const(1), (1, 0, 0))
+    for parity, run in (("even", 0), ("odd", 1)):
+        began = time.perf_counter()
+        result = vanishing_window_check(lf, -10**9, parity)
+        assert time.perf_counter() - began < 0.5
+        assert (result.status, result.window_start, result.violation) == ("violated", run, -10**9)
+        assert vanishing_window_check(lf, -2001, parity) == oracle.vanishing_window_check(lf, -2001, parity)
+    assert vanishing_window_check(two_sided(Polynomial.const(1), (1, 1, 1)), -10**9, "even").status == (
+        "window_not_found"
+    )
+
+
+def test_run_on_the_negative_tail_far_below_the_core():
+    # (t + K)^2 is 0 at block -K only: the run at -2K or -2K + 1 is found on
+    # the negative tail by the certificate, not by looking K blocks up.
+    K = 10**6
+    lf = two_sided((Polynomial.t() + K) ** 2, (1, 1, 1))
+    for parity, run in (("even", -2 * K), ("odd", -2 * K + 1)):
+        result = vanishing_window_check(lf, -10**9, parity)
+        assert (result.status, result.window_start, result.violation) == ("violated", run, -10**9)
+        assert vanishing_window_check(lf, run + 1, parity).status == "window_not_found"
+
+
+def test_run_past_the_negative_tail_is_looked_at():
+    # (t + 1)^2 vanishes at block -1, degrees -2 and -1, but the tail holds
+    # only up to valid_to = -2: the core holds 1 at -1, so no odd run exists.
+    lf = two_sided((Polynomial.t() + 1) ** 2, (1, 1, 1))
+    assert vanishing_window_check(lf, -40, "odd").status == "window_not_found"
+    assert vanishing_window_check(lf, -40, "even").window_start == -2
+    for parity in ("even", "odd"):
+        assert vanishing_window_check(lf, -40, parity) == oracle.vanishing_window_check(lf, -40, parity)
