@@ -11,9 +11,8 @@ violating degrees) when the difference goes negative anywhere, since then no
 globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
 regime, so the complexity drops by exactly one per step while it is positive.
-The negative regime's difference lambda(n + 1) - lambda(n + d + 1) is minus
-the positive one at n + 1, so its tails are the positive step negated and
-shifted by one.
+The negative step is the positive step mu' of the reflection mu(n) = lambda(-n),
+reflected back and shifted by d + 1; a violation m of mu' is degree -m - d - 1.
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
@@ -43,20 +42,33 @@ class KoszulError(QmultError):
         super().__init__(message)
 
 
-def _reduced_tail(qp: QuasiPolynomial | None, regime: str, side: str) -> QuasiPolynomial | None:
-    """The reduced tail, or ``None`` where it vanishes (a constant tail steps
-    to all-zero polynomials).  The positive step is g_i -> g_i(t+1) - g_i(t);
-    the negative one, lambda(n + 1) - lambda(n + d + 1), is minus the positive
-    step at n + 1."""
+def _reduced_tail(qp: QuasiPolynomial | None, lag: int) -> QuasiPolynomial | None:
+    """qp's step g_i -> g_i(t+1) - g_i(t) from lag degrees below its anchor (d for
+    a negative tail, which reaches n + d only there), or None where it vanishes."""
     if qp is None:
         return None
-    anchor = qp.valid_from if side == "pos" else qp.valid_from - qp.d
     step = tuple(p.forward_difference() for p in qp.polys)
-    if regime == "positive":
-        reduced = QuasiPolynomial(qp.d, step, anchor)
-    else:
-        reduced = QuasiPolynomial(qp.d, tuple(-p for p in step), anchor).shift(1)
+    reduced = QuasiPolynomial(qp.d, step, qp.valid_from - lag)
     return None if reduced.is_zero() else reduced
+
+
+def _step(lf: LengthFunction, lo: int, hi: int) -> tuple[LengthFunction, list[int]]:
+    """lambda(n + d) - lambda(n) on [lo, hi] widened to meet its tails, and its violations."""
+    d = lf.d
+    pos, neg = _reduced_tail(lf.pos_tail, 0), _reduced_tail(lf.neg_tail, d)
+    lo, hi = core_window(d, lo, hi, pos, neg)
+    lam = lf.values(lo, hi + d)
+    values = tuple(map(sub, lam[d:], lam))
+    violations = [lo + k for k, v in enumerate(values) if v < 0]
+    # Beyond the window the reduced tails govern; certify their sign exactly.
+    if pos is not None:
+        violations += pos.negative_degrees(hi + 1)
+    if neg is not None:
+        violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
+    # Valid by construction when nothing is violated: the window meets the
+    # overlap that validation asks for, the reduced tails agree with the values
+    # on it (both are the same difference of lf), and every sign is certified.
+    return LengthFunction._unchecked(d, lo, values, pos, neg), violations
 
 
 def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
@@ -69,23 +81,12 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     if regime not in ("positive", "negative"):
         raise ValueError("regime must be 'positive' or 'negative'")
     d = lf.d
-    ahead, behind = (d, 0) if regime == "positive" else (1, d + 1)
-
-    pos = _reduced_tail(lf.pos_tail, regime, "pos")
-    neg = _reduced_tail(lf.neg_tail, regime, "neg")
-
-    # The reduced core, evaluated once; scan it for negativity before
-    # construction so the failure comes back as a Koszul rejection with
-    # witnesses.
-    lo, hi = core_window(d, lf.core_start - (d + 1), lf.core_end + (d + 1), pos, neg)
-    lam, size = lf.values(lo, hi + d + 1), hi - lo + 1
-    values = tuple(map(sub, lam[ahead : ahead + size], lam[behind : behind + size]))
-    violations = [lo + k for k, v in enumerate(values) if v < 0]
-
-    # Beyond the window the reduced tails govern; certify their sign exactly.
-    for qp, anchor, direction in ((pos, hi + 1, 1), (neg, lo - 1, -1)):
-        if qp is not None:
-            violations += qp.negative_degrees(anchor, direction)
+    if regime == "positive":
+        reduced, violations = _step(lf, lf.core_start - (d + 1), lf.core_end + (d + 1))
+    else:
+        # The positive step of the reflection at m = -n - d - 1, on the mirrored window.
+        step, bad = _step(lf.reflect(), -lf.core_end - 2 * (d + 1), -lf.core_start)
+        reduced, violations = step.reflect().shift(d + 1), [-m - d - 1 for m in bad]
     if violations:
         word = "injective" if regime == "positive" else "surjective"
         raise KoszulError(
@@ -93,11 +94,7 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
             f"n in {sorted(violations)[:8]}",
             violations=tuple(sorted(violations)),
         )
-
-    # Valid by construction: the window meets the overlap that validation
-    # asks for, the reduced tails agree with the values on it (both are the
-    # same difference of lf), and the scan above certified every sign.
-    return LengthFunction._unchecked(d, lo, values, pos, neg)
+    return reduced
 
 
 @dataclass(frozen=True)

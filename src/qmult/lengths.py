@@ -158,17 +158,15 @@ class QuasiPolynomial:
             polys.append(self.polys[self.d - i].compose_linear(-1, -1))
         return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
 
-    def negative_degrees(self, anchor: int, direction: int) -> Iterator[int]:
+    def negative_degrees(self, anchor: int) -> Iterator[int]:
         """The sign certificate: for each residue i, in order, that goes negative
-        at a degree n >= anchor (``direction=+1``) or n <= anchor (-1), one such
-        n = d * block + i.  Residue i's ray up starts at the ceiling of
-        (anchor - i) / d; a ray down is the ray up of g_i(-t) from minus the
-        floor, and its result is reflected back."""
+        at a degree n >= anchor, the first such n = d * block + i, from block
+        ceil((anchor - i) / d) on.  A ray down is the ray up of ``reflect()``,
+        negated, which meets the residues in the order 0, d - 1, ..., 1."""
         for i, p in enumerate(self.polys):
-            start = -((direction * (i - anchor)) // self.d)
-            bad = nonnegative_on_ray(p if direction == 1 else p.compose_linear(-1, 0), start)
+            bad = nonnegative_on_ray(p, -((i - anchor) // self.d))
             if bad is not None:
-                yield self.d * direction * bad + i
+                yield self.d * bad + i
 
 
 def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:
@@ -210,10 +208,13 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
 
 def _check_sign(qp: QuasiPolynomial, side: str) -> None:
     """The ``"pos"`` or ``"neg"`` tail's sign out along its ray, certified exactly."""
-    for n in qp.negative_degrees(qp.valid_from, 1 if side == "pos" else -1):
+    sign, up = (1, qp) if side == "pos" else (-1, qp.reflect())
+    witnesses = (sign * n for n in up.negative_degrees(up.valid_from))
+    bad = min(witnesses, key=lambda n: n % qp.d, default=None)  # lowest residue, not the first met
+    if bad is not None:
         raise ModelError(
-            f"{side} tail polynomial for residue {n % qp.d} goes negative at block "
-            f"{n // qp.d} (degree n={n})"
+            f"{side} tail polynomial for residue {bad % qp.d} goes negative at block "
+            f"{bad // qp.d} (degree n={bad})"
         )
 
 

@@ -331,11 +331,12 @@ class WindowResult:
 
 def _first_run(tail: QuasiPolynomial, start: int, want: int, last: int | None = None) -> int | None:
     """The first n >= start (and <= last) of parity ``want`` at which the run
-    sum of tail, sum_{j<d/2} tail(n + 2j), less one goes negative."""
-    shifted = zip(*(tail.shift(2 * j).polys for j in range(tail.d // 2)))
-    less_one = QuasiPolynomial(tail.d, tuple(sum(ps, Polynomial()) - 1 for ps in shifted), start)
-    runs = less_one.negative_degrees(start, 1)
-    return min((n for n in runs if n % 2 == want and (last is None or n <= last)), default=None)
+    sum of tail, sum_{j<d/2} tail(n + 2j), less one goes negative.  As d is
+    even, n has the parity of its residue, so only those residues are summed."""
+    d, g = tail.d, tail.polys + tail.shift(tail.d).polys  # tail(dm + k) is g[k](m), k < 2d
+    sums = (sum(g[i : i + d : 2]) - 1 if i % 2 == want else Polynomial() for i in range(d))
+    runs = QuasiPolynomial(d, tuple(sums), start).negative_degrees(start)
+    return min((n for n in runs if last is None or n <= last), default=None)
 
 
 def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowResult:

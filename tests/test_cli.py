@@ -26,6 +26,8 @@ from qmult.lengths import from_series
 from qmult.multiplicity import limit_estimate
 from qmult.series import parse_series
 
+from worked_examples import neg_growth_fixture
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -47,19 +49,6 @@ def two_sided_input():
         "core": {"start": -10, "values": [3, 0] * 10 + [3]},
         "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [["3"], []]},
         "neg_tail": {"kind": "quasipoly", "valid_to": 0, "polys": [["3"], []]},
-    }
-
-
-def neg_growth_input():
-    """lambda(2m) = -m for m <= 0, zero elsewhere: negative complexity 2."""
-    return {
-        "d": 2,
-        "core": {
-            "start": -30,
-            "values": [-n // 2 if n % 2 == 0 and n <= 0 else 0 for n in range(-30, 5)],
-        },
-        "pos_tail": {"kind": "vanishing"},
-        "neg_tail": {"kind": "quasipoly", "valid_to": -8, "polys": [["0", "-1"], []]},
     }
 
 
@@ -469,7 +458,7 @@ class TestNegativeSideGoldens:
 
     def test_koszul_negative_golden(self, capsys, tmp_path):
         path = tmp_path / "lf.json"
-        path.write_text(json.dumps(neg_growth_input()))
+        path.write_text(json.dumps(neg_growth_fixture().to_json_dict()))
         code, out, _ = run(capsys, "koszul", "--input", str(path), "--regime", "negative")
         assert code == 0
         check_golden("koszul_neg_growth.json", out)

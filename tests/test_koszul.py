@@ -17,19 +17,7 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 
-from worked_examples import jst_fixture, poly, xy_fixture, zero_fixture
-
-
-def neg_growth_fixture():
-    """lambda(2m) = -m for m <= 0, zero elsewhere: negative complexity 2."""
-    values = tuple((-n // 2 if n % 2 == 0 and n <= 0 else 0) for n in range(-30, 5))
-    return LengthFunction(
-        2,
-        -30,
-        values,
-        None,
-        QuasiPolynomial(2, (poly(0, -1), poly()), -8),
-    )
+from worked_examples import jst_fixture, neg_growth_fixture, poly, xy_fixture, zero_fixture
 
 
 class TestReduce:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import kernel_oracles as oracle
 from qmult.exact import Polynomial
 from qmult.fixtures import random_length_function
-from qmult.koszul import KoszulError, _reduced_tail, reduce
+from qmult.koszul import KoszulError, reduce
 from qmult.lengths import LengthFunction, QuasiPolynomial, core_window, from_series
 from qmult.series import parse_series
 
@@ -86,8 +86,8 @@ def outcome(step, lf, regime):
 
 def past_window(lf, regime, violations):
     """Which sides of the scanned window the violations reach past."""
-    pos = _reduced_tail(lf.pos_tail, regime, "pos")
-    neg = _reduced_tail(lf.neg_tail, regime, "neg")
+    pos = oracle.reduced_tail(lf.pos_tail, regime, "pos")
+    neg = oracle.reduced_tail(lf.neg_tail, regime, "neg")
     lo, hi = core_window(lf.d, lf.core_start - (lf.d + 1), lf.core_end + (lf.d + 1), pos, neg)
     return {"above" for v in violations if v > hi} | {"below" for v in violations if v < lo}
 

@@ -56,30 +56,38 @@ quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
 
 
 class TestNegativeDegrees:
-    """The downward certificate is the upward one of g_i(-t), read back."""
+    """The certificate runs up; a ray down is the ray up of the reflection."""
 
     @given(quasi_polynomials, st.integers(-40, 40))
     def test_down_is_the_reflected_ray_up(self, qp, anchor):
-        down = list(qp.negative_degrees(anchor, -1))
-        up = [-n for n in qp.reflect().negative_degrees(-anchor, 1)]
-        for n in down + up:
-            assert n <= anchor and qp(n) < 0
+        down = [-n for n in qp.reflect().negative_degrees(-anchor)]
+        # A polynomial with coefficients in [-12, 12] and lead at least 1/3 in
+        # size has its roots within 37 of 0 (Cauchy), so below block -40 its
+        # sign is that at -infinity, and the scan sees each first violation.
+        first = {}
+        for n in range(anchor, -40 * qp.d - 1, -1):
+            if qp(n) < 0:
+                first.setdefault(n % qp.d, n)
+        assert sorted(down) == sorted(first.values())
+        # The reflected ray meets the residues in the order 0, d - 1, ..., 1.
         residues = [n % qp.d for n in down]
-        assert residues == sorted(set(residues))
-        # Both name, for each residue that goes negative, its first violation
-        # from anchor down.
-        assert set(down) == set(up)
+        assert residues == sorted(residues, key=lambda i: -i % qp.d)
 
     def test_one_degree_per_bad_residue_in_residue_order(self):
         # Residue 0 is (t - 1)(t - 3), negative at block 2 only (degree 4);
         # residue 1 is (t + 1)(t + 3), negative at block -2 only (degree -3).
         qp = QuasiPolynomial(2, (poly(3, -4, 1), poly(3, 4, 1)), 0)
-        assert list(qp.negative_degrees(0, 1)) == [4]
-        assert list(qp.negative_degrees(-10, 1)) == [4, -3]
-        assert list(qp.negative_degrees(0, -1)) == [-3]
-        assert list(qp.negative_degrees(-3, -1)) == [-3]
-        assert list(qp.negative_degrees(-4, -1)) == []
-        assert list(qp.negative_degrees(10, -1)) == [4, -3]
+        assert list(qp.negative_degrees(0)) == [4]
+        assert list(qp.negative_degrees(-10)) == [4, -3]
+        assert list(qp.negative_degrees(5)) == []
+
+        def down(anchor):
+            return [-n for n in qp.reflect().negative_degrees(-anchor)]
+
+        assert down(0) == [-3]
+        assert down(-3) == [-3]
+        assert down(-4) == []
+        assert down(10) == [4, -3]
 
 
 class TestConstruction:

@@ -8,7 +8,14 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 LIBRARY = TESTS.parent / "src" / "qmult"
 SHARED = {
-    "worked_examples.py": ("poly", "xy_fixture", "zero_fixture", "jst_fixture", "hypersurface_fixture"),
+    "worked_examples.py": (
+        "poly",
+        "xy_fixture",
+        "zero_fixture",
+        "jst_fixture",
+        "hypersurface_fixture",
+        "neg_growth_fixture",
+    ),
     "exact_oracles.py": ("brute_stabilized_delta", "laurent_complexity", "laurent_e_delta"),
 }
 

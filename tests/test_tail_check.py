@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -168,3 +169,17 @@ def test_one_path_matches_the_mirrored_oracles_on_any_seed(seed):
     _, lf = base_function(rng)
     compare_checks(rng, lf, Counter())
     compare_sums(rng, Counter())
+
+
+def test_neg_tail_refusal_names_the_lowest_residue():
+    # Residues 1 and 2 (t + 5 and t + 3) go negative below blocks -5 and -3.
+    # The reflected ray meets residue 2 first, at n = -14; the refusal still
+    # names residue 1, at its first violation.
+    t = Polynomial.t()
+    qp = QuasiPolynomial(4, (Polynomial.const(1), t + 5, t + 3, Polynomial.const(1)), 0)
+    values = tuple(int(qp(n)) for n in range(-12, 1))
+    with pytest.raises(ModelError) as info:
+        LengthFunction(4, -12, values, None, qp)
+    assert str(info.value) == (
+        "neg tail polynomial for residue 1 goes negative at block -6 (degree n=-23)"
+    )

@@ -19,11 +19,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
+from qmult import lengths
 from qmult.differences import binomial_polynomial
-from qmult.exact import Polynomial
+from qmult.exact import Polynomial, nonnegative_on_ray
 from qmult.fixtures import random_length_function
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
-from qmult.multiplicity import vanishing_window_check
+from qmult.multiplicity import _first_run, vanishing_window_check
 from qmult.series import parse_series
 
 ROUTES = ("looked", "certified", "certified below", "window_not_found", "violated", "confirmed", "error")
@@ -207,3 +208,22 @@ def test_run_past_the_negative_tail_is_looked_at():
     assert vanishing_window_check(lf, -40, "even").window_start == -2
     for parity in ("even", "odd"):
         assert vanishing_window_check(lf, -40, parity) == oracle.vanishing_window_check(lf, -40, parity)
+
+
+def test_run_sum_certified_at_the_wanted_parity_only(monkeypatch):
+    # As d is even, a degree has the parity of its residue, so a run of one
+    # parity is certified on the d/2 residues of that parity alone.  The tail
+    # (t - 5)^2 vanishes on block 5 only, where the runs start at 1200, 1201.
+    certified = []
+
+    def counting(p, start):
+        if not p.is_zero():
+            certified.append(p)
+        return nonnegative_on_ray(p, start)
+
+    monkeypatch.setattr(lengths, "nonnegative_on_ray", counting)
+    tail = QuasiPolynomial(240, ((Polynomial.t() - 5) ** 2,) * 240, 0)
+    for want in (0, 1):
+        certified.clear()
+        assert _first_run(tail, 0, want) == 1200 + want
+        assert len(certified) == 120

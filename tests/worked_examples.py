@@ -1,8 +1,9 @@
 """The paper's worked examples as length functions, defined once for the tests.
 
-Each model equals the source of its case in the packaged fixture corpus
-(``test_fixtures`` checks this), so the unit tests and ``qmult verify`` read
-the same examples.
+Each worked example equals the source of its case in the packaged fixture
+corpus (``test_fixtures`` checks this), so the unit tests and ``qmult verify``
+read the same examples.  ``neg_growth_fixture``, the negative-side model of
+the Koszul tests and the CLI golden, is not in the corpus.
 """
 
 from fractions import Fraction
@@ -30,6 +31,12 @@ def hypersurface_fixture():
 
 def zero_fixture(d=2):
     return LengthFunction(d, 0, (0,), None, None)
+
+
+def neg_growth_fixture():
+    """lambda(2m) = -m for m <= 0, zero elsewhere: negative complexity 2."""
+    values = tuple((-n // 2 if n % 2 == 0 and n <= 0 else 0) for n in range(-30, 5))
+    return LengthFunction(2, -30, values, None, QuasiPolynomial(2, (poly(0, -1), poly()), -8))
 
 
 def jst_fixture(c):
