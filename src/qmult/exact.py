@@ -249,7 +249,7 @@ class Polynomial:
         repeated synthetic division; substituting u = q*a*t then scales its k-th
         coefficient by (q*a)^k, with a's denominator cleared as well.
         """
-        if self.is_zero():
+        if self.is_zero() or (a, b) == (1, 0):
             return self
         deg = self.degree
         p, q = b.numerator, b.denominator

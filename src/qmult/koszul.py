@@ -11,8 +11,9 @@ violating degrees) when the difference goes negative anywhere, since then no
 globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
 regime, so the complexity drops by exactly one per step while it is positive.
-The negative step is the positive step mu' of the reflection mu(n) = lambda(-n),
-reflected back and shifted by d + 1; a violation m of mu' is degree -m - d - 1.
+A negative chain is the positive chain of mu(n) = lambda(-n) mapped back once:
+function k reflected and shifted by k(d + 1), and a violation m of step k to
+degree -m - k(d + 1).
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
@@ -31,7 +32,7 @@ from operator import sub
 # up on this module, until a change to the benchmark drops that lookup.
 from .exact import QmultError, nonnegative_on_ray  # noqa: F401
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
-from .multiplicity import MultiplicityError, multiplicity_neg, multiplicity_pos
+from .multiplicity import MultiplicityError, multiplicity_pos
 
 
 class KoszulError(QmultError):
@@ -52,23 +53,35 @@ def _reduced_tail(qp: QuasiPolynomial | None, lag: int) -> QuasiPolynomial | Non
     return None if reduced.is_zero() else reduced
 
 
-def _step(lf: LengthFunction, lo: int, hi: int) -> tuple[LengthFunction, list[int]]:
-    """lambda(n + d) - lambda(n) on [lo, hi] widened to meet its tails, and its violations."""
-    d = lf.d
-    pos, neg = _reduced_tail(lf.pos_tail, 0), _reduced_tail(lf.neg_tail, d)
-    lo, hi = core_window(d, lo, hi, pos, neg)
-    lam = lf.values(lo, hi + d)
-    values = tuple(map(sub, lam[d:], lam))
-    violations = [lo + k for k, v in enumerate(values) if v < 0]
-    # Beyond the window the reduced tails govern; certify their sign exactly.
-    if pos is not None:
-        violations += pos.negative_degrees(hi + 1)
-    if neg is not None:
-        violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
-    # Valid by construction when nothing is violated: the window meets the
-    # overlap that validation asks for, the reduced tails agree with the values
-    # on it (both are the same difference of lf), and every sign is certified.
-    return LengthFunction._unchecked(d, lo, values, pos, neg), violations
+def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunction]:
+    """The frame and its ``count`` steps lambda(n + d) - lambda(n), each on
+    [core_start - (d+1), core_end + (d+1)] widened to meet its tails.  In the
+    negative regime the frame is lf.reflect() and the window is mirrored to
+    [core_start - 2(d+1), core_end].  The first violated step raises."""
+    d, positive = lf.d, regime == "positive"
+    frame, below, above = (lf, d + 1, d + 1) if positive else (lf.reflect(), 2 * (d + 1), 0)
+    functions = [frame]
+    for k in range(1, count + 1):
+        f = functions[-1]
+        pos, neg = _reduced_tail(f.pos_tail, 0), _reduced_tail(f.neg_tail, d)
+        lo, hi = core_window(d, f.core_start - below, f.core_end + above, pos, neg)
+        lam = f.values(lo, hi + d)
+        values = tuple(map(sub, lam[d:], lam))
+        violations = [lo + i for i, v in enumerate(values) if v < 0]
+        # Beyond the window the reduced tails govern; certify their sign exactly.
+        if pos is not None:
+            violations += pos.negative_degrees(hi + 1)
+        if neg is not None:
+            violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
+        if violations:
+            bad = sorted(violations if positive else (-m - k * (d + 1) for m in violations))
+            word = "injective" if positive else "surjective"
+            message = f"not eventually {word} in model: reduction goes negative at n in {bad[:8]}"
+            raise KoszulError(message, violations=tuple(bad))
+        # Valid by construction: the window meets the overlap that validation asks for,
+        # the tails agree with the values on it (one difference of f), every sign is certified.
+        functions.append(LengthFunction._unchecked(d, lo, values, pos, neg))
+    return functions
 
 
 def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
@@ -80,21 +93,8 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     """
     if regime not in ("positive", "negative"):
         raise ValueError("regime must be 'positive' or 'negative'")
-    d = lf.d
-    if regime == "positive":
-        reduced, violations = _step(lf, lf.core_start - (d + 1), lf.core_end + (d + 1))
-    else:
-        # The positive step of the reflection at m = -n - d - 1, on the mirrored window.
-        step, bad = _step(lf.reflect(), -lf.core_end - 2 * (d + 1), -lf.core_start)
-        reduced, violations = step.reflect().shift(d + 1), [-m - d - 1 for m in bad]
-    if violations:
-        word = "injective" if regime == "positive" else "surjective"
-        raise KoszulError(
-            f"not eventually {word} in model: reduction goes negative at "
-            f"n in {sorted(violations)[:8]}",
-            violations=tuple(sorted(violations)),
-        )
-    return reduced
+    reduced = _reductions(lf, 1, regime)[1]
+    return reduced if regime == "positive" else reduced.reflect().shift(lf.d + 1)
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,14 @@ class KoszulChain:
 
 
 def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> KoszulChain:
-    """Apply ``reduce`` s times, recording multiplicities along the way.
+    """Apply ``reduce`` s times, recording multiplicities along the way.  A
+    negative chain is the positive chain of the reflection, mapped back once.
 
     Requires s at or above the relevant complexity, so the final function has
     complexity 0 and its recorded multiplicity is the plain Euler
     characteristic.  Positive chains must be constant; negative chains must
     alternate in sign; either failure is a model inconsistency.
     """
-    mult = multiplicity_pos if regime == "positive" else multiplicity_neg
     if s < lf.complexity(regime):
         raise MultiplicityError(
             f"s={s} is below the {regime} complexity {lf.complexity(regime)}"
@@ -149,14 +149,14 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
         raise MultiplicityError(
             f"a {regime} chain needs the opposite tail of the base to vanish"
         )
-    functions = [lf]
-    values = [mult(lf, s).e_delta]
-    for k in range(s):
-        functions.append(reduce(functions[-1], regime))
-        values.append(mult(functions[-1], s - k - 1).e_delta)
-    if functions[-1].complexity(regime) != 0:
-        raise ModelError("chain did not reach complexity 0")
-    chain = KoszulChain(regime, s, tuple(functions), tuple(values))
+    frames = _reductions(lf, s, regime)
+    values = [multiplicity_pos(f, s - k).e_delta for k, f in enumerate(frames)]
+    if regime == "negative":
+        # Function k is frame k reflected and shifted by k(d + 1), odd for odd
+        # k as d is even, which negates its multiplicity.
+        values = [(-1) ** k * v for k, v in enumerate(values)]
+        frames = [lf] + [f.reflect().shift(k * (lf.d + 1)) for k, f in enumerate(frames[1:], 1)]
+    chain = KoszulChain(regime, s, tuple(frames), tuple(values))
     if len(set(chain.invariant_values)) > 1:
         raise ModelError(f"chain multiplicities broke the reduction identity: {values}")
     return chain

@@ -26,7 +26,10 @@ forward differences by Horner composition, negated and shifted by one degree
 in the negative regime, and the sign certificate of those tails written out
 inline, with its own ceiling and floor ray starts from the window edges,
 against which the tail's one certificate method is compared.  Both reflect a
-downward ray to the upward ray of g(-t), through Horner composition.
+downward ray to the upward ray of g(-t), through Horner composition.  The
+Koszul chain is that step taken s times in its own regime, each function's
+multiplicity read on its own side, against which the library's one positive
+chain of the reflection, mapped back once, is compared.
 
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials, against which the run search by the
@@ -55,7 +58,7 @@ from math import factorial, isqrt, prod
 
 from qmult.differences import delta
 from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
-from qmult.koszul import KoszulError
+from qmult.koszul import KoszulChain, KoszulError
 from qmult.lengths import (
     FitError,
     LengthFunction,
@@ -65,7 +68,13 @@ from qmult.lengths import (
     _shown,
     core_window,
 )
-from qmult.multiplicity import MultiplicityError, WindowResult, herbrand, multiplicity_pos
+from qmult.multiplicity import (
+    MultiplicityError,
+    WindowResult,
+    herbrand,
+    multiplicity_neg,
+    multiplicity_pos,
+)
 
 from exact_oracles import divide_out_root, horner
 
@@ -414,6 +423,29 @@ def koszul_reduce(lf, regime="positive"):
             violations=tuple(sorted(violations)),
         )
     return LengthFunction._unchecked(d, lo, values, pos, neg)
+
+
+def koszul_chain(lf, s, regime="positive"):
+    """s steps of ``koszul_reduce`` in the regime, the multiplicity of each
+    function by ``multiplicity_pos`` or ``multiplicity_neg`` as the regime's
+    side, and the chain's checks: s at or above the complexity, a vanishing
+    opposite tail, complexity 0 at the end and a constant invariant."""
+    mult = multiplicity_pos if regime == "positive" else multiplicity_neg
+    if s < lf.complexity(regime):
+        raise MultiplicityError(f"s={s} is below the {regime} complexity {lf.complexity(regime)}")
+    if lf.tail("negative" if regime == "positive" else "positive") is not None:
+        raise MultiplicityError(f"a {regime} chain needs the opposite tail of the base to vanish")
+    functions = [lf]
+    values = [mult(lf, s).e_delta]
+    for k in range(s):
+        functions.append(koszul_reduce(functions[-1], regime))
+        values.append(mult(functions[-1], s - k - 1).e_delta)
+    if functions[-1].complexity(regime) != 0:
+        raise ModelError("chain did not reach complexity 0")
+    signs = [1 if regime == "positive" else (-1) ** k for k in range(s + 1)]
+    if len({sign * v for sign, v in zip(signs, values)}) > 1:
+        raise ModelError(f"chain multiplicities broke the reduction identity: {values}")
+    return KoszulChain(regime, s, tuple(functions), tuple(values))
 
 
 def vanishing_window_check(lf, m0, parity):

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from qmult.exact import Polynomial
 from qmult.koszul import KoszulError, koszul_triangle, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
@@ -17,7 +18,14 @@ from qmult.multiplicity import (
 )
 from qmult.series import parse_series
 
-from worked_examples import jst_fixture, neg_growth_fixture, poly, xy_fixture, zero_fixture
+from worked_examples import (
+    jst_fixture,
+    neg_growth_fixture,
+    poly,
+    reducible_functions,
+    xy_fixture,
+    zero_fixture,
+)
 
 
 class TestReduce:
@@ -70,38 +78,6 @@ class TestReduce:
         lf = jst_fixture(2)
         with pytest.raises(KoszulError):
             reduce(lf, "negative")
-
-
-def reducible_functions(rng, count):
-    """Seeded functions on which Koszul steps succeed.
-
-    Expansions of t^a (1+t)^b / prod (1 - t^k) with k | d grow along every
-    residue class, so positive steps succeed until the denominator runs out;
-    their reflections do the same in the negative regime.  Adding a function
-    that is constant on each residue class over all of Z makes them
-    two-sided, with a constant tail that one step reduces to zero.
-    """
-    for case in range(count):
-        d = rng.choice([2, 4, 6])
-        ks = [rng.choice([k for k in (1, 2, 3, 4, 6) if d % k == 0]) for _ in range(rng.randint(1, 3))]
-        a, b = rng.randint(0, 5), rng.randint(0, 3)
-        den = "*".join(f"(1-t^{k})" for k in ks)
-        lf = from_series(parse_series(f"t^{a}*(1+t)^{b}/({den})"), d, 12 * d + a + b)
-        kind = ("one-sided", "reflected", "two-sided")[case % 3]
-        if kind == "reflected":
-            lf = lf.reflect().shift(rng.randint(-6, 6))
-        elif kind == "two-sided":
-            consts = tuple(poly(rng.randint(0, 3)) for _ in range(d))
-            flat = LengthFunction.from_values(
-                d,
-                lambda n: int(consts[n % d](0)),
-                0,
-                0,
-                QuasiPolynomial(d, consts, -d),
-                QuasiPolynomial(d, consts, d),
-            )
-            lf = flat + (lf if case % 2 else lf.reflect().shift(rng.randint(-6, 6)))
-        yield kind, lf
 
 
 def test_reduce_matches_validated_construction():
@@ -187,6 +163,26 @@ class TestReduceChain:
         lf = LengthFunction(2, -10, values, tail(), tail())
         with pytest.raises(MultiplicityError):
             reduce_chain(lf, 1, "positive")
+
+
+def test_negative_chain_maps_back_once(monkeypatch):
+    # A negative chain is the positive chain of the reflection: beyond that
+    # chain's own compositions it reflects its base once and maps each of its
+    # s functions back once, by one reflection and one shift, d compositions
+    # each.  Reflecting back and again at every step costs about twice that.
+    d, s = 12, 4
+    lf = from_series(parse_series("1/(1-t)^4"), d, 0).reflect()
+    mirror = lf.reflect()
+    compose, calls = Polynomial.compose_linear, Counter()
+
+    def counted(self, a, b):
+        calls[regime] += 1
+        return compose(self, a, b)
+
+    monkeypatch.setattr(Polynomial, "compose_linear", counted)
+    for base, regime in ((lf, "negative"), (mirror, "positive")):
+        reduce_chain(base, s, regime)
+    assert calls["negative"] - calls["positive"] <= d * (2 * s + 3)
 
 
 class TestKoszulTriangle:

@@ -8,6 +8,14 @@ in both regimes, both must accept with the same function or reject with the
 same message and the same violations.  Functions with dipping tails reduce to
 polynomials that go negative across the window edge and on past it, so a ray
 that starts one block early or late changes the violations.
+
+``reduce_chain`` takes every step in one frame, the reflection in the
+negative regime, and maps each function back once; ``kernel_oracles.koszul_chain``
+reduces step by step in the regime and reads each multiplicity on its own
+side.  On seeded reducible and random functions and their reflections, at s
+equal to the complexity and one above, both must give the same chain or the
+same error, including refusals past the first step, where the violations are
+mapped back from a later step.
 """
 
 import random
@@ -19,9 +27,12 @@ from hypothesis import strategies as st
 import kernel_oracles as oracle
 from qmult.exact import Polynomial
 from qmult.fixtures import random_length_function
-from qmult.koszul import KoszulError, reduce
+from qmult.exact import QmultError
+from qmult.koszul import KoszulError, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, core_window, from_series
 from qmult.series import parse_series
+
+from worked_examples import reducible_functions
 
 KINDS = ("one-sided", "two-sided", "flat")
 REGIMES = ("positive", "negative")
@@ -120,3 +131,49 @@ def test_reduce_matches_the_inline_certificate_on_any_seed(seed):
     rng = random.Random(seed)
     _, lf = base_function(rng)
     compare(lf, Counter())
+
+
+def chain_outcome(chain, lf, s, regime):
+    try:
+        out = chain(lf, s, regime)
+    except QmultError as err:
+        return "rejected", type(err).__name__, str(err), getattr(err, "violations", None)
+    return "accepted", out.to_json_dict(), out.multiplicities
+
+
+def chain_bases(rng, count):
+    """Seeded reducible functions and random ones, each with its reflection."""
+    for _, lf in reducible_functions(rng, count):
+        yield lf
+        yield lf.reflect()
+    for _ in range(count):
+        lf = random_length_function(rng, rng.choice([2, 4, 6]))
+        yield lf
+        yield lf.reflect().shift(rng.randint(-6, 6))
+
+
+def compare_chains(lf, seen):
+    for regime in REGIMES:
+        cx = lf.complexity(regime)
+        for s in (cx, cx + 1):
+            got = chain_outcome(reduce_chain, lf, s, regime)
+            assert got == chain_outcome(oracle.koszul_chain, lf, s, regime), (regime, s)
+            seen[regime, got[0]] += 1
+            if got[:2] == ("rejected", "KoszulError") and outcome(reduce, lf, regime)[0] == "accepted":
+                seen[regime, "past the first step"] += 1
+
+
+def test_chain_matches_the_stepwise_oracle():
+    rng = random.Random(37)
+    seen = Counter()
+    for lf in chain_bases(rng, 100):
+        compare_chains(lf, seen)
+    for regime in REGIMES:
+        for what in ("accepted", "rejected", "past the first step"):
+            assert seen[regime, what], (regime, what)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_chain_matches_the_stepwise_oracle_on_any_seed(seed):
+    for lf in chain_bases(random.Random(seed), 1):
+        compare_chains(lf, Counter())

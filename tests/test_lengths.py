@@ -42,6 +42,14 @@ class TestQuasiPolynomial:
         with pytest.raises(ModelError):
             QuasiPolynomial(4, (poly(1),) * 3, 0)
 
+    def test_shift_keeps_the_polynomials_it_does_not_move_across_a_block(self):
+        # By one degree, residue i takes residue i + 1's polynomial in the same
+        # block: g(t + 0) is g itself, not a composed copy.
+        qp = from_series(parse_series("1/(1-t)^16"), 240, 0).pos_tail
+        new = qp.shift(1)
+        assert all(new.polys[i] is qp.polys[i + 1] for i in range(239))
+        assert new.polys[239] == qp.polys[0].shift(1)
+
 
 quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
     lambda d: st.builds(
