@@ -7,16 +7,18 @@ with no trailing zeros, and stores its coefficients in one form only: integer
 denominators, 1 for the zero polynomial, which has no numerators and degree
 -1).  The Fraction tuple ``coeffs`` is computed when it is read.  Sums,
 differences, negation, products and powers, evaluation and the Taylor shift
-behind ``compose_linear`` all run on those integers and divide once at the
-end, so the hot loops do no Fraction arithmetic.  The series recurrence is an
+behind ``compose_linear`` and ``forward_difference`` all run on those integers
+and divide once at the end, so the hot loops do no Fraction arithmetic.  The series recurrence is an
 integer core, ``series_integers``, which gives each coefficient as a pair
 (U_n, scale_n) with c_n = U_n / scale_n; a reader that needs lengths divides
 once per coefficient and builds no Fraction, and ``series_coefficients`` is
 the Fraction view of the same loop.  At an integer m, ``numerator_at`` gives
 the integer denominator * p(m) with no division at all; the difference tables
 of the sign certificate (``nonnegative_on_ray``) and of the Faulhaber sum are
-built from it; the certificate finds the first negative point of a ray by
-bisection, in steps logarithmic in its distance.  A rational function stores
+built from it.  The certificate reads only the table (``_first_negative``),
+so a caller that has a table already, or a suffix of one, passes it in; it
+finds the first negative point of a ray by galloping and bisection, in steps
+logarithmic in its distance from the start.  A rational function stores
 a numerator and a denominator polynomial; the denominator must have a nonzero
 constant term, so every rational function here expands as a power series at
 t = 0.
@@ -30,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -263,8 +265,23 @@ class Polynomial:
         return Polynomial._from_integers(nums, self.denominator * (q * a_den) ** deg)
 
     def forward_difference(self) -> Polynomial:
-        """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant."""
-        return self.shift(1) - self
+        """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant.
+
+        One integer Taylor shift by 1 of the numerators, by repeated synthetic
+        division as in :meth:`compose_linear`, less the numerators: the shift
+        keeps the denominator, so the difference is over it too.
+
+        >>> Polynomial((0, 0, 1)).forward_difference()
+        Polynomial('2*t + 1')
+        """
+        nums = list(self.numerators)
+        deg = len(nums) - 1
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                nums[k] += nums[k + 1]
+        return Polynomial._from_integers(
+            [a - b for a, b in zip(nums, self.numerators)], self.denominator
+        )
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -442,19 +459,6 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     return [Fraction(u, scale) for u, scale in series_integers(f, n_max)]
 
 
-def cauchy_horizon(p: Polynomial) -> int:
-    """An integer beyond every real root of a nonconstant p, in absolute value.
-
-    Cauchy's bound puts all real roots in |m| <= 1 + max |c_k / lead|; the
-    horizon is its integer part plus one.  The ratios are those of the integer
-    numerators, so the horizon is max |n_k| // |n_lead| + 2.
-    """
-    if p.degree < 1:
-        raise ValueError("the Cauchy bound needs a nonconstant polynomial")
-    *rest, lead = p.numerators
-    return max(abs(c) for c in rest) // abs(lead) + 2
-
-
 def difference_table(values: list) -> list:
     """Newton's forward differences at the first point, computed in place.
 
@@ -472,48 +476,77 @@ def difference_table(values: list) -> list:
     return values
 
 
+def _newton_table(p: Polynomial, start: int) -> list[int]:
+    """The forward-difference table of denominator * p at ``start``, from
+    deg + 1 integer evaluations: entry k is denominator * Delta^k p(start),
+    which has the sign of Delta^k p(start)."""
+    return difference_table([p.numerator_at(start + i) for i in range(p.degree + 1)])
+
+
 def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:
     """Check p(m) >= 0 for every integer m >= start, exactly.
 
     Returns None when the polynomial is nonnegative on the whole ray, else the
     first integer m >= start at which p(m) < 0.  The ray goes one way; a ray
-    m <= start is the ray m >= -start of p(-m).
-
-    The certificate is the forward-difference table of p at start, built from
-    deg + 1 integer evaluations of denominator * p, which has p's signs.  By
-    Newton's forward formula p(start + j) = sum_k Delta^k p(start) * C(j, k),
-    and C(j, k) >= 0 at every integer j >= 0, so a table with every entry
-    >= 0 certifies the whole ray.  Otherwise a first violation lies at or
-    below the Cauchy horizon, past which p keeps the sign of its leading term,
-    and :func:`_sign_changes` finds it.
+    m <= start is the ray m >= -start of p(-m).  The certificate is
+    :func:`_first_negative` on p's integer table at start (:func:`_newton_table`).
     """
-    table = difference_table([p.numerator_at(start + i) for i in range(p.degree + 1)])
+    return _first_negative(_newton_table(p, start), start)
+
+
+def _first_negative(table: list[int], start: int) -> int | None:
+    """The sign certificate on an integer Newton table at ``start``: None when
+    q(m) = sum_k table[k] * C(m - start, k) is >= 0 at every integer m >= start,
+    else the first m >= start at which it is negative.
+
+    By Newton's forward formula and C(j, k) >= 0 at every integer j >= 0, a
+    table with every entry >= 0 certifies the whole ray, with no evaluation.
+    Otherwise :func:`_sign_changes` finds the first point where q goes
+    negative.  A suffix ``table[k:]`` of p's table is the table of Delta^k p at
+    the same start, so one table certifies every difference of p whose suffix
+    is nonnegative.
+    """
     if all(entry >= 0 for entry in table):
         return None
     if table[0] < 0:
         return start
-    return next((start + j for j in _sign_changes(table, 0, cauchy_horizon(p) + 1 - start)), None)
+    return next((start + j for j in _sign_changes(table)), None)
 
 
-def _sign_changes(table: list[int], lo: int, hi: int) -> Iterator[int]:
-    """Each j with lo < j <= hi at which q(j) < 0 and q(j - 1) < 0 differ, in
-    order, for q(j) = sum_k table[k] * C(j, k) and 0 <= lo: q is monotone from
-    one sign change of its difference (table[1:]) to the next, so it changes
-    sign at most once between them, and bisection finds where.  The changes
-    come one at a time, each found only when it is read."""
-    if len(table) == 1 or hi <= lo:
+def _sign_changes(table: list[int]) -> Iterator[int]:
+    """Each j > 0 at which q(j) < 0 and q(j - 1) < 0 differ, in order, for
+    q(j) = sum_k table[k] * C(j, k).
+
+    q is monotone from one sign change of its difference (table[1:]) to the
+    next, and from the last one on, so it changes sign at most once on each
+    stretch: it does on a bounded stretch when its sign at the end differs
+    from its sign at the start, and on the last when its sign at the start
+    differs from that of its last nonzero entry, which q takes for large j.
+    A gallop from the stretch start (1, 2, 4, ... steps) and a bisection find
+    where, in evaluations logarithmic in the distance from the start.  The
+    changes come one at a time, each found only when it is read."""
+    if len(table) <= 1:
         return
 
     def negative(j: int) -> bool:
-        return sum(c * comb(j, k) for k, c in enumerate(table)) < 0
+        acc, binomial = 0, 1  # C(j, k), updated exactly from C(j, k - 1)
+        for k, c in enumerate(table):
+            acc += c * binomial
+            binomial = binomial * (j - k) // (k + 1)
+        return acc < 0
 
-    sign, a = negative(lo), lo
-    for end in chain(_sign_changes(table[1:], lo, hi - 1), (hi,)):
-        if negative(end) != sign:
-            b = end
-            while b - a > 1:
-                mid = (a + b) // 2
-                a, b = (a, mid) if negative(mid) != sign else (mid, b)
+    far = next((c < 0 for c in reversed(table) if c), False)
+    sign, a = table[0] < 0, 0
+    for end in chain(_sign_changes(table[1:]), (None,)):
+        if (far if end is None else negative(end)) != sign:
+            low, b = a, a + 1
+            while (end is None or b < end) and negative(b) == sign:
+                low, b = b, 2 * b - a
+            if end is not None:
+                b = min(b, end)
+            while b - low > 1:
+                mid = (low + b) // 2
+                low, b = (low, mid) if negative(mid) != sign else (mid, b)
             yield b
             sign = not sign
         a = end

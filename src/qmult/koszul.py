@@ -15,6 +15,14 @@ A negative chain is the positive chain of mu(n) = lambda(-n) mapped back once:
 function k reflected and shifted by k(d + 1), and a violation m of step k to
 degree -m - k(d + 1).
 
+A chain certifies its positive tails in its frame from one Newton table per
+residue at the frame's anchor: step k's polynomial Delta^k g has the suffix
+from entry k of g's table there, so it needs a certificate of its own only
+while that suffix has a negative entry.  Its multiplicities come from one
+list of the frame's D^{s-1} h, which, as d is even, is D^{s-k-1} of step k's
+Herbrand difference: each step's value is read from its own tail and
+confirmed on its own 3d window of that list.
+
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
 fully reduced function.  Along a negative chain each step negates the value
@@ -27,12 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-# nonnegative_on_ray is unused since QuasiPolynomial.negative_degrees certifies
-# the reduced tails; the name stays because perfbench/test_perfbench.py looks it
-# up on this module, until a change to the benchmark drops that lookup.
-from .exact import QmultError, nonnegative_on_ray  # noqa: F401
+from .exact import QmultError, _newton_table, nonnegative_on_ray
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
-from .multiplicity import MultiplicityError, multiplicity_pos
+from .multiplicity import MultiplicityError, _chain_values
 
 
 class KoszulError(QmultError):
@@ -57,9 +62,20 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
     """The frame and its ``count`` steps lambda(n + d) - lambda(n), each on
     [core_start - (d+1), core_end + (d+1)] widened to meet its tails.  In the
     negative regime the frame is lf.reflect() and the window is mirrored to
-    [core_start - 2(d+1), core_end].  The first violated step raises."""
+    [core_start - 2(d+1), core_end].  The first violated step raises, with
+    every violation in its window and the first negative degree past it of
+    each residue of its tails."""
     d, positive = lf.d, regime == "positive"
     frame, below, above = (lf, d + 1, d + 1) if positive else (lf.reflect(), 2 * (d + 1), 0)
+    # Step k's positive tail polynomial of residue i is Delta^k g_i, anchored where
+    # g_i is, and its Newton table at the anchor's block is the suffix table[k:] of
+    # g_i's.  Each step's ray starts at or above that block, so residue i needs a
+    # certificate of its own only at the steps k up to its table's last negative entry.
+    tail = frame.pos_tail
+    tables = [] if tail is None else [
+        _newton_table(g, -((i - tail.valid_from) // d)) for i, g in enumerate(tail.polys)
+    ]
+    certify = [max((j + 1 for j, e in enumerate(table) if e < 0), default=0) for table in tables]
     functions = [frame]
     for k in range(1, count + 1):
         f = functions[-1]
@@ -69,8 +85,10 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
         values = tuple(map(sub, lam[d:], lam))
         violations = [lo + i for i, v in enumerate(values) if v < 0]
         # Beyond the window the reduced tails govern; certify their sign exactly.
-        if pos is not None:
-            violations += pos.negative_degrees(hi + 1)
+        for i, g in enumerate(() if pos is None else pos.polys):
+            block = nonnegative_on_ray(g, -((i - hi - 1) // d)) if k < certify[i] else None
+            if block is not None:
+                violations.append(d * block + i)
         if neg is not None:
             violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
         if violations:
@@ -131,8 +149,10 @@ class KoszulChain:
 
 
 def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> KoszulChain:
-    """Apply ``reduce`` s times, recording multiplicities along the way.  A
+    """Reduce s times in one frame, recording multiplicities along the way.  A
     negative chain is the positive chain of the reflection, mapped back once.
+    Each function's multiplicity is what ``multiplicity_pos`` gives in the
+    frame, read off one Herbrand list of the frame (``_chain_values``).
 
     Requires s at or above the relevant complexity, so the final function has
     complexity 0 and its recorded multiplicity is the plain Euler
@@ -150,7 +170,7 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
             f"a {regime} chain needs the opposite tail of the base to vanish"
         )
     frames = _reductions(lf, s, regime)
-    values = [multiplicity_pos(f, s - k).e_delta for k, f in enumerate(frames)]
+    values = _chain_values(frames, s)
     if regime == "negative":
         # Function k is frame k reflected and shifted by k(d + 1), odd for odd
         # k as d is even, which negates its multiplicity.

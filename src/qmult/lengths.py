@@ -23,13 +23,15 @@ g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
 its denominator, with a Fraction built only for the error that a value which
 is not a nonnegative integer raises.  ``LengthFunction.values(lo, hi)`` gives
 the values on a whole range at once, a slice of the core and the tails
-evaluated this way; the Koszul step, the stabilization scan and the limit
-estimate read their ranges through it.
+evaluated this way; the Koszul step, the Herbrand list that both the
+stabilization scan and a Koszul chain's multiplicities read, the limit
+estimate and the sum ``+`` read their ranges through it.
 
 A Hilbert series' tail is certified from its denominator (:func:`from_series`)
 by agreeing with one integer expansion on deg D + dk degrees; ``valid_from``,
 max(0, deg N - deg D + 1), is the honest boundary that the division of N by D
-proves.  :func:`fit_quasipoly` fits sampled data by Newton forward differences
+proves, and its sign is certified on the Newton tables that its polynomials
+are read off.  :func:`fit_quasipoly` fits sampled data by Newton forward differences
 per residue class from the high end of the window, and its ``valid_from`` is
 the honest boundary found by one scan back down (``_anchored``).  Neither is an
 assumed one.
@@ -54,6 +56,7 @@ from .exact import (
     Polynomial,
     QmultError,
     RationalFunction,
+    _first_negative,
     difference_table,
     nonnegative_on_ray,
     parse_rational,
@@ -206,10 +209,13 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
     _check_sign(qp, side)
 
 
-def _check_sign(qp: QuasiPolynomial, side: str) -> None:
-    """The ``"pos"`` or ``"neg"`` tail's sign out along its ray, certified exactly."""
-    sign, up = (1, qp) if side == "pos" else (-1, qp.reflect())
-    witnesses = (sign * n for n in up.negative_degrees(up.valid_from))
+def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int] | None = None) -> None:
+    """The ``"pos"`` or ``"neg"`` tail's sign out along its ray, certified
+    exactly: ``witnesses`` are the first negative degrees of its residues, at
+    most one each, found by the caller or else here."""
+    if witnesses is None:
+        sign, up = (1, qp) if side == "pos" else (-1, qp.reflect())
+        witnesses = (sign * n for n in up.negative_degrees(up.valid_from))
     bad = min(witnesses, key=lambda n: n % qp.d, default=None)  # lowest residue, not the first met
     if bad is not None:
         raise ModelError(
@@ -687,7 +693,9 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     Each ``__post_init__`` check is proved on the way: the period up front,
     a nonempty core of ints and their signs by the length scan, the overlap
     by ``core_window`` (widened before an all-zero tail becomes None), the
-    agreement by the agreement window and the tail's sign by ``_check_sign``.
+    agreement by the agreement window and the tail's sign by the sign
+    certificate on the residues' Newton tables at block m, with the refusal of
+    ``_check_sign``.
     """
     _check_period(d)
     if probe < 0:
@@ -705,11 +713,8 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
             raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
         values.append(c)
     m = -(-start // d)  # the first block of degrees all >= start
-    polys = tuple(
-        newton_polynomial(difference_table([values[d * (m + j) + i] for j in range(k)]), m)
-        for i in range(d)
-    )
-    qp = QuasiPolynomial(d, polys, start)
+    tables = [difference_table([values[d * (m + j) + i] for j in range(k)]) for i in range(d)]
+    qp = QuasiPolynomial(d, tuple(newton_polynomial(table, m) for table in tables), start)
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):
@@ -722,7 +727,10 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
             f"not eventually a period-{d} quasi-polynomial: "
             "its poles are not all d-th roots of unity"
         )
-    _check_sign(qp, "pos")
+    # A residue's ray starts at block m or m - 1, and at m - 1 the length scan and
+    # the agreement window have shown a length: its first negative block is >= m.
+    blocks = (_first_negative(table, m) for table in tables)
+    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
     core = values[: core_window(d, 0, probe, qp, None)[1] + 1]  # from 0 <= valid_from
     return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
 

@@ -26,7 +26,9 @@ denominator with one exact division.  It is certified on h, built once as a
 list (one window sum, then h(n+1) = h(n) + (-1)^n (lambda(n+d) - lambda(n)))
 and differenced as a whole list, s-1 passes of h(n+d) - h(n): D^{s-1} h must
 equal the value on 3d consecutive tail degrees, and a scan below them reports
-where the stabilization begins.  No Fraction is built on the way.
+where the stabilization begins.  No Fraction is built on the way.  Along a
+Koszul chain, step k's Herbrand difference is D^k h of the first function's
+(d is even), so one list of D^{s-1} h confirms the value of every step.
 
 The negative side (tails toward -infinity, operator D-) is computed as the
 positive side of the reflection n -> lambda(-n), mapped back.  The delta
@@ -190,16 +192,18 @@ def multiplicity_neg(lf: LengthFunction, s: int) -> MultiplicityReport:
 def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int, int]:
     """The positive-side e_delta, e_coeff and stabilization index for s >= cx >= 1;
     the stabilization scan runs down from the certified region to ``floor`` at
-    the lowest.
+    the lowest."""
+    d, v = lf.d, lf.pos_tail.valid_from
+    e_delta = _leading_value(lf.pos_tail, s)
+    lo = min(floor, v)
+    h = _herbrand_differences(lf, s, lo, v + 3 * d - 1)
+    return e_delta, d ** (s - 1) * e_delta, _stable_from(h, lo, e_delta, v, d, floor)
 
-    Everything is on integers.  The alternating sum of the degree s-1
-    numerators, each scaled to the lcm of the tail denominators, gives e_delta
-    by one exact division.  The certificate differences h as one ascending
-    list: s-1 passes of ``h = [b - a for a, b in zip(h, h[d:])]`` leave
-    D^{s-1} h at every degree the scan reads."""
-    qp = lf.pos_tail
-    assert qp is not None
-    d, v = lf.d, qp.valid_from
+
+def _leading_value(qp: QuasiPolynomial, s: int) -> int:
+    """The delta value (s-1)! * sum_i (-1)^i a_i of a tail of complexity <= s,
+    on integers: the alternating sum of the degree s-1 numerators, each scaled
+    to the lcm of the tail denominators, and one exact division."""
     den = lcm(*(p.denominator for p in qp.polys))
     alternating = sum(
         _sign(i) * p.numerators[s - 1] * (den // p.denominator)
@@ -210,15 +214,19 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
     e_delta, rest = divmod(scaled, den)
     if rest:
         raise ModelError(f"stabilized difference is {Fraction(scaled, den)}, not an integer")
+    return e_delta
 
-    # h as one list, h[k] = h(lo + k), from the lowest degree the scan reads
-    # up to top, the highest that D^{s-1} h(n) = sum of h(n), h(n+d), ...,
-    # h(n+(s-1)d) reads in the confirmation: one window sum at lo, then the
-    # running sum of the steps (-1)^m (lambda(m+d) - lambda(m)) (d is even).
-    # Each pass of D shortens the list by d, so after s-1 passes h[k] is
-    # D^{s-1} h(lo + k) for every lo + k <= v + 3d - 1.
-    top = v + (s + 2) * d - 1
-    lo = min(floor, v)
+
+def _herbrand_differences(lf: LengthFunction, s: int, lo: int, hi: int) -> list[int]:
+    """D^{s-1} h(n) for n = lo..hi as one list, for s >= 1.
+
+    h is built as one list, h[k] = h(lo + k), up to top = hi + (s-1)d, the
+    highest degree that D^{s-1} h(n) = sum of h(n), h(n+d), ..., h(n+(s-1)d)
+    reads: one window sum at lo, then the running sum of the steps
+    (-1)^m (lambda(m+d) - lambda(m)) (d is even).  Each of the s-1 passes of
+    ``h = [b - a for a, b in zip(h, h[d:])]`` shortens it by d."""
+    d = lf.d
+    top = hi + (s - 1) * d
     lam = lf.values(lo, top + d)
     steps = [b - a for a, b in zip(lam, lam[d:-1])]
     odd = slice(1 - lo % 2, None, 2)  # the steps at odd m
@@ -226,16 +234,47 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
     h = list(accumulate(steps, initial=_sign(lo) * (sum(lam[:d:2]) - sum(lam[1:d:2]))))
     for _ in range(s - 1):
         h = [b - a for a, b in zip(h, h[d:])]
+    return h
 
-    # One scan down from the top of the 3d consecutive certified degrees: it
-    # must pass below v (the numeric confirmation), and where it stops is the
-    # honest boundary of the verified stable range.
+
+def _stable_from(h: list[int], lo: int, e_delta: int, v: int, d: int, floor: int) -> int:
+    """The stabilization index of D^{s-1} h, given as h[n - lo], at e_delta: one
+    scan down from the top of the 3d consecutive certified degrees from v.  It
+    must pass below v (the numeric confirmation), and where it stops, at
+    ``floor`` at the lowest, is the honest boundary of the verified stable range."""
     n = v + 3 * d - 1
     while n >= floor and h[n - lo] == e_delta:
         n -= 1
     if n >= v:
         raise ModelError(f"numeric stabilization check failed at n={n}: {h[n - lo]} != {e_delta}")
-    return e_delta, d ** (s - 1) * e_delta, n + 1
+    return n + 1
+
+
+def _chain_values(chain: Sequence[LengthFunction], s: int) -> list[int]:
+    """The delta values of index s - k of the functions chain[k] = lambda_k of a
+    positive Koszul chain, lambda_k(n) = lambda_{k-1}(n + d) - lambda_{k-1}(n)
+    everywhere, with no tail toward -infinity: each what
+    ``multiplicity_pos(chain[k], s - k).e_delta`` gives, or raises, in order.
+
+    As d is even, lambda_k's Herbrand difference is D^k h of chain[0]'s, so
+    D^{s-k-1} of it is D^{s-1} h of chain[0]: one list serves every step.
+    Each value is read from that step's own tail and confirmed on that
+    step's own 3d window of the list."""
+    d = chain[0].d
+    anchors = [f.pos_tail.valid_from for f in chain if f.pos_tail is not None]
+    if anchors:
+        lo = min(anchors)
+        h = _herbrand_differences(chain[0], s, lo, max(anchors) + 3 * d - 1)
+    values = []
+    for k, f in enumerate(chain):
+        if f.pos_tail is None:  # complexity 0, no negative tail: e^0 is the Euler characteristic
+            values.append(euler_characteristic(f) if k == s else 0)
+            continue
+        e_delta = _leading_value(f.pos_tail, s - k)
+        v = f.pos_tail.valid_from
+        _stable_from(h, lo, e_delta, v, d, v)
+        values.append(e_delta)
+    return values
 
 
 def limit_estimate(

@@ -32,8 +32,11 @@ multiplicity read on its own side, against which the library's one positive
 chain of the reflection, mapped back once, is compared.
 
 The vanishing-window check keeps its scan of every degree up to the Cauchy
-horizon of the tail polynomials, against which the run search by the
-tail-sign certificate is compared.
+horizon of the tail polynomials (``cauchy_horizon``, which the sign
+certificate no longer needs), against which the run search by the tail-sign
+certificate is compared; ``scan_oracle`` scans one polynomial's ray the same
+way, against which the sign certificate and its Newton-table suffixes are
+compared.
 
 The certified series model is kept as it was first written: one Fraction
 per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
@@ -57,7 +60,7 @@ from itertools import combinations
 from math import factorial, isqrt, prod
 
 from qmult.differences import delta
-from qmult.exact import Polynomial, cauchy_horizon, nonnegative_on_ray
+from qmult.exact import Polynomial, nonnegative_on_ray
 from qmult.koszul import KoszulChain, KoszulError
 from qmult.lengths import (
     FitError,
@@ -77,6 +80,36 @@ from qmult.multiplicity import (
 )
 
 from exact_oracles import divide_out_root, horner
+
+
+def cauchy_horizon(p):
+    """An integer beyond every real root of a nonconstant p, in absolute value.
+
+    Cauchy's bound puts all real roots in |m| <= 1 + max |c_k / lead|; the
+    horizon is its integer part plus one.  The ratios are those of the integer
+    numerators, so the horizon is max |n_k| // |n_lead| + 2.
+    """
+    if p.degree < 1:
+        raise ValueError("the Cauchy bound needs a nonconstant polynomial")
+    *rest, lead = p.numerators
+    return max(abs(c) for c in rest) // abs(lead) + 2
+
+
+def scan_oracle(p, start, direction):
+    """Brute force: evaluate p at every integer from start out to one past the
+    Cauchy bound, beyond which p keeps the sign it has there."""
+    if p.is_zero():
+        return None
+    deg, lead = p.degree, p.coeffs[-1]
+    if deg == 0:
+        return None if lead > 0 else start
+    horizon = int(1 + max(abs(c / lead) for c in p.coeffs[:-1])) + 1
+    m = start
+    while direction * m <= max(direction * start, horizon + 1):
+        if p(m) < 0:
+            return m
+        m += direction
+    return None
 
 
 def const(c):

@@ -13,13 +13,13 @@ from qmult.exact import (
     NotExpandableError,
     Polynomial,
     RationalFunction,
-    cauchy_horizon,
     format_rational,
     nonnegative_on_ray,
     parse_rational,
     series_coefficients,
 )
 
+from kernel_oracles import cauchy_horizon, scan_oracle
 from worked_examples import poly
 
 T = Polynomial.t()
@@ -230,23 +230,6 @@ def one_way(p, start, direction):
         return nonnegative_on_ray(p, start)
     bad = nonnegative_on_ray(p.compose_linear(-1, 0), -start)
     return None if bad is None else -bad
-
-
-def scan_oracle(p, start, direction):
-    """Brute force: evaluate p at every integer from start out to one past the
-    Cauchy bound, beyond which p keeps the sign it has there."""
-    if p.is_zero():
-        return None
-    deg, lead = p.degree, p.coeffs[-1]
-    if deg == 0:
-        return None if lead > 0 else start
-    horizon = int(1 + max(abs(c / lead) for c in p.coeffs[:-1])) + 1
-    m = start
-    while direction * m <= max(direction * start, horizon + 1):
-        if p(m) < 0:
-            return m
-        m += direction
-    return None
 
 
 def from_roots(lead, roots, offset):

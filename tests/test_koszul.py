@@ -6,8 +6,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qmult.exact import Polynomial
+import kernel_oracles as oracle
+from qmult import exact, multiplicity
+from qmult.exact import Polynomial, _first_negative, _newton_table, nonnegative_on_ray
 from qmult.koszul import KoszulError, koszul_triangle, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import (
@@ -183,6 +187,43 @@ def test_negative_chain_maps_back_once(monkeypatch):
     for base, regime in ((lf, "negative"), (mirror, "positive")):
         reduce_chain(base, s, regime)
     assert calls["negative"] - calls["positive"] <= d * (2 * s + 3)
+
+
+@given(st.lists(st.integers(-20, 20), max_size=8), st.integers(-40, 40))
+def test_a_suffix_of_the_newton_table_certifies_that_difference(coeffs, m):
+    # Delta^k p's table at m is the suffix table[k:] of p's, so one table at
+    # the anchor certifies every step of a chain: the certificate on the
+    # suffix must give the first negative point of Delta^k p from m.
+    p = Polynomial(coeffs)
+    table, q = _newton_table(p, m), p
+    for k in range(p.degree + 1):
+        want = oracle.scan_oracle(q, m, 1)
+        assert _first_negative(table[k:], m) == nonnegative_on_ray(q, m) == want
+        q = oracle.forward_difference(q)
+
+
+@pytest.mark.parametrize("regime", ["positive", "negative"])
+def test_chain_builds_one_table_per_residue_and_one_herbrand_list(monkeypatch, regime):
+    # Every table of 1/(1-t)^4 at its anchor is nonnegative, so no step needs
+    # a certificate of its own; and D^{s-1} h of the frame serves every step.
+    d, s = 12, 4
+    lf = from_series(parse_series("1/(1-t)^4"), d, 0)
+    base = lf if regime == "positive" else lf.reflect()
+    tables, herbrand = exact.difference_table, multiplicity._herbrand_differences
+    calls = Counter()
+
+    def counted_tables(values):
+        calls["tables"] += 1
+        return tables(values)
+
+    def counted_herbrand(*args):
+        calls["herbrand"] += 1
+        return herbrand(*args)
+
+    monkeypatch.setattr(exact, "difference_table", counted_tables)
+    monkeypatch.setattr(multiplicity, "_herbrand_differences", counted_herbrand)
+    reduce_chain(base, s, regime)
+    assert calls == {"tables": d, "herbrand": 1}
 
 
 class TestKoszulTriangle:

@@ -1,9 +1,10 @@
 """The Koszul step's tail sign certificate against its inline oracle.
 
 ``koszul.reduce`` certifies the sign of its reduced tails past the scanned
-window through ``QuasiPolynomial.negative_degrees``, the certificate that tail
-validation runs too; ``kernel_oracles.koszul_reduce`` writes the ray starts
-and the certificate loop out inline.  On seeded one- and two-sided functions,
+window with the certificate that tail validation runs too, skipping a
+positive-tail residue whose Newton table at the frame's anchor has no
+negative entry from the step's index on; ``kernel_oracles.koszul_reduce``
+writes the ray starts and the certificate loop out inline, for every residue.  On seeded one- and two-sided functions,
 in both regimes, both must accept with the same function or reject with the
 same message and the same violations.  Functions with dipping tails reduce to
 polynomials that go negative across the window edge and on past it, so a ray
