@@ -66,8 +66,9 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
 
     With r = len(cs) - 1 and the c_k over their common denominator D, the
     integer polynomial r! * D * sum_k c_k C(u, k) is built by the nested form
-    c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2! + ...)); substituting
-    u = t - anchor is then a Taylor shift.
+    c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2! + ...)) at u = t - anchor,
+    directly in t: each factor u - k is t - (anchor + k), so no Taylor shift
+    follows.
 
     >>> newton_polynomial([0, 1, 2])
     Polynomial('t^2')
@@ -79,12 +80,13 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
     acc: list[int] = []
     weight = 1  # r!/k!
     for k in range(r, -1, -1):
-        acc.insert(0, 0)  # acc * (u - k)
+        acc.insert(0, 0)  # acc * (t - root)
+        root = anchor + k
         for i in range(len(acc) - 1):
-            acc[i] -= k * acc[i + 1]
+            acc[i] -= root * acc[i + 1]
         acc[0] += cs[k].numerator * (den // cs[k].denominator) * weight
         weight *= k
-    return Polynomial._from_integers(acc, den * factorial(r)).shift(-anchor)
+    return Polynomial._from_integers(acc, den * factorial(r))
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:

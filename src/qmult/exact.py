@@ -108,7 +108,7 @@ class Polynomial:
             nums.pop()
         if not nums:
             den = 1
-        else:
+        elif den != 1:
             g = gcd(den, *nums)
             if g != 1:
                 nums = [c // g for c in nums]
@@ -125,6 +125,8 @@ class Polynomial:
 
     @staticmethod
     def const(c: Scalar) -> Polynomial:
+        if type(c) is int:
+            return Polynomial._from_integers([c], 1)
         c = Fraction(c)
         return Polynomial._from_integers([c.numerator], c.denominator)
 
@@ -222,17 +224,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
+        """Square-and-multiply, the first factor taken as it is rather than
+        multiplied into 1."""
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative")
-        result = Polynomial.const(1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:  # the last square would go unused, and it is the largest product
                 base = base * base
-        return result
+        return Polynomial.const(1) if result is None else result
 
     def shift(self, c: Scalar) -> Polynomial:
         """Return g(t + c), expanded exactly.
@@ -506,7 +509,7 @@ def _first_negative(table: list[int], start: int) -> int | None:
     the same start, so one table certifies every difference of p whose suffix
     is nonnegative.
     """
-    if all(entry >= 0 for entry in table):
+    if not table or min(table) >= 0:
         return None
     if table[0] < 0:
         return start

@@ -206,6 +206,20 @@ CHECKS = {
 _PARSERS.update(check=_one_of(*CHECKS), provenance=_one_of(*PROVENANCE_TAGS))
 
 
+def _check_fields(spec: _Kind | None) -> tuple[dict, tuple[str, ...]]:
+    """A check kind's parsers and required fields.  With no known kind every
+    field parser applies, so the "check" field reports the kind."""
+    if spec is None:
+        return _PARSERS, ("check", "provenance")
+    required = ("check", "provenance", *spec.required)
+    return {key: _PARSERS[key] for key in (*required, *spec.defaults)}, required
+
+
+# Built once per kind, not once per check.
+_CHECK_FIELDS = {kind: _check_fields(spec) for kind, spec in CHECKS.items()}
+_UNKNOWN_CHECK = _check_fields(None)
+
+
 class FixtureError(QmultError):
     """A fixture file is malformed."""
 
@@ -287,13 +301,11 @@ def _parse_source(source: object, field: str, d: int) -> LengthFunction | tuple 
 
 
 def _parse_check(check: object, field: str) -> dict:
-    """A check's fields, typed; its kind picks the parsers.  With no known
-    kind every field parser applies, so the "check" field reports the kind."""
+    """A check's fields, typed; its kind picks the parsers (``_check_fields``)."""
     kind = check.get("check") if isinstance(check, dict) else None
-    spec = CHECKS.get(kind) if isinstance(kind, str) else None
-    required = ("check", "provenance", *(() if spec is None else spec.required))
-    keys = _PARSERS if spec is None else (*required, *spec.defaults)
-    return _json_object(check, field, {key: _PARSERS[key] for key in keys}, required)
+    known = isinstance(kind, str) and kind in _CHECK_FIELDS
+    parsers, required = _CHECK_FIELDS[kind] if known else _UNKNOWN_CHECK
+    return _json_object(check, field, parsers, required)
 
 
 def run_corpus(directory: Path | None = None) -> list[CheckResult]:

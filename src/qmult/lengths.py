@@ -12,11 +12,16 @@ Tails must overlap the core on at least max_degree + 2 points per residue
 class and agree there exactly.  That overlap also certifies integrality of the
 tail everywhere (a polynomial that is integral on deg + 1 consecutive integers
 is integral on all of Z); nonnegativity along the rest of the ray is certified
-by exact sign analysis.  Quasi-polynomial tails whose polynomials are all zero
-are normalized to ``None``.  Outside input (``LengthFunction(...)``,
-``from_values``, ``from_json_dict``) runs these checks; derived functions
-(:func:`from_series`, ``+``, ``shift``, ``reflect``, ``koszul.reduce``) are
-built with ``_unchecked``, their checks proved by construction.
+by exact sign analysis.  Validation certifies each tail from the core's
+tables: a residue's Newton table is read off the core values at the ray's
+first deg + 1 blocks, where the tail has just been shown to equal the core,
+so the certificate needs no polynomial arithmetic, and a negative tail is
+read going down, with no reflection.  Quasi-polynomial tails whose
+polynomials are all zero are normalized to ``None``.  Outside input
+(``LengthFunction(...)``, ``from_values``, ``from_json_dict``) runs these
+checks; derived functions (:func:`from_series`, ``+``, ``shift``,
+``reflect``, ``koszul.reduce``) are built with ``_unchecked``, their checks
+proved by construction.
 
 A tail value is a length, so it is computed as an integer: the numerator of
 g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
@@ -38,7 +43,11 @@ assumed one.
 
 JSON is read by one object reader (``_json_object``) and one array reader
 (``_array_of``) for length-function and fixture files alike; every error
-names the field path, such as ``pos_tail.polys[0][1]``.
+names the field path, such as ``pos_tail.polys[0][1]``.  Reading costs about
+what decoding does: the core values' and each polynomial's types are checked
+in one pass, a polynomial is built from integer numerators with no Fraction
+per coefficient, and an entry's path is formatted only in the refusal
+branch, which reads the array again to name the first entry it refuses.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .differences import newton_polynomial
@@ -56,6 +65,7 @@ from .exact import (
     Polynomial,
     QmultError,
     RationalFunction,
+    _RATIONAL,
     _first_negative,
     difference_table,
     nonnegative_on_ray,
@@ -182,41 +192,53 @@ def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
     """Validate the ``"pos"`` or ``"neg"`` tail of lf: its overlap with the core
     and its sign out along the ray.  The side only picks the anchor's JSON
-    name, the allowed anchors, the overlap window and the ray's direction."""
+    name, the allowed anchors, the overlap window and the ray's direction.
+
+    The overlap holds max_degree + 2 blocks of each residue, and the tail has
+    just been shown to equal the core there.  So each residue's sign
+    certificate reads its Newton table off the core values at the ray's first
+    deg + 1 blocks: going up from ``valid_from``, or going down from
+    ``valid_to``, which is the ray up of g(-t) from minus its first block."""
     if qp is None:
         return
-    if qp.d != lf.d:
-        raise ModelError(f"{side} tail period {qp.d} != function period {lf.d}")
-    need = lf.d * (qp.max_degree + 2)
+    d, start, values = lf.d, lf.core_start, lf.core_values
+    if qp.d != d:
+        raise ModelError(f"{side} tail period {qp.d} != function period {d}")
+    need = d * (qp.max_degree + 2)
     if side == "pos":
-        key, allowed = "valid_from", (lf.core_start, lf.core_end - need)
+        key, allowed, step = "valid_from", (start, lf.core_end - need), 1
         overlap = range(qp.valid_from, lf.core_end + 1)
     else:
-        key, allowed = "valid_to", (lf.core_start + need, lf.core_end)
-        overlap = range(lf.core_start, qp.valid_from + 1)
+        key, allowed, step = "valid_to", (start + need, lf.core_end), -1
+        overlap = range(start, qp.valid_from + 1)
     if not (allowed[0] <= qp.valid_from <= allowed[1]):
         raise ModelError(
             f"{side} tail must overlap the core on {qp.max_degree + 2} blocks per "
             f"residue: need {key} in [{allowed[0]}, {allowed[1]}], got {qp.valid_from}"
         )
     for n in overlap:
-        expected = lf.core_values[n - lf.core_start]
+        expected = values[n - start]
         if _differs(qp, n, expected):
             raise ModelError(
                 f"{side} tail disagrees with the core at n={n}: "
                 f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
             )
-    _check_sign(qp, side)
+    witnesses = []
+    for i, p in enumerate(qp.polys):
+        block = -((i - qp.valid_from) // d) if side == "pos" else (qp.valid_from - i) // d
+        first = d * block + i - start
+        table = list(values[first : first + step * d * (p.degree + 1) : step * d])
+        bad = _first_negative(difference_table(table), step * block)
+        if bad is not None:
+            witnesses.append(d * step * bad + i)
+    _check_sign(qp, side, witnesses)
 
 
-def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int] | None = None) -> None:
-    """The ``"pos"`` or ``"neg"`` tail's sign out along its ray, certified
-    exactly: ``witnesses`` are the first negative degrees of its residues, at
-    most one each, found by the caller or else here."""
-    if witnesses is None:
-        sign, up = (1, qp) if side == "pos" else (-1, qp.reflect())
-        witnesses = (sign * n for n in up.negative_degrees(up.valid_from))
-    bad = min(witnesses, key=lambda n: n % qp.d, default=None)  # lowest residue, not the first met
+def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int]) -> None:
+    """Refuse the ``"pos"`` or ``"neg"`` tail when it goes negative out along
+    its ray: ``witnesses`` are the first negative degrees of its residues, at
+    most one each and in residue order, certified by the caller."""
+    bad = next(iter(witnesses), None)
     if bad is not None:
         raise ModelError(
             f"{side} tail polynomial for residue {bad % qp.d} goes negative at block "
@@ -262,7 +284,7 @@ class LengthFunction:
         if not self.core_values:
             raise ModelError("core window must be nonempty")
         values = _integers(self.core_values, "core_values", ModelError)
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise ModelError("length values must be nonnegative")
         object.__setattr__(self, "core_values", values)
         # All-zero quasi-polynomial tails mean the same thing as vanishing.
@@ -534,13 +556,21 @@ def _json_object(
 
 
 def _array_of(parse: Parser, nonempty: bool = False) -> Callable[[object, str], list]:
-    """The reader of a JSON array whose entries ``parse`` reads, each at its
-    path ``field[i]``."""
+    """The reader of a JSON array whose entries ``parse`` reads.  An entry's
+    path ``field[i]`` is formatted only in the refusal branch: the entries are
+    read with the array's path, and when one is refused they are read again,
+    each with its own path, up to the first one refused, which that names."""
 
     def parse_array(value: object, field: str) -> list:
         if nonempty and value == []:
             raise ModelError(f"{field} must be a nonempty array")
-        return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
+        items = _json_list(value, field)
+        try:
+            return [parse(v, field) for v in items]
+        except ModelError:
+            for i, v in enumerate(items):
+                parse(v, f"{field}[{i}]")
+            raise
 
     return parse_array
 
@@ -560,6 +590,15 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
+def _json_ints(value: object, field: str) -> list:
+    """A JSON array of integers, its types checked in one pass; the refusal
+    branch is :func:`_array_of`'s, which names the first entry refused."""
+    items = _json_list(value, field)
+    if all(type(v) is int for v in items):
+        return items
+    return _array_of(_json_int)(items, field)
+
+
 def _json_list(value: object, field: str) -> list:
     if not isinstance(value, list):
         raise ModelError(f"{field} must be an array, got {_got(value)}")
@@ -569,28 +608,74 @@ def _json_list(value: object, field: str) -> list:
 def _json_rational(value: object, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ModelError(f'{field} must be an integer or a "p/q" string, got {_got(value)}')
+    if isinstance(value, int):
+        return Fraction(value)
     try:
         return parse_rational(str(value))
     except (ValueError, ZeroDivisionError):
         raise ModelError(f"{field} is not a rational: {_got(value)}") from None
 
 
+def _integer_ratios(items: list) -> tuple[list[int], int] | None:
+    """The entries of a JSON array as integer numerators over one common
+    denominator, in one pass: each an int (not a bool) or an ASCII "p" or
+    "p/q" string with q != 0.  None when some entry is neither."""
+    nums, dens = [], []
+    try:
+        for v in items:
+            if type(v) is int:
+                nums.append(v)
+                dens.append(1)
+                continue
+            match = _RATIONAL.fullmatch(v) if type(v) is str else None
+            if match is None:
+                return None
+            p, q = match.groups()
+            nums.append(int(p))
+            dens.append(1 if q is None else int(q))
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    if 0 in dens:
+        return None
+    den = lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
 def _json_poly(value: object, field: str) -> Polynomial:
-    return Polynomial(_array_of(_json_rational)(value, field))
+    """A polynomial from its JSON coefficient array, built from integer
+    numerators with no Fraction per coefficient; an array that
+    :func:`_integer_ratios` does not read goes to :func:`_json_rational`, entry
+    by entry, which names the first that it refuses."""
+    read = _integer_ratios(_json_list(value, field))
+    if read is None:
+        return Polynomial(_array_of(_json_rational)(value, field))
+    return Polynomial._from_integers(*read)
+
+
+# A tail's parsers, by its kind and by the JSON name of its anchor: with a kind
+# that is neither, every field parser applies and the "kind" parser refuses it.
+_TAIL_KIND = _one_of("vanishing", "quasipoly")
+_TAIL_PARSERS = {
+    anchor: {"kind": _TAIL_KIND, "polys": _array_of(_json_poly), anchor: _json_int}
+    for anchor in ("valid_from", "valid_to")
+}
 
 
 def _json_tail(value: object, field: str, anchor: str) -> tuple[tuple[Polynomial, ...], int] | None:
     """A tail as None (kind ``vanishing``) or (polys, anchor) (kind
     ``quasipoly``); its key ``anchor`` is ``valid_from`` or ``valid_to``."""
     kind = value.get("kind") if isinstance(value, dict) else None
-    parsers: dict[str, Parser] = {"kind": _one_of("vanishing", "quasipoly")}
-    if kind != "vanishing":  # quasipoly, or a kind that the "kind" parser refuses
-        parsers.update({"polys": _array_of(_json_poly), anchor: _json_int})
+    if kind == "vanishing":
+        parsers: Mapping[str, Parser] = {"kind": _TAIL_KIND}
+    else:
+        parsers = _TAIL_PARSERS[anchor]
     tail = _json_object(value, field, parsers, parsers if kind == "quasipoly" else ("kind",))
     return None if tail["kind"] == "vanishing" else (tuple(tail["polys"]), tail[anchor])
 
 
-_CORE = {"start": _json_int, "values": _array_of(_json_int)}
+_CORE = {"start": _json_int, "values": _json_ints}
 
 _LENGTH_FUNCTION: dict[str, Parser] = {
     "d": _json_int,

@@ -14,21 +14,23 @@ Implicit multiplication is not supported: adjacent factors need '*'.
 Whitespace is insignificant; input must be ASCII.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep, inside the recursion limit.
 
-The input is tokenized once and parsed twice.  The first pass checks the syntax
-and computes nothing, so a syntax error anywhere comes first and costs no
-arithmetic.  The second folds each operator into a :class:`RationalFunction` as
-soon as both operands are parsed, so operator chains fold in loops and only '('
-and unary minus recurse.  A divisor with a zero constant term is a semantic
-error naming the offending subexpression; no arithmetic runs after it.
+The input is tokenized once, into plain tuples, and parsed twice.  The first
+pass checks the syntax and computes nothing, so a syntax error anywhere comes
+first and costs no arithmetic.  The second folds each operator as soon as both
+operands are parsed, so operator chains fold in loops and only '(' and unary
+minus recurse.  It folds on (numerator, denominator) pairs of polynomials,
+forms no product by a denominator 1, and normalizes once, into a
+:class:`RationalFunction`, at the end.  A divisor with a zero constant term is
+a semantic error naming the offending subexpression; no arithmetic runs after
+it.
 """
 
 from __future__ import annotations
 
-import operator
+import re
 import sys
-from dataclasses import dataclass
 
-from .exact import NotExpandableError, Polynomial, QmultError, RationalFunction
+from .exact import Polynomial, QmultError, RationalFunction
 
 
 MAX_NESTING = 100
@@ -65,55 +67,83 @@ _TOKEN_NAMES = {
     ")": "')'",
 }
 
+# A token is a plain tuple (kind, offset, value, end): kind is "int", "t", one
+# of +-*/^() or "eof", and value is the integer of an "int" token, else 0.
+_Token = tuple[str, int, int, int]
+_LEXEME = re.compile(r"([0-9]+)|([-+*/^()t])|[ \t\r\n]+|(.)", re.S)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "t", one of +-*/^(), or "eof"
-    offset: int
-    value: int = 0
-    end: int = -1
 
-    @property
-    def display(self) -> str:
-        if self.kind == "int":
-            return f"integer {self.value}"
-        if self.kind == "eof":
-            return "end of input"
-        return _TOKEN_NAMES.get(self.kind, repr(self.kind))
+def _display(tok: _Token) -> str:
+    kind = tok[0]
+    if kind == "int":
+        return f"integer {tok[2]}"
+    if kind == "eof":
+        return "end of input"
+    return _TOKEN_NAMES.get(kind, repr(kind))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if not ch.isascii():
-            raise SeriesSyntaxError(i, repr(ch), ("ASCII input",))
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
+    for match in _LEXEME.finditer(text):
+        digits, symbol, other = match.groups()
+        i = match.start()
+        if symbol is not None:
+            tokens.append((symbol, i, 0, i + 1))
+        elif digits is not None:
             try:
-                value = int(text[i:j])
+                value = int(digits)
             except ValueError:  # more digits than the interpreter converts
                 raise SeriesSyntaxError(
                     i,
-                    f"an integer of {j - i} digits",
+                    f"an integer of {len(digits)} digits",
                     (f"an integer of at most {sys.get_int_max_str_digits()} digits",),
                 ) from None
-            tokens.append(_Token("int", i, value, j))
-            i = j
-            continue
-        if ch == "t" or ch in _TOKEN_NAMES:
-            tokens.append(_Token(ch, i, 0, i + 1))
-            i += 1
-            continue
-        raise SeriesSyntaxError(i, repr(ch), ("integer", "'t'", "operator", "'('", "')'"))
-    tokens.append(_Token("eof", len(text), 0, len(text)))
+            tokens.append(("int", i, value, match.end()))
+        elif other is not None:
+            if not other.isascii():
+                raise SeriesSyntaxError(i, repr(other), ("ASCII input",))
+            raise SeriesSyntaxError(i, repr(other), ("integer", "'t'", "operator", "'('", "')'"))
+    tokens.append(("eof", len(text), 0, len(text)))
     return tokens
+
+
+# The second pass folds each operator into a pair (num, den) of polynomials,
+# with None for a denominator 1 so that no product by it is formed; every
+# denominator has a nonzero constant term.  The pair is normalized once, as a
+# RationalFunction, at the end: each operation is linear in a scaling of its
+# operands' pairs, so that is the function a fold of normalized operands gives.
+_Pair = tuple[Polynomial, "Polynomial | None"]
+
+
+def _times(p: Polynomial | None, q: Polynomial | None) -> Polynomial | None:
+    """p * q, with None standing for 1."""
+    if p is None:
+        return q
+    return p if q is None else p * q
+
+
+def _add(a: _Pair, b: _Pair) -> _Pair:
+    return _times(a[0], b[1]) + _times(b[0], a[1]), _times(a[1], b[1])
+
+
+def _sub(a: _Pair, b: _Pair) -> _Pair:
+    return _times(a[0], b[1]) - _times(b[0], a[1]), _times(a[1], b[1])
+
+
+def _mul(a: _Pair, b: _Pair) -> _Pair:
+    return a[0] * b[0], _times(a[1], b[1])
+
+
+def _div(a: _Pair, b: _Pair) -> _Pair:
+    return _times(a[0], b[1]), _times(a[1], b[0])
+
+
+def _neg(a: _Pair) -> _Pair:
+    return -a[0], a[1]
+
+
+def _pow(a: _Pair, n: int) -> _Pair:
+    return a[0] ** n, None if a[1] is None else a[1] ** n
 
 
 class _Parser:
@@ -125,83 +155,84 @@ class _Parser:
         self.depth = 0  # open parentheses and unary minus signs
 
     @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
     def _fail(self, expected: tuple[str, ...]) -> SeriesSyntaxError:
-        tok = self.current
-        return SeriesSyntaxError(tok.offset, tok.display, expected)
+        tok = self.tokens[self.pos]
+        return SeriesSyntaxError(tok[1], _display(tok), expected)
 
     def _eat(self, kind: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             raise self._fail((_TOKEN_NAMES.get(kind, kind),))
         self.pos += 1
         return tok
 
-    def _fold(self, op, *operands) -> RationalFunction | None:
+    def _fold(self, op, *operands) -> _Pair | None:
         """``op(*operands)``, or None when only the syntax is checked."""
         return op(*operands) if self.fold else None
 
-    def _nested(self, parse, tok: _Token) -> RationalFunction | None:
+    def _nested(self, parse, tok: _Token) -> _Pair | None:
         """``parse()`` one nesting level below ``tok``, a '(' or a unary '-'."""
         if self.depth == MAX_NESTING:
             expected = f"at most {MAX_NESTING} nested parentheses and unary minus signs"
-            raise SeriesSyntaxError(tok.offset, "an expression nested too deeply", (expected,))
+            raise SeriesSyntaxError(tok[1], "an expression nested too deeply", (expected,))
         self.depth += 1
         value = parse()
         self.depth -= 1
         return value
 
-    def parse(self) -> RationalFunction:
+    def parse(self) -> _Pair | None:
         value = self.expr()
-        if self.current.kind != "eof":
+        if self.kind != "eof":
             raise self._fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
         return value
 
-    def expr(self) -> RationalFunction | None:
+    def expr(self) -> _Pair | None:
         value = self.term()
-        while self.current.kind in ("+", "-"):
-            op = operator.add if self._eat(self.current.kind).kind == "+" else operator.sub
+        while self.kind in ("+", "-"):
+            op = _add if self._eat(self.kind)[0] == "+" else _sub
             value = self._fold(op, value, self.term())
         return value
 
-    def term(self) -> RationalFunction | None:
+    def term(self) -> _Pair | None:
         value = self.unary()
-        while self.current.kind in ("*", "/"):
-            op = operator.mul if self._eat(self.current.kind).kind == "*" else operator.truediv
-            start = self.current.offset
-            try:  # a division in the divisor has raised its own error already
-                value = self._fold(op, value, self.unary())
-            except NotExpandableError:  # raised only by a division
-                end = self.tokens[self.pos - 1].end
+        while self.kind in ("*", "/"):
+            divide = self._eat(self.kind)[0] == "/"
+            start = self.tokens[self.pos][1]
+            operand = self.unary()  # a division in it has raised its own error already
+            if divide and self.fold and operand[0].numerators[:1] in ((), (0,)):
+                end = self.tokens[self.pos - 1][3]
                 raise SeriesSemanticError(
                     "denominator has zero constant term", start, end, self.text[start:end]
-                ) from None
+                )
+            value = self._fold(_div if divide else _mul, value, operand)
         return value
 
-    def unary(self) -> RationalFunction | None:
-        if self.current.kind == "-":
+    def unary(self) -> _Pair | None:
+        if self.kind == "-":
             tok = self._eat("-")
-            return self._fold(operator.neg, self._nested(self.unary, tok))
+            return self._fold(_neg, self._nested(self.unary, tok))
         return self.power()
 
-    def power(self) -> RationalFunction | None:
+    def power(self) -> _Pair | None:
         value = self.atom()
-        while self.current.kind == "^":
+        while self.kind == "^":
             self._eat("^")
-            if self.current.kind != "int":
+            if self.kind != "int":
                 raise self._fail(("nonnegative integer exponent",))
-            value = self._fold(operator.pow, value, self._eat("int").value)
+            value = self._fold(_pow, value, self._eat("int")[2])
         return value
 
-    def atom(self) -> RationalFunction | None:
-        tok = self.current
-        if tok.kind in ("int", "t"):
-            self._eat(tok.kind)
-            p = Polynomial.t() if tok.kind == "t" else Polynomial.const(tok.value)
-            return self._fold(RationalFunction.from_polynomial, p)
-        if tok.kind == "(":
+    def atom(self) -> _Pair | None:
+        kind, _, number, _ = tok = self.tokens[self.pos]
+        if kind in ("int", "t"):
+            self.pos += 1
+            if self.fold:
+                return (Polynomial.t() if kind == "t" else Polynomial.const(number)), None
+            return None
+        if kind == "(":
             self._eat("(")
             value = self._nested(self.expr, tok)
             self._eat(")")
@@ -217,4 +248,5 @@ def parse_series(text: str) -> RationalFunction:
     """
     tokens = _tokenize(text)
     _Parser(text, tokens, fold=False).parse()
-    return _Parser(text, tokens, fold=True).parse()
+    num, den = _Parser(text, tokens, fold=True).parse()
+    return RationalFunction(num, Polynomial.const(1) if den is None else den)

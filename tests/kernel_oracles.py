@@ -53,14 +53,33 @@ builds each Phi_m as a Moebius product of power series and divides it out by
 integer long division, and tests the stripped denominator against N by its
 own exact division, against which the library's one exact division, by
 integer series expansion, and its Phi_m built as quotients are compared.
+
+The input readers keep their first form.  A JSON array is read entry by
+entry, each at its own path ``field[i]``, each coefficient as one Fraction
+and each polynomial through the validating constructor, against which the
+one-pass readers, which name a path only to refuse an entry, are compared.
+The tail's sign certificate is read off its polynomials, a ray down through
+``reflect()``, against which the certificate read off the core's values is
+compared.  The series parser makes a frozen dataclass per token and folds
+every operator into a normalized RationalFunction, against which the fold on
+(numerator, denominator) pairs, normalized once, is compared.
 """
 
+import operator
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, isqrt, prod
 
 from qmult.differences import delta
-from qmult.exact import Polynomial, nonnegative_on_ray
+from qmult.exact import (
+    NotExpandableError,
+    Polynomial,
+    RationalFunction,
+    nonnegative_on_ray,
+    parse_rational,
+)
 from qmult.koszul import KoszulChain, KoszulError
 from qmult.lengths import (
     FitError,
@@ -68,6 +87,11 @@ from qmult.lengths import (
     ModelError,
     QuasiPolynomial,
     _check_period,
+    _got,
+    _json_int,
+    _json_list,
+    _json_object,
+    _one_of,
     _shown,
     core_window,
 )
@@ -78,6 +102,7 @@ from qmult.multiplicity import (
     multiplicity_neg,
     multiplicity_pos,
 )
+from qmult.series import MAX_NESTING, SeriesSemanticError, SeriesSyntaxError
 
 from exact_oracles import divide_out_root, horner
 
@@ -617,3 +642,230 @@ def from_series(f, d, probe):
     )
     qp = QuasiPolynomial(d, polys, boundary(polys, values.__getitem__, 0, len(values) - 1))
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
+
+
+def array_of(parse, nonempty=False):
+    """The JSON array reader as first written: each entry read at its path
+    ``field[i]``, formatted for every entry."""
+
+    def parse_array(value, field):
+        if nonempty and value == []:
+            raise ModelError(f"{field} must be a nonempty array")
+        return [parse(v, f"{field}[{i}]") for i, v in enumerate(_json_list(value, field))]
+
+    return parse_array
+
+
+def json_rational(value, field):
+    """One Fraction per entry.  An int is read as the integer it is; the first
+    form wrote it out with ``str`` first, which fails past the interpreter's
+    limit on decimal digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ModelError(f'{field} must be an integer or a "p/q" string, got {_got(value)}')
+    if isinstance(value, int):
+        return Fraction(value)
+    try:
+        return parse_rational(value)
+    except (ValueError, ZeroDivisionError):
+        raise ModelError(f"{field} is not a rational: {_got(value)}") from None
+
+
+def json_poly(value, field):
+    return Polynomial(array_of(json_rational)(value, field))
+
+
+def json_tail(value, field, anchor):
+    kind = value.get("kind") if isinstance(value, dict) else None
+    parsers = {"kind": _one_of("vanishing", "quasipoly")}
+    if kind != "vanishing":
+        parsers.update({"polys": array_of(json_poly), anchor: _json_int})
+    tail = _json_object(value, field, parsers, parsers if kind == "quasipoly" else ("kind",))
+    return None if tail["kind"] == "vanishing" else (tuple(tail["polys"]), tail[anchor])
+
+
+def from_json_dict(data):
+    """``LengthFunction.from_json_dict`` with the readers above: every entry
+    parsed on its own, at its own path, and validated by the constructor."""
+    core = {"start": _json_int, "values": array_of(_json_int)}
+    parsers = {
+        "d": _json_int,
+        "core": lambda value, field: _json_object(value, field, core, core),
+        "pos_tail": lambda value, field: json_tail(value, field, "valid_from"),
+        "neg_tail": lambda value, field: json_tail(value, field, "valid_to"),
+    }
+    lf = _json_object(data, "", parsers, parsers, what="length function")
+    d = lf["d"]
+    _check_period(d)
+    for side in ("pos_tail", "neg_tail"):
+        count = None if lf[side] is None else len(lf[side][0])
+        if count not in (None, d):
+            raise ModelError(f"{side}.polys must hold d = {d} polynomials, got {count}")
+    pos, neg = (
+        None if tail is None else QuasiPolynomial(d, *tail) for tail in (lf["pos_tail"], lf["neg_tail"])
+    )
+    return LengthFunction(d, lf["core"]["start"], tuple(lf["core"]["values"]), pos, neg)
+
+
+def check_sign(qp, side):
+    """The tail's sign certificate as first written, from its polynomials: a
+    ray down is the ray up of ``qp.reflect()``, its witnesses negated, and
+    the refusal names the lowest residue, not the first one met."""
+    sign, up = (1, qp) if side == "pos" else (-1, qp.reflect())
+    witnesses = (sign * n for n in up.negative_degrees(up.valid_from))
+    bad = min(witnesses, key=lambda n: n % qp.d, default=None)
+    if bad is not None:
+        raise ModelError(
+            f"{side} tail polynomial for residue {bad % qp.d} goes negative at block "
+            f"{bad // qp.d} (degree n={bad})"
+        )
+
+
+# The series parser as first written: a frozen dataclass per token, and a fold
+# into a normalized RationalFunction at every operator.
+
+_TOKEN_NAMES = {c: f"'{c}'" for c in "+-*/^()"}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    offset: int
+    value: int = 0
+    end: int = -1
+
+    @property
+    def display(self):
+        if self.kind == "int":
+            return f"integer {self.value}"
+        if self.kind == "eof":
+            return "end of input"
+        return _TOKEN_NAMES.get(self.kind, repr(self.kind))
+
+
+def tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if not ch.isascii():
+            raise SeriesSyntaxError(i, repr(ch), ("ASCII input",))
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise SeriesSyntaxError(
+                    i,
+                    f"an integer of {j - i} digits",
+                    (f"an integer of at most {sys.get_int_max_str_digits()} digits",),
+                ) from None
+            tokens.append(Token("int", i, value, j))
+            i = j
+            continue
+        if ch == "t" or ch in _TOKEN_NAMES:
+            tokens.append(Token(ch, i, 0, i + 1))
+            i += 1
+            continue
+        raise SeriesSyntaxError(i, repr(ch), ("integer", "'t'", "operator", "'('", "')'"))
+    tokens.append(Token("eof", len(text), 0, len(text)))
+    return tokens
+
+
+class SeriesParser:
+    def __init__(self, text, tokens, fold):
+        self.text, self.tokens, self.fold = text, tokens, fold
+        self.pos = self.depth = 0
+
+    @property
+    def current(self):
+        return self.tokens[self.pos]
+
+    def fail(self, expected):
+        return SeriesSyntaxError(self.current.offset, self.current.display, expected)
+
+    def eat(self, kind):
+        tok = self.current
+        if tok.kind != kind:
+            raise self.fail((_TOKEN_NAMES.get(kind, kind),))
+        self.pos += 1
+        return tok
+
+    def apply(self, op, *operands):
+        return op(*operands) if self.fold else None
+
+    def nested(self, parse, tok):
+        if self.depth == MAX_NESTING:
+            expected = f"at most {MAX_NESTING} nested parentheses and unary minus signs"
+            raise SeriesSyntaxError(tok.offset, "an expression nested too deeply", (expected,))
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def parse(self):
+        value = self.expr()
+        if self.current.kind != "eof":
+            raise self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.current.kind in ("+", "-"):
+            op = operator.add if self.eat(self.current.kind).kind == "+" else operator.sub
+            value = self.apply(op, value, self.term())
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.current.kind in ("*", "/"):
+            op = operator.mul if self.eat(self.current.kind).kind == "*" else operator.truediv
+            start = self.current.offset
+            try:
+                value = self.apply(op, value, self.unary())
+            except NotExpandableError:
+                end = self.tokens[self.pos - 1].end
+                raise SeriesSemanticError(
+                    "denominator has zero constant term", start, end, self.text[start:end]
+                ) from None
+        return value
+
+    def unary(self):
+        if self.current.kind == "-":
+            tok = self.eat("-")
+            return self.apply(operator.neg, self.nested(self.unary, tok))
+        return self.power()
+
+    def power(self):
+        value = self.atom()
+        while self.current.kind == "^":
+            self.eat("^")
+            if self.current.kind != "int":
+                raise self.fail(("nonnegative integer exponent",))
+            value = self.apply(operator.pow, value, self.eat("int").value)
+        return value
+
+    def atom(self):
+        tok = self.current
+        if tok.kind in ("int", "t"):
+            self.eat(tok.kind)
+            p = Polynomial((0, 1)) if tok.kind == "t" else const(tok.value)
+            return self.apply(RationalFunction.from_polynomial, p)
+        if tok.kind == "(":
+            self.eat("(")
+            value = self.nested(self.expr, tok)
+            self.eat(")")
+            return value
+        raise self.fail(("integer", "'t'", "'-'", "'('"))
+
+
+def parse_series(text):
+    """``series.parse_series`` as first written: the syntax checked by one
+    pass, then every operator folded into a normalized RationalFunction."""
+    tokens = tokenize(text)
+    SeriesParser(text, tokens, fold=False).parse()
+    return SeriesParser(text, tokens, fold=True).parse()

@@ -159,7 +159,7 @@ class TestErrorPrecedence:
         def refuse(self, n):
             raise AssertionError("a power was computed after the failing divisor")
 
-        monkeypatch.setattr(RationalFunction, "__pow__", refuse)
+        monkeypatch.setattr(Polynomial, "__pow__", refuse)
         with pytest.raises(SeriesSemanticError) as info:
             parse_series("1/0*t^2")
         assert info.value.fragment == "0"
@@ -170,7 +170,7 @@ class TestErrorPrecedence:
         def refuse(self, n):
             raise AssertionError("a power was computed before the syntax was checked")
 
-        monkeypatch.setattr(RationalFunction, "__pow__", refuse)
+        monkeypatch.setattr(Polynomial, "__pow__", refuse)
         with pytest.raises(SeriesSyntaxError) as info:
             parse_series("(1-t)^3+(")
         assert info.value.offset == 9
