@@ -18,7 +18,9 @@ d included.  Everything here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable, Sequence, Union
 
 from .exact import Polynomial, Scalar, difference_table
@@ -62,46 +64,51 @@ def binomial_polynomial(k: int) -> Polynomial:
 
 
 def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
-    """The polynomial sum_k cs[k] * C(t - anchor, k), in monomial form.
-
-    With r = len(cs) - 1 and the c_k over their common denominator D, the
-    integer polynomial r! * D * sum_k c_k C(u, k) is built by the nested form
-    c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2! + ...)) at u = t - anchor,
-    directly in t: each factor u - k is t - (anchor + k), so no Taylor shift
-    follows.
+    """The polynomial sum_k cs[k] * C(t - anchor, k), in monomial form: the
+    c_k over their common denominator, in the basis of :func:`newton_form`.
 
     >>> newton_polynomial([0, 1, 2])
     Polynomial('t^2')
     """
-    if not cs:
-        return Polynomial()
-    r = len(cs) - 1
     den = lcm(*(c.denominator for c in cs))
-    acc: list[int] = []
-    weight = 1  # r!/k!
-    for k in range(r, -1, -1):
-        acc.insert(0, 0)  # acc * (t - root)
-        root = anchor + k
-        for i in range(len(acc) - 1):
-            acc[i] -= root * acc[i + 1]
-        acc[0] += cs[k].numerator * (den // cs[k].denominator) * weight
-        weight *= k
-    return Polynomial._from_integers(acc, den * factorial(r))
+    return newton_form(len(cs), anchor)([c.numerator * (den // c.denominator) for c in cs], den)
+
+
+def newton_form(k: int, anchor: int) -> Callable[..., Polynomial]:
+    """The map from k integers cs, and a denominator den (1 by default), to
+    sum_j cs[j] * C(t - anchor, j) / den in monomial form.  The integer basis
+    (k-1)! * C(t - anchor, j), j < k, is built once, each factor t - (anchor + i)
+    directly in t; a polynomial is then one column sum per coefficient."""
+    scale = weight = factorial(max(k - 1, 0))  # weight = (k-1)!/j!
+    rows, falling = [], [1]  # (t - anchor)(t - anchor - 1)...(t - anchor - j + 1)
+    for j in range(k):
+        rows.append([weight * c for c in falling])
+        falling = [b - (anchor + j) * a for a, b in zip([*falling, 0], [0, *falling])]
+        weight //= j + 1
+    columns = list(zip_longest(*rows, fillvalue=0))
+
+    def polynomial(cs: Sequence[int], den: int = 1) -> Polynomial:
+        return Polynomial._from_integers([sum(map(mul, cs, col)) for col in columns], den * scale)
+
+    return polynomial
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:
-    """Exact partial sum sum_{i=N}^{n} g(i), in closed form.
-
-    Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
-    and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
-    difference table of g(N..N+deg).  The table is built on the integers
-    denominator * g, and the sum divides once at the end.  Constant work in n,
-    which is what makes 10^5..10^6 partial sums affordable.
+    """Exact partial sum sum_{i=N}^{n} g(i), in closed form: the integer
+    :func:`_faulhaber_numerator` over g's denominator.
 
     >>> faulhaber_sum(Polynomial((0, 0, 1)), 0, 10)
     Fraction(385, 1)
     """
     if n < N:
         raise ValueError("requires n >= N")
+    return Fraction(_faulhaber_numerator(g, N, n), g.denominator)
+
+
+def _faulhaber_numerator(g: Polynomial, N: int, n: int) -> int:
+    """denominator * sum_{i=N}^{n} g(i) for n >= N, in constant work in n.
+    Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
+    and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
+    difference table of the integers denominator * g(N..N+deg)."""
     table = difference_table([g.numerator_at(N + j) for j in range(g.degree + 1)])
-    return Fraction(sum(c * comb(n - N + 1, k + 1) for k, c in enumerate(table)), g.denominator)
+    return sum([c * comb(n - N + 1, k) for k, c in enumerate(table, 1)])

@@ -8,20 +8,20 @@ denominators, 1 for the zero polynomial, which has no numerators and degree
 -1).  The Fraction tuple ``coeffs`` is computed when it is read.  Sums,
 differences, negation, products and powers, evaluation and the Taylor shift
 behind ``compose_linear`` and ``forward_difference`` all run on those integers
-and divide once at the end, so the hot loops do no Fraction arithmetic.  The series recurrence is an
-integer core, ``series_integers``, which gives each coefficient as a pair
-(U_n, scale_n) with c_n = U_n / scale_n; a reader that needs lengths divides
-once per coefficient and builds no Fraction, and ``series_coefficients`` is
-the Fraction view of the same loop.  At an integer m, ``numerator_at`` gives
-the integer denominator * p(m) with no division at all; the difference tables
-of the sign certificate (``nonnegative_on_ray``) and of the Faulhaber sum are
-built from it.  The certificate reads only the table (``_first_negative``),
-so a caller that has a table already, or a suffix of one, passes it in; it
-finds the first negative point of a ray by galloping and bisection, in steps
-logarithmic in its distance from the start.  A rational function stores
-a numerator and a denominator polynomial; the denominator must have a nonzero
-constant term, so every rational function here expands as a power series at
-t = 0.
+and divide once at the end, so the hot loops do no Fraction arithmetic.  The
+series recurrence is an integer core, ``series_integers``, which gives each
+coefficient as a pair (U_n, scale_n) with c_n = U_n / scale_n, and
+``series_coefficients`` is its Fraction view; a reader of lengths
+(``lengths.from_series``) recurs on the lengths themselves instead, with no
+pair.  At an integer m, ``numerator_at`` gives the integer denominator * p(m)
+with no division at all; the difference tables of the sign certificate
+(``nonnegative_on_ray``) and of the Faulhaber sum are built from it.  The
+certificate reads only the table (``_first_negative``), so a caller that has a
+table already, or a suffix of one, passes it in; it finds the first negative
+point of a ray by galloping and bisection, in steps logarithmic in its
+distance from the start.  A rational function stores a numerator and a
+denominator polynomial; the denominator must have a nonzero constant term, so
+every rational function here expands as a power series at t = 0.
 
 No floating point appears anywhere in this module.
 """
@@ -418,8 +418,7 @@ def series_integers(f: RationalFunction, n_max: int) -> Iterator[tuple[int, int]
     factor of the next scale and of the values still read is divided out of
     all of them.  When L == 1 the scale is M throughout.  Cost is
     O(n_max * (number of nonzero Q_k)) integer operations, which keeps sparse
-    denominators such as (1 - t^2)(1 - t^120) cheap.  The pairs come one at a
-    time, so a reader that stops early expands no further.
+    denominators such as (1 - t^2)(1 - t^120) cheap.
 
     >>> f = RationalFunction(Polynomial.const(1), Polynomial((2, 1)))
     >>> list(series_integers(f, 2))

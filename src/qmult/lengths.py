@@ -33,21 +33,20 @@ stabilization scan and a Koszul chain's multiplicities read, the limit
 estimate and the sum ``+`` read their ranges through it.
 
 A Hilbert series' tail is certified from its denominator (:func:`from_series`)
-by agreeing with one integer expansion on deg D + dk degrees; ``valid_from``,
-max(0, deg N - deg D + 1), is the honest boundary that the division of N by D
-proves, and its sign is certified on the Newton tables that its polynomials
-are read off.  :func:`fit_quasipoly` fits sampled data by Newton forward differences
-per residue class from the high end of the window, and its ``valid_from`` is
-the honest boundary found by one scan back down (``_anchored``).  Neither is an
-assumed one.
+by agreeing with one expansion on the lengths themselves on deg D + dk
+degrees; ``valid_from``, max(0, deg N - deg D + 1), is the honest boundary
+that the division of N by D proves, and its sign is certified on the Newton
+tables its polynomials are read off.  :func:`fit_quasipoly` fits sampled data
+by Newton forward differences per residue class from the high end of the
+window, and its ``valid_from`` is the honest boundary found by one scan back
+down (``_anchored``).  Neither is an assumed one.
 
-JSON is read by one object reader (``_json_object``) and one array reader
-(``_array_of``) for length-function and fixture files alike; every error
+JSON files are decoded as UTF-8 whatever the locale and read by one object
+reader (``_json_object``) and one array reader (``_array_of``); every error
 names the field path, such as ``pos_tail.polys[0][1]``.  Reading costs about
-what decoding does: the core values' and each polynomial's types are checked
-in one pass, a polynomial is built from integer numerators with no Fraction
-per coefficient, and an entry's path is formatted only in the refusal
-branch, which reads the array again to name the first entry it refuses.
+what decoding does: each array's types are checked in one pass, a polynomial
+is built from integer numerators, and an entry's path is formatted only in
+the refusal branch, which reads the array again to name the entry it refuses.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from itertools import accumulate, chain
 from math import isqrt, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .differences import newton_polynomial
+from .differences import newton_form, newton_polynomial
 from .exact import (
     Polynomial,
     QmultError,
@@ -71,7 +70,6 @@ from .exact import (
     nonnegative_on_ray,
     parse_rational,
     series_coefficients,
-    series_integers,
 )
 
 
@@ -124,7 +122,7 @@ def _integers(values: Iterable[object], field: str, error: type[Exception]) -> t
 
 def _check_period(d: int) -> None:
     if d < 2 or d % 2 != 0:
-        raise ModelError(f"period must be an even integer >= 2, got {d}")
+        raise ModelError(f"period must be an even integer >= 2, got {_shown(d)}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,8 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
     if not (allowed[0] <= qp.valid_from <= allowed[1]):
         raise ModelError(
             f"{side} tail must overlap the core on {qp.max_degree + 2} blocks per "
-            f"residue: need {key} in [{allowed[0]}, {allowed[1]}], got {qp.valid_from}"
+            f"residue: need {key} in [{_shown(allowed[0])}, {_shown(allowed[1])}], "
+            f"got {_shown(qp.valid_from)}"
         )
     for n in overlap:
         expected = values[n - start]
@@ -483,7 +482,7 @@ class LengthFunction:
         for side in ("pos_tail", "neg_tail"):
             count = None if lf[side] is None else len(lf[side][0])
             if count not in (None, d):
-                raise ModelError(f"{side}.polys must hold d = {d} polynomials, got {count}")
+                raise ModelError(f"{side}.polys must hold d = {_shown(d)} polynomials, got {count}")
         pos, neg = (
             None if tail is None else QuasiPolynomial(d, *tail)
             for tail in (lf["pos_tail"], lf["neg_tail"])
@@ -507,12 +506,12 @@ def core_window(
 
 
 def read_json(path) -> object:
-    """The JSON value in the file at ``path``.  Text that does not decode, an
-    integer too long to convert and nesting too deep to decode are each a
+    """The JSON value in the UTF-8 file at ``path``.  Text that does not decode,
+    an integer too long to convert and nesting too deep to decode are each a
     :class:`ModelError`; a file that cannot be opened raises OSError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
+    with open(path, "rb") as fh:
+        try:  # UTF-8 whatever the locale; a BOM or UTF-16 text is refused, not guessed
+            return json.loads(fh.read().decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ModelError(f"not valid JSON: {err}") from None
         except ValueError:  # an integer longer than the interpreter converts
@@ -755,17 +754,18 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     and then for all n > deg N - deg D (Stanley, EC I, 4.4); each residue's
     polynomial is read off k blocks there.  The core reaches at least ``probe``.
 
-    One expansion decides everything, on integers: a coefficient is a length
-    when its scale divides it and the quotient is >= 0.  The k-block tail is
-    R/(1 - t^d)^k with deg R < dk, so past start = max(0, deg N - deg D + 1)
-    the series less the tail, (N(1 - t^d)^k - R D) / (D (1 - t^d)^k), has
+    One expansion on the lengths themselves decides everything: with N = A/M
+    and D = B/L over their common denominators (B_0 = L), c_n = (L A_n -
+    M sum_{j>=1} B_j c_{n-j}) / (L M), refused at the first n where that is
+    not a length; each residue's Newton table at block m is read in one basis
+    (``newton_form``).  The k-block tail is R/(1 - t^d)^k with deg R < dk, so
+    past start = max(0, deg N - deg D + 1) the series less the tail has
     coefficients with a recurrence of order deg D + dk: P is a polynomial
-    exactly when they vanish on start..start + deg D + dk - 1.  They vanish
-    on the k blocks the tail was read off by construction, so only the other
-    degrees of that window are compared.  Then
-    f = Q + R/(1 - t^d)^k with deg Q = deg N - deg D, and ``valid_from`` =
-    start is the honest boundary: at start - 1 >= 0 the series differs from
-    the tail by Q's leading coefficient, which is not 0.
+    exactly when they vanish on start..start + deg D + dk - 1, and they vanish
+    on the k blocks the tail was read off by construction.  Then f = Q +
+    R/(1 - t^d)^k with deg Q = deg N - deg D, and ``valid_from`` = start is the
+    honest boundary: at start - 1 >= 0 the series differs from the tail by Q's
+    leading coefficient, which is not 0.
 
     When P is not a polynomial, either some pole of f is not a d-th root of
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
@@ -790,16 +790,22 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
     start = max(0, f.num.degree - f.den.degree + 1)
     end = start + f.den.degree + d * k  # the tail must agree on start..end - 1
-    values = []
-    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1), end - 1))):
-        c, rest = divmod(u, scale)
-        if rest or c < 0:
-            shown = _shown(Fraction(u, scale))
+    size = max(probe, start + d * (k + 1), end - 1) + 1
+    L, M = f.den.denominator, f.num.denominator
+    lm, terms = L * M, [(-j, M * b) for j, b in enumerate(f.den.numerators) if j and b]
+    head = [L * a for a in f.num.numerators[:size]]
+    values = [0] * f.den.degree  # c_n = 0 for n < 0, so that values[-j] is c_{n-j}
+    for n, acc in enumerate(head + [0] * (size - len(head))):
+        for back, b in terms:  # acc becomes L M c_n
+            acc -= b * values[back]
+        if acc < 0 or lm != 1 and acc % lm:
+            shown = _shown(Fraction(acc, lm))
             raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
-        values.append(c)
+        values.append(acc if lm == 1 else acc // lm)
+    values = values[f.den.degree :]
     m = -(-start // d)  # the first block of degrees all >= start
-    tables = [difference_table([values[d * (m + j) + i] for j in range(k)]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(newton_polynomial(table, m) for table in tables), start)
+    tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
+    qp = QuasiPolynomial(d, tuple(map(newton_form(k, m), tables)), start)
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):

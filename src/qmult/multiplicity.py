@@ -52,7 +52,7 @@ from typing import Sequence
 # name stays because perfbench/tracer.py and perfbench/test_perfbench.py look
 # it up on this module.
 from .differences import delta as delta_op  # noqa: F401
-from .differences import faulhaber_sum
+from .differences import _faulhaber_numerator
 from .exact import Polynomial, QmultError, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
@@ -128,9 +128,7 @@ def euler_characteristic(lf: LengthFunction) -> int:
     """Alternating sum of lambda over its (finite) support."""
     if not lf.is_finite_support():
         raise MultiplicityError("Euler characteristic needs finite support")
-    return sum(
-        _sign(lf.core_start + k) * v for k, v in enumerate(lf.core_values)
-    )
+    return _sign(lf.core_start) * (sum(lf.core_values[::2]) - sum(lf.core_values[1::2]))
 
 
 def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
@@ -286,34 +284,36 @@ def limit_estimate(
     coefficient-convention value; ``constant="corrected"`` uses C = s! d^s,
     which converges to the delta-convention value.  The alternating partial
     sum is evaluated with closed-form Faulhaber sums on the quasi-polynomial
-    tail, so the cost is independent of n apart from the core window.
+    tail, so the cost is independent of n apart from the core window, on
+    integers over the lcm of the tail denominators: the result is the one
+    Fraction built.
     """
     if s < 1:
         raise MultiplicityError("limit estimates need s >= 1")
     if n < 1:
         raise MultiplicityError("limit estimates need n >= 1")
     if constant == "paper":
-        factor = Fraction(factorial(s) * lf.d ** (2 * s - 1))
+        factor = factorial(s) * lf.d ** (2 * s - 1)
     elif constant == "corrected":
-        factor = Fraction(factorial(s) * lf.d**s)
+        factor = factorial(s) * lf.d**s
     else:
         raise ValueError(f"unknown constant {constant!r}")
 
     direct = lf.values(0, min(n, lf.core_end))
-    total = Fraction(sum(direct[::2]) - sum(direct[1::2]))
+    total, den = sum(direct[::2]) - sum(direct[1::2]), 1
     qp = lf.pos_tail
     if n > lf.core_end and qp is not None:
         # The tail sums the degrees past the core that the direct sum left out,
         # which start at 0 even when the core ends below it.
         start = max(lf.core_end + 1, 0)
+        den = lcm(*(g.denominator for g in qp.polys))
+        total *= den
         for i, g in enumerate(qp.polys):
-            if g.is_zero():
-                continue
             m_lo = -((start - i) // -lf.d)  # ceil
             m_hi = (n - i) // lf.d
-            if m_hi >= m_lo:
-                total += _sign(i) * faulhaber_sum(g, m_lo, m_hi)
-    return factor * total / Fraction(n) ** s
+            if m_hi >= m_lo and not g.is_zero():
+                total += _sign(i) * den // g.denominator * _faulhaber_numerator(g, m_lo, m_hi)
+    return Fraction(factor * total, den * n**s)
 
 
 def theta_invariant(tor_lengths: LengthFunction) -> int:

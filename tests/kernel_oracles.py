@@ -54,6 +54,15 @@ integer long division, and tests the stripped denominator against N by its
 own exact division, against which the library's one exact division, by
 integer series expansion, and its Phi_m built as quotients are compared.
 
+Series jobs keep the integer forms they had before they ran on plain
+integers.  ``pair_from_series`` expands the integer pairs (U_n, scale_n) of
+``series_integers`` and divides each once, and builds each residue's
+polynomial by its own nested Newton form (``nested_newton_polynomial``),
+against which the recurrence on the lengths themselves and the one Newton
+basis per call are compared.  ``fraction_limit_estimate`` adds one
+``faulhaber_sum`` Fraction per residue to a Fraction total, against which the
+integer sum over the lcm of the tail denominators is compared.
+
 The input readers keep their first form.  A JSON array is read entry by
 entry, each at its own path ``field[i]``, each coefficient as one Fraction
 and each polynomial through the validating constructor, against which the
@@ -69,16 +78,19 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, isqrt, prod
+from itertools import accumulate, chain, combinations
+from math import factorial, isqrt, lcm, prod
 
-from qmult.differences import delta
+from qmult.differences import delta, faulhaber_sum
 from qmult.exact import (
     NotExpandableError,
     Polynomial,
     RationalFunction,
+    _first_negative,
+    difference_table,
     nonnegative_on_ray,
     parse_rational,
+    series_integers,
 )
 from qmult.koszul import KoszulChain, KoszulError
 from qmult.lengths import (
@@ -87,12 +99,15 @@ from qmult.lengths import (
     ModelError,
     QuasiPolynomial,
     _check_period,
+    _check_sign,
     _got,
     _json_int,
     _json_list,
     _json_object,
     _one_of,
+    _quotient,
     _shown,
+    _strip_cyclotomic,
     core_window,
 )
 from qmult.multiplicity import (
@@ -644,6 +659,94 @@ def from_series(f, d, probe):
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
 
 
+def nested_newton_polynomial(cs, anchor=0):
+    """sum_k cs[k] * C(t - anchor, k) by the nested form first written, one
+    Horner pass per polynomial: c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2!
+    + ...)) at u = t - anchor, over r! times the common denominator."""
+    if not cs:
+        return Polynomial()
+    r = len(cs) - 1
+    den = lcm(*(Fraction(c).denominator for c in cs))
+    acc, weight = [], 1  # weight = r!/k!
+    for k in range(r, -1, -1):
+        acc.insert(0, 0)  # acc * (t - root)
+        root = anchor + k
+        for i in range(len(acc) - 1):
+            acc[i] -= root * acc[i + 1]
+        c = Fraction(cs[k])
+        acc[0] += c.numerator * (den // c.denominator) * weight
+        weight *= k
+    return Polynomial(tuple(Fraction(a, den * factorial(r)) for a in acc))
+
+
+def pair_from_series(f, d, probe):
+    """``lengths.from_series`` as it was before it recurred on the lengths:
+    the coefficients as integer pairs (U_n, scale_n) of ``series_integers``,
+    one ``divmod`` each, and each residue's polynomial from its Newton table
+    by its own :func:`nested_newton_polynomial`.  The rest is the library's."""
+    _check_period(d)
+    if probe < 0:
+        raise ModelError(f"probe must be >= 0, got {probe}")
+    k, q = 0, f.den.numerators
+    while sum(q) == 0:
+        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
+    start = max(0, f.num.degree - f.den.degree + 1)
+    end = start + f.den.degree + d * k
+    values = []
+    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1), end - 1))):
+        c, rest = divmod(u, scale)
+        if rest or c < 0:
+            raise ModelError(f"series coefficient at n={n} is {_shown(Fraction(u, scale))}; not a length")
+        values.append(c)
+    m = -(-start // d)
+    tables = [difference_table([values[d * (m + j) + i] for j in range(k)]) for i in range(d)]
+    qp = QuasiPolynomial(d, tuple(nested_newton_polynomial(table, m) for table in tables), start)
+    window = chain(range(start, d * m), range(d * (m + k), end))
+    if any(qp(n) != values[n] for n in window):
+        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
+            raise ModelError(
+                "series coefficients eventually go negative: "
+                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+            )
+        raise ModelError(
+            f"not eventually a period-{d} quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
+        )
+    blocks = (_first_negative(table, m) for table in tables)
+    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
+    core = values[: core_window(d, 0, probe, qp, None)[1] + 1]
+    return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
+
+
+def fraction_limit_estimate(lf, s, n, constant="paper"):
+    """``multiplicity.limit_estimate`` as first written: a Fraction total, one
+    ``faulhaber_sum`` Fraction added per residue, and the factor and n^s
+    applied as Fractions."""
+    if s < 1:
+        raise MultiplicityError("limit estimates need s >= 1")
+    if n < 1:
+        raise MultiplicityError("limit estimates need n >= 1")
+    if constant == "paper":
+        factor = Fraction(factorial(s) * lf.d ** (2 * s - 1))
+    elif constant == "corrected":
+        factor = Fraction(factorial(s) * lf.d**s)
+    else:
+        raise ValueError(f"unknown constant {constant!r}")
+    direct = lf.values(0, min(n, lf.core_end))
+    total = Fraction(sum(direct[::2]) - sum(direct[1::2]))
+    qp = lf.pos_tail
+    if n > lf.core_end and qp is not None:
+        start = max(lf.core_end + 1, 0)
+        for i, g in enumerate(qp.polys):
+            if g.is_zero():
+                continue
+            m_lo = -((start - i) // -lf.d)
+            m_hi = (n - i) // lf.d
+            if m_hi >= m_lo:
+                total += (-1) ** i * faulhaber_sum(g, m_lo, m_hi)
+    return factor * total / Fraction(n) ** s
+
+
 def array_of(parse, nonempty=False):
     """The JSON array reader as first written: each entry read at its path
     ``field[i]``, formatted for every entry."""
@@ -685,7 +788,9 @@ def json_tail(value, field, anchor):
 
 def from_json_dict(data):
     """``LengthFunction.from_json_dict`` with the readers above: every entry
-    parsed on its own, at its own path, and validated by the constructor."""
+    parsed on its own, at its own path, and validated by the constructor.  A d
+    past the interpreter's digit limit is written by ``_shown``, as the
+    library writes it; the first form raised a bare ValueError there."""
     core = {"start": _json_int, "values": array_of(_json_int)}
     parsers = {
         "d": _json_int,
@@ -699,7 +804,7 @@ def from_json_dict(data):
     for side in ("pos_tail", "neg_tail"):
         count = None if lf[side] is None else len(lf[side][0])
         if count not in (None, d):
-            raise ModelError(f"{side}.polys must hold d = {d} polynomials, got {count}")
+            raise ModelError(f"{side}.polys must hold d = {_shown(d)} polynomials, got {count}")
     pos, neg = (
         None if tail is None else QuasiPolynomial(d, *tail) for tail in (lf["pos_tail"], lf["neg_tail"])
     )

@@ -5,8 +5,10 @@ import gc
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 from collections import OrderedDict
 from math import factorial
@@ -274,6 +276,48 @@ class TestStrictJsonInput:
         code, out, err = run(capsys, "cx", "--input", str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: not valid JSON: 'utf-8' codec can't decode")
+
+    ENCODED = {
+        "note.json": (
+            lambda text: text.replace('"d": 2', '"note": "caf\u00e9", "d": 2').encode("utf-8"),
+            "unknown fields in length function: ['note']",
+        ),
+        "bom.json": (
+            lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+            "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        "utf16.json": (
+            lambda text: text.encode("utf-16"),
+            "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    }
+
+    def encoded_files(self, tmp_path):
+        text = json.dumps(
+            {
+                "d": 2,
+                "core": {"start": 0, "values": [1, 1, 1, 1, 1]},
+                "pos_tail": {"kind": "vanishing"},
+                "neg_tail": {"kind": "vanishing"},
+            }
+        )
+        for name, (encode, message) in self.ENCODED.items():
+            path = tmp_path / name
+            path.write_bytes(encode(text))
+            yield path, f"error: {path}: {message}\n"
+
+    def test_a_file_is_read_as_utf8(self, capsys, tmp_path):
+        for path, want in self.encoded_files(tmp_path):
+            assert run(capsys, "cx", "--input", str(path)) == (1, "", want)
+
+    def test_a_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # Under the C locale with UTF-8 mode off, open() would decode as ASCII.
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = str(Path(qmult.__file__).parents[1])
+        for path, want in self.encoded_files(tmp_path):
+            argv = [sys.executable, "-m", "qmult.cli", "cx", "--input", str(path)]
+            done = subprocess.run(argv, env=env, capture_output=True, check=False)
+            assert (done.returncode, done.stdout, done.stderr.decode("ascii")) == (1, b"", want)
 
     @pytest.mark.parametrize(
         "path, value, field",

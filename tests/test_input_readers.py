@@ -198,6 +198,55 @@ def test_a_huge_int_coefficient_is_read_as_the_integer_it_is():
     assert str(info.value) == 'pos_tail.polys[0][1] must be an integer or a "p/q" string, got 1.5'
 
 
+BIG = 10**5000
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("d", BIG + 1, "period must be an even integer >= 2, got a positive integer of 5001 digits"),
+        ("d", BIG - 1, "period must be an even integer >= 2, got a positive integer of 5000 digits"),
+        ("d", BIG, "pos_tail.polys must hold d = a positive integer of 5001 digits polynomials, got 2"),
+        (
+            "core.start",
+            BIG,
+            "pos tail must overlap the core on 2 blocks per residue: need valid_from in "
+            "[a positive integer of 5001 digits, a positive integer of 5001 digits], got 0",
+        ),
+        (
+            "pos_tail.valid_from",
+            BIG,
+            "pos tail must overlap the core on 2 blocks per residue: need valid_from in "
+            "[0, 3], got a positive integer of 5001 digits",
+        ),
+        (
+            "pos_tail.valid_from",
+            -BIG,
+            "pos tail must overlap the core on 2 blocks per residue: need valid_from in "
+            "[0, 3], got a negative integer of 5001 digits",
+        ),
+    ],
+    ids=["odd d above", "odd d below", "even d", "core start", "anchor above", "anchor below"],
+)
+def test_a_huge_int_field_is_refused_by_name(path, value, message):
+    # Each message writes the int by its sign and digit count: str() of an int
+    # past the interpreter's digit limit raises a bare ValueError.
+    doc = {
+        "d": 2,
+        "core": {"start": 0, "values": [1] * 8},
+        "pos_tail": {"kind": "quasipoly", "valid_from": 0, "polys": [[1], [1]]},
+        "neg_tail": {"kind": "vanishing"},
+    }
+    *outer, key = path.split(".")
+    target = doc
+    for name in outer:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ModelError) as info:
+        LengthFunction.from_json_dict(doc)
+    assert str(info.value) == message
+
+
 # -- the tail's sign certificate ----------------------------------------------
 
 
