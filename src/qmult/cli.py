@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
@@ -32,6 +31,7 @@ from .fixtures import run_corpus, run_property_suites
 from .koszul import reduce_chain
 from .lengths import LengthFunction, ModelError, from_series, read_json
 from .multiplicity import (
+    approximate,
     limit_estimate,
     multiplicity_neg,
     multiplicity_pos,
@@ -130,18 +130,14 @@ def _report_lines(
 
 
 def _approx(value: Fraction) -> str:
-    try:
-        approx = f"{float(value):.6f}"
-    except OverflowError:  # past 2^1024: seven digits of a Decimal, whose exponent is unbounded
-        approx = f"{Context(prec=7, Emax=MAX_EMAX).divide(value.numerator, value.denominator):.6e}"
-    return f"{format_rational(value)} (~ {approx})"
+    return f"{format_rational(value)} (~ {approximate(value, '.6f')})"
 
 
 def _cmd_e(args, side: str) -> Result:
     lf = _load_input(args)
     compute = multiplicity_pos if side == "positive" else multiplicity_neg
-    s = args.s if args.s is not None else lf.complexity(side)
-    report = compute(lf, s)
+    report = compute(lf, args.s)
+    s = report.s
     limits = {}
     limit_n = getattr(args, "limit_n", None)  # e-neg has no --limit-n: the estimate is positive-side only
     if limit_n is not None:

@@ -12,8 +12,8 @@ and divide once at the end, so the hot loops do no Fraction arithmetic.  The
 series recurrence is an integer core, ``series_integers``, which gives each
 coefficient as a pair (U_n, scale_n) with c_n = U_n / scale_n, and
 ``series_coefficients`` is its Fraction view; a reader of lengths
-(``lengths.from_series``) recurs on the lengths themselves instead, with no
-pair.  At an integer m, ``numerator_at`` gives the integer denominator * p(m)
+(``lengths.from_series``) expands on the lengths themselves instead, with no
+pair, through the denominator's (1 - t^j) factors by running sums.  At an integer m, ``numerator_at`` gives the integer denominator * p(m)
 with no division at all; the difference tables of the sign certificate
 (``nonnegative_on_ray``) and of the Faulhaber sum are built from it.  The
 certificate reads only the table (``_first_negative``), so a caller that has a

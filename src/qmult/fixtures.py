@@ -50,6 +50,7 @@ from .lengths import (
     read_json,
 )
 from .multiplicity import (
+    approximate,
     euler_characteristic,
     herbrand,
     limit_estimate,
@@ -147,7 +148,7 @@ def _limit(lf: LengthFunction, c: dict) -> tuple[bool, str]:
     errors = [abs(limit_estimate(lf, c["s"], n, c["constant"]) - c["target"]) for n in c["ns"]]
     monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
     ok = monotone and errors[-1] < c["max_error"]
-    shown = [f"{float(e):.3g}" for e in errors]
+    shown = [approximate(e, ".3g") for e in errors]
     return ok, f"errors {shown} (monotone={monotone}, final<{c['max_error']})"
 
 

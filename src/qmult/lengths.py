@@ -34,12 +34,14 @@ estimate and the sum ``+`` read their ranges through it.
 
 A Hilbert series' tail is certified from its denominator (:func:`from_series`)
 by agreeing with one expansion on the lengths themselves on deg D + dk
-degrees; ``valid_from``, max(0, deg N - deg D + 1), is the honest boundary
-that the division of N by D proves, and its sign is certified on the Newton
-tables its polynomials are read off.  :func:`fit_quasipoly` fits sampled data
-by Newton forward differences per residue class from the high end of the
-window, and its ``valid_from`` is the honest boundary found by one scan back
-down (``_anchored``).  Neither is an assumed one.
+degrees, taken through D's (1 - t^j) factors (j | d) as one running sum per
+factor, after a recurrence on what is left of D; ``valid_from``,
+max(0, deg N - deg D + 1), is the honest boundary that the division of N by D
+proves, and its sign is certified on the Newton tables its polynomials are
+read off.  :func:`fit_quasipoly` fits sampled data by Newton forward
+differences per residue class from the high end of the window, and its
+``valid_from`` is the honest boundary found by one scan back down
+(``_anchored``).  Neither is an assumed one.
 
 JSON files are decoded as UTF-8 whatever the locale and read by one object
 reader (``_json_object``) and one array reader (``_array_of``); every error
@@ -55,8 +57,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import isqrt, lcm, prod
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .differences import newton_form, newton_polynomial
@@ -754,12 +757,13 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     and then for all n > deg N - deg D (Stanley, EC I, 4.4); each residue's
     polynomial is read off k blocks there.  The core reaches at least ``probe``.
 
-    One expansion on the lengths themselves decides everything: with N = A/M
-    and D = B/L over their common denominators (B_0 = L), c_n = (L A_n -
-    M sum_{j>=1} B_j c_{n-j}) / (L M), refused at the first n where that is
-    not a length; each residue's Newton table at block m is read in one basis
-    (``newton_form``).  The k-block tail is R/(1 - t^d)^k with deg R < dk, so
-    past start = max(0, deg N - deg D + 1) the series less the tail has
+    One expansion on the lengths themselves decides everything.  D is split as
+    r * prod(1 - t^j) over divisors j of d (``_split``), so k is the number of
+    factors, and the lengths are N/r by the recurrence on r alone, then one
+    running sum per factor (``_lengths``), refused at the first n where they
+    are not a length; each residue's Newton table at block m is read in one
+    basis (``newton_form``).  The k-block tail is R/(1 - t^d)^k with deg R <
+    dk, so past start = max(0, deg N - deg D + 1) the series less the tail has
     coefficients with a recurrence of order deg D + dk: P is a polynomial
     exactly when they vanish on start..start + deg D + dk - 1, and they vanish
     on the k blocks the tail was read off by construction.  Then f = Q +
@@ -770,7 +774,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     When P is not a polynomial, either some pole of f is not a d-th root of
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
     so that the coefficients go negative.  In the second case, and only then,
-    D with its factors Phi_m (m | d) divided out divides N; the refusal says
+    r with its factors Phi_m (m | d) divided out divides N; the refusal says
     which case holds.  Only this classifier divides: each Phi_m, each factor
     divided out and the last test against N are one exact division
     (``_quotient``).
@@ -785,31 +789,18 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     _check_period(d)
     if probe < 0:
         raise ModelError(f"probe must be >= 0, got {probe}")
-    k, q = 0, f.den.numerators  # no pole of a nonnegative series outranks the one at 1
-    while sum(q) == 0:  # divide D by t - 1; this ends, since D(0) == 1
-        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
+    js, r = _split(f.den.numerators, d)
+    k = len(js)  # no pole of a nonnegative series outranks the one at 1
     start = max(0, f.num.degree - f.den.degree + 1)
     end = start + f.den.degree + d * k  # the tail must agree on start..end - 1
-    size = max(probe, start + d * (k + 1), end - 1) + 1
-    L, M = f.den.denominator, f.num.denominator
-    lm, terms = L * M, [(-j, M * b) for j, b in enumerate(f.den.numerators) if j and b]
-    head = [L * a for a in f.num.numerators[:size]]
-    values = [0] * f.den.degree  # c_n = 0 for n < 0, so that values[-j] is c_{n-j}
-    for n, acc in enumerate(head + [0] * (size - len(head))):
-        for back, b in terms:  # acc becomes L M c_n
-            acc -= b * values[back]
-        if acc < 0 or lm != 1 and acc % lm:
-            shown = _shown(Fraction(acc, lm))
-            raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
-        values.append(acc if lm == 1 else acc // lm)
-    values = values[f.den.degree :]
+    values = _lengths(f, r, js, max(probe, start + d * (k + 1), end - 1) + 1)
     m = -(-start // d)  # the first block of degrees all >= start
     tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
     qp = QuasiPolynomial(d, tuple(map(newton_form(k, m), tables)), start)
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):
-        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
+        if _quotient(f.num, _strip_cyclotomic(Polynomial(r), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -824,6 +815,103 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
     core = values[: core_window(d, 0, probe, qp, None)[1] + 1]  # from 0 <= valid_from
     return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
+
+
+def _split(den: tuple[int, ...], d: int) -> tuple[list[int], list[int]]:
+    """(js, r) with den = r * prod(1 - t^j) over js: each divisor j of d,
+    largest first, divided out while the division is exact.  j = 1 comes last,
+    so r(1) != 0 and len(js) is the order of den's zero at t = 1; r(0) = den(0).
+    The series r / (1 - t^j) is a polynomial exactly when its last j terms
+    before degree len(r) vanish, and then it is the quotient."""
+    js, r = [], list(den)
+    for j in range(min(d, len(r) - 1), 0, -1):
+        while d % j == 0 and len(r) > j and sum(r) == 0:  # 1 - t^j vanishes at t = 1
+            q = _divided(r, j)
+            if any(q[-j:]):
+                break
+            del q[-j:]
+            r = q
+            js.append(j)
+    return js, r
+
+
+def _divided(c: Iterable, j: int) -> list:
+    """The series c / (1 - t^j) on c's terms: c_n + c_{n-j} + c_{n-2j} + ...,
+    by one running sum per residue class mod j or one vector sum per block of
+    j terms, whichever takes fewer steps."""
+    if j == 1:
+        return list(accumulate(c))
+    c = list(c)
+    if j * j <= len(c):
+        for i in range(j):
+            c[i::j] = accumulate(c[i::j])
+    else:
+        for lo in range(j, len(c), j):
+            c[lo : lo + j] = map(add, c[lo : lo + j], c[lo - j : lo])
+    return c
+
+
+def _running_sums(u: list, js: list[int]) -> list:
+    """u / prod(1 - t^j) over js, on u's terms, one factor at a time; the
+    factors 1 - t, last in js, chain their running sums with no list between."""
+    c: Iterable = u
+    for j in js:
+        c = accumulate(c) if j == 1 else _divided(c, j)
+    return list(c)
+
+
+def _recurrence(head: list[int], terms: list[tuple[int, int]], lm: int, depth: int) -> Iterator:
+    """The coefficients of N/r: each (head[n] - sum b u_{n-j}) / lm over the
+    (-j, b) in ``terms``, as an int, up to the first that is not an integer,
+    which is the last, as a Fraction."""
+    u = [0] * depth  # u_n = 0 for n < 0, so that u[-j] is u_{n-j}
+    for acc in head:
+        for back, b in terms:
+            acc -= b * u[back]
+        if lm != 1:
+            if acc % lm:
+                yield Fraction(acc, lm)
+                return
+            acc //= lm
+        u.append(acc)
+        yield acc
+
+
+def _lengths(f: RationalFunction, r: list[int], js: list[int], size: int) -> list[int]:
+    """c_0..c_{size - 1} of f = N/D, for D = r * prod(1 - t^j) over js; refused
+    at the first n where c_n is not a length.
+
+    With N = A/M and D = B/L over their common denominators, r(0) = L, so
+    u = N/r = c * prod(1 - t^j) has u_n = (L A_n - M sum_{j>=1} r_j u_{n-j}) /
+    (L M), which is N itself when r = L = M = 1; c is u's running sums.  The
+    product has integer coefficients and constant term 1, so u_n is an integer
+    exactly when c_n is, and the first that is not shows at the same n.  A c_n
+    can be negative only at or after a negative u_n, so from the first one on
+    the running sums are taken on doubling prefixes of u: a refusal expands at
+    most about twice the terms up to it."""
+    L, M = f.den.denominator, f.num.denominator
+    lm, terms = L * M, [(-j, M * b) for j, b in enumerate(r) if j and b]
+    head = [L * a for a in f.num.numerators[:size]]
+    head += [0] * (size - len(head))
+    if terms or lm != 1:
+        quotients = _recurrence(head, terms, lm, len(r) - 1)
+    elif min(head) >= 0:  # u = N is nonnegative, and so is every c_n
+        return _running_sums(head, js)
+    else:
+        quotients = iter(head)
+    u: list = []
+    signed = False  # some u_n < 0
+    while len(u) < size:
+        grown = len(u)
+        u += islice(quotients, min(size, max(2 * grown, 16)) - grown)
+        signed = signed or min(u[grown:]) < 0
+        if signed or type(u[-1]) is Fraction:
+            values = _running_sums(u, js)
+            bad = next((n for n, c in enumerate(values) if c < 0 or type(c) is Fraction), None)
+            if bad is not None:
+                shown = _shown(values[bad])
+                raise ModelError(f"series coefficient at n={bad} is {shown}; not a length")
+    return values if signed else _running_sums(u, js)
 
 
 def _quotient(num: Polynomial, den: Polynomial) -> Polynomial | None:

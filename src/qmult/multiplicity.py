@@ -43,6 +43,7 @@ sum_n (-1)^n lambda(n), and both conventions agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from itertools import accumulate, count
 from math import factorial, lcm
@@ -102,19 +103,27 @@ class MultiplicityReport:
 
 
 def _report(
-    lf: LengthFunction, side: str, s: int, e_delta: int, e_coeff: int, stabilization: int | None
+    lf: LengthFunction,
+    side: str,
+    s: int,
+    cx: int,
+    e_delta: int,
+    e_coeff: int,
+    stabilization: int | None,
 ) -> MultiplicityReport:
-    """The report of the index-s multiplicity on ``side``; everything not
-    passed in is read off the tails of ``lf``."""
+    """The report of the index-s multiplicity on ``side``, whose complexity is
+    ``cx``; everything not passed in is read off the tails of ``lf``."""
     polys = {
         key: () if lf.tail(key) is None else lf.tail(key).polys
         for key in ("positive", "negative")
     }
+    other = "negative" if side == "positive" else "positive"
+    cxs = {side: cx, other: lf.complexity(other)}
     return MultiplicityReport(
         side=side,
         s=s,
-        cx=lf.complexity("positive"),
-        cx_neg=lf.complexity("negative"),
+        cx=cxs["positive"],
+        cx_neg=cxs["negative"],
         e_delta=e_delta,
         e_coeff=e_coeff,
         leading=tuple(p.coefficient(s - 1) for p in polys[side]),
@@ -131,12 +140,15 @@ def euler_characteristic(lf: LengthFunction) -> int:
     return _sign(lf.core_start) * (sum(lf.core_values[::2]) - sum(lf.core_values[1::2]))
 
 
-def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
-    """The index-s multiplicity on ``side``: one domain check and one Euler
-    case for both sides; the negative stabilized value is the positive one of
-    the reflection, mapped back."""
+def _multiplicity(lf: LengthFunction, s: int | None, side: str) -> MultiplicityReport:
+    """The index-s multiplicity on ``side``, s the complexity when None: one
+    domain check and one Euler case for both sides; the negative stabilized
+    value is the positive one of the reflection, mapped back.  The complexity
+    is computed once, here, for the check and the report."""
     name = "complexity" if side == "positive" else "negative complexity"
     cx = lf.complexity(side)
+    if s is None:
+        s = cx
     if s < cx:
         raise MultiplicityError(f"s={s} is below the {name} {cx}")
 
@@ -148,10 +160,10 @@ def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
                 "the Euler characteristic is undefined"
             )
         e = euler_characteristic(lf) if s == 0 else 0
-        return _report(lf, side, s, e, e, None)
+        return _report(lf, side, s, cx, e, e, None)
 
     if side == "positive":
-        return _report(lf, side, s, *_stabilized_report(lf, s, lf.core_start - 2 * lf.d))
+        return _report(lf, side, s, cx, *_stabilized_report(lf, s, lf.core_start - 2 * lf.d))
     # D-^{s-1} h(n) is D^{s-1} of the reflection's Herbrand difference at
     # m = -n - reach, so the 3d confirmation windows coincide, and the scan
     # that stops above core_end + 2d here stops below its mirror image there.
@@ -159,11 +171,11 @@ def _multiplicity(lf: LengthFunction, s: int, side: str) -> MultiplicityReport:
     e_delta, e_coeff, stabilization = _stabilized_report(
         lf.reflect(), s, -(lf.core_end + 2 * lf.d) - reach
     )
-    return _report(lf, side, s, e_delta, _sign(s - 1) * e_coeff, -stabilization - reach)
+    return _report(lf, side, s, cx, e_delta, _sign(s - 1) * e_coeff, -stabilization - reach)
 
 
-def multiplicity_pos(lf: LengthFunction, s: int) -> MultiplicityReport:
-    """The index-s multiplicity at +infinity.
+def multiplicity_pos(lf: LengthFunction, s: int | None = None) -> MultiplicityReport:
+    """The index-s multiplicity at +infinity; s defaults to the complexity.
 
     Requires s >= cx.  For cx >= 1 the delta value is the formula
     (s-1)! * sum_i (-1)^i a_i on the leading coefficients of the tail
@@ -176,8 +188,9 @@ def multiplicity_pos(lf: LengthFunction, s: int) -> MultiplicityReport:
     return _multiplicity(lf, s, "positive")
 
 
-def multiplicity_neg(lf: LengthFunction, s: int) -> MultiplicityReport:
-    """The index-s multiplicity at -infinity: the positive one of the reflection.
+def multiplicity_neg(lf: LengthFunction, s: int | None = None) -> MultiplicityReport:
+    """The index-s multiplicity at -infinity: the positive one of the
+    reflection; s defaults to the negative complexity.
 
     The delta value is the literal stabilized value of D-^{s-1} h for n << 0,
     which relates to the coefficient formula by the extra sign (-1)^(s-1); at
@@ -314,6 +327,16 @@ def limit_estimate(
             if m_hi >= m_lo and not g.is_zero():
                 total += _sign(i) * den // g.denominator * _faulhaber_numerator(g, m_lo, m_hi)
     return Fraction(factor * total, den * n**s)
+
+
+def approximate(value: Fraction, spec: str) -> str:
+    """``value`` as a float in the format ``spec``; past the float range
+    (2^1024), where ``float`` raises, seven digits of a Decimal, whose
+    exponent is unbounded."""
+    try:
+        return format(float(value), spec)
+    except OverflowError:
+        return f"{Context(prec=7, Emax=MAX_EMAX).divide(value.numerator, value.denominator):.6e}"
 
 
 def theta_invariant(tor_lengths: LengthFunction) -> int:

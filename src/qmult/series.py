@@ -18,11 +18,12 @@ The input is tokenized once, into plain tuples, and parsed twice.  The first
 pass checks the syntax and computes nothing, so a syntax error anywhere comes
 first and costs no arithmetic.  The second folds each operator as soon as both
 operands are parsed, so operator chains fold in loops and only '(' and unary
-minus recurse.  It folds on (numerator, denominator) pairs of polynomials,
-forms no product by a denominator 1, and normalizes once, into a
-:class:`RationalFunction`, at the end.  A divisor with a zero constant term is
-a semantic error naming the offending subexpression; no arithmetic runs after
-it.
+minus recurse.  The only atoms are integers and ``t``, so every numerator
+and denominator is an integer polynomial: the fold runs on (numerator,
+denominator) pairs of plain integer coefficient lists, forms no product by a
+denominator 1, and builds one :class:`RationalFunction`, its only
+polynomials, at the end.  A divisor with a zero constant term is a semantic
+error naming the offending subexpression; no arithmetic runs after it.
 """
 
 from __future__ import annotations
@@ -107,31 +108,71 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# The second pass folds each operator into a pair (num, den) of polynomials,
-# with None for a denominator 1 so that no product by it is formed; every
-# denominator has a nonzero constant term.  The pair is normalized once, as a
-# RationalFunction, at the end: each operation is linear in a scaling of its
-# operands' pairs, so that is the function a fold of normalized operands gives.
-_Pair = tuple[Polynomial, "Polynomial | None"]
+# The second pass folds each operator into a pair (num, den) of integer
+# coefficient lists, constant term first with no trailing zeros (the zero
+# polynomial is []), with None for a denominator 1 so that no product by it is
+# formed; every denominator has a nonzero constant term.  The pair becomes a
+# RationalFunction once, at the end: each operation is linear in a scaling of
+# its operands' pairs, so that is the function a fold of normalized operands
+# gives.  Operations build new lists and never change their operands.
+_Coefficients = list[int]
+_Pair = tuple[_Coefficients, "_Coefficients | None"]
 
 
-def _times(p: Polynomial | None, q: Polynomial | None) -> Polynomial | None:
+def _product(a: _Coefficients, b: _Coefficients) -> _Coefficients:
+    """The product a * b: the convolution, over b's nonzero coefficients."""
+    if not a or not b:
+        return []
+    terms = [(j, e) for j, e in enumerate(b) if e]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in terms:
+                out[i + j] += c * e
+    return out
+
+
+def _power(a: _Coefficients, n: int) -> _Coefficients:
+    """a^n by square-and-multiply, the first factor taken as it is rather
+    than multiplied into 1, and the last square, which would go unused, not
+    formed."""
+    result, base = None, a
+    while n:
+        if n & 1:
+            result = base if result is None else _product(result, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return [1] if result is None else result
+
+
+def _combine(a: _Coefficients, b: _Coefficients, sign: int) -> _Coefficients:
+    """a + sign * b, trimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for k, e in enumerate(b):
+        out[k] += sign * e
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _times(p: _Coefficients | None, q: _Coefficients | None) -> _Coefficients | None:
     """p * q, with None standing for 1."""
     if p is None:
         return q
-    return p if q is None else p * q
+    return p if q is None else _product(p, q)
 
 
 def _add(a: _Pair, b: _Pair) -> _Pair:
-    return _times(a[0], b[1]) + _times(b[0], a[1]), _times(a[1], b[1])
+    return _combine(_times(a[0], b[1]), _times(b[0], a[1]), 1), _times(a[1], b[1])
 
 
 def _sub(a: _Pair, b: _Pair) -> _Pair:
-    return _times(a[0], b[1]) - _times(b[0], a[1]), _times(a[1], b[1])
+    return _combine(_times(a[0], b[1]), _times(b[0], a[1]), -1), _times(a[1], b[1])
 
 
 def _mul(a: _Pair, b: _Pair) -> _Pair:
-    return a[0] * b[0], _times(a[1], b[1])
+    return _product(a[0], b[0]), _times(a[1], b[1])
 
 
 def _div(a: _Pair, b: _Pair) -> _Pair:
@@ -139,11 +180,11 @@ def _div(a: _Pair, b: _Pair) -> _Pair:
 
 
 def _neg(a: _Pair) -> _Pair:
-    return -a[0], a[1]
+    return [-c for c in a[0]], a[1]
 
 
 def _pow(a: _Pair, n: int) -> _Pair:
-    return a[0] ** n, None if a[1] is None else a[1] ** n
+    return _power(a[0], n), None if a[1] is None else _power(a[1], n)
 
 
 class _Parser:
@@ -202,7 +243,7 @@ class _Parser:
             divide = self._eat(self.kind)[0] == "/"
             start = self.tokens[self.pos][1]
             operand = self.unary()  # a division in it has raised its own error already
-            if divide and self.fold and operand[0].numerators[:1] in ((), (0,)):
+            if divide and self.fold and operand[0][:1] in ([], [0]):
                 end = self.tokens[self.pos - 1][3]
                 raise SeriesSemanticError(
                     "denominator has zero constant term", start, end, self.text[start:end]
@@ -230,7 +271,7 @@ class _Parser:
         if kind in ("int", "t"):
             self.pos += 1
             if self.fold:
-                return (Polynomial.t() if kind == "t" else Polynomial.const(number)), None
+                return ([0, 1] if kind == "t" else [number] if number else []), None
             return None
         if kind == "(":
             self._eat("(")
@@ -249,4 +290,6 @@ def parse_series(text: str) -> RationalFunction:
     tokens = _tokenize(text)
     _Parser(text, tokens, fold=False).parse()
     num, den = _Parser(text, tokens, fold=True).parse()
-    return RationalFunction(num, Polynomial.const(1) if den is None else den)
+    return RationalFunction(
+        Polynomial._from_integers(num, 1), Polynomial._from_integers(den or [1], 1)
+    )

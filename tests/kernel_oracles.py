@@ -59,9 +59,13 @@ integers.  ``pair_from_series`` expands the integer pairs (U_n, scale_n) of
 ``series_integers`` and divides each once, and builds each residue's
 polynomial by its own nested Newton form (``nested_newton_polynomial``),
 against which the recurrence on the lengths themselves and the one Newton
-basis per call are compared.  ``fraction_limit_estimate`` adds one
-``faulhaber_sum`` Fraction per residue to a Fraction total, against which the
-integer sum over the lcm of the tail denominators is compared.
+basis per call are compared.  ``recurrence_from_series`` keeps that
+recurrence as it was first written, over every nonzero term of D and over
+the whole window before any refusal, against which the expansion through
+D's (1 - t^j) factors, by running sums, is compared.
+``fraction_limit_estimate`` adds one ``faulhaber_sum`` Fraction per residue
+to a Fraction total, against which the integer sum over the lcm of the tail
+denominators is compared.
 
 The input readers keep their first form.  A JSON array is read entry by
 entry, each at its own path ``field[i]``, each coefficient as one Fraction
@@ -81,7 +85,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import factorial, isqrt, lcm, prod
 
-from qmult.differences import delta, faulhaber_sum
+from qmult.differences import delta, faulhaber_sum, newton_form
 from qmult.exact import (
     NotExpandableError,
     Polynomial,
@@ -100,6 +104,7 @@ from qmult.lengths import (
     QuasiPolynomial,
     _check_period,
     _check_sign,
+    _differs,
     _got,
     _json_int,
     _json_list,
@@ -703,6 +708,54 @@ def pair_from_series(f, d, probe):
     qp = QuasiPolynomial(d, tuple(nested_newton_polynomial(table, m) for table in tables), start)
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(qp(n) != values[n] for n in window):
+        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
+            raise ModelError(
+                "series coefficients eventually go negative: "
+                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+            )
+        raise ModelError(
+            f"not eventually a period-{d} quasi-polynomial: "
+            "its poles are not all d-th roots of unity"
+        )
+    blocks = (_first_negative(table, m) for table in tables)
+    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
+    core = values[: core_window(d, 0, probe, qp, None)[1] + 1]
+    return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
+
+
+def recurrence_from_series(f, d, probe):
+    """``lengths.from_series`` as it was before it divided D's (1 - t^j)
+    factors out: k counted by dividing D by t - 1, and one recurrence over
+    every nonzero term of D on the lengths themselves, c_n = (L A_n - M
+    sum_{j>=1} B_j c_{n-j}) / (L M), refused at the first n where that is not
+    a length, with every term of the window expanded first.  The rest is the
+    library's."""
+    _check_period(d)
+    if probe < 0:
+        raise ModelError(f"probe must be >= 0, got {probe}")
+    k, q = 0, f.den.numerators
+    while sum(q) == 0:
+        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
+    start = max(0, f.num.degree - f.den.degree + 1)
+    end = start + f.den.degree + d * k
+    size = max(probe, start + d * (k + 1), end - 1) + 1
+    L, M = f.den.denominator, f.num.denominator
+    lm, terms = L * M, [(-j, M * b) for j, b in enumerate(f.den.numerators) if j and b]
+    head = [L * a for a in f.num.numerators[:size]]
+    values = [0] * f.den.degree
+    for n, acc in enumerate(head + [0] * (size - len(head))):
+        for back, b in terms:
+            acc -= b * values[back]
+        if acc < 0 or lm != 1 and acc % lm:
+            shown = _shown(Fraction(acc, lm))
+            raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
+        values.append(acc if lm == 1 else acc // lm)
+    values = values[f.den.degree :]
+    m = -(-start // d)
+    tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
+    qp = QuasiPolynomial(d, tuple(map(newton_form(k, m), tables)), start)
+    window = chain(range(start, d * m), range(d * (m + k), end))
+    if any(_differs(qp, n, values[n]) for n in window):
         if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "

@@ -24,7 +24,7 @@ from qmult.cli import main
 from qmult.exact import QmultError, format_rational
 from qmult.fixtures import random_length_function
 from qmult.koszul import KoszulError, reduce
-from qmult.lengths import from_series
+from qmult.lengths import QuasiPolynomial, from_series
 from qmult.multiplicity import limit_estimate
 from qmult.series import parse_series
 
@@ -198,6 +198,20 @@ class TestReportCommands:
         code, _, err = run(capsys, "e", "--expr", "t^2/(1-t^2)^2", "--d", "2", "--s", "1")
         assert code == 1
         assert "below the complexity" in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_an_e_job_walks_the_tail_degrees_twice(self, capsys, monkeypatch, json_flag):
+        # Once to size the core of the series (core_window), once for the
+        # report's complexity.  An e job walked all d polynomials four times:
+        # the handler, the domain check and both report fields read it.
+        walks = []
+        walk = QuasiPolynomial.max_degree.fget
+        counted = property(lambda qp: walks.append(qp.d) or walk(qp))
+        monkeypatch.setattr(QuasiPolynomial, "max_degree", counted)
+        argv = ("e", "--expr", "t^7/((1-t^2)*(1-t^120))", "--d", "120", "--probe", "840")
+        code, out, _ = run(capsys, *argv, *json_flag)
+        assert code == 0 and ("cx             2" in out or '"cx": 2' in out)
+        assert walks == [120, 120]
 
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -413,6 +413,20 @@ class TestCorpus:
             "",
         )
 
+    def test_limit_errors_past_the_float_range_are_shown(self, tmp_path, monkeypatch, capsys):
+        # Each error was formatted through float(), which raised past 2^1024:
+        # the check failed with "integer division result too large for a float".
+        limit = {**EMPTY_NS, "s": 2, "ns": [10, 100], "target": "1" + "0" * 400, "max_error": "1/1000"}
+        case = {"label": "a", "source": {"series": "1/(1-t^2)^2", "d": 2}, "expected": [limit]}
+        (tmp_path / "far.json").write_text(json.dumps({"name": "x", "cases": [case]}))
+        monkeypatch.setenv("MULT_FIXTURE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "paper"]) == 1
+        errors = "['1.000000e+400', '1.000000e+400'] (monotone=False, final<1/1000)"
+        assert capsys.readouterr() == (
+            f"FAIL paper/x/a/limit(s=2,constant=paper) -- errors {errors}\npassed 0 of 1\n",
+            "",
+        )
+
     def test_unknown_source_key_rejected(self, tmp_path):
         case = {"label": "a", "source": {"series": "1", "prob": 200}, "expected": []}
         (tmp_path / "bad.json").write_text(json.dumps({"name": "x", "cases": [case]}))

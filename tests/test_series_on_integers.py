@@ -1,9 +1,10 @@
 """Series jobs on plain integers, against the forms they replaced.
 
-``lengths.from_series`` recurs on the lengths themselves: with N = P/M and
-D = Q/L, c_n = (L P_n - M sum_{j>=1} Q_j c_{n-j}) / (L M), refused at the
-first n where that is not a nonnegative integer.  Each residue's polynomial
-is its Newton table in one basis built once per call (``newton_form``).
+``lengths.from_series`` expands on the lengths themselves, through D's
+(1 - t^j) factors by running sums after a recurrence on what is left of D,
+refused at the first n where a length is not a nonnegative integer.  Each
+residue's polynomial is its Newton table in one basis built once per call
+(``newton_form``).
 Against ``kernel_oracles.pair_from_series``, which reads the integer pairs
 (U_n, scale_n) of ``series_integers`` and builds each residue's polynomial by
 the nested Newton form, it must give the same JSON, or the same error text
