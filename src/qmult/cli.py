@@ -153,9 +153,7 @@ def _cmd_e(args, side: str) -> Result:
 
 
 def _cmd_koszul(args) -> Result:
-    lf = _load_input(args)
-    s = args.s if args.s is not None else lf.complexity(args.regime)
-    return 0, reduce_chain(lf, s, args.regime).to_json_dict(), None
+    return 0, reduce_chain(_load_input(args), args.s, args.regime).to_json_dict(), None
 
 
 def _cmd_limit(args) -> Result:

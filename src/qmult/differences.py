@@ -23,7 +23,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Sequence, Union
 
-from .exact import Polynomial, Scalar, difference_table
+from .exact import Polynomial, Scalar, _newton_table
 
 NumericFunction = Callable[[int], Union[int, Fraction]]
 
@@ -110,5 +110,4 @@ def _faulhaber_numerator(g: Polynomial, N: int, n: int) -> int:
     Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
     and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
     difference table of the integers denominator * g(N..N+deg)."""
-    table = difference_table([g.numerator_at(N + j) for j in range(g.degree + 1)])
-    return sum([c * comb(n - N + 1, k) for k, c in enumerate(table, 1)])
+    return sum([c * comb(n - N + 1, k) for k, c in enumerate(_newton_table(g, N), 1)])

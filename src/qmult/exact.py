@@ -9,11 +9,16 @@ denominators, 1 for the zero polynomial, which has no numerators and degree
 differences, negation, products and powers, evaluation and the Taylor shift
 behind ``compose_linear`` and ``forward_difference`` all run on those integers
 and divide once at the end, so the hot loops do no Fraction arithmetic.  The
-series recurrence is an integer core, ``series_integers``, which gives each
-coefficient as a pair (U_n, scale_n) with c_n = U_n / scale_n, and
-``series_coefficients`` is its Fraction view; a reader of lengths
+arithmetic on integer coefficient lists lives here once, in four kernels: the
+product ``_product``, the power ``_power``, the trimmed sum ``_combine`` and
+the in-place Taylor shift ``_taylor_shift``.  ``Polynomial`` wraps them and
+handles the denominators; the series parser (``series``) folds on them
+directly.  The series recurrence is an integer core, ``series_integers``,
+which gives each coefficient as a pair (U_n, scale_n) with c_n = U_n /
+scale_n, and ``series_coefficients`` is its Fraction view; a reader of lengths
 (``lengths.from_series``) expands on the lengths themselves instead, with no
-pair, through the denominator's (1 - t^j) factors by running sums.  At an integer m, ``numerator_at`` gives the integer denominator * p(m)
+pair, through the denominator's (1 - t^j) factors by running sums.  At an
+integer m, ``numerator_at`` gives the integer denominator * p(m)
 with no division at all; the difference tables of the sign certificate
 (``nonnegative_on_ray``) and of the Faulhaber sum are built from it.  The
 certificate reads only the table (``_first_negative``), so a caller that has a
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Union
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -72,6 +78,58 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()
     return Fraction(int(num), int(den or 1))
+
+
+# The integer coefficient-list kernels: lists of ints, constant term first.
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product a * b: the convolution, over b's nonzero coefficients."""
+    if not a or not b:
+        return []
+    terms = [(j, e) for j, e in enumerate(b) if e]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in terms:
+                out[i + j] += c * e
+    return out
+
+
+def _power(a: list[int], n: int) -> list[int]:
+    """a^n for n >= 0 by square-and-multiply, the first factor taken as it is
+    (a itself when n = 1) rather than multiplied into 1, and the last square,
+    which would go unused, not formed."""
+    result, base = None, a
+    while n:
+        if n & 1:
+            result = base if result is None else _product(result, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return [1] if result is None else result
+
+
+def _combine(a: list[int], b: Sequence[int], m: int) -> list[int]:
+    """a + m * b, for an integer m, trimmed of trailing zeros."""
+    out = a + [0] * (len(b) - len(a))
+    for k, e in enumerate(b):
+        out[k] += m * e
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _taylor_shift(nums: list[int], p: int) -> list[int]:
+    """The coefficients of G(u + p) for the coefficients nums of G, in place,
+    by repeated synthetic division: pass i is Horner's rule from the top
+    down to coefficient i."""
+    deg = len(nums) - 1
+    for i in range(deg):
+        acc = nums[deg]
+        for k in range(deg - 1, i - 1, -1):
+            acc = nums[k] = acc * p + nums[k]
+    return nums
 
 
 @dataclass(frozen=True, init=False)
@@ -180,12 +238,9 @@ class Polynomial:
         """self + sign * other, over the lcm of the two denominators."""
         den = lcm(self.denominator, other.denominator)
         a, b = den // self.denominator, den // other.denominator * sign
-        out = [c * a for c in self.numerators]
-        if len(out) < len(other.numerators):
-            out += [0] * (len(other.numerators) - len(out))
-        for k, c in enumerate(other.numerators):
-            out[k] += c * b
-        return Polynomial._from_integers(out, den)
+        return Polynomial._from_integers(
+            _combine([c * a for c in self.numerators], other.numerators, b), den
+        )
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         return self._combine(_as_poly(other), 1)
@@ -202,40 +257,23 @@ class Polynomial:
         return Polynomial._from_integers([-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        """Integer convolution of the numerators over the product of the
-        denominators; zero numerators of either factor are skipped, and a
-        factor 1 gives the other factor back."""
+        """The convolution of the numerators over the product of the
+        denominators; a factor 1 gives the other factor back."""
         other = _as_poly(other)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return Polynomial()
-        if a == (1,) and self.denominator == 1:
+        if self.numerators == (1,) and self.denominator == 1:
             return other
-        if b == (1,) and other.denominator == 1:
+        if other.numerators == (1,) and other.denominator == 1:
             return self
-        terms = [(j, c) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, e in terms:
-                    out[i + j] += c * e
+        out = _product(self.numerators, other.numerators)
         return Polynomial._from_integers(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
-        """Square-and-multiply, the first factor taken as it is rather than
-        multiplied into 1."""
+        """The power of the numerators over the power of the denominator."""
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative")
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:  # the last square would go unused, and it is the largest product
-                base = base * base
-        return Polynomial.const(1) if result is None else result
+        return Polynomial._from_integers(_power(list(self.numerators), n), self.denominator**n)
 
     def shift(self, c: Scalar) -> Polynomial:
         """Return g(t + c), expanded exactly.
@@ -250,8 +288,8 @@ class Polynomial:
 
         With b = p/q, G(u) = q^deg * denominator * g(u/q) has the integer
         coefficients numerators[k] * q^(deg-k), and g(a*t + b) = G(q*a*t + p) /
-        (q^deg * denominator).  G(u + p) is a Taylor shift done in place by
-        repeated synthetic division; substituting u = q*a*t then scales its k-th
+        (q^deg * denominator).  G(u + p) is the Taylor shift
+        :func:`_taylor_shift`; substituting u = q*a*t then scales its k-th
         coefficient by (q*a)^k, with a's denominator cleared as well.
         """
         if self.is_zero() or (a, b) == (1, 0):
@@ -259,10 +297,7 @@ class Polynomial:
         deg = self.degree
         p, q = b.numerator, b.denominator
         qa, a_den = q * a.numerator, a.denominator
-        nums = [c * q ** (deg - k) for k, c in enumerate(self.numerators)]
-        for i in range(deg):
-            for k in range(deg - 1, i - 1, -1):
-                nums[k] += p * nums[k + 1]
+        nums = _taylor_shift([c * q ** (deg - k) for k, c in enumerate(self.numerators)], p)
         for k in range(deg + 1):
             nums[k] *= qa**k * a_den ** (deg - k)
         return Polynomial._from_integers(nums, self.denominator * (q * a_den) ** deg)
@@ -270,21 +305,16 @@ class Polynomial:
     def forward_difference(self) -> Polynomial:
         """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant.
 
-        One integer Taylor shift by 1 of the numerators, by repeated synthetic
-        division as in :meth:`compose_linear`, less the numerators: the shift
-        keeps the denominator, so the difference is over it too.
+        The Taylor shift by 1 of the numerators (:func:`_taylor_shift`) less
+        the numerators: the shift keeps the denominator, so the difference is
+        over it too.
 
         >>> Polynomial((0, 0, 1)).forward_difference()
         Polynomial('2*t + 1')
         """
-        nums = list(self.numerators)
-        deg = len(nums) - 1
-        for i in range(deg):
-            for k in range(deg - 1, i - 1, -1):
-                nums[k] += nums[k + 1]
-        return Polynomial._from_integers(
-            [a - b for a, b in zip(nums, self.numerators)], self.denominator
-        )
+        nums = self.numerators
+        shifted = _taylor_shift(list(nums), 1)
+        return Polynomial._from_integers(list(map(sub, shifted, nums)), self.denominator)
 
     def __str__(self) -> str:
         coeffs = self.coeffs

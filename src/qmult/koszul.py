@@ -12,8 +12,8 @@ globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
 regime, so the complexity drops by exactly one per step while it is positive.
 A negative chain is the positive chain of mu(n) = lambda(-n) mapped back once:
-function k reflected and shifted by k(d + 1), and a violation m of step k to
-degree -m - k(d + 1).
+function k by the one reindexing n -> -n - k(d + 1), and a violation m of
+step k to degree -m - k(d + 1).
 
 A chain certifies its positive tails in its frame from one Newton table per
 residue at the frame's anchor: step k's polynomial Delta^k g has the suffix
@@ -112,7 +112,7 @@ def reduce(lf: LengthFunction, regime: str = "positive") -> LengthFunction:
     if regime not in ("positive", "negative"):
         raise ValueError("regime must be 'positive' or 'negative'")
     reduced = _reductions(lf, 1, regime)[1]
-    return reduced if regime == "positive" else reduced.reflect().shift(lf.d + 1)
+    return reduced if regime == "positive" else reduced._reindexed(-1, -(lf.d + 1))
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,23 @@ class KoszulChain:
         }
 
 
-def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> KoszulChain:
+def reduce_chain(lf: LengthFunction, s: int | None = None, regime: str = "positive") -> KoszulChain:
     """Reduce s times in one frame, recording multiplicities along the way.  A
     negative chain is the positive chain of the reflection, mapped back once.
     Each function's multiplicity is what ``multiplicity_pos`` gives in the
     frame, read off one Herbrand list of the frame (``_chain_values``).
 
-    Requires s at or above the relevant complexity, so the final function has
-    complexity 0 and its recorded multiplicity is the plain Euler
-    characteristic.  Positive chains must be constant; negative chains must
-    alternate in sign; either failure is a model inconsistency.
+    Requires s at or above the relevant complexity, which s defaults to and
+    which is computed once, so the final function has complexity 0 and its
+    recorded multiplicity is the plain Euler characteristic.  Positive chains
+    must be constant; negative chains must alternate in sign; either failure
+    is a model inconsistency.
     """
-    if s < lf.complexity(regime):
-        raise MultiplicityError(
-            f"s={s} is below the {regime} complexity {lf.complexity(regime)}"
-        )
+    cx = lf.complexity(regime)
+    if s is None:
+        s = cx
+    if s < cx:
+        raise MultiplicityError(f"s={s} is below the {regime} complexity {cx}")
     # The terminal value is an Euler characteristic, which compares to the
     # chain only when the opposite tail of the base vanishes.
     if lf.tail("negative" if regime == "positive" else "positive") is not None:
@@ -172,10 +174,11 @@ def reduce_chain(lf: LengthFunction, s: int, regime: str = "positive") -> Koszul
     frames = _reductions(lf, s, regime)
     values = _chain_values(frames, s)
     if regime == "negative":
-        # Function k is frame k reflected and shifted by k(d + 1), odd for odd
-        # k as d is even, which negates its multiplicity.
+        # Function k is frame k at n -> -n - k(d + 1), a shift by k(d + 1) of
+        # its reflection, odd for odd k as d is even, which negates its
+        # multiplicity.
         values = [(-1) ** k * v for k, v in enumerate(values)]
-        frames = [lf] + [f.reflect().shift(k * (lf.d + 1)) for k, f in enumerate(frames[1:], 1)]
+        frames = [lf] + [f._reindexed(-1, -k * (lf.d + 1)) for k, f in enumerate(frames[1:], 1)]
     chain = KoszulChain(regime, s, tuple(frames), tuple(values))
     if len(set(chain.invariant_values)) > 1:
         raise ModelError(f"chain multiplicities broke the reduction identity: {values}")

@@ -21,7 +21,11 @@ polynomials are all zero are normalized to ``None``.  Outside input
 (``LengthFunction(...)``, ``from_values``, ``from_json_dict``) runs these
 checks; derived functions (:func:`from_series`, ``+``, ``shift``,
 ``reflect``, ``koszul.reduce``) are built with ``_unchecked``, their checks
-proved by construction.
+proved by construction.  Translation and reflection are one reindexing of Z,
+n -> sign * n + b for sign = 1 or -1 (``_reindexed``), on quasi-polynomials
+and on length functions alike: one composition per polynomial, so a
+reflection followed by a shift, as a negative Koszul chain maps its functions
+back, is one call.
 
 A tail value is a length, so it is computed as an integer: the numerator of
 g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
@@ -159,18 +163,22 @@ class QuasiPolynomial:
 
     def shift(self, k: int) -> QuasiPolynomial:
         """The translate n -> self(n + k), anchored at valid_from - k."""
-        polys = []
-        for i in range(self.d):
-            q, r = divmod(i + k, self.d)  # floor division
-            polys.append(self.polys[r].shift(q))
-        return QuasiPolynomial(self.d, tuple(polys), self.valid_from - k)
+        return self._reindexed(1, k)
 
     def reflect(self) -> QuasiPolynomial:
         """The reversal n -> self(-n), anchored at -valid_from."""
-        polys = [self.polys[0].compose_linear(-1, 0)]
-        for i in range(1, self.d):
-            polys.append(self.polys[self.d - i].compose_linear(-1, -1))
-        return QuasiPolynomial(self.d, tuple(polys), -self.valid_from)
+        return self._reindexed(-1, 0)
+
+    def _reindexed(self, sign: int, b: int) -> QuasiPolynomial:
+        """n -> self(sign * n + b) for sign = 1 or -1, anchored at
+        sign * (valid_from - b).  At n = d*m + i it is polys[r](sign * m + q)
+        for (q, r) = divmod(sign * i + b, d): one composition per polynomial,
+        none where sign = 1 and q = 0."""
+        polys = []
+        for i in range(self.d):
+            q, r = divmod(sign * i + b, self.d)
+            polys.append(self.polys[r].compose_linear(sign, q))
+        return QuasiPolynomial(self.d, tuple(polys), sign * (self.valid_from - b))
 
     def negative_degrees(self, anchor: int) -> Iterator[int]:
         """The sign certificate: for each residue i, in order, that goes negative
@@ -369,23 +377,21 @@ class LengthFunction:
 
     def shift(self, k: int) -> LengthFunction:
         """The translate n -> self(n + k)."""
-        return LengthFunction._unchecked(
-            self.d,
-            self.core_start - k,
-            self.core_values,
-            None if self.pos_tail is None else self.pos_tail.shift(k),
-            None if self.neg_tail is None else self.neg_tail.shift(k),
-        )
+        return self._reindexed(1, k)
 
     def reflect(self) -> LengthFunction:
         """The reversal n -> self(-n); swaps the two tails."""
-        return LengthFunction._unchecked(
-            self.d,
-            -self.core_end,
-            tuple(reversed(self.core_values)),
-            None if self.neg_tail is None else self.neg_tail.reflect(),
-            None if self.pos_tail is None else self.pos_tail.reflect(),
-        )
+        return self._reindexed(-1, 0)
+
+    def _reindexed(self, sign: int, b: int) -> LengthFunction:
+        """n -> self(sign * n + b) for sign = 1 or -1: the core read in the
+        order of sign, from sign * (its first end in that order - b), and
+        each tail reindexed, the two swapped when sign = -1."""
+        first = (self.core_start, self.core_end)[::sign][0]
+        tails = (self.pos_tail, self.neg_tail)[::sign]
+        pos, neg = (None if qp is None else qp._reindexed(sign, b) for qp in tails)
+        values = self.core_values[::sign]
+        return LengthFunction._unchecked(self.d, sign * (first - b), values, pos, neg)
 
     def __add__(self, other: LengthFunction) -> LengthFunction:
         """Pointwise sum; models a direct sum of pairs."""

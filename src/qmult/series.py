@@ -22,8 +22,10 @@ minus recurse.  The only atoms are integers and ``t``, so every numerator
 and denominator is an integer polynomial: the fold runs on (numerator,
 denominator) pairs of plain integer coefficient lists, forms no product by a
 denominator 1, and builds one :class:`RationalFunction`, its only
-polynomials, at the end.  A divisor with a zero constant term is a semantic
-error naming the offending subexpression; no arithmetic runs after it.
+polynomials, at the end.  Its product, power and trimmed sum are the integer
+list kernels of :mod:`qmult.exact`, the ones ``Polynomial`` runs on.  A
+divisor with a zero constant term is a semantic error naming the offending
+subexpression; no arithmetic runs after it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .exact import Polynomial, QmultError, RationalFunction
+from .exact import Polynomial, QmultError, RationalFunction, _combine, _power, _product
 
 
 MAX_NESTING = 100
@@ -114,46 +116,10 @@ def _tokenize(text: str) -> list[_Token]:
 # formed; every denominator has a nonzero constant term.  The pair becomes a
 # RationalFunction once, at the end: each operation is linear in a scaling of
 # its operands' pairs, so that is the function a fold of normalized operands
-# gives.  Operations build new lists and never change their operands.
+# gives.  Operations build new lists, with exact's list kernels, and never
+# change their operands.
 _Coefficients = list[int]
 _Pair = tuple[_Coefficients, "_Coefficients | None"]
-
-
-def _product(a: _Coefficients, b: _Coefficients) -> _Coefficients:
-    """The product a * b: the convolution, over b's nonzero coefficients."""
-    if not a or not b:
-        return []
-    terms = [(j, e) for j, e in enumerate(b) if e]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, e in terms:
-                out[i + j] += c * e
-    return out
-
-
-def _power(a: _Coefficients, n: int) -> _Coefficients:
-    """a^n by square-and-multiply, the first factor taken as it is rather
-    than multiplied into 1, and the last square, which would go unused, not
-    formed."""
-    result, base = None, a
-    while n:
-        if n & 1:
-            result = base if result is None else _product(result, base)
-        n >>= 1
-        if n:
-            base = _product(base, base)
-    return [1] if result is None else result
-
-
-def _combine(a: _Coefficients, b: _Coefficients, sign: int) -> _Coefficients:
-    """a + sign * b, trimmed."""
-    out = a + [0] * (len(b) - len(a))
-    for k, e in enumerate(b):
-        out[k] += sign * e
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _times(p: _Coefficients | None, q: _Coefficients | None) -> _Coefficients | None:

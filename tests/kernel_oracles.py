@@ -31,6 +31,10 @@ Koszul chain is that step taken s times in its own regime, each function's
 multiplicity read on its own side, against which the library's one positive
 chain of the reflection, mapped back once, is compared.
 
+Translation and reflection keep their two bodies each, on quasi-polynomials
+by Horner composition and on length functions through the validating
+constructor, against which the one reindexing n -> +-n + b is compared.
+
 The vanishing-window check keeps its scan of every degree up to the Cauchy
 horizon of the tail polynomials (``cauchy_horizon``, which the sign
 certificate no longer needs), against which the run search by the tail-sign
@@ -465,6 +469,49 @@ def reduced_tail(qp, regime, side):
     if all(p.is_zero() for p in step):
         return None
     return QuasiPolynomial(d, tuple(step), anchor)
+
+
+def shift_tail(qp, k):
+    """The translate n -> qp(n + k), anchored at valid_from - k: residue i
+    takes residue r's polynomial at t + q, for (q, r) = divmod(i + k, d)."""
+    polys = []
+    for i in range(qp.d):
+        q, r = divmod(i + k, qp.d)
+        polys.append(horner_compose_linear(qp.polys[r], 1, q))
+    return QuasiPolynomial(qp.d, tuple(polys), qp.valid_from - k)
+
+
+def reflect_tail(qp):
+    """The reversal n -> qp(-n), anchored at -valid_from: residue 0 takes its
+    own polynomial at -t, and residue i > 0 residue d - i's at -t - 1."""
+    polys = [horner_compose_linear(qp.polys[0], -1, 0)]
+    for i in range(1, qp.d):
+        polys.append(horner_compose_linear(qp.polys[qp.d - i], -1, -1))
+    return QuasiPolynomial(qp.d, tuple(polys), -qp.valid_from)
+
+
+def shift_function(lf, k):
+    """The translate n -> lf(n + k), through the validating constructor."""
+    tails = (lf.pos_tail, lf.neg_tail)
+    pos, neg = (None if qp is None else shift_tail(qp, k) for qp in tails)
+    return LengthFunction(lf.d, lf.core_start - k, lf.core_values, pos, neg)
+
+
+def reflect_function(lf):
+    """The reversal n -> lf(-n), the tails swapped, through the validating
+    constructor."""
+    pos, neg = (None if qp is None else reflect_tail(qp) for qp in (lf.neg_tail, lf.pos_tail))
+    return LengthFunction(lf.d, -lf.core_end, tuple(reversed(lf.core_values)), pos, neg)
+
+
+def reindexed(x, sign, b):
+    """n -> x(sign * n + b) for a quasi-polynomial or a length function x: the
+    shift by b, or the reflection shifted by -b when sign = -1."""
+    shift, reflect = (
+        (shift_tail, reflect_tail) if isinstance(x, QuasiPolynomial)
+        else (shift_function, reflect_function)
+    )
+    return shift(x, b) if sign == 1 else shift(reflect(x), -b)
 
 
 def koszul_reduce(lf, regime="positive"):

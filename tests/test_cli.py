@@ -488,6 +488,25 @@ class TestKoszulCommand:
         assert code == 0
         check_golden("koszul_c7.json", out)
 
+    def test_a_koszul_job_reads_the_complexity_once(self, capsys, monkeypatch):
+        # Once to size the core of the series (core_window), once for the
+        # chain's default s and domain check, once for its first step's window.
+        # The handler read the complexity for the default s, and the chain
+        # read it again for its check.
+        walks = []
+        walk = QuasiPolynomial.max_degree.fget
+        counted = property(lambda qp: walks.append(qp.d) or walk(qp))
+        monkeypatch.setattr(QuasiPolynomial, "max_degree", counted)
+        argv = ("koszul", "--expr", "t^7/((1-t^2)*(1-t^120))", "--d", "120", "--probe", "840")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["s"] == 2
+        assert walks == [120, 120, 120]
+
+    def test_s_below_the_complexity_is_named(self, capsys):
+        code, _, err = run(capsys, "koszul", "--expr", "t^3*(1+t)^5/(1-t)^7", "--s", "1")
+        assert code == 1
+        assert err.strip() == "error: s=1 is below the positive complexity 7"
+
     def test_chain_failure_exit_code(self, capsys, tmp_path):
         lf = {
             "d": 2,

@@ -172,8 +172,8 @@ class TestReduceChain:
 def test_negative_chain_maps_back_once(monkeypatch):
     # A negative chain is the positive chain of the reflection: beyond that
     # chain's own compositions it reflects its base once and maps each of its
-    # s functions back once, by one reflection and one shift, d compositions
-    # each.  Reflecting back and again at every step costs about twice that.
+    # s functions back once, by one reindexing n -> -n - k(d + 1), d
+    # compositions each.  A reflection and then a shift cost twice that.
     d, s = 12, 4
     lf = from_series(parse_series("1/(1-t)^4"), d, 0).reflect()
     mirror = lf.reflect()
@@ -186,7 +186,7 @@ def test_negative_chain_maps_back_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "compose_linear", counted)
     for base, regime in ((lf, "negative"), (mirror, "positive")):
         reduce_chain(base, s, regime)
-    assert calls["negative"] - calls["positive"] <= d * (2 * s + 3)
+    assert calls["negative"] - calls["positive"] <= d * (s + 1)
 
 
 @given(st.lists(st.integers(-20, 20), max_size=8), st.integers(-40, 40))

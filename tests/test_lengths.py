@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmult.exact import Polynomial, series_coefficients
@@ -22,6 +22,7 @@ from qmult.lengths import (
 from qmult.multiplicity import multiplicity_pos
 from qmult.series import parse_series
 
+import kernel_oracles as oracle
 from worked_examples import poly, xy_fixture, zero_fixture
 
 
@@ -600,6 +601,38 @@ def test_shift_and_reflect_match_validated_construction():
             assert out == checked
             assert out.to_json_dict() == checked.to_json_dict()
             assert repr(out) == repr(checked)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from([1, -1]),
+    st.integers(-20, 20),
+    st.booleans(),
+)
+@example(seed=0, d=2, sign=-1, b=-7, two_sided=True)
+@example(seed=1, d=6, sign=1, b=13, two_sided=False)
+def test_one_reindexing_is_the_shift_and_the_reflection(seed, d, sign, b, two_sided):
+    # n -> sign * n + b in one body against the two bodies of the oracle
+    # composed, field by field and pointwise past both anchors, for |b| up to
+    # and beyond the period.
+    rng = random.Random(seed)
+    lf = random_length_function(rng, d=d)
+    if two_sided:
+        mirror = oracle.reflect_function(random_length_function(rng, d=d))
+        lf = lf + oracle.shift_function(mirror, rng.randint(-6, 6))
+    out, want = lf._reindexed(sign, b), oracle.reindexed(lf, sign, b)
+    assert out.to_json_dict() == want.to_json_dict()
+    for qp in (lf.pos_tail, lf.neg_tail):
+        if qp is not None:
+            tail = qp._reindexed(sign, b)
+            assert tail == oracle.reindexed(qp, sign, b)
+            anchor = tail.valid_from
+            assert all(tail(n) == qp(sign * n + b) for n in range(anchor - 2 * d, anchor + 2 * d))
+    anchors = [out.core_start, out.core_end]
+    anchors += [qp.valid_from for qp in (out.pos_tail, out.neg_tail) if qp is not None]
+    for n in range(min(anchors) - 3 * d, max(anchors) + 3 * d):
+        assert out(n) == lf(sign * n + b)
 
 
 class TestJson:

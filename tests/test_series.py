@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmult import series
+from qmult import exact, series
 from qmult.exact import Polynomial, RationalFunction
 from qmult.series import (
     MAX_NESTING,
@@ -16,6 +16,13 @@ from qmult.series import (
 )
 
 from worked_examples import poly
+
+
+def refuse_powers(monkeypatch, refuse):
+    """Put ``refuse`` in place of the one list power, where exact defines it
+    and where the parser imports it."""
+    for module in (exact, series):
+        monkeypatch.setattr(module, "_power", refuse)
 
 
 class TestParse:
@@ -160,7 +167,7 @@ class TestErrorPrecedence:
         def refuse(coefficients, n):
             raise AssertionError("a power was computed after the failing divisor")
 
-        monkeypatch.setattr(series, "_power", refuse)
+        refuse_powers(monkeypatch, refuse)
         with pytest.raises(SeriesSemanticError) as info:
             parse_series("1/0*t^2")
         assert info.value.fragment == "0"
@@ -171,7 +178,7 @@ class TestErrorPrecedence:
         def refuse(coefficients, n):
             raise AssertionError("a power was computed before the syntax was checked")
 
-        monkeypatch.setattr(series, "_power", refuse)
+        refuse_powers(monkeypatch, refuse)
         with pytest.raises(SeriesSyntaxError) as info:
             parse_series("(1-t)^3+(")
         assert info.value.offset == 9
