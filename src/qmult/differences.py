@@ -1,5 +1,5 @@
-"""Finite difference operators of index d, the Newton basis, and closed-form
-power sums.
+"""Finite difference operators of index d, Newton's forward form, and
+closed-form power sums.
 
 The forward operator of index d acts on numeric functions f: Z -> Q by
 D f(n) = f(n+d) - f(n); its s-fold iterate has the closed form
@@ -18,9 +18,7 @@ d included.  Everything here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, factorial, lcm
-from operator import mul
+from math import lcm
 from typing import Callable, Sequence, Union
 
 from .exact import Polynomial, Scalar, _newton_table
@@ -65,49 +63,59 @@ def binomial_polynomial(k: int) -> Polynomial:
 
 def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
     """The polynomial sum_k cs[k] * C(t - anchor, k), in monomial form: the
-    c_k over their common denominator, in the basis of :func:`newton_form`.
+    c_k over their common denominator, by :func:`newton_form`.
 
     >>> newton_polynomial([0, 1, 2])
     Polynomial('t^2')
     """
     den = lcm(*(c.denominator for c in cs))
-    return newton_form(len(cs), anchor)([c.numerator * (den // c.denominator) for c in cs], den)
+    return newton_form([c.numerator * (den // c.denominator) for c in cs], anchor, den)
 
 
-def newton_form(k: int, anchor: int) -> Callable[..., Polynomial]:
-    """The map from k integers cs, and a denominator den (1 by default), to
-    sum_j cs[j] * C(t - anchor, j) / den in monomial form.  The integer basis
-    (k-1)! * C(t - anchor, j), j < k, is built once, each factor t - (anchor + i)
-    directly in t; a polynomial is then one column sum per coefficient."""
-    scale = weight = factorial(max(k - 1, 0))  # weight = (k-1)!/j!
-    rows, falling = [], [1]  # (t - anchor)(t - anchor - 1)...(t - anchor - j + 1)
-    for j in range(k):
-        rows.append([weight * c for c in falling])
-        falling = [b - (anchor + j) * a for a, b in zip([*falling, 0], [0, *falling])]
-        weight //= j + 1
-    columns = list(zip_longest(*rows, fillvalue=0))
+def newton_form(cs: Sequence[int], anchor: int, den: int = 1) -> Polynomial:
+    """sum_j cs[j] * C(t - anchor, j) / den in monomial form, for k integers cs.
 
-    def polynomial(cs: Sequence[int], den: int = 1) -> Polynomial:
-        return Polynomial._from_integers([sum(map(mul, cs, col)) for col in columns], den * scale)
-
-    return polynomial
+    (k-1)! times the sum is nested Horner in the falling factorials, on
+    integer coefficient lists: S <- S * (t - anchor - j) + cs[j] * (k-1)!/j!
+    for j = k-1 down to 0, and then one division by den * (k-1)!."""
+    if not cs:
+        return Polynomial()
+    acc, weight = [cs[-1]], 1  # weight = (k-1)!/j!
+    for j in range(len(cs) - 2, -1, -1):
+        weight *= j + 1
+        root = anchor + j
+        acc.append(0)  # acc * (t - root) + cs[j] * weight, in place from the top
+        for i in range(len(acc) - 1, 0, -1):
+            acc[i] = acc[i - 1] - root * acc[i]
+        acc[0] = cs[j] * weight - root * acc[0]
+    return Polynomial._from_integers(acc, den * weight)
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:
-    """Exact partial sum sum_{i=N}^{n} g(i), in closed form: the integer
-    :func:`_faulhaber_numerator` over g's denominator.
+    """Exact partial sum sum_{i=N}^{n} g(i), in closed form, in constant work
+    in n.  Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N)
+    C(j, k), and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1): the integer
+    :func:`_binomial_sum` of the difference table of denominator * g(N..N+deg),
+    over g's denominator.
 
     >>> faulhaber_sum(Polynomial((0, 0, 1)), 0, 10)
     Fraction(385, 1)
     """
     if n < N:
         raise ValueError("requires n >= N")
-    return Fraction(_faulhaber_numerator(g, N, n), g.denominator)
+    return Fraction(_binomial_sum(_newton_table(g, N), n - N + 1), g.denominator)
 
 
-def _faulhaber_numerator(g: Polynomial, N: int, n: int) -> int:
-    """denominator * sum_{i=N}^{n} g(i) for n >= N, in constant work in n.
-    Newton's forward formula at N gives g(N + j) = sum_k Delta^k g(N) C(j, k),
-    and sum_{j=0}^{n-N} C(j, k) = C(n-N+1, k+1), so the sum needs only the
-    difference table of the integers denominator * g(N..N+deg)."""
-    return sum([c * comb(n - N + 1, k) for k, c in enumerate(_newton_table(g, N), 1)])
+def _binomial_sum(table: Sequence[int], x: int) -> int:
+    """sum_k table[k] * C(x, k + 1) for an integer x >= 0, which is
+    sum_{j=0}^{x-1} p(N + j) for the polynomial p whose Newton table at N is
+    ``table``.  The binomials come from one running row,
+    C(x, k + 2) = C(x, k + 1) * (x - k - 1) / (k + 2), whose divisions are
+    exact; the row is 0 from k + 1 > x on, where the sum stops."""
+    total, c = 0, x
+    for k, e in enumerate(table):
+        if not c:
+            break
+        total += e * c
+        c = c * (x - k - 1) // (k + 2)
+    return total

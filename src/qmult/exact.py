@@ -10,8 +10,9 @@ differences, negation, products and powers, evaluation and the Taylor shift
 behind ``compose_linear`` and ``forward_difference`` all run on those integers
 and divide once at the end, so the hot loops do no Fraction arithmetic.  The
 arithmetic on integer coefficient lists lives here once, in four kernels: the
-product ``_product``, the power ``_power``, the trimmed sum ``_combine`` and
-the in-place Taylor shift ``_taylor_shift``.  ``Polynomial`` wraps them and
+product ``_product``, the power ``_power`` (one pass of J.C.P. Miller's
+recurrence, with no product), the trimmed sum ``_combine`` and the in-place
+Taylor shift ``_taylor_shift``.  ``Polynomial`` wraps them and
 handles the denominators; the series parser (``series``) folds on them
 directly.  The series recurrence is an integer core, ``series_integers``,
 which gives each coefficient as a pair (U_n, scale_n) with c_n = U_n /
@@ -97,17 +98,29 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _power(a: list[int], n: int) -> list[int]:
-    """a^n for n >= 0 by square-and-multiply, the first factor taken as it is
-    (a itself when n = 1) rather than multiplied into 1, and the last square,
-    which would go unused, not formed."""
-    result, base = None, a
-    while n:
-        if n & 1:
-            result = base if result is None else _product(result, base)
-        n >>= 1
-        if n:
-            base = _product(base, base)
-    return [1] if result is None else result
+    """a^n for n >= 0 by J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+    4.7).  With a = t^v q and q_0 != 0, the coefficients c of q^n start at
+    c_0 = q_0^n and satisfy
+
+        k q_0 c_k = sum_{1 <= j <= min(k, deg q)} ((n + 1) j - k) q_j c_{k-j},
+
+    over q's nonzero q_j only; each division is exact, as q^n has integer
+    coefficients.  One pass of deg(q) * n steps, with no product formed."""
+    if not n:
+        return [1]
+    v = next((i for i, c in enumerate(a) if c), None)
+    if v is None:
+        return []
+    q0, terms = a[v], [(j - v, (n + 1) * (j - v), c) for j, c in enumerate(a) if c and j > v]
+    out = [q0**n]
+    for k in range(1, (len(a) - 1 - v) * n + 1):
+        acc = 0
+        for j, nj, c in terms:
+            if j > k:
+                break
+            acc += (nj - k) * c * out[k - j]
+        out.append(acc // (k * q0))
+    return [0] * (v * n) + out
 
 
 def _combine(a: list[int], b: Sequence[int], m: int) -> list[int]:

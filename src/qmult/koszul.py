@@ -83,7 +83,8 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
         lo, hi = core_window(d, f.core_start - below, f.core_end + above, pos, neg)
         lam = f.values(lo, hi + d)
         values = tuple(map(sub, lam[d:], lam))
-        violations = [lo + i for i, v in enumerate(values) if v < 0]
+        # A valid step pays one C-level pass; only a violated one is scanned.
+        violations = [lo + i for i, v in enumerate(values) if v < 0] if min(values) < 0 else []
         # Beyond the window the reduced tails govern; certify their sign exactly.
         for i, g in enumerate(() if pos is None else pos.polys):
             block = nonnegative_on_ray(g, -((i - hi - 1) // d)) if k < certify[i] else None

@@ -767,9 +767,10 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     r * prod(1 - t^j) over divisors j of d (``_split``), so k is the number of
     factors, and the lengths are N/r by the recurrence on r alone, then one
     running sum per factor (``_lengths``), refused at the first n where they
-    are not a length; each residue's Newton table at block m is read in one
-    basis (``newton_form``).  The k-block tail is R/(1 - t^d)^k with deg R <
-    dk, so past start = max(0, deg N - deg D + 1) the series less the tail has
+    are not a length; each residue's Newton table at block m becomes its
+    polynomial by one nested Horner pass on integers (``newton_form``).  The
+    k-block tail is R/(1 - t^d)^k with deg R < dk, so past start =
+    max(0, deg N - deg D + 1) the series less the tail has
     coefficients with a recurrence of order deg D + dk: P is a polynomial
     exactly when they vanish on start..start + deg D + dk - 1, and they vanish
     on the k blocks the tail was read off by construction.  Then f = Q +
@@ -802,7 +803,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     values = _lengths(f, r, js, max(probe, start + d * (k + 1), end - 1) + 1)
     m = -(-start // d)  # the first block of degrees all >= start
     tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(map(newton_form(k, m), tables)), start)
+    qp = QuasiPolynomial(d, tuple(newton_form(table, m) for table in tables), start)
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):

@@ -53,8 +53,8 @@ from typing import Sequence
 # name stays because perfbench/tracer.py and perfbench/test_perfbench.py look
 # it up on this module.
 from .differences import delta as delta_op  # noqa: F401
-from .differences import _faulhaber_numerator
-from .exact import Polynomial, QmultError, format_rational
+from .differences import _binomial_sum
+from .exact import Polynomial, QmultError, difference_table, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
 
@@ -295,10 +295,15 @@ def limit_estimate(
 
     ``constant="paper"`` uses C = s! d^(2s-1), which converges to the
     coefficient-convention value; ``constant="corrected"`` uses C = s! d^s,
-    which converges to the delta-convention value.  The alternating partial
-    sum is evaluated with closed-form Faulhaber sums on the quasi-polynomial
-    tail, so the cost is independent of n apart from the core window, on
-    integers over the lcm of the tail denominators: the result is the one
+    which converges to the delta-convention value.  When n is past the core,
+    the alternating partial sum from the tail's anchor on is a closed-form
+    Faulhaber sum per residue, so the cost is independent of n apart from the
+    core window.  Every core holds
+    max_degree + 2 blocks of each residue from the tail's anchor block, where
+    the tail equals the core, so each residue's integer Newton table at that
+    block is a slice of the core values, differenced; the sum of its
+    polynomial over blocks is then :func:`_binomial_sum`.  It is all on
+    integers, with no evaluation of a tail polynomial: the result is the one
     Fraction built.
     """
     if s < 1:
@@ -312,21 +317,23 @@ def limit_estimate(
     else:
         raise ValueError(f"unknown constant {constant!r}")
 
-    direct = lf.values(0, min(n, lf.core_end))
-    total, den = sum(direct[::2]) - sum(direct[1::2]), 1
-    qp = lf.pos_tail
-    if n > lf.core_end and qp is not None:
-        # The tail sums the degrees past the core that the direct sum left out,
-        # which start at 0 even when the core ends below it.
-        start = max(lf.core_end + 1, 0)
-        den = lcm(*(g.denominator for g in qp.polys))
-        total *= den
+    d, qp = lf.d, lf.pos_tail
+    tail = qp is not None and n > lf.core_end
+    # The values are summed directly from 0 up to the tail, when there is one to sum.
+    start = max(qp.valid_from, 0) if tail else min(n, lf.core_end) + 1
+    direct = lf.values(0, start - 1)
+    total = sum(direct[::2]) - sum(direct[1::2])
+    if tail:
         for i, g in enumerate(qp.polys):
-            m_lo = -((start - i) // -lf.d)  # ceil
-            m_hi = (n - i) // lf.d
-            if m_hi >= m_lo and not g.is_zero():
-                total += _sign(i) * den // g.denominator * _faulhaber_numerator(g, m_lo, m_hi)
-    return Fraction(factor * total, den * n**s)
+            if g.is_zero():
+                continue
+            anchor = -((i - qp.valid_from) // d)  # the residue's first block in the tail
+            m_lo, m_hi = -((i - start) // d), (n - i) // d  # m_hi >= m_lo - 1, as n >= start
+            at = d * anchor + i - lf.core_start
+            table = difference_table(list(lf.core_values[at : at + d * (g.degree + 1) : d]))
+            blocks = _binomial_sum(table, m_hi - anchor + 1) - _binomial_sum(table, m_lo - anchor)
+            total += _sign(i) * blocks
+    return Fraction(factor * total, n**s)
 
 
 def approximate(value: Fraction, spec: str) -> str:

@@ -68,8 +68,12 @@ recurrence as it was first written, over every nonzero term of D and over
 the whole window before any refusal, against which the expansion through
 D's (1 - t^j) factors, by running sums, is compared.
 ``fraction_limit_estimate`` adds one ``faulhaber_sum`` Fraction per residue
-to a Fraction total, against which the integer sum over the lcm of the tail
-denominators is compared.
+to a Fraction total, against which the integer sum of the Newton tables read
+off the core values is compared.  ``basis_newton_form`` builds the integer
+basis (k-1)! * C(t - m, j) once per call and sums one column per
+coefficient, and ``square_and_multiply_power`` raises an integer list to a
+power by square-and-multiply, against which the one nested Horner pass and
+J.C.P. Miller's recurrence are compared.
 
 The input readers keep their first form.  A JSON array is read entry by
 entry, each at its own path ``field[i]``, each coefficient as one Fraction
@@ -86,15 +90,16 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, zip_longest
 from math import factorial, isqrt, lcm, prod
 
-from qmult.differences import delta, faulhaber_sum, newton_form
+from qmult.differences import delta, faulhaber_sum
 from qmult.exact import (
     NotExpandableError,
     Polynomial,
     RationalFunction,
     _first_negative,
+    _product,
     difference_table,
     nonnegative_on_ray,
     parse_rational,
@@ -731,6 +736,42 @@ def nested_newton_polynomial(cs, anchor=0):
     return Polynomial(tuple(Fraction(a, den * factorial(r)) for a in acc))
 
 
+def basis_newton_form(k, anchor):
+    """``differences.newton_form`` as it was before the nested conversion: the
+    map from k integers cs, and a denominator den (1 by default), to
+    sum_j cs[j] * C(t - anchor, j) / den in monomial form.  The integer basis
+    (k-1)! * C(t - anchor, j), j < k, is built once, each factor
+    t - (anchor + i) directly in t; a polynomial is then one column sum per
+    coefficient."""
+    scale = weight = factorial(max(k - 1, 0))  # weight = (k-1)!/j!
+    rows, falling = [], [1]  # (t - anchor)(t - anchor - 1)...(t - anchor - j + 1)
+    for j in range(k):
+        rows.append([weight * c for c in falling])
+        falling = [b - (anchor + j) * a for a, b in zip([*falling, 0], [0, *falling])]
+        weight //= j + 1
+    columns = list(zip_longest(*rows, fillvalue=0))
+
+    def polynomial(cs, den=1):
+        return Polynomial._from_integers([sum(map(operator.mul, cs, col)) for col in columns], den * scale)
+
+    return polynomial
+
+
+def square_and_multiply_power(a, n):
+    """``exact._power`` as it was before Miller's recurrence: a^n for n >= 0
+    on an integer coefficient list by square-and-multiply, the first factor
+    taken as it is rather than multiplied into 1, and the last square, which
+    would go unused, not formed."""
+    result, base = None, a
+    while n:
+        if n & 1:
+            result = base if result is None else _product(result, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return [1] if result is None else result
+
+
 def pair_from_series(f, d, probe):
     """``lengths.from_series`` as it was before it recurred on the lengths:
     the coefficients as integer pairs (U_n, scale_n) of ``series_integers``,
@@ -800,7 +841,7 @@ def recurrence_from_series(f, d, probe):
     values = values[f.den.degree :]
     m = -(-start // d)
     tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(map(newton_form(k, m), tables)), start)
+    qp = QuasiPolynomial(d, tuple(map(basis_newton_form(k, m), tables)), start)
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):
         if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:

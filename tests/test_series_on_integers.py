@@ -3,8 +3,8 @@
 ``lengths.from_series`` expands on the lengths themselves, through D's
 (1 - t^j) factors by running sums after a recurrence on what is left of D,
 refused at the first n where a length is not a nonnegative integer.  Each
-residue's polynomial is its Newton table in one basis built once per call
-(``newton_form``).
+residue's polynomial is its Newton table converted by one nested Horner pass
+on integers (``newton_form``).
 Against ``kernel_oracles.pair_from_series``, which reads the integer pairs
 (U_n, scale_n) of ``series_integers`` and builds each residue's polynomial by
 the nested Newton form, it must give the same JSON, or the same error text
@@ -12,8 +12,8 @@ at the same n, on series where L > 1 or M > 1: an accepted series times a
 factor that nothing cancels, such as (2 + t)/(2 + t), and the same numerator
 perturbed so that some coefficient is not a length.  Periods reach 120.
 
-``multiplicity.limit_estimate`` sums on integers over the lcm of the tail
-denominators and builds one Fraction, the result.  Against
+``multiplicity.limit_estimate`` sums on integers, each residue's Newton table
+read off the core values, and builds one Fraction, the result.  Against
 ``kernel_oracles.fraction_limit_estimate``, the Fraction sum of
 ``faulhaber_sum`` values, it must give the same value at n = 1, the core's
 end, one past it and 10^12, under both constants.
