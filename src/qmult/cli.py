@@ -10,7 +10,9 @@ Each handler returns its exit code, JSON payload and text and prints nothing;
 ``main`` renders the one the flags ask for and is the only place that prints
 to stdout.
 JSON is written by ``_dumps`` in the format of ``json.dumps(..., indent=2)``,
-byte for byte.
+byte for byte: one pass appends the text's chunks to one list, which is
+joined once, and each array of scalars is written by one call of the C
+encoder of the ``json`` module.
 Output is deterministic for fixed inputs and seed.  The environment variable
 MULT_FIXTURE_DIR overrides the fixture corpus location for ``verify``.
 """
@@ -23,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
-from json.encoder import encode_basestring_ascii as _encode
+from json.encoder import c_make_encoder, encode_basestring_ascii as _encode
 from typing import NoReturn
 
 from .exact import QmultError, format_rational, series_coefficients
@@ -184,14 +186,18 @@ def _cmd_verify(args) -> Result:
         results += run_property_suites(args.seed)
     results.sort(key=lambda r: r.key)
     failed = sum(not r.ok for r in results)
-    payload = {
-        "results": [{"name": r.key, "ok": r.ok, "detail": r.detail} for r in results],
-        "passed": len(results) - failed,
-        "failed": failed,
-    }
+    code = 1 if failed else 0
+    # Only the requested form is built, as in _cmd_e.
+    if args.json:
+        payload = {
+            "results": [{"name": r.key, "ok": r.ok, "detail": r.detail} for r in results],
+            "passed": len(results) - failed,
+            "failed": failed,
+        }
+        return code, payload, None
     lines = [f"PASS {r.key}" if r.ok else f"FAIL {r.key} -- {r.detail}" for r in results]
     lines.append(f"passed {len(results) - failed} of {len(results)}")
-    return 1 if failed else 0, payload, "\n".join(lines)
+    return code, None, "\n".join(lines)
 
 
 # Each subcommand's flags, in --help order: (option, add_argument keywords).
@@ -309,29 +315,76 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _dumps(value: object, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.  Dicts with str keys,
-    lists, str, int, bool and None are written here; any other value goes
-    to ``json.dumps(value, indent=2)``, indented to its level."""
+# An array whose items all have one of these exact types is written by one
+# call of the json module's C encoder, made without an indent and with the
+# item separator "," + the items' indent; the brackets it writes are cut off.
+# A tuple or a subclass would be written compactly by it, so such an array is
+# written item by item.  One encoder per indent: the cache holds one entry per
+# nesting depth.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ARRAY_ENCODERS: dict[str, object] = {}
+
+
+def _write(value: object, indent: str, out: list[str]) -> None:
+    """Append the chunks of ``value``'s JSON text, at the level ``indent``, to
+    ``out``.  Lists, dicts with str keys, str, int, bool and None are written
+    here; any other value goes to ``json.dumps(value, indent=2)``, indented
+    to its level."""
     kind = type(value)
-    if kind is str:
-        return _encode(value)
-    if kind is int:
-        return int.__repr__(value)  # the ValueError json.dumps raises past the digit limit
-    inner = indent + "  "
-    if kind is dict and all(type(k) is str for k in value):
-        items = [f"{_encode(k)}: {_dumps(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is list:
-        kinds = set(map(type, value))
-        if kinds == {str} or kinds == {int}:  # a leaf list: one encoder over all of it
-            items = map(_encode if str in kinds else int.__repr__, value)
-        else:
-            items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    return json.dumps(value, indent=2).replace("\n", indent)
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if _SCALARS.issuperset(map(type, value)):  # one C call over all of it
+            encoder = _ARRAY_ENCODERS.get(inner)
+            if encoder is None:
+                encoder = _ARRAY_ENCODERS[inner] = c_make_encoder(
+                    None, None, _encode, None, ": ", "," + inner, False, False, True
+                )
+            out.append("[" + inner + "".join(encoder(value, 0))[1:-1] + indent + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = comma
+        out.append(indent + "]")
+    elif kind is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, item in value.items():
+            out.append(sep + _encode(k) + ": ")
+            kind = type(item)
+            if kind is str:
+                out.append(_encode(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, inner, out)
+            sep = comma
+        out.append(indent + "}")
+    elif kind is str:
+        out.append(_encode(value))
+    elif kind is int:
+        out.append(int.__repr__(value))  # the ValueError json.dumps raises past the digit limit
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", indent))
+
+
+def _dumps(value: object) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.  ``_write`` appends the
+    text's chunks to one list, which is joined once; each array of scalars is
+    one chunk, written by one C encoder call.  An integer past the digit
+    limit raises the ValueError json.dumps raises, on either path."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:

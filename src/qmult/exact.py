@@ -330,27 +330,32 @@ class Polynomial:
         return Polynomial._from_integers(list(map(sub, shifted, nums)), self.denominator)
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
+        """The terms from the top degree down, each written from its integer
+        numerator over the denominator, reduced by one gcd as in ``to_json``.
+
+        >>> str(Polynomial((-1, 4, Fraction(-9, 2), Fraction(3, 2))))
+        '3/2*t^3 - 9/2*t^2 + 4*t - 1'
+        """
+        nums, den = self.numerators, self.denominator
         parts: list[str] = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
+        for k in range(len(nums) - 1, -1, -1):
+            c = nums[k]
             if c == 0:
                 continue
             if parts:
                 sign = " - " if c < 0 else " + "
             else:
                 sign = "-" if c < 0 else ""
-            mag = abs(c)
-            unit = mag == 1
+            c = abs(c)
+            g = gcd(c, den)
+            mag = str(c // g) if g == den else f"{c // g}/{den // g}"
             if k == 0:
-                body = format_rational(mag)
+                body = mag
             else:
                 var = "t" if k == 1 else f"t^{k}"
-                body = var if unit else f"{format_rational(mag)}*{var}"
+                body = var if c == den else f"{mag}*{var}"
             parts.append(sign + body)
-        return "".join(parts)
+        return "".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"Polynomial('{self}')"

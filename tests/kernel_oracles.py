@@ -1,13 +1,13 @@
 """Slow, obvious oracles for the integer polynomial kernels and the tail checks.
 
 Each is the plain Fraction computation that the integer kernels must match:
-the text of a rational read off its Fraction, schoolbook sums and products
-on the Fraction coefficients, the Fraction series recurrence, Horner
-evaluation and Horner composition, Newton interpolation of every candidate
-degree in the fit, the Faulhaber sum through the summation polynomial, and
-the residue profiles of the Herbrand difference with repeated differences
-for its stabilized constant.  Every polynomial sum
-and product here is one of the schoolbook loops below, and every polynomial
+the text of a rational and of a polynomial read off their Fractions,
+schoolbook sums and products on the Fraction coefficients, the Fraction
+series recurrence, Horner evaluation and Horner composition, Newton
+interpolation of every candidate degree in the fit, the Faulhaber sum
+through the summation polynomial, and the residue profiles of the Herbrand
+difference with repeated differences for its stabilized constant.  Every
+polynomial sum and product here is one of the schoolbook loops below, and every polynomial
 is built by the validating ``Polynomial`` constructor, so they share no
 arithmetic with the kernels they check.  Horner's rule and the division of a
 root out of a polynomial are the qmult-free ones of ``exact_oracles``.
@@ -176,6 +176,31 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def polynomial_text(g):
+    """``str(g)`` read off the Fraction coefficients, from the top degree down:
+    a coefficient of magnitude 1 is left out before a power of t."""
+    coeffs = g.coeffs
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if parts:
+            sign = " - " if c < 0 else " + "
+        else:
+            sign = "-" if c < 0 else ""
+        mag = abs(c)
+        if k == 0:
+            body = format_rational(mag)
+        else:
+            var = "t" if k == 1 else f"t^{k}"
+            body = var if mag == 1 else f"{format_rational(mag)}*{var}"
+        parts.append(sign + body)
+    return "".join(parts)
 
 
 def fraction_sum(g, h, sign=1):

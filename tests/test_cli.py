@@ -648,7 +648,13 @@ OUTPUT_GOLDENS = {
     "e_limit_rational_d6.json": [
         "e", "--json", "--limit-n", "1000000000000", "--expr", "1/((1-t^2)^3*(1-t^3))", "--d", "6"
     ],
+    # Negative rational tail terms in the text report.
+    "e_text_rational_d6.txt": [
+        "e", "--expr", "t^9/((1-t^2)^3*(1-t^3))", "--d", "6", "--limit-n", "1000000000000"
+    ],
     "koszul_t7_d12.json": ["koszul", "--expr", "t^7/((1-t)*(1-t^12))", "--d", "12", "--probe", "84"],
+    # Long int arrays at depth 4.
+    "koszul_t7_d24.json": ["koszul", "--expr", "t^7/((1-t^2)*(1-t^24))", "--d", "24", "--probe", "168"],
     "limit_jst2_corrected.txt": LIMIT,
     "limit_jst2_corrected.json": [*LIMIT, "--json"],
     "theta_tor_5_2.txt": ["theta", "--input", TOR],
@@ -1193,11 +1199,12 @@ scalar = st.one_of(json_text, json_int, st.booleans(), st.none(), st.floats())
 json_tree = st.recursive(
     st.one_of(
         scalar,
-        # leaf lists, all of a kind or with bool and None mixed in
+        # leaf lists, all of a kind or with floats, bool and None mixed in
         st.lists(json_int),
         st.lists(json_text),
         st.lists(st.one_of(json_int, st.booleans(), st.none())),
         st.lists(st.one_of(json_text, st.booleans(), st.none())),
+        st.lists(st.one_of(json_int, st.floats(), st.booleans(), st.none())),
     ),
     lambda children: st.one_of(
         st.lists(children),
@@ -1239,3 +1246,67 @@ class TestJsonRenderer:
         code, payload, _ = cli._COMMANDS["verify"][2](cli._parse(["verify", "--suite", "all", "--json"]))
         assert code == 0
         assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [float("nan"), float("inf"), -float("inf")],
+            {"a": [[0.5, -0.0, 1e300, 5e-324, float("nan")], [float("-inf")]]},
+            [1, 2.5, True, None, False, -(2**70)],
+            [None, 0.0, 0],
+            [True, False, True],
+            {"b": [False]},
+            ["x", 1, None, 1.5, True, "\u00e9\n"],
+        ],
+        ids=repr,
+    )
+    def test_scalar_arrays(self, value):
+        """Arrays of scalars, floats that JSON spells NaN and Infinity among
+        them, are written by one C encoder call each."""
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [1, (2, 3)],
+            {"a": ["x", (), [(1, [2])]]},
+            [1, OrderedDict(b=[1], a={})],
+            [[(True, None)], OrderedDict()],
+            ["x", Text("y")],
+            {"a": [0, Count(5), 2]},
+            [Count(7)],
+            [Text("z")],
+        ],
+        ids=repr,
+    )
+    def test_arrays_with_tuples_and_subclasses_take_the_fallback(self, monkeypatch, value):
+        """An array that holds a tuple, a dict subclass, or a str or int
+        subclass never goes to the C encoder, which would write a nested
+        container compactly: each such item is written by json.dumps at its
+        level."""
+
+        def refuse(*args):
+            raise AssertionError("an array with a non-scalar item went to the C encoder")
+
+        monkeypatch.setattr(cli, "_ARRAY_ENCODERS", {})
+        monkeypatch.setattr(cli, "c_make_encoder", refuse)
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_at_depth_and_deep_nesting(self):
+        value = [1, "x", None]
+        for depth in range(40):
+            value = {"k": [value, [], {}], "e": {}} if depth % 2 else [[], {"z": []}, value]
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_too_long_integer_in_an_int_array(self, capsys):
+        """The C encoder refuses the integer as json.dumps does, before
+        anything is printed."""
+        code, out, err = run(capsys, "fit", "--expr", f"{BIG}*{BIG}", "--probe", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: an output integer has more than 4300 digits\n"

@@ -8,8 +8,8 @@ errors), the Faulhaber sum and the stabilized constant of the multiplicity
 report.  A length function's values on a range, read as one list with its
 tails evaluated on integers, must equal its values read one degree at a
 time, and a tail value that is not a length raises the same error either
-way.  A polynomial's JSON coefficients and ``format_rational`` must match
-the text read off the Fractions.  Polynomial results are compared field by
+way.  A polynomial's JSON coefficients, its text and ``format_rational``
+must match the text read off the Fractions.  Polynomial results are compared field by
 field (``coeffs``, ``numerators`` and ``denominator``) with the oracle's,
 which the validating constructor built.  The constructor and the kernels
 share the final reduction, so ``TestStoredForm`` checks the constructor
@@ -315,6 +315,37 @@ class TestOutputAgainstFractions:
     @given(st.one_of(st.integers(-(10**40), 10**40), st.booleans(), wide_rationals))
     def test_format_rational_matches_the_fraction_text(self, q):
         assert format_rational(q) == oracle.format_rational(q)
+
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1]).map(Fraction), wide_rationals), max_size=13))
+    def test_str_matches_the_fraction_text(self, cs):
+        """Zero, the units +-1 (no factor before a power of t) at every degree
+        up to 12, and numerators past 2^64 over reduced and unreduced
+        denominators."""
+        g = Polynomial(tuple(cs))
+        assert str(g) == oracle.polynomial_text(g)
+        assert repr(g) == f"Polynomial('{oracle.polynomial_text(g)}')"
+
+    @pytest.mark.parametrize(
+        "cs, want",
+        [
+            ((), "0"),
+            ((0, 0), "0"),
+            ((5,), "5"),
+            ((1,), "1"),
+            ((-1,), "-1"),
+            ((Fraction(-3, 2),), "-3/2"),
+            ((1, 1), "t + 1"),
+            ((-1, -1), "-t - 1"),
+            ((0, 0, 1), "t^2"),
+            ((1, 0, -1), "-t^2 + 1"),
+            ((-1, 4, Fraction(-9, 2), Fraction(3, 2)), "3/2*t^3 - 9/2*t^2 + 4*t - 1"),
+            ((0, Fraction(1, 3), 0, -1), "-t^3 + 1/3*t"),
+            ((2**70, *[0] * 11, Fraction(-(2**65), 3)), f"-{2**65}/3*t^12 + {2**70}"),
+        ],
+    )
+    def test_str_examples(self, cs, want):
+        g = Polynomial(cs)
+        assert str(g) == want == oracle.polynomial_text(g)
 
 
 def _outcome(fit, samples, d):
