@@ -61,10 +61,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, islice
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .differences import newton_form, newton_polynomial
 from .exact import (
@@ -73,10 +74,10 @@ from .exact import (
     RationalFunction,
     _RATIONAL,
     _first_negative,
+    _product,
     difference_table,
     nonnegative_on_ray,
     parse_rational,
-    series_coefficients,
 )
 
 
@@ -782,9 +783,9 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     unity, or one at a d-th root of unity other than 1 outranks the pole at 1,
     so that the coefficients go negative.  In the second case, and only then,
     r with its factors Phi_m (m | d) divided out divides N; the refusal says
-    which case holds.  Only this classifier divides: each Phi_m, each factor
-    divided out and the last test against N are one exact division
-    (``_quotient``).
+    which case holds.  Only this classifier divides, on integer lists: each
+    Phi_m, each factor divided out and the last test against N's numerators
+    are one exact division (``_quotient``), the expansion's own recurrence.
 
     Each ``__post_init__`` check is proved on the way: the period up front,
     a nonempty core of ints and their signs by the length scan, the overlap
@@ -807,7 +808,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):
-        if _quotient(f.num, _strip_cyclotomic(Polynomial(r), d)) is not None:
+        if _quotient(f.num.numerators, _strip_cyclotomic(r, d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -867,10 +868,12 @@ def _running_sums(u: list, js: list[int]) -> list:
     return list(c)
 
 
-def _recurrence(head: list[int], terms: list[tuple[int, int]], lm: int, depth: int) -> Iterator:
-    """The coefficients of N/r: each (head[n] - sum b u_{n-j}) / lm over the
-    (-j, b) in ``terms``, as an int, up to the first that is not an integer,
-    which is the last, as a Fraction."""
+def _recurrence(head: Iterable[int], terms: list[tuple[int, int]], lm: int, depth: int) -> Iterator:
+    """The series of head / b on head's terms, for b = lm + sum b t^j over the
+    (-j, b) in ``terms`` (N/r for ``_lengths``, num / den for ``_quotient``):
+    each u_n = (head[n] - sum b u_{n-j}) / lm as an int, up to the first that
+    is not an integer, which is the last, as a Fraction.  With no terms and
+    lm = 1 it is head unchanged."""
     u = [0] * depth  # u_n = 0 for n < 0, so that u[-j] is u_{n-j}
     for acc in head:
         for back, b in terms:
@@ -900,12 +903,9 @@ def _lengths(f: RationalFunction, r: list[int], js: list[int], size: int) -> lis
     lm, terms = L * M, [(-j, M * b) for j, b in enumerate(r) if j and b]
     head = [L * a for a in f.num.numerators[:size]]
     head += [0] * (size - len(head))
-    if terms or lm != 1:
-        quotients = _recurrence(head, terms, lm, len(r) - 1)
-    elif min(head) >= 0:  # u = N is nonnegative, and so is every c_n
+    if not terms and lm == 1 and min(head) >= 0:  # u = N is nonnegative, and so is every c_n
         return _running_sums(head, js)
-    else:
-        quotients = iter(head)
+    quotients = _recurrence(head, terms, lm, len(r) - 1)
     u: list = []
     signed = False  # some u_n < 0
     while len(u) < size:
@@ -921,16 +921,24 @@ def _lengths(f: RationalFunction, r: list[int], js: list[int], size: int) -> lis
     return values if signed else _running_sums(u, js)
 
 
-def _quotient(num: Polynomial, den: Polynomial) -> Polynomial | None:
-    """num / den when it is a polynomial, else None, for den(0) != 0: the
-    series of num / den up to degree deg num - deg den, times den, gives num
-    back exactly when den divides num."""
-    f = RationalFunction(num, den)
-    quotient = Polynomial(series_coefficients(f, max(num.degree - den.degree, 0)))
-    return quotient if quotient * f.den == f.num else None
+def _quotient(num: Sequence[int], den: list[int]) -> list[int] | None:
+    """num / den when it is a polynomial, else None, on integer lists
+    (constant term first, trimmed), for a primitive den with den[0] != 0.  The
+    series of num / den on num's terms (``_recurrence``) is the quotient
+    exactly when no term past deg num - deg den is nonzero, and by Gauss's
+    lemma that quotient has integer coefficients, so a Fraction term means den
+    does not divide num.  Every call meets the precondition: D's numerators
+    are primitive (normalizing D(0) = 1 makes numerators[0] the denominator,
+    and ``Polynomial._from_integers`` divides out their gcd), ``_split``'s r
+    and the stripped r are exact factors of them, and each Phi_m is monic."""
+    size = max(len(num) - len(den) + 1, 0)
+    q = list(_recurrence(num, [(-j, b) for j, b in enumerate(den) if j and b], den[0], len(den) - 1))
+    if any(q[size:]) or q and type(q[-1]) is Fraction:
+        return None
+    return q[:size]
 
 
-def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
+def _strip_cyclotomic(q: list[int], d: int) -> list[int]:
     """q with every factor Phi_m (m | d) divided out: what is left has no root
     that is a d-th root of unity.  Only a Phi_m of degree phi(m) <= deg q can
     divide q, and only those are built, for the divisors m of d in increasing
@@ -941,16 +949,16 @@ def _strip_cyclotomic(q: Polynomial, d: int) -> Polynomial:
     Since phi(m) >= sqrt(m / 2), the walk ends past m = 2 (deg q)^2, so trial
     division runs only up to the smaller of that bound and sqrt(d): when the
     bound is the smaller, every cofactor d // m lies above it."""
-    bound = 2 * q.degree**2
+    bound = 2 * (len(q) - 1) ** 2
     small = [m for m in range(1, min(bound, isqrt(d)) + 1) if d % m == 0]
-    cyclotomic: dict[int, Polynomial] = {}
+    cyclotomic: dict[int, list[int]] = {}
     for m in sorted({*small, *(d // m for m in small)}):
         if m > bound:
             break
         below = [c for e, c in cyclotomic.items() if m % e == 0]
-        if m - sum(c.degree for c in below) > q.degree:
+        if m - sum(len(c) - 1 for c in below) > len(q) - 1:
             continue
-        cyclotomic[m] = _quotient(1 - Polynomial.t() ** m, prod(below, start=Polynomial.const(1)))
+        cyclotomic[m] = _quotient([1, *[0] * (m - 1), -1], reduce(_product, below, [1]))
         while (quotient := _quotient(q, cyclotomic[m])) is not None:
             q = quotient
     return q

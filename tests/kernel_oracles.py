@@ -119,9 +119,7 @@ from qmult.lengths import (
     _json_list,
     _json_object,
     _one_of,
-    _quotient,
     _shown,
-    _strip_cyclotomic,
     core_window,
 )
 from qmult.multiplicity import (
@@ -801,7 +799,9 @@ def pair_from_series(f, d, probe):
     """``lengths.from_series`` as it was before it recurred on the lengths:
     the coefficients as integer pairs (U_n, scale_n) of ``series_integers``,
     one ``divmod`` each, and each residue's polynomial from its Newton table
-    by its own :func:`nested_newton_polynomial`.  The rest is the library's."""
+    by its own :func:`nested_newton_polynomial`.  A refusal is classified by
+    this file's :func:`exact_quotient` and :func:`strip_cyclotomic`; the rest
+    is the library's."""
     _check_period(d)
     if probe < 0:
         raise ModelError(f"probe must be >= 0, got {probe}")
@@ -821,7 +821,7 @@ def pair_from_series(f, d, probe):
     qp = QuasiPolynomial(d, tuple(nested_newton_polynomial(table, m) for table in tables), start)
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(qp(n) != values[n] for n in window):
-        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
+        if exact_quotient(f.num, Polynomial(strip_cyclotomic(q, d))) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -841,8 +841,8 @@ def recurrence_from_series(f, d, probe):
     factors out: k counted by dividing D by t - 1, and one recurrence over
     every nonzero term of D on the lengths themselves, c_n = (L A_n - M
     sum_{j>=1} B_j c_{n-j}) / (L M), refused at the first n where that is not
-    a length, with every term of the window expanded first.  The rest is the
-    library's."""
+    a length, with every term of the window expanded first.  A refusal is
+    classified as in :func:`pair_from_series`; the rest is the library's."""
     _check_period(d)
     if probe < 0:
         raise ModelError(f"probe must be >= 0, got {probe}")
@@ -869,7 +869,7 @@ def recurrence_from_series(f, d, probe):
     qp = QuasiPolynomial(d, tuple(map(basis_newton_form(k, m), tables)), start)
     window = chain(range(start, d * m), range(d * (m + k), end))
     if any(_differs(qp, n, values[n]) for n in window):
-        if _quotient(f.num, _strip_cyclotomic(Polynomial(q), d)) is not None:
+        if exact_quotient(f.num, Polynomial(strip_cyclotomic(q, d))) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"

@@ -37,7 +37,9 @@ the library's one exact division.  On products of powers of Phi_m, some with
 m | d and some not, and of factors with no root of unity as a root, the
 stripped polynomial agrees with the oracle's Moebius series and long division,
 and is the product of the factors that are not a Phi_m with m | d; the exact
-division agrees with long division wherever the divisor is monic.
+division agrees with long division wherever the divisor is monic, and with the
+oracle's Fraction series for primitive divisors that are not, such as 2 + 3t
+and (1 - 2t)^3.
 
 ``from_series`` and the sum of two length functions are built without the
 validating constructor, each check proved by construction.  The validating
@@ -135,6 +137,8 @@ STRIP_PERIODS = (2, 4, 6, 12, 60, 720720)
 # root of any; the last two are monic.
 NON_CYCLOTOMIC = ((1, -2), (1, 1, 2))
 MONIC = ((2, 1), (3, -1, 1))
+# 2 + 3t and 3 - 2t: primitive, with no end coefficient a unit.
+PRIMITIVE = ((2, 3), (3, -2))
 
 
 def product(factors):
@@ -159,9 +163,9 @@ def cyclotomic_products(draw):
 @given(cyclotomic_products())
 def test_cyclotomic_factors_stripped_as_by_the_oracle(case):
     q, rest, d = case
-    stripped = _strip_cyclotomic(q, d)
-    assert stripped == rest
-    assert stripped.numerators == oracle.strip_cyclotomic(q.numerators, d)
+    stripped = _strip_cyclotomic(list(q.numerators), d)
+    assert stripped == list(rest.numerators)
+    assert stripped == list(oracle.strip_cyclotomic(q.numerators, d))
 
 
 @given(st.data())
@@ -173,7 +177,26 @@ def test_quotient_matches_long_division_by_a_monic_divisor(data):
     divisor += data.draw(st.lists(st.sampled_from(monic), max_size=1))
     a, b = product(factors), product(divisor)
     expected = oracle.divide_monic(a.numerators, b.numerators)
-    assert _quotient(a, b) == (None if expected is None else Polynomial(expected))
+    assert _quotient(a.numerators, list(b.numerators)) == (None if expected is None else list(expected))
+    # Primitive divisors, monic or not, against the oracle's Fraction series:
+    # of the zero numerator, of ones shorter than the divisor (among them its
+    # proper factors), of a multiple of it and of any integer polynomial.
+    powers = [(Polynomial((1, -2)) ** e).numerators for e in (1, 2, 3)]
+    primitive = monic + list(NON_CYCLOTOMIC + PRIMITIVE) + powers
+    pieces = data.draw(st.lists(st.sampled_from(primitive), min_size=1, max_size=4))
+    den = product(pieces)
+    coeffs = st.lists(st.integers(-9, 9), max_size=8)
+    num = data.draw(
+        st.one_of(
+            st.just(Polynomial()),
+            st.lists(st.integers(-9, 9), max_size=den.degree).map(Polynomial),
+            st.just(product(pieces[1:])),
+            coeffs.map(lambda c: Polynomial(c) * den),
+            coeffs.map(Polynomial),
+        )
+    )
+    expected = oracle.exact_quotient(num, den)
+    assert _quotient(num.numerators, list(den.numerators)) == (None if expected is None else list(expected.coeffs))
 
 
 @given(series())

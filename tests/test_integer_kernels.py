@@ -161,6 +161,12 @@ class TestSeriesKernel:
         pairs = list(series_integers(f, 200))
         assert all(scale > 0 for _, scale in pairs)
         assert [Fraction(u, scale) for u, scale in pairs] == oracle.fraction_series(f.num, f.den, 200)
+        # The in-loop reduction keeps each scale within a factor below 2^20 of
+        # the reduced denominator (98304 at most here); without it scale_200
+        # would be M * L^200, up to 638 bits.
+        for u, scale in pairs:
+            factor, rest = divmod(scale, Fraction(u, scale).denominator)
+            assert rest == 0 and factor < 2**20
 
     def test_zero_numerator(self):
         den = Polynomial((Fraction(2), Fraction(0), Fraction(-1, 3)))

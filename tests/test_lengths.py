@@ -401,7 +401,8 @@ class TestCertifiedTail:
         q = rest * phi3 * Polynomial((1, 1)) ** 3 * Polynomial((1, 0, 1))
         for d in (10**6, 963761198400):
             began = time.perf_counter()
-            assert _strip_cyclotomic(q, d) == (rest if d % 3 == 0 else rest * phi3)
+            stripped = _strip_cyclotomic(list(q.numerators), d)
+            assert stripped == list((rest if d % 3 == 0 else rest * phi3).numerators)
             assert time.perf_counter() - began < 1.0
 
     def test_negative_coefficient_named_before_the_refusal(self):

@@ -19,8 +19,9 @@ read off the core values, and builds one Fraction, the result.  Against
 end, one past it and 10^12, under both constants.
 
 Counting tests pin what the new paths no longer do: an accepted series calls
-neither ``series_integers`` nor ``newton_polynomial``, and one limit estimate
-calls ``Fraction.__new__`` once.
+neither ``series_integers`` nor ``newton_polynomial``, a refused one builds no
+Fraction series to classify its refusal, and one limit estimate calls
+``Fraction.__new__`` once.
 """
 
 import random
@@ -162,6 +163,36 @@ def test_an_accepted_series_calls_neither_old_kernel(monkeypatch, expr, d):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert from_series(f, d, 12).to_json_dict() == want
+
+
+OUTRANKED = (
+    "series coefficients eventually go negative: "
+    "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
+)
+OFF_PERIOD = "not eventually a period-2 quasi-polynomial: its poles are not all d-th roots of unity"
+
+
+@pytest.mark.parametrize(
+    "expr, d, probe, refusal",
+    [
+        ("100/(1-t)+1/(1+t)^2", 2, 80, OUTRANKED),
+        # Phi_3 is stripped from r only where 3 | d.
+        ("100/(1-t)+1/(1+t+t^2)^2", 6, 80, OUTRANKED),
+        ("100/(1-t)+1/(1+t+t^2)^2", 2, 80, OFF_PERIOD),
+        ("1/((1-t)*(1-t^12))", 2, 0, OFF_PERIOD),
+    ],
+    ids=["pole at -1", "Phi_3 at d=6", "Phi_3 at d=2", "probe 0"],
+)
+def test_a_refusal_builds_no_fraction_series(monkeypatch, expr, d, probe, refusal):
+    # The classifier divides on integer lists, by the expansion's own recurrence.
+    f = parse_series(expr)
+    for module in (exact, lengths):
+        for name in ("series_integers", "series_coefficients"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(lengths.ModelError) as info:
+        from_series(f, d, probe)
+    assert str(info.value) == refusal
 
 
 def models():
