@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence, Union
 
-from .exact import Polynomial, Scalar, _newton_table
+from .exact import Polynomial, Scalar, _newton_columns, _newton_table
 
 NumericFunction = Callable[[int], Union[int, Fraction]]
 
@@ -73,22 +73,12 @@ def newton_polynomial(cs: Sequence[Scalar], anchor: int = 0) -> Polynomial:
 
 
 def newton_form(cs: Sequence[int], anchor: int, den: int = 1) -> Polynomial:
-    """sum_j cs[j] * C(t - anchor, j) / den in monomial form, for k integers cs.
-
-    (k-1)! times the sum is nested Horner in the falling factorials, on
-    integer coefficient lists: S <- S * (t - anchor - j) + cs[j] * (k-1)!/j!
-    for j = k-1 down to 0, and then one division by den * (k-1)!."""
-    if not cs:
-        return Polynomial()
-    acc, weight = [cs[-1]], 1  # weight = (k-1)!/j!
-    for j in range(len(cs) - 2, -1, -1):
-        weight *= j + 1
-        root = anchor + j
-        acc.append(0)  # acc * (t - root) + cs[j] * weight, in place from the top
-        for i in range(len(acc) - 1, 0, -1):
-            acc[i] = acc[i - 1] - root * acc[i]
-        acc[0] = cs[j] * weight - root * acc[0]
-    return Polynomial._from_integers(acc, den * weight)
+    """sum_j cs[j] * C(t - anchor, j) / den in monomial form, for k integers cs:
+    the column kernel :func:`~qmult.exact._newton_columns` on one residue,
+    (k-1)! times the sum by nested Horner in the falling factorials, and then
+    one division by den * (k-1)!."""
+    columns, weight = _newton_columns(list(cs), 1, anchor)
+    return Polynomial._from_integers([c for (c,) in columns], den * weight)
 
 
 def faulhaber_sum(g: Polynomial, N: int, n: int) -> Fraction:

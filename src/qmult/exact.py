@@ -14,7 +14,17 @@ product ``_product``, the power ``_power`` (one pass of J.C.P. Miller's
 recurrence, with no product), the trimmed sum ``_combine`` and the in-place
 Taylor shift ``_taylor_shift``.  ``Polynomial`` wraps them and
 handles the denominators; the series parser (``series``) folds on them
-directly.  The series recurrence is an integer core, ``series_integers``,
+directly.  A quasi-polynomial's d residue polynomials are held as k integer
+columns over one denominator, column j their t^j numerators, and the column
+kernels below work on whole columns: the Koszul step ``_difference_columns``
+(Horner's rule on the columns laid end to end, additions only), the block
+difference table ``_block_table`` (one subtraction pass over whole blocks),
+the reindexing ``_reindexed_columns``, the sum, the k-fold difference test
+``_agrees`` and the sign certificate of every residue off one block table.
+The Taylor shift by p (``_shift_columns``), the Newton conversion
+(``_newton_columns``) and point evaluation (``_values_at``) run residue by
+residue inside their kernels, since a pass over whole columns cost more than
+that at d = 2.  The series recurrence is an integer core, ``series_integers``,
 which gives each coefficient as a pair (U_n, scale_n) with c_n = U_n /
 scale_n, and ``series_coefficients`` is its Fraction view; a reader of lengths
 (``lengths.from_series``) expands on the lengths themselves instead, with no
@@ -37,9 +47,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
-from operator import sub
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -131,6 +141,170 @@ def _combine(a: list[int], b: Sequence[int], m: int) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+# The column kernels: a quasi-polynomial's d residue polynomials held as columns,
+# column j the tuple of their t^j numerators.  Each works on whole columns at
+# once: one C-level pass per column or per Horner step, with no loop over the
+# residues in Python.
+
+
+def _columns(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[list[tuple[int, ...]], int]:
+    """(columns, den) in the form of :func:`_reduced_columns` for polynomials
+    given as (numerators, denominator) rows: their numerators over the lcm
+    of the denominators, column j the t^j ones, shorter rows padded with 0."""
+    den = lcm(*[q for _, q in rows])
+    scaled = [nums if q == den else [c * (den // q) for c in nums] for nums, q in rows]
+    return _reduced_columns(list(zip_longest(*scaled, fillvalue=0)), den)
+
+
+def _reduced_columns(columns: list, den: int) -> tuple[list, int]:
+    """(columns, den) with trailing all-zero columns dropped and gcd(den, every
+    numerator) divided out, so that one quotient has one form."""
+    while columns and not any(columns[-1]):
+        columns.pop()
+    if not columns:
+        return columns, 1
+    g = gcd(den, *chain.from_iterable(columns)) if den != 1 else 1
+    if g != 1:
+        columns, den = [tuple(c // g for c in column) for column in columns], den // g
+    return columns, den
+
+
+def _sum_columns(forms: list[tuple[Sequence[tuple[int, ...]], int]], d: int) -> tuple[list, int]:
+    """The sum of quotients (columns, den) of d-tuples, over the lcm of the
+    denominators: each column scaled by one multiplication pass, then added."""
+    den = lcm(*(f[1] for f in forms))
+    total = [(0,) * d] * max(len(f[0]) for f in forms)
+    for columns, f_den in forms:
+        scale = den // f_den
+        for j, column in enumerate(columns):
+            total[j] = tuple(map(add, total[j], map(scale.__mul__, column)))
+    return total, den
+
+
+def _reindexed_columns(columns: Sequence[tuple[int, ...]], d: int, sign: int, b: int) -> list:
+    """The columns of n -> q(sign * n + b), sign = 1 or -1, for the
+    quasi-polynomial q of period d with these columns.  At n = d*m + i it is
+    g_r(sign * m + q) for (q, r) = divmod(sign * i + b, d): the columns are
+    permuted by r, the odd ones negated when sign = -1 (g(-t)), and residue i
+    is Taylor-shifted by sign * q (:func:`_shift_columns`), which takes two
+    values, none where it is 0."""
+    moves = [divmod(sign * i + b, d) for i in range(d)]
+    order = itemgetter(*(r for _, r in moves))
+    columns = [
+        order(column) if sign == 1 or j % 2 == 0 else tuple(map(neg, order(column)))
+        for j, column in enumerate(columns)
+    ]
+    return _shift_columns(columns, [sign * q for q, _ in moves])
+
+
+def _values_at(columns: Sequence[tuple[int, ...]], d: int, lo: int, hi: int) -> list[int]:
+    """The numerators at degrees lo..hi of the quasi-polynomial of period d
+    with these columns: at n = d*m + i, Horner's rule at m down entry i of the
+    columns.  Point by point: Horner's rule on whole columns at each block
+    lost to it at d = 2."""
+    top = columns[::-1]
+    out = []
+    for n in range(lo, hi + 1):
+        m, i = divmod(n, d)
+        acc = 0
+        for column in top:
+            acc = acc * m + column[i]
+        out.append(acc)
+    return out
+
+
+def _shift_columns(columns: Sequence[tuple[int, ...]], shifts: Sequence[int]) -> list[tuple[int, ...]]:
+    """The columns of g_i(t + shifts[i]) for every residue i: the Taylor shift
+    :func:`_taylor_shift` of each residue's numerators that moves, read back as
+    columns.  Per residue, because a shift by p multiplies, and a pass a step
+    over whole columns lost to it at d = 2."""
+    rows = zip(*columns)
+    return list(zip(*(_taylor_shift(list(row), p) if p else row for row, p in zip(rows, shifts))))
+
+
+def _difference_columns(columns: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The columns of g(t + 1) - g(t) for every residue g, one fewer: Horner's
+    rule acc <- acc * (t + 1) + column on the columns laid end to end, one
+    pass of additions a step, less the columns."""
+    zeros = (0,) * len(columns[0]) if columns else ()
+    acc: tuple[int, ...] = ()
+    for column in reversed(columns):
+        acc = tuple(map(add, column + acc, acc + zeros))
+    d = len(zeros)
+    flat = tuple(map(sub, acc, chain.from_iterable(columns[:-1])))
+    return [flat[j * d : (j + 1) * d] for j in range(len(columns) - 1)]
+
+
+def _block_table(values: list, d: int) -> list:
+    """Newton's forward differences by blocks of d, in place: on entry
+    ``values[d*b + i]`` is f_i(x + b) for d sequences f_i, on return it is
+    Delta^b f_i(x), each a pass of one subtraction over whole blocks.
+
+    >>> _block_table([0, 5, 1, 6, 4, 7], 2)
+    [0, 5, 1, 1, 2, 0]
+    """
+    for lo in range(d, len(values), d):
+        values[lo:] = map(sub, values[lo:], values[lo - d : -d])
+    return values
+
+
+def _agrees(values: Sequence[int], d: int, k: int) -> bool:
+    """Whether the k-fold step-d differences of ``values`` all vanish: on each
+    residue class, whether its values at consecutive blocks lie on one
+    polynomial of degree < k.  A tail of k columns that equals them on k
+    blocks of each residue then equals them on all of them."""
+    for _ in range(k):
+        values = list(map(sub, values[d:], values[:-d]))
+    return not any(values)
+
+
+def _first_negatives(values: list[int], d: int, anchor: int, step: int) -> Iterator[int]:
+    """The sign certificate of a quasi-polynomial of period d on a ray from
+    ``anchor``, up (step 1) or down (step -1), from its values (or numerators)
+    at anchor + step * j for j = 0 .. kd - 1, which hold k blocks of every
+    residue: for each residue i, in order, that goes negative on the ray, its
+    first negative degree.  Position j holds residue (anchor + step * j) mod d
+    at block (anchor + step * j) // d; its Newton table along the ray is the
+    entry j of each block of the :func:`_block_table`."""
+    table = _block_table(values, d)
+    for i in range(d):
+        j = step * (i - anchor) % d
+        block = (anchor + step * j) // d
+        bad = _first_negative(table[j::d], step * block)
+        if bad is not None:
+            yield d * step * bad + i
+
+
+def _newton_columns(table: list[int], d: int, anchor: int) -> tuple[list[tuple[int, ...]], int]:
+    """(columns, w): the residues of the block table ``table`` (entry j of
+    residue i at table[d*j + i], as :func:`_block_table` leaves it), each
+    sum_j c_j * C(t - anchor, j) in monomial form, as the columns of w times
+    them, w = (k-1)! for k entries a residue.
+
+    Per residue, as a pass a step over whole columns lost to it at d = 2:
+    one nested Horner pass in the falling factorials, S <- S * (t - anchor -
+    j) + c_j * (k-1)!/j! for j = k-1 down to 0, over table[i::d]; the columns
+    are read off the rows."""
+    k = len(table) // d
+    if not k:
+        return [], 1
+    weights = [1] * k  # weights[j] = (k-1)!/j!
+    for j in range(k - 2, -1, -1):
+        weights[j] = weights[j + 1] * (j + 1)
+    rows = []
+    for i in range(d):
+        cs = table[i::d]
+        acc = [cs[-1]]
+        for j in range(k - 2, -1, -1):
+            root = anchor + j
+            acc.append(0)  # acc * (t - root) + cs[j] * weights[j], in place from the top
+            for t in range(len(acc) - 1, 0, -1):
+                acc[t] = acc[t - 1] - root * acc[t]
+            acc[0] = cs[j] * weights[j] - root * acc[0]
+        rows.append(acc)
+    return list(zip(*rows)), weights[0]
 
 
 def _taylor_shift(nums: list[int], p: int) -> list[int]:
@@ -318,16 +492,14 @@ class Polynomial:
     def forward_difference(self) -> Polynomial:
         """Return g(t + 1) - g(t); degree drops by exactly one when g is nonconstant.
 
-        The Taylor shift by 1 of the numerators (:func:`_taylor_shift`) less
-        the numerators: the shift keeps the denominator, so the difference is
-        over it too.
+        The column kernel :func:`_difference_columns` on the numerators, one
+        residue: additions only, over the same denominator.
 
         >>> Polynomial((0, 0, 1)).forward_difference()
         Polynomial('2*t + 1')
         """
-        nums = self.numerators
-        shifted = _taylor_shift(list(nums), 1)
-        return Polynomial._from_integers(list(map(sub, shifted, nums)), self.denominator)
+        columns = _difference_columns([(c,) for c in self.numerators])
+        return Polynomial._from_integers([c for (c,) in columns], self.denominator)
 
     def __str__(self) -> str:
         """The terms from the top degree down, each written from its integer
@@ -361,13 +533,24 @@ class Polynomial:
         return f"Polynomial('{self}')"
 
     def to_json(self) -> list[str]:
-        """Coefficient array, constant term first: each numerator over the
-        denominator, reduced by their gcd."""
-        out = []
-        for c in self.numerators:
-            g = gcd(c, self.denominator)
-            out.append(str(c // g) if g == self.denominator else f"{c // g}/{self.denominator // g}")
-        return out
+        """Coefficient array, constant term first (:func:`_coefficient_texts`)."""
+        return _coefficient_texts(self.numerators, self.denominator)
+
+
+def _coefficient_texts(nums: Sequence[int], den: int) -> list[str]:
+    """Each numerator over the positive den, reduced by their gcd, as "p" or
+    "p/q", trailing zeros dropped: the JSON coefficient array of a polynomial."""
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    nums = nums[:top]
+    if den == 1:
+        return list(map(str, nums))
+    out = []
+    for c in nums:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def _as_poly(x: Polynomial | Scalar) -> Polynomial:

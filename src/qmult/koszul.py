@@ -10,13 +10,14 @@ Either formula is applied globally and the input is rejected (with the
 violating degrees) when the difference goes negative anywhere, since then no
 globally injective (resp. surjective) action is consistent with the data.
 Tail polynomials transform exactly: g_i -> g_i(t+1) - g_i(t) in the positive
-regime, so the complexity drops by exactly one per step while it is positive.
+regime, so the complexity drops by exactly one per step while it is positive;
+on the tail's columns that is one difference of all d residues at once.
 A negative chain is the positive chain of mu(n) = lambda(-n) mapped back once:
 function k by the one reindexing n -> -n - k(d + 1), and a violation m of
 step k to degree -m - k(d + 1).
 
 A chain certifies its positive tails in its frame from one Newton table per
-residue at the frame's anchor: step k's polynomial Delta^k g has the suffix
+residue at the frame's anchor, all entries of one block table of the core: step k's polynomial Delta^k g has the suffix
 from entry k of g's table there, so it needs a certificate of its own only
 while that suffix has a negative entry.  Its multiplicities come from one
 list of the frame's D^{s-1} h, which, as d is even, is D^{s-k-1} of step k's
@@ -35,7 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .exact import QmultError, _newton_table, nonnegative_on_ray
+from .exact import (
+    Polynomial,
+    QmultError,
+    _block_table,
+    _difference_columns,
+    _reduced_columns,
+    nonnegative_on_ray,
+)
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
 from .multiplicity import MultiplicityError, _chain_values
 
@@ -50,11 +58,12 @@ class KoszulError(QmultError):
 
 def _reduced_tail(qp: QuasiPolynomial | None, lag: int) -> QuasiPolynomial | None:
     """qp's step g_i -> g_i(t+1) - g_i(t) from lag degrees below its anchor (d for
-    a negative tail, which reaches n + d only there), or None where it vanishes."""
+    a negative tail, which reaches n + d only there), or None where it vanishes:
+    one difference of the columns (:func:`_difference_columns`), additions only."""
     if qp is None:
         return None
-    step = tuple(p.forward_difference() for p in qp.polys)
-    reduced = QuasiPolynomial(qp.d, step, qp.valid_from - lag)
+    columns, den = _reduced_columns(_difference_columns(qp.columns), qp.denominator)
+    reduced = QuasiPolynomial._from_columns(qp.d, columns, den, qp.valid_from - lag)
     return None if reduced.is_zero() else reduced
 
 
@@ -70,12 +79,16 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
     # Step k's positive tail polynomial of residue i is Delta^k g_i, anchored where
     # g_i is, and its Newton table at the anchor's block is the suffix table[k:] of
     # g_i's.  Each step's ray starts at or above that block, so residue i needs a
-    # certificate of its own only at the steps k up to its table's last negative entry.
-    tail = frame.pos_tail
-    tables = [] if tail is None else [
-        _newton_table(g, -((i - tail.valid_from) // d)) for i, g in enumerate(tail.polys)
-    ]
-    certify = [max((j + 1 for j, e in enumerate(table) if e < 0), default=0) for table in tables]
+    # certificate of its own only at the steps k up to its table's last negative
+    # entry.  The tables are the block table of the frame's core at the anchor,
+    # where the tail equals the core: residue i is entry (i - anchor) mod d.
+    tail, certify = frame.pos_tail, [0] * d
+    if tail is not None:
+        at = tail.valid_from - frame.core_start
+        table = _block_table(list(frame.core_values[at : at + d * len(tail.columns)]), d)
+        for i in range(d):
+            entries = table[(i - tail.valid_from) % d :: d]
+            certify[i] = max((j + 1 for j, e in enumerate(entries) if e < 0), default=0)
     functions = [frame]
     for k in range(1, count + 1):
         f = functions[-1]
@@ -86,10 +99,12 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
         # A valid step pays one C-level pass; only a violated one is scanned.
         violations = [lo + i for i, v in enumerate(values) if v < 0] if min(values) < 0 else []
         # Beyond the window the reduced tails govern; certify their sign exactly.
-        for i, g in enumerate(() if pos is None else pos.polys):
-            block = nonnegative_on_ray(g, -((i - hi - 1) // d)) if k < certify[i] else None
-            if block is not None:
-                violations.append(d * block + i)
+        for i in range(d) if pos is not None else ():
+            if k < certify[i]:
+                g = Polynomial._from_integers([c[i] for c in pos.columns], pos.denominator)
+                block = nonnegative_on_ray(g, -((i - hi - 1) // d))
+                if block is not None:
+                    violations.append(d * block + i)
         if neg is not None:
             violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
         if violations:

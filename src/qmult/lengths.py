@@ -4,55 +4,53 @@ A :class:`LengthFunction` is the numerical shadow of a graded Hom module: an
 explicit core window of values plus a declared tail on each side.  A tail is
 either ``None`` (vanishing: identically zero beyond the core; JSON kind
 ``vanishing``) or a :class:`QuasiPolynomial` (JSON kind ``quasipoly``).  A
-quasi-polynomial of period d is a tuple of polynomials g_0..g_{d-1} with value
+quasi-polynomial of period d has polynomials g_0..g_{d-1} with value
 g_{n mod d}(n // d); residues use floor division, so the indexing is
-unambiguous for negative degrees.
+unambiguous for negative degrees.  It stores them as k integer columns over
+one common denominator, column j the t^j numerators of all d residues, and
+the column kernels of ``exact`` work on whole columns: the Koszul step is one
+difference of the columns, reindexing n -> sign * n + b (``shift``,
+``reflect``, ``_reindexed``) a permutation of the residues plus Taylor
+shifts, the leading values one column.  ``polys`` builds the per-residue
+:class:`Polynomial` views, which only printing and the public API need.
 
-Tails must overlap the core on at least max_degree + 2 points per residue
-class and agree there exactly.  That overlap also certifies integrality of the
-tail everywhere (a polynomial that is integral on deg + 1 consecutive integers
-is integral on all of Z); nonnegativity along the rest of the ray is certified
-by exact sign analysis.  Validation certifies each tail from the core's
-tables: a residue's Newton table is read off the core values at the ray's
-first deg + 1 blocks, where the tail has just been shown to equal the core,
-so the certificate needs no polynomial arithmetic, and a negative tail is
-read going down, with no reflection.  Quasi-polynomial tails whose
-polynomials are all zero are normalized to ``None``.  Outside input
-(``LengthFunction(...)``, ``from_values``, ``from_json_dict``) runs these
-checks; derived functions (:func:`from_series`, ``+``, ``shift``,
-``reflect``, ``koszul.reduce``) are built with ``_unchecked``, their checks
-proved by construction.  Translation and reflection are one reindexing of Z,
-n -> sign * n + b for sign = 1 or -1 (``_reindexed``), on quasi-polynomials
-and on length functions alike: one composition per polynomial, so a
-reflection followed by a shift, as a negative Koszul chain maps its functions
-back, is one call.
+Tails must overlap the core on at least max_degree + 2 blocks per residue
+and agree there exactly; that also certifies integrality everywhere (a
+polynomial integral on deg + 1 consecutive integers is integral on all of
+Z).  With k = max_degree + 1 the agreement is checked block-wise: the core's
+k-fold step-d differences vanish on the overlap, and the tail equals the
+core on the k blocks nearest its anchor; only a refusal scans point by
+point, to name the first n that differs.  Nonnegativity along the rest of
+the ray is certified by exact sign analysis on each residue's Newton table,
+an entry of the block table of the core at those k blocks, read going up
+from ``valid_from`` or going down from ``valid_to``.  All-zero tails are
+normalized to ``None``.  Outside input (``LengthFunction(...)``,
+``from_values``, ``from_json_dict``) runs these checks; derived functions
+(:func:`from_series`, ``+``, ``shift``, ``reflect``, ``koszul.reduce``) are
+built with ``_unchecked``, their checks proved by construction.
 
-A tail value is a length, so it is computed as an integer: the numerator of
-g_{n mod d} at n // d (``Polynomial.numerator_at``) and one exact division by
-its denominator, with a Fraction built only for the error that a value which
-is not a nonnegative integer raises.  ``LengthFunction.values(lo, hi)`` gives
-the values on a whole range at once, a slice of the core and the tails
-evaluated this way; the Koszul step, the Herbrand list that both the
-stabilization scan and a Koszul chain's multiplicities read, the limit
+A tail value is a length, so it is computed as an integer, a numerator and
+one exact division, with a Fraction built only for the error that a value
+which is not a nonnegative integer raises.  ``LengthFunction.values(lo, hi)``
+gives a whole range at once; the Koszul step, the Herbrand list, the limit
 estimate and the sum ``+`` read their ranges through it.
 
 A Hilbert series' tail is certified from its denominator (:func:`from_series`)
 by agreeing with one expansion on the lengths themselves on deg D + dk
 degrees, taken through D's (1 - t^j) factors (j | d) as one running sum per
-factor, after a recurrence on what is left of D; ``valid_from``,
-max(0, deg N - deg D + 1), is the honest boundary that the division of N by D
-proves, and its sign is certified on the Newton tables its polynomials are
-read off.  :func:`fit_quasipoly` fits sampled data by Newton forward
+factor, after a recurrence on what is left of D; its columns come from the
+block table of k blocks and one Newton conversion, and ``valid_from``,
+max(0, deg N - deg D + 1), is the honest boundary that the division of N by
+D proves.  :func:`fit_quasipoly` fits sampled data by Newton forward
 differences per residue class from the high end of the window, and its
 ``valid_from`` is the honest boundary found by one scan back down
-(``_anchored``).  Neither is an assumed one.
+(``_anchored``).
 
 JSON files are decoded as UTF-8 whatever the locale and read by one object
 reader (``_json_object``) and one array reader (``_array_of``); every error
-names the field path, such as ``pos_tail.polys[0][1]``.  Reading costs about
-what decoding does: each array's types are checked in one pass, a polynomial
-is built from integer numerators, and an entry's path is formatted only in
-the refusal branch, which reads the array again to name the entry it refuses.
+names the field path, such as ``pos_tail.polys[0][1]``.  Each array's types
+are checked in one pass, and an entry's path is formatted only in the
+refusal branch, which reads the array again to name the entry it refuses.
 """
 
 from __future__ import annotations
@@ -62,19 +60,29 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from math import isqrt, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .differences import newton_form, newton_polynomial
+from .differences import newton_polynomial
 from .exact import (
     Polynomial,
     QmultError,
     RationalFunction,
     _RATIONAL,
+    _agrees,
+    _block_table,
+    _coefficient_texts,
+    _columns,
     _first_negative,
+    _first_negatives,
+    _newton_columns,
     _product,
+    _reduced_columns,
+    _reindexed_columns,
+    _sum_columns,
+    _values_at,
     difference_table,
     nonnegative_on_ray,
     parse_rational,
@@ -133,7 +141,7 @@ def _check_period(d: int) -> None:
         raise ModelError(f"period must be an even integer >= 2, got {_shown(d)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuasiPolynomial:
     """Period-d quasi-polynomial with an anchor for its validity range.
 
@@ -141,26 +149,57 @@ class QuasiPolynomial:
     claim is value(n) for all n >= valid_from; used as a negative tail the
     claim is for all n <= valid_from (the JSON schema writes the latter anchor
     as ``valid_to`` to keep fixture files readable).
+
+    ``QuasiPolynomial(d, polys, valid_from)`` takes the residue polynomials
+    g_0..g_{d-1}.  The only stored form is k integer ``columns`` over one
+    common ``denominator``: column j holds the t^j numerators of all d
+    residues, k is 1 + max_degree (no trailing all-zero column), and the
+    denominator is reduced against every numerator, so equality compares the
+    polynomials.  ``polys`` builds the :class:`Polynomial` views.
     """
 
     d: int
-    polys: tuple[Polynomial, ...]
+    columns: tuple[tuple[int, ...], ...]
+    denominator: int
     valid_from: int
 
-    def __post_init__(self) -> None:
-        _check_period(self.d)
-        if len(self.polys) != self.d:
-            raise ModelError(f"expected {self.d} polynomials, got {len(self.polys)}")
+    def __new__(cls, d: int, polys: Sequence[Polynomial], valid_from: int) -> QuasiPolynomial:
+        _check_period(d)
+        if len(polys) != d:
+            raise ModelError(f"expected {d} polynomials, got {len(polys)}")
+        return cls._from_columns(d, *_columns([(p.numerators, p.denominator) for p in polys]), valid_from)
+
+    @classmethod
+    def _from_columns(cls, d: int, columns: list, den: int, valid_from: int) -> QuasiPolynomial:
+        """The quasi-polynomial whose residue i has coefficients
+        columns[j][i] / den, for d-tuples ``columns`` already in the stored
+        form of :func:`_reduced_columns`."""
+        qp = object.__new__(cls)
+        qp.__dict__.update(d=d, columns=tuple(columns), denominator=den, valid_from=valid_from)
+        return qp
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        """The residue polynomials g_0..g_{d-1}."""
+        return tuple(Polynomial._from_integers(list(row), self.denominator) for row in self._rows())
+
+    def to_json(self) -> list[list[str]]:
+        """Each residue's JSON coefficient array, written from the columns."""
+        return [_coefficient_texts(row, self.denominator) for row in self._rows()]
+
+    def _rows(self) -> Sequence[tuple[int, ...]]:
+        """Each residue's numerators, constant term first, k of them."""
+        return tuple(zip(*self.columns)) if self.columns else ((),) * self.d
 
     def __call__(self, n: int) -> Fraction:
-        return self.polys[n % self.d](n // self.d)
+        return Fraction(_values_at(self.columns, self.d, n, n)[0], self.denominator)
 
     @property
     def max_degree(self) -> int:
-        return max(p.degree for p in self.polys)
+        return len(self.columns) - 1
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.polys)
+        return not self.columns
 
     def shift(self, k: int) -> QuasiPolynomial:
         """The translate n -> self(n + k), anchored at valid_from - k."""
@@ -172,14 +211,11 @@ class QuasiPolynomial:
 
     def _reindexed(self, sign: int, b: int) -> QuasiPolynomial:
         """n -> self(sign * n + b) for sign = 1 or -1, anchored at
-        sign * (valid_from - b).  At n = d*m + i it is polys[r](sign * m + q)
-        for (q, r) = divmod(sign * i + b, d): one composition per polynomial,
-        none where sign = 1 and q = 0."""
-        polys = []
-        for i in range(self.d):
-            q, r = divmod(sign * i + b, self.d)
-            polys.append(self.polys[r].compose_linear(sign, q))
-        return QuasiPolynomial(self.d, tuple(polys), sign * (self.valid_from - b))
+        sign * (valid_from - b): a permutation of the residues and Taylor
+        shifts of the columns (:func:`_reindexed_columns`), which keep the
+        top column and each residue's content, so the form stays reduced."""
+        columns = _reindexed_columns(self.columns, self.d, sign, b)
+        return QuasiPolynomial._from_columns(self.d, columns, self.denominator, sign * (self.valid_from - b))
 
     def negative_degrees(self, anchor: int) -> Iterator[int]:
         """The sign certificate: for each residue i, in order, that goes negative
@@ -193,10 +229,9 @@ class QuasiPolynomial:
 
 
 def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:
-    """qp(n) != value, decided on integers: the numerator of qp's polynomial
-    at n against value times its denominator."""
-    p = qp.polys[n % qp.d]
-    return p.numerator_at(n // qp.d) != value * p.denominator
+    """qp(n) != value, decided on integers: the numerator of qp at n against
+    value times its denominator."""
+    return _values_at(qp.columns, qp.d, n, n)[0] != value * qp.denominator
 
 
 def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> None:
@@ -204,45 +239,44 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
     and its sign out along the ray.  The side only picks the anchor's JSON
     name, the allowed anchors, the overlap window and the ray's direction.
 
-    The overlap holds max_degree + 2 blocks of each residue, and the tail has
-    just been shown to equal the core there.  So each residue's sign
-    certificate reads its Newton table off the core values at the ray's first
-    deg + 1 blocks: going up from ``valid_from``, or going down from
-    ``valid_to``, which is the ray up of g(-t) from minus its first block."""
+    The overlap holds max_degree + 2 blocks of each residue.  With k =
+    max_degree + 1, the tail equals the core there exactly when the core's
+    k-fold step-d differences vanish on it and the tail equals the core on the
+    k blocks nearest its anchor (:func:`_agrees`); only a refusal is looked
+    for point by point, to name the first n that differs.  Then each residue's
+    sign certificate reads its Newton table off those k blocks of the core
+    (:func:`_first_negatives`): going up from ``valid_from``, or going down
+    from ``valid_to``."""
     if qp is None:
         return
     d, start, values = lf.d, lf.core_start, lf.core_values
     if qp.d != d:
         raise ModelError(f"{side} tail period {qp.d} != function period {d}")
-    need = d * (qp.max_degree + 2)
-    if side == "pos":
+    k, v = len(qp.columns), qp.valid_from
+    need = d * (k + 1)
+    if side == "pos":  # the overlap, and its k blocks nearest the anchor
         key, allowed, step = "valid_from", (start, lf.core_end - need), 1
-        overlap = range(qp.valid_from, lf.core_end + 1)
+        overlap, near = (v, lf.core_end), (v, v + k * d - 1)
     else:
         key, allowed, step = "valid_to", (start + need, lf.core_end), -1
-        overlap = range(start, qp.valid_from + 1)
-    if not (allowed[0] <= qp.valid_from <= allowed[1]):
+        overlap, near = (start, v), (v - k * d + 1, v)
+    if not (allowed[0] <= v <= allowed[1]):
         raise ModelError(
-            f"{side} tail must overlap the core on {qp.max_degree + 2} blocks per "
+            f"{side} tail must overlap the core on {k + 1} blocks per "
             f"residue: need {key} in [{_shown(allowed[0])}, {_shown(allowed[1])}], "
-            f"got {_shown(qp.valid_from)}"
+            f"got {_shown(v)}"
         )
-    for n in overlap:
-        expected = values[n - start]
-        if _differs(qp, n, expected):
-            raise ModelError(
-                f"{side} tail disagrees with the core at n={n}: "
-                f"tail gives {_shown(qp(n))}, core holds {_shown(expected)}"
-            )
-    witnesses = []
-    for i, p in enumerate(qp.polys):
-        block = -((i - qp.valid_from) // d) if side == "pos" else (qp.valid_from - i) // d
-        first = d * block + i - start
-        table = list(values[first : first + step * d * (p.degree + 1) : step * d])
-        bad = _first_negative(difference_table(table), step * block)
-        if bad is not None:
-            witnesses.append(d * step * bad + i)
-    _check_sign(qp, side, witnesses)
+    core = values[near[0] - start : near[1] + 1 - start]
+    if not (
+        _agrees(values[overlap[0] - start : overlap[1] + 1 - start], d, k)
+        and _values_at(qp.columns, d, *near) == [c * qp.denominator for c in core]
+    ):
+        n = next(n for n in range(overlap[0], overlap[1] + 1) if _differs(qp, n, values[n - start]))
+        raise ModelError(
+            f"{side} tail disagrees with the core at n={n}: "
+            f"tail gives {_shown(qp(n))}, core holds {_shown(values[n - start])}"
+        )
+    _check_sign(qp, side, _first_negatives(list(core[::step]), d, v, step))
 
 
 def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int]) -> None:
@@ -257,21 +291,19 @@ def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int]) -> Non
         )
 
 
-def _tail_value(qp: QuasiPolynomial, n: int) -> int:
-    """qp(n), which must be a length: a value that is not a nonnegative
-    integer raises a :class:`ModelError`."""
-    p = qp.polys[n % qp.d]
-    value, rest = divmod(p.numerator_at(n // qp.d), p.denominator)
-    if rest or value < 0:
-        raise ModelError(f"tail evaluates to {_shown(qp(n))} at n={n}; not a length")
-    return value
-
-
 def _tail_values(qp: QuasiPolynomial | None, lo: int, hi: int) -> list[int]:
-    """The values of a tail (0 where it vanishes) at lo..hi."""
+    """The values of a tail (0 where it vanishes) at lo..hi, each a length or
+    a :class:`ModelError`: its numerators (:func:`_values_at`), each divided
+    exactly by the common denominator."""
     if qp is None:
         return [0] * max(hi - lo + 1, 0)
-    return [_tail_value(qp, n) for n in range(lo, hi + 1)]
+    out = []
+    for n, numerator in enumerate(_values_at(qp.columns, qp.d, lo, hi), lo):
+        value, rest = divmod(numerator, qp.denominator)
+        if rest or value < 0:
+            raise ModelError(f"tail evaluates to {_shown(qp(n))} at n={n}; not a length")
+        out.append(value)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,9 +367,7 @@ class LengthFunction:
         if self.core_start <= n <= self.core_end:
             return self.core_values[n - self.core_start]
         qp = self.pos_tail if n > self.core_end else self.neg_tail
-        if qp is None:
-            return 0
-        return _tail_value(qp, n)
+        return 0 if qp is None else _tail_values(qp, n, n)[0]
 
     def values(self, lo: int, hi: int) -> list[int]:
         """``[self(n) for n in range(lo, hi + 1)]`` (empty when hi < lo): the
@@ -404,9 +434,11 @@ class LengthFunction:
         def pos_sum(*fs: LengthFunction) -> QuasiPolynomial | None:
             # A vanishing tail is zero beyond its core: its anchor is one past the core.
             tails = [f.pos_tail for f in fs if f.pos_tail is not None]
+            if not tails:
+                return None
             anchor = max(f.core_end + 1 if f.pos_tail is None else f.pos_tail.valid_from for f in fs)
-            polys = tuple(sum(ps, Polynomial()) for ps in zip(*(qp.polys for qp in tails)))
-            return QuasiPolynomial(self.d, polys, anchor) if tails else None
+            columns, den = _sum_columns([(qp.columns, qp.denominator) for qp in tails], self.d)
+            return QuasiPolynomial._from_columns(self.d, *_reduced_columns(columns, den), anchor)
 
         # Valid by construction: a summed tail is the sum from its anchor on,
         # and tails nonnegative along a ray cancel only where both are zero.
@@ -439,8 +471,9 @@ class LengthFunction:
             return False
 
         for side in ("positive", "negative"):
-            polys = [None if f.tail(side) is None else f.tail(side).polys for f in (self, other)]
-            if polys[0] != polys[1]:
+            tails = [f.tail(side) for f in (self, other)]
+            forms = [None if qp is None else (qp.columns, qp.denominator) for qp in tails]
+            if forms[0] != forms[1]:
                 return False
         lo = min(self.core_start, other.core_start)
         hi = max(self.core_end, other.core_end)
@@ -464,11 +497,7 @@ class LengthFunction:
             if qp is None:
                 return {"kind": "vanishing"}
             key = "valid_from" if side == "pos" else "valid_to"
-            return {
-                "kind": "quasipoly",
-                key: qp.valid_from,
-                "polys": [p.to_json() for p in qp.polys],
-            }
+            return {"kind": "quasipoly", key: qp.valid_from, "polys": qp.to_json()}
 
         return {
             "d": self.d,
@@ -494,7 +523,7 @@ class LengthFunction:
             if count not in (None, d):
                 raise ModelError(f"{side}.polys must hold d = {_shown(d)} polynomials, got {count}")
         pos, neg = (
-            None if tail is None else QuasiPolynomial(d, *tail)
+            None if tail is None else QuasiPolynomial._from_columns(d, *_columns(tail[0]), tail[1])
             for tail in (lf["pos_tail"], lf["neg_tail"])
         )
         return LengthFunction(d, lf["core"]["start"], tuple(lf["core"]["values"]), pos, neg)
@@ -652,29 +681,36 @@ def _integer_ratios(items: list) -> tuple[list[int], int] | None:
     return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
-def _json_poly(value: object, field: str) -> Polynomial:
-    """A polynomial from its JSON coefficient array, built from integer
-    numerators with no Fraction per coefficient; an array that
-    :func:`_integer_ratios` does not read goes to :func:`_json_rational`, entry
-    by entry, which names the first that it refuses."""
+def _json_row(value: object, field: str) -> tuple[list[int], int]:
+    """A JSON coefficient array as (integer numerators, common denominator),
+    with no Fraction per coefficient; an array that :func:`_integer_ratios`
+    does not read goes to :func:`_json_rational`, entry by entry, which names
+    the first that it refuses."""
     read = _integer_ratios(_json_list(value, field))
     if read is None:
-        return Polynomial(_array_of(_json_rational)(value, field))
-    return Polynomial._from_integers(*read)
+        p = Polynomial(_array_of(_json_rational)(value, field))
+        return list(p.numerators), p.denominator
+    return read
+
+
+def _json_poly(value: object, field: str) -> Polynomial:
+    """A polynomial from its JSON coefficient array (:func:`_json_row`)."""
+    return Polynomial._from_integers(*_json_row(value, field))
 
 
 # A tail's parsers, by its kind and by the JSON name of its anchor: with a kind
 # that is neither, every field parser applies and the "kind" parser refuses it.
 _TAIL_KIND = _one_of("vanishing", "quasipoly")
 _TAIL_PARSERS = {
-    anchor: {"kind": _TAIL_KIND, "polys": _array_of(_json_poly), anchor: _json_int}
+    anchor: {"kind": _TAIL_KIND, "polys": _array_of(_json_row), anchor: _json_int}
     for anchor in ("valid_from", "valid_to")
 }
 
 
-def _json_tail(value: object, field: str, anchor: str) -> tuple[tuple[Polynomial, ...], int] | None:
-    """A tail as None (kind ``vanishing``) or (polys, anchor) (kind
-    ``quasipoly``); its key ``anchor`` is ``valid_from`` or ``valid_to``."""
+def _json_tail(value: object, field: str, anchor: str) -> tuple[list, int] | None:
+    """A tail as None (kind ``vanishing``) or (rows, anchor) (kind
+    ``quasipoly``), each row a polynomial's (numerators, denominator); its key
+    ``anchor`` is ``valid_from`` or ``valid_to``."""
     kind = value.get("kind") if isinstance(value, dict) else None
     if kind == "vanishing":
         parsers: Mapping[str, Parser] = {"kind": _TAIL_KIND}
@@ -803,11 +839,13 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
     end = start + f.den.degree + d * k  # the tail must agree on start..end - 1
     values = _lengths(f, r, js, max(probe, start + d * (k + 1), end - 1) + 1)
     m = -(-start // d)  # the first block of degrees all >= start
-    tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(newton_form(table, m) for table in tables), start)
+    table = _block_table(values[d * m : d * (m + k)], d)
+    qp = QuasiPolynomial._from_columns(d, *_reduced_columns(*_newton_columns(table, d, m)), start)
     # The blocks dm .. d(m+k) - 1 agree by construction; only the others can differ.
-    window = chain(range(start, d * m), range(d * (m + k), end))
-    if any(_differs(qp, n, values[n]) for n in window):
+    # Point by point: k passes of _agrees over the window cost more at d = 2.
+    window = ((start, d * m - 1), (d * (m + k), end - 1))
+    den = qp.denominator
+    if any(_values_at(qp.columns, d, a, b) != [c * den for c in values[a : b + 1]] for a, b in window):
         if _quotient(f.num.numerators, _strip_cyclotomic(r, d)) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
@@ -819,7 +857,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         )
     # A residue's ray starts at block m or m - 1, and at m - 1 the length scan and
     # the agreement window have shown a length: its first negative block is >= m.
-    blocks = (_first_negative(table, m) for table in tables)
+    blocks = (_first_negative(table[i::d], m) for i in range(d))
     _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
     core = values[: core_window(d, 0, probe, qp, None)[1] + 1]  # from 0 <= valid_from
     return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)

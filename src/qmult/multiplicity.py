@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from itertools import accumulate, count
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 # delta_op is unused since the certificate differences h as one list; the
@@ -54,7 +54,7 @@ from typing import Sequence
 # it up on this module.
 from .differences import delta as delta_op  # noqa: F401
 from .differences import _binomial_sum
-from .exact import Polynomial, QmultError, difference_table, format_rational
+from .exact import Polynomial, QmultError, _block_table, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
 
@@ -74,7 +74,11 @@ def herbrand(lf: LengthFunction, n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicityReport:
-    """Everything a multiplicity computation established, both conventions."""
+    """Everything a multiplicity computation established, both conventions.
+
+    ``tails`` holds the positive and the negative tail (``None`` where one
+    vanishes); ``polys`` and ``polys_neg`` are their residue polynomials, ()
+    for a vanishing tail, built when read."""
 
     side: str  # "positive" | "negative"
     s: int
@@ -83,11 +87,19 @@ class MultiplicityReport:
     e_delta: int
     e_coeff: int
     leading: tuple[Fraction, ...]
-    polys: tuple[Polynomial, ...]
-    polys_neg: tuple[Polynomial, ...]
+    tails: tuple[QuasiPolynomial | None, QuasiPolynomial | None]
     stabilization_index: int | None
 
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        return () if self.tails[0] is None else self.tails[0].polys
+
+    @property
+    def polys_neg(self) -> tuple[Polynomial, ...]:
+        return () if self.tails[1] is None else self.tails[1].polys
+
     def to_json_dict(self) -> dict:
+        pos, neg = ([] if qp is None else qp.to_json() for qp in self.tails)
         return {
             "side": self.side,
             "s": self.s,
@@ -96,8 +108,8 @@ class MultiplicityReport:
             "e_delta": self.e_delta,
             "e_coeff": self.e_coeff,
             "leading": [format_rational(a) for a in self.leading],
-            "polys": [p.to_json() for p in self.polys],
-            "polys_neg": [p.to_json() for p in self.polys_neg],
+            "polys": pos,
+            "polys_neg": neg,
             "stabilization_index": self.stabilization_index,
         }
 
@@ -113,12 +125,14 @@ def _report(
 ) -> MultiplicityReport:
     """The report of the index-s multiplicity on ``side``, whose complexity is
     ``cx``; everything not passed in is read off the tails of ``lf``."""
-    polys = {
-        key: () if lf.tail(key) is None else lf.tail(key).polys
-        for key in ("positive", "negative")
-    }
     other = "negative" if side == "positive" else "positive"
     cxs = {side: cx, other: lf.complexity(other)}
+    qp = lf.tail(side)
+    if qp is None:
+        leading: tuple[Fraction, ...] = ()
+    else:  # column s - 1, 0 past the top column
+        column = qp.columns[s - 1] if s - 1 < len(qp.columns) else (0,) * qp.d
+        leading = tuple(Fraction(c, qp.denominator) for c in column)
     return MultiplicityReport(
         side=side,
         s=s,
@@ -126,9 +140,8 @@ def _report(
         cx_neg=cxs["negative"],
         e_delta=e_delta,
         e_coeff=e_coeff,
-        leading=tuple(p.coefficient(s - 1) for p in polys[side]),
-        polys=polys["positive"],
-        polys_neg=polys["negative"],
+        leading=leading,
+        tails=(lf.pos_tail, lf.neg_tail),
         stabilization_index=stabilization,
     )
 
@@ -213,18 +226,13 @@ def _stabilized_report(lf: LengthFunction, s: int, floor: int) -> tuple[int, int
 
 def _leading_value(qp: QuasiPolynomial, s: int) -> int:
     """The delta value (s-1)! * sum_i (-1)^i a_i of a tail of complexity <= s,
-    on integers: the alternating sum of the degree s-1 numerators, each scaled
-    to the lcm of the tail denominators, and one exact division."""
-    den = lcm(*(p.denominator for p in qp.polys))
-    alternating = sum(
-        _sign(i) * p.numerators[s - 1] * (den // p.denominator)
-        for i, p in enumerate(qp.polys)
-        if p.degree >= s - 1
-    )
-    scaled = factorial(s - 1) * alternating
-    e_delta, rest = divmod(scaled, den)
+    on integers: the alternating sum of column s - 1 of the numerators, over
+    the common denominator, and one exact division."""
+    column = qp.columns[s - 1] if s - 1 < len(qp.columns) else ()
+    scaled = factorial(s - 1) * (sum(column[::2]) - sum(column[1::2]))
+    e_delta, rest = divmod(scaled, qp.denominator)
     if rest:
-        raise ModelError(f"stabilized difference is {Fraction(scaled, den)}, not an integer")
+        raise ModelError(f"stabilized difference is {Fraction(scaled, qp.denominator)}, not an integer")
     return e_delta
 
 
@@ -324,14 +332,16 @@ def limit_estimate(
     direct = lf.values(0, start - 1)
     total = sum(direct[::2]) - sum(direct[1::2])
     if tail:
-        for i, g in enumerate(qp.polys):
-            if g.is_zero():
-                continue
-            anchor = -((i - qp.valid_from) // d)  # the residue's first block in the tail
+        v = qp.valid_from
+        at = v - lf.core_start
+        table = _block_table(list(lf.core_values[at : at + d * len(qp.columns)]), d)
+        for i in range(d):
+            anchor = -((i - v) // d)  # the residue's first block in the tail
             m_lo, m_hi = -((i - start) // d), (n - i) // d  # m_hi >= m_lo - 1, as n >= start
-            at = d * anchor + i - lf.core_start
-            table = difference_table(list(lf.core_values[at : at + d * (g.degree + 1) : d]))
-            blocks = _binomial_sum(table, m_hi - anchor + 1) - _binomial_sum(table, m_lo - anchor)
+            entries = table[(i - v) % d :: d]
+            if not any(entries):  # a zero residue polynomial
+                continue
+            blocks = _binomial_sum(entries, m_hi - anchor + 1) - _binomial_sum(entries, m_lo - anchor)
             total += _sign(i) * blocks
     return Fraction(factor * total, n**s)
 

@@ -635,6 +635,20 @@ JST2 = ["--expr", "t^2/(1-t^2)^2", "--d", "2"]
 EXPAND = ["expand", "--expr", "(1+t)^3/(2-t)", "--n", "8"]
 LIMIT = ["limit", *JST2, "--s", "2", "--n", "100000", "--constant", "corrected"]
 TOR = "tor.json"  # written by the test into its working directory
+NEG_D24 = "neg_d24.json"  # likewise
+
+
+def neg_d24_input():
+    """A d = 24 function with a negative tail: the reflection of the series
+    model of t^7/((1-t^2)*(1-t^24)), the shape of the benchmark's e-neg jobs."""
+    lf = from_series(parse_series("t^7/((1-t^2)*(1-t^24))"), 24, 168)
+    return lf.reflect().to_json_dict()
+
+
+def golden_inputs(directory: Path) -> None:
+    """The input files that OUTPUT_GOLDENS name."""
+    (directory / TOR).write_text(json.dumps(tor_input()))
+    (directory / NEG_D24).write_text(json.dumps(neg_d24_input()))
 
 # golden file -> argv: each command's text form and, where it has one, its JSON form.
 OUTPUT_GOLDENS = {
@@ -655,6 +669,13 @@ OUTPUT_GOLDENS = {
     "koszul_t7_d12.json": ["koszul", "--expr", "t^7/((1-t)*(1-t^12))", "--d", "12", "--probe", "84"],
     # Long int arrays at depth 4.
     "koszul_t7_d24.json": ["koszul", "--expr", "t^7/((1-t^2)*(1-t^24))", "--d", "24", "--probe", "168"],
+    # Long periods: a negative tail read from JSON, a limit at d = 120, a text report at d = 24.
+    "e_neg_d24.json": ["e-neg", "--json", "--input", NEG_D24],
+    "e_limit_d120.json": [
+        "e", "--json", "--limit-n", "1000000000000", "--expr", "t^7/((1-t^2)*(1-t^120))",
+        "--d", "120", "--probe", "840",
+    ],
+    "e_text_d24.txt": ["e", "--expr", "t^7/((1-t^2)*(1-t^24))", "--d", "24", "--probe", "168"],
     "limit_jst2_corrected.txt": LIMIT,
     "limit_jst2_corrected.json": [*LIMIT, "--json"],
     "theta_tor_5_2.txt": ["theta", "--input", TOR],
@@ -668,7 +689,7 @@ class TestOutputGoldens:
     @pytest.mark.parametrize("name", OUTPUT_GOLDENS)
     def test_stdout_matches_golden(self, capsys, monkeypatch, tmp_path, name):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / TOR).write_text(json.dumps(tor_input()))
+        golden_inputs(tmp_path)
         code, out, err = run(capsys, *OUTPUT_GOLDENS[name])
         assert (code, err) == (0, "")
         check_golden(name, out)
@@ -700,7 +721,7 @@ class TestHandlersReturn:
             raise AssertionError("a handler printed")
 
         monkeypatch.chdir(tmp_path)
-        (tmp_path / TOR).write_text(json.dumps(tor_input()))
+        golden_inputs(tmp_path)
         (tmp_path / "lf.json").write_text(json.dumps(two_sided_input()))
         args = cli._parse(argv)
         monkeypatch.setattr("builtins.print", no_print)
@@ -1144,7 +1165,7 @@ EXIT_1_RUNS = [
 
 def handler_files(directory: Path) -> None:
     """The input files that HANDLER_RUNS and EXIT_1_RUNS name."""
-    (directory / TOR).write_text(json.dumps(tor_input()))
+    golden_inputs(directory)
     (directory / "lf.json").write_text(json.dumps(two_sided_input()))
     (directory / "cut.json").write_text('{"d": 2, "core": {"start": ')
 
@@ -1241,6 +1262,26 @@ class TestJsonRenderer:
         """Tuples, dict subclasses and non-str keys go to json.dumps, at the
         indent of the level they sit on."""
         assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ["a\"b", "c\\d"],
+            ["\n", "\t\r\x00\x1f\x7f"],
+            ["caf\u00e9", "\u2603", "\U0001f600", "\ud800"],
+            {"polys": [["1/2", "-3"], [], ["\"", "\\"]]},
+            [[["x"]], ["y", "z"]],
+        ],
+        ids=repr,
+    )
+    def test_string_arrays(self, value):
+        """Arrays of strs only, as a chain's coefficient arrays are: quotes,
+        backslashes, control and non-ASCII characters, lone surrogates."""
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @given(st.lists(st.lists(st.text(max_size=6), max_size=5), max_size=4))
+    def test_string_arrays_at_depth(self, value):
+        assert cli._dumps({"a": value}) == json.dumps({"a": value}, indent=2)
 
     def test_verify_all_payload(self):
         code, payload, _ = cli._COMMANDS["verify"][2](cli._parse(["verify", "--suite", "all", "--json"]))

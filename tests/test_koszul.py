@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from qmult import exact, multiplicity
+from qmult import exact, koszul, multiplicity
 from qmult.exact import Polynomial, _first_negative, _newton_table, nonnegative_on_ray
 from qmult.koszul import KoszulError, koszul_triangle, reduce, reduce_chain
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
@@ -206,24 +206,55 @@ def test_a_suffix_of_the_newton_table_certifies_that_difference(coeffs, m):
 def test_chain_builds_one_table_per_residue_and_one_herbrand_list(monkeypatch, regime):
     # Every table of 1/(1-t)^4 at its anchor is nonnegative, so no step needs
     # a certificate of its own; and D^{s-1} h of the frame serves every step.
+    # The d residues' tables are the entries of one block table of the core,
+    # so no table is built for a residue alone.
     d, s = 12, 4
     lf = from_series(parse_series("1/(1-t)^4"), d, 0)
     base = lf if regime == "positive" else lf.reflect()
-    tables, herbrand = exact.difference_table, multiplicity._herbrand_differences
     calls = Counter()
 
-    def counted_tables(values):
-        calls["tables"] += 1
-        return tables(values)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_herbrand(*args):
-        calls["herbrand"] += 1
-        return herbrand(*args)
+        return wrapper
 
-    monkeypatch.setattr(exact, "difference_table", counted_tables)
-    monkeypatch.setattr(multiplicity, "_herbrand_differences", counted_herbrand)
+    monkeypatch.setattr(exact, "difference_table", counted("residue tables", exact.difference_table))
+    monkeypatch.setattr(koszul, "_block_table", counted("block tables", koszul._block_table))
+    monkeypatch.setattr(
+        multiplicity, "_herbrand_differences", counted("herbrand", multiplicity._herbrand_differences)
+    )
     reduce_chain(base, s, regime)
-    assert calls == {"tables": d, "herbrand": 1}
+    assert calls == {"block tables": 1, "herbrand": 1}
+
+
+def test_a_chain_builds_no_polynomial_and_no_taylor_shift_at_any_period(monkeypatch):
+    # Counting law: a positive chain's work on its tails is per column, not per
+    # residue, so it makes as many polynomials and Taylor shifts at d = 120 as
+    # at d = 12 (none), and one difference of the columns per step.
+    calls = Counter()
+    from_integers, taylor_shift = Polynomial._from_integers.__func__, exact._taylor_shift
+    difference = koszul._difference_columns
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    counts = {}
+    for d in (12, 120):
+        lf = from_series(parse_series(f"t^7/((1-t^2)*(1-t^{d}))"), d, 7 * d)
+        monkeypatch.setattr(Polynomial, "_from_integers", classmethod(counted("polynomials", from_integers)))
+        monkeypatch.setattr(exact, "_taylor_shift", counted("taylor shifts", taylor_shift))
+        monkeypatch.setattr(koszul, "_difference_columns", counted("column differences", difference))
+        calls.clear()
+        koszul._reductions(lf, 2, "positive")
+        counts[d] = dict(calls)
+        monkeypatch.undo()
+    assert counts[12] == counts[120] == {"column differences": 2}
 
 
 class TestKoszulTriangle:

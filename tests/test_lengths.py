@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qmult import exact
 from qmult.exact import Polynomial, series_coefficients
 from qmult.fixtures import random_length_function
 from qmult.lengths import (
@@ -43,12 +44,23 @@ class TestQuasiPolynomial:
         with pytest.raises(ModelError):
             QuasiPolynomial(4, (poly(1),) * 3, 0)
 
-    def test_shift_keeps_the_polynomials_it_does_not_move_across_a_block(self):
+    def test_shift_keeps_the_polynomials_it_does_not_move_across_a_block(self, monkeypatch):
         # By one degree, residue i takes residue i + 1's polynomial in the same
-        # block: g(t + 0) is g itself, not a composed copy.
+        # block: g(t + 0) is g itself, its numerators moved, not a composed
+        # copy; the one Taylor shift is of the one residue that crosses.
         qp = from_series(parse_series("1/(1-t)^16"), 240, 0).pos_tail
+        shifts = []
+
+        def counted(nums, p):
+            shifts.append(p)
+            return taylor_shift(nums, p)
+
+        taylor_shift = exact._taylor_shift
+        monkeypatch.setattr(exact, "_taylor_shift", counted)
         new = qp.shift(1)
-        assert all(new.polys[i] is qp.polys[i + 1] for i in range(239))
+        assert shifts == [1]
+        assert new.denominator == qp.denominator
+        assert all(new.columns[j][:239] == qp.columns[j][1:] for j in range(16))
         assert new.polys[239] == qp.polys[0].shift(1)
 
 
