@@ -144,9 +144,9 @@ def _combine(a: list[int], b: Sequence[int], m: int) -> list[int]:
 
 
 # The column kernels: a quasi-polynomial's d residue polynomials held as columns,
-# column j the tuple of their t^j numerators.  Each works on whole columns at
-# once: one C-level pass per column or per Horner step, with no loop over the
-# residues in Python.
+# column j the tuple of their t^j numerators.  Most work on whole columns or
+# blocks at once, one C-level pass per column, block or Horner step; the ones
+# that loop over the residues inside say why.
 
 
 def _columns(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[list[tuple[int, ...]], int]:
@@ -267,7 +267,8 @@ def _first_negatives(values: list[int], d: int, anchor: int, step: int) -> Itera
     residue: for each residue i, in order, that goes negative on the ray, its
     first negative degree.  Position j holds residue (anchor + step * j) mod d
     at block (anchor + step * j) // d; its Newton table along the ray is the
-    entry j of each block of the :func:`_block_table`."""
+    entry j of each block of the :func:`_block_table`, and its certificate,
+    a search of its own, is :func:`_first_negative` on that table."""
     table = _block_table(values, d)
     for i in range(d):
         j = step * (i - anchor) % d

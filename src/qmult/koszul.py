@@ -17,12 +17,13 @@ function k by the one reindexing n -> -n - k(d + 1), and a violation m of
 step k to degree -m - k(d + 1).
 
 A chain certifies its positive tails in its frame from one Newton table per
-residue at the frame's anchor, all entries of one block table of the core: step k's polynomial Delta^k g has the suffix
-from entry k of g's table there, so it needs a certificate of its own only
-while that suffix has a negative entry.  Its multiplicities come from one
-list of the frame's D^{s-1} h, which, as d is even, is D^{s-k-1} of step k's
-Herbrand difference: each step's value is read from its own tail and
-confirmed on its own 3d window of that list.
+residue at the frame's anchor, each read off one block table of the core:
+step k's polynomial Delta^k g has the suffix from entry k of g's table there,
+so it needs a certificate of its own only while that suffix has a negative
+entry.  Its multiplicities come from one list of the frame's D^{s-1} h,
+which, as d is even, is D^{s-k-1} of step k's Herbrand difference: each
+step's value is read from its own tail and confirmed on its own 3d window of
+that list.
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
