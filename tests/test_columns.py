@@ -2,7 +2,7 @@
 
 ``QuasiPolynomial`` stores column j as the t^j numerators of all d residues
 over one common denominator, and its kernels run on whole columns: the Koszul
-step (``exact._difference_columns``), the Taylor shift of a run of residues
+step (``exact._difference_columns``), the Taylor shift of the residues
 (``exact._shift_columns``), the block difference table and the Newton
 conversion of ``from_series`` (``exact._block_table``,
 ``exact._newton_columns``), reindexing, and the block-wise overlap check.
