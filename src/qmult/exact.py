@@ -6,9 +6,10 @@ with no trailing zeros, and stores its coefficients in one form only: integer
 ``numerators`` over one common ``denominator`` (the lcm of the coefficient
 denominators, 1 for the zero polynomial, which has no numerators and degree
 -1).  The Fraction tuple ``coeffs`` is computed when it is read.  Sums,
-differences, negation, products and powers, evaluation and the Taylor shift
-behind ``compose_linear`` and ``forward_difference`` all run on those integers
-and divide once at the end, so the hot loops do no Fraction arithmetic.  The
+differences, negation, products and powers, evaluation, the Taylor shift
+behind ``compose_linear`` and the column difference behind
+``forward_difference`` all run on those integers and divide once at the end,
+so the hot loops do no Fraction arithmetic.  The
 arithmetic on integer coefficient lists lives here once, in four kernels: the
 product ``_product``, the power ``_power`` (one pass of J.C.P. Miller's
 recurrence, with no product), the trimmed sum ``_combine`` and the in-place
@@ -28,14 +29,17 @@ that at d = 2.  The series recurrence is an integer core, ``series_integers``,
 which gives each coefficient as a pair (U_n, scale_n) with c_n = U_n /
 scale_n, and ``series_coefficients`` is its Fraction view; a reader of lengths
 (``lengths.from_series``) expands on the lengths themselves instead, with no
-pair, through the denominator's (1 - t^j) factors by running sums.  At an
-integer m, ``numerator_at`` gives the integer denominator * p(m)
-with no division at all; the difference tables of the sign certificate
-(``nonnegative_on_ray``) and of the Faulhaber sum are built from it.  The
-certificate reads only the table (``_first_negative``), so a caller that has a
-table already, or a suffix of one, passes it in; it finds the first negative
-point of a ray by galloping and bisection, in steps logarithmic in its
-distance from the start.  A rational function stores a numerator and a
+pair, through the denominator's (1 - t^j) factors by running sums.  The sign
+certificate reads only an integer Newton table (``_first_negative``), so a
+caller that has a table already, or a suffix of one, passes it in; it finds
+the first negative point of a ray by galloping and bisection, in steps
+logarithmic in its distance from the start.  Every ray of a quasi-polynomial
+is certified by ``_first_negatives`` on the block table of k blocks of its
+values, each residue's table one entry of every block, with no polynomial
+built.  At an integer m, ``numerator_at`` gives the integer denominator * p(m)
+with no division at all; the tables of one polynomial's certificate
+(``nonnegative_on_ray``) and of the Faulhaber sum are built from it.  A
+rational function stores a numerator and a
 denominator polynomial; the denominator must have a nonzero constant term, so
 every rational function here expands as a power series at t = 0.
 
@@ -240,7 +244,8 @@ def _difference_columns(columns: Sequence[tuple[int, ...]]) -> list[tuple[int, .
 def _block_table(values: list, d: int) -> list:
     """Newton's forward differences by blocks of d, in place: on entry
     ``values[d*b + i]`` is f_i(x + b) for d sequences f_i, on return it is
-    Delta^b f_i(x), each a pass of one subtraction over whole blocks.
+    Delta^b f_i(x), each a pass of one subtraction over whole blocks.  With
+    d = 1 it is the difference table of one sequence.
 
     >>> _block_table([0, 5, 1, 6, 4, 7], 2)
     [0, 5, 1, 1, 2, 0]
@@ -260,16 +265,21 @@ def _agrees(values: Sequence[int], d: int, k: int) -> bool:
     return not any(values)
 
 
-def _first_negatives(values: list[int], d: int, anchor: int, step: int) -> Iterator[int]:
+def _first_negatives(table: list[int], d: int, anchor: int, step: int) -> Iterator[int]:
     """The sign certificate of a quasi-polynomial of period d on a ray from
-    ``anchor``, up (step 1) or down (step -1), from its values (or numerators)
-    at anchor + step * j for j = 0 .. kd - 1, which hold k blocks of every
-    residue: for each residue i, in order, that goes negative on the ray, its
-    first negative degree.  Position j holds residue (anchor + step * j) mod d
-    at block (anchor + step * j) // d; its Newton table along the ray is the
-    entry j of each block of the :func:`_block_table`, and its certificate,
-    a search of its own, is :func:`_first_negative` on that table."""
-    table = _block_table(values, d)
+    ``anchor``, up (step 1) or down (step -1), from the :func:`_block_table`
+    of its values (or numerators) at anchor + step * j for j = 0 .. kd - 1,
+    which hold k blocks of every residue: for each residue i, in order, that
+    goes negative on the ray, its first negative degree.  Position j holds
+    residue (anchor + step * j) mod d at block (anchor + step * j) // d; its
+    Newton table along the ray is the entry j of each block of the table, and
+    its certificate, a search of its own, is :func:`_first_negative` on that.
+    Below, residue 0 reads 1, 0, -1 at blocks 0, 1, 2 and residue 1 reads 5,
+    3, 1: the lines 1 - m and 5 - 2m, negative from degrees 4 and 7.
+
+    >>> list(_first_negatives(_block_table([1, 5, 0, 3, -1, 1], 2), 2, 0, 1))
+    [4, 7]
+    """
     for i in range(d):
         j = step * (i - anchor) % d
         block = (anchor + step * j) // d
@@ -693,28 +703,11 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list[Fraction]:
     return [Fraction(u, scale) for u, scale in series_integers(f, n_max)]
 
 
-def difference_table(values: list) -> list:
-    """Newton's forward differences at the first point, computed in place.
-
-    On entry ``values[i]`` is f(x + i) for i = 0..k; on return it is
-    Delta^i f(x).  For a polynomial f of degree <= k, Newton's forward formula
-    f(x + j) = sum_i Delta^i f(x) * C(j, i) then holds at every integer j.
-
-    >>> difference_table([0, 1, 4, 9])
-    [0, 1, 2, 0]
-    """
-    k = len(values) - 1
-    for step in range(1, k + 1):
-        for i in range(k, step - 1, -1):
-            values[i] -= values[i - 1]
-    return values
-
-
 def _newton_table(p: Polynomial, start: int) -> list[int]:
     """The forward-difference table of denominator * p at ``start``, from
     deg + 1 integer evaluations: entry k is denominator * Delta^k p(start),
     which has the sign of Delta^k p(start)."""
-    return difference_table([p.numerator_at(start + i) for i in range(p.degree + 1)])
+    return _block_table([p.numerator_at(start + i) for i in range(p.degree + 1)], 1)
 
 
 def nonnegative_on_ray(p: Polynomial, start: int) -> int | None:

@@ -19,11 +19,13 @@ step k to degree -m - k(d + 1).
 A chain certifies its positive tails in its frame from one Newton table per
 residue at the frame's anchor, each read off one block table of the core:
 step k's polynomial Delta^k g has the suffix from entry k of g's table there,
-so it needs a certificate of its own only while that suffix has a negative
-entry.  Its multiplicities come from one list of the frame's D^{s-1} h,
-which, as d is even, is D^{s-k-1} of step k's Herbrand difference: each
-step's value is read from its own tail and confirmed on its own 3d window of
-that list.
+which certifies it when it is nonnegative.  So a step needs a certificate of
+its own only while some residue's suffix has a negative entry, and then it
+reads every residue's off one block table of its tail's values
+(``QuasiPolynomial.negative_degrees``).  Its multiplicities come from one
+list of the frame's D^{s-1} h, which, as d is even, is D^{s-k-1} of step k's
+Herbrand difference: each step's value is read from its own tail and
+confirmed on its own 3d window of that list.
 
 Along a positive chain the delta-convention multiplicities
 e^s, e^{s-1}, ..., e^0 are equal, ending in the Euler characteristic of the
@@ -37,14 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .exact import (
-    Polynomial,
-    QmultError,
-    _block_table,
-    _difference_columns,
-    _reduced_columns,
-    nonnegative_on_ray,
-)
+from .exact import QmultError, _block_table, _difference_columns, _reduced_columns
+
+# nonnegative_on_ray is unused since every step certifies its tail off one
+# block table; the name stays because perfbench/tracer.py and
+# perfbench/test_perfbench.py look it up on this module.
+from .exact import nonnegative_on_ray  # noqa: F401
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, core_window
 from .multiplicity import MultiplicityError, _chain_values
 
@@ -79,17 +79,16 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
     frame, below, above = (lf, d + 1, d + 1) if positive else (lf.reflect(), 2 * (d + 1), 0)
     # Step k's positive tail polynomial of residue i is Delta^k g_i, anchored where
     # g_i is, and its Newton table at the anchor's block is the suffix table[k:] of
-    # g_i's.  Each step's ray starts at or above that block, so residue i needs a
-    # certificate of its own only at the steps k up to its table's last negative
-    # entry.  The tables are the block table of the frame's core at the anchor,
-    # where the tail equals the core: residue i is entry (i - anchor) mod d.
-    tail, certify = frame.pos_tail, [0] * d
+    # g_i's.  Each step's ray starts at or above that block, so a nonnegative suffix
+    # certifies the residue on it, and a step needs a certificate of its own only
+    # while some residue's suffix holds a negative entry: k < certify, 1 + the last
+    # block of the table with a negative entry.  The table is the block table of the
+    # frame's core at the anchor, where the tail equals the core.
+    tail, certify = frame.pos_tail, 0
     if tail is not None:
         at = tail.valid_from - frame.core_start
         table = _block_table(list(frame.core_values[at : at + d * len(tail.columns)]), d)
-        for i in range(d):
-            entries = table[(i - tail.valid_from) % d :: d]
-            certify[i] = max((j + 1 for j, e in enumerate(entries) if e < 0), default=0)
+        certify = max((j // d + 1 for j, e in enumerate(table) if e < 0), default=0)
     functions = [frame]
     for k in range(1, count + 1):
         f = functions[-1]
@@ -100,12 +99,8 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
         # A valid step pays one C-level pass; only a violated one is scanned.
         violations = [lo + i for i, v in enumerate(values) if v < 0] if min(values) < 0 else []
         # Beyond the window the reduced tails govern; certify their sign exactly.
-        for i in range(d) if pos is not None else ():
-            if k < certify[i]:
-                g = Polynomial._from_integers([c[i] for c in pos.columns], pos.denominator)
-                block = nonnegative_on_ray(g, -((i - hi - 1) // d))
-                if block is not None:
-                    violations.append(d * block + i)
+        if k < certify:
+            violations += pos.negative_degrees(hi + 1)
         if neg is not None:
             violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
         if violations:

@@ -75,7 +75,6 @@ from .exact import (
     _block_table,
     _coefficient_texts,
     _columns,
-    _first_negative,
     _first_negatives,
     _newton_columns,
     _product,
@@ -83,8 +82,6 @@ from .exact import (
     _reindexed_columns,
     _sum_columns,
     _values_at,
-    difference_table,
-    nonnegative_on_ray,
     parse_rational,
 )
 
@@ -221,11 +218,12 @@ class QuasiPolynomial:
         """The sign certificate: for each residue i, in order, that goes negative
         at a degree n >= anchor, the first such n = d * block + i, from block
         ceil((anchor - i) / d) on.  A ray down is the ray up of ``reflect()``,
-        negated, which meets the residues in the order 0, d - 1, ..., 1."""
-        for i, p in enumerate(self.polys):
-            bad = nonnegative_on_ray(p, -((i - anchor) // self.d))
-            if bad is not None:
-                yield self.d * bad + i
+        negated, which meets the residues in the order 0, d - 1, ..., 1.  Each
+        residue's Newton table there is an entry of the block table of the
+        numerators at the k blocks from the anchor (:func:`_first_negatives`)."""
+        d, k = self.d, len(self.columns)
+        values = _values_at(self.columns, d, anchor, anchor + d * k - 1)
+        return _first_negatives(_block_table(values, d), d, anchor, 1)
 
 
 def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:
@@ -276,7 +274,7 @@ def _check_tail(lf: "LengthFunction", qp: QuasiPolynomial | None, side: str) -> 
             f"{side} tail disagrees with the core at n={n}: "
             f"tail gives {_shown(qp(n))}, core holds {_shown(values[n - start])}"
         )
-    _check_sign(qp, side, _first_negatives(list(core[::step]), d, v, step))
+    _check_sign(qp, side, _first_negatives(_block_table(list(core[::step]), d), d, v, step))
 
 
 def _check_sign(qp: QuasiPolynomial, side: str, witnesses: Iterable[int]) -> None:
@@ -768,7 +766,7 @@ def fit_quasipoly(samples: Mapping[int, int | Fraction], d: int) -> QuasiPolynom
         while 2 * r + 3 <= len(blocks):
             best = r
             base = len(blocks) - (2 * r + 3)
-            table = difference_table(blocks[base:])
+            table = _block_table(blocks[base:], 1)
             if not any(table[r + 1 :]):
                 fitted = newton_polynomial(table[: r + 1], first + base)
                 break
@@ -857,8 +855,7 @@ def from_series(f: RationalFunction, d: int, probe: int) -> LengthFunction:
         )
     # A residue's ray starts at block m or m - 1, and at m - 1 the length scan and
     # the agreement window have shown a length: its first negative block is >= m.
-    blocks = (_first_negative(table[i::d], m) for i in range(d))
-    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
+    _check_sign(qp, "pos", _first_negatives(table, d, d * m, 1))
     core = values[: core_window(d, 0, probe, qp, None)[1] + 1]  # from 0 <= valid_from
     return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
 

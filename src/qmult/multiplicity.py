@@ -54,7 +54,7 @@ from typing import Sequence
 # it up on this module.
 from .differences import delta as delta_op  # noqa: F401
 from .differences import _binomial_sum
-from .exact import Polynomial, QmultError, _block_table, format_rational
+from .exact import Polynomial, QmultError, _block_table, _first_negatives, _values_at, format_rational
 from .lengths import LengthFunction, ModelError, QuasiPolynomial, _integers
 
 
@@ -411,11 +411,17 @@ class WindowResult:
 def _first_run(tail: QuasiPolynomial, start: int, want: int, last: int | None = None) -> int | None:
     """The first n >= start (and <= last) of parity ``want`` at which the run
     sum of tail, sum_{j<d/2} tail(n + 2j), less one goes negative.  As d is
-    even, n has the parity of its residue, so only those residues are summed."""
-    d, g = tail.d, tail.polys + tail.shift(tail.d).polys  # tail(dm + k) is g[k](m), k < 2d
-    sums = (sum(g[i : i + d : 2]) - 1 if i % 2 == want else Polynomial() for i in range(d))
-    runs = QuasiPolynomial(d, tuple(sums), start).negative_degrees(start)
-    return min((n for n in runs if last is None or n <= last), default=None)
+    even, n has the parity of its residue, so only those residues are summed;
+    the others are 0.  On each residue the run sum less one is a polynomial of
+    degree < k in the block (< 1 for a zero tail), so the sign certificate
+    reads its numerators at the k blocks from start, each a sum of d/2 of the
+    tail's."""
+    d, k = tail.d, len(tail.columns) or 1
+    lam = _values_at(tail.columns, d, start, start + d * (k + 1) - 3)
+    den = tail.denominator
+    runs = [sum(lam[j : j + d : 2]) - den if (start + j) % 2 == want else 0 for j in range(d * k)]
+    bad = _first_negatives(_block_table(runs, d), d, start, 1)
+    return min((n for n in bad if last is None or n <= last), default=None)
 
 
 def vanishing_window_check(lf: LengthFunction, m0: int, parity: str) -> WindowResult:

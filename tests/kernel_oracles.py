@@ -100,7 +100,6 @@ from qmult.exact import (
     RationalFunction,
     _first_negative,
     _product,
-    difference_table,
     nonnegative_on_ray,
     parse_rational,
     series_integers,
@@ -162,6 +161,16 @@ def scan_oracle(p, start, direction):
             return m
         m += direction
     return None
+
+
+def difference_table(values):
+    """Newton's forward differences at the first point, in place, one entry at
+    a time: on entry values[i] is f(x + i), on return it is Delta^i f(x)."""
+    k = len(values) - 1
+    for step in range(1, k + 1):
+        for i in range(k, step - 1, -1):
+            values[i] -= values[i - 1]
+    return values
 
 
 def const(c):
@@ -639,6 +648,25 @@ def vanishing_window_check(lf, m0, parity):
         # strictly inside the scanned range.
         raise ModelError("tail scan inconsistent with zero values")
     return WindowResult("confirmed", window_start=run_at)
+
+
+def first_run(tail, start, want, last=None):
+    """``multiplicity._first_run`` by a scan: on each residue i of parity
+    ``want``, the run sum less one as a polynomial in the block m,
+    sum_{j<d/2} tail(dm + i + 2j) - 1, evaluated at every block from the
+    first of its degrees at or above start out past its Cauchy horizon
+    (:func:`scan_oracle`); the first degree found, if it is <= last."""
+    d, polys = tail.d, tail.polys
+    runs = []
+    for i in range(want, d, 2):
+        total = const(-1)
+        for j in range(d // 2):
+            q, r = divmod(i + 2 * j, d)
+            total = fraction_sum(total, horner_compose_linear(polys[r], 1, q))
+        bad = scan_oracle(total, -((i - start) // d), 1)
+        if bad is not None and (last is None or d * bad + i <= last):
+            runs.append(d * bad + i)
+    return min(runs, default=None)
 
 
 def strip_cyclotomic(q, d):

@@ -4,6 +4,7 @@ asserted directly on fixtures with ``multiplicity_pos``, ``reduce``,
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -220,7 +221,7 @@ def test_chain_builds_one_table_per_residue_and_one_herbrand_list(monkeypatch, r
 
         return wrapper
 
-    monkeypatch.setattr(exact, "difference_table", counted("residue tables", exact.difference_table))
+    monkeypatch.setattr(exact, "_newton_table", counted("residue tables", exact._newton_table))
     monkeypatch.setattr(koszul, "_block_table", counted("block tables", koszul._block_table))
     monkeypatch.setattr(
         multiplicity, "_herbrand_differences", counted("herbrand", multiplicity._herbrand_differences)
@@ -255,6 +256,44 @@ def test_a_chain_builds_no_polynomial_and_no_taylor_shift_at_any_period(monkeypa
         counts[d] = dict(calls)
         monkeypatch.undo()
     assert counts[12] == counts[120] == {"column differences": 2}
+
+
+def dip_below_its_difference(residues):
+    """A d = 2 function whose tail g on the given residues (1 on the others)
+    has Delta g(m) = (m - 50)^2 - 1: g rises on every block but one, and its
+    table at the anchor, (0, 2499, -99, 2), is negative past entry 1, so the
+    first step's tail dips past the window, at block 50 only."""
+    g = Polynomial((0, Fraction(15295, 6), Fraction(-101, 2), Fraction(1, 3)))
+    qp = QuasiPolynomial(2, tuple(g if i in residues else Polynomial.const(1) for i in range(2)), 0)
+    return LengthFunction.from_values(2, lambda n: int(qp(n)), 0, 0, qp, None)
+
+
+@pytest.mark.parametrize(
+    "residues, violations", [((0,), (100,)), ((1,), (101,)), ((0, 1), (100, 101))]
+)
+def test_a_step_certified_past_its_window_builds_no_polynomial(monkeypatch, residues, violations):
+    # Counting law: the step's own certificate reads one block table of its
+    # tail's values, as validation does; no residue becomes a Polynomial.  The
+    # violations and the messages are those of the certificate on each
+    # residue's Polynomial, which built one per residue it certified.
+    lf = dip_below_its_difference(residues)
+    mirror = lf.reflect()
+    from_integers, calls = Polynomial._from_integers.__func__, Counter()
+
+    def counted(cls, *args):
+        calls["polynomials"] += 1
+        return from_integers(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "_from_integers", classmethod(counted))
+    for base, regime, word, bad in (
+        (lf, "positive", "injective", violations),
+        (mirror, "negative", "surjective", tuple(-n - 3 for n in violations)),
+    ):
+        with pytest.raises(KoszulError) as err:
+            reduce(base, regime)
+        assert err.value.violations == tuple(sorted(bad))
+        assert str(err.value) == f"not eventually {word} in model: reduction goes negative at n in {sorted(bad)}"
+    assert calls == {}
 
 
 class TestKoszulTriangle:

@@ -64,11 +64,15 @@ class TestQuasiPolynomial:
         assert new.polys[239] == qp.polys[0].shift(1)
 
 
+# st.just([]) makes zero residues common, and some tails zero on every residue.
 quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
     lambda d: st.builds(
         lambda polys: QuasiPolynomial(d, tuple(Polynomial(tuple(cs)) for cs in polys), 0),
         st.lists(
-            st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=3), max_size=4),
+            st.one_of(
+                st.just([]),
+                st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=3), max_size=4),
+            ),
             min_size=d,
             max_size=d,
         ),
@@ -76,19 +80,32 @@ quasi_polynomials = st.sampled_from([2, 4, 6]).flatmap(
 )
 
 
+def first_negatives(qp, degrees):
+    """Each residue's first degree, in the order given, at which qp < 0."""
+    first = {}
+    for n in degrees:
+        if qp(n) < 0:
+            first.setdefault(n % qp.d, n)
+    return first
+
+
 class TestNegativeDegrees:
-    """The certificate runs up; a ray down is the ray up of the reflection."""
+    """The certificate runs up; a ray down is the ray up of the reflection.
+    A polynomial with coefficients in [-12, 12] and lead at least 1/3 in size
+    has its roots within 37 of 0 (Cauchy), so past block 40 either way its
+    sign is that at infinity, and a scan to there sees each first violation."""
+
+    @given(quasi_polynomials, st.integers(-40, 40))
+    @example(QuasiPolynomial(4, (Polynomial(),) * 4, 0), 0)
+    def test_up_is_the_scan(self, qp, anchor):
+        first = first_negatives(qp, range(anchor, 41 * qp.d))
+        # The ray up meets the residues in the order 0, 1, ..., d - 1.
+        assert list(qp.negative_degrees(anchor)) == [first[i] for i in sorted(first)]
 
     @given(quasi_polynomials, st.integers(-40, 40))
     def test_down_is_the_reflected_ray_up(self, qp, anchor):
         down = [-n for n in qp.reflect().negative_degrees(-anchor)]
-        # A polynomial with coefficients in [-12, 12] and lead at least 1/3 in
-        # size has its roots within 37 of 0 (Cauchy), so below block -40 its
-        # sign is that at -infinity, and the scan sees each first violation.
-        first = {}
-        for n in range(anchor, -40 * qp.d - 1, -1):
-            if qp(n) < 0:
-                first.setdefault(n % qp.d, n)
+        first = first_negatives(qp, range(anchor, -40 * qp.d - 1, -1))
         assert sorted(down) == sorted(first.values())
         # The reflected ray meets the residues in the order 0, d - 1, ..., 1.
         residues = [n % qp.d for n in down]

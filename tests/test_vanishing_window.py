@@ -14,14 +14,15 @@ the same result or the same error.
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from qmult import lengths
+from qmult import exact
 from qmult.differences import binomial_polynomial
-from qmult.exact import Polynomial, nonnegative_on_ray
+from qmult.exact import Polynomial
 from qmult.fixtures import random_length_function
 from qmult.lengths import LengthFunction, QuasiPolynomial, from_series
 from qmult.multiplicity import _first_run, vanishing_window_check
@@ -212,18 +213,45 @@ def test_run_past_the_negative_tail_is_looked_at():
 
 def test_run_sum_certified_at_the_wanted_parity_only(monkeypatch):
     # As d is even, a degree has the parity of its residue, so a run of one
-    # parity is certified on the d/2 residues of that parity alone.  The tail
-    # (t - 5)^2 vanishes on block 5 only, where the runs start at 1200, 1201.
-    certified = []
+    # parity is certified on the d/2 residues of that parity alone: the others'
+    # Newton tables are zero.  The tail (t - 5)^2 vanishes on block 5 only,
+    # where the runs start at 1200, 1201.
+    certified, first_negative = [], exact._first_negative
 
-    def counting(p, start):
-        if not p.is_zero():
-            certified.append(p)
-        return nonnegative_on_ray(p, start)
+    def counting(table, start):
+        if any(table):
+            certified.append(table)
+        return first_negative(table, start)
 
-    monkeypatch.setattr(lengths, "nonnegative_on_ray", counting)
+    monkeypatch.setattr(exact, "_first_negative", counting)
     tail = QuasiPolynomial(240, ((Polynomial.t() - 5) ** 2,) * 240, 0)
     for want in (0, 1):
         certified.clear()
         assert _first_run(tail, 0, want) == 1200 + want
         assert len(certified) == 120
+
+
+def run_tails(d):
+    """Period-d tails whose residues are zero, rational coefficient lists, or
+    rational dips c (t - K)^2 + e, which go below 1 near block K or not."""
+    coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    dip = st.builds(
+        lambda c, K, e: c * (Polynomial.t() - K) ** 2 + e,
+        st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+        st.integers(-12, 12),
+        st.fractions(min_value=-1, max_value=2, max_denominator=2),
+    )
+    residue = st.one_of(st.just(Polynomial()), st.lists(coefficient, max_size=3).map(Polynomial), dip)
+    return st.lists(residue, min_size=d, max_size=d).map(lambda polys: QuasiPolynomial(d, tuple(polys), 0))
+
+
+@given(
+    st.sampled_from([2, 4, 6, 12, 24]).flatmap(run_tails),
+    st.integers(-60, 60),
+    st.integers(0, 1),
+    st.one_of(st.none(), st.integers(-80, 120)),
+)
+def test_first_run_is_the_run_sum_scan(tail, start, want, last):
+    # The run sums' certificate against each residue's run sum less one,
+    # evaluated at every block out past its Cauchy horizon.
+    assert _first_run(tail, start, want, last) == oracle.first_run(tail, start, want, last)
