@@ -74,7 +74,9 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
     negative regime the frame is lf.reflect() and the window is mirrored to
     [core_start - 2(d+1), core_end].  The first violated step raises, with
     every violation in its window and the first negative degree past it of
-    each residue of its tails."""
+    each residue of its tails: up from hi + 1 on a positive tail, and down
+    from lo - 1 on a negative one, each read off one block table of the
+    tail's own values (``QuasiPolynomial.negative_degrees``)."""
     d, positive = lf.d, regime == "positive"
     frame, below, above = (lf, d + 1, d + 1) if positive else (lf.reflect(), 2 * (d + 1), 0)
     # Step k's positive tail polynomial of residue i is Delta^k g_i, anchored where
@@ -102,7 +104,7 @@ def _reductions(lf: LengthFunction, count: int, regime: str) -> list[LengthFunct
         if k < certify:
             violations += pos.negative_degrees(hi + 1)
         if neg is not None:
-            violations += (-n for n in neg.reflect().negative_degrees(1 - lo))
+            violations += neg.negative_degrees(lo - 1, -1)
         if violations:
             bad = sorted(violations if positive else (-m - k * (d + 1) for m in violations))
             word = "injective" if positive else "surjective"

@@ -214,16 +214,17 @@ class QuasiPolynomial:
         columns = _reindexed_columns(self.columns, self.d, sign, b)
         return QuasiPolynomial._from_columns(self.d, columns, self.denominator, sign * (self.valid_from - b))
 
-    def negative_degrees(self, anchor: int) -> Iterator[int]:
+    def negative_degrees(self, anchor: int, step: int = 1) -> Iterator[int]:
         """The sign certificate: for each residue i, in order, that goes negative
-        at a degree n >= anchor, the first such n = d * block + i, from block
-        ceil((anchor - i) / d) on.  A ray down is the ray up of ``reflect()``,
-        negated, which meets the residues in the order 0, d - 1, ..., 1.  Each
-        residue's Newton table there is an entry of the block table of the
-        numerators at the k blocks from the anchor (:func:`_first_negatives`)."""
+        on the ray from ``anchor``, up (step 1, degrees n >= anchor) or down
+        (step -1, degrees n <= anchor), the first such n = d * block + i.  Each
+        residue's Newton table along the ray is an entry of the block table of
+        the numerators at the k blocks from the anchor, read in the ray's
+        direction (:func:`_first_negatives`)."""
         d, k = self.d, len(self.columns)
-        values = _values_at(self.columns, d, anchor, anchor + d * k - 1)
-        return _first_negatives(_block_table(values, d), d, anchor, 1)
+        lo = anchor if step == 1 else anchor - d * k + 1
+        values = _values_at(self.columns, d, lo, lo + d * k - 1)
+        return _first_negatives(_block_table(values[::step], d), d, anchor, step)
 
 
 def _differs(qp: QuasiPolynomial, n: int, value: int | Fraction) -> bool:

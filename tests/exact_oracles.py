@@ -16,6 +16,17 @@ for s >= cx the delta multiplicity is d^s times the value of (1 + t)^s f(t)
 at t = -1, which is 0 when the pole at -1 has order below s.  This is the
 paper's reading of the multiplicity as a leading coefficient of the Hilbert
 quasi-polynomials, through f(-t) = sum (-1)^n lambda(n) t^n.
+
+Polynomial arithmetic is written from its definitions, on lists of Fractions
+(or integers), constant term first, with no trailing zeros in what a routine
+returns: sums and products by the schoolbook loops, a power as n products,
+composition with a t + b by Horner's rule, the forward difference g(t + 1) -
+g(t), Newton interpolation through consecutive integer abscissas in the basis
+C(t - m0, k), the power series of num / den by q_0 c_n = p_n - sum q_k
+c_{n-k} over the nonzero q_k, the exact quotient by that series multiplied
+back, and a coefficient of P(t) / (1 + t)^c as one binomial sum.  The
+differential tests check the library's kernels, and the oracles of
+``kernel_oracles`` that build whole library objects, on these.
 """
 
 from fractions import Fraction
@@ -109,3 +120,92 @@ def laurent_e_delta(num, den, d, s):
     if order < s:
         return 0
     return d**s * horner(num, -1) / horner(den, -1)
+
+
+def trim(p):
+    """p without its trailing zeros."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_add(p, q, sign=1):
+    """p + sign * q, coefficient by coefficient."""
+    n = max(len(p), len(q))
+    p, q = list(p) + [0] * (n - len(p)), list(q) + [0] * (n - len(q))
+    return trim(Fraction(a) + sign * b for a, b in zip(p, q))
+
+
+def poly_mul(p, q):
+    """p * q by the schoolbook double loop."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def poly_pow(p, n):
+    """p ** n as n successive products."""
+    acc = [Fraction(1)]
+    for _ in range(n):
+        acc = poly_mul(acc, p)
+    return acc
+
+
+def compose_linear(p, a, b):
+    """p(a*t + b) by Horner composition: one product by a*t + b per coefficient."""
+    acc = []
+    for c in reversed(p):
+        acc = poly_add(poly_mul(acc, [b, a]), [c])
+    return acc
+
+
+def forward_difference(p):
+    """p(t + 1) - p(t)."""
+    return poly_add(compose_linear(p, 1, 1), p, -1)
+
+
+def newton_interpolate(points):
+    """The polynomial through points (m0, v0), (m0 + 1, v1), ...: the sum of
+    Delta^k v(m0) * C(t - m0, k), each C(t - m0, k + 1) built as C(t - m0, k)
+    * (t - m0 - k) / (k + 1)."""
+    row = [Fraction(v) for _, v in points]
+    poly, basis = [], [Fraction(1)]
+    for k, (m, _) in enumerate(points):
+        poly = poly_add(poly, poly_mul(basis, [row[0]]))
+        basis = poly_mul(basis, [Fraction(-m, k + 1), Fraction(1, k + 1)])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return poly
+
+
+def power_series(num, den, n_max):
+    """c_0..c_n_max of num / den at t = 0, for den[0] != 0, by the recurrence
+    q_0 c_n = p_n - sum_{k>=1} q_k c_{n-k} over the nonzero q_k."""
+    terms = [(k, q) for k, q in enumerate(den) if k and q]
+    out = []
+    for n in range(n_max + 1):
+        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
+        for k, q in terms:
+            if k > n:
+                break
+            acc -= q * out[n - k]
+        out.append(acc / den[0])
+    return out
+
+
+def exact_quotient(num, den):
+    """num / den when it is a polynomial, else None, for den[0] != 0: the
+    series of num / den up to degree len(num) - len(den), times den, gives num
+    back exactly when den divides num."""
+    num, den = trim(num), trim(den)
+    quotient = trim(power_series(num, den, max(len(num) - len(den), 0)))
+    return quotient if poly_mul(quotient, den) == num else None
+
+
+def coefficient_over_one_plus_t(p, c, n):
+    """[t^n] p(t) / (1 + t)^c for c >= 1, by the one binomial sum
+    sum_i p_i (-1)^(n-i) C(n - i + c - 1, c - 1) over i <= n, from
+    1 / (1 + t)^c = sum_j (-1)^j C(j + c - 1, c - 1) t^j."""
+    return sum(a * (-1) ** (n - i) * comb(n - i + c - 1, c - 1) for i, a in enumerate(p) if i <= n)

@@ -1,16 +1,13 @@
-"""Slow, obvious oracles for the integer polynomial kernels and the tail checks.
+"""Slow, obvious oracles that build whole library objects or pin exact text.
 
-Each is the plain Fraction computation that the integer kernels must match:
-the text of a rational and of a polynomial read off their Fractions,
-schoolbook sums and products on the Fraction coefficients, the Fraction
-series recurrence, Horner evaluation and Horner composition, Newton
-interpolation of every candidate degree in the fit, the Faulhaber sum
-through the summation polynomial, and the residue profiles of the Herbrand
-difference with repeated differences for its stabilized constant.  Every
-polynomial sum and product here is one of the schoolbook loops below, and every polynomial
-is built by the validating ``Polynomial`` constructor, so they share no
-arithmetic with the kernels they check.  Horner's rule and the division of a
-root out of a polynomial are the qmult-free ones of ``exact_oracles``.
+Their polynomial arithmetic is the qmult-free one of ``exact_oracles``, on
+each polynomial's Fraction coefficients (``.coeffs``), and every polynomial
+they hand back is built by the validating ``Polynomial`` constructor, so they
+share no arithmetic with the kernels they check: the text of a rational and
+of a polynomial read off their Fractions, Newton interpolation of every
+candidate degree in the fit, the Faulhaber sum through the summation
+polynomial, and the residue profiles of the Herbrand difference with repeated
+differences for its stabilized constant.
 
 The multiplicity certificate keeps its first form: the Fraction sum of
 the degree s-1 tail coefficients, and a scan that takes the closed-form
@@ -42,14 +39,15 @@ certificate is compared; ``scan_oracle`` scans one polynomial's ray the same
 way, against which the sign certificate and its Newton-table suffixes are
 compared.
 
-The certified series model is kept as it was first written: one Fraction
-per expanded coefficient, P = N(1 - t^d)^k / D decided by an exact division
-that expands a second Fraction series and multiplies back, ``valid_from``
-found by scanning every expanded degree back down by Horner's rule, and the
-model checked again by the validating constructor, against which the single
-integer expansion, its tail certified by agreement with the values already
-expanded, its boundary at max(0, deg N - deg D + 1) and its construction
-without a second check are compared.
+The certified series model is kept as it was first written, and every series
+job is compared with it: one Fraction per expanded coefficient, P = N(1 -
+t^d)^k / D decided by an exact division that expands a second Fraction series
+and multiplies back, ``valid_from`` found by scanning every expanded degree
+back down by Horner's rule, and the model checked again by the validating
+constructor, against which the integer expansion through D's (1 - t^j)
+factors, by running sums, its tail certified by agreement with the values
+already expanded, its boundary at max(0, deg N - deg D + 1) and its
+construction without a second check are compared.
 
 The refusal of a series whose tail is not a period-d quasi-polynomial divides
 every cyclotomic factor Phi_m (m | d) out of the denominator.  The oracle
@@ -58,28 +56,16 @@ integer long division, and tests the stripped denominator against N by its
 own exact division, against which the library's one exact division, by
 integer series expansion, and its Phi_m built as quotients are compared.
 
-Series jobs keep the integer forms they had before they ran on plain
-integers.  ``pair_from_series`` expands the integer pairs (U_n, scale_n) of
-``series_integers`` and divides each once, and builds each residue's
-polynomial by its own nested Newton form (``nested_newton_polynomial``),
-against which the recurrence on the lengths themselves and the one Newton
-basis per call are compared.  ``recurrence_from_series`` keeps that
-recurrence as it was first written, over every nonzero term of D and over
-the whole window before any refusal, against which the expansion through
-D's (1 - t^j) factors, by running sums, is compared.
 ``fraction_limit_estimate`` adds one ``faulhaber_sum`` Fraction per residue
 to a Fraction total, against which the integer sum of the Newton tables read
-off the core values is compared.  ``basis_newton_form`` builds the integer
-basis (k-1)! * C(t - m, j) once per call and sums one column per
-coefficient, and ``square_and_multiply_power`` raises an integer list to a
-power by square-and-multiply, against which the one nested Horner pass and
-J.C.P. Miller's recurrence are compared.
+off the core values is compared.
 
-The input readers keep their first form.  A JSON array is read entry by
-entry, each at its own path ``field[i]``, each coefficient as one Fraction
-and each polynomial through the validating constructor, against which the
-one-pass readers, which name a path only to refuse an entry, are compared.
-The tail's sign certificate is read off its polynomials, a ray down through
+The input readers and the series parser keep their first form, and stay here
+for the exact error texts they pin.  A JSON array is read entry by entry,
+each at its own path ``field[i]``, each coefficient as one Fraction and each
+polynomial through the validating constructor, against which the one-pass
+readers, which name a path only to refuse an entry, are compared.  The tail's
+sign certificate is read off its polynomials, a ray down through
 ``reflect()``, against which the certificate read off the core's values is
 compared.  The series parser makes a frozen dataclass per token and folds
 every operator into a normalized RationalFunction, against which the fold on
@@ -90,20 +76,11 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, zip_longest
-from math import factorial, isqrt, lcm, prod
+from itertools import combinations
+from math import factorial, isqrt, prod
 
-from qmult.differences import delta, faulhaber_sum
-from qmult.exact import (
-    NotExpandableError,
-    Polynomial,
-    RationalFunction,
-    _first_negative,
-    _product,
-    nonnegative_on_ray,
-    parse_rational,
-    series_integers,
-)
+from qmult.differences import delta
+from qmult.exact import NotExpandableError, Polynomial, RationalFunction, nonnegative_on_ray, parse_rational
 from qmult.koszul import KoszulChain, KoszulError
 from qmult.lengths import (
     FitError,
@@ -111,8 +88,6 @@ from qmult.lengths import (
     ModelError,
     QuasiPolynomial,
     _check_period,
-    _check_sign,
-    _differs,
     _got,
     _json_int,
     _json_list,
@@ -130,7 +105,18 @@ from qmult.multiplicity import (
 )
 from qmult.series import MAX_NESTING, SeriesSemanticError, SeriesSyntaxError
 
-from exact_oracles import divide_out_root, horner
+from exact_oracles import (
+    compose_linear,
+    divide_out_root,
+    exact_quotient,
+    forward_difference,
+    horner,
+    newton_interpolate,
+    poly_add,
+    poly_mul,
+    poly_pow,
+    power_series,
+)
 
 
 def cauchy_horizon(p):
@@ -161,20 +147,6 @@ def scan_oracle(p, start, direction):
             return m
         m += direction
     return None
-
-
-def difference_table(values):
-    """Newton's forward differences at the first point, in place, one entry at
-    a time: on entry values[i] is f(x + i), on return it is Delta^i f(x)."""
-    k = len(values) - 1
-    for step in range(1, k + 1):
-        for i in range(k, step - 1, -1):
-            values[i] -= values[i - 1]
-    return values
-
-
-def const(c):
-    return Polynomial((Fraction(c),))
 
 
 def format_rational(q):
@@ -210,88 +182,6 @@ def polynomial_text(g):
     return "".join(parts)
 
 
-def fraction_sum(g, h, sign=1):
-    """g + sign * h, coefficient by coefficient on Fractions."""
-    n = max(len(g.coeffs), len(h.coeffs))
-    a = list(g.coeffs) + [Fraction(0)] * (n - len(g.coeffs))
-    b = list(h.coeffs) + [Fraction(0)] * (n - len(h.coeffs))
-    return Polynomial(tuple(x + sign * y for x, y in zip(a, b)))
-
-
-def fraction_product(g, h):
-    """g * h by the schoolbook double loop on Fractions."""
-    out = [Fraction(0)] * max(len(g.coeffs) + len(h.coeffs) - 1, 0)
-    for i, a in enumerate(g.coeffs):
-        for j, b in enumerate(h.coeffs):
-            out[i + j] += a * b
-    return Polynomial(tuple(out))
-
-
-def fraction_power(g, n):
-    """g ** n as n successive products."""
-    acc = const(1)
-    for _ in range(n):
-        acc = fraction_product(acc, g)
-    return acc
-
-
-def fraction_series(num, den, n_max):
-    """c_0..c_n_max of num/den at t = 0 by the Fraction recurrence
-    q_0 c_n = p_n - sum_{k>=1} q_k c_{n-k}, for den(0) != 0."""
-    p, q = num.coeffs, den.coeffs
-    out = []
-    for n in range(n_max + 1):
-        acc = p[n] if n < len(p) else Fraction(0)
-        for k in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[k] * out[n - k]
-        out.append(acc / q[0])
-    return out
-
-
-def exact_quotient(num, den):
-    """num / den when it is a polynomial, else None, for den(0) != 0: the
-    Fraction series of num / den up to degree deg num - deg den, times den by
-    the schoolbook product, gives num back exactly when den divides num."""
-    quotient = Polynomial(tuple(fraction_series(num, den, max(num.degree - den.degree, 0))))
-    return quotient if fraction_product(quotient, den) == num else None
-
-
-def horner_compose_linear(g, a, b):
-    """g(a*t + b) by Horner composition: one polynomial product per coefficient."""
-    arg = Polynomial((Fraction(b), Fraction(a)))
-    acc = Polynomial()
-    for c in reversed(g.coeffs):
-        acc = fraction_sum(fraction_product(acc, arg), const(c))
-    return acc
-
-
-def forward_difference(g):
-    """g(t + 1) - g(t)."""
-    return fraction_sum(horner_compose_linear(g, 1, 1), g, -1)
-
-
-def binomial_polynomial(k):
-    """C(t, k) as the product t(t-1)...(t-k+1)/k!."""
-    p = const(Fraction(1, factorial(k)))
-    for j in range(k):
-        p = fraction_product(p, Polynomial((Fraction(-j), Fraction(1))))
-    return p
-
-
-def newton_interpolate(points):
-    """Interpolant through points with consecutive integer abscissas m0, m0+1, ..."""
-    m0 = points[0][0]
-    row = [Fraction(v) for _, v in points]
-    poly = Polynomial()
-    for k in range(len(points)):
-        term = horner_compose_linear(binomial_polynomial(k), 1, -m0)
-        poly = fraction_sum(poly, fraction_product(term, const(row[0])))
-        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-        if not row:
-            break
-    return poly
-
-
 def fit_quasipoly(samples, d):
     """Per residue, interpolate the top r + 1 blocks for r = 0, 1, ... and accept
     the first interpolant that the r + 2 blocks below agree with."""
@@ -317,8 +207,8 @@ def fit_quasipoly(samples, d):
             top = blocks[len(blocks) - (r + 1) :]
             candidate = newton_interpolate(top)
             check = blocks[len(blocks) - (r + 1) - (r + 2) : len(blocks) - (r + 1)]
-            if all(horner(candidate.coeffs, m) == v for m, v in check):
-                fitted = candidate
+            if all(horner(candidate, m) == v for m, v in check):
+                fitted = Polynomial(candidate)
                 break
             r += 1
         if fitted is None:
@@ -344,23 +234,24 @@ def boundary(polys, value, lo, hi):
 def faulhaber_sum(g, N, n):
     """sum_{i=N}^{n} g(i) as G(n) - G(N - 1), where G(n) = sum_{i=0}^{n} g(i) is
     built from the Newton coefficients of g: sum_{i=0}^{n} C(i,k) = C(n+1, k+1)."""
-    G = Polynomial()
-    p, k = g, 0
-    while not p.is_zero():
-        term = horner_compose_linear(binomial_polynomial(k + 1), 1, 1)
-        G = fraction_sum(G, fraction_product(term, const(horner(p.coeffs, 0))))
+    G, p, k = [], g.coeffs, 0
+    term = [Fraction(1), Fraction(1)]  # C(t + 1, k + 1)
+    while p:
+        G = poly_add(G, poly_mul(term, [p[0]]))
+        term = poly_mul(term, [Fraction(-k, k + 2), Fraction(1, k + 2)])
         p, k = forward_difference(p), k + 1
-    return horner(G.coeffs, n) - horner(G.coeffs, N - 1)
+    return horner(G, n) - horner(G, N - 1)
 
 
 def stabilized_constant(profile, s):
     """D^{s-1} of a residue profile by s - 1 unit forward differences; None when
     the result is not a constant."""
+    coeffs = profile.coeffs
     for _ in range(s - 1):
-        profile = forward_difference(profile)
-    if profile.degree > 0:
+        coeffs = forward_difference(coeffs)
+    if len(coeffs) > 1:
         return None
-    return horner(profile.coeffs, 0)
+    return horner(coeffs, 0)
 
 
 def residue_profiles(polys):
@@ -370,13 +261,13 @@ def residue_profiles(polys):
     sum_{k >= j} (-1)^k g_k(m) + sum_{k < j} (-1)^k g_k(m+1)
     as a polynomial in m: the k < j summands spill into the next block.
     """
-    spilled = [horner_compose_linear(g, 1, 1) for g in polys]
+    spilled = [compose_linear(g.coeffs, 1, 1) for g in polys]
     profiles = []
     for j in range(len(polys)):
-        acc = Polynomial()
+        acc = []
         for k, g in enumerate(polys):
-            acc = fraction_sum(acc, g if k >= j else spilled[k], (-1) ** k)
-        profiles.append(acc)
+            acc = poly_add(acc, g.coeffs if k >= j else spilled[k], (-1) ** k)
+        profiles.append(Polynomial(acc))
     return profiles
 
 
@@ -439,7 +330,7 @@ def check_tail(lf, qp, side):
         else:
             m0 = (qp.valid_from - i) // lf.d
             # The ray of blocks <= m0 is the ray of p(-t) from -m0, read back.
-            bad = nonnegative_on_ray(horner_compose_linear(p, -1, 0), -m0)
+            bad = nonnegative_on_ray(Polynomial(compose_linear(p.coeffs, -1, 0)), -m0)
             bad = None if bad is None else -bad
         if bad is not None:
             raise ModelError(
@@ -459,7 +350,7 @@ def add(a, b):
         if x is None and y is None:
             return None
         if x is not None and y is not None:
-            polys = tuple(fraction_sum(px, py) for px, py in zip(x.polys, y.polys))
+            polys = tuple(Polynomial(poly_add(px.coeffs, py.coeffs)) for px, py in zip(x.polys, y.polys))
             anchor = (
                 max(x.valid_from, y.valid_from) if side == "pos" else min(x.valid_from, y.valid_from)
             )
@@ -497,15 +388,15 @@ def reduced_tail(qp, regime, side):
     if qp is None:
         return None
     d = qp.d
-    step = [forward_difference(p) for p in qp.polys]
+    step = [forward_difference(p.coeffs) for p in qp.polys]
     anchor = qp.valid_from if side == "pos" else qp.valid_from - d
     if regime == "negative":
-        negated = [fraction_sum(Polynomial(), p, -1) for p in step]
-        step = negated[1:] + [horner_compose_linear(negated[0], 1, 1)]
+        negated = [poly_add([], p, -1) for p in step]
+        step = negated[1:] + [compose_linear(negated[0], 1, 1)]
         anchor -= 1
-    if all(p.is_zero() for p in step):
+    if not any(step):
         return None
-    return QuasiPolynomial(d, tuple(step), anchor)
+    return QuasiPolynomial(d, tuple(map(Polynomial, step)), anchor)
 
 
 def shift_tail(qp, k):
@@ -514,16 +405,16 @@ def shift_tail(qp, k):
     polys = []
     for i in range(qp.d):
         q, r = divmod(i + k, qp.d)
-        polys.append(horner_compose_linear(qp.polys[r], 1, q))
+        polys.append(Polynomial(compose_linear(qp.polys[r].coeffs, 1, q)))
     return QuasiPolynomial(qp.d, tuple(polys), qp.valid_from - k)
 
 
 def reflect_tail(qp):
     """The reversal n -> qp(-n), anchored at -valid_from: residue 0 takes its
     own polynomial at -t, and residue i > 0 residue d - i's at -t - 1."""
-    polys = [horner_compose_linear(qp.polys[0], -1, 0)]
+    polys = [Polynomial(compose_linear(qp.polys[0].coeffs, -1, 0))]
     for i in range(1, qp.d):
-        polys.append(horner_compose_linear(qp.polys[qp.d - i], -1, -1))
+        polys.append(Polynomial(compose_linear(qp.polys[qp.d - i].coeffs, -1, -1)))
     return QuasiPolynomial(qp.d, tuple(polys), -qp.valid_from)
 
 
@@ -573,7 +464,7 @@ def koszul_reduce(lf, regime="positive"):
                 bad = nonnegative_on_ray(p, m0)
             else:
                 m0 = (anchor - i) // d
-                bad = nonnegative_on_ray(horner_compose_linear(p, -1, 0), -m0)
+                bad = nonnegative_on_ray(Polynomial(compose_linear(p.coeffs, -1, 0)), -m0)
                 bad = None if bad is None else -bad
             if bad is not None:
                 violations.append(d * bad + i)
@@ -659,11 +550,11 @@ def first_run(tail, start, want, last=None):
     d, polys = tail.d, tail.polys
     runs = []
     for i in range(want, d, 2):
-        total = const(-1)
+        total = [-1]
         for j in range(d // 2):
             q, r = divmod(i + 2 * j, d)
-            total = fraction_sum(total, horner_compose_linear(polys[r], 1, q))
-        bad = scan_oracle(total, -((i - start) // d), 1)
+            total = poly_add(total, compose_linear(polys[r].coeffs, 1, q))
+        bad = scan_oracle(Polynomial(total), -((i - start) // d), 1)
         if bad is not None and (last is None or d * bad + i <= last):
             runs.append(d * bad + i)
     return min(runs, default=None)
@@ -736,18 +627,19 @@ def from_series(f, d, probe):
     _check_period(d)
     if probe < 0:
         raise ModelError(f"probe must be >= 0, got {probe}")
-    q, k = divide_out_root(list(f.den.coeffs), 1)
+    num, den = f.num.coeffs, f.den.coeffs
+    q, k = divide_out_root(list(den), 1)
     start = max(0, f.num.degree - f.den.degree + 1)
     values = []
     n_max = max(probe, start + d * (k + 1), start + f.den.degree + d * k - 1)
-    for n, c in enumerate(fraction_series(f.num, f.den, n_max)):
+    for n, c in enumerate(power_series(num, den, n_max)):
         if c.denominator != 1 or c < 0:
             raise ModelError(f"series coefficient at n={n} is {_shown(c)}; not a length")
         values.append(int(c))
-    one_minus_td = Polynomial((1,) + (0,) * (d - 1) + (-1,))
-    if exact_quotient(fraction_product(f.num, fraction_power(one_minus_td, k)), f.den) is None:
+    one_minus_td = [1] + [0] * (d - 1) + [-1]
+    if exact_quotient(poly_mul(num, poly_pow(one_minus_td, k)), den) is None:
         stripped = strip_cyclotomic(Polynomial(tuple(q)).numerators, d)
-        if exact_quotient(f.num, Polynomial(stripped)) is not None:
+        if exact_quotient(num, stripped) is not None:
             raise ModelError(
                 "series coefficients eventually go negative: "
                 "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
@@ -758,158 +650,11 @@ def from_series(f, d, probe):
         )
     m = -(-start // d)
     polys = tuple(
-        newton_interpolate([(m + j, values[d * (m + j) + i]) for j in range(k)])
-        if k
-        else Polynomial()
+        Polynomial(newton_interpolate([(m + j, values[d * (m + j) + i]) for j in range(k)]))
         for i in range(d)
     )
     qp = QuasiPolynomial(d, polys, boundary(polys, values.__getitem__, 0, len(values) - 1))
     return LengthFunction.from_values(d, values.__getitem__, 0, probe, qp, None)
-
-
-def nested_newton_polynomial(cs, anchor=0):
-    """sum_k cs[k] * C(t - anchor, k) by the nested form first written, one
-    Horner pass per polynomial: c_0 r!/0! + u (c_1 r!/1! + (u - 1) (c_2 r!/2!
-    + ...)) at u = t - anchor, over r! times the common denominator."""
-    if not cs:
-        return Polynomial()
-    r = len(cs) - 1
-    den = lcm(*(Fraction(c).denominator for c in cs))
-    acc, weight = [], 1  # weight = r!/k!
-    for k in range(r, -1, -1):
-        acc.insert(0, 0)  # acc * (t - root)
-        root = anchor + k
-        for i in range(len(acc) - 1):
-            acc[i] -= root * acc[i + 1]
-        c = Fraction(cs[k])
-        acc[0] += c.numerator * (den // c.denominator) * weight
-        weight *= k
-    return Polynomial(tuple(Fraction(a, den * factorial(r)) for a in acc))
-
-
-def basis_newton_form(k, anchor):
-    """``differences.newton_form`` as it was before the nested conversion: the
-    map from k integers cs, and a denominator den (1 by default), to
-    sum_j cs[j] * C(t - anchor, j) / den in monomial form.  The integer basis
-    (k-1)! * C(t - anchor, j), j < k, is built once, each factor
-    t - (anchor + i) directly in t; a polynomial is then one column sum per
-    coefficient."""
-    scale = weight = factorial(max(k - 1, 0))  # weight = (k-1)!/j!
-    rows, falling = [], [1]  # (t - anchor)(t - anchor - 1)...(t - anchor - j + 1)
-    for j in range(k):
-        rows.append([weight * c for c in falling])
-        falling = [b - (anchor + j) * a for a, b in zip([*falling, 0], [0, *falling])]
-        weight //= j + 1
-    columns = list(zip_longest(*rows, fillvalue=0))
-
-    def polynomial(cs, den=1):
-        return Polynomial._from_integers([sum(map(operator.mul, cs, col)) for col in columns], den * scale)
-
-    return polynomial
-
-
-def square_and_multiply_power(a, n):
-    """``exact._power`` as it was before Miller's recurrence: a^n for n >= 0
-    on an integer coefficient list by square-and-multiply, the first factor
-    taken as it is rather than multiplied into 1, and the last square, which
-    would go unused, not formed."""
-    result, base = None, a
-    while n:
-        if n & 1:
-            result = base if result is None else _product(result, base)
-        n >>= 1
-        if n:
-            base = _product(base, base)
-    return [1] if result is None else result
-
-
-def pair_from_series(f, d, probe):
-    """``lengths.from_series`` as it was before it recurred on the lengths:
-    the coefficients as integer pairs (U_n, scale_n) of ``series_integers``,
-    one ``divmod`` each, and each residue's polynomial from its Newton table
-    by its own :func:`nested_newton_polynomial`.  A refusal is classified by
-    this file's :func:`exact_quotient` and :func:`strip_cyclotomic`; the rest
-    is the library's."""
-    _check_period(d)
-    if probe < 0:
-        raise ModelError(f"probe must be >= 0, got {probe}")
-    k, q = 0, f.den.numerators
-    while sum(q) == 0:
-        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
-    start = max(0, f.num.degree - f.den.degree + 1)
-    end = start + f.den.degree + d * k
-    values = []
-    for n, (u, scale) in enumerate(series_integers(f, max(probe, start + d * (k + 1), end - 1))):
-        c, rest = divmod(u, scale)
-        if rest or c < 0:
-            raise ModelError(f"series coefficient at n={n} is {_shown(Fraction(u, scale))}; not a length")
-        values.append(c)
-    m = -(-start // d)
-    tables = [difference_table([values[d * (m + j) + i] for j in range(k)]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(nested_newton_polynomial(table, m) for table in tables), start)
-    window = chain(range(start, d * m), range(d * (m + k), end))
-    if any(qp(n) != values[n] for n in window):
-        if exact_quotient(f.num, Polynomial(strip_cyclotomic(q, d))) is not None:
-            raise ModelError(
-                "series coefficients eventually go negative: "
-                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
-            )
-        raise ModelError(
-            f"not eventually a period-{d} quasi-polynomial: "
-            "its poles are not all d-th roots of unity"
-        )
-    blocks = (_first_negative(table, m) for table in tables)
-    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
-    core = values[: core_window(d, 0, probe, qp, None)[1] + 1]
-    return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
-
-
-def recurrence_from_series(f, d, probe):
-    """``lengths.from_series`` as it was before it divided D's (1 - t^j)
-    factors out: k counted by dividing D by t - 1, and one recurrence over
-    every nonzero term of D on the lengths themselves, c_n = (L A_n - M
-    sum_{j>=1} B_j c_{n-j}) / (L M), refused at the first n where that is not
-    a length, with every term of the window expanded first.  A refusal is
-    classified as in :func:`pair_from_series`; the rest is the library's."""
-    _check_period(d)
-    if probe < 0:
-        raise ModelError(f"probe must be >= 0, got {probe}")
-    k, q = 0, f.den.numerators
-    while sum(q) == 0:
-        q, k = tuple(accumulate(reversed(q)))[-2::-1], k + 1
-    start = max(0, f.num.degree - f.den.degree + 1)
-    end = start + f.den.degree + d * k
-    size = max(probe, start + d * (k + 1), end - 1) + 1
-    L, M = f.den.denominator, f.num.denominator
-    lm, terms = L * M, [(-j, M * b) for j, b in enumerate(f.den.numerators) if j and b]
-    head = [L * a for a in f.num.numerators[:size]]
-    values = [0] * f.den.degree
-    for n, acc in enumerate(head + [0] * (size - len(head))):
-        for back, b in terms:
-            acc -= b * values[back]
-        if acc < 0 or lm != 1 and acc % lm:
-            shown = _shown(Fraction(acc, lm))
-            raise ModelError(f"series coefficient at n={n} is {shown}; not a length")
-        values.append(acc if lm == 1 else acc // lm)
-    values = values[f.den.degree :]
-    m = -(-start // d)
-    tables = [difference_table(values[d * m + i : d * (m + k) + i : d]) for i in range(d)]
-    qp = QuasiPolynomial(d, tuple(map(basis_newton_form(k, m), tables)), start)
-    window = chain(range(start, d * m), range(d * (m + k), end))
-    if any(_differs(qp, n, values[n]) for n in window):
-        if exact_quotient(f.num, Polynomial(strip_cyclotomic(q, d))) is not None:
-            raise ModelError(
-                "series coefficients eventually go negative: "
-                "a pole at a d-th root of unity other than 1 outranks the pole at t = 1"
-            )
-        raise ModelError(
-            f"not eventually a period-{d} quasi-polynomial: "
-            "its poles are not all d-th roots of unity"
-        )
-    blocks = (_first_negative(table, m) for table in tables)
-    _check_sign(qp, "pos", (d * b + i for i, b in enumerate(blocks) if b is not None))
-    core = values[: core_window(d, 0, probe, qp, None)[1] + 1]
-    return LengthFunction._unchecked(d, 0, tuple(core), None if qp.is_zero() else qp, None)
 
 
 def fraction_limit_estimate(lf, s, n, constant="paper"):
@@ -943,7 +688,8 @@ def fraction_limit_estimate(lf, s, n, constant="paper"):
 
 def array_of(parse, nonempty=False):
     """The JSON array reader as first written: each entry read at its path
-    ``field[i]``, formatted for every entry."""
+    ``field[i]``, formatted for every entry.  Kept for the error texts it
+    pins, which name each refused entry by that path."""
 
     def parse_array(value, field):
         if nonempty and value == []:
@@ -984,7 +730,8 @@ def from_json_dict(data):
     """``LengthFunction.from_json_dict`` with the readers above: every entry
     parsed on its own, at its own path, and validated by the constructor.  A d
     past the interpreter's digit limit is written by ``_shown``, as the
-    library writes it; the first form raised a bare ValueError there."""
+    library writes it; the first form raised a bare ValueError there.  Kept
+    for the exact error text of every refused file."""
     core = {"start": _json_int, "values": array_of(_json_int)}
     parsers = {
         "d": _json_int,
@@ -1152,7 +899,7 @@ class SeriesParser:
         tok = self.current
         if tok.kind in ("int", "t"):
             self.eat(tok.kind)
-            p = Polynomial((0, 1)) if tok.kind == "t" else const(tok.value)
+            p = Polynomial((0, 1) if tok.kind == "t" else (tok.value,))
             return self.apply(RationalFunction.from_polynomial, p)
         if tok.kind == "(":
             self.eat("(")
@@ -1164,7 +911,8 @@ class SeriesParser:
 
 def parse_series(text):
     """``series.parse_series`` as first written: the syntax checked by one
-    pass, then every operator folded into a normalized RationalFunction."""
+    pass, then every operator folded into a normalized RationalFunction.  Kept
+    for the exact syntax and semantic error texts, offsets included."""
     tokens = tokenize(text)
     SeriesParser(text, tokens, fold=False).parse()
     return SeriesParser(text, tokens, fold=True).parse()

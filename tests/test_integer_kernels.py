@@ -1,20 +1,21 @@
 """The integer polynomial kernels against plain Fraction oracles.
 
-Each kernel must agree exactly with its oracle in ``kernel_oracles.py``:
-sums, differences, negation, products and powers, evaluation and
-composition, the series expansion (both its integer pairs U_n / scale_n and
-their Fraction view), the quasi-polynomial fit (results and
-errors), the Faulhaber sum and the stabilized constant of the multiplicity
-report.  A length function's values on a range, read as one list with its
-tails evaluated on integers, must equal its values read one degree at a
-time, and a tail value that is not a length raises the same error either
-way.  A polynomial's JSON coefficients, its text and ``format_rational``
-must match the text read off the Fractions.  Polynomial results are compared field by
-field (``coeffs``, ``numerators`` and ``denominator``) with the oracle's,
-which the validating constructor built.  The constructor and the kernels
-share the final reduction, so ``TestStoredForm`` checks the constructor
-against the definition of the stored form itself: the coefficients as
-Fractions, over the lcm of their denominators.
+Each kernel must agree exactly with its oracle: the list routines of
+``exact_oracles.py`` for sums, differences, negation, products and powers,
+evaluation, composition and the Newton form, and the series expansion (both
+its integer pairs U_n / scale_n and their Fraction view); those of
+``kernel_oracles.py`` for the quasi-polynomial fit (results and errors), the
+Faulhaber sum and the stabilized constant of the multiplicity report.  A
+length function's values on a range, read as one list with its tails evaluated
+on integers, must equal its values read one degree at a time, and a tail value
+that is not a length raises the same error either way.  A polynomial's JSON
+coefficients, its text and ``format_rational`` must match the text read off
+the Fractions.  Polynomial results are compared field by field (``coeffs``,
+``numerators`` and ``denominator``) with the oracle's, which the validating
+constructor built.  The constructor and the kernels share the final reduction,
+so ``TestStoredForm`` checks the constructor against the definition of the
+stored form itself: the coefficients as Fractions, over the lcm of their
+denominators.
 """
 
 import random
@@ -40,7 +41,15 @@ from qmult.lengths import FitError, LengthFunction, ModelError, QuasiPolynomial,
 from qmult.multiplicity import _stabilized_report
 from qmult.series import parse_series
 
-from exact_oracles import horner
+from exact_oracles import (
+    compose_linear,
+    horner,
+    newton_interpolate,
+    poly_add,
+    poly_mul,
+    poly_pow,
+    power_series,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 polynomials = st.lists(rationals, max_size=8).map(lambda cs: Polynomial(tuple(cs)))
@@ -70,35 +79,35 @@ def cancelling_pairs(draw):
 class TestArithmeticKernels:
     @given(polynomials, polynomials)
     def test_product(self, g, h):
-        assert_same(g * h, oracle.fraction_product(g, h))
+        assert_same(g * h, Polynomial(poly_mul(g.coeffs, h.coeffs)))
 
     @given(polynomials, polynomials)
     def test_sum_difference_and_negation(self, g, h):
-        assert_same(g + h, oracle.fraction_sum(g, h))
-        assert_same(g - h, oracle.fraction_sum(g, h, -1))
-        assert_same(-g, oracle.fraction_sum(Polynomial(), g, -1))
+        assert_same(g + h, Polynomial(poly_add(g.coeffs, h.coeffs)))
+        assert_same(g - h, Polynomial(poly_add(g.coeffs, h.coeffs, -1)))
+        assert_same(-g, Polynomial(poly_add([], g.coeffs, -1)))
 
     @given(polynomials, scalars)
     def test_scalar_operands(self, g, c):
-        product = oracle.fraction_product(g, oracle.const(c))
+        product = Polynomial(poly_mul(g.coeffs, [c]))
         assert_same(g * c, product)
         assert_same(c * g, product)
-        assert_same(g + c, oracle.fraction_sum(g, oracle.const(c)))
-        assert_same(c + g, oracle.fraction_sum(g, oracle.const(c)))
-        assert_same(g - c, oracle.fraction_sum(g, oracle.const(c), -1))
-        assert_same(c - g, oracle.fraction_sum(oracle.const(c), g, -1))
+        assert_same(g + c, Polynomial(poly_add(g.coeffs, [c])))
+        assert_same(c + g, Polynomial(poly_add(g.coeffs, [c])))
+        assert_same(g - c, Polynomial(poly_add(g.coeffs, [c], -1)))
+        assert_same(c - g, Polynomial(poly_add([c], g.coeffs, -1)))
 
     @given(cancelling_pairs())
     def test_cancellation_trims_and_reduces(self, pair):
         g, h = pair
-        assert_same(g + h, oracle.fraction_sum(g, h))
+        assert_same(g + h, Polynomial(poly_add(g.coeffs, h.coeffs)))
         assert (g + h).degree < g.degree
         assert_same(g - g, Polynomial())
         assert_same(g * 0, Polynomial())
 
     @given(st.lists(rationals, max_size=5).map(lambda cs: Polynomial(tuple(cs))), st.integers(0, 6))
     def test_power(self, g, n):
-        assert_same(g**n, oracle.fraction_power(g, n))
+        assert_same(g**n, Polynomial(poly_pow(g.coeffs, n)))
 
 
 @st.composite
@@ -111,20 +120,20 @@ def dense_denominators(draw):
 def sparse_denominators(draw):
     """A product of factors (c - a*t^k) with k up to 40: few nonzero terms
     spread over a high degree."""
-    den = Polynomial((Fraction(1),))
+    den = [Fraction(1)]
     for _ in range(draw(st.integers(1, 3))):
         c = draw(st.fractions(1, 3, max_denominator=3))
         a = draw(st.fractions(-2, 2, max_denominator=3))
         k = draw(st.integers(1, 40))
-        den = oracle.fraction_product(den, Polynomial((c,) + (Fraction(0),) * (k - 1) + (-a,)))
-    return den
+        den = poly_mul(den, [c] + [Fraction(0)] * (k - 1) + [-a])
+    return Polynomial(den)
 
 
 @st.composite
 def binomial_denominators(draw):
     """(c - t)^e with c != 1, so den(0) != 1 and the recurrence scales by it."""
     c = draw(st.sampled_from([2, 3, -2, Fraction(1, 2), Fraction(-3, 4)]))
-    return oracle.fraction_power(Polynomial((Fraction(c), Fraction(-1))), draw(st.integers(1, 4)))
+    return Polynomial(poly_pow([Fraction(c), Fraction(-1)], draw(st.integers(1, 4))))
 
 
 denominators = st.one_of(dense_denominators(), sparse_denominators(), binomial_denominators())
@@ -137,7 +146,7 @@ class TestSeriesKernel:
         f = RationalFunction(num, den)
         got = series_coefficients(f, n_max)
         assert all(type(c) is Fraction for c in got)
-        assert got == oracle.fraction_series(num, den, n_max)
+        assert got == power_series(num.coeffs, den.coeffs, n_max)
         pairs = list(series_integers(f, n_max))
         assert all(type(u) is int and type(scale) is int and scale > 0 for u, scale in pairs)
         assert [Fraction(u, scale) for u, scale in pairs] == got
@@ -160,7 +169,7 @@ class TestSeriesKernel:
         assert (f.num.denominator, f.den.denominator) != (1, 1)
         pairs = list(series_integers(f, 200))
         assert all(scale > 0 for _, scale in pairs)
-        assert [Fraction(u, scale) for u, scale in pairs] == oracle.fraction_series(f.num, f.den, 200)
+        assert [Fraction(u, scale) for u, scale in pairs] == power_series(f.num.coeffs, f.den.coeffs, 200)
         # The in-loop reduction keeps each scale within a factor below 2^20 of
         # the reduced denominator (98304 at most here); without it scale_200
         # would be M * L^200, up to 638 bits.
@@ -194,7 +203,7 @@ class TestSeriesKernel:
         num = Polynomial(tuple(Fraction(c) for c in num))
         den = Polynomial(tuple(Fraction(c) for c in den))
         got = series_coefficients(RationalFunction(num, den), 300)
-        assert got == oracle.fraction_series(num, den, 300)
+        assert got == power_series(num.coeffs, den.coeffs, 300)
 
     def test_sparse_hilbert_series(self):
         one = Polynomial((Fraction(1),))
@@ -202,7 +211,7 @@ class TestSeriesKernel:
         num = one - t**4
         den = (one - t) * (one - t**2) * (one - t**3)
         got = series_coefficients(RationalFunction(num, den), 400)
-        assert got == oracle.fraction_series(num, den, 400)
+        assert got == power_series(num.coeffs, den.coeffs, 400)
 
 
 def trimmed(cs):
@@ -275,19 +284,17 @@ class TestPolynomialKernels:
 
     @given(polynomials, scalars, scalars)
     def test_compose_linear_matches_horner_composition(self, g, a, b):
-        assert_same(g.compose_linear(a, b), oracle.horner_compose_linear(g, a, b))
+        assert_same(g.compose_linear(a, b), Polynomial(compose_linear(g.coeffs, a, b)))
 
     @given(polynomials, scalars)
     def test_shift_matches_horner_composition(self, g, c):
-        assert_same(g.shift(c), oracle.horner_compose_linear(g, 1, c))
+        assert_same(g.shift(c), Polynomial(compose_linear(g.coeffs, 1, c)))
 
     @given(st.lists(rationals, max_size=7), st.integers(-30, 30))
     def test_newton_polynomial_is_the_binomial_sum(self, cs, anchor):
-        want = Polynomial()
-        for k, c in enumerate(cs):
-            term = oracle.horner_compose_linear(oracle.binomial_polynomial(k), 1, -anchor)
-            want = oracle.fraction_sum(want, oracle.fraction_product(term, oracle.const(c)))
-        assert_same(newton_polynomial(cs, anchor), want)
+        # sum_k cs[k] * C(t - anchor, k), through its values at anchor + i.
+        points = [(anchor + i, sum(c * comb(i, k) for k, c in enumerate(cs))) for i in range(len(cs))]
+        assert_same(newton_polynomial(cs, anchor), Polynomial(newton_interpolate(points)))
 
 
 # Large integers, and fractions whose numerator over a common denominator

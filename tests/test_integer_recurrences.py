@@ -1,16 +1,14 @@
 """The three integer recurrences of a series job, against the forms they replaced.
 
 ``exact._power`` raises an integer coefficient list to a power by J.C.P.
-Miller's recurrence, in one pass, against ``kernel_oracles``'
-square-and-multiply ``square_and_multiply_power`` and the n successive
-schoolbook products of ``fraction_power``: zero, constant and t^v bases,
+Miller's recurrence, in one pass, against the n successive schoolbook
+products of ``exact_oracles.poly_pow``: zero, constant and t^v bases,
 negative constant terms, gaps such as 2 - 3t^4, and n up to 30.
 
 ``differences.newton_form`` converts a Newton table to monomial form by one
-nested Horner pass on integers, against the basis built once per call
-(``basis_newton_form``) and the nested Fraction form
-(``nested_newton_polynomial``), for up to 12 entries, anchors in [-50, 50]
-and denominators above 1.
+nested Horner pass on integers, against ``exact_oracles.newton_interpolate``
+through the table's values at anchor + i, sum_j cs[j] C(i, j) / den, for up
+to 12 entries, anchors in [-50, 50] and denominators above 1.
 
 ``multiplicity.limit_estimate`` reads each residue's Newton table off the
 core values and sums it along one running binomial row, against the Fraction
@@ -41,6 +39,8 @@ from qmult.multiplicity import limit_estimate
 from qmult.series import parse_series
 from test_input_readers import count_calls
 
+from exact_oracles import newton_interpolate, poly_pow
+
 
 @st.composite
 def power_bases(draw):
@@ -55,8 +55,8 @@ def power_bases(draw):
 
 
 @given(power_bases(), st.integers(0, 30))
-def test_power_matches_square_and_multiply(a, n):
-    assert _power(a, n) == oracle.square_and_multiply_power(a, n)
+def test_power_matches_successive_products(a, n):
+    assert _power(a, n) == poly_pow(a, n)
 
 
 @pytest.mark.parametrize(
@@ -65,9 +65,9 @@ def test_power_matches_square_and_multiply(a, n):
 )
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 30])
 def test_power_of_named_bases(a, n):
-    want = oracle.fraction_power(Polynomial(a), n)
+    want = Polynomial(poly_pow(a, n))
     assert Polynomial._from_integers(_power(a, n), 1) == want
-    assert _power(a, n) == oracle.square_and_multiply_power(a, n)
+    assert _power(a, n) == poly_pow(a, n)
 
 
 @given(
@@ -76,7 +76,7 @@ def test_power_of_named_bases(a, n):
 )
 def test_polynomial_power_matches_successive_products(coeffs, n):
     g = Polynomial(coeffs)
-    assert g**n == oracle.fraction_power(g, n)
+    assert g**n == Polynomial(poly_pow(g.coeffs, n))
 
 
 def test_a_power_forms_no_product(monkeypatch):
@@ -86,7 +86,7 @@ def test_a_power_forms_no_product(monkeypatch):
         count_calls(monkeypatch, owner, "_product", calls)
     f = parse_series("(1-t)^9")
     assert calls["_product"] == 0
-    assert f.num == oracle.fraction_power(Polynomial((1, -1)), 9)
+    assert f.num == Polynomial(poly_pow([1, -1], 9))
 
 
 @settings(deadline=None)
@@ -95,10 +95,11 @@ def test_a_power_forms_no_product(monkeypatch):
     st.integers(-50, 50),
     st.integers(1, 10**4),
 )
-def test_newton_form_matches_the_basis_and_the_nested_form(cs, anchor, den):
+def test_newton_form_matches_newton_interpolation(cs, anchor, den):
     got = newton_form(cs, anchor, den)
-    assert got == oracle.basis_newton_form(len(cs), anchor)(cs, den)
-    assert got == oracle.nested_newton_polynomial([Fraction(c, den) for c in cs], anchor)
+    values = [Fraction(sum(c * comb(i, j) for j, c in enumerate(cs)), den) for i in range(len(cs))]
+    points = [(anchor + i, v) for i, v in enumerate(values)]
+    assert got == Polynomial(newton_interpolate(points))
 
 
 @given(st.lists(st.integers(-50, 50), max_size=8), st.integers(0, 60))

@@ -2,9 +2,11 @@
 asserted directly on fixtures with ``multiplicity_pos``, ``reduce``,
 ``reduce_chain`` and ``euler_characteristic``."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,7 +24,9 @@ from qmult.multiplicity import (
     multiplicity_pos,
 )
 from qmult.series import parse_series
+from test_input_readers import count_calls
 
+from exact_oracles import forward_difference
 from worked_examples import (
     jst_fixture,
     neg_growth_fixture,
@@ -200,7 +204,7 @@ def test_a_suffix_of_the_newton_table_certifies_that_difference(coeffs, m):
     for k in range(p.degree + 1):
         want = oracle.scan_oracle(q, m, 1)
         assert _first_negative(table[k:], m) == nonnegative_on_ray(q, m) == want
-        q = oracle.forward_difference(q)
+        q = Polynomial(forward_difference(q.coeffs))
 
 
 @pytest.mark.parametrize("regime", ["positive", "negative"])
@@ -294,6 +298,20 @@ def test_a_step_certified_past_its_window_builds_no_polynomial(monkeypatch, resi
         assert err.value.violations == tuple(sorted(bad))
         assert str(err.value) == f"not eventually {word} in model: reduction goes negative at n in {sorted(bad)}"
     assert calls == {}
+
+
+def test_a_negative_tail_is_read_downward_with_no_reflection(monkeypatch):
+    # Counting law: a step certifies its negative tail down from its window on
+    # one block table of the tail's own values, as validation reads a core
+    # down from valid_to; no tail is reflected to be read upward.  The
+    # violations are those the golden pins.
+    lf = from_series(parse_series("t^2/(1-t^2)^2"), 2, 80)
+    calls = count_calls(monkeypatch, QuasiPolynomial, "reflect")
+    with pytest.raises(KoszulError) as err:
+        reduce(lf, "negative")
+    assert calls["reflect"] == 0
+    golden = (Path(__file__).parent / "golden" / "reduce_neg_jst2_violations.json").read_text()
+    assert list(err.value.violations) == json.loads(golden)
 
 
 class TestKoszulTriangle:

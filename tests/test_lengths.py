@@ -90,10 +90,11 @@ def first_negatives(qp, degrees):
 
 
 class TestNegativeDegrees:
-    """The certificate runs up; a ray down is the ray up of the reflection.
-    A polynomial with coefficients in [-12, 12] and lead at least 1/3 in size
-    has its roots within 37 of 0 (Cauchy), so past block 40 either way its
-    sign is that at infinity, and a scan to there sees each first violation."""
+    """The certificate runs up or down; a ray down is also the ray up of the
+    reflection, negated.  A polynomial with coefficients in [-12, 12] and lead
+    at least 1/3 in size has its roots within 37 of 0 (Cauchy), so past block
+    40 either way its sign is that at infinity, and a scan to there sees each
+    first violation."""
 
     @given(quasi_polynomials, st.integers(-40, 40))
     @example(QuasiPolynomial(4, (Polynomial(),) * 4, 0), 0)
@@ -101,6 +102,12 @@ class TestNegativeDegrees:
         first = first_negatives(qp, range(anchor, 41 * qp.d))
         # The ray up meets the residues in the order 0, 1, ..., d - 1.
         assert list(qp.negative_degrees(anchor)) == [first[i] for i in sorted(first)]
+
+    @given(quasi_polynomials, st.integers(-40, 40))
+    def test_down_is_the_scan(self, qp, anchor):
+        first = first_negatives(qp, range(anchor, -40 * qp.d - 1, -1))
+        # The ray down, read with step -1, meets the residues in the order 0, 1, ..., d - 1.
+        assert list(qp.negative_degrees(anchor, -1)) == [first[i] for i in sorted(first)]
 
     @given(quasi_polynomials, st.integers(-40, 40))
     def test_down_is_the_reflected_ray_up(self, qp, anchor):
@@ -122,10 +129,10 @@ class TestNegativeDegrees:
         def down(anchor):
             return [-n for n in qp.reflect().negative_degrees(-anchor)]
 
-        assert down(0) == [-3]
-        assert down(-3) == [-3]
-        assert down(-4) == []
-        assert down(10) == [4, -3]
+        assert down(0) == list(qp.negative_degrees(0, -1)) == [-3]
+        assert down(-3) == list(qp.negative_degrees(-3, -1)) == [-3]
+        assert down(-4) == list(qp.negative_degrees(-4, -1)) == []
+        assert down(10) == list(qp.negative_degrees(10, -1)) == [4, -3]
 
 
 class TestConstruction:

@@ -1,14 +1,14 @@
-"""The series expansion through D's (1 - t^j) factors, against the recurrence.
+"""The series expansion through D's (1 - t^j) factors, against its definition.
 
 ``lengths.from_series`` splits D as r * prod(1 - t^j) over divisors j of d,
 expands u = N/r by the recurrence on r alone and takes the lengths as u's
-running sums, one per factor.  Against ``kernel_oracles.recurrence_from_series``,
-the recurrence over every nonzero term of D, and ``pair_from_series``, the
-integer pairs of ``series_integers``, it must give the same JSON or the same
-error text: on series whose residual r is not 1 (1 + t^2 at d = 4, 2 + t,
-the cyclotomic factors that are not a 1 - t^j, poles off the period), on
-series with L > 1 or M > 1, and on series refused at a negative or a
-non-integer coefficient.
+running sums, one per factor.  Against ``kernel_oracles.from_series``, the
+model as first written, one Fraction per coefficient by the series recurrence
+of ``exact_oracles`` over every nonzero term of D, it must give the same JSON
+or the same error text: on series whose residual r is not 1 (1 + t^2 at
+d = 4, 2 + t, the cyclotomic factors that are not a 1 - t^j, poles off the
+period), on series with L > 1 or M > 1, and on series refused at a negative
+or a non-integer coefficient.
 
 A refusal at a coefficient expands at most about twice the terms up to it:
 the running sums are taken on doubling prefixes from the first negative u_n,
@@ -35,7 +35,7 @@ FACTORS = ("1", "(2+t)", "(3-2*t)", "(1/2+t/3)", "(1+t/3)^2")
 # Terms added to the numerator, so that some coefficient is not a length.
 NOISE = ("1/2", "-1", "1/3*t^2", "-3*t^4", "t^7/7", "-t", "-2*t^9")
 
-BUILDERS = (from_series, oracle.recurrence_from_series, oracle.pair_from_series)
+BUILDERS = (from_series, oracle.from_series)
 
 
 def expression(d, ks, residual, factor, a, b, noise):
@@ -74,16 +74,16 @@ def outcome(build, f, d, probe):
 
 @settings(deadline=None)
 @given(series_cases())
-def test_the_expansion_matches_the_recurrence_and_the_pairs(case):
+def test_the_expansion_matches_the_fraction_model(case):
     expr, d, probe = case
     f = parse_series(expr)
     got = [outcome(build, f, d, probe) for build in BUILDERS]
-    assert got[0] == got[1] == got[2], expr
+    assert got[0] == got[1], expr
 
 
 def test_seeded_series_reach_every_outcome():
     # Acceptance with r = 1 and with r != 1, and refusal at a negative
-    # coefficient, at a non-integer one and of a tail, all as the oracles say.
+    # coefficient, at a non-integer one and of a tail, all as the oracle says.
     rng = random.Random(38)
     kinds = set()
     for _ in range(200):
@@ -98,9 +98,8 @@ def test_seeded_series_reach_every_outcome():
             d, ks, residual, rng.choice(FACTORS), rng.randint(0, 8), rng.randint(0, 4), noise
         )
         f, probe = parse_series(expr), rng.choice([0, 5, 80])
-        want = outcome(oracle.recurrence_from_series, f, d, probe)
+        want = outcome(oracle.from_series, f, d, probe)
         assert outcome(from_series, f, d, probe) == want, expr
-        assert outcome(oracle.pair_from_series, f, d, probe) == want, expr
         if isinstance(want, dict):
             kinds.add("accepted, r = 1" if residual == "1" else "accepted, r != 1")
         elif "not a length" in want[1]:
@@ -162,7 +161,7 @@ def count_expanded(monkeypatch):
 def test_a_refusal_expands_about_twice_the_terms_up_to_it(monkeypatch, expr, d, n, shown):
     f = parse_series(expr)
     want = (lengths.ModelError, f"series coefficient at n={n} is {shown}; not a length")
-    assert outcome(oracle.recurrence_from_series, f, d, 0) == want
+    assert outcome(oracle.from_series, f, d, 0) == want
     reached = count_expanded(monkeypatch)
     assert outcome(from_series, f, d, 0) == want
     assert reached[0] <= max(16, 2 * (n + 1))

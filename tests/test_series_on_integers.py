@@ -5,12 +5,13 @@
 refused at the first n where a length is not a nonnegative integer.  Each
 residue's polynomial is its Newton table converted by one nested Horner pass
 on integers (``newton_form``).
-Against ``kernel_oracles.pair_from_series``, which reads the integer pairs
-(U_n, scale_n) of ``series_integers`` and builds each residue's polynomial by
-the nested Newton form, it must give the same JSON, or the same error text
-at the same n, on series where L > 1 or M > 1: an accepted series times a
-factor that nothing cancels, such as (2 + t)/(2 + t), and the same numerator
-perturbed so that some coefficient is not a length.  Periods reach 120.
+Against ``kernel_oracles.from_series``, which expands one Fraction per
+coefficient by the series recurrence of ``exact_oracles`` and interpolates
+each residue's polynomial through its values, it must give the same JSON, or
+the same error text at the same n, on series where L > 1 or M > 1: an
+accepted series times a factor that nothing cancels, such as (2 + t)/(2 + t),
+and the same numerator perturbed so that some coefficient is not a length.
+Periods reach 120.
 
 ``multiplicity.limit_estimate`` sums on integers, each residue's Newton table
 read off the core values, and builds one Fraction, the result.  Against
@@ -75,11 +76,11 @@ def outcome(build, f, d, probe):
 
 @settings(deadline=None)
 @given(st.one_of(scaled_series(), scaled_series(noisy=True)))
-def test_from_series_matches_the_pair_expansion(case):
+def test_from_series_matches_the_fraction_model(case):
     expr, d, probe = case
     f = parse_series(expr)
     assert (f.den.denominator, f.num.denominator) != (1, 1), expr
-    assert outcome(from_series, f, d, probe) == outcome(oracle.pair_from_series, f, d, probe), expr
+    assert outcome(from_series, f, d, probe) == outcome(oracle.from_series, f, d, probe), expr
 
 
 def test_seeded_series_reach_every_outcome():
@@ -98,7 +99,7 @@ def test_seeded_series_reach_every_outcome():
             ks.append(rng.choice([k for k in range(2, 30) if d % k]))
         den = "*".join(f"(1-t^{k})" for k in ks)
         f, probe = parse_series(f"({num})/({den}*{factor})"), rng.choice([0, 5, 80])
-        want = outcome(oracle.pair_from_series, f, d, probe)
+        want = outcome(oracle.from_series, f, d, probe)
         assert outcome(from_series, f, d, probe) == want
         if isinstance(want, dict):
             kinds.add("accepted")
@@ -120,13 +121,13 @@ def test_refused_at_the_same_coefficient(expr, d, message):
     f = parse_series(expr)
     want = (lengths.ModelError, message)
     assert outcome(from_series, f, d, 0) == want
-    assert outcome(oracle.pair_from_series, f, d, 0) == want
+    assert outcome(oracle.from_series, f, d, 0) == want
 
 
 def test_a_huge_refused_coefficient_is_shown_by_its_digits():
     # 1/2 + 10^5000 t^3 over 1 - t is refused at n = 0; 1 - (10^5000 / 3) t at
     # n = 1 as (3 - 10^5000)/3, past the digits that str writes, both as the
-    # pair expansion does.
+    # Fraction series model does.
     big = 10**5000
     for num, message in [
         ((Fraction(1, 2), 0, 0, big), "series coefficient at n=0 is 1/2; not a length"),
@@ -138,7 +139,7 @@ def test_a_huge_refused_coefficient_is_shown_by_its_digits():
     ]:
         f = RationalFunction(Polynomial(num), Polynomial((1, -1)))
         want = (lengths.ModelError, message)
-        assert outcome(from_series, f, 2, 0) == outcome(oracle.pair_from_series, f, 2, 0) == want
+        assert outcome(from_series, f, 2, 0) == outcome(oracle.from_series, f, 2, 0) == want
 
 
 def forbidden(*args, **kwargs):
@@ -157,7 +158,7 @@ def forbidden(*args, **kwargs):
 )
 def test_an_accepted_series_calls_neither_old_kernel(monkeypatch, expr, d):
     f = parse_series(expr)
-    want = oracle.pair_from_series(f, d, 12).to_json_dict()
+    want = oracle.from_series(f, d, 12).to_json_dict()
     for module in (exact, lengths, differences):
         for name in ("series_integers", "series_coefficients", "newton_polynomial"):
             if hasattr(module, name):

@@ -16,7 +16,23 @@ SHARED = {
         "hypersurface_fixture",
         "neg_growth_fixture",
     ),
-    "exact_oracles.py": ("brute_stabilized_delta", "laurent_complexity", "laurent_e_delta"),
+    "exact_oracles.py": (
+        "brute_stabilized_delta",
+        "laurent_complexity",
+        "laurent_e_delta",
+        "horner",
+        "divide_out_root",
+        "trim",
+        "poly_add",
+        "poly_mul",
+        "poly_pow",
+        "compose_linear",
+        "forward_difference",
+        "newton_interpolate",
+        "power_series",
+        "exact_quotient",
+        "coefficient_over_one_plus_t",
+    ),
 }
 
 
